@@ -5,6 +5,11 @@ member.  Weighted variants parallel the univariate ones: threshold
 weighting transforms members and observation, outcome weighting
 reweights members by their own weight, vertical re-scaling damps the
 kernel terms and anchors a correction at a reference point.
+
+The energy, variogram and vertically re-scaled energy kernels score a
+stack of cases at once: members (n, m, d) and observations (n, d).  The
+per-case functions check their inputs and call them with n = 1; the
+propriety Monte Carlo in ``synthlab`` calls them on whole samples.
 """
 
 from __future__ import annotations
@@ -115,12 +120,12 @@ def _check_obs(y, d: int) -> np.ndarray:
 
 
 def _member_weights(w: WeightFunction, pts: np.ndarray) -> np.ndarray:
-    """Weight of each row of ``pts`` (n, d)."""
+    """Weight of each point of ``pts`` (..., d)."""
     if isinstance(w, Constant):
-        return np.ones(pts.shape[0])
-    if w.dim != pts.shape[1]:
+        return np.ones(pts.shape[:-1])
+    if w.dim != pts.shape[-1]:
         raise DimensionMismatch(
-            f"weight dimension {w.dim} does not match ensemble dimension {pts.shape[1]}"
+            f"weight dimension {w.dim} does not match ensemble dimension {pts.shape[-1]}"
         )
     return np.asarray(w(pts), dtype=float)
 
@@ -129,12 +134,6 @@ def _point_weight(w: WeightFunction, y: np.ndarray) -> float:
     if isinstance(w, Constant):
         return 1.0
     return float(w(y))
-
-
-def _pair_norms(x: np.ndarray) -> np.ndarray:
-    # x is (m, d); returns (m, m) Euclidean distances.
-    diff = x[:, None, :] - x[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=-1))
 
 
 def _transform(chaining: ChainingFunction, ens: MvEnsemble, y: np.ndarray):
@@ -153,19 +152,83 @@ def _transform(chaining: ChainingFunction, ens: MvEnsemble, y: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# energy score family
+# kernels over stacks of cases: members x (n, m, d), observations y (n, d)
 # ---------------------------------------------------------------------------
 
+# Cases per block of the pairwise loops.  This caps the (block, m, m, d)
+# difference tensor at about 60 MB for m = 50 members in d = 3.
+_BLOCK = 1000
 
-def _energy_core(x: np.ndarray, y: np.ndarray, fair: bool) -> float:
-    m = x.shape[0]
-    term1 = np.mean(np.sqrt(np.sum((x - y) ** 2, axis=1)))
-    if m == 1:
-        spread = 0.0
-    else:
-        denom = m * (m - 1) if fair else m * m
-        spread = _pair_norms(x).sum() / (2.0 * denom)
-    return float(term1 - spread)
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis."""
+    return np.sqrt((v**2).sum(-1))
+
+
+def _pair_norms(x: np.ndarray) -> np.ndarray:
+    """Distances (..., m, m) between the members of ``x`` (..., m, d)."""
+    # One expression, so numpy squares the difference tensor in place.
+    return np.sqrt(((x[..., :, None, :] - x[..., None, :, :]) ** 2).sum(-1))
+
+
+def _increments(z: np.ndarray, p: float) -> np.ndarray:
+    """Variogram increments |z_i - z_j|^p (..., d, d) of points (..., d)."""
+    return np.abs(z[..., :, None] - z[..., None, :]) ** p
+
+
+def _energy(x: np.ndarray, y: np.ndarray, fair: bool = False) -> np.ndarray:
+    """Energy score of each case; the fair variant needs m >= 2."""
+    n, m, _ = x.shape
+    denom = m * (m - 1) if fair else m * m
+    out = _norm(x - y[:, None, :]).mean(1)
+    for a in range(0, n, _BLOCK):
+        out[a : a + _BLOCK] -= _pair_norms(x[a : a + _BLOCK]).sum((1, 2)) / (2.0 * denom)
+    return out
+
+
+def _variogram(x: np.ndarray, y: np.ndarray, p: float, h: np.ndarray) -> np.ndarray:
+    """Variogram score of order ``p`` with proximity weights ``h`` (d, d)."""
+    n = x.shape[0]
+    gy = _increments(y, p)
+    out = np.empty(n)
+    for a in range(0, n, _BLOCK):
+        gx = _increments(x[a : a + _BLOCK], p).mean(1)
+        out[a : a + _BLOCK] = (h * (gx - gy[a : a + _BLOCK]) ** 2).sum((1, 2))
+    return out
+
+
+def _vertical(wx, wy, rho_y, rho_0, pair, rho_y0):
+    """Vertically re-scaled combination term1 - term2 + term3 of a kernel rho.
+
+    Member weights ``wx`` and the member kernels ``rho_y`` = rho(x_k, y)
+    and ``rho_0`` = rho(x_k, x0) run along the last axis; ``wy`` is the
+    observation weight, ``pair`` the sum of wx_k wx_l rho(x_k, x_l) over
+    member pairs and ``rho_y0`` = rho(y, x0).
+    """
+    m = wx.shape[-1]
+    term1 = (rho_y * wx).mean(-1) * wy
+    term2 = pair / (2.0 * m * m)
+    term3 = ((rho_0 * wx).mean(-1) - rho_y0 * wy) * (wx.mean(-1) - wy)
+    return term1 - term2 + term3
+
+
+def _vr_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction, x0: np.ndarray) -> np.ndarray:
+    """Vertically re-scaled energy score of each case, anchored at ``x0`` (d,)."""
+    n = x.shape[0]
+    wx = _member_weights(w, x)
+    wy = _member_weights(w, y)
+    pair = np.empty(n)
+    for a in range(0, n, _BLOCK):
+        wa = wx[a : a + _BLOCK]
+        pair[a : a + _BLOCK] = (
+            wa[:, :, None] * wa[:, None, :] * _pair_norms(x[a : a + _BLOCK])
+        ).sum((1, 2))
+    return _vertical(wx, wy, _norm(x - y[:, None, :]), _norm(x - x0), pair, _norm(y - x0))
+
+
+# ---------------------------------------------------------------------------
+# energy score family
+# ---------------------------------------------------------------------------
 
 
 def energy_score(forecast, y, fair: bool = False) -> ScoreValue:
@@ -178,7 +241,8 @@ def energy_score(forecast, y, fair: bool = False) -> ScoreValue:
     y = _check_obs(y, ens.dim)
     if fair and ens.size < 2:
         raise ContractViolation("the fair variant needs at least two members")
-    return ScoreValue(_energy_core(ens.members.T, y, fair), "es", {"fair": fair})
+    value = _energy(ens.members.T[None], y[None], fair)[0]
+    return ScoreValue(value, "es", {"fair": fair})
 
 
 def tw_energy_score(forecast, y, chaining: ChainingFunction, fair: bool = False) -> ScoreValue:
@@ -189,7 +253,7 @@ def tw_energy_score(forecast, y, chaining: ChainingFunction, fair: bool = False)
     tm, ty = _transform(chaining, ens, y)
     if fair and ens.size < 2:
         raise ContractViolation("the fair variant needs at least two members")
-    value = _energy_core(tm.T, ty, fair)
+    value = _energy(tm.T[None], ty[None], fair)[0]
     return ScoreValue(value, "twes", {"chaining": repr(chaining), "fair": fair})
 
 
@@ -213,7 +277,7 @@ def ow_energy_score(forecast, y, w: WeightFunction) -> ScoreValue:
             f"ensemble weight mass is {total:.3e}, below the floor"
         )
     pi = wx / total
-    term1 = np.sum(pi * np.sqrt(np.sum((x - y) ** 2, axis=1)))
+    term1 = np.sum(pi * _norm(x - y))
     spread = 0.5 * float(pi @ _pair_norms(x) @ pi)
     return ScoreValue(wy * (term1 - spread), "owes", params)
 
@@ -224,34 +288,13 @@ def vr_energy_score(forecast, y, w: WeightFunction, x0=None) -> ScoreValue:
     y = _check_obs(y, ens.dim)
     x0 = np.zeros(ens.dim) if x0 is None else _check_obs(x0, ens.dim)
     params = {"weight": repr(w), "x0": x0.tolist()}
-    x = ens.members.T
-    m = ens.size
-    wx = _member_weights(w, x)
-    wy = _point_weight(w, y)
-    dist_y = np.sqrt(np.sum((x - y) ** 2, axis=1))
-    dist_0 = np.sqrt(np.sum((x - x0) ** 2, axis=1))
-    term1 = np.mean(dist_y * wx) * wy
-    term2 = float((wx[:, None] * wx[None, :] * _pair_norms(x)).sum()) / (2.0 * m * m)
-    term3 = (np.mean(dist_0 * wx) - np.sqrt(np.sum((y - x0) ** 2)) * wy) * (
-        np.mean(wx) - wy
-    )
-    return ScoreValue(term1 - term2 + term3, "vres", params)
+    value = _vr_energy(ens.members.T[None], y[None], w, x0)[0]
+    return ScoreValue(value, "vres", params)
 
 
 # ---------------------------------------------------------------------------
 # variogram score family
 # ---------------------------------------------------------------------------
-
-
-def _vario_matrices(x: np.ndarray, p: float) -> np.ndarray:
-    # x is (m, d); returns (m, d, d) of |x_i - x_j|^p per member.
-    return np.abs(x[:, :, None] - x[:, None, :]) ** p
-
-
-def _variogram_core(x: np.ndarray, y: np.ndarray, p: float, h: np.ndarray) -> float:
-    gx = _vario_matrices(x, p).mean(axis=0)
-    gy = np.abs(y[:, None] - y[None, :]) ** p
-    return float(np.sum(h * (gx - gy) ** 2))
 
 
 def variogram_score(forecast, y, spec: VariogramSpec | None = None) -> ScoreValue:
@@ -265,7 +308,7 @@ def variogram_score(forecast, y, spec: VariogramSpec | None = None) -> ScoreValu
     ens = _as_mv(forecast)
     y = _check_obs(y, ens.dim)
     h = spec.weights_for(ens.dim)
-    value = _variogram_core(ens.members.T, y, spec.p, h)
+    value = _variogram(ens.members.T[None], y[None], spec.p, h)[0]
     return ScoreValue(value, "vs", {"p": spec.p})
 
 
@@ -278,12 +321,8 @@ def tw_variogram_score(
     y = _check_obs(y, ens.dim)
     tm, ty = _transform(chaining, ens, y)
     h = spec.weights_for(ens.dim)
-    value = _variogram_core(tm.T, ty, spec.p, h)
+    value = _variogram(tm.T[None], ty[None], spec.p, h)[0]
     return ScoreValue(value, "twvs", {"p": spec.p, "chaining": repr(chaining)})
-
-
-def _vario_kernel(gu: np.ndarray, gz: np.ndarray, h: np.ndarray) -> float:
-    return float(np.sum(h * (gu - gz) ** 2))
 
 
 def vr_variogram_score(
@@ -300,21 +339,17 @@ def vr_variogram_score(
     h = spec.weights_for(ens.dim)
     x0 = spec.reference_for(ens.dim)
     x = ens.members.T
-    m = ens.size
     wx = _member_weights(w, x)
     wy = _point_weight(w, y)
 
-    gx = _vario_matrices(x, spec.p)  # (m, d, d)
-    gy = np.abs(y[:, None] - y[None, :]) ** spec.p
-    g0 = np.abs(x0[:, None] - x0[None, :]) ** spec.p
+    gx = _increments(x, spec.p)  # (m, d, d)
+    gy = _increments(y, spec.p)
+    g0 = _increments(x0, spec.p)
 
     rho_y = np.einsum("ij,kij->k", h, (gx - gy) ** 2)
     rho_0 = np.einsum("ij,kij->k", h, (gx - g0) ** 2)
     diff_pairs = gx[:, None, :, :] - gx[None, :, :, :]
     rho_pairs = np.einsum("ij,klij->kl", h, diff_pairs**2)
-
-    term1 = np.mean(rho_y * wx) * wy
-    term2 = float((wx[:, None] * wx[None, :] * rho_pairs).sum()) / (2.0 * m * m)
-    term3 = (np.mean(rho_0 * wx) - _vario_kernel(gy, g0, h) * wy) * (np.mean(wx) - wy)
-    value = term1 - term2 + term3
+    pair = float((wx[:, None] * wx[None, :] * rho_pairs).sum())
+    value = _vertical(wx, wy, rho_y, rho_0, pair, float(np.sum(h * (gy - g0) ** 2)))
     return ScoreValue(value, "vrvs", {"p": spec.p, "weight": repr(w)})

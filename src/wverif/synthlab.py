@@ -1,10 +1,12 @@
 """Synthetic experiments: score behaviour, calibration, and propriety.
 
-Everything here is driven by explicit seeds.  Large Monte Carlo runs
-use vectorised scoring against precomputed cdf grids rather than the
+Everything here is driven by explicit seeds.  The univariate Monte
+Carlo runs score against precomputed cdf grids rather than the
 pointwise quadrature routines, trading a little generality for orders
 of magnitude in speed; the two routes agree to well below Monte Carlo
-noise and are cross-checked in the test suite.
+noise and are cross-checked in the test suite.  Multivariate propriety
+runs the shipped energy, variogram and vertically re-scaled kernels of
+``mvscores`` on whole samples at once.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from .calibration import (
 )
 from .exceptions import ContractViolation, WeightedMassZero
 from .forecasts import Logistic, Normal, Parametric, StudentT
+from .mvscores import _energy, _variogram, _vr_energy
 from .uniscores import crps_normal, owcrps, twcrps, vrcrps
 from .weights import (
     MASS_FLOOR,
     BoxIndicator,
     CensorAbove,
+    CollapseOutside,
     Constant,
     GaussCdf,
     GaussPdf,
@@ -538,63 +542,9 @@ def _mv_sample(rng, params, n: int, m: int, d: int) -> np.ndarray:
     return z @ chol.T + mu
 
 
-def _es_batch(x: np.ndarray, ys: np.ndarray, chunk: int = 1000) -> np.ndarray:
-    n, m, _ = x.shape
-    out = np.empty(n)
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        xa = x[a:b]
-        t1 = np.sqrt(((xa - ys[a:b, None, :]) ** 2).sum(-1)).mean(1)
-        dd = np.sqrt(((xa[:, :, None, :] - xa[:, None, :, :]) ** 2).sum(-1))
-        out[a:b] = t1 - dd.sum((1, 2)) / (2.0 * m * m)
-    return out
-
-
-def _vs_batch(x: np.ndarray, ys: np.ndarray, p: float, chunk: int = 4000) -> np.ndarray:
-    n = x.shape[0]
-    gy = np.abs(ys[:, :, None] - ys[:, None, :]) ** p
-    out = np.empty(n)
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        xa = x[a:b]
-        gx = (np.abs(xa[:, :, :, None] - xa[:, :, None, :]) ** p).mean(1)
-        out[a:b] = ((gx - gy[a:b]) ** 2).sum((1, 2))
-    return out
-
-
-def _collapse_batch(x: np.ndarray, ys: np.ndarray, w: WeightFunction, z0: np.ndarray):
-    wm = np.asarray(w(x), dtype=float)
-    wy = np.asarray(w(ys), dtype=float)
-    xt = np.where(wm[..., None] > 0.5, x, z0)
-    yt = np.where(wy[..., None] > 0.5, ys, z0)
-    return xt, yt
-
-
-def _vres_batch(
-    x: np.ndarray, ys: np.ndarray, w: WeightFunction, x0: np.ndarray, chunk: int = 1000
-) -> np.ndarray:
-    n, m, _ = x.shape
-    wx = np.asarray(w(x), dtype=float)
-    wy = np.asarray(w(ys), dtype=float)
-    dist_y = np.sqrt(((x - ys[:, None, :]) ** 2).sum(-1))
-    dist_0 = np.sqrt(((x - x0) ** 2).sum(-1))
-    term1 = (dist_y * wx).mean(1) * wy
-    term3 = ((dist_0 * wx).mean(1) - np.sqrt(((ys - x0) ** 2).sum(-1)) * wy) * (
-        wx.mean(1) - wy
-    )
-    term2 = np.empty(n)
-    for a in range(0, n, chunk):
-        b = min(a + chunk, n)
-        xa = x[a:b]
-        dd = np.sqrt(((xa[:, :, None, :] - xa[:, None, :, :]) ** 2).sum(-1))
-        term2[a:b] = (wx[a:b, :, None] * wx[a:b, None, :] * dd).sum((1, 2)) / (
-            2.0 * m * m
-        )
-    return term1 - term2 + term3
-
-
 def _propriety_mv(score: str, n_pairs: int, n: int, m: int, seed) -> list:
     d = 3
+    h = np.ones((d, d))
     rows = []
     for i in range(n_pairs):
         rng = np.random.default_rng((seed, 202, i))
@@ -604,21 +554,16 @@ def _propriety_mv(score: str, n_pairs: int, n: int, m: int, seed) -> list:
         xf = _mv_sample(rng, pf, n, m, d)
         mu, sd, _ = pg
         q = mu - 0.5 * sd  # roughly the 30th percentile componentwise
-        if score == "es":
-            a, b = _es_batch(xg, ys), _es_batch(xf, ys)
-        elif score == "vs":
-            a, b = _vs_batch(xg, ys, 0.5), _vs_batch(xf, ys, 0.5)
-        elif score in ("twes", "twvs"):
-            w = BoxIndicator(q, np.full(d, np.inf))
-            xg_t, ys_g = _collapse_batch(xg, ys, w, q)
-            xf_t, ys_f = _collapse_batch(xf, ys, w, q)
-            if score == "twes":
-                a, b = _es_batch(xg_t, ys_g), _es_batch(xf_t, ys_f)
-            else:
-                a, b = _vs_batch(xg_t, ys_g, 0.5), _vs_batch(xf_t, ys_f, 0.5)
+        if score in ("twes", "twvs"):
+            v = CollapseOutside(BoxIndicator(q, np.full(d, np.inf)), q).transform
+            xg, xf, ys = v(xg), v(xf), v(ys)
+        if score in ("es", "twes"):
+            a, b = _energy(xg, ys), _energy(xf, ys)
+        elif score in ("vs", "twvs"):
+            a, b = _variogram(xg, ys, 0.5, h), _variogram(xf, ys, 0.5, h)
         else:
             w = MvGaussCdf(q, sd)
-            a, b = _vres_batch(xg, ys, w, q), _vres_batch(xf, ys, w, q)
+            a, b = _vr_energy(xg, ys, w, q), _vr_energy(xf, ys, w, q)
         diff = a - b
         se = float(np.std(diff, ddof=1) / np.sqrt(n))
         rows.append(
@@ -646,7 +591,8 @@ def run_propriety_mc(
     alternative plus twice the standard error of the paired difference.
     Univariate forecasts are scored as full distributions on cdf grids;
     multivariate ones as 50-member samples, drawn the same way for both
-    sides so the finite-ensemble bias cancels in the comparison.
+    sides so the finite-ensemble bias cancels in the comparison, by the
+    same kernels that ``mvscores`` runs for every case it scores.
     """
     chosen = tuple(scores) if scores else _UNI_SCORES + _MV_SCORES
     rows = []

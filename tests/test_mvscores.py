@@ -23,6 +23,7 @@ from wverif import (
     vr_energy_score,
     vr_variogram_score,
 )
+from wverif import mvscores
 
 
 def _rand_ens(rng, d=3, m=8):
@@ -227,6 +228,42 @@ def test_vr_scores_with_binary_weight_match_collapsed_tw():
         c = vr_variogram_score(e, y, w, spec).value
         d = tw_variogram_score(e, y, chain, spec).value
         assert abs(c - d) < 1e-12
+
+
+@pytest.mark.parametrize("n, m", [(20, 1), (mvscores._BLOCK + 7, 5)])
+def test_stacked_kernels_match_per_case_functions(n, m):
+    """The kernels behind the propriety Monte Carlo score a stack of
+    cases exactly as the public functions score each case."""
+    rng = np.random.default_rng(49)
+    d = 3
+    x = rng.normal(size=(n, m, d))
+    y = rng.normal(size=(n, d))
+    lower = np.full(d, -0.3)
+    chain = CollapseOutside(BoxIndicator(lower, np.full(d, np.inf)), lower)
+    w = MvGaussCdf(lower, np.ones(d))
+    h = np.ones((d, d))
+    tx, ty = chain.transform(x), chain.transform(y)
+    stacked = {
+        "es": mvscores._energy(x, y),
+        "vs": mvscores._variogram(x, y, 0.5, h),
+        "twes": mvscores._energy(tx, ty),
+        "twvs": mvscores._variogram(tx, ty, 0.5, h),
+        "vres": mvscores._vr_energy(x, y, w, lower),
+    }
+    per_case = {
+        "es": lambda e, yi: energy_score(e, yi),
+        "vs": lambda e, yi: variogram_score(e, yi),
+        "twes": lambda e, yi: tw_energy_score(e, yi, chain),
+        "twvs": lambda e, yi: tw_variogram_score(e, yi, chain),
+        "vres": lambda e, yi: vr_energy_score(e, yi, w, x0=lower),
+    }
+    if m > 1:
+        stacked["es_fair"] = mvscores._energy(x, y, fair=True)
+        per_case["es_fair"] = lambda e, yi: energy_score(e, yi, fair=True)
+    ensembles = [MvEnsemble(xi.T) for xi in x]
+    for name, score in per_case.items():
+        want = [score(e, yi).value for e, yi in zip(ensembles, y)]
+        assert_allclose(stacked[name], want, rtol=1e-12, err_msg=name)
 
 
 def test_variogram_discriminates_correlation():
