@@ -524,7 +524,9 @@ def _mv_pair(rng, i: int, d: int):
     rho_g = rhos[i % 4]
     kind = i % 3
     if kind == 0:
-        other = (mu + 0.5, sd, rho_g)
+        # A common shift leaves every difference between components, and so
+        # the variogram score, unchanged; shift the components unequally.
+        other = (mu + 0.5 * (1.0 + np.linspace(-1.0, 1.0, d)), sd, rho_g)
         desc = "shifted"
     elif kind == 1:
         other = (mu, sd * 1.4, rho_g)
