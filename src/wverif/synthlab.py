@@ -587,6 +587,9 @@ def run_propriety_mc(
 ) -> list:
     """Monte Carlo propriety checks over random truth/forecast pairs.
 
+    ``scores`` is a sequence of score names or one comma-separated string
+    of them, as the command line passes it; all nine by default.
+
     For each requested score and each pair, the mean score of the truth
     is compared with the mean score of the wrong forecast over draws
     from the truth.  A row passes when the truth is no worse than the
@@ -596,6 +599,8 @@ def run_propriety_mc(
     sides so the finite-ensemble bias cancels in the comparison, by the
     same kernels that ``mvscores`` runs for every case it scores.
     """
+    if isinstance(scores, str):
+        scores = scores.split(",")
     chosen = tuple(scores) if scores else _UNI_SCORES + _MV_SCORES
     rows = []
     for s in chosen:

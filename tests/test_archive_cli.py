@@ -506,6 +506,21 @@ def test_cli_synth_small(tmp_path):
     assert summary["restricted_ri"] > summary["pit_ri"]
 
 
+def test_cli_synth_propriety_selects_scores(tmp_path):
+    out = tmp_path / "prop"
+    code = main(
+        ["synth", "propriety", "--param", "scores=crps,vs", "--param", "n_pairs=1",
+         "--param", "n_uni=2000", "--param", "n_mv=300", "--out", str(out),
+         "--seed", "5"]
+    )
+    assert code == 0
+    import csv as csvmod
+
+    with open(out / "propriety.csv", newline="") as fh:
+        rows = list(csvmod.DictReader(fh))
+    assert [r["score"] for r in rows] == ["crps", "vs"]
+
+
 def test_cli_report_self_reference_has_zero_skill(tmp_path):
     arch = _write_archive_file(tmp_path, n_days=4)
     out = tmp_path / "rep"
