@@ -215,15 +215,6 @@ class OneMinusGaussCdf(WeightFunction):
         return float(out) if out.ndim == 0 else out
 
 
-def _mv_params(mu, sigma_diag):
-    mu = np.asarray(mu, dtype=float)
-    sd = np.asarray(sigma_diag, dtype=float)
-    if mu.ndim != 1 or mu.shape != sd.shape:
-        raise DimensionMismatch("mu and sigma_diag must be 1-d arrays of equal length")
-    _check_positive_sigma(sd)
-    return mu, sd
-
-
 class _MvWeight(WeightFunction):
     __slots__ = ()
 
@@ -237,23 +228,32 @@ class _MvWeight(WeightFunction):
 
 
 @dataclass(frozen=True)
-class MvGaussPdf(_MvWeight):
-    """Multivariate normal density with diagonal covariance.
-
-    The density is the product of the marginal densities.
-    """
+class _MvGauss(_MvWeight):
+    """Centre and marginal sds of a normal with diagonal covariance."""
 
     mu: np.ndarray
     sigma_diag: np.ndarray
 
     def __post_init__(self):
-        mu, sd = _mv_params(self.mu, self.sigma_diag)
+        mu = np.asarray(self.mu, dtype=float)
+        sd = np.asarray(self.sigma_diag, dtype=float)
+        if mu.ndim != 1 or mu.shape != sd.shape:
+            raise DimensionMismatch("mu and sigma_diag must be 1-d arrays of equal length")
+        _check_positive_sigma(sd)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma_diag", sd)
 
     @property
     def dim(self) -> int:
         return self.mu.size
+
+
+@dataclass(frozen=True)
+class MvGaussPdf(_MvGauss):
+    """Multivariate normal density with diagonal covariance.
+
+    The density is the product of the marginal densities.
+    """
 
     def __call__(self, z):
         z = self._check(z)
@@ -262,20 +262,8 @@ class MvGaussPdf(_MvWeight):
 
 
 @dataclass(frozen=True)
-class OneMinusMvGaussPdfRatio(_MvWeight):
+class OneMinusMvGaussPdfRatio(_MvGauss):
     """1 - density(z) / density(mu) with diagonal covariance."""
-
-    mu: np.ndarray
-    sigma_diag: np.ndarray
-
-    def __post_init__(self):
-        mu, sd = _mv_params(self.mu, self.sigma_diag)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma_diag", sd)
-
-    @property
-    def dim(self) -> int:
-        return self.mu.size
 
     def __call__(self, z):
         z = self._check(z)
@@ -286,20 +274,8 @@ class OneMinusMvGaussPdfRatio(_MvWeight):
 
 
 @dataclass(frozen=True)
-class MvGaussCdf(_MvWeight):
+class MvGaussCdf(_MvGauss):
     """Product of marginal normal cdfs (diagonal covariance)."""
-
-    mu: np.ndarray
-    sigma_diag: np.ndarray
-
-    def __post_init__(self):
-        mu, sd = _mv_params(self.mu, self.sigma_diag)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma_diag", sd)
-
-    @property
-    def dim(self) -> int:
-        return self.mu.size
 
     def __call__(self, z):
         z = self._check(z)
@@ -308,20 +284,8 @@ class MvGaussCdf(_MvWeight):
 
 
 @dataclass(frozen=True)
-class OneMinusMvGaussCdf(_MvWeight):
+class OneMinusMvGaussCdf(_MvGauss):
     """1 - product of marginal normal cdfs (diagonal covariance)."""
-
-    mu: np.ndarray
-    sigma_diag: np.ndarray
-
-    def __post_init__(self):
-        mu, sd = _mv_params(self.mu, self.sigma_diag)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma_diag", sd)
-
-    @property
-    def dim(self) -> int:
-        return self.mu.size
 
     def __call__(self, z):
         z = self._check(z)
