@@ -161,6 +161,8 @@ class StudentT(Parametric):
     scale: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.df, self.location, self.scale))):
+            raise ContractViolation("student t parameters must be finite")
         if self.df <= 0.0 or self.scale <= 0.0:
             raise ContractViolation("student t needs df > 0 and scale > 0")
 

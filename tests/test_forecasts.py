@@ -71,6 +71,14 @@ def test_student_t_from_moments():
         StudentT.from_moments(2.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "params", [(np.nan, 0.0, 1.0), (5.0, np.nan, 1.0), (5.0, np.inf, 1.0), (5.0, 0.0, np.inf)]
+)
+def test_student_t_rejects_non_finite_parameters(params):
+    with pytest.raises(ContractViolation):
+        StudentT(*params)
+
+
 def test_support_interval_captures_tail_mass():
     for f in (Normal(0.0, 1.0), Logistic(1.0, 0.5), StudentT.from_moments(5.0, 0.0, 1.0)):
         lo, hi = f.support_interval(1e-10)
