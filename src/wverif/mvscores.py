@@ -120,20 +120,18 @@ def _check_obs(y, d: int) -> np.ndarray:
 
 
 def _member_weights(w: WeightFunction, pts: np.ndarray) -> np.ndarray:
-    """Weight of each point of ``pts`` (..., d)."""
+    """Weight of each point of ``pts`` (..., d).
+
+    A univariate weight in d = 1 keeps the trailing axis, so the result
+    is reshaped to drop it.
+    """
     if isinstance(w, Constant):
         return np.ones(pts.shape[:-1])
     if w.dim != pts.shape[-1]:
         raise DimensionMismatch(
             f"weight dimension {w.dim} does not match ensemble dimension {pts.shape[-1]}"
         )
-    return np.asarray(w(pts), dtype=float)
-
-
-def _point_weight(w: WeightFunction, y: np.ndarray) -> float:
-    if isinstance(w, Constant):
-        return 1.0
-    return float(w(y))
+    return np.asarray(w(pts), dtype=float).reshape(pts.shape[:-1])
 
 
 def _transform(chaining: ChainingFunction, ens: MvEnsemble, y: np.ndarray):
@@ -266,7 +264,7 @@ def ow_energy_score(forecast, y, w: WeightFunction) -> ScoreValue:
     ens = _as_mv(forecast)
     y = _check_obs(y, ens.dim)
     params = {"weight": repr(w)}
-    wy = _point_weight(w, y)
+    wy = float(_member_weights(w, y))
     if wy == 0.0:
         return ScoreValue(0.0, "owes", params)
     x = ens.members.T
@@ -340,7 +338,7 @@ def vr_variogram_score(
     x0 = spec.reference_for(ens.dim)
     x = ens.members.T
     wx = _member_weights(w, x)
-    wy = _point_weight(w, y)
+    wy = _member_weights(w, y)
 
     gx = _increments(x, spec.p)  # (m, d, d)
     gy = _increments(y, spec.p)

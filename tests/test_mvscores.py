@@ -9,6 +9,7 @@ from wverif import (
     ContractViolation,
     DimensionMismatch,
     Ensemble,
+    GaussCdf,
     Identity,
     MvEnsemble,
     MvGaussCdf,
@@ -22,6 +23,7 @@ from wverif import (
     variogram_score,
     vr_energy_score,
     vr_variogram_score,
+    vrcrps,
 )
 from wverif import mvscores
 
@@ -60,6 +62,17 @@ def test_energy_score_reduces_to_crps_in_1d():
         y = float(rng.normal())
         a = energy_score(MvEnsemble(x[None, :]), np.array([y])).value
         b = crps_ensemble(Ensemble(x), y).value
+        assert abs(a - b) < 1e-12
+
+
+def test_vr_energy_score_reduces_to_vrcrps_in_1d():
+    rng = np.random.default_rng(22)
+    w = GaussCdf(0.2, 0.8)
+    for _ in range(20):
+        x = rng.normal(size=7)
+        y = float(rng.normal())
+        a = vr_energy_score(MvEnsemble(x[None, :]), np.array([y]), w).value
+        b = vrcrps(Ensemble(x), y, w, 0.0).value
         assert abs(a - b) < 1e-12
 
 
