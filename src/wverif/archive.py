@@ -522,13 +522,15 @@ def skill_table(scored, reference, by: str = "lead_time") -> list:
         k = _key(c)
         if k not in ref_map:
             continue
-        g = str(c.lead_time) if by == "lead_time" else "all"
+        g = c.lead_time if by == "lead_time" else "all"
         grouped.setdefault(g, []).append((c.value, ref_map[k]))
     rows = []
-    for g in sorted(grouped):
+    # Lead times sort as numbers (1, 2, 10), multivariate cases (lead time
+    # None) last; rows are labelled with the string form.
+    for g in sorted(grouped, key=lambda g: (g is None, 0 if g is None else g)):
         vals = np.asarray(grouped[g])
         mean_s = float(vals[:, 0].mean())
         mean_r = float(vals[:, 1].mean())
         skill, degenerate = skill_score(mean_s, mean_r)
-        rows.append(SkillRow(g, len(grouped[g]), mean_s, mean_r, skill, degenerate))
+        rows.append(SkillRow(str(g), len(grouped[g]), mean_s, mean_r, skill, degenerate))
     return rows

@@ -282,12 +282,18 @@ def corp_reliability(
 
 
 def _apply_prerank(prerank, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a caller-supplied prerank on rows of (n, d)."""
+    """Evaluate a caller-supplied prerank on rows of (n, d).
+
+    The prerank is tried on the whole (n, d) array first.  It is applied
+    row by row only when that call gives the wrong shape or raises the
+    kind of error a function written for one d-vector raises on a stack
+    (TypeError, ValueError, IndexError); any other error propagates.
+    """
     try:
         out = np.asarray(prerank(pts), dtype=float)
         if out.shape == (pts.shape[0],):
             return out
-    except Exception:
+    except (TypeError, ValueError, IndexError):
         pass
     return np.asarray([float(prerank(row)) for row in pts], dtype=float)
 

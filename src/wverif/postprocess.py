@@ -14,10 +14,11 @@ import datetime
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
+from scipy.special import ndtr
 
 from .exceptions import ContractViolation, DimensionMismatch, InsufficientData
-from .forecasts import Ensemble, Normal, Parametric
+from .forecasts import Ensemble, Normal, Parametric, _std_pdf
 from .mvscores import MvEnsemble
 from .uniscores import normal_crps_values
 
@@ -224,13 +225,11 @@ def _objective_and_grad(theta, X, var, y):
     v = np.maximum(s0 + s1 * var, VARIANCE_FLOOR)
     sig = np.sqrt(v)
     z = (y - mu) / sig
-    crps = sig * (
-        z * (2.0 * stats.norm.cdf(z) - 1.0)
-        + 2.0 * stats.norm.pdf(z)
-        - 1.0 / np.sqrt(np.pi)
-    )
-    dmu = 1.0 - 2.0 * stats.norm.cdf(z)
-    dsig = 2.0 * stats.norm.pdf(z) - 1.0 / np.sqrt(np.pi)
+    cdf = ndtr(z)
+    pdf = _std_pdf(z)
+    crps = sig * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / np.sqrt(np.pi))
+    dmu = 1.0 - 2.0 * cdf
+    dsig = 2.0 * pdf - 1.0 / np.sqrt(np.pi)
     n = y.size
     grad = np.empty(6)
     grad[:4] = X.T @ dmu / n

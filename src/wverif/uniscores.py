@@ -1,9 +1,14 @@
 """Univariate proper scoring rules and their weighted variants.
 
-Ensemble forecasts are scored with exact kernel sums.  Parametric
-forecasts are scored by adaptive quadrature of the integral forms, with
+Ensemble forecasts are scored with exact kernel sums.  Normal forecasts
+are scored in closed form under the unit, censoring and indicator
+weights: the CRPS, the censored-normal twCRPS, the truncated-normal
+owCRPS and the indicator-weight vrCRPS, all from ``scipy.special.ndtr``
+without frozen scipy objects.  Other parametric forecasts and other
+weights are scored by adaptive quadrature of the integral forms, with
 the quadrature domain truncated where the forecast carries essentially
-no mass.  Every public scoring function returns a ``ScoreValue``.
+no mass; those routines also serve as the oracles for the closed forms.
+Every public scoring function returns a ``ScoreValue``.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
+from scipy.special import ndtr
 
 from .exceptions import (
     ContractViolation,
@@ -19,7 +25,7 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
-from .forecasts import Ensemble, Forecast, Normal, Parametric
+from .forecasts import Ensemble, Forecast, Normal, Parametric, _std_pdf
 from .weights import (
     MASS_FLOOR,
     CensorAbove,
@@ -170,11 +176,7 @@ def normal_crps_values(mu, sigma, y):
     if np.any(sigma <= 0.0):
         raise ContractViolation("sigma must be positive")
     z = (y - mu) / sigma
-    out = sigma * (
-        z * (2.0 * stats.norm.cdf(z) - 1.0)
-        + 2.0 * stats.norm.pdf(z)
-        - 1.0 / np.sqrt(np.pi)
-    )
+    out = sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _std_pdf(z) - 1.0 / np.sqrt(np.pi))
     return float(out) if out.ndim == 0 else out
 
 
@@ -184,6 +186,90 @@ def crps_normal(mu: float, sigma: float, y: float) -> ScoreValue:
     sigma = _check_scalar(sigma, "sigma")
     y = _check_scalar(y)
     return ScoreValue(normal_crps_values(mu, sigma, y), "crps", {"method": "closed_form"})
+
+
+# ---------------------------------------------------------------------------
+# closed forms for normal forecasts
+# ---------------------------------------------------------------------------
+#
+# With U standard normal, Q(u) = P(U > u) = ndtr(-u).  Tail terms use Q
+# rather than 1 - Phi so that they keep their relative accuracy far out,
+# where the outcome-weighted score divides by the squared tail mass.
+# Weights on the left tail reduce to the right tail by reflecting
+# x -> -x, which leaves the CRPS and its weighted variants unchanged.
+
+_NORMAL_WEIGHTS = (Constant, IndicatorAbove, IndicatorBelow)
+
+
+def _q_integral(u):
+    """H(u) = integral of Q over (u, inf) = E(U - u)^+ = phi(u) - u Q(u)."""
+    return _std_pdf(u) - u * ndtr(-u)
+
+
+def _q2_integral(u):
+    """K(u) = integral of Q^2 over (u, inf).
+
+    K(u) = G(-u) with G(x) = x Phi(x)^2 + 2 phi(x) Phi(x) - Phi(sqrt(2) x) / sqrt(pi),
+    the antiderivative of Phi^2 that vanishes at -inf.
+    """
+    q = ndtr(-u)
+    return -u * q * q + 2.0 * _std_pdf(u) * q - ndtr(-np.sqrt(2.0) * u) / np.sqrt(np.pi)
+
+
+def _standardise(forecast: Normal, w: WeightFunction, *xs: float) -> list:
+    # (x - mu) / sigma for each x, negated when w weights the left tail.
+    sign = -1.0 if isinstance(w, IndicatorBelow) else 1.0
+    return [sign * (x - forecast.mean_) / forecast.sd for x in xs]
+
+
+def _twcrps_normal(forecast: Normal, y: float, w: WeightFunction) -> float:
+    # sigma times the integral of (Phi(u) - 1{z <= u})^2 over (a, inf):
+    # with m = max(z, a) that is G(m) - G(a) + K(m) = K(-m) - K(-a) + K(m).
+    if isinstance(w, Constant):
+        return normal_crps_values(forecast.mean_, forecast.sd, y)
+    z, a = _standardise(forecast, w, y, w.t)
+    m = max(z, a)
+    return float(forecast.sd * (_q2_integral(-m) - _q2_integral(-a) + _q2_integral(m)))
+
+
+def _owcrps_normal(forecast: Normal, y: float, w: WeightFunction) -> float:
+    # CRPS at z > a of the normal truncated to (a, inf), whose cdf is
+    # 1 - Q(u) / p with p = Q(a):
+    # (z - a) - 2 (H(a) - H(z)) / p + K(a) / p^2, times sigma.
+    if isinstance(w, Constant):
+        return normal_crps_values(forecast.mean_, forecast.sd, y)
+    z, a = _standardise(forecast, w, y, w.t)
+    p = ndtr(-a)
+    if p <= MASS_FLOOR:
+        side = "above" if isinstance(w, IndicatorAbove) else "below"
+        raise WeightedMassZero(
+            f"forecast mass {side} {w.t} is {p:.3e}, below the floor"
+        )
+    h = _q_integral(a) - _q_integral(z)
+    return float(forecast.sd * ((z - a) - 2.0 * h / p + _q2_integral(a) / (p * p)))
+
+
+def _vrcrps_normal(forecast: Normal, y: float, w: WeightFunction, x0: float) -> float:
+    # The three expectations of the vrCRPS for w = 1{U > a}, standardised:
+    # the tail mass p = Q(a), the partial moment E|U - c| 1{U > a} and
+    # E|U - U'| 1{U > a} 1{U' > a} = 2 (p H(a) - K(a)).
+    if isinstance(w, Constant):
+        return normal_crps_values(forecast.mean_, forecast.sd, y)
+    wy = float(w(y))
+    sd = forecast.sd
+    z, a, c = _standardise(forecast, w, y, w.t, x0)
+    p = ndtr(-a)
+    ha = _q_integral(a)
+
+    def partial(u):
+        # |U - u| = (U - u) + 2 (u - U)^+, integrated over U > a.
+        b = max(a, u)
+        return 2.0 * _q_integral(b) - ha + (2.0 * b - a - u) * p
+
+    pair = 2.0 * (p * ha - _q2_integral(a))
+    term1 = sd * partial(z) * wy
+    term3 = (sd * partial(c) - abs(y - x0) * wy) * (p - wy)
+    return float(term1 - 0.5 * sd * pair + term3)
 
 
 def _bounds(forecast: Parametric, *extra: float) -> tuple[float, float]:
@@ -290,7 +376,12 @@ def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool 
     if isinstance(forecast, Parametric):
         if fair:
             raise ContractViolation("the fair variant applies to ensembles only")
-        return ScoreValue(_twcrps_parametric(forecast, y, v), "twcrps", params)
+        w = v.weight()
+        if isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
+            value = _twcrps_normal(forecast, y, w)
+        else:
+            value = _twcrps_parametric(forecast, y, v)
+        return ScoreValue(value, "twcrps", params)
     raise ContractViolation("twcrps needs an ensemble or parametric forecast")
 
 
@@ -377,7 +468,9 @@ def owcrps(forecast: Forecast, y: float, w: WeightFunction) -> ScoreValue:
     wy = float(w(y))
     if wy == 0.0:
         return ScoreValue(0.0, "owcrps", params)
-    if isinstance(w, Constant):
+    if isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
+        value = _owcrps_normal(forecast, y, w)
+    elif isinstance(w, Constant):
         value = _crps_numeric_parametric(forecast, y)
     elif isinstance(w, IndicatorAbove):
         value = _owcrps_indicator_above(forecast, y, w.t)
@@ -488,6 +581,8 @@ def vrcrps(forecast: Forecast, y: float, w: WeightFunction, x0: float = 0.0) -> 
     params = {"weight": repr(w), "x0": x0}
     if isinstance(forecast, Ensemble):
         value = _vrcrps_ensemble(forecast.members, y, w, x0)
+    elif isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
+        value = _vrcrps_normal(forecast, y, w, x0)
     elif isinstance(forecast, Parametric):
         value = _vrcrps_parametric(forecast, y, w, x0)
     else:

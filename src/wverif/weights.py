@@ -11,7 +11,7 @@ products of the margins and cdfs into products of marginal cdfs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, stats
@@ -21,7 +21,7 @@ from .exceptions import (
     DimensionMismatch,
     WeightedMassZero,
 )
-from .forecasts import Ensemble, Parametric
+from .forecasts import Parametric
 
 __all__ = [
     "WeightFunction",

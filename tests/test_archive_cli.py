@@ -307,6 +307,14 @@ def test_skill_table_matches_on_case_and_groups():
         skill_table(scored, reference, by="station")
 
 
+def test_skill_table_sorts_lead_times_numerically():
+    d = datetime.date(2024, 6, 1)
+    cases = [ScoredCase("a", d, lead, "crps", 1.0) for lead in (10, 2, 1)]
+    cases.append(ScoredCase("a", d, None, "es", 1.0))
+    rows = skill_table(cases, cases, by="lead_time")
+    assert [r.group for r in rows] == ["1", "2", "10", "None"]
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------

@@ -220,6 +220,32 @@ def test_prerank_cpit_mean_summary_matches_direct_mc():
     assert got == pytest.approx(want, abs=5e-3)
 
 
+def test_prerank_cpit_row_fallback_and_error_propagation():
+    """A prerank written for one d-vector falls back to row-by-row
+    evaluation; an error that is not about the input's shape propagates
+    instead of being retried row by row."""
+    f = IndependentProduct((Normal(0.0, 1.0), Normal(0.0, 1.0)))
+    y = np.array([1.0, 1.5])
+    t = np.array([0.2, 0.2])
+
+    def sum_prerank(v):
+        return float(sum(v))  # TypeError on a (n, 2) stack
+
+    got = prerank_cpit(f, y, t, sum_prerank, n_samples=2000, seed=1)
+    want = prerank_cpit(f, y, t, lambda v: np.sum(v, axis=-1), n_samples=2000, seed=1)
+    assert got == want
+
+    calls = []
+
+    def failing_prerank(v):
+        calls.append(np.shape(v))
+        raise ZeroDivisionError("prerank failed")
+
+    with pytest.raises(ZeroDivisionError):
+        prerank_cpit(f, y, t, failing_prerank)
+    assert calls == [(1, 2)]
+
+
 def test_prerank_cpit_ensemble_route():
     rng = np.random.default_rng(6)
     members = rng.normal(size=(3, 200))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
 from wverif import (
@@ -46,6 +48,42 @@ def test_normal_moments_and_cdf():
     assert_allclose(f.cdf(1.5), 0.5)
     assert_allclose(f.cdf(3.5), stats.norm.cdf(1.0))
     assert_allclose(f.ppf(f.cdf(0.7)), 0.7, atol=1e-12)
+
+
+def _assert_same_bits(got, want):
+    # Every bit of every number; NaNs only have to be NaN in both, since
+    # the sign of a NaN carries no meaning.
+    assert type(got) is type(want)
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert_array_equal(np.isnan(got), np.isnan(want))
+    num = ~np.isnan(want)
+    assert_array_equal(got[num].view(np.int64), want[num].view(np.int64))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(-1e3, 1e3),
+    sd=st.floats(1e-3, 1e3),
+    x=st.floats(allow_nan=True, allow_infinity=True),
+    q=st.floats(-0.5, 1.5),
+)
+# A point where squaring the numpy scalar u with u**2 (C pow) and with
+# u * u (what numpy does for arrays) differ in the last bit.
+@example(mu=3.07, sd=0.65, x=-3.38, q=0.5)
+def test_normal_methods_match_scipy_bit_for_bit(mu, sd, x, q):
+    """cdf, pdf, ppf and support_interval of Normal repeat
+    scipy.stats.norm's arithmetic, so every bit agrees, at +-inf, NaN and
+    q outside (0, 1) too, for scalars and arrays alike."""
+    f = Normal(mu, sd * sd)
+    ref = stats.norm(mu, f.sd)
+    xs = np.array([x, np.inf, -np.inf, np.nan, mu, mu + 3.0 * sd])
+    qs = np.array([q, 0.0, 1.0, 1.5, np.nan, 1e-12])
+    for method in ("cdf", "pdf"):
+        _assert_same_bits(getattr(f, method)(xs), getattr(ref, method)(xs))
+        _assert_same_bits(getattr(f, method)(x), getattr(ref, method)(x))
+    _assert_same_bits(f.ppf(qs), ref.ppf(qs))
+    _assert_same_bits(f.ppf(q), ref.ppf(q))
+    assert f.support_interval() == (float(ref.ppf(1e-12)), float(ref.ppf(1.0 - 1e-12)))
 
 
 def test_normal_rejects_nonpositive_variance():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
@@ -31,6 +33,13 @@ from wverif import (
     twcrps,
     twcrps_decomposition_check,
     vrcrps,
+)
+from wverif.uniscores import (
+    _crps_numeric_parametric,
+    _owcrps_indicator_above,
+    _owcrps_indicator_below,
+    _twcrps_parametric,
+    _vrcrps_parametric,
 )
 
 
@@ -390,3 +399,130 @@ def test_score_value_metadata():
     v = twcrps(Ensemble(np.array([0.0, 2.0])), 1.0, CensorAbove(1.0))
     assert v.score_name == "twcrps"
     assert "chaining" in v.params or "weight" in v.params
+
+
+# ---------------------------------------------------------------------------
+# closed forms for normal forecasts against the quadrature routines
+# ---------------------------------------------------------------------------
+
+# Derandomised so that every run of the suite draws the same cases.
+_ORACLE_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def _normal_case(draw, a_min=-3.0, a_max=6.0, y_beyond=False):
+    """A normal forecast and a threshold t that lies a standard deviations
+    into the weighted tail of a drawn side: t = mu + a sd for a weight
+    above t, t = mu - a sd for one below.
+
+    Returns (forecast, y, t, x0, above).  With ``y_beyond`` the
+    observation lies in the weighted tail, 1e-6 to 4 sd past t.
+    """
+    mu = draw(st.floats(-3.0, 3.0))
+    sd = draw(st.floats(0.2, 3.0))
+    a = draw(st.floats(a_min, a_max))
+    zy = a + draw(st.floats(1e-6, 4.0)) if y_beyond else draw(st.floats(-4.0, 8.0))
+    zc = draw(st.floats(-4.0, 8.0))
+    sign = 1.0 if draw(st.booleans()) else -1.0
+    t, y, x0 = (mu + sign * u * sd for u in (a, zy, zc))
+    return Normal(mu, sd * sd), y, t, x0, sign > 0
+
+
+@_ORACLE_SETTINGS
+@given(_normal_case())
+def test_twcrps_normal_closed_form_matches_quadrature(case):
+    f, y, t, _, above = case
+    v = CensorAbove(t) if above else CensorBelow(t)
+    assert twcrps(f, y, v).value == pytest.approx(_twcrps_parametric(f, y, v), abs=1e-9)
+    assert twcrps(f, y, Identity()).value == pytest.approx(
+        _crps_numeric_parametric(f, y), abs=1e-9
+    )
+
+
+@_ORACLE_SETTINGS
+@given(_normal_case(a_max=4.5, y_beyond=True))
+def test_owcrps_normal_closed_form_matches_quadrature(case):
+    # Up to a = 4.5 only: the quadrature routines integrate over the
+    # forecast's 1e-12 quantile range, which drops a share of order
+    # 1e-12 / p of a tail of mass p, and the one above t forms 1 - F(t).
+    # Further out they drift from the exact value by more than 1e-9
+    # (6e-8 at a = 6); the next test covers that range.
+    f, y, t, _, above = case
+    if above:
+        want = _owcrps_indicator_above(f, y, t)
+        got = owcrps(f, y, IndicatorAbove(t)).value
+    else:
+        want = _owcrps_indicator_below(f, y, t)
+        got = owcrps(f, y, IndicatorBelow(t)).value
+    assert got == pytest.approx(want, abs=1e-9)
+
+
+def _truncated_crps(f, y, t, above):
+    # CRPS of the normal truncated beyond t, integrated with scipy's
+    # truncnorm, whose cdf and sf keep their accuracy deep in the tail.
+    a = (t - f.mean()) / f.sd
+    bounds = (a, np.inf) if above else (-np.inf, a)
+    tn = stats.truncnorm(*bounds, loc=f.mean(), scale=f.sd)
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    lo, hi = (t, np.inf) if above else (-np.inf, t)
+    left = integrate.quad(lambda z: tn.cdf(z) ** 2, lo, y, **opts)[0]
+    right = integrate.quad(lambda z: tn.sf(z) ** 2, y, hi, **opts)[0]
+    return left + right
+
+
+@_ORACLE_SETTINGS
+@given(_normal_case(a_min=4.5, a_max=6.5, y_beyond=True))
+def test_owcrps_normal_closed_form_matches_truncnorm(case):
+    f, y, t, _, above = case
+    w = IndicatorAbove(t) if above else IndicatorBelow(t)
+    assert owcrps(f, y, w).value == pytest.approx(_truncated_crps(f, y, t, above), abs=1e-9)
+
+
+@_ORACLE_SETTINGS
+@given(_normal_case())
+def test_vrcrps_normal_closed_form_matches_quadrature(case):
+    f, y, t, x0, above = case
+    w = IndicatorAbove(t) if above else IndicatorBelow(t)
+    assert vrcrps(f, y, w, x0).value == pytest.approx(
+        _vrcrps_parametric(f, y, w, x0), abs=1e-9
+    )
+    assert vrcrps(f, y, Constant(), x0).value == pytest.approx(
+        _crps_numeric_parametric(f, y), abs=1e-9
+    )
+
+
+@_ORACLE_SETTINGS
+@given(_normal_case(a_max=6.5))
+def test_normal_closed_forms_agree_under_reflection(case):
+    """x -> -x maps the right tail onto the left one and leaves each
+    score unchanged."""
+    f, y, t, x0, _ = case
+    g = Normal(-f.mean(), f.variance())
+    assert twcrps(f, y, CensorAbove(t)).value == pytest.approx(
+        twcrps(g, -y, CensorBelow(-t)).value, abs=1e-12
+    )
+    assert owcrps(f, y, IndicatorAbove(t)).value == pytest.approx(
+        owcrps(g, -y, IndicatorBelow(-t)).value, abs=1e-12
+    )
+    assert vrcrps(f, y, IndicatorAbove(t), x0).value == pytest.approx(
+        vrcrps(g, -y, IndicatorBelow(-t), -x0).value, abs=1e-12
+    )
+
+
+@_ORACLE_SETTINGS
+@given(_normal_case())
+def test_vrcrps_normal_anchor_equals_twcrps(case):
+    f, y, t, _, above = case
+    w, v = (IndicatorAbove(t), CensorAbove(t)) if above else (IndicatorBelow(t), CensorBelow(t))
+    assert vrcrps(f, y, w, t).value == pytest.approx(twcrps(f, y, v).value, abs=1e-12)
+
+
+def test_owcrps_normal_mass_floor_on_both_sides():
+    f = Normal(0.0, 1.0)
+    with pytest.raises(WeightedMassZero, match="mass above 8.0 "):
+        owcrps(f, 9.0, IndicatorAbove(8.0))
+    with pytest.raises(WeightedMassZero, match="mass below -8.0 "):
+        owcrps(f, -9.0, IndicatorBelow(-8.0))
+    # Just inside the floor, where the closed form still has the tail mass.
+    assert owcrps(f, 7.1, IndicatorAbove(7.0)).value > 0.0
+    assert owcrps(f, -7.1, IndicatorBelow(-7.0)).value > 0.0

@@ -13,8 +13,10 @@ from wverif import (
     Constant,
     ContractViolation,
     DimensionMismatch,
+    Ensemble,
     GaussCdf,
     GaussPdf,
+    GaussPdfRatioComplementChain,
     HeatLevelIndicator,
     Identity,
     IndicatorAbove,
@@ -28,9 +30,11 @@ from wverif import (
     OneMinusMvGaussPdfRatio,
     WeightedMassZero,
     canonical_chaining,
+    crps_ensemble,
     eval_chaining,
     eval_weight,
     heat_levels,
+    twcrps,
     weighted_cdf,
 )
 
@@ -99,6 +103,31 @@ def test_chaining_integrates_its_weight():
             a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
             num, _ = integrate.quad(w, a, b, points=list(w.breakpoints()), limit=200)
             assert abs((v(b) - v(a)) - num) < 1e-8
+
+
+def test_gauss_pdf_ratio_complement_chain():
+    """The two-sided tail chaining differentiates to its weight, and an
+    ensemble's twCRPS under it is the CRPS of the transformed members,
+    which is also the integral of (F - 1{y <= z})^2 against the weight."""
+    v = GaussPdfRatioComplementChain(0.5, 1.3)
+    w = v.weight()
+    assert w == OneMinusGaussPdfRatio(0.5, 1.3)
+    z = np.linspace(-5.0, 6.0, 221)
+    h = 1e-5
+    assert_allclose((v(z + h) - v(z - h)) / (2.0 * h), w(z), rtol=0.0, atol=1e-8)
+
+    x = np.random.default_rng(8).normal(0.5, 2.0, 15)
+    for y in (-2.0, 0.5, 3.1):
+        got = twcrps(Ensemble(x), y, v).value
+        assert got == crps_ensemble(Ensemble(v(x)), v(y)).value
+        # The integrand is (F - 1{y <= z})^2 w(z) with F and the indicator
+        # constant between consecutive knots, and zero outside them.
+        knots = np.sort(np.append(x, y))
+        integral = 0.0
+        for a, b in zip(knots[:-1], knots[1:]):
+            step = np.mean(x <= a) - float(y <= a)
+            integral += step**2 * integrate.quad(w, a, b, epsabs=1e-13)[0]
+        assert got == pytest.approx(integral, abs=1e-9)
 
 
 def test_univariate_chainings_nondecreasing():
