@@ -30,6 +30,11 @@ __all__ = [
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
+def _scalar_or_array(out: np.ndarray):
+    """A Python float for a 0-d result, the array itself otherwise."""
+    return float(out) if out.ndim == 0 else out
+
+
 def _std_pdf(u):
     """Standard normal density, computed as scipy.stats.norm computes it.
 
@@ -75,7 +80,7 @@ class Ensemble(Forecast):
         """Empirical cdf: fraction of members <= x."""
         x = np.asarray(x, dtype=float)
         out = np.searchsorted(np.sort(self.members), x, side="right") / self.size
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 class Parametric(Forecast):

@@ -6,10 +6,14 @@ weighting transforms members and observation, outcome weighting
 reweights members by their own weight, vertical re-scaling damps the
 kernel terms and anchors a correction at a reference point.
 
-The energy, variogram and vertically re-scaled energy kernels score a
-stack of cases at once: members (n, m, d) and observations (n, d).  The
-per-case functions check their inputs and call them with n = 1; the
-propriety Monte Carlo in ``synthlab`` calls them on whole samples.
+Every score is computed by a kernel over a stack of cases: members
+(n, m, d) and observations (n, d).  The per-case functions check their
+inputs and call the kernels with n = 1; ``archive`` calls them on blocks
+of stacked cases and the propriety Monte Carlo in ``synthlab`` on whole
+samples.  Member-pair terms run in blocks of ``_BLOCK`` cases and build
+(m, m) distances one component at a time, so memory stays bounded;
+the pair term of the re-scaled variogram score comes from weighted
+moments of the increments.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractViolation, DimensionMismatch, WeightedMassZero
-from .uniscores import ScoreValue
+from .uniscores import ScoreValue, _vertical
 from .weights import (
     MASS_FLOOR,
     ChainingFunction,
@@ -134,28 +138,28 @@ def _member_weights(w: WeightFunction, pts: np.ndarray) -> np.ndarray:
     return np.asarray(w(pts), dtype=float).reshape(pts.shape[:-1])
 
 
-def _transform(chaining: ChainingFunction, ens: MvEnsemble, y: np.ndarray):
-    """Apply a chaining function to members (d, m) and observation (d,)."""
-    if chaining.dim == 1:
-        tm = np.asarray(chaining.transform(ens.members), dtype=float)
-        ty = np.asarray(chaining.transform(y), dtype=float)
-        return tm, ty
-    if chaining.dim != ens.dim:
+def _transform(chaining: ChainingFunction, x: np.ndarray, y: np.ndarray):
+    """Apply a chaining function to members x (n, m, d) and observations
+    y (n, d); a univariate chaining acts on each component."""
+    d = x.shape[-1]
+    if chaining.dim not in (1, d):
         raise DimensionMismatch(
-            f"chaining dimension {chaining.dim} does not match ensemble dimension {ens.dim}"
+            f"chaining dimension {chaining.dim} does not match ensemble dimension {d}"
         )
-    tm = np.asarray(chaining.transform(ens.members.T), dtype=float).T
-    ty = np.asarray(chaining.transform(y[None, :]), dtype=float)[0]
-    return tm, ty
+    return (
+        np.asarray(chaining.transform(x), dtype=float),
+        np.asarray(chaining.transform(y), dtype=float),
+    )
 
 
 # ---------------------------------------------------------------------------
 # kernels over stacks of cases: members x (n, m, d), observations y (n, d)
 # ---------------------------------------------------------------------------
 
-# Cases per block of the pairwise loops.  This caps the (block, m, m, d)
-# difference tensor at about 60 MB for m = 50 members in d = 3.
-_BLOCK = 1000
+# Cases per block of the pairwise loops.  This keeps each (block, m, m)
+# temporary under about 0.5 MB for m = 51 members, so scoring stays
+# within a small, fixed memory budget however many cases are stacked.
+_BLOCK = 16
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -164,9 +168,19 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _pair_norms(x: np.ndarray) -> np.ndarray:
-    """Distances (..., m, m) between the members of ``x`` (..., m, d)."""
-    # One expression, so numpy squares the difference tensor in place.
-    return np.sqrt(((x[..., :, None, :] - x[..., None, :, :]) ** 2).sum(-1))
+    """Distances (..., m, m) between the members of ``x`` (..., m, d).
+
+    The squared differences of each component are added into one buffer
+    in component order, the order in which numpy sums a short trailing
+    axis, so the result is bit-identical to summing the (..., m, m, d)
+    difference tensor without ever building it.
+    """
+    out = np.zeros(x.shape[:-1] + x.shape[-2:-1])
+    for k in range(x.shape[-1]):
+        c = x[..., k]
+        diff = c[..., :, None] - c[..., None, :]
+        out += np.square(diff, out=diff)
+    return np.sqrt(out, out=out)
 
 
 def _increments(z: np.ndarray, p: float) -> np.ndarray:
@@ -195,21 +209,6 @@ def _variogram(x: np.ndarray, y: np.ndarray, p: float, h: np.ndarray) -> np.ndar
     return out
 
 
-def _vertical(wx, wy, rho_y, rho_0, pair, rho_y0):
-    """Vertically re-scaled combination term1 - term2 + term3 of a kernel rho.
-
-    Member weights ``wx`` and the member kernels ``rho_y`` = rho(x_k, y)
-    and ``rho_0`` = rho(x_k, x0) run along the last axis; ``wy`` is the
-    observation weight, ``pair`` the sum of wx_k wx_l rho(x_k, x_l) over
-    member pairs and ``rho_y0`` = rho(y, x0).
-    """
-    m = wx.shape[-1]
-    term1 = (rho_y * wx).mean(-1) * wy
-    term2 = pair / (2.0 * m * m)
-    term3 = ((rho_0 * wx).mean(-1) - rho_y0 * wy) * (wx.mean(-1) - wy)
-    return term1 - term2 + term3
-
-
 def _vr_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction, x0: np.ndarray) -> np.ndarray:
     """Vertically re-scaled energy score of each case, anchored at ``x0`` (d,)."""
     n = x.shape[0]
@@ -222,6 +221,68 @@ def _vr_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction, x0: np.ndarray) 
             wa[:, :, None] * wa[:, None, :] * _pair_norms(x[a : a + _BLOCK])
         ).sum((1, 2))
     return _vertical(wx, wy, _norm(x - y[:, None, :]), _norm(x - x0), pair, _norm(y - x0))
+
+
+def _ow_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction) -> np.ndarray:
+    """Outcome-weighted energy score of each case.
+
+    Members are reweighted by their own weight and the energy score of
+    the reweighted ensemble is scaled by w(y); it is zero where w(y) = 0.
+    Raises WeightedMassZero for the first case, in case order, whose
+    observation has weight but whose members carry no weight mass.
+    """
+    n = x.shape[0]
+    wy = _member_weights(w, y)
+    wx = _member_weights(w, x)
+    total = wx.sum(1)
+    empty = (wy != 0.0) & (total <= MASS_FLOOR)
+    if empty.any():
+        raise WeightedMassZero(
+            f"ensemble weight mass is {total[empty][0]:.3e}, below the floor"
+        )
+    # The floor only matters for cases with w(y) = 0, which score zero
+    # whatever their mass; it keeps their division finite.
+    pi = wx / np.maximum(total, MASS_FLOOR)[:, None]
+    out = (pi * _norm(x - y[:, None, :])).sum(1)
+    for a in range(0, n, _BLOCK):
+        pa = pi[a : a + _BLOCK]
+        out[a : a + _BLOCK] -= 0.5 * (
+            pa[:, :, None] * pa[:, None, :] * _pair_norms(x[a : a + _BLOCK])
+        ).sum((1, 2))
+    return np.where(wy == 0.0, 0.0, wy * out)
+
+
+def _vr_variogram(
+    x: np.ndarray, y: np.ndarray, w: WeightFunction, p: float, h: np.ndarray, x0: np.ndarray
+) -> np.ndarray:
+    """Vertically re-scaled variogram score of each case, anchored at ``x0`` (d,).
+
+    With g_k the increments of member k, the pair term
+    sum_kl w_k w_l sum_ij h_ij (g_kij - g_lij)^2 is
+    sum_ij h_ij [2 (sum_k w_k)(sum_k w_k g_kij^2) - 2 (sum_k w_k g_kij)^2],
+    from weighted moments of the increments centred on their member
+    mean, without the (m, m, d, d) tensor of member pairs.
+    """
+    n = x.shape[0]
+    wx = _member_weights(w, x)
+    wy = _member_weights(w, y)
+    gy = _increments(y, p)
+    g0 = _increments(x0, p)
+    rho_y = np.empty(wx.shape)
+    rho_0 = np.empty(wx.shape)
+    pair = np.empty(n)
+    for a in range(0, n, _BLOCK):
+        b = slice(a, a + _BLOCK)
+        gx = _increments(x[b], p)  # (block, m, d, d)
+        rho_y[b] = (h * (gx - gy[b, None]) ** 2).sum((2, 3))
+        rho_0[b] = (h * (gx - g0) ** 2).sum((2, 3))
+        gc = gx - gx.mean(1, keepdims=True)
+        wg = wx[b, :, None, None] * gc
+        s1 = wg.sum(1)
+        s2 = (wg * gc).sum(1)
+        pair[b] = 2.0 * (h * (wx[b].sum(1)[:, None, None] * s2 - s1 * s1)).sum((1, 2))
+    rho_y0 = (h * (gy - g0) ** 2).sum((1, 2))
+    return _vertical(wx, wy, rho_y, rho_0, pair, rho_y0)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +309,10 @@ def tw_energy_score(forecast, y, chaining: ChainingFunction, fair: bool = False)
     chaining function (componentwise if the chaining is univariate)."""
     ens = _as_mv(forecast)
     y = _check_obs(y, ens.dim)
-    tm, ty = _transform(chaining, ens, y)
+    tx, ty = _transform(chaining, ens.members.T[None], y[None])
     if fair and ens.size < 2:
         raise ContractViolation("the fair variant needs at least two members")
-    value = _energy(tm.T[None], ty[None], fair)[0]
+    value = _energy(tx, ty, fair)[0]
     return ScoreValue(value, "twes", {"chaining": repr(chaining), "fair": fair})
 
 
@@ -263,21 +324,8 @@ def ow_energy_score(forecast, y, w: WeightFunction) -> ScoreValue:
     """
     ens = _as_mv(forecast)
     y = _check_obs(y, ens.dim)
-    params = {"weight": repr(w)}
-    wy = float(_member_weights(w, y))
-    if wy == 0.0:
-        return ScoreValue(0.0, "owes", params)
-    x = ens.members.T
-    wx = _member_weights(w, x)
-    total = float(wx.sum())
-    if total <= MASS_FLOOR:
-        raise WeightedMassZero(
-            f"ensemble weight mass is {total:.3e}, below the floor"
-        )
-    pi = wx / total
-    term1 = np.sum(pi * _norm(x - y))
-    spread = 0.5 * float(pi @ _pair_norms(x) @ pi)
-    return ScoreValue(wy * (term1 - spread), "owes", params)
+    value = _ow_energy(ens.members.T[None], y[None], w)[0]
+    return ScoreValue(value, "owes", {"weight": repr(w)})
 
 
 def vr_energy_score(forecast, y, w: WeightFunction, x0=None) -> ScoreValue:
@@ -317,9 +365,9 @@ def tw_variogram_score(
     spec = spec or VariogramSpec()
     ens = _as_mv(forecast)
     y = _check_obs(y, ens.dim)
-    tm, ty = _transform(chaining, ens, y)
+    tx, ty = _transform(chaining, ens.members.T[None], y[None])
     h = spec.weights_for(ens.dim)
-    value = _variogram(tm.T[None], ty[None], spec.p, h)[0]
+    value = _variogram(tx, ty, spec.p, h)[0]
     return ScoreValue(value, "twvs", {"p": spec.p, "chaining": repr(chaining)})
 
 
@@ -336,18 +384,5 @@ def vr_variogram_score(
     y = _check_obs(y, ens.dim)
     h = spec.weights_for(ens.dim)
     x0 = spec.reference_for(ens.dim)
-    x = ens.members.T
-    wx = _member_weights(w, x)
-    wy = _member_weights(w, y)
-
-    gx = _increments(x, spec.p)  # (m, d, d)
-    gy = _increments(y, spec.p)
-    g0 = _increments(x0, spec.p)
-
-    rho_y = np.einsum("ij,kij->k", h, (gx - gy) ** 2)
-    rho_0 = np.einsum("ij,kij->k", h, (gx - g0) ** 2)
-    diff_pairs = gx[:, None, :, :] - gx[None, :, :, :]
-    rho_pairs = np.einsum("ij,klij->kl", h, diff_pairs**2)
-    pair = float((wx[:, None] * wx[None, :] * rho_pairs).sum())
-    value = _vertical(wx, wy, rho_y, rho_0, pair, float(np.sum(h * (gy - g0) ** 2)))
+    value = _vr_variogram(ens.members.T[None], y[None], w, spec.p, h, x0)[0]
     return ScoreValue(value, "vrvs", {"p": spec.p, "weight": repr(w)})

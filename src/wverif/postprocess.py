@@ -18,7 +18,7 @@ from scipy import optimize
 from scipy.special import ndtr
 
 from .exceptions import ContractViolation, DimensionMismatch, InsufficientData
-from .forecasts import Ensemble, Normal, Parametric, _std_pdf
+from .forecasts import Ensemble, Normal, Parametric, _scalar_or_array, _std_pdf
 from .mvscores import MvEnsemble
 from .uniscores import normal_crps_values
 
@@ -56,7 +56,7 @@ def lapse_rate_correct(values, model_height, station_height, rate: float = LAPSE
     """
     values = np.asarray(values, dtype=float)
     out = values + rate * (np.asarray(model_height, dtype=float) - np.asarray(station_height, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def smooth_ensemble(forecast) -> Normal:

@@ -1,7 +1,11 @@
 """Univariate proper scoring rules and their weighted variants.
 
-Ensemble forecasts are scored with exact kernel sums.  Normal forecasts
-are scored in closed form under the unit, censoring and indicator
+Ensemble forecasts are scored with exact kernel sums by kernels over
+stacks of ensembles (members (n, m), observations (n,)); the member-pair
+sums run over the sorted members in O(m log m).  The per-case functions
+call these kernels with n = 1, and ``archive`` calls them on blocks of
+records, so both give the same value for a case.  Normal forecasts are
+scored in closed form under the unit, censoring and indicator
 weights: the CRPS, the censored-normal twCRPS, the truncated-normal
 owCRPS and the indicator-weight vrCRPS, all from ``scipy.special.ndtr``
 without frozen scipy objects.  Other parametric forecasts and other
@@ -25,7 +29,7 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
-from .forecasts import Ensemble, Forecast, Normal, Parametric, _std_pdf
+from .forecasts import Ensemble, Forecast, Normal, Parametric, _scalar_or_array, _std_pdf
 from .weights import (
     MASS_FLOOR,
     CensorAbove,
@@ -118,6 +122,65 @@ def _univariate_chaining(v) -> ChainingFunction:
 
 
 # ---------------------------------------------------------------------------
+# kernels over stacks of ensembles: members x (n, m), observations y (n,)
+# ---------------------------------------------------------------------------
+#
+# Sums of |x_i - x_j| over member pairs run over the sorted members
+# (Zamo & Naveau 2018), on rows centred at their middle member so that
+# they keep the precision of the member differences.
+
+
+def _crps_ensembles(x: np.ndarray, y: np.ndarray, fair: bool = False) -> np.ndarray:
+    """Ensemble CRPS of each row; the fair variant needs m >= 2.
+
+    mean |x_i - y| - sum_ij |x_i - x_j| / (2 m^2), with
+    sum_ij |x_i - x_j| = 2 sum_i (2i - m - 1) x_(i) over the sorted members.
+    """
+    m = x.shape[1]
+    xs = np.sort(x, axis=1)
+    xs = xs - xs[:, m // 2, None]
+    denom = m * (m - 1) if fair else m * m
+    rank_coef = 2.0 * np.arange(1, m + 1) - m - 1
+    return np.abs(x - y[:, None]).mean(1) - (xs * rank_coef).sum(1) / denom
+
+
+def _brier_ensembles(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+    """Brier score of each row for the event {Y <= t}: the forecast
+    probability is the share of members <= t, as in ``Ensemble.cdf``."""
+    return ((x <= t).sum(1) / x.shape[1] - (y <= t)) ** 2
+
+
+def _vertical(wx, wy, rho_y, rho_0, pair, rho_y0):
+    """Vertically re-scaled combination term1 - term2 + term3 of a kernel rho.
+
+    Member weights ``wx`` and the member kernels ``rho_y`` = rho(x_k, y)
+    and ``rho_0`` = rho(x_k, x0) run along the last axis; ``wy`` is the
+    observation weight, ``pair`` the sum of wx_k wx_l rho(x_k, x_l) over
+    member pairs and ``rho_y0`` = rho(y, x0).
+    """
+    m = wx.shape[-1]
+    term1 = (rho_y * wx).mean(-1) * wy
+    term2 = pair / (2.0 * m * m)
+    term3 = ((rho_0 * wx).mean(-1) - rho_y0 * wy) * (wx.mean(-1) - wy)
+    return term1 - term2 + term3
+
+
+def _vrcrps_ensembles(x: np.ndarray, y: np.ndarray, w: WeightFunction, x0: float) -> np.ndarray:
+    """Vertically re-scaled CRPS of each row, anchored at ``x0``.
+
+    Over the sorted members, sum_ij w_i w_j |x_i - x_j| =
+    2 sum_j w_j (x_j W_j - M_j) with W_j and M_j the running sums of
+    w and w x up to member j.
+    """
+    xs = np.sort(x, axis=1)
+    c = xs - xs[:, xs.shape[1] // 2, None]
+    wx = np.asarray(w(xs), dtype=float)
+    wy = np.asarray(w(y), dtype=float)
+    pair = 2.0 * (wx * (c * np.cumsum(wx, 1) - np.cumsum(wx * c, 1))).sum(1)
+    return _vertical(wx, wy, np.abs(xs - y[:, None]), np.abs(xs - x0), pair, np.abs(y - x0))
+
+
+# ---------------------------------------------------------------------------
 # threshold (Brier) and plain CRPS
 # ---------------------------------------------------------------------------
 
@@ -130,24 +193,13 @@ def brier(forecast: Forecast, y: float, t: float) -> ScoreValue:
     """
     y = _check_scalar(y)
     t = _check_scalar(t, "t")
-    if isinstance(forecast, (Ensemble, Parametric)):
-        p = float(forecast.cdf(t))
+    if isinstance(forecast, Ensemble):
+        value = _brier_ensembles(forecast.members[None], np.array([y]), t)[0]
+    elif isinstance(forecast, Parametric):
+        value = (float(forecast.cdf(t)) - (1.0 if y <= t else 0.0)) ** 2
     else:
         raise ContractViolation("brier needs an ensemble or parametric forecast")
-    value = (p - (1.0 if y <= t else 0.0)) ** 2
     return ScoreValue(value, "brier", {"t": t})
-
-
-def _crps_ensemble_core(x: np.ndarray, y: float, fair: bool) -> float:
-    m = x.size
-    term1 = np.mean(np.abs(x - y))
-    if m == 1:
-        spread = 0.0
-    else:
-        diffs = np.abs(x[:, None] - x[None, :]).sum()
-        denom = m * (m - 1) if fair else m * m
-        spread = diffs / (2.0 * denom)
-    return float(term1 - spread)
 
 
 def crps_ensemble(forecast, y: float, fair: bool = False) -> ScoreValue:
@@ -161,7 +213,8 @@ def crps_ensemble(forecast, y: float, fair: bool = False) -> ScoreValue:
     y = _check_scalar(y)
     if fair and x.size < 2:
         raise ContractViolation("the fair variant needs at least two members")
-    return ScoreValue(_crps_ensemble_core(x, y, fair), "crps", {"fair": fair})
+    value = _crps_ensembles(x[None], np.array([y]), fair)[0]
+    return ScoreValue(value, "crps", {"fair": fair})
 
 
 def normal_crps_values(mu, sigma, y):
@@ -177,7 +230,7 @@ def normal_crps_values(mu, sigma, y):
         raise ContractViolation("sigma must be positive")
     z = (y - mu) / sigma
     out = sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _std_pdf(z) - 1.0 / np.sqrt(np.pi))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def crps_normal(mu: float, sigma: float, y: float) -> ScoreValue:
@@ -368,11 +421,11 @@ def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool 
     y = _check_scalar(y)
     params = {"chaining": repr(v), "fair": fair}
     if isinstance(forecast, Ensemble):
-        tx = np.asarray(v.transform(forecast.members), dtype=float)
-        ty = float(v.transform(y))
-        if fair and tx.size < 2:
+        if fair and forecast.size < 2:
             raise ContractViolation("the fair variant needs at least two members")
-        return ScoreValue(_crps_ensemble_core(tx, ty, fair), "twcrps", params)
+        tx = np.asarray(v.transform(forecast.members[None]), dtype=float)
+        ty = np.asarray(v.transform(np.array([y])), dtype=float)
+        return ScoreValue(_crps_ensembles(tx, ty, fair)[0], "twcrps", params)
     if isinstance(forecast, Parametric):
         if fair:
             raise ContractViolation("the fair variant applies to ensembles only")
@@ -506,18 +559,6 @@ def owcrps_bs(forecast: Forecast, y: float, t: float) -> ScoreValue:
 # ---------------------------------------------------------------------------
 
 
-def _vrcrps_ensemble(x: np.ndarray, y: float, w: WeightFunction, x0: float) -> float:
-    m = x.size
-    wx = np.asarray(w(x), dtype=float)
-    wy = float(w(y))
-    term1 = np.mean(np.abs(x - y) * wx) * wy
-    pair = np.abs(x[:, None] - x[None, :]) * wx[:, None] * wx[None, :]
-    term2 = pair.sum() / (2.0 * m * m)
-    mean_dist = np.mean(np.abs(x - x0) * wx)
-    term3 = (mean_dist - abs(y - x0) * wy) * (np.mean(wx) - wy)
-    return float(term1 - term2 + term3)
-
-
 def _vrcrps_parametric(forecast: Parametric, y: float, w: WeightFunction, x0: float) -> float:
     bps = [float(b) for b in w.breakpoints()]
     lo, hi = _bounds(forecast, y, x0, *bps)
@@ -580,7 +621,7 @@ def vrcrps(forecast: Forecast, y: float, w: WeightFunction, x0: float = 0.0) -> 
     x0 = _check_scalar(x0, "x0")
     params = {"weight": repr(w), "x0": x0}
     if isinstance(forecast, Ensemble):
-        value = _vrcrps_ensemble(forecast.members, y, w, x0)
+        value = _vrcrps_ensembles(forecast.members[None], np.array([y]), w, x0)[0]
     elif isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
         value = _vrcrps_normal(forecast, y, w, x0)
     elif isinstance(forecast, Parametric):

@@ -21,7 +21,7 @@ from .exceptions import (
     DimensionMismatch,
     WeightedMassZero,
 )
-from .forecasts import Parametric
+from .forecasts import Parametric, _scalar_or_array
 
 __all__ = [
     "WeightFunction",
@@ -105,7 +105,7 @@ class Constant(WeightFunction):
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        return np.ones(z.shape) if z.ndim else 1.0
+        return _scalar_or_array(np.ones(z.shape))
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ class IndicatorAbove(WeightFunction):
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         out = (z > self.t).astype(float)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class IndicatorBelow(WeightFunction):
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         out = (z < self.t).astype(float)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ class GaussPdf(WeightFunction):
 
     def __call__(self, z):
         out = stats.norm.pdf(np.asarray(z, dtype=float), self.mu, self.sigma)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ class OneMinusGaussPdfRatio(WeightFunction):
         peak = stats.norm.pdf(self.mu, self.mu, self.sigma)
         out = 1.0 - stats.norm.pdf(z, self.mu, self.sigma) / peak
         out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,7 @@ class GaussCdf(WeightFunction):
 
     def __call__(self, z):
         out = stats.norm.cdf(np.asarray(z, dtype=float), self.mu, self.sigma)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ class OneMinusGaussCdf(WeightFunction):
 
     def __call__(self, z):
         out = stats.norm.sf(np.asarray(z, dtype=float), self.mu, self.sigma)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 class _MvWeight(WeightFunction):
@@ -258,7 +258,7 @@ class MvGaussPdf(_MvGauss):
     def __call__(self, z):
         z = self._check(z)
         out = np.prod(stats.norm.pdf(z, self.mu, self.sigma_diag), axis=-1)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ class OneMinusMvGaussPdfRatio(_MvGauss):
         peak = np.prod(stats.norm.pdf(self.mu, self.mu, self.sigma_diag))
         out = 1.0 - np.prod(stats.norm.pdf(z, self.mu, self.sigma_diag), axis=-1) / peak
         out = np.clip(out, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ class MvGaussCdf(_MvGauss):
     def __call__(self, z):
         z = self._check(z)
         out = np.prod(stats.norm.cdf(z, self.mu, self.sigma_diag), axis=-1)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,7 @@ class OneMinusMvGaussCdf(_MvGauss):
     def __call__(self, z):
         z = self._check(z)
         out = 1.0 - np.prod(stats.norm.cdf(z, self.mu, self.sigma_diag), axis=-1)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ class BoxIndicator(_MvWeight):
         z = self._check(z)
         inside = np.all((z >= self.lower) & (z <= self.upper), axis=-1)
         out = inside.astype(float)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +401,7 @@ class HeatLevelIndicator(_MvWeight):
     def __call__(self, z):
         z = self._check(z)
         out = (heat_levels(z, self.warm, self.hot) == self.level).astype(float)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 def eval_weight(w: WeightFunction, z):
@@ -463,7 +463,7 @@ class Identity(ChainingFunction):
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
-        return float(z) if z.ndim == 0 else z.copy()
+        return _scalar_or_array(z.copy())
 
 
 @dataclass(frozen=True)
@@ -478,7 +478,7 @@ class CensorAbove(ChainingFunction):
     def transform(self, z):
         z = np.asarray(z, dtype=float)
         out = np.maximum(z, self.t)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -493,7 +493,7 @@ class CensorBelow(ChainingFunction):
     def transform(self, z):
         z = np.asarray(z, dtype=float)
         out = np.minimum(z, self.t)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 def _gauss_cdf_antideriv(z, mu, sigma):
@@ -520,7 +520,7 @@ class GaussCdfChain(ChainingFunction):
     def transform(self, z):
         z = np.asarray(z, dtype=float)
         out = _gauss_cdf_antideriv(z, self.mu, self.sigma)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -539,7 +539,7 @@ class GaussCdfComplementChain(ChainingFunction):
     def transform(self, z):
         z = np.asarray(z, dtype=float)
         out = z - _gauss_cdf_antideriv(z, self.mu, self.sigma)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -558,7 +558,7 @@ class GaussPdfChain(ChainingFunction):
     def transform(self, z):
         z = np.asarray(z, dtype=float)
         out = stats.norm.cdf(z, self.mu, self.sigma)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)
@@ -578,7 +578,7 @@ class GaussPdfRatioComplementChain(ChainingFunction):
         z = np.asarray(z, dtype=float)
         peak = stats.norm.pdf(self.mu, self.mu, self.sigma)
         out = z - stats.norm.cdf(z, self.mu, self.sigma) / peak
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from wverif import (
     DataError,
     Ensemble,
     UnsupportedInput,
+    WeightedMassZero,
     crps,
     energy_score,
     group_multivariate,
@@ -26,10 +27,28 @@ from wverif import (
     write_archive_csv,
     write_archive_jsonl,
 )
+from wverif import archive
 from wverif.archive import ScoredCase
 from wverif.cli import main
 from wverif.postprocess import smooth_ensemble
-from wverif.weights import CensorAbove
+from wverif.mvscores import (
+    VariogramSpec,
+    ow_energy_score,
+    tw_energy_score,
+    tw_variogram_score,
+    variogram_score,
+    vr_energy_score,
+    vr_variogram_score,
+)
+from wverif.uniscores import brier, vrcrps
+from wverif.weights import (
+    HEAT_WARM,
+    BoxIndicator,
+    CensorAbove,
+    CollapseOutside,
+    HeatLevelIndicator,
+    IndicatorAbove,
+)
 
 
 def _mk_records(n_days=3, stations=("ayr", "bex"), leads=(1, 2, 3), m=5, seed=0):
@@ -161,6 +180,50 @@ def test_read_archive_dispatches_on_extension(tmp_path):
         read_archive(tmp_path / "a.txt")
 
 
+def test_csv_rejects_duplicate_rows(tmp_path):
+    path = _write_csv_text(
+        tmp_path / "a.csv",
+        "station_id,init_date,lead_time,m1,m2,obs\n"
+        "a,2024-06-01,1,1.0,2.0,1.5\n"
+        "a,2024-06-01,2,1.0,2.0,1.5\n"
+        "b,2024-06-01,1,1.0,2.0,1.5\n"
+        "a,2024-06-01,1,3.0,4.0,3.5\n"
+        "a,bad,1,1.0,2.0,1.5\n"
+        "a,2024-06-01,2,5.0,6.0,5.5\n",
+    )
+    arch = read_archive_csv(path, max_reject_fraction=0.5)
+    assert [(r.line, r.reason) for r in arch.rejects] == [
+        (5, "duplicate of line 2"),
+        (6, "bad init_date 'bad'"),
+        (7, "duplicate of line 3"),
+    ]
+    # The first row of each key is kept.
+    assert [r.obs for r in arch.records] == [1.5, 1.5, 1.5]
+    # Duplicates count toward the reject fraction: 3 of 6 rows.
+    with pytest.raises(DataError, match="3 of 6 rows rejected"):
+        read_archive_csv(path, max_reject_fraction=0.4)
+
+
+def test_jsonl_rejects_duplicate_rows(tmp_path):
+    path = tmp_path / "a.jsonl"
+    row = (
+        '{{"station_id": "{s}", "init_date": "2024-06-0{d}", "lead_time": {lt}, '
+        '"members": [1.0, 2.0], "obs": {obs}}}\n'
+    )
+    path.write_text(
+        row.format(s="a", d=1, lt=1, obs=1.5)
+        + row.format(s="a", d=2, lt=1, obs=1.5)
+        + "\n"
+        + row.format(s="a", d=1, lt=1, obs=9.5)
+        + row.format(s="a", d=1, lt=2, obs=1.5)
+    )
+    arch = read_archive_jsonl(path, max_reject_fraction=0.25)
+    assert [(r.line, r.reason) for r in arch.rejects] == [(4, "duplicate of line 1")]
+    assert len(arch) == 3 and 9.5 not in [r.obs for r in arch.records]
+    with pytest.raises(DataError, match="1 of 4 rows rejected"):
+        read_archive_jsonl(path, max_reject_fraction=0.2)
+
+
 def test_jsonl_rejects_bad_rows(tmp_path):
     path = tmp_path / "a.jsonl"
     path.write_text(
@@ -229,6 +292,99 @@ def test_score_archive_matches_direct_calls():
     for row, rec in zip(tw_rows, recs):
         want = twcrps(Ensemble(rec.members), rec.obs, CensorAbove(t)).value
         assert row.value == want
+
+
+def _ragged_records(n_days, seed=7):
+    """Records whose member count alternates between stations, so that
+    blocks of one member count interleave in record and case order."""
+    rng = np.random.default_rng(seed)
+    start = datetime.date(2024, 6, 1)
+    recs = []
+    for day in range(n_days):
+        for sid, m in (("ayr", 5), ("bex", 8), ("cor", 1)):
+            for lt in (1, 2, 3):
+                members = 20.0 + rng.normal(0.0, 2.0, m)
+                obs = 20.0 + float(rng.normal(0.0, 2.0))
+                recs.append(
+                    ArchiveRecord(sid, start + datetime.timedelta(days=day), lt, members, obs)
+                )
+    return recs
+
+
+_THRESHOLD = 20.5
+
+
+def _per_case_univariate(score, rec):
+    e, y, t = Ensemble(rec.members), rec.obs, _THRESHOLD
+    if score == "crps":
+        return crps(e, y)
+    if score == "brier":
+        return brier(e, y, t)
+    if score == "twcrps":
+        return twcrps(e, y, CensorAbove(t))
+    return vrcrps(e, y, IndicatorAbove(t), t)
+
+
+def _per_case_multivariate(score, case):
+    e, y = case.ensemble, case.obs
+    w, z0 = HeatLevelIndicator(1), np.full(3, HEAT_WARM)
+    return {
+        "es": lambda: energy_score(e, y),
+        "vs": lambda: variogram_score(e, y),
+        "twes": lambda: tw_energy_score(e, y, CollapseOutside(w, z0)),
+        "twvs": lambda: tw_variogram_score(e, y, CollapseOutside(w, z0)),
+        "owes": lambda: ow_energy_score(e, y, w),
+        "vres": lambda: vr_energy_score(e, y, w, x0=z0),
+        "vrvs": lambda: vr_variogram_score(e, y, w, VariogramSpec(x0=z0)),
+    }[score]()
+
+
+@pytest.mark.parametrize("score", ["crps", "brier", "twcrps", "vrcrps"])
+def test_stacked_univariate_scores_equal_per_case_functions(score, monkeypatch):
+    # Three member counts, each filling two blocks and part of a third.
+    monkeypatch.setattr(archive, "_STACK", 16)
+    recs = _ragged_records(12)
+    rows = score_archive(recs, score, threshold=_THRESHOLD)
+    assert [(r.station_id, r.init_date, r.lead_time) for r in rows] == [
+        (r.station_id, r.init_date, r.lead_time) for r in recs
+    ]
+    assert [r.value for r in rows] == [_per_case_univariate(score, rec).value for rec in recs]
+
+
+@pytest.mark.parametrize("score", ["es", "vs", "twes", "twvs", "owes", "vres", "vrvs"])
+def test_stacked_multivariate_scores_equal_per_case_functions(score, monkeypatch):
+    # Three member counts, each filling one block and part of another.
+    monkeypatch.setattr(archive, "_STACK", 16)
+    recs = _ragged_records(16 + 7)
+    rows = score_archive(recs, score, level=1)
+    cases = group_multivariate(recs)
+    assert len(rows) == len(cases) == 3 * (16 + 7)
+    assert [(r.station_id, r.init_date) for r in rows] == [
+        (c.station_id, c.init_date) for c in cases
+    ]
+    assert [r.value for r in rows] == [_per_case_multivariate(score, c).value for c in cases]
+
+
+@pytest.mark.parametrize("score", ["twes", "twvs", "owes", "vres", "vrvs"])
+def test_weighted_multivariate_score_without_cases_is_empty(score):
+    # No (station, init date) has all three lead times, so there is
+    # nothing to score and no weight is needed.
+    recs = [r for r in _mk_records(n_days=2) if r.lead_time != 3]
+    assert score_archive(recs, score) == []
+
+
+def test_score_archive_owes_raises_the_per_case_message():
+    recs = _mk_records(n_days=2)
+    start = datetime.date(2024, 6, 1)
+    # Observations in the box [25, inf)^3, no member there.
+    recs += [ArchiveRecord("zzz", start, lt, np.full(5, 15.0), 30.0) for lt in (1, 2, 3)]
+    with pytest.raises(WeightedMassZero) as per_case:
+        for case in group_multivariate(recs):
+            w = BoxIndicator(np.full(3, 25.0), np.full(3, np.inf))
+            ow_energy_score(case.ensemble, case.obs, w)
+    with pytest.raises(WeightedMassZero) as stacked:
+        score_archive(recs, "owes", threshold=25.0)
+    assert str(stacked.value) == str(per_case.value)
 
 
 def test_score_archive_smooth_route():

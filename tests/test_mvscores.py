@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wverif import (
@@ -13,6 +15,7 @@ from wverif import (
     Identity,
     MvEnsemble,
     MvGaussCdf,
+    MvGaussPdf,
     VariogramSpec,
     WeightedMassZero,
     crps_ensemble,
@@ -245,8 +248,8 @@ def test_vr_scores_with_binary_weight_match_collapsed_tw():
 
 @pytest.mark.parametrize("n, m", [(20, 1), (mvscores._BLOCK + 7, 5)])
 def test_stacked_kernels_match_per_case_functions(n, m):
-    """The kernels behind the propriety Monte Carlo score a stack of
-    cases exactly as the public functions score each case."""
+    """The kernels behind the propriety Monte Carlo and the archive
+    score a stack of cases as the public functions score each case."""
     rng = np.random.default_rng(49)
     d = 3
     x = rng.normal(size=(n, m, d))
@@ -262,6 +265,8 @@ def test_stacked_kernels_match_per_case_functions(n, m):
         "twes": mvscores._energy(tx, ty),
         "twvs": mvscores._variogram(tx, ty, 0.5, h),
         "vres": mvscores._vr_energy(x, y, w, lower),
+        "vrvs": mvscores._vr_variogram(x, y, w, 0.5, h, lower),
+        "owes": mvscores._ow_energy(x, y, w),
     }
     per_case = {
         "es": lambda e, yi: energy_score(e, yi),
@@ -269,6 +274,8 @@ def test_stacked_kernels_match_per_case_functions(n, m):
         "twes": lambda e, yi: tw_energy_score(e, yi, chain),
         "twvs": lambda e, yi: tw_variogram_score(e, yi, chain),
         "vres": lambda e, yi: vr_energy_score(e, yi, w, x0=lower),
+        "vrvs": lambda e, yi: vr_variogram_score(e, yi, w, VariogramSpec(x0=lower)),
+        "owes": lambda e, yi: ow_energy_score(e, yi, w),
     }
     if m > 1:
         stacked["es_fair"] = mvscores._energy(x, y, fair=True)
@@ -306,3 +313,146 @@ def test_mv_dimension_checks():
         ow_energy_score(e, np.zeros(3), BoxIndicator(np.zeros(2), np.ones(2)))
     with pytest.raises(ContractViolation):
         energy_score(e, np.array([np.nan, 0.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the forms they replaced
+# ---------------------------------------------------------------------------
+
+_STACK_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def _mv_stack(draw):
+    """Members (n, m, d) and observations (n, d) around a common centre,
+    stored either case by case or, as the per-case functions and the
+    archive store them, with each component's members contiguous."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    centre = draw(st.floats(-30.0, 30.0))
+    spread = draw(st.floats(0.01, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = centre + spread * rng.standard_normal((n, m, d))
+    if draw(st.booleans()):
+        x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    y = centre + 1.5 * spread * rng.standard_normal((n, d))
+    return x, y
+
+
+def _values_or_error(score):
+    """The values ``score()`` returns, or the message of the
+    WeightedMassZero it raises."""
+    try:
+        return score()
+    except WeightedMassZero as exc:
+        return str(exc)
+
+
+@_STACK_SETTINGS
+@given(_mv_stack())
+def test_stacked_kernels_match_per_case_functions_property(stack):
+    x, y = stack
+    d = x.shape[-1]
+    lower = y.mean(0) - 0.5
+    box = BoxIndicator(lower, np.full(d, np.inf))
+    chain = CollapseOutside(box, lower)
+    w = MvGaussCdf(lower, np.ones(d))
+    h = np.ones((d, d))
+    tx, ty = mvscores._transform(chain, x, y)
+    cases = {
+        "es": (lambda: mvscores._energy(x, y), lambda e, yi: energy_score(e, yi)),
+        "vs": (lambda: mvscores._variogram(x, y, 0.5, h), lambda e, yi: variogram_score(e, yi)),
+        "twes": (lambda: mvscores._energy(tx, ty), lambda e, yi: tw_energy_score(e, yi, chain)),
+        "twvs": (
+            lambda: mvscores._variogram(tx, ty, 0.5, h),
+            lambda e, yi: tw_variogram_score(e, yi, chain),
+        ),
+        "owes": (lambda: mvscores._ow_energy(x, y, w), lambda e, yi: ow_energy_score(e, yi, w)),
+        "owes_box": (
+            lambda: mvscores._ow_energy(x, y, box),
+            lambda e, yi: ow_energy_score(e, yi, box),
+        ),
+        "vres": (
+            lambda: mvscores._vr_energy(x, y, box, lower),
+            lambda e, yi: vr_energy_score(e, yi, box, x0=lower),
+        ),
+        "vrvs": (
+            lambda: mvscores._vr_variogram(x, y, box, 0.5, h, lower),
+            lambda e, yi: vr_variogram_score(e, yi, box, VariogramSpec(x0=lower)),
+        ),
+    }
+    for name, (stacked, per_case) in cases.items():
+        got = _values_or_error(stacked)
+        want = _values_or_error(
+            lambda: [per_case(MvEnsemble(xi.T), yi).value for xi, yi in zip(x, y)]
+        )
+        if isinstance(want, str):
+            assert got == want, name
+        else:
+            # The per-case functions clamp negative roundoff to zero.
+            assert_allclose(np.maximum(got, 0.0), want, rtol=1e-12, err_msg=name)
+
+
+@_STACK_SETTINGS
+@given(_mv_stack())
+def test_pair_norms_equal_difference_tensor_bit_for_bit(stack):
+    x, _ = stack
+    tensor = np.sqrt(((x[..., :, None, :] - x[..., None, :, :]) ** 2).sum(-1))
+    assert np.array_equal(mvscores._pair_norms(x), tensor)
+
+
+def _vr_variogram_tensor(x, y, w, p, h, x0):
+    """vrVS of one case, members x (m, d), with the (m, m, d, d) tensor of
+    increment differences between member pairs."""
+    wx = mvscores._member_weights(w, x)
+    wy = float(mvscores._member_weights(w, y))
+
+    def incr(z):
+        return np.abs(z[..., :, None] - z[..., None, :]) ** p
+
+    gx, gy, g0 = incr(x), incr(y), incr(x0)
+    m = x.shape[0]
+    rho_y = np.einsum("ij,kij->k", h, (gx - gy) ** 2)
+    rho_0 = np.einsum("ij,kij->k", h, (gx - g0) ** 2)
+    rho_pairs = np.einsum("ij,klij->kl", h, (gx[:, None] - gx[None, :]) ** 2)
+    pair = (wx[:, None] * wx[None, :] * rho_pairs).sum()
+    term3 = ((rho_0 * wx).mean() - np.sum(h * (gy - g0) ** 2) * wy) * (wx.mean() - wy)
+    return (rho_y * wx).mean() * wy - pair / (2.0 * m * m) + term3
+
+
+@_STACK_SETTINGS
+@given(_mv_stack(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1))
+def test_vr_variogram_moment_form_matches_pair_tensor(stack, p, seed):
+    x, y = stack
+    d = x.shape[-1]
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.0, 1.0, (d, d))
+    h = a + a.T
+    centre = y.mean(0)
+    x0 = centre + rng.standard_normal(d)
+    for w in (MvGaussCdf(centre, np.ones(d)), BoxIndicator(centre, np.full(d, np.inf))):
+        got = mvscores._vr_variogram(x, y, w, p, h, x0)
+        want = [_vr_variogram_tensor(xi, yi, w, p, h, x0) for xi, yi in zip(x, y)]
+        assert_allclose(got, want, rtol=1e-12, err_msg=repr(w))
+
+
+def test_stacked_ow_energy_raises_like_the_per_case_loop():
+    """The stack raises the message of its first case whose observation
+    has weight and whose members carry no weight mass."""
+    w = MvGaussPdf(np.zeros(2), np.ones(2))
+    rng = np.random.default_rng(50)
+    x = 0.1 * rng.standard_normal((5, 4, 2))
+    y = 0.1 * rng.standard_normal((5, 2))
+    x[0] += 40.0
+    y[0] += 40.0  # w(y) underflows to 0, so the case scores 0 without a mass check
+    x[2] += 5.5  # member mass about 1e-13
+    x[4] += 6.0  # member mass about 1e-15
+    with pytest.raises(WeightedMassZero) as per_case:
+        for xi, yi in zip(x, y):
+            ow_energy_score(MvEnsemble(xi.T), yi, w)
+    with pytest.raises(WeightedMassZero) as stacked:
+        mvscores._ow_energy(x, y, w)
+    assert str(stacked.value) == str(per_case.value)
+    assert "e-13" in str(stacked.value)
+    assert mvscores._ow_energy(x[:2], y[:2], w)[0] == 0.0

@@ -34,6 +34,7 @@ from wverif import (
     twcrps_decomposition_check,
     vrcrps,
 )
+from wverif import uniscores
 from wverif.uniscores import (
     _crps_numeric_parametric,
     _owcrps_indicator_above,
@@ -526,3 +527,103 @@ def test_owcrps_normal_mass_floor_on_both_sides():
     # Just inside the floor, where the closed form still has the tail mass.
     assert owcrps(f, 7.1, IndicatorAbove(7.0)).value > 0.0
     assert owcrps(f, -7.1, IndicatorBelow(-7.0)).value > 0.0
+
+
+# ---------------------------------------------------------------------------
+# stacked ensemble kernels against pairwise oracles and the per-case API
+# ---------------------------------------------------------------------------
+
+_STACK_SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+
+
+def _pairwise_crps(x: np.ndarray, y: float, fair: bool) -> float:
+    """Kernel form with the O(m^2) pair sum: mean |x_i - y| -
+    sum_ij |x_i - x_j| / (2 m^2), or m (m - 1) with ``fair``."""
+    m = x.size
+    denom = m * (m - 1) if fair else m * m
+    return np.abs(x - y).mean() - np.abs(x[:, None] - x[None, :]).sum() / (2.0 * denom)
+
+
+def _pairwise_vrcrps(x: np.ndarray, y: float, w, x0: float) -> float:
+    """Vertically re-scaled CRPS with the O(m^2) weighted pair sum."""
+    m = x.size
+    wx = np.asarray(w(x), dtype=float)
+    wy = float(w(y))
+    term1 = np.mean(np.abs(x - y) * wx) * wy
+    pair = (np.abs(x[:, None] - x[None, :]) * wx[:, None] * wx[None, :]).sum()
+    term3 = (np.mean(np.abs(x - x0) * wx) - abs(y - x0) * wy) * (np.mean(wx) - wy)
+    return term1 - pair / (2.0 * m * m) + term3
+
+
+@st.composite
+def _ensemble_stack(draw):
+    """Members (n, m) and observations (n,) around a common centre, with
+    m = 1 and tied members among the cases drawn."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 30))
+    centre = draw(st.floats(-50.0, 50.0))
+    spread = draw(st.floats(0.01, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = centre + spread * rng.standard_normal((n, m))
+    if draw(st.booleans()):
+        x = np.round(x / spread) * spread
+    y = centre + 1.5 * spread * rng.standard_normal(n)
+    t = centre + spread * draw(st.floats(-2.0, 2.0))
+    return x, y, t
+
+
+def _weights(t: float) -> list:
+    return [IndicatorAbove(t), IndicatorBelow(t), GaussCdf(t, 1.0), Constant()]
+
+
+@_STACK_SETTINGS
+@given(_ensemble_stack(), st.booleans())
+def test_sorted_crps_matches_pairwise_oracle(stack, fair):
+    x, y, _ = stack
+    if fair and x.shape[1] < 2:
+        return
+    got = uniscores._crps_ensembles(x, y, fair)
+    want = [_pairwise_crps(xi, yi, fair) for xi, yi in zip(x, y)]
+    assert_allclose(got, want, rtol=1e-12)
+
+
+@_STACK_SETTINGS
+@given(_ensemble_stack())
+def test_stacked_vrcrps_matches_pairwise_oracle(stack):
+    x, y, t = stack
+    for w in _weights(t):
+        got = uniscores._vrcrps_ensembles(x, y, w, t + 0.3)
+        want = [_pairwise_vrcrps(xi, yi, w, t + 0.3) for xi, yi in zip(x, y)]
+        assert_allclose(got, want, rtol=1e-12, err_msg=repr(w))
+
+
+@_STACK_SETTINGS
+@given(_ensemble_stack())
+def test_stacked_ensemble_kernels_equal_per_case_functions(stack):
+    """One kernel call on a stack gives, case for case, exactly the value
+    of the per-case function."""
+    x, y, t = stack
+    k = uniscores
+    stacked = {
+        "crps": (k._crps_ensembles(x, y), lambda e, yi: crps_ensemble(e, yi)),
+        "brier": (k._brier_ensembles(x, y, t), lambda e, yi: brier(e, yi, t)),
+    }
+    if x.shape[1] > 1:
+        stacked["crps_fair"] = (
+            k._crps_ensembles(x, y, True),
+            lambda e, yi: crps_ensemble(e, yi, fair=True),
+        )
+    for v in (CensorAbove(t), CensorBelow(t), GaussCdfChain(t, 1.0)):
+        stacked[repr(v)] = (
+            k._crps_ensembles(v.transform(x), v.transform(y)),
+            lambda e, yi, v=v: twcrps(e, yi, v),
+        )
+    for w in _weights(t):
+        stacked["vr" + repr(w)] = (
+            k._vrcrps_ensembles(x, y, w, t),
+            lambda e, yi, w=w: vrcrps(e, yi, w, t),
+        )
+    for name, (values, per_case) in stacked.items():
+        got = [ScoreValue(v, name).value for v in values]
+        want = [per_case(Ensemble(xi), yi).value for xi, yi in zip(x, y)]
+        assert got == want, name
