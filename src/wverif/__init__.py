@@ -56,7 +56,6 @@ from .forecasts import (
     IndependentProduct,
     Logistic,
     Normal,
-    ObservationCase,
     Parametric,
     StudentT,
 )
@@ -104,6 +103,7 @@ from .uniscores import (
     twcrps,
     twcrps_decomposition_check,
     vrcrps,
+    weighted_cdf,
 )
 from .weights import (
     MASS_FLOOR,
@@ -132,10 +132,7 @@ from .weights import (
     WeightFunction,
     canonical_chaining,
     classify_heat_level,
-    eval_chaining,
-    eval_weight,
     heat_levels,
-    weighted_cdf,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

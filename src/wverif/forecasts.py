@@ -8,8 +8,7 @@ numpy arrays, plus seeded sampling.
 
 from __future__ import annotations
 
-import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special, stats
@@ -24,7 +23,6 @@ __all__ = [
     "Logistic",
     "StudentT",
     "IndependentProduct",
-    "ObservationCase",
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -101,6 +99,10 @@ class Parametric(Forecast):
     def cdf(self, x):
         return self._dist.cdf(x)
 
+    def sf(self, x):
+        """Survival function 1 - F(x), accurate deep in the right tail."""
+        return self._dist.sf(x)
+
     def pdf(self, x):
         return self._dist.pdf(x)
 
@@ -119,7 +121,7 @@ class Parametric(Forecast):
     def support_interval(self, tail: float = 1e-12) -> tuple[float, float]:
         """An interval carrying all but ``2 * tail`` of the mass.
 
-        Used to truncate quadrature domains.
+        The tabulated-cdf engine of ``uniscores`` builds its grid over it.
         """
         return float(self.ppf(tail)), float(self.ppf(1.0 - tail))
 
@@ -147,12 +149,16 @@ class Normal(Parametric):
         # seeded draws keep scipy's random stream.
         return stats.norm(self.mean_, self.sd)
 
-    # cdf, pdf and ppf repeat scipy.stats.norm's arithmetic step for step
-    # ((x - mu) / sigma, then ndtr; ndtri(q) * sigma + mu), so the values
-    # are bit-identical to the frozen object's at a fraction of the cost.
+    # cdf, sf, pdf and ppf repeat scipy.stats.norm's arithmetic step for
+    # step ((x - mu) / sigma, then ndtr; ndtr of the negated value for sf;
+    # ndtri(q) * sigma + mu), so the values are bit-identical to the frozen
+    # object's at a fraction of the cost.
 
     def cdf(self, x):
         return special.ndtr((np.asarray(x, dtype=float) - self.mean_) / self.sd)
+
+    def sf(self, x):
+        return special.ndtr(-((np.asarray(x, dtype=float) - self.mean_) / self.sd))
 
     def pdf(self, x):
         sd = self.sd
@@ -247,13 +253,3 @@ class IndependentProduct(Forecast):
                 f"point has shape {x.shape}, forecast dimension is {self.dim}"
             )
         return float(np.prod([m.cdf(v) for m, v in zip(self.margins, x)]))
-
-
-@dataclass(frozen=True)
-class ObservationCase:
-    """One verifying case: where, when, and what was observed."""
-
-    station_id: str
-    init_date: datetime.date
-    lead_time: int
-    value: float = field(default=np.nan)

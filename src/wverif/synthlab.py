@@ -1,11 +1,10 @@
 """Synthetic experiments: score behaviour, calibration, and propriety.
 
 Everything here is driven by explicit seeds.  The univariate Monte
-Carlo runs score against precomputed cdf grids rather than the
-pointwise quadrature routines, trading a little generality for orders
-of magnitude in speed; the two routes agree to well below Monte Carlo
-noise and are cross-checked in the test suite.  Multivariate propriety
-runs the shipped energy, variogram and vertically re-scaled kernels of
+Carlo runs score each forecast at all its draws on one tabulated cdf,
+through the same engine that ``uniscores`` uses for a single case of a
+family or weight without a closed form.  Multivariate propriety runs
+the shipped energy, variogram and vertically re-scaled kernels of
 ``mvscores`` on whole samples at once.
 """
 
@@ -27,7 +26,7 @@ from .calibration import (
 from .exceptions import ContractViolation, WeightedMassZero
 from .forecasts import Logistic, Normal, Parametric, StudentT
 from .mvscores import _energy, _variogram, _vr_energy
-from .uniscores import crps_normal, owcrps, twcrps, vrcrps
+from .uniscores import _CdfGrid, crps_normal, owcrps, twcrps, vrcrps
 from .weights import (
     MASS_FLOOR,
     BoxIndicator,
@@ -68,163 +67,6 @@ def _rng(seed) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# grid-based batch scoring of a fixed forecast at many observations
-# ---------------------------------------------------------------------------
-
-
-class _TruncatedAbove:
-    """Distribution conditioned on exceeding t (cdf/pdf interface)."""
-
-    def __init__(self, base: Parametric, t: float):
-        ft = float(base.cdf(t))
-        mass = 1.0 - ft
-        if mass <= MASS_FLOOR:
-            raise WeightedMassZero(f"no forecast mass above {t}")
-        self.base = base
-        self.t = t
-        self._ft = ft
-        self._mass = mass
-
-    def cdf(self, z):
-        return np.clip((self.base.cdf(z) - self._ft) / self._mass, 0.0, 1.0)
-
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
-        return np.where(z >= self.t, self.base.pdf(z) / self._mass, 0.0)
-
-    def support_interval(self, tail: float = 1e-12):
-        _, hi = self.base.support_interval(tail)
-        return self.t, hi
-
-
-def _cumtrapz(f: np.ndarray, z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(f)
-    out[0] = 0.0
-    np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(z), out=out[1:])
-    return out
-
-
-class _GridScorer:
-    """Scores a fixed forecast at many observation points.
-
-    The forecast cdf (and pdf where needed) is tabulated on a fine grid
-    covering its support, the relevant thresholds, and any observations
-    that fall outside; the integral forms of the scores then reduce to
-    cumulative sums plus interpolation.
-    """
-
-    def __init__(self, dist, ys, extra_points=(), n_core: int = 32769):
-        lo, hi = dist.support_interval(1e-8)
-        pts = [float(p) for p in extra_points]
-        if pts:
-            lo = min(lo, min(pts) - 1.0)
-            hi = max(hi, max(pts) + 1.0)
-        ys = np.asarray(ys, dtype=float)
-        core = np.linspace(lo, hi, n_core)
-        outside = ys[(ys < lo) | (ys > hi)]
-        knots = np.asarray(pts, dtype=float)
-        inner = knots[(knots > lo) & (knots < hi)]
-        self.z = np.unique(np.concatenate([core, outside, inner]))
-        self.F = np.clip(np.asarray(dist.cdf(self.z), dtype=float), 0.0, 1.0)
-        self.dist = dist
-
-    def _at(self, cum: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return np.interp(ys, self.z, cum)
-
-    def crps(self, ys) -> np.ndarray:
-        return self.twcrps(ys, Constant())
-
-    def twcrps(self, ys, w: WeightFunction) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        if isinstance(w, (IndicatorAbove, IndicatorBelow)):
-            return self._twcrps_indicator(ys, w)
-        wz = np.asarray(w(self.z), dtype=float)
-        ca = _cumtrapz(self.F**2 * wz, self.z)
-        cb = _cumtrapz((self.F - 1.0) ** 2 * wz, self.z)
-        return self._at(ca, ys) + (cb[-1] - self._at(cb, ys))
-
-    def _twcrps_indicator(self, ys, w) -> np.ndarray:
-        """Censored route for indicator weights.
-
-        Sampling an indicator at the grid nodes would mis-weight the
-        cell containing the threshold by half a step, a bias the
-        propriety checks can resolve.  Restricting the unweighted
-        cumulative integrals to one side of the threshold instead keeps
-        the integrand smooth over the integration range.
-        """
-        ca = _cumtrapz(self.F**2, self.z)
-        cb = _cumtrapz((self.F - 1.0) ** 2, self.z)
-        t = float(w.t)
-        if isinstance(w, IndicatorAbove):
-            yv = np.maximum(ys, t)
-            ca_t = float(np.interp(t, self.z, ca))
-            return (self._at(ca, yv) - ca_t) + (cb[-1] - self._at(cb, yv))
-        yv = np.minimum(ys, t)
-        cb_t = float(np.interp(t, self.z, cb))
-        return self._at(ca, yv) + (cb_t - self._at(cb, yv))
-
-    def owcrps_bs(self, ys, t: float) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        ft = float(np.interp(t, self.z, self.F))
-        tail = 1.0 - ft
-        if tail <= MASS_FLOOR:
-            raise WeightedMassZero(f"no forecast mass above {t}")
-        fw = np.clip((self.F - ft) / tail, 0.0, 1.0)
-        fw[self.z < t] = 0.0
-        ca = _cumtrapz(fw**2, self.z)
-        cb = _cumtrapz((fw - 1.0) ** 2, self.z)
-        above = self._at(ca, ys) + (cb[-1] - self._at(cb, ys)) + ft**2
-        return np.where(ys > t, above, tail**2)
-
-    def vrcrps(self, ys, w: WeightFunction, x0: float = 0.0) -> np.ndarray:
-        ys = np.asarray(ys, dtype=float)
-        z = self.z
-        f = np.asarray(self.dist.pdf(z), dtype=float)
-        if isinstance(w, (IndicatorAbove, IndicatorBelow)):
-            # Same half-cell concern as in twcrps: build the weighted
-            # cumulative mass and first moment from their unweighted
-            # counterparts, then integrate the pair term over the side
-            # of the threshold where the weight is active.
-            t = float(w.t)
-            ft = float(np.interp(t, z, self.F))
-            fullm = _cumtrapz(z * f, z)
-            mt = float(np.interp(t, z, fullm))
-            if isinstance(w, IndicatorAbove):
-                active = z >= t
-                wcum = np.where(active, np.maximum(self.F - ft, 0.0), 0.0)
-                mcum = np.where(active, fullm - mt, 0.0)
-            else:
-                active = z <= t
-                wcum = np.where(active, self.F, ft)
-                mcum = np.where(active, fullm, mt)
-            hv = f * (z * wcum - mcum)
-            pair = 2.0 * np.trapezoid(hv[active], z[active])
-        else:
-            g = np.asarray(w(z), dtype=float) * f
-            wcum = _cumtrapz(g, z)
-            mcum = _cumtrapz(z * g, z)
-            pair = 2.0 * np.trapezoid(g * (z * wcum - mcum), z)
-        ew = wcum[-1]
-        m_tot = mcum[-1]
-
-        def mean_dist(pts):
-            return (
-                2.0 * pts * self._at(wcum, pts)
-                - 2.0 * self._at(mcum, pts)
-                + m_tot
-                - pts * ew
-            )
-
-        c3 = float(mean_dist(np.asarray([float(x0)]))[0])
-        wy = np.asarray(w(ys), dtype=float)
-        return (
-            mean_dist(ys) * wy
-            - 0.5 * pair
-            + (c3 - np.abs(ys - x0) * wy) * (ew - wy)
-        )
-
-
-# ---------------------------------------------------------------------------
 # score curves across the observation axis
 # ---------------------------------------------------------------------------
 
@@ -246,9 +88,9 @@ class ScoreCurves:
 def run_score_curves(t: float = 1.0, ys=None, x0: float = 0.0) -> ScoreCurves:
     """Score a standard normal forecast along a grid of observations.
 
-    Uses the pointwise quadrature routines so the curves inherit their
-    accuracy.  The weight is the indicator of exceeding ``t`` and the
-    chaining for the threshold-weighted score censors below ``t``.
+    Uses the per-case scoring functions, which score a normal forecast
+    in closed form.  The weight is the indicator of exceeding ``t`` and
+    the chaining for the threshold-weighted score censors below ``t``.
     """
     if ys is None:
         ys = np.linspace(-3.0, 3.0, 121)
@@ -467,6 +309,19 @@ def _uni_weight(i: int, centre: float, sd: float) -> WeightFunction:
     return families[i % len(families)]
 
 
+def _score_draws(dist, score: str, ys: np.ndarray, w: WeightFunction) -> np.ndarray:
+    """One univariate score of a fixed forecast at every draw, on one
+    tabulated cdf whose grid spans the draws; 0.0 is the vrCRPS anchor."""
+    knots = (ys.min(), ys.max(), 0.0, *w.breakpoints())
+    if score == "owcrps_bs":
+        brier = (float(dist.cdf(w.t)) - (ys <= w.t)) ** 2
+        return brier + w(ys) * _CdfGrid.conditioned(dist, w, knots).owcrps(ys, w)
+    grid = _CdfGrid(dist, knots)
+    if score == "vrcrps":
+        return grid.vrcrps(ys, w, 0.0)
+    return grid.twcrps(ys, w)
+
+
 def _propriety_uni(score: str, n_pairs: int, n: int, seed) -> list:
     rows = []
     for i in range(n_pairs):
@@ -474,32 +329,14 @@ def _propriety_uni(score: str, n_pairs: int, n: int, seed) -> list:
         g, f, desc = _uni_pair(rng, i)
         ys = g.sample(n, rng)
         centre = g.mean() + 0.5 * np.sqrt(g.variance())
-        w = None
-        t = None
-        extra = []
-        if score == "twcrps":
-            w = _uni_weight(i, centre, np.sqrt(g.variance()))
-            extra = list(w.breakpoints())
-        elif score == "owcrps_bs":
-            t = float(g.ppf(rng.uniform(0.4, 0.85)))
-            extra = [t]
-        elif score == "vrcrps":
-            w = _uni_weight(i + 1, centre, np.sqrt(g.variance()))
-            extra = list(w.breakpoints()) + [0.0]
-        sg = _GridScorer(g, ys, extra_points=extra)
-        sf = _GridScorer(f, ys, extra_points=extra)
-        if score == "crps":
-            a, b = sg.crps(ys), sf.crps(ys)
-            label = "crps"
-        elif score == "twcrps":
-            a, b = sg.twcrps(ys, w), sf.twcrps(ys, w)
-            label = f"twcrps[{type(w).__name__}]"
-        elif score == "owcrps_bs":
-            a, b = sg.owcrps_bs(ys, t), sf.owcrps_bs(ys, t)
-            label = "owcrps_bs"
-        else:
-            a, b = sg.vrcrps(ys, w, 0.0), sf.vrcrps(ys, w, 0.0)
-            label = f"vrcrps[{type(w).__name__}]"
+        w, label = Constant(), score
+        if score == "owcrps_bs":
+            w = IndicatorAbove(float(g.ppf(rng.uniform(0.4, 0.85))))
+        elif score in ("twcrps", "vrcrps"):
+            k = i if score == "twcrps" else i + 1
+            w = _uni_weight(k, centre, np.sqrt(g.variance()))
+            label = f"{score}[{type(w).__name__}]"
+        a, b = (_score_draws(dist, score, ys, w) for dist in (g, f))
         d = a - b
         se = float(np.std(d, ddof=1) / np.sqrt(n))
         rows.append(
@@ -646,6 +483,28 @@ class ImproprietyResult:
         return self.tw_truth + 2.0 * self.tw_se < self.tw_trunc
 
 
+class _TruncatedAbove:
+    """Distribution conditioned on exceeding t, with the cdf and support
+    interval that the tabulated-cdf engine reads."""
+
+    def __init__(self, base: Parametric, t: float):
+        ft = float(base.cdf(t))
+        mass = 1.0 - ft
+        if mass <= MASS_FLOOR:
+            raise WeightedMassZero(f"no forecast mass above {t}")
+        self.base = base
+        self.t = t
+        self._ft = ft
+        self._mass = mass
+
+    def cdf(self, z):
+        return np.clip((self.base.cdf(z) - self._ft) / self._mass, 0.0, 1.0)
+
+    def support_interval(self, tail: float = 1e-12):
+        _, hi = self.base.support_interval(tail)
+        return self.t, hi
+
+
 def run_impropriety_demo(
     t: float = 0.5, n: int = 100_000, seed: int = 20240804
 ) -> ImproprietyResult:
@@ -663,11 +522,12 @@ def run_impropriety_demo(
     w = IndicatorAbove(t)
     wy = np.asarray(w(ys), dtype=float)
 
-    sc_truth = _GridScorer(truth, ys, extra_points=[t])
-    sc_trunc = _GridScorer(trunc, ys, extra_points=[t])
+    knots = (ys.min(), ys.max(), t)
+    sc_truth = _CdfGrid(truth, knots)
+    sc_trunc = _CdfGrid(trunc, knots)
 
-    naive_a = wy * sc_truth.crps(ys)
-    naive_b = wy * sc_trunc.crps(ys)
+    naive_a = wy * sc_truth.twcrps(ys, Constant())
+    naive_b = wy * sc_trunc.twcrps(ys, Constant())
     tw_a = sc_truth.twcrps(ys, w)
     tw_b = sc_trunc.twcrps(ys, w)
 

@@ -8,10 +8,12 @@ records, so both give the same value for a case.  Normal forecasts are
 scored in closed form under the unit, censoring and indicator
 weights: the CRPS, the censored-normal twCRPS, the truncated-normal
 owCRPS and the indicator-weight vrCRPS, all from ``scipy.special.ndtr``
-without frozen scipy objects.  Other parametric forecasts and other
-weights are scored by adaptive quadrature of the integral forms, with
-the quadrature domain truncated where the forecast carries essentially
-no mass; those routines also serve as the oracles for the closed forms.
+without frozen scipy objects.  Every other parametric forecast and
+weight goes through one engine, ``_CdfGrid``: the forecast cdf is
+tabulated on a piecewise-uniform grid with the observation, thresholds
+and anchor as knots, and the integral forms of the scores are
+integrated by composite Simpson.  The same engine scores one forecast
+at many observations for the propriety Monte Carlo of ``synthlab``.
 Every public scoring function returns a ``ScoreValue``.
 """
 
@@ -20,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .exceptions import (
     ContractViolation,
+    DimensionMismatch,
     NumericalError,
     UnsupportedInput,
     WeightedMassZero,
@@ -53,9 +55,8 @@ __all__ = [
     "owcrps_bs",
     "vrcrps",
     "twcrps_decomposition_check",
+    "weighted_cdf",
 ]
-
-_QUAD_OPTS = dict(limit=300, epsabs=1e-11, epsrel=1e-10)
 
 # Scores are non-negative in exact arithmetic; anything more negative
 # than this signals a genuine defect rather than roundoff.
@@ -325,20 +326,163 @@ def _vrcrps_normal(forecast: Normal, y: float, w: WeightFunction, x0: float) -> 
     return float(term1 - 0.5 * sd * pair + term3)
 
 
-def _bounds(forecast: Parametric, *extra: float) -> tuple[float, float]:
-    lo, hi = forecast.support_interval()
-    pts = [p for p in extra if np.isfinite(p)]
-    if pts:
-        lo = min(lo, min(pts) - 1.0)
-        hi = max(hi, max(pts) + 1.0)
-    return lo, hi
+# ---------------------------------------------------------------------------
+# tabulated-cdf engine for the scores without a closed form
+# ---------------------------------------------------------------------------
+#
+# Every weighted CRPS is an integral over the forecast cdf (Gneiting &
+# Ranjan 2011).  The engine tabulates F on a grid and integrates with
+# composite Simpson.  Knots (observations, thresholds, the vrCRPS anchor)
+# split the grid into pieces, each uniform with an even number of
+# intervals, so every Simpson panel z[2j], z[2j+1], z[2j+2] lies inside one
+# piece and an integrand that jumps or kinks at a knot is smooth on every
+# panel.
+
+# Nodes of a grid, shared among its pieces in proportion to their length.
+_NODES = 32769
+# Forecast mass a grid may leave out on either side: of the forecast
+# itself, and relative to the mass a conditional cdf divides by.
+_TAIL = 1e-12
 
 
-def _crps_numeric_parametric(forecast: Parametric, y: float) -> float:
-    lo, hi = _bounds(forecast, y)
-    left, _ = integrate.quad(lambda z: forecast.cdf(z) ** 2, lo, y, **_QUAD_OPTS)
-    right, _ = integrate.quad(lambda z: (forecast.cdf(z) - 1.0) ** 2, y, hi, **_QUAD_OPTS)
-    return left + right
+class _CdfGrid:
+    """The cdf of one forecast tabulated over its support and some knots.
+
+    The score methods take an array of observations.  One that is a knot
+    is integrated to exactly; any other through the quadratic that
+    Simpson's rule fits on its panel.  The forecast needs ``cdf`` and
+    ``support_interval``; the vrCRPS and smooth-weight conditional cdfs
+    also need ``pdf``, and a right-tail conditional cdf needs ``sf``.
+    """
+
+    def __init__(self, forecast, knots=()):
+        lo, hi = forecast.support_interval(_TAIL)
+        edges = np.unique(np.concatenate([[lo, hi], np.asarray(knots, dtype=float)]))
+        widths = np.diff(edges)
+        panels = np.maximum(1, np.rint(widths / (edges[-1] - edges[0]) * (_NODES // 2))).astype(int)
+        pieces = [np.linspace(a, b, 2 * k + 1)[:-1] for a, b, k in zip(edges[:-1], edges[1:], panels)]
+        self.z = np.concatenate(pieces + [edges[-1:]])
+        # Half the panel width of each piece (_hp) and of each panel (h),
+        # and the first panel of each piece, then the number of panels.
+        self._edges = edges
+        self._hp = widths / (2 * panels)
+        self._first = np.concatenate([[0], np.cumsum(panels)])
+        self.h = np.repeat(self._hp, panels)
+        self.F = np.asarray(forecast.cdf(self.z), dtype=float)
+        self.forecast = forecast
+
+    @classmethod
+    def conditioned(cls, forecast, w: WeightFunction, knots=()) -> "_CdfGrid":
+        """A grid for the forecast reweighted by ``w``.
+
+        For an indicator weight the grid reaches on past the support, a
+        support width at a time, until the forecast mass beyond its end is
+        negligible against the mass the conditional cdf divides by.
+        """
+        knots = (*knots, *w.breakpoints())
+        if isinstance(w, (IndicatorAbove, IndicatorBelow)):
+            above = isinstance(w, IndicatorAbove)
+            tail = forecast.sf if above else forecast.cdf
+            mass = float(tail(w.t))
+            if mass <= MASS_FLOOR:
+                side = "above" if above else "below"
+                raise WeightedMassZero(
+                    f"forecast mass {side} {w.t} is {mass:.3e}, below the floor"
+                )
+            lo, hi = forecast.support_interval(_TAIL)
+            step = hi - lo if above else lo - hi
+            end = w.t + step
+            while tail(end) > _TAIL * mass:
+                end += step
+            knots += (end,)
+        return cls(forecast, knots)
+
+    def integral(self, g, p):
+        """Integral of the tabulated g from the first node to each point p:
+        composite Simpson over the whole panels below p, plus the integral
+        up to p of the quadratic through the three nodes of p's panel."""
+        p = np.asarray(p, dtype=float)
+        g0, g1, g2 = g[:-2:2], g[1::2], g[2::2]
+        before = np.concatenate([[0.0], np.cumsum(self.h / 3.0 * (g0 + 4.0 * g1 + g2))])
+        # The panel holding p: find its piece among the few edges, then
+        # count panels from the piece's start.
+        k = np.clip(np.searchsorted(self._edges, p, side="right") - 1, 0, self._hp.size - 1)
+        j = self._first[k] + ((p - self._edges[k]) / (2.0 * self._hp[k])).astype(int)
+        j = np.clip(j, self._first[k], self._first[k + 1] - 1)
+        h, a, b, c = self.h[j], g0[j], g1[j], g2[j]
+        s = (p - self.z[2 * j]) / h
+        return before[j] + h * s * (a + s * ((4.0 * b - 3.0 * a - c) / 4.0 + s * (a - 2.0 * b + c) / 6.0))
+
+    def weighted_integral(self, g, w: WeightFunction, p):
+        """Integral of g w from the first node to each point p.
+
+        An indicator weight jumps at its threshold, which is a knot: g
+        alone is integrated over the side where the weight is one, so no
+        panel sees the jump.
+        """
+        if isinstance(w, IndicatorAbove):
+            g = np.where(self.z >= w.t, g, 0.0)
+            return self.integral(g, np.maximum(p, w.t)) - self.integral(g, w.t)
+        if isinstance(w, IndicatorBelow):
+            return self.integral(np.where(self.z <= w.t, g, 0.0), np.minimum(p, w.t))
+        return self.integral(g * w(self.z), p)
+
+    def _crps(self, cdf, sf, w: WeightFunction, ys):
+        # Integral of (G(z) - 1{y <= z})^2 w(z) for the tabulated cdf G,
+        # passed with its complement 1 - G, at each observation y.
+        below = self.weighted_integral(cdf * cdf, w, ys)
+        above = self.weighted_integral(sf * sf, w, np.append(ys, self.z[-1]))
+        return below + above[-1] - above[:-1]
+
+    def twcrps(self, ys, w: WeightFunction):
+        """Threshold-weighted CRPS at each observation; the CRPS itself
+        under the constant weight."""
+        return self._crps(self.F, 1.0 - self.F, w, ys)
+
+    def conditional(self, w: WeightFunction):
+        """Cdf and survival function, at the nodes, of the forecast
+        reweighted by ``w``; the grid comes from ``conditioned``."""
+        if isinstance(w, IndicatorAbove):
+            # 1 - S(z) / S(t): the survival function keeps its relative
+            # accuracy deep in the right tail, where 1 - F(z) does not.
+            sf = np.minimum(self.forecast.sf(self.z) / self.forecast.sf(w.t), 1.0)
+            return 1.0 - sf, sf
+        if isinstance(w, IndicatorBelow):
+            cdf = np.minimum(self.F / self.forecast.cdf(w.t), 1.0)
+            return cdf, 1.0 - cdf
+        cum = self.weighted_integral(self.forecast.pdf(self.z), w, self.z)
+        if cum[-1] <= MASS_FLOOR:
+            raise WeightedMassZero(f"weighted forecast mass is {cum[-1]:.3e}, below the floor")
+        cdf = np.clip(cum / cum[-1], 0.0, 1.0)
+        return cdf, 1.0 - cdf
+
+    def owcrps(self, ys, w: WeightFunction):
+        """CRPS of the forecast reweighted by ``w`` at each observation:
+        the outcome-weighted CRPS before its factor w(y)."""
+        return self._crps(*self.conditional(w), Constant(), ys)
+
+    def vrcrps(self, ys, w: WeightFunction, x0: float):
+        """Vertically re-scaled CRPS at each observation, anchored at x0.
+
+        With W and M the weighted mass and first moment below z,
+        E|X - p| w(X) = 2 p W(p) - 2 M(p) + M(inf) - p W(inf) and
+        E|X - X'| w(X) w(X') = 2 times the integral of w f (z W - M).
+        """
+        z = self.z
+        f = np.asarray(self.forecast.pdf(z), dtype=float)
+        pts = np.append(ys, x0)
+        wp, mp = self.weighted_integral(f, w, pts), self.weighted_integral(z * f, w, pts)
+        wz, mz = self.weighted_integral(f, w, z), self.weighted_integral(z * f, w, z)
+        ew, mt = wz[-1], mz[-1]
+        dist = 2.0 * pts * wp - 2.0 * mp + mt - pts * ew
+        pair = 2.0 * self.weighted_integral(f * (z * wz - mz), w, z[-1])
+        wy = np.asarray(w(ys), dtype=float)
+        return dist[:-1] * wy - 0.5 * pair + (dist[-1] - np.abs(ys - x0) * wy) * (ew - wy)
+
+
+# ---------------------------------------------------------------------------
+# CRPS by integration
+# ---------------------------------------------------------------------------
 
 
 def _crps_numeric_ensemble(x: np.ndarray, y: float) -> float:
@@ -358,15 +502,16 @@ def _crps_numeric_ensemble(x: np.ndarray, y: float) -> float:
 def crps_numeric(forecast: Forecast, y: float) -> ScoreValue:
     """CRPS by direct integration of (F(z) - 1{y <= z})^2.
 
-    Parametric forecasts use adaptive quadrature on a truncated domain;
-    ensembles use the exact piecewise integral of the empirical cdf.
-    This is the reference route the closed forms are checked against.
+    Parametric forecasts are integrated on a tabulated cdf with y as a
+    knot; ensembles use the exact piecewise integral of the empirical
+    cdf.  This is the reference route the closed forms are checked
+    against.
     """
     y = _check_scalar(y)
     if isinstance(forecast, Ensemble):
         value = _crps_numeric_ensemble(forecast.members, y)
     elif isinstance(forecast, Parametric):
-        value = _crps_numeric_parametric(forecast, y)
+        value = _CdfGrid(forecast, (y,)).twcrps(np.array([y]), Constant())[0]
     else:
         raise ContractViolation("crps_numeric needs an ensemble or parametric forecast")
     return ScoreValue(value, "crps", {"method": "numeric"})
@@ -376,7 +521,7 @@ def crps(forecast: Forecast, y: float) -> ScoreValue:
     """CRPS with representation-appropriate dispatch.
 
     Ensembles use the kernel form, normal forecasts the closed form,
-    other parametric forecasts quadrature.
+    other parametric forecasts the tabulated cdf of ``crps_numeric``.
     """
     if isinstance(forecast, Ensemble):
         return crps_ensemble(forecast, y)
@@ -388,25 +533,6 @@ def crps(forecast: Forecast, y: float) -> ScoreValue:
 # ---------------------------------------------------------------------------
 # threshold-weighted CRPS
 # ---------------------------------------------------------------------------
-
-
-def _twcrps_parametric(forecast: Parametric, y: float, v: ChainingFunction) -> float:
-    w = v.weight()
-    bps = [float(b) for b in w.breakpoints()]
-    lo, hi = _bounds(forecast, y, *bps)
-    knots = sorted({lo, hi, y, *[b for b in bps if lo < b < hi]})
-
-    def integrand(z):
-        ind = 1.0 if y <= z else 0.0
-        return (forecast.cdf(z) - ind) ** 2 * w(z)
-
-    total = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b <= a:
-            continue
-        part, _ = integrate.quad(integrand, a, b, **_QUAD_OPTS)
-        total += part
-    return total
 
 
 def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool = False) -> ScoreValue:
@@ -433,7 +559,7 @@ def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool 
         if isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
             value = _twcrps_normal(forecast, y, w)
         else:
-            value = _twcrps_parametric(forecast, y, v)
+            value = _CdfGrid(forecast, (y, *w.breakpoints())).twcrps(np.array([y]), w)[0]
         return ScoreValue(value, "twcrps", params)
     raise ContractViolation("twcrps needs an ensemble or parametric forecast")
 
@@ -441,64 +567,6 @@ def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool 
 # ---------------------------------------------------------------------------
 # outcome-weighted CRPS
 # ---------------------------------------------------------------------------
-
-
-def _owcrps_indicator_above(forecast: Parametric, y: float, t: float) -> float:
-    denom = 1.0 - float(forecast.cdf(t))
-    if denom <= MASS_FLOOR:
-        raise WeightedMassZero(
-            f"forecast mass above {t} is {denom:.3e}, below the floor"
-        )
-    ft = float(forecast.cdf(t))
-    _, hi = _bounds(forecast, y, t)
-
-    def fw(z):
-        return np.clip((forecast.cdf(z) - ft) / denom, 0.0, 1.0)
-
-    left, _ = integrate.quad(lambda z: fw(z) ** 2, t, y, **_QUAD_OPTS)
-    right, _ = integrate.quad(lambda z: (fw(z) - 1.0) ** 2, y, hi, **_QUAD_OPTS)
-    return left + right
-
-
-def _owcrps_indicator_below(forecast: Parametric, y: float, t: float) -> float:
-    denom = float(forecast.cdf(t))
-    if denom <= MASS_FLOOR:
-        raise WeightedMassZero(
-            f"forecast mass below {t} is {denom:.3e}, below the floor"
-        )
-    lo, _ = _bounds(forecast, y, t)
-
-    def fw(z):
-        return np.clip(forecast.cdf(z) / denom, 0.0, 1.0)
-
-    left, _ = integrate.quad(lambda z: fw(z) ** 2, lo, y, **_QUAD_OPTS)
-    right, _ = integrate.quad(lambda z: (fw(z) - 1.0) ** 2, y, t, **_QUAD_OPTS)
-    return left + right
-
-
-def _owcrps_generic(forecast: Parametric, y: float, w: WeightFunction) -> float:
-    # Conditional cdf on a fine grid, then piecewise Simpson integration
-    # of the squared deviation.  Breakpoints and y become grid knots.
-    bps = [float(b) for b in w.breakpoints()]
-    lo, hi = _bounds(forecast, y, *bps)
-    knots = sorted({lo, hi, y, *[b for b in bps if lo < b < hi]})
-    pieces = []
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b > a:
-            pieces.append(np.linspace(a, b, 4097))
-    z = np.unique(np.concatenate(pieces))
-    g = np.asarray(w(z), dtype=float) * forecast.pdf(z)
-    wcum = integrate.cumulative_simpson(g, x=z, initial=0.0)
-    total = float(wcum[-1])
-    if total <= MASS_FLOOR:
-        raise WeightedMassZero(f"weighted forecast mass is {total:.3e}, below the floor")
-    fw = np.clip(wcum / total, 0.0, 1.0)
-    ind = (z >= y).astype(float)
-    sq = (fw - ind) ** 2
-    iy = int(np.searchsorted(z, y))
-    left = integrate.simpson(sq[: iy + 1], x=z[: iy + 1]) if iy > 0 else 0.0
-    right = integrate.simpson(sq[iy:], x=z[iy:]) if iy < z.size - 1 else 0.0
-    return float(left + right)
 
 
 def owcrps(forecast: Forecast, y: float, w: WeightFunction) -> ScoreValue:
@@ -523,14 +591,8 @@ def owcrps(forecast: Forecast, y: float, w: WeightFunction) -> ScoreValue:
         return ScoreValue(0.0, "owcrps", params)
     if isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
         value = _owcrps_normal(forecast, y, w)
-    elif isinstance(w, Constant):
-        value = _crps_numeric_parametric(forecast, y)
-    elif isinstance(w, IndicatorAbove):
-        value = _owcrps_indicator_above(forecast, y, w.t)
-    elif isinstance(w, IndicatorBelow):
-        value = _owcrps_indicator_below(forecast, y, w.t)
     else:
-        value = _owcrps_generic(forecast, y, w)
+        value = _CdfGrid.conditioned(forecast, w, (y,)).owcrps(np.array([y]), w)[0]
     return ScoreValue(wy * value, "owcrps", params)
 
 
@@ -559,57 +621,6 @@ def owcrps_bs(forecast: Forecast, y: float, t: float) -> ScoreValue:
 # ---------------------------------------------------------------------------
 
 
-def _vrcrps_parametric(forecast: Parametric, y: float, w: WeightFunction, x0: float) -> float:
-    bps = [float(b) for b in w.breakpoints()]
-    lo, hi = _bounds(forecast, y, x0, *bps)
-
-    def q(fn, *split):
-        knots = sorted({lo, hi, *[s for s in split if lo < s < hi]})
-        total = 0.0
-        for a, b in zip(knots[:-1], knots[1:]):
-            part, _ = integrate.quad(fn, a, b, **_QUAD_OPTS)
-            total += part
-        return total
-
-    wy = float(w(y))
-    mean_w = q(lambda z: w(z) * forecast.pdf(z), *bps)
-    mean_dist_y = q(lambda z: abs(z - y) * w(z) * forecast.pdf(z), y, *bps)
-    mean_dist_x0 = q(lambda z: abs(z - x0) * w(z) * forecast.pdf(z), x0, *bps)
-
-    # E|X - X'| w(X) w(X') via one cumulative pass:
-    # 2 * integral of w f(x) * (x W(x) - M(x)) dx with W, M the cumulative
-    # weighted mass and first moment.
-    pieces = []
-    knots = sorted({lo, hi, *[b for b in bps if lo < b < hi]})
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b > a:
-            pieces.append(np.linspace(a, b, 8193))
-    z = np.unique(np.concatenate(pieces))
-    if isinstance(w, (IndicatorAbove, IndicatorBelow)):
-        # Sampling an indicator on the grid would put a node right on
-        # the jump and bias the cumulative sums by half a step.  On the
-        # active side of the threshold the weight is one, so the
-        # cumulative mass comes straight from the cdf and the first
-        # moment from a smooth integrand.
-        mask = z >= w.t if isinstance(w, IndicatorAbove) else z <= w.t
-        zs = z[mask]
-        fs = np.asarray(forecast.pdf(zs), dtype=float)
-        wcum = np.asarray(forecast.cdf(zs), dtype=float) - float(
-            forecast.cdf(zs[0])
-        )
-        mcum = integrate.cumulative_simpson(zs * fs, x=zs, initial=0.0)
-        pair = 2.0 * integrate.simpson(fs * (zs * wcum - mcum), x=zs)
-    else:
-        g = np.asarray(w(z), dtype=float) * forecast.pdf(z)
-        wcum = integrate.cumulative_simpson(g, x=z, initial=0.0)
-        mcum = integrate.cumulative_simpson(z * g, x=z, initial=0.0)
-        pair = 2.0 * integrate.simpson(g * (z * wcum - mcum), x=z)
-
-    term1 = mean_dist_y * wy
-    term3 = (mean_dist_x0 - abs(y - x0) * wy) * (mean_w - wy)
-    return float(term1 - 0.5 * pair + term3)
-
-
 def vrcrps(forecast: Forecast, y: float, w: WeightFunction, x0: float = 0.0) -> ScoreValue:
     """Vertically re-scaled CRPS with centre point ``x0``.
 
@@ -625,15 +636,60 @@ def vrcrps(forecast: Forecast, y: float, w: WeightFunction, x0: float = 0.0) -> 
     elif isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
         value = _vrcrps_normal(forecast, y, w, x0)
     elif isinstance(forecast, Parametric):
-        value = _vrcrps_parametric(forecast, y, w, x0)
+        grid = _CdfGrid(forecast, (y, x0, *w.breakpoints()))
+        value = grid.vrcrps(np.array([y]), w, x0)[0]
     else:
         raise ContractViolation("vrcrps needs an ensemble or parametric forecast")
     return ScoreValue(value, "vrcrps", params)
 
 
 # ---------------------------------------------------------------------------
-# decomposition diagnostic
+# weighted cdf and the decomposition diagnostic
 # ---------------------------------------------------------------------------
+
+
+def weighted_cdf(forecast: Parametric, w: WeightFunction, x: float) -> float:
+    """Cdf of the forecast reweighted by ``w``.
+
+    Returns E[1{X <= x} w(X)] / E[w(X)] for X distributed according to
+    the forecast.  Indicator weights use closed forms; other weights
+    take the conditional cdf of the tabulated-cdf engine, with x as a
+    knot.
+
+    Raises
+    ------
+    WeightedMassZero
+        If E[w(X)] is at or below the mass floor (1e-12).
+    """
+    if not isinstance(forecast, Parametric):
+        raise ContractViolation("weighted_cdf needs a univariate parametric forecast")
+    if w.dim != 1:
+        raise DimensionMismatch("weighted_cdf needs a univariate weight")
+    x = float(x)
+
+    if isinstance(w, Constant):
+        return float(forecast.cdf(x))
+    if isinstance(w, IndicatorAbove):
+        denom = 1.0 - float(forecast.cdf(w.t))
+        if denom <= MASS_FLOOR:
+            raise WeightedMassZero(
+                f"forecast mass above {w.t} is {denom:.3e}, below the floor"
+            )
+        num = max(float(forecast.cdf(x)) - float(forecast.cdf(w.t)), 0.0)
+        return min(num / denom, 1.0)
+    if isinstance(w, IndicatorBelow):
+        denom = float(forecast.cdf(w.t))
+        if denom <= MASS_FLOOR:
+            raise WeightedMassZero(
+                f"forecast mass below {w.t} is {denom:.3e}, below the floor"
+            )
+        num = float(forecast.cdf(min(x, w.t)))
+        return min(num / denom, 1.0)
+
+    # x = +-inf is no knot: interpolation holds the cdf at 0 or 1 beyond the grid.
+    grid = _CdfGrid.conditioned(forecast, w, (x,) if np.isfinite(x) else ())
+    cdf, _ = grid.conditional(w)
+    return float(np.interp(x, grid.z, cdf))
 
 
 def twcrps_decomposition_check(forecast: Parametric, y: float, t: float) -> float:
@@ -641,8 +697,8 @@ def twcrps_decomposition_check(forecast: Parametric, y: float, t: float) -> floa
 
     The twCRPS with censoring at t splits into a conditional (outcome
     weighted) part scaled by the squared tail mass plus explicit
-    boundary terms.  Returns lhs - rhs, which should vanish to
-    quadrature accuracy for any continuous parametric forecast.
+    boundary terms.  Returns lhs - rhs, which should vanish to the
+    accuracy of the integration for any continuous parametric forecast.
     """
     if not isinstance(forecast, Parametric):
         raise ContractViolation("the decomposition check needs a parametric forecast")
@@ -657,15 +713,11 @@ def twcrps_decomposition_check(forecast: Parametric, y: float, t: float) -> floa
     else:
         ow = owcrps(forecast, y, IndicatorAbove(t)).value
     rhs = tail**2 * ow
-    _, hi = _bounds(forecast, y, t)
+    grid = _CdfGrid(forecast, (y, t))
+    above = IndicatorAbove(t)
     if y > t:
-        inner, _ = integrate.quad(
-            lambda x: forecast.cdf(x) - ft, t, y, **_QUAD_OPTS
-        )
+        inner = grid.weighted_integral(grid.F - ft, above, y)
         rhs += ft**2 * (y - t) + 2.0 * ft * inner
     else:
-        upper, _ = integrate.quad(
-            lambda x: (forecast.cdf(x) - 1.0) ** 2, t, hi, **_QUAD_OPTS
-        )
-        rhs += upper
+        rhs += grid.weighted_integral((1.0 - grid.F) ** 2, above, grid.z[-1])
     return float(lhs - rhs)

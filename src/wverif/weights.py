@@ -14,14 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import stats
 
-from .exceptions import (
-    ContractViolation,
-    DimensionMismatch,
-    WeightedMassZero,
-)
-from .forecasts import Parametric, _scalar_or_array
+from .exceptions import ContractViolation, DimensionMismatch
+from .forecasts import _scalar_or_array
 
 __all__ = [
     "WeightFunction",
@@ -48,11 +44,8 @@ __all__ = [
     "GaussPdfRatioComplementChain",
     "CollapseOutside",
     "canonical_chaining",
-    "eval_weight",
-    "eval_chaining",
     "classify_heat_level",
     "heat_levels",
-    "weighted_cdf",
     "MASS_FLOOR",
 ]
 
@@ -91,7 +84,7 @@ class WeightFunction:
         return False
 
     def breakpoints(self) -> tuple:
-        """Discontinuity locations, used to split quadrature domains."""
+        """Discontinuity locations, knots of the grids that integrate the weight."""
         return ()
 
 
@@ -404,28 +397,6 @@ class HeatLevelIndicator(_MvWeight):
         return _scalar_or_array(out)
 
 
-def eval_weight(w: WeightFunction, z):
-    """Evaluate a weight at a single point with dimension checking.
-
-    Weight objects themselves broadcast over arrays; this wrapper is the
-    strict entry point that insists the input is one scalar (univariate
-    weights) or one d-vector (multivariate weights) and returns a float.
-    """
-    if not isinstance(w, WeightFunction):
-        raise ContractViolation("w must be a WeightFunction")
-    z = np.asarray(z, dtype=float)
-    if w.dim == 1:
-        if z.ndim != 0:
-            raise DimensionMismatch(
-                f"univariate weight evaluated at input with shape {z.shape}"
-            )
-    elif z.shape != (w.dim,):
-        raise DimensionMismatch(
-            f"expected a vector of length {w.dim}, got shape {z.shape}"
-        )
-    return float(w(z))
-
-
 # ---------------------------------------------------------------------------
 # chaining functions
 # ---------------------------------------------------------------------------
@@ -652,80 +623,3 @@ def canonical_chaining(w: WeightFunction, z0=None) -> ChainingFunction:
             raise ContractViolation("multivariate chaining needs a collapse point z0")
         return CollapseOutside(w, np.asarray(z0, dtype=float))
     raise ContractViolation(f"no canonical chaining for weight {type(w).__name__}")
-
-
-def eval_chaining(v: ChainingFunction, z):
-    """Evaluate a chaining function with type checking."""
-    if not isinstance(v, ChainingFunction):
-        raise ContractViolation("v must be a ChainingFunction")
-    return v.transform(z)
-
-
-# ---------------------------------------------------------------------------
-# weighted cdf
-# ---------------------------------------------------------------------------
-
-
-def weighted_cdf(forecast: Parametric, w: WeightFunction, x: float) -> float:
-    """Cdf of the forecast reweighted by ``w``.
-
-    Returns E[1{X <= x} w(X)] / E[w(X)] for X distributed according to
-    the forecast.  Indicator weights use closed forms; other weights
-    fall back to adaptive quadrature against the forecast density.
-
-    Raises
-    ------
-    WeightedMassZero
-        If E[w(X)] is at or below the mass floor (1e-12).
-    """
-    if not isinstance(forecast, Parametric):
-        raise ContractViolation("weighted_cdf needs a univariate parametric forecast")
-    if w.dim != 1:
-        raise DimensionMismatch("weighted_cdf needs a univariate weight")
-    x = float(x)
-
-    if isinstance(w, Constant):
-        return float(forecast.cdf(x))
-    if isinstance(w, IndicatorAbove):
-        denom = 1.0 - float(forecast.cdf(w.t))
-        if denom <= MASS_FLOOR:
-            raise WeightedMassZero(
-                f"forecast mass above {w.t} is {denom:.3e}, below the floor"
-            )
-        num = max(float(forecast.cdf(x)) - float(forecast.cdf(w.t)), 0.0)
-        return min(num / denom, 1.0)
-    if isinstance(w, IndicatorBelow):
-        denom = float(forecast.cdf(w.t))
-        if denom <= MASS_FLOOR:
-            raise WeightedMassZero(
-                f"forecast mass below {w.t} is {denom:.3e}, below the floor"
-            )
-        num = float(forecast.cdf(min(x, w.t)))
-        return min(num / denom, 1.0)
-
-    lo, hi = forecast.support_interval()
-    pts = [p for p in w.breakpoints() if lo < p < hi]
-
-    def integrand(z):
-        return w(z) * forecast.pdf(z)
-
-    denom, _ = integrate.quad(
-        integrand, lo, hi, points=pts or None, limit=200, epsabs=1e-12, epsrel=1e-10
-    )
-    if denom <= MASS_FLOOR:
-        raise WeightedMassZero(
-            f"weighted forecast mass is {denom:.3e}, below the floor"
-        )
-    if x <= lo:
-        return 0.0
-    top = min(x, hi)
-    num, _ = integrate.quad(
-        integrand,
-        lo,
-        top,
-        points=[p for p in pts if p < top] or None,
-        limit=200,
-        epsabs=1e-12,
-        epsrel=1e-10,
-    )
-    return float(np.clip(num / denom, 0.0, 1.0))

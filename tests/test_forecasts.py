@@ -11,7 +11,6 @@ from wverif import (
     IndependentProduct,
     Logistic,
     Normal,
-    ObservationCase,
     StudentT,
 )
 
@@ -71,14 +70,14 @@ def _assert_same_bits(got, want):
 # u * u (what numpy does for arrays) differ in the last bit.
 @example(mu=3.07, sd=0.65, x=-3.38, q=0.5)
 def test_normal_methods_match_scipy_bit_for_bit(mu, sd, x, q):
-    """cdf, pdf, ppf and support_interval of Normal repeat
+    """cdf, sf, pdf, ppf and support_interval of Normal repeat
     scipy.stats.norm's arithmetic, so every bit agrees, at +-inf, NaN and
     q outside (0, 1) too, for scalars and arrays alike."""
     f = Normal(mu, sd * sd)
     ref = stats.norm(mu, f.sd)
     xs = np.array([x, np.inf, -np.inf, np.nan, mu, mu + 3.0 * sd])
     qs = np.array([q, 0.0, 1.0, 1.5, np.nan, 1e-12])
-    for method in ("cdf", "pdf"):
+    for method in ("cdf", "sf", "pdf"):
         _assert_same_bits(getattr(f, method)(xs), getattr(ref, method)(xs))
         _assert_same_bits(getattr(f, method)(x), getattr(ref, method)(x))
     _assert_same_bits(f.ppf(qs), ref.ppf(qs))
@@ -154,10 +153,3 @@ def test_independent_product_needs_margins():
     with pytest.raises(ContractViolation):
         IndependentProduct(())
 
-
-def test_observation_case_fields():
-    import datetime
-
-    c = ObservationCase("ABO", datetime.date(2021, 6, 1), 2, 24.5)
-    assert c.station_id == "ABO"
-    assert c.lead_time == 2

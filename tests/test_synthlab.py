@@ -3,19 +3,22 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wverif import (
+    Constant,
     ContractViolation,
     GaussCdf,
     IndicatorAbove,
     IndicatorBelow,
     Logistic,
     Normal,
+    StudentT,
+    crps,
     owcrps_bs,
     twcrps,
     vrcrps,
 )
 from wverif.synthlab import (
     ExperimentSpec,
-    _GridScorer,
+    _score_draws,
     run_experiment,
     run_ideal_forecaster,
     run_impropriety_demo,
@@ -23,57 +26,53 @@ from wverif.synthlab import (
     run_score_curves,
     run_tail_forecasters,
 )
-from wverif.weights import CensorAbove
+from wverif.weights import CensorAbove, canonical_chaining
 
 
-def test_grid_scorer_matches_pointwise_routes():
-    """The batch grid scorer and the adaptive-quadrature routines are
-    implemented independently; they must agree far below Monte Carlo
-    resolution."""
-    dist = Normal(0.3, 1.44)
+def _per_case(dist, score, ys, w):
+    """The same score through the per-case functions, one grid per case
+    for a family or weight without a closed form."""
+    if score == "crps":
+        return np.array([crps(dist, y).value for y in ys])
+    if score == "twcrps":
+        chain = canonical_chaining(w)
+        return np.array([twcrps(dist, y, chain).value for y in ys])
+    if score == "owcrps_bs":
+        return np.array([owcrps_bs(dist, y, w.t).value for y in ys])
+    return np.array([vrcrps(dist, y, w, 0.0).value for y in ys])
+
+
+@pytest.mark.parametrize(
+    "dist", (Normal(0.3, 1.44), StudentT.from_moments(5.0, 0.3, 1.44)), ids=("normal", "t5")
+)
+def test_batch_route_matches_per_case_functions(dist):
+    """Scoring all draws on one grid that spans them agrees with scoring
+    each draw on its own grid, with the draw as a knot, or with the
+    closed form for the normal; draws between the nodes are integrated
+    to through the quadratic of their Simpson panel."""
     ys = np.array([-1.8, -0.2, 0.31, 0.9, 2.4])
     t = 0.31
-    gs = _GridScorer(dist, ys, extra_points=[t, 0.0])
-
-    crps_grid = gs.crps(ys)
-    from wverif import crps_normal
-
-    crps_pt = np.array([crps_normal(0.3, 1.2, y).value for y in ys])
-    assert np.abs(crps_grid - crps_pt).max() < 1e-7
-
-    w = GaussCdf(t, 1.2)
-    tw_grid = gs.twcrps(ys, w)
-    from wverif.weights import canonical_chaining
-
-    chain = canonical_chaining(w)
-    tw_pt = np.array([twcrps(dist, y, chain).value for y in ys])
-    assert np.abs(tw_grid - tw_pt).max() < 1e-6
-
-    ow_grid = gs.owcrps_bs(ys, t)
-    ow_pt = np.array([owcrps_bs(dist, y, t).value for y in ys])
-    assert np.abs(ow_grid - ow_pt).max() < 1e-6
-
-    vr_grid = gs.vrcrps(ys, w, 0.0)
-    vr_pt = np.array([vrcrps(dist, y, w, 0.0).value for y in ys])
-    assert np.abs(vr_grid - vr_pt).max() < 1e-6
+    for score, w in (
+        ("crps", Constant()),
+        ("twcrps", GaussCdf(t, 1.2)),
+        ("owcrps_bs", IndicatorAbove(t)),
+        ("vrcrps", GaussCdf(t, 1.2)),
+    ):
+        got = _score_draws(dist, score, ys, w)
+        assert np.abs(got - _per_case(dist, score, ys, w)).max() < 1e-6, score
 
 
-def test_grid_scorer_indicator_weights():
+def test_batch_route_indicator_weights():
     dist = Logistic(-0.2, 0.9)
     ys = np.array([-2.0, -0.4, 0.31, 1.7])
     for t in (0.31, -0.5):
-        gs = _GridScorer(dist, ys, extra_points=[t, 0.0])
-        for w, chain in (
-            (IndicatorAbove(t), CensorAbove(t)),
-            (IndicatorBelow(t), None),
-        ):
-            tw_grid = gs.twcrps(ys, w)
-            if chain is not None:
-                tw_pt = np.array([twcrps(dist, y, chain).value for y in ys])
-                assert np.abs(tw_grid - tw_pt).max() < 1e-6
-            vr_grid = gs.vrcrps(ys, w, 0.0)
-            vr_pt = np.array([vrcrps(dist, y, w, 0.0).value for y in ys])
-            assert np.abs(vr_grid - vr_pt).max() < 1e-6
+        for w in (IndicatorAbove(t), IndicatorBelow(t)):
+            for score in ("twcrps", "vrcrps"):
+                got = _score_draws(dist, score, ys, w)
+                assert np.abs(got - _per_case(dist, score, ys, w)).max() < 1e-6, (score, w)
+        got = _score_draws(dist, "owcrps_bs", ys, IndicatorAbove(t))
+        want = _per_case(dist, "owcrps_bs", ys, IndicatorAbove(t))
+        assert np.abs(got - want).max() < 1e-6
 
 
 def test_score_curves_shapes():

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
+import wverif
 from wverif import (
     CensorAbove,
     CensorBelow,
@@ -13,6 +17,7 @@ from wverif import (
     Ensemble,
     GaussCdf,
     GaussCdfChain,
+    GaussPdf,
     Identity,
     IndicatorAbove,
     IndicatorBelow,
@@ -20,6 +25,7 @@ from wverif import (
     Normal,
     NumericalError,
     OneMinusGaussCdf,
+    OneMinusGaussPdfRatio,
     ScoreValue,
     StudentT,
     WeightedMassZero,
@@ -35,7 +41,10 @@ from wverif import (
     vrcrps,
 )
 from wverif import uniscores
-from wverif.uniscores import (
+from wverif.uniscores import _CdfGrid
+from wverif.weights import canonical_chaining
+
+from quad_oracles import (
     _crps_numeric_parametric,
     _owcrps_indicator_above,
     _owcrps_indicator_below,
@@ -527,6 +536,98 @@ def test_owcrps_normal_mass_floor_on_both_sides():
     # Just inside the floor, where the closed form still has the tail mass.
     assert owcrps(f, 7.1, IndicatorAbove(7.0)).value > 0.0
     assert owcrps(f, -7.1, IndicatorBelow(-7.0)).value > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the tabulated-cdf engine against the closed forms and the quadrature oracles
+# ---------------------------------------------------------------------------
+
+
+def _engine_scores(f, y, w, x0):
+    """crps, twcrps, owcrps and vrcrps of one case on the engine's grids,
+    whatever the family and weight, as the per-case functions build them."""
+    ys = np.array([y])
+    grid = _CdfGrid(f, (y, x0, *w.breakpoints()))
+    ow = float(w(y)) * _CdfGrid.conditioned(f, w, (y,)).owcrps(ys, w)[0] if w(y) else 0.0
+    return {
+        "crps": grid.twcrps(ys, Constant())[0],
+        "twcrps": grid.twcrps(ys, w)[0],
+        "owcrps": ow,
+        "vrcrps": grid.vrcrps(ys, w, x0)[0],
+    }
+
+
+@_ORACLE_SETTINGS
+@given(_normal_case())
+def test_engine_matches_normal_closed_forms(case):
+    f, y, t, x0, above = case
+    for w in (Constant(), IndicatorAbove(t) if above else IndicatorBelow(t)):
+        got = _engine_scores(f, y, w, x0)
+        v = canonical_chaining(w)
+        want = {
+            "crps": crps_normal(f.mean(), f.sd, y).value,
+            "twcrps": twcrps(f, y, v).value,
+            "owcrps": owcrps(f, y, w).value,
+            "vrcrps": vrcrps(f, y, w, x0).value,
+        }
+        for name in want:
+            assert got[name] == pytest.approx(want[name], abs=1e-9), (name, w)
+
+
+@_ORACLE_SETTINGS
+@given(_normal_case(a_min=4.5, a_max=6.5, y_beyond=True))
+def test_engine_owcrps_matches_normal_closed_form_deep_in_the_tail(case):
+    """The engine conditions on a right tail through the survival
+    function and ends its grid where S(z) / S(t) is negligible, so the
+    conditional CRPS keeps its accuracy where the tail mass is 1e-11."""
+    f, y, t, _, above = case
+    w = IndicatorAbove(t) if above else IndicatorBelow(t)
+    got = _CdfGrid.conditioned(f, w, (y,)).owcrps(np.array([y]), w)[0]
+    assert got == pytest.approx(owcrps(f, y, w).value, abs=1e-9)
+
+
+_ORACLE_WEIGHTS = (
+    Constant(),
+    GaussPdf(0.4, 0.9),
+    OneMinusGaussPdfRatio(0.4, 0.9),
+    GaussCdf(0.4, 0.9),
+    OneMinusGaussCdf(0.4, 0.9),
+    IndicatorAbove(0.4),
+    IndicatorBelow(0.4),
+)
+
+
+@pytest.mark.parametrize("w", _ORACLE_WEIGHTS, ids=lambda w: type(w).__name__)
+@pytest.mark.parametrize(
+    "f", (Logistic(0.2, 0.6), StudentT.from_moments(5.0, -0.1, 1.3)), ids=("logistic", "t5")
+)
+def test_per_case_engine_matches_quadrature_oracles(f, w):
+    """Families without a closed form go through the engine, one grid per
+    case with y, x0 and the weight's breakpoints as knots."""
+    y, x0 = 1.1, 0.1
+    if isinstance(w, Constant):
+        assert crps(f, y).value == pytest.approx(_crps_numeric_parametric(f, y), abs=1e-6)
+    v = canonical_chaining(w)
+    assert twcrps(f, y, v).value == pytest.approx(_twcrps_parametric(f, y, v), abs=1e-6)
+    assert vrcrps(f, y, w, x0).value == pytest.approx(_vrcrps_parametric(f, y, w, x0), abs=1e-6)
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node, [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node, [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+
+
+def test_no_module_of_the_package_imports_scipy_integrate():
+    """Scores without a closed form have one integration route, the
+    tabulated-cdf engine; quadrature stays in the tests, as an oracle."""
+    for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, names in _imported_modules(tree):
+            bad = [n for n in names if n == "scipy.integrate" or n.startswith("scipy.integrate.")]
+            assert not bad, f"{path.name}:{node.lineno} imports {bad[0]}"
 
 
 # ---------------------------------------------------------------------------

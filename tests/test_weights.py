@@ -31,8 +31,6 @@ from wverif import (
     WeightedMassZero,
     canonical_chaining,
     crps_ensemble,
-    eval_chaining,
-    eval_weight,
     heat_levels,
     twcrps,
     weighted_cdf,
@@ -40,7 +38,7 @@ from wverif import (
 
 
 def test_constant_and_indicators():
-    assert eval_weight(Constant(), 5.0) == 1.0
+    assert Constant()(5.0) == 1.0
     w = IndicatorAbove(25.0)
     assert w(24.0) == 0.0
     assert w(25.0) == 0.0
@@ -150,7 +148,7 @@ def test_censor_above_exact():
     assert v(0.0) == 1.0
     assert v(1.0) == 1.0
     assert v(2.5) == 2.5
-    assert eval_chaining(v, -3.0) == 1.0
+    assert v(-3.0) == 1.0
 
 
 def test_mv_gauss_weights():
@@ -169,8 +167,6 @@ def test_mv_weight_dimension_checks():
     w = MvGaussCdf(np.zeros(3), np.ones(3))
     with pytest.raises(DimensionMismatch):
         w(np.zeros(2))
-    with pytest.raises(DimensionMismatch):
-        eval_weight(IndicatorAbove(0.0), np.zeros(2))
 
 
 def test_box_indicator():
