@@ -6,22 +6,35 @@ deliberately forgiving: malformed rows, and rows repeating the key of an
 earlier row, are collected as rejects with line numbers instead of
 aborting, up to a configurable fraction.
 
+An ``Archive`` holds its records as columns: tuples of station ids,
+init dates and lead times, an (n, m) member array (NaN-padded when
+member counts differ) with an (n,) member-count array, and an (n,)
+observation array.  ``ArchiveRecord`` views over the columns are built
+only when a caller iterates the archive.  A csv file is first read in
+one bulk parse: the keys split off each line and every number parsed by
+one ``np.loadtxt``.  Any anomaly (a field that does not parse, a
+non-finite value, a quote, a wrong field count, a repeated key) sends
+the whole file to the per-row parser instead, which alone produces
+rejects and their reasons.  Json lines are always parsed row by row.
+
 Raw ensembles are scored through the stacked kernels of ``uniscores``
-and ``mvscores``, one call for all records (or all stacked multivariate
-cases) sharing a member count; each case gets exactly the value the
-per-case function gives.  The stacks are the size of the members the
-records already hold, and the kernels build their member-pair
-temporaries in small blocks of cases.  Smoothed forecasts are scored
-case by case.
+and ``mvscores``: blocks of at most ``_STACK`` records, or stacked
+multivariate cases, sharing a member count go to one kernel call as
+slices of the member array, and each case gets exactly the value the
+per-case function gives.  ``_score_columns`` returns the scores as
+columns, which ``score_archive`` wraps in one ``ScoredCase`` per case.
+Smoothed forecasts are scored case by case.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +62,7 @@ from .mvscores import (  # noqa: F401
 )
 from .postprocess import smooth_ensemble
 from .uniscores import (
+    _NEGATIVE_TOL,
     ScoreValue,
     _brier_ensembles,
     _crps_ensembles,
@@ -126,16 +140,74 @@ class RejectedRow:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Archive:
-    records: tuple
+    """The accepted records of an archive as columns, plus its rejects.
+
+    The key columns are tuples: station ids (str), init dates
+    (datetime.date) and lead times (int).  ``members`` is an (n, m)
+    float array, NaN-padded past ``n_members[i]`` members when the
+    member counts differ (jsonl archives may mix them), and ``obs`` an
+    (n,) array.  The arrays are made read-only, because the records
+    share their memory.
+    """
+
+    station_ids: tuple
+    init_dates: tuple
+    lead_times: tuple
+    members: np.ndarray
+    n_members: np.ndarray
+    obs: np.ndarray
     rejects: tuple = ()
 
+    def __post_init__(self):
+        for a in (self.members, self.n_members, self.obs):
+            a.flags.writeable = False
+
+    @cached_property
+    def records(self) -> tuple:
+        """The records as ArchiveRecords over the columns, built on first use."""
+        return tuple(
+            ArchiveRecord(*row)
+            for row in zip(
+                self.station_ids,
+                self.init_dates,
+                self.lead_times,
+                self._member_rows(),
+                self.obs.tolist(),
+            )
+        )
+
+    def _member_rows(self):
+        return (row[:k] for row, k in zip(self.members, self.n_members.tolist()))
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.obs)
 
     def __iter__(self):
         return iter(self.records)
+
+
+def _archive_of(records, rejects=()) -> Archive:
+    """The columns of a sequence of ArchiveRecords."""
+    records = tuple(records)
+    sizes = np.array([rec.members.size for rec in records], dtype=np.intp)
+    members = np.full((len(records), int(sizes.max()) if records else 0), np.nan)
+    for row, rec in zip(members, records):
+        row[: rec.members.size] = rec.members
+    return Archive(
+        tuple(rec.station_id for rec in records),
+        tuple(rec.init_date for rec in records),
+        tuple(rec.lead_time for rec in records),
+        members,
+        sizes,
+        np.array([rec.obs for rec in records], dtype=float),
+        tuple(rejects),
+    )
+
+
+def _columns_of(archive) -> Archive:
+    return archive if isinstance(archive, Archive) else _archive_of(archive)
 
 
 def _check_reject_fraction(n_rows: int, rejects, max_fraction: float, path: str):
@@ -215,25 +287,31 @@ def _collect(rows, path: str, max_reject_fraction: float) -> Archive:
         first_line[key] = line_no
         records.append(rec)
     _check_reject_fraction(n_rows, rejects, max_reject_fraction, path)
-    return Archive(tuple(records), tuple(rejects))
+    return _archive_of(records, rejects)
+
+
+def _csv_header(reader, path: str):
+    """The header row of a csv archive, or None for an empty file."""
+    header = next(reader, None)
+    if header is not None and (
+        len(header) < 5
+        or header[0] != "station_id"
+        or header[1] != "init_date"
+        or header[2] != "lead_time"
+        or header[-1] != "obs"
+    ):
+        raise DataError(
+            f"{path}: expected header station_id,init_date,lead_time,m1..mK,obs"
+        )
+    return header
 
 
 def _csv_rows(path: str):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
+        header = _csv_header(reader, path)
         if header is None:
             return
-        if (
-            len(header) < 5
-            or header[0] != "station_id"
-            or header[1] != "init_date"
-            or header[2] != "lead_time"
-            or header[-1] != "obs"
-        ):
-            raise DataError(
-                f"{path}: expected header station_id,init_date,lead_time,m1..mK,obs"
-            )
         n_members = len(header) - 4
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -244,6 +322,71 @@ def _csv_rows(path: str):
                 yield line_no, (row[0], row[1], row[2], row[3 : 3 + n_members], row[-1])
 
 
+def _bulk_csv(path: str):
+    """The archive of a csv file read in one bulk parse, or None.
+
+    Keys are split off each line; every number is parsed by one
+    ``np.loadtxt``, whose values equal ``float()``'s wherever it accepts
+    a field (it refuses some fields ``float()`` takes, such as ``1_0``).
+    None means the per-row parser must read the file: a line has a quote
+    or another field count than the header, a key does not parse or
+    repeats, a number does not parse or is not finite, or the two
+    parses disagree on the number of rows (a quoted header may span
+    lines).  So a file read here has no rejects, and the per-row parser
+    gives every reject and its reason.
+    """
+    station_ids, init_dates, lead_times = [], [], []
+    seen = set()
+    dates: dict = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = _csv_header(reader, path)
+        if header is None:
+            return _archive_of(())
+        n_commas = len(header) - 1
+        for line in fh:
+            if line in ("\n", "\r\n", "\r"):
+                continue  # blank, and skipped by csv and np.loadtxt alike
+            if line.count(",") != n_commas or '"' in line:
+                return None
+            sid, date_str, lead_str, _ = line.split(",", 3)
+            sid = sid.strip()
+            init = dates.get(date_str)
+            try:
+                if init is None:
+                    init = dates[date_str] = datetime.date.fromisoformat(date_str.strip())
+                lead = int(lead_str)
+            except ValueError:
+                return None
+            key = (sid, init, lead)
+            if not sid or key in seen:
+                return None
+            seen.add(key)
+            station_ids.append(sid)
+            init_dates.append(init)
+            lead_times.append(lead)
+    if not station_ids:
+        return _archive_of(())
+    try:
+        values = np.loadtxt(
+            path, delimiter=",", skiprows=1, usecols=range(3, n_commas + 1),
+            comments=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if values.shape != (len(station_ids), n_commas - 2) or not np.isfinite(values).all():
+        return None
+    members = np.ascontiguousarray(values[:, :-1])
+    return Archive(
+        tuple(station_ids),
+        tuple(init_dates),
+        tuple(lead_times),
+        members,
+        np.full(len(station_ids), members.shape[1], dtype=np.intp),
+        values[:, -1].copy(),
+    )
+
+
 def read_archive_csv(path, max_reject_fraction: float = 0.01) -> Archive:
     """Read an archive from csv.
 
@@ -252,9 +395,14 @@ def read_archive_csv(path, max_reject_fraction: float = 0.01) -> Archive:
     not parse, and rows repeating the (station, init date, lead time) of
     an earlier row, are collected as rejects; the read aborts with
     DataError only when their fraction exceeds ``max_reject_fraction``.
+    A file without rejects is read in one bulk parse, any other file
+    row by row.
     """
     path = str(path)
-    return _collect(_csv_rows(path), path, max_reject_fraction)
+    archive = _bulk_csv(path)
+    if archive is None:
+        archive = _collect(_csv_rows(path), path, max_reject_fraction)
+    return archive
 
 
 def _jsonl_rows(path: str):
@@ -306,8 +454,13 @@ def read_archive(path, max_reject_fraction: float = 0.01) -> Archive:
     raise DataError(f"{p}: unsupported archive format; use .csv or .jsonl")
 
 
-def _records_of(archive) -> tuple:
-    return tuple(archive.records) if isinstance(archive, Archive) else tuple(archive)
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    if not any(c in text for c in ',"\r\n'):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
 
 
 def write_archive_csv(archive, path) -> None:
@@ -316,42 +469,44 @@ def write_archive_csv(archive, path) -> None:
     All records must share one member count; the written file reads
     back to identical records and rewriting it reproduces the bytes.
     """
-    records = _records_of(archive)
-    sizes = {rec.members.size for rec in records}
+    a = _columns_of(archive)
+    sizes = sorted(set(a.n_members.tolist()))
     if len(sizes) > 1:
         raise DataError(
-            f"csv needs one member count per file, found {sorted(sizes)}; "
+            f"csv needs one member count per file, found {sizes}; "
             "write jsonl instead"
         )
-    n_members = sizes.pop() if sizes else 0
+    n_members = sizes[0] if sizes else 0
     header = (
         ["station_id", "init_date", "lead_time"]
         + [f"m{i + 1}" for i in range(n_members)]
         + ["obs"]
     )
+    sid_fields = {sid: _csv_field(sid) for sid in set(a.station_ids)}
     with open(str(path), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rec in records:
-            writer.writerow(
-                [rec.station_id, rec.init_date.isoformat(), rec.lead_time]
-                + [repr(float(v)) for v in rec.members]
-                + [repr(rec.obs)]
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(
+            f"{sid_fields[sid]},{init.isoformat()},{lead},{','.join(map(repr, row))},{y!r}\n"
+            for sid, init, lead, row, y in zip(
+                a.station_ids, a.init_dates, a.lead_times, a.members.tolist(), a.obs.tolist()
             )
+        )
 
 
 def write_archive_jsonl(archive, path) -> None:
-    records = _records_of(archive)
+    a = _columns_of(archive)
     with open(str(path), "w") as fh:
-        for rec in records:
+        for sid, init, lead, row, y in zip(
+            a.station_ids, a.init_dates, a.lead_times, a._member_rows(), a.obs.tolist()
+        ):
             fh.write(
                 json.dumps(
                     {
-                        "station_id": rec.station_id,
-                        "init_date": rec.init_date.isoformat(),
-                        "lead_time": rec.lead_time,
-                        "members": [float(v) for v in rec.members],
-                        "obs": rec.obs,
+                        "station_id": sid,
+                        "init_date": init.isoformat(),
+                        "lead_time": lead,
+                        "members": row.tolist(),
+                        "obs": y,
                     }
                 )
             )
@@ -374,30 +529,36 @@ class MultivariateCase:
     obs: np.ndarray
 
 
-def _multivariate_groups(records: tuple, lead_times) -> tuple:
-    """The stacked cases of ``records``: (lead_times, groups).
+def _multivariate_groups(archive: Archive, lead_times) -> tuple:
+    """The stacked cases of an archive: (lead_times, keys, index).
 
-    ``groups`` lists ((station, init date), record indices in lead-time
-    order) sorted by station and date.  Groups missing a lead time or
-    mixing member counts are skipped.
+    ``keys`` lists the (station, init date) of each case, sorted by
+    station and date; row c of the (cases, d) array ``index`` holds the
+    case's record indices in lead-time order.  Groups missing a lead
+    time or mixing member counts are skipped.
     """
     lead_times = tuple(int(lt) for lt in lead_times)
     if len(set(lead_times)) != len(lead_times) or not lead_times:
         raise ContractViolation("lead_times must be non-empty and distinct")
+    wanted = set(lead_times)
     by_key: dict = {}
-    for i, rec in enumerate(records):
-        if rec.lead_time in lead_times:
-            by_key.setdefault((rec.station_id, rec.init_date), {})[rec.lead_time] = i
-    groups = []
+    for i, (sid, init, lead) in enumerate(
+        zip(archive.station_ids, archive.init_dates, archive.lead_times)
+    ):
+        if lead in wanted:
+            by_key.setdefault((sid, init), {})[lead] = i
+    sizes = archive.n_members.tolist()
+    keys, index = [], []
     for key in sorted(by_key, key=lambda k: (k[0], k[1].toordinal())):
         by_lead = by_key[key]
-        if set(by_lead) != set(lead_times):
+        if len(by_lead) != len(lead_times):
             continue
-        idx = tuple(by_lead[lt] for lt in lead_times)
-        if len({records[i].members.size for i in idx}) != 1:
+        idx = [by_lead[lt] for lt in lead_times]
+        if len({sizes[i] for i in idx}) != 1:
             continue
-        groups.append((key, idx))
-    return lead_times, groups
+        keys.append(key)
+        index.append(idx)
+    return lead_times, keys, np.array(index, dtype=np.intp).reshape(-1, len(lead_times))
 
 
 def group_multivariate(archive, lead_times=(1, 2, 3)) -> list:
@@ -408,14 +569,15 @@ def group_multivariate(archive, lead_times=(1, 2, 3)) -> list:
     dependence the raw ensemble carries.  Groups missing a lead time or
     mixing member counts are skipped.
     """
-    records = _records_of(archive)
-    lead_times, groups = _multivariate_groups(records, lead_times)
-    cases = []
-    for (sid, init), idx in groups:
-        members = np.stack([records[i].members for i in idx])
-        obs = np.array([records[i].obs for i in idx])
-        cases.append(MultivariateCase(sid, init, lead_times, MvEnsemble(members), obs))
-    return cases
+    a = _columns_of(archive)
+    lead_times, keys, index = _multivariate_groups(a, lead_times)
+    return [
+        MultivariateCase(
+            sid, init, lead_times,
+            MvEnsemble(a.members[idx, : a.n_members[idx[0]]]), a.obs[idx],
+        )
+        for (sid, init), idx in zip(keys, index)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +601,36 @@ class ScoredCase:
 _STACK = 256
 
 
-def _blocks(sizes):
-    """Index lists of at most ``_STACK`` items sharing one member count.
+def _blocks(sizes: np.ndarray):
+    """(member count, items) for blocks of at most ``_STACK`` items.
 
-    Items are taken in order within each member count; archives read
-    from jsonl may mix member counts, which cannot share a stack.
+    The items of a block share one member count; they are taken in
+    order within each member count, and member counts in order of first
+    appearance.  ``items`` is a slice when all items share one member
+    count, otherwise an index array.
     """
-    by_size: dict = {}
-    for i, m in enumerate(sizes):
-        by_size.setdefault(m, []).append(i)
-    for idx in by_size.values():
-        for a in range(0, len(idx), _STACK):
-            yield idx[a : a + _STACK]
+    counts, first = np.unique(sizes, return_index=True)
+    if counts.size == 1:
+        for a in range(0, sizes.size, _STACK):
+            yield int(counts[0]), slice(a, a + _STACK)
+        return
+    for k in counts[np.argsort(first)].tolist():
+        idx = np.flatnonzero(sizes == k)
+        for a in range(0, idx.size, _STACK):
+            yield k, idx[a : a + _STACK]
 
 
-def _scored(keys, score: str, values) -> list:
-    # ScoreValue applies the per-case functions' checks: finite, and
-    # negative roundoff clamped to zero.
-    return [
-        ScoredCase(sid, init, lead, score, ScoreValue(v, score).value)
-        for (sid, init, lead), v in zip(keys, values)
-    ]
+def _checked(values: np.ndarray, score: str) -> np.ndarray:
+    """ScoreValue's checks over all values at once.
+
+    The first value in case order that is not finite, or is more
+    negative than roundoff, raises ScoreValue's own NumericalError;
+    negative roundoff is clamped to zero.
+    """
+    bad = ~np.isfinite(values) | (values < -_NEGATIVE_TOL)
+    if bad.any():
+        ScoreValue(float(values[bad.argmax()]), score)
+    return np.where(values < 0.0, 0.0, values)
 
 
 def _smooth_score(fc, obs: float, score: str, threshold, x0) -> float:
@@ -494,28 +665,27 @@ def _ensemble_kernel(score: str, threshold, x0):
     raise ContractViolation(f"no ensemble kernel for score {score!r}")
 
 
-def _score_univariate(archive, score, threshold, x0, smooth) -> list:
+def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
     if score in _NEEDS_THRESHOLD and threshold is None:
         raise ContractViolation(f"score {score!r} needs a threshold")
     if score in ("owcrps", "owcrps_bs") and not smooth:
         raise UnsupportedInput(
             "outcome-weighted scores need a smooth forecast; set smooth: true"
         )
-    records = _records_of(archive)
     if smooth:
-        values = [
-            _smooth_score(smooth_ensemble(Ensemble(rec.members)), rec.obs, score, threshold, x0)
-            for rec in records
-        ]
+        values = np.array(
+            [
+                _smooth_score(smooth_ensemble(Ensemble(x)), y, score, threshold, x0)
+                for x, y in zip(a._member_rows(), a.obs.tolist())
+            ],
+            dtype=float,
+        )
     else:
         kernel = _ensemble_kernel(score, threshold, x0)
-        values = np.empty(len(records))
-        for idx in _blocks(rec.members.size for rec in records):
-            x = np.stack([records[i].members for i in idx])
-            y = np.array([records[i].obs for i in idx])
-            values[idx] = kernel(x, y)
-    keys = [(rec.station_id, rec.init_date, rec.lead_time) for rec in records]
-    return _scored(keys, score, values)
+        values = np.empty(len(a))
+        for k, items in _blocks(a.n_members):
+            values[items] = kernel(a.members[items, :k], a.obs[items])
+    return a.station_ids, a.init_dates, a.lead_times, values
 
 
 def _mv_weight(threshold, level, warm, hot, d):
@@ -559,25 +729,53 @@ def _mv_kernel(score: str, threshold, level, warm, hot, p, d: int):
 
 
 def _score_multivariate(
-    archive, score, threshold, level, warm, hot, p, lead_times
-) -> list:
-    records = _records_of(archive)
-    lead_times, groups = _multivariate_groups(records, lead_times)
-    if not groups:
-        return []
+    a: Archive, score, threshold, level, warm, hot, p, lead_times
+) -> tuple:
+    lead_times, keys, index = _multivariate_groups(a, lead_times)
+    if not keys:
+        return [], [], [], np.empty(0)
     kernel = _mv_kernel(score, threshold, level, warm, hot, p, len(lead_times))
-    values = np.empty(len(groups))
+    values = np.empty(len(keys))
     # Blocks follow member counts rather than case order.  That cannot
     # change which owes message is raised: archive weights are indicators,
     # so every case without weight mass has a mass of exactly 0.
-    for block in _blocks(records[idx[0]].members.size for _, idx in groups):
-        cases = [groups[c][1] for c in block]
+    for k, cases in _blocks(a.n_members[index[:, 0]]):
         # (cases, d, m) as in group_multivariate, viewed as (cases, m, d).
-        x = np.array([[records[i].members for i in idx] for idx in cases])
-        y = np.array([[records[i].obs for i in idx] for idx in cases])
-        values[block] = kernel(x.transpose(0, 2, 1), y)
-    keys = [(sid, init, None) for (sid, init), _ in groups]
-    return _scored(keys, score, values)
+        x = a.members[index[cases], :k]
+        values[cases] = kernel(x.transpose(0, 2, 1), a.obs[index[cases]])
+    return [sid for sid, _ in keys], [init for _, init in keys], [None] * len(keys), values
+
+
+def _score_columns(
+    archive,
+    score: str,
+    threshold: float | None = None,
+    x0: float | None = None,
+    p: float = 0.5,
+    smooth: bool = False,
+    lead_times=(1, 2, 3),
+    level: int | None = None,
+    warm: float = HEAT_WARM,
+    hot: float = HEAT_HOT,
+) -> tuple:
+    """``score_archive`` as columns: (station ids, init dates, lead times, values).
+
+    Lead times are None for multivariate cases; the values have passed
+    ScoreValue's checks.
+    """
+    a = _columns_of(archive)
+    if score in UNIVARIATE_SCORES:
+        sids, dates, leads, values = _score_univariate(a, score, threshold, x0, smooth)
+    elif score in MULTIVARIATE_SCORES:
+        sids, dates, leads, values = _score_multivariate(
+            a, score, threshold, level, warm, hot, p, lead_times
+        )
+    else:
+        raise ContractViolation(
+            f"unknown score {score!r}; univariate: {UNIVARIATE_SCORES}, "
+            f"multivariate: {MULTIVARIATE_SCORES}"
+        )
+    return sids, dates, leads, _checked(values, score)
 
 
 def score_archive(
@@ -601,16 +799,13 @@ def score_archive(
     ``level`` selects the heat-level weight instead for multivariate
     scores.
     """
-    if score in UNIVARIATE_SCORES:
-        return _score_univariate(archive, score, threshold, x0, smooth)
-    if score in MULTIVARIATE_SCORES:
-        return _score_multivariate(
-            archive, score, threshold, level, warm, hot, p, lead_times
-        )
-    raise ContractViolation(
-        f"unknown score {score!r}; univariate: {UNIVARIATE_SCORES}, "
-        f"multivariate: {MULTIVARIATE_SCORES}"
+    sids, dates, leads, values = _score_columns(
+        archive, score, threshold, x0, p, smooth, lead_times, level, warm, hot
     )
+    return [
+        ScoredCase(sid, init, lead, score, v)
+        for sid, init, lead, v in zip(sids, dates, leads, values.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from . import __version__
 from .archive import (
     MULTIVARIATE_SCORES,
     UNIVARIATE_SCORES,
+    _csv_field,
+    _score_columns,
     read_archive,
     score_archive,
     skill_table,
@@ -152,7 +154,7 @@ _HIST_HEADER = ("bin_lo", "bin_hi", "count", "frequency")
 def _cmd_score(args) -> list:
     archive = read_archive(args.archive, args.max_reject_fraction)
     lead_times = _parse_lead_times(args.lead_times)
-    scored = score_archive(
+    sids, dates, leads, values = _score_columns(
         archive,
         args.score,
         threshold=args.threshold,
@@ -162,48 +164,49 @@ def _cmd_score(args) -> list:
         lead_times=lead_times,
         level=args.level,
     )
-    scored.sort(
-        key=lambda c: (
-            c.station_id,
-            c.init_date.toordinal(),
-            -1 if c.lead_time is None else c.lead_time,
-            c.score,
-        )
+    # Rows sort by station, init date and lead time (stacked cases have
+    # none); the keys are unique, so the order is total.
+    order = sorted(
+        range(len(values)),
+        key=lambda i: (sids[i], dates[i], -1 if leads[i] is None else leads[i]),
     )
+    values = values[order]
+    rows = [(sids[i], dates[i], leads[i]) for i in order]
+    iso = {d: d.isoformat() for d in set(dates)}
     outputs = []
     if args.format == "csv":
-        _write_csv(
-            os.path.join(args.out, "scores.csv"),
-            ("station_id", "init_date", "lead_time", "score", "value"),
-            [
-                (c.station_id, c.init_date, c.lead_time, c.score, c.value)
-                for c in scored
-            ],
-        )
+        sid_fields = {sid: _csv_field(sid) for sid in set(sids)}
+        with open(os.path.join(args.out, "scores.csv"), "w", newline="") as fh:
+            fh.write("station_id,init_date,lead_time,score,value\n")
+            fh.writelines(
+                f"{sid_fields[sid]},{iso[d]},{'' if lead is None else lead},"
+                f"{args.score},{v!r}\n"
+                for (sid, d, lead), v in zip(rows, values.tolist())
+            )
         outputs.append("scores.csv")
     else:
         _write_jsonl(
             os.path.join(args.out, "scores.jsonl"),
             [
                 {
-                    "station_id": c.station_id,
-                    "init_date": c.init_date.isoformat(),
-                    "lead_time": c.lead_time,
-                    "score": c.score,
-                    "value": c.value,
+                    "station_id": sid,
+                    "init_date": iso[d],
+                    "lead_time": lead,
+                    "score": args.score,
+                    "value": v,
                 }
-                for c in scored
+                for (sid, d, lead), v in zip(rows, values.tolist())
             ],
         )
         outputs.append("scores.jsonl")
-    mean = float(np.mean([c.value for c in scored])) if scored else float("nan")
+    mean = float(np.mean(values)) if len(values) else float("nan")
     _write_json(
         os.path.join(args.out, "summary.json"),
         {
             "score": args.score,
             "n_records": len(archive),
             "n_rejected": len(archive.rejects),
-            "n_scored": len(scored),
+            "n_scored": len(values),
             "mean": mean,
         },
     )

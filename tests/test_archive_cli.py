@@ -1,9 +1,16 @@
+import ast
+import csv
 import datetime
+import importlib
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wverif import (
@@ -12,6 +19,8 @@ from wverif import (
     ContractViolation,
     DataError,
     Ensemble,
+    NumericalError,
+    ScoreValue,
     UnsupportedInput,
     WeightedMassZero,
     crps,
@@ -240,6 +249,169 @@ def test_jsonl_rejects_bad_rows(tmp_path):
     assert "obs" in arch.rejects[1].reason
 
 
+def test_csv_writer_formats_values_with_repr_and_quotes_station_ids(tmp_path):
+    d = datetime.date(2024, 6, 1)
+    values = [-0.0, 5e-324, 0.1, 1e300, -2.5e-8, 123456789.125]
+    stations = ("plain", "a,b", 'q"x', "cr\rid", "nl\nid")
+    recs = [ArchiveRecord(sid, d, lt, values, 0.3) for sid in stations for lt in (1, 2)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["station_id", "init_date", "lead_time"]
+                    + [f"m{i + 1}" for i in range(len(values))] + ["obs"])
+    for rec in recs:
+        writer.writerow([rec.station_id, rec.init_date.isoformat(), rec.lead_time]
+                        + [repr(float(v)) for v in rec.members] + [repr(rec.obs)])
+    path = tmp_path / "a.csv"
+    write_archive_csv(recs, path)
+    assert path.read_bytes() == buf.getvalue().encode()
+    for sid in stations + ("", " x ", "#"):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([sid, "1"])
+        assert archive._csv_field(sid) + ",1\n" == buf.getvalue()
+    # A lone carriage return is written unquoted and does not read back.
+    recs = [r for r in recs if "\r" not in r.station_id]
+    write_archive_csv(recs, path)
+    got = read_archive_csv(path)
+    assert got.station_ids == tuple(r.station_id for r in recs)
+    assert np.array_equal(got.members, np.array([values] * len(recs)))
+
+
+# ---------------------------------------------------------------------------
+# bulk csv parse against the per-row parser
+# ---------------------------------------------------------------------------
+
+
+def _read_or_error(read, path, max_reject_fraction):
+    try:
+        return read(path, max_reject_fraction)
+    except DataError as exc:
+        return str(exc)
+
+
+def _per_row_read(path, max_reject_fraction):
+    return archive._collect(archive._csv_rows(path), path, max_reject_fraction)
+
+
+def _assert_same_read(path):
+    """The csv reader gives what the per-row parser gives: the same keys,
+    bit-identical numbers, the same rejects and the same DataError."""
+    path = str(path)
+    for frac in (1.0, 0.01):
+        got = _read_or_error(read_archive_csv, path, frac)
+        want = _read_or_error(_per_row_read, path, frac)
+        if isinstance(want, str):
+            assert got == want
+            continue
+        assert got.station_ids == want.station_ids
+        assert got.init_dates == want.init_dates
+        assert got.lead_times == want.lead_times
+        assert got.members.shape == want.members.shape
+        assert got.members.tobytes() == want.members.tobytes()
+        assert got.obs.tobytes() == want.obs.tobytes()
+        assert np.array_equal(got.n_members, want.n_members)
+        assert got.rejects == want.rejects
+
+
+_HEADER = "station_id,init_date,lead_time,m1,m2,obs\n"
+_GOOD = "a,2024-06-01,1,1.0,2.0,1.5\nb,2024-06-01,1,0.5,2.5,3.0\n"
+
+# Files the bulk parse reads, and files it must leave to the per-row
+# parser, one for each condition that sends a file there.
+_BULK_FILES = {
+    "clean": _HEADER + _GOOD,
+    "empty": "",
+    "header_only": _HEADER,
+    "hash_in_station": _HEADER + _GOOD + "a#1,2024-06-02,1,1.0,2.0,1.5\n",
+    "whitespace": _HEADER + _GOOD + " c ,  2024-06-02 , 2 , 1.0 ,\t2.0, 1.5 \n",
+    "blank_lines": _HEADER + "\n" + _GOOD + "\r\n\nc,2024-06-02,1,1.0,2.0,1.5\n\n",
+    "crlf": (_HEADER + _GOOD).replace("\n", "\r\n"),
+    "no_final_newline": _HEADER + _GOOD.rstrip("\n"),
+    "non_ascii_station": _HEADER + _GOOD + "zürich,2024-06-02,1,1.0,2.0,1.5\n",
+}
+_ROW_FILES = {
+    "non_numeric_member": "a,2024-06-02,1,oops,2.0,1.5\n",
+    "nan_member": "a,2024-06-02,1,nan,2.0,1.5\n",
+    "inf_obs": "a,2024-06-02,1,1.0,2.0,inf\n",
+    "overflow_member": "a,2024-06-02,1,1e400,2.0,1.5\n",
+    "empty_field": "a,2024-06-02,1,,2.0,1.5\n",
+    "short_row": "a,2024-06-02,1,1.0,1.5\n",
+    "long_row": "a,2024-06-02,1,1.0,2.0,1.5,9.5\n",
+    "whitespace_row": "   \n",
+    "quoted_station": '"c",2024-06-02,1,1.0,2.0,1.5\n',
+    "quoted_number": 'c,2024-06-02,1,"1.0",2.0,1.5\n',
+    "bad_date": "a,2024-13-01,1,1.0,2.0,1.5\n",
+    "bad_lead": "a,2024-06-02,x,1.0,2.0,1.5\n",
+    "empty_station": " ,2024-06-02,1,1.0,2.0,1.5\n",
+    "duplicate_key": "a,2024-06-01,1,3.0,4.0,3.5\n",
+    "underscore_number": "c,2024-06-02,1,1_0,2.0,1.5\n",
+    "unicode_digit": "c,2024-06-02,1,١,2.0,1.5\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, text, bulk",
+    [(k, v, True) for k, v in _BULK_FILES.items()]
+    + [(k, _HEADER + _GOOD + v, False) for k, v in _ROW_FILES.items()]
+    # The header's quoted name spans two lines, the second of which
+    # np.loadtxt takes for a row.
+    + [("multiline_header",
+        'station_id,init_date,lead_time,"m1\n5,6,7,8.0,9.0,x",obs\na,2024-06-01,1,1.0,1.5\n',
+        False)],
+)
+def test_bulk_csv_parse_equals_per_row_parser(tmp_path, name, text, bulk):
+    path = tmp_path / "a.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    assert (archive._bulk_csv(str(path)) is not None) == bulk
+    _assert_same_read(path)
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-100.0, 100.0).map(repr),
+    st.sampled_from(
+        ["oops", "nan", "-inf", "", "1_0", "١", "1e400", "+1.", ".5", "0x10", '"4.0"']
+    ),
+)
+
+
+@st.composite
+def _csv_archive(draw):
+    """A csv archive with clean rows and planted faults of every kind."""
+    m = draw(st.integers(1, 4))
+    lines = ["station_id,init_date,lead_time," + ",".join(f"m{i + 1}" for i in range(m)) + ",obs"]
+    for _ in range(draw(st.integers(0, 8))):
+        clean = draw(st.integers(0, 3)) > 0
+        sid = draw(st.sampled_from(["a", "b", "c"] if clean else [" a ", "c#1", "", '"q"', "  "]))
+        date = draw(st.sampled_from(
+            ["2024-06-01", "2024-06-02", "2024-06-03"] if clean
+            else [" 2024-06-01", "2024-02-30", "x", ""]
+        ))
+        lead = draw(st.sampled_from(["1", "2", "3"] if clean else [" 3 ", "+1", "x", "", "1.5"]))
+        pad = st.sampled_from(["", "", " ", "\t"])
+        numbers = [
+            draw(pad) + draw(st.floats(-100.0, 100.0).map(repr) if clean else _NUMBER) + draw(pad)
+            for _ in range(m + 1)
+        ]
+        fields = [sid, date, lead] + numbers
+        width = draw(st.sampled_from([0] * 6 + [-1, 1]))
+        fields = fields[: len(fields) + width] if width < 0 else fields + ["9.5"] * width
+        lines.append(",".join(fields))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_csv_archive())
+def test_bulk_csv_parse_equals_per_row_parser_property(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "bulk_property.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    _assert_same_read(path)
+
+
 # ---------------------------------------------------------------------------
 # multivariate grouping
 # ---------------------------------------------------------------------------
@@ -401,6 +573,19 @@ def test_outcome_weighted_scores_need_smooth_forecasts():
         score_archive(recs, "owcrps", threshold=20.0)
     with pytest.raises(UnsupportedInput, match="smooth"):
         score_archive(recs, "owcrps_bs", threshold=20.0)
+
+
+def test_checked_scores_apply_score_value_checks_in_case_order():
+    values = np.array([0.5, -1e-12, -0.0, 2.0])
+    got = archive._checked(values, "crps")
+    assert got.tolist() == [ScoreValue(v, "crps").value for v in values.tolist()]
+    assert math.copysign(1.0, got[2]) == -1.0
+    for bad in ([0.5, -1.0, np.nan], [0.5, np.inf, -1.0], [np.nan, -1.0]):
+        with pytest.raises(NumericalError) as per_case:
+            [ScoreValue(v, "es") for v in bad]
+        with pytest.raises(NumericalError) as stacked:
+            archive._checked(np.array(bad), "es")
+        assert str(stacked.value) == str(per_case.value)
 
 
 def test_score_archive_validation():
@@ -735,3 +920,19 @@ def test_cli_config_file_defaults_and_overrides(tmp_path):
         ["score", "--archive", arch, "--score", "crps", "--config", str(bad),
          "--out", str(tmp_path / "c3")]
     ) == 1
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # perfbench/tracing.py wraps these functions at the names their
+    # callers bind; a binding that no longer resolves stops a traced run.
+    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    (bindings,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_FUNCTIONS" for t in node.targets)
+    ]
+    assert bindings
+    for module, name, _ in bindings:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

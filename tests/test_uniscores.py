@@ -40,7 +40,7 @@ from wverif import (
     twcrps_decomposition_check,
     vrcrps,
 )
-from wverif import uniscores
+from wverif import mvscores, uniscores
 from wverif.uniscores import _CdfGrid
 from wverif.weights import canonical_chaining
 
@@ -686,6 +686,36 @@ def test_sorted_crps_matches_pairwise_oracle(stack, fair):
     got = uniscores._crps_ensembles(x, y, fair)
     want = [_pairwise_crps(xi, yi, fair) for xi, yi in zip(x, y)]
     assert_allclose(got, want, rtol=1e-12)
+
+
+@_STACK_SETTINGS
+@given(_ensemble_stack(), st.booleans())
+def test_stacked_energy_score_in_1d_equals_crps(stack, fair):
+    x, y, _ = stack
+    if fair and x.shape[1] < 2:
+        return
+    got = mvscores._energy(x[:, :, None], y[:, None], fair)
+    assert_allclose(got, uniscores._crps_ensembles(x, y, fair), rtol=1e-12)
+
+
+@_STACK_SETTINGS
+@given(
+    st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+    st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    st.integers(2, 4),
+    st.floats(-12.0, 12.0),
+)
+def test_fair_crps_is_unbiased(support, mass, m, y):
+    # Every ensemble of m independent draws from a discrete distribution,
+    # with its probability: the expected fair CRPS is the distribution's CRPS.
+    s = np.array(support)
+    p = np.array(mass[: s.size], dtype=float)
+    p /= p.sum()
+    draws = np.stack(np.meshgrid(*[np.arange(s.size)] * m, indexing="ij"), -1).reshape(-1, m)
+    prob = p[draws].prod(1)
+    fair = uniscores._crps_ensembles(s[draws], np.full(len(draws), y), fair=True)
+    want = p @ np.abs(s - y) - 0.5 * p @ np.abs(s[:, None] - s[None, :]) @ p
+    assert_allclose(prob @ fair, want, rtol=1e-12, atol=1e-12)
 
 
 @_STACK_SETTINGS
