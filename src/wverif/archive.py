@@ -10,12 +10,13 @@ An ``Archive`` holds its records as columns: tuples of station ids,
 init dates and lead times, an (n, m) member array (NaN-padded when
 member counts differ) with an (n,) member-count array, and an (n,)
 observation array.  ``ArchiveRecord`` views over the columns are built
-only when a caller iterates the archive.  A csv file is first read in
-one bulk parse: the keys split off each line and every number parsed by
-one ``np.loadtxt``.  Any anomaly (a field that does not parse, a
-non-finite value, a quote, a wrong field count, a repeated key) sends
-the whole file to the per-row parser instead, which alone produces
-rejects and their reasons.  Json lines are always parsed row by row.
+only when a caller iterates the archive.  A csv file is read in bulk:
+the key is split off each line, and the numbers of each block of lines
+are parsed by one ``np.loadtxt``.  A row with a wrong field count, a key
+that does not parse, a number loadtxt refuses or a non-finite value goes
+through the per-row parser's functions, which name every reject reason;
+a file with a quote is read row by row throughout.  Json lines are
+always parsed row by row.
 
 Raw ensembles are scored through the stacked kernels of ``uniscores``
 and ``mvscores``: blocks of at most ``_STACK`` records, or stacked
@@ -148,8 +149,10 @@ class Archive:
     (datetime.date) and lead times (int).  ``members`` is an (n, m)
     float array, NaN-padded past ``n_members[i]`` members when the
     member counts differ (jsonl archives may mix them), and ``obs`` an
-    (n,) array.  The arrays are made read-only, because the records
-    share their memory.
+    (n,) array.  The archive keeps read-only views of the arrays, because
+    the records share their memory.  The constructor checks what
+    ArchiveRecord checks of each record: non-empty station ids, at least
+    one member, and finite members and observations.
     """
 
     station_ids: tuple
@@ -161,8 +164,28 @@ class Archive:
     rejects: tuple = ()
 
     def __post_init__(self):
-        for a in (self.members, self.n_members, self.obs):
+        members = np.asarray(self.members, dtype=float).view()
+        sizes = np.asarray(self.n_members, dtype=np.intp).view()
+        obs = np.asarray(self.obs, dtype=float).view()
+        n = len(self.station_ids)
+        if (
+            members.ndim != 2 or sizes.ndim != 1 or obs.ndim != 1
+            or not len(self.init_dates) == len(self.lead_times) == len(members)
+            == len(sizes) == len(obs) == n
+        ):
+            raise ContractViolation(
+                "archive columns need one entry per record and a 2-d member array"
+            )
+        if n and (sizes.min() < 1 or sizes.max() > members.shape[1]):
+            raise ContractViolation("member counts must lie in 1..members.shape[1]")
+        if not all(self.station_ids):
+            raise ContractViolation("station_id must be non-empty")
+        filled = np.arange(members.shape[1]) < sizes[:, None]
+        if not np.isfinite(members)[filled].all() or not np.isfinite(obs).all():
+            raise ContractViolation("members and obs must be finite")
+        for name, a in (("members", members), ("n_members", sizes), ("obs", obs)):
             a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @cached_property
     def records(self) -> tuple:
@@ -222,11 +245,10 @@ def _check_reject_fraction(n_rows: int, rejects, max_fraction: float, path: str)
         )
 
 
-def _parse_record(sid, date_str, lead_str, member_strs, obs_str, dates: dict) -> ArchiveRecord:
-    """Parse one row; ``dates`` caches parsed init dates.
+def _parse_key(sid, date_str, lead_str, dates: dict) -> tuple:
+    """(station id, init date, lead time) of one row; ``dates`` caches parsed init dates.
 
-    The checks here only name what is wrong with a bad row; the record's
-    own constructor is what guards every record.
+    A ValueError names what is wrong with the key.
     """
     sid = sid.strip()
     if not sid:
@@ -242,6 +264,16 @@ def _parse_record(sid, date_str, lead_str, member_strs, obs_str, dates: dict) ->
         lead = int(lead_str)
     except ValueError:
         raise ValueError(f"bad lead_time {lead_str!r}") from None
+    return sid, init, lead
+
+
+def _parse_record(sid, date_str, lead_str, member_strs, obs_str, dates: dict) -> ArchiveRecord:
+    """Parse one row; ``dates`` caches parsed init dates.
+
+    The checks here only name what is wrong with a bad row; the record's
+    own constructor is what guards every record.
+    """
+    key = _parse_key(sid, date_str, lead_str, dates)
     try:
         members = np.fromiter(map(float, member_strs), float, len(member_strs))
     except ValueError:
@@ -254,7 +286,13 @@ def _parse_record(sid, date_str, lead_str, member_strs, obs_str, dates: dict) ->
         raise ValueError(f"bad obs {obs_str!r}") from None
     if not math.isfinite(obs):
         raise ValueError("obs must be finite")
-    return ArchiveRecord(sid, init, lead, members, obs)
+    return ArchiveRecord(*key, members, obs)
+
+
+def _claim(first_line: dict, key, line_no: int):
+    """None when ``key`` is new and now taken by ``line_no``, else the reject reason."""
+    first = first_line.setdefault(key, line_no)
+    return None if first == line_no else f"duplicate of line {first}"
 
 
 def _collect(rows, path: str, max_reject_fraction: float) -> Archive:
@@ -280,11 +318,10 @@ def _collect(rows, path: str, max_reject_fraction: float) -> Archive:
         except ValueError as exc:
             rejects.append(RejectedRow(line_no, str(exc)))
             continue
-        key = (rec.station_id, rec.init_date, rec.lead_time)
-        if key in first_line:
-            rejects.append(RejectedRow(line_no, f"duplicate of line {first_line[key]}"))
+        duplicate = _claim(first_line, (rec.station_id, rec.init_date, rec.lead_time), line_no)
+        if duplicate:
+            rejects.append(RejectedRow(line_no, duplicate))
             continue
-        first_line[key] = line_no
         records.append(rec)
     _check_reject_fraction(n_rows, rejects, max_reject_fraction, path)
     return _archive_of(records, rejects)
@@ -306,84 +343,129 @@ def _csv_header(reader, path: str):
     return header
 
 
+def _csv_fields(row: list, width: int):
+    """The raw fields of a csv row of a file ``width`` columns wide, or why it is rejected."""
+    if len(row) != width:
+        return f"expected {width} fields, got {len(row)}"
+    return row[0], row[1], row[2], row[3:-1], row[-1]
+
+
 def _csv_rows(path: str):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _csv_header(reader, path)
         if header is None:
             return
-        n_members = len(header) - 4
         for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                yield line_no, f"expected {len(header)} fields, got {len(row)}"
-            else:
-                yield line_no, (row[0], row[1], row[2], row[3 : 3 + n_members], row[-1])
+            if row:
+                yield line_no, _csv_fields(row, len(header))
 
 
-def _bulk_csv(path: str):
-    """The archive of a csv file read in one bulk parse, or None.
+# Lines per np.loadtxt call of the bulk csv parse.  A block that loadtxt
+# refuses is parsed row by row, so the block bounds the cost of a bad
+# value; in 32-line blocks a clean 2,400-row file of 51 members parses
+# about as fast as in one call.
+_READ_BLOCK = 32
 
-    Keys are split off each line; every number is parsed by one
-    ``np.loadtxt``, whose values equal ``float()``'s wherever it accepts
-    a field (it refuses some fields ``float()`` takes, such as ``1_0``).
-    None means the per-row parser must read the file: a line has a quote
-    or another field count than the header, a key does not parse or
-    repeats, a number does not parse or is not finite, or the two
-    parses disagree on the number of rows (a quoted header may span
-    lines).  So a file read here has no rejects, and the per-row parser
-    gives every reject and its reason.
+
+def _bulk_csv(path: str, max_reject_fraction: float):
+    """The archive of a csv file read in bulk, or None for a file with a quote.
+
+    Each line's key is split off and parsed as ``_parse_record`` parses
+    it; the numbers of blocks of ``_READ_BLOCK`` lines are parsed by one
+    ``np.loadtxt`` each.  loadtxt's values equal ``float()``'s wherever it
+    accepts a field, but it refuses some fields ``float()`` takes (such
+    as ``1_0``).  So a row whose key does not parse or whose field count
+    is wrong, every row of a block loadtxt refuses, and every row with a
+    non-finite value goes through the per-row parser's own functions,
+    which give the same records, rejects and reasons as reading the whole
+    file row by row.  A quoted field may span lines and hold commas,
+    which only ``csv`` reads right, so a quote anywhere after the header
+    leaves the file to the per-row parser.
     """
-    station_ids, init_dates, lead_times = [], [], []
-    seen = set()
+    station_ids, init_dates, lead_times, blocks = [], [], [], []
+    rejects = []
+    first_line: dict = {}
     dates: dict = {}
+    n_rows = 0
+    block = []  # (line number, key or reject reason, line)
+
+    def flush():
+        lines = [line for _, key, line in block if not isinstance(key, str)]
+        values = np.empty((len(lines), width - 3))
+        clean = [False] * len(lines)
+        if lines:
+            try:
+                values = np.loadtxt(
+                    lines, delimiter=",", usecols=range(3, width), comments=None, ndmin=2
+                )
+                clean = np.isfinite(values).all(axis=1).tolist()
+            except ValueError:
+                pass
+        keep = []
+        i = -1
+        for line_no, key, line in block:
+            if isinstance(key, str):
+                rejects.append(RejectedRow(line_no, key))
+                continue
+            i += 1
+            if not clean[i]:
+                try:
+                    rec = _parse_record(*_csv_fields(line.rstrip("\r\n").split(","), width), dates)
+                except ValueError as exc:
+                    rejects.append(RejectedRow(line_no, str(exc)))
+                    continue
+                values[i, :-1] = rec.members
+                values[i, -1] = rec.obs
+            duplicate = _claim(first_line, key, line_no)
+            if duplicate:
+                rejects.append(RejectedRow(line_no, duplicate))
+                continue
+            keep.append(i)
+            station_ids.append(key[0])
+            init_dates.append(key[1])
+            lead_times.append(key[2])
+        blocks.append(values if len(keep) == len(values) else values[keep])
+        block.clear()
+
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _csv_header(reader, path)
         if header is None:
             return _archive_of(())
-        n_commas = len(header) - 1
-        for line in fh:
+        width = len(header)
+        # Blank lines are skipped but numbered, as csv numbers its rows;
+        # without quotes each line is one row.
+        for line_no, line in enumerate(fh, start=2):
             if line in ("\n", "\r\n", "\r"):
-                continue  # blank, and skipped by csv and np.loadtxt alike
-            if line.count(",") != n_commas or '"' in line:
+                continue
+            if '"' in line:
                 return None
-            sid, date_str, lead_str, _ = line.split(",", 3)
-            sid = sid.strip()
-            init = dates.get(date_str)
-            try:
-                if init is None:
-                    init = dates[date_str] = datetime.date.fromisoformat(date_str.strip())
-                lead = int(lead_str)
-            except ValueError:
-                return None
-            key = (sid, init, lead)
-            if not sid or key in seen:
-                return None
-            seen.add(key)
-            station_ids.append(sid)
-            init_dates.append(init)
-            lead_times.append(lead)
+            n_rows += 1
+            if line.count(",") != width - 1:
+                key = _csv_fields(line.rstrip("\r\n").split(","), width)
+            else:
+                sid, date_str, lead_str, _ = line.split(",", 3)
+                try:
+                    key = _parse_key(sid, date_str, lead_str, dates)
+                except ValueError as exc:
+                    key = str(exc)
+            block.append((line_no, key, line))
+            if len(block) == _READ_BLOCK:
+                flush()
+        if block:
+            flush()
+    _check_reject_fraction(n_rows, rejects, max_reject_fraction, path)
     if not station_ids:
-        return _archive_of(())
-    try:
-        values = np.loadtxt(
-            path, delimiter=",", skiprows=1, usecols=range(3, n_commas + 1),
-            comments=None, ndmin=2,
-        )
-    except ValueError:
-        return None
-    if values.shape != (len(station_ids), n_commas - 2) or not np.isfinite(values).all():
-        return None
-    members = np.ascontiguousarray(values[:, :-1])
+        return _archive_of((), rejects)
     return Archive(
         tuple(station_ids),
         tuple(init_dates),
         tuple(lead_times),
-        members,
-        np.full(len(station_ids), members.shape[1], dtype=np.intp),
-        values[:, -1].copy(),
+        np.concatenate([b[:, :-1] for b in blocks]),
+        np.full(len(station_ids), width - 4, dtype=np.intp),
+        np.concatenate([b[:, -1] for b in blocks]),
+        tuple(rejects),
     )
 
 
@@ -395,11 +477,10 @@ def read_archive_csv(path, max_reject_fraction: float = 0.01) -> Archive:
     not parse, and rows repeating the (station, init date, lead time) of
     an earlier row, are collected as rejects; the read aborts with
     DataError only when their fraction exceeds ``max_reject_fraction``.
-    A file without rejects is read in one bulk parse, any other file
-    row by row.
+    The numbers of a file are parsed in bulk unless it quotes a field.
     """
     path = str(path)
-    archive = _bulk_csv(path)
+    archive = _bulk_csv(path, max_reject_fraction)
     if archive is None:
         archive = _collect(_csv_rows(path), path, max_reject_fraction)
     return archive
@@ -463,6 +544,20 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def _csv_keys(station_ids, init_dates, lead_times):
+    """The station, init date and lead time fields that start each csv row.
+
+    Station ids are quoted as ``csv.writer`` quotes them; a lead time of
+    None is an empty field.
+    """
+    sids = {sid: _csv_field(sid) for sid in set(station_ids)}
+    dates = {d: d.isoformat() for d in set(init_dates)}
+    return (
+        f"{sids[sid]},{dates[d]},{'' if lead is None else lead}"
+        for sid, d, lead in zip(station_ids, init_dates, lead_times)
+    )
+
+
 def write_archive_csv(archive, path) -> None:
     """Write records as csv with a canonical float formatting.
 
@@ -482,14 +577,12 @@ def write_archive_csv(archive, path) -> None:
         + [f"m{i + 1}" for i in range(n_members)]
         + ["obs"]
     )
-    sid_fields = {sid: _csv_field(sid) for sid in set(a.station_ids)}
+    keys = _csv_keys(a.station_ids, a.init_dates, a.lead_times)
     with open(str(path), "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(
-            f"{sid_fields[sid]},{init.isoformat()},{lead},{','.join(map(repr, row))},{y!r}\n"
-            for sid, init, lead, row, y in zip(
-                a.station_ids, a.init_dates, a.lead_times, a.members.tolist(), a.obs.tolist()
-            )
+            f"{key},{','.join(map(repr, row))},{y!r}\n"
+            for key, row, y in zip(keys, a.members.tolist(), a.obs.tolist())
         )
 
 

@@ -25,7 +25,7 @@ from . import __version__
 from .archive import (
     MULTIVARIATE_SCORES,
     UNIVARIATE_SCORES,
-    _csv_field,
+    _csv_keys,
     _score_columns,
     read_archive,
     score_archive,
@@ -171,17 +171,16 @@ def _cmd_score(args) -> list:
         key=lambda i: (sids[i], dates[i], -1 if leads[i] is None else leads[i]),
     )
     values = values[order]
-    rows = [(sids[i], dates[i], leads[i]) for i in order]
-    iso = {d: d.isoformat() for d in set(dates)}
+    sids = [sids[i] for i in order]
+    dates = [dates[i] for i in order]
+    leads = [leads[i] for i in order]
     outputs = []
     if args.format == "csv":
-        sid_fields = {sid: _csv_field(sid) for sid in set(sids)}
         with open(os.path.join(args.out, "scores.csv"), "w", newline="") as fh:
             fh.write("station_id,init_date,lead_time,score,value\n")
             fh.writelines(
-                f"{sid_fields[sid]},{iso[d]},{'' if lead is None else lead},"
-                f"{args.score},{v!r}\n"
-                for (sid, d, lead), v in zip(rows, values.tolist())
+                f"{key},{args.score},{v!r}\n"
+                for key, v in zip(_csv_keys(sids, dates, leads), values.tolist())
             )
         outputs.append("scores.csv")
     else:
@@ -190,12 +189,12 @@ def _cmd_score(args) -> list:
             [
                 {
                     "station_id": sid,
-                    "init_date": iso[d],
+                    "init_date": d.isoformat(),
                     "lead_time": lead,
                     "score": args.score,
                     "value": v,
                 }
-                for (sid, d, lead), v in zip(rows, values.tolist())
+                for sid, d, lead, v in zip(sids, dates, leads, values.tolist())
             ],
         )
         outputs.append("scores.jsonl")

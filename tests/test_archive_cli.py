@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,29 @@ def test_jsonl_rejects_bad_rows(tmp_path):
     assert "obs" in arch.rejects[1].reason
 
 
+def test_archive_checks_its_columns():
+    d = datetime.date(2024, 6, 1)
+    members = np.array([[1.0, 2.0, np.nan], [3.0, np.nan, np.nan]])
+    good = dict(station_ids=("a", "b"), init_dates=(d, d), lead_times=(1, 2),
+                members=members, n_members=np.array([2, 1]), obs=np.array([0.5, 1.5]))
+    arch = Archive(**good)
+    assert [rec.members.tolist() for rec in arch] == [[1.0, 2.0], [3.0]]
+    # The archive's views are read-only; the caller's arrays stay writable.
+    assert members.flags.writeable and not arch.members.flags.writeable
+    for bad in (
+        dict(lead_times=(1,)),
+        dict(members=np.ones(2)),
+        dict(obs=np.zeros((2, 1))),
+        dict(n_members=np.array([2, 4])),
+        dict(n_members=np.array([0, 1])),
+        dict(station_ids=("a", "")),
+        dict(n_members=np.array([3, 1])),
+        dict(obs=np.array([0.5, np.inf])),
+    ):
+        with pytest.raises(ContractViolation):
+            Archive(**{**good, **bad})
+
+
 def test_csv_writer_formats_values_with_repr_and_quotes_station_ids(tmp_path):
     d = datetime.date(2024, 6, 1)
     values = [-0.0, 5e-324, 0.1, 1e300, -2.5e-8, 123456789.125]
@@ -294,10 +318,13 @@ def _per_row_read(path, max_reject_fraction):
 
 def _assert_same_read(path):
     """The csv reader gives what the per-row parser gives: the same keys,
-    bit-identical numbers, the same rejects and the same DataError."""
+    bit-identical numbers, the same rejects and the same DataError, and
+    it warns of nothing."""
     path = str(path)
     for frac in (1.0, 0.01):
-        got = _read_or_error(read_archive_csv, path, frac)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _read_or_error(read_archive_csv, path, frac)
         want = _read_or_error(_per_row_read, path, frac)
         if isinstance(want, str):
             assert got == want
@@ -315,20 +342,15 @@ def _assert_same_read(path):
 _HEADER = "station_id,init_date,lead_time,m1,m2,obs\n"
 _GOOD = "a,2024-06-01,1,1.0,2.0,1.5\nb,2024-06-01,1,0.5,2.5,3.0\n"
 
-# Files the bulk parse reads, and files it must leave to the per-row
-# parser, one for each condition that sends a file there.
-_BULK_FILES = {
-    "clean": _HEADER + _GOOD,
-    "empty": "",
-    "header_only": _HEADER,
-    "hash_in_station": _HEADER + _GOOD + "a#1,2024-06-02,1,1.0,2.0,1.5\n",
-    "whitespace": _HEADER + _GOOD + " c ,  2024-06-02 , 2 , 1.0 ,\t2.0, 1.5 \n",
-    "blank_lines": _HEADER + "\n" + _GOOD + "\r\n\nc,2024-06-02,1,1.0,2.0,1.5\n\n",
-    "crlf": (_HEADER + _GOOD).replace("\n", "\r\n"),
-    "no_final_newline": _HEADER + _GOOD.rstrip("\n"),
-    "non_ascii_station": _HEADER + _GOOD + "zürich,2024-06-02,1,1.0,2.0,1.5\n",
-}
-_ROW_FILES = {
+# Rows appended to a clean file: one for each fault kind and for each
+# way a row leaves the bulk parse.  Only a quote sends the whole file to
+# the per-row parser.
+_ROWS = {
+    "clean": "",
+    "hash_in_station": "a#1,2024-06-02,1,1.0,2.0,1.5\n",
+    "whitespace": " c ,  2024-06-02 , 2 , 1.0 ,\t2.0, 1.5 \n",
+    "blank_lines": "\r\n\nc,2024-06-02,1,1.0,2.0,1.5\n\n",
+    "non_ascii_station": "zürich,2024-06-02,1,1.0,2.0,1.5\n",
     "non_numeric_member": "a,2024-06-02,1,oops,2.0,1.5\n",
     "nan_member": "a,2024-06-02,1,nan,2.0,1.5\n",
     "inf_obs": "a,2024-06-02,1,1.0,2.0,inf\n",
@@ -337,33 +359,62 @@ _ROW_FILES = {
     "short_row": "a,2024-06-02,1,1.0,1.5\n",
     "long_row": "a,2024-06-02,1,1.0,2.0,1.5,9.5\n",
     "whitespace_row": "   \n",
-    "quoted_station": '"c",2024-06-02,1,1.0,2.0,1.5\n',
-    "quoted_number": 'c,2024-06-02,1,"1.0",2.0,1.5\n',
     "bad_date": "a,2024-13-01,1,1.0,2.0,1.5\n",
     "bad_lead": "a,2024-06-02,x,1.0,2.0,1.5\n",
     "empty_station": " ,2024-06-02,1,1.0,2.0,1.5\n",
     "duplicate_key": "a,2024-06-01,1,3.0,4.0,3.5\n",
+    "duplicate_of_rejected": "c,2024-06-02,1,x,2.0,1.5\nc,2024-06-02,1,1.0,2.0,1.5\n",
     "underscore_number": "c,2024-06-02,1,1_0,2.0,1.5\n",
     "unicode_digit": "c,2024-06-02,1,١,2.0,1.5\n",
+    "quoted_station": '"c",2024-06-02,1,1.0,2.0,1.5\n',
+    "quoted_number": 'c,2024-06-02,1,"1.0",2.0,1.5\n',
 }
 
 
-@pytest.mark.parametrize(
-    "name, text, bulk",
-    [(k, v, True) for k, v in _BULK_FILES.items()]
-    + [(k, _HEADER + _GOOD + v, False) for k, v in _ROW_FILES.items()]
-    # The header's quoted name spans two lines, the second of which
-    # np.loadtxt takes for a row.
-    + [("multiline_header",
-        'station_id,init_date,lead_time,"m1\n5,6,7,8.0,9.0,x",obs\na,2024-06-01,1,1.0,1.5\n',
-        False)],
-)
-def test_bulk_csv_parse_equals_per_row_parser(tmp_path, name, text, bulk):
-    path = tmp_path / "a.csv"
+def _write(path, text):
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    assert (archive._bulk_csv(str(path)) is not None) == bulk
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [(k, _HEADER + _GOOD + v) for k, v in _ROWS.items()]
+    + [
+        ("empty", ""),
+        ("header_only", _HEADER),
+        ("crlf", (_HEADER + _GOOD).replace("\n", "\r\n")),
+        ("no_final_newline", _HEADER + _GOOD.rstrip("\n")),
+        # The header's quoted name spans two lines; rows are numbered
+        # as csv records, from 2 after the header.
+        ("multiline_header",
+         'station_id,init_date,lead_time,"m1\n5,6,7,8.0,9.0,x",obs\n'
+         "a,2024-06-01,1,1.0,1.5\nb,2024-06-01,1,x,1.5\n"),
+    ],
+)
+def test_bulk_csv_parse_equals_per_row_parser(tmp_path, name, text):
+    path = tmp_path / "a.csv"
+    _write(path, text)
+    quoted = '"' in text.partition("obs")[2]
+    assert (archive._bulk_csv(str(path), 1.0) is None) == quoted
     _assert_same_read(path)
+
+
+def test_bulk_csv_parse_isolates_faults_between_blocks(tmp_path, monkeypatch):
+    rows = [f"s{i % 7},2024-06-{1 + i // 7:02d},{i % 3},{i}.5,{-i}.25,{i}" for i in range(100)]
+    rows[0] = rows[0].replace(".5", "_5", 1)  # refused by loadtxt, taken by float()
+    rows[31] = rows[31].replace(".5", "x", 1)  # last row of the first block
+    rows[32] = rows[32].replace(".25", "e400", 1)  # first row of the second block
+    rows[40] = rows[5]  # duplicate from another block
+    rows[63] = "s1,2024-06-99,0,1.0,2.0,3.0"  # bad key; the block loadtxt parses
+    rows[64:96] = [f"b,2024-06-01,x{i},1.0,2.0,3.0" for i in range(32)]  # a block of bad keys
+    path = tmp_path / "a.csv"
+    _write(path, _HEADER + "\n".join(rows) + "\n")
+    for block in (32, 5, 1):
+        monkeypatch.setattr(archive, "_READ_BLOCK", block)
+        got = read_archive_csv(path, 1.0)
+        assert [r.line for r in got.rejects] == [33, 34, 42, 65] + list(range(66, 98))
+        assert got.members[0, 0] == 5.0
+        _assert_same_read(path)
 
 
 _NUMBER = st.one_of(
@@ -404,12 +455,15 @@ def _csv_archive(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_csv_archive())
-def test_bulk_csv_parse_equals_per_row_parser_property(tmp_path_factory, text):
+@given(_csv_archive(), st.sampled_from([1, 2, 3, 32]))
+def test_bulk_csv_parse_equals_per_row_parser_property(tmp_path_factory, text, block):
     path = tmp_path_factory.getbasetemp() / "bulk_property.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    _assert_same_read(path)
+    _write(path, text)
+    default, archive._READ_BLOCK = archive._READ_BLOCK, block
+    try:
+        _assert_same_read(path)
+    finally:
+        archive._READ_BLOCK = default
 
 
 # ---------------------------------------------------------------------------
