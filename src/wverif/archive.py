@@ -24,14 +24,15 @@ multivariate cases, sharing a member count go to one kernel call as
 slices of the member array, and each case gets exactly the value the
 per-case function gives.  ``_score_columns`` returns the scores as
 columns, which ``score_archive`` wraps in one ``ScoredCase`` per case.
-Smoothed forecasts are scored case by case.
+Smoothed forecasts are normal fits to the members, taken per block of
+one member count, and each score is one call of its closed-form kernel
+over all records.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -40,11 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ContractViolation, DataError, UnsupportedInput
-from .forecasts import Ensemble
-# Raw ensembles are scored by the stacked kernels; the per-case
-# multivariate functions are not called here, but stay bound under these
-# names: perfbench's tracer wraps them here and cannot start without them.
-from .mvscores import (  # noqa: F401
+from .mvscores import (
     MvEnsemble,
     VariogramSpec,
     _energy,
@@ -53,6 +50,21 @@ from .mvscores import (  # noqa: F401
     _variogram,
     _vr_energy,
     _vr_variogram,
+)
+from .postprocess import _smooth_moments
+from .uniscores import (
+    _NEGATIVE_TOL,
+    ScoreValue,
+    _brier_ensembles,
+    _crps_ensembles,
+    _normal_score,
+    _vrcrps_ensembles,
+)
+
+# Archives are scored by the stacked and closed-form kernels; the
+# per-case functions are not called here, but stay bound under these
+# names: perfbench's tracer wraps them here and cannot start without them.
+from .mvscores import (  # noqa: F401
     energy_score,
     ow_energy_score,
     tw_energy_score,
@@ -61,20 +73,8 @@ from .mvscores import (  # noqa: F401
     vr_energy_score,
     vr_variogram_score,
 )
-from .postprocess import smooth_ensemble
-from .uniscores import (
-    _NEGATIVE_TOL,
-    ScoreValue,
-    _brier_ensembles,
-    _crps_ensembles,
-    _vrcrps_ensembles,
-    brier,
-    crps,
-    owcrps,
-    owcrps_bs,
-    twcrps,
-    vrcrps,
-)
+from .postprocess import smooth_ensemble  # noqa: F401
+from .uniscores import brier, crps, owcrps, owcrps_bs, twcrps, vrcrps  # noqa: F401
 from .weights import (
     HEAT_HOT,
     HEAT_WARM,
@@ -356,9 +356,13 @@ def _csv_rows(path: str):
         header = _csv_header(reader, path)
         if header is None:
             return
-        for line_no, row in enumerate(reader, start=2):
+        # A record is numbered by the file line it starts on; a quoted
+        # field may carry it over several lines.
+        line_no = reader.line_num + 1
+        for row in reader:
             if row:
                 yield line_no, _csv_fields(row, len(header))
+            line_no = reader.line_num + 1
 
 
 # Lines per np.loadtxt call of the bulk csv parse.  A block that loadtxt
@@ -434,9 +438,9 @@ def _bulk_csv(path: str, max_reject_fraction: float):
         if header is None:
             return _archive_of(())
         width = len(header)
-        # Blank lines are skipped but numbered, as csv numbers its rows;
-        # without quotes each line is one row.
-        for line_no, line in enumerate(fh, start=2):
+        # Blank lines are skipped but numbered; without quotes each line
+        # is one row.  The header may span lines.
+        for line_no, line in enumerate(fh, start=reader.line_num + 1):
             if line in ("\n", "\r\n", "\r"):
                 continue
             if '"' in line:
@@ -536,19 +540,18 @@ def read_archive(path, max_reject_fraction: float = 0.01) -> Archive:
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    """``text`` as one csv field: quoted, with inner quotes doubled, when it
+    holds a comma, a quote, a carriage return or a newline."""
     if not any(c in text for c in ',"\r\n'):
         return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _csv_keys(station_ids, init_dates, lead_times):
     """The station, init date and lead time fields that start each csv row.
 
-    Station ids are quoted as ``csv.writer`` quotes them; a lead time of
-    None is an empty field.
+    Station ids are quoted by ``_csv_field``; a lead time of None is an
+    empty field.
     """
     sids = {sid: _csv_field(sid) for sid in set(station_ids)}
     dates = {d: d.isoformat() for d in set(init_dates)}
@@ -582,7 +585,7 @@ def write_archive_csv(archive, path) -> None:
         csv.writer(fh, lineterminator="\n").writerow(header)
         fh.writelines(
             f"{key},{','.join(map(repr, row))},{y!r}\n"
-            for key, row, y in zip(keys, a.members.tolist(), a.obs.tolist())
+            for key, row, y in zip(keys, a.members[:, :n_members].tolist(), a.obs.tolist())
         )
 
 
@@ -726,22 +729,6 @@ def _checked(values: np.ndarray, score: str) -> np.ndarray:
     return np.where(values < 0.0, 0.0, values)
 
 
-def _smooth_score(fc, obs: float, score: str, threshold, x0) -> float:
-    if score == "crps":
-        sv = crps(fc, obs)
-    elif score == "brier":
-        sv = brier(fc, obs, threshold)
-    elif score == "twcrps":
-        sv = twcrps(fc, obs, CensorAbove(threshold))
-    elif score == "owcrps":
-        sv = owcrps(fc, obs, IndicatorAbove(threshold))
-    elif score == "owcrps_bs":
-        sv = owcrps_bs(fc, obs, threshold)
-    else:
-        sv = vrcrps(fc, obs, IndicatorAbove(threshold), threshold if x0 is None else x0)
-    return sv.value
-
-
 def _ensemble_kernel(score: str, threshold, x0):
     """The stacked kernel of a raw-ensemble score: (x (n, m), y (n,)) -> (n,)."""
     if score == "crps":
@@ -766,13 +753,16 @@ def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
             "outcome-weighted scores need a smooth forecast; set smooth: true"
         )
     if smooth:
-        values = np.array(
-            [
-                _smooth_score(smooth_ensemble(Ensemble(x)), y, score, threshold, x0)
-                for x, y in zip(a._member_rows(), a.obs.tolist())
-            ],
-            dtype=float,
-        )
+        # The normal fit of each record, as smooth_ensemble makes it,
+        # then one kernel call over all records in record order.
+        mu, var = np.empty(len(a)), np.empty(len(a))
+        for k, items in _blocks(a.n_members):
+            mu[items], var[items] = _smooth_moments(a.members[items, :k])
+        # The threshold's indicator, which twcrps's censoring integrates;
+        # crps has no threshold and ignores it.
+        w = IndicatorAbove(threshold)
+        anchor = threshold if x0 is None else x0
+        values = _normal_score(score, mu, np.sqrt(var), a.obs, w, anchor)
     else:
         kernel = _ensemble_kernel(score, threshold, x0)
         values = np.empty(len(a))
@@ -887,10 +877,10 @@ def score_archive(
 
     Univariate scores give one value per record; multivariate ones stack
     the given lead times per (station, init date) first.  Raw ensembles
-    are scored in blocks by the stacked kernels, smoothed forecasts case
-    by case.  Threshold-based weights are exceedance indicators;
-    ``level`` selects the heat-level weight instead for multivariate
-    scores.
+    are scored in blocks by the stacked kernels, smoothed forecasts by
+    the normal closed forms over all records at once.  Threshold-based
+    weights are exceedance indicators; ``level`` selects the heat-level
+    weight instead for multivariate scores.
     """
     sids, dates, leads, values = _score_columns(
         archive, score, threshold, x0, p, smooth, lead_times, level, warm, hot

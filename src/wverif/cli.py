@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import itertools
 import json
 import os
 import sys
@@ -25,7 +26,11 @@ from . import __version__
 from .archive import (
     MULTIVARIATE_SCORES,
     UNIVARIATE_SCORES,
+    Archive,
+    _blocks,
+    _csv_field,
     _csv_keys,
+    _multivariate_groups,
     _score_columns,
     read_archive,
     score_archive,
@@ -63,7 +68,6 @@ from .postprocess import (
     smooth_ensemble,
 )
 from .synthlab import ExperimentSpec, run_experiment
-from .archive import ArchiveRecord
 
 _MAX_TABLE_ROWS = 2048
 
@@ -89,10 +93,8 @@ def _fmt_cell(v) -> str:
 
 def _write_csv(path: str, header, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        for row in itertools.chain([header], rows):
+            fh.write(",".join(_csv_field(_fmt_cell(v)) for v in row) + "\n")
 
 
 def _write_jsonl(path: str, rows) -> None:
@@ -347,60 +349,60 @@ def _read_stations(path: str) -> dict:
     return out
 
 
+def _member_moments(archive, stations: dict) -> tuple:
+    """Mean and (m-1) variance of each record's members, lapse-rate
+    corrected for stations with heights; the variance of one member is 0."""
+    heights = np.array(
+        [stations.get(sid, (None, None))[1] or (np.nan, np.nan) for sid in archive.station_ids]
+    ).reshape(-1, 2)
+    xbar, var = np.empty(len(archive)), np.zeros(len(archive))
+    for k, items in _blocks(archive.n_members):
+        x = archive.members[items, :k]
+        h = heights[items]
+        corrected = ~np.isnan(h[:, 0])
+        if corrected.any():
+            x = np.where(corrected[:, None], lapse_rate_correct(x, h[:, :1], h[:, 1:]), x)
+        xbar[items] = x.mean(axis=1)
+        if k > 1:
+            var[items] = x.var(axis=1, ddof=1)
+    return xbar.tolist(), var.tolist()
+
+
 def _cmd_postprocess(args) -> list:
     archive = read_archive(args.archive, args.max_reject_fraction)
     if len(archive) == 0:
         raise DataError(f"{args.archive}: nothing to postprocess")
     stations = _read_stations(args.stations) if args.stations else {}
-    lead_times = sorted({rec.lead_time for rec in archive})
+    lead_times = sorted(set(archive.lead_times))
+    sids, dates, obs = archive.station_ids, archive.init_dates, archive.obs.tolist()
+    meta = [stations[sid][0] if sid in stations else StationMeta(sid, 0.0, 0.0) for sid in sids]
+    xbar, var = _member_moments(archive, stations)
 
-    def _meta_for(sid: str) -> tuple:
-        if sid in stations:
-            return stations[sid]
-        return StationMeta(sid, 0.0, 0.0), None
-
-    def _corrected(rec) -> np.ndarray:
-        meta, heights = _meta_for(rec.station_id)
-        if heights is None:
-            return rec.members
-        return lapse_rate_correct(rec.members, heights[0], heights[1])
-
-    n_meta_missing = len(
-        {rec.station_id for rec in archive if rec.station_id not in stations}
-    ) if stations else 0
+    n_meta_missing = len({sid for sid in sids if sid not in stations}) if stations else 0
 
     by_lead: dict = {}
-    for rec in archive:
-        by_lead.setdefault(rec.lead_time, []).append(rec)
+    for i, lt in enumerate(archive.lead_times):
+        by_lead.setdefault(lt, []).append(i)
 
     predictions = []
+    predicted = {}  # record index -> (mean, sd)
     params_rows = []
     n_unfit = 0
     for lt in lead_times:
-        recs = sorted(
-            by_lead[lt], key=lambda r: (r.init_date.toordinal(), r.station_id)
-        )
+        recs = sorted(by_lead[lt], key=lambda i: (dates[i].toordinal(), sids[i]))
         window = TrainingWindow(capacity_days=args.window_days)
         params = None
-        for date, day_recs in _by_date(recs):
+        for date, day in itertools.groupby(recs, key=lambda i: dates[i]):
+            day = list(day)
             if params is not None:
-                for rec in day_recs:
-                    members = _corrected(rec)
-                    meta, _ = _meta_for(rec.station_id)
-                    xbar = float(members.mean())
-                    var = float(members.var(ddof=1)) if members.size > 1 else 0.0
-                    fc = predict_emos(params, xbar, var, meta)
-                    predictions.append(
-                        (rec.station_id, rec.init_date, lt, fc.mean_, np.sqrt(fc.variance_))
-                    )
+                for i in day:
+                    fc = predict_emos(params, xbar[i], var[i], meta[i])
+                    predicted[i] = (fc.mean_, np.sqrt(fc.variance_))
+                    predictions.append((sids[i], date, lt, *predicted[i]))
             else:
-                n_unfit += len(day_recs)
-            for rec in day_recs:
-                members = _corrected(rec)
-                meta, _ = _meta_for(rec.station_id)
-                xbar = float(members.mean())
-                var = float(members.var(ddof=1)) if members.size > 1 else 0.0
-                window.add_case(date, xbar, var, meta, rec.obs)
+                n_unfit += len(day)
+            for i in day:
+                window.add_case(date, xbar[i], var[i], meta[i], obs[i])
             try:
                 params = fit_emos(window, init=params)
             except InsufficientData:
@@ -425,7 +427,7 @@ def _cmd_postprocess(args) -> list:
     outputs = ["predictions.csv", "params.jsonl"]
 
     if args.ecc:
-        outputs.append(_run_ecc(args, archive, predictions, lead_times))
+        outputs.append(_run_ecc(args, archive, predicted, lead_times))
     if args.climatology:
         outputs.append(_run_climatology(args, archive))
 
@@ -445,47 +447,29 @@ def _cmd_postprocess(args) -> list:
     return outputs
 
 
-def _by_date(records):
-    """Yield (date, records-of-that-date) in ascending date order."""
-    bucket = []
-    current = None
-    for rec in records:
-        if current is None or rec.init_date == current:
-            current = rec.init_date
-            bucket.append(rec)
-        else:
-            yield current, bucket
-            current = rec.init_date
-            bucket = [rec]
-    if bucket:
-        yield current, bucket
+def _run_ecc(args, archive, predicted: dict, lead_times) -> str:
+    """Recouple calibrated margins with raw ensemble rank order.
 
-
-def _run_ecc(args, archive, predictions, lead_times) -> str:
-    """Recouple calibrated margins with raw ensemble rank order."""
-    pred_map = {(sid, d, lt): (mean, sd) for sid, d, lt, mean, sd in predictions}
-    rec_map = {}
-    for rec in archive:
-        rec_map[(rec.station_id, rec.init_date, rec.lead_time)] = rec
-    groups = sorted(
-        {(rec.station_id, rec.init_date) for rec in archive},
-        key=lambda k: (k[0], k[1].toordinal()),
+    ``predicted`` maps record indices to their predicted (mean, sd).
+    Each (station, init date) with every lead time, one member count and
+    a prediction for each record is coupled.
+    """
+    _, _, index = _multivariate_groups(archive, lead_times)
+    index = [idx for idx in index.tolist() if all(i in predicted for i in idx)]
+    members = np.array(archive.members)
+    for idx in index:
+        k = archive.n_members[idx[0]]
+        margins = [Normal(predicted[i][0], predicted[i][1] ** 2) for i in idx]
+        members[idx, :k] = ecc_reorder(margins, archive.members[idx, :k]).members
+    rows = [i for idx in index for i in idx]
+    keys = (archive.station_ids, archive.init_dates, archive.lead_times)
+    coupled = Archive(
+        *(tuple(col[i] for i in rows) for col in keys),
+        members[rows],
+        archive.n_members[rows],
+        archive.obs[rows],
     )
-    rows = []
-    for sid, d in groups:
-        keys = [(sid, d, lt) for lt in lead_times]
-        if not all(k in pred_map and k in rec_map for k in keys):
-            continue
-        recs = [rec_map[k] for k in keys]
-        sizes = {r.members.size for r in recs}
-        if len(sizes) != 1:
-            continue
-        margins = [Normal(pred_map[k][0], pred_map[k][1] ** 2) for k in keys]
-        raw = np.stack([r.members for r in recs])
-        coupled = ecc_reorder(margins, raw)
-        for lt, rec, row in zip(lead_times, recs, coupled.members):
-            rows.append(ArchiveRecord(sid, d, lt, row, rec.obs))
-    write_archive_csv(rows, os.path.join(args.out, "ecc.csv"))
+    write_archive_csv(coupled, os.path.join(args.out, "ecc.csv"))
     return "ecc.csv"
 
 

@@ -20,7 +20,6 @@ from scipy.special import ndtr
 from .exceptions import ContractViolation, DimensionMismatch, InsufficientData
 from .forecasts import Ensemble, Normal, Parametric, _scalar_or_array, _std_pdf
 from .mvscores import MvEnsemble
-from .uniscores import normal_crps_values
 
 __all__ = [
     "LAPSE_RATE",
@@ -59,6 +58,14 @@ def lapse_rate_correct(values, model_height, station_height, rate: float = LAPSE
     return _scalar_or_array(out)
 
 
+def _smooth_moments(x: np.ndarray) -> tuple:
+    """Mean and variance of the normal fit to each row of an (n, m) member
+    array: member mean and (m-1) variance, floored at VARIANCE_FLOOR."""
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ContractViolation("smoothing needs at least two members")
+    return x.mean(axis=1), np.maximum(x.var(axis=1, ddof=1), VARIANCE_FLOOR)
+
+
 def smooth_ensemble(forecast) -> Normal:
     """Normal fit to an ensemble: member mean and (n-1) variance.
 
@@ -66,9 +73,8 @@ def smooth_ensemble(forecast) -> Normal:
     still produce a usable forecast.
     """
     x = forecast.members if isinstance(forecast, Ensemble) else np.asarray(forecast, dtype=float)
-    if x.ndim != 1 or x.size < 2:
-        raise ContractViolation("smoothing needs at least two members")
-    return Normal(float(np.mean(x)), max(float(np.var(x, ddof=1)), VARIANCE_FLOOR))
+    mean, var = _smooth_moments(x[None])
+    return Normal(float(mean[0]), float(var[0]))
 
 
 def fit_climatology(values) -> Normal:
@@ -80,7 +86,7 @@ def fit_climatology(values) -> Normal:
         )
     if not np.all(np.isfinite(x)):
         raise ContractViolation("observations must be finite")
-    return Normal(float(np.mean(x)), max(float(np.var(x, ddof=1)), VARIANCE_FLOOR))
+    return smooth_ensemble(x)
 
 
 @dataclass(frozen=True)

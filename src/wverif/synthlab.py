@@ -1,9 +1,12 @@
 """Synthetic experiments: score behaviour, calibration, and propriety.
 
 Everything here is driven by explicit seeds.  The univariate Monte
-Carlo runs score each forecast at all its draws on one tabulated cdf,
-through the same engine that ``uniscores`` uses for a single case of a
-family or weight without a closed form.  Multivariate propriety runs
+Carlo runs score each forecast at all its draws at once: a normal
+forecast under the unit or an indicator weight through the closed-form
+kernels of ``uniscores``, any other on one tabulated cdf, through the
+same engine that ``uniscores`` uses for a single case of a family or
+weight without a closed form.  Score curves run the closed-form
+kernels on their whole grid of observations.  Multivariate propriety runs
 the shipped energy, variogram and vertically re-scaled kernels of
 ``mvscores`` on whole samples at once.
 """
@@ -26,11 +29,10 @@ from .calibration import (
 from .exceptions import ContractViolation, WeightedMassZero
 from .forecasts import Logistic, Normal, Parametric, StudentT
 from .mvscores import _energy, _variogram, _vr_energy
-from .uniscores import _CdfGrid, crps_normal, owcrps, twcrps, vrcrps
+from .uniscores import _CdfGrid, _closed_form, _normal_score
 from .weights import (
     MASS_FLOOR,
     BoxIndicator,
-    CensorAbove,
     CollapseOutside,
     Constant,
     GaussCdf,
@@ -88,21 +90,17 @@ class ScoreCurves:
 def run_score_curves(t: float = 1.0, ys=None, x0: float = 0.0) -> ScoreCurves:
     """Score a standard normal forecast along a grid of observations.
 
-    Uses the per-case scoring functions, which score a normal forecast
-    in closed form.  The weight is the indicator of exceeding ``t`` and
-    the chaining for the threshold-weighted score censors below ``t``.
+    Runs the closed-form normal kernels of ``uniscores`` on all the
+    observations at once.  The weight is the indicator of exceeding
+    ``t``, which the censoring chaining of the threshold-weighted score
+    integrates.
     """
     if ys is None:
         ys = np.linspace(-3.0, 3.0, 121)
     ys = np.asarray(ys, dtype=float)
-    fc = Normal(0.0, 1.0)
     w = IndicatorAbove(t)
-    chain = CensorAbove(t)
-    crps_v = np.array([crps_normal(0.0, 1.0, y).value for y in ys])
-    tw = np.array([twcrps(fc, y, chain).value for y in ys])
-    ow = np.array([owcrps(fc, y, w).value for y in ys])
-    vr = np.array([vrcrps(fc, y, w, x0).value for y in ys])
-    return ScoreCurves(ys, crps_v, tw, ow, vr, t, x0)
+    curves = [_normal_score(s, 0.0, 1.0, ys, w, x0) for s in ("crps", "twcrps", "owcrps", "vrcrps")]
+    return ScoreCurves(ys, *curves, t, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +308,12 @@ def _uni_weight(i: int, centre: float, sd: float) -> WeightFunction:
 
 
 def _score_draws(dist, score: str, ys: np.ndarray, w: WeightFunction) -> np.ndarray:
-    """One univariate score of a fixed forecast at every draw, on one
-    tabulated cdf whose grid spans the draws; 0.0 is the vrCRPS anchor."""
+    """One univariate score of a fixed forecast at every draw; 0.0 is the
+    vrCRPS anchor.  A normal forecast under a weight with a closed form
+    goes through the closed-form kernels, any other on one tabulated cdf
+    whose grid spans the draws."""
+    if _closed_form(dist, w):
+        return _normal_score(score, dist.mean_, dist.sd, ys, w, 0.0)
     knots = (ys.min(), ys.max(), 0.0, *w.breakpoints())
     if score == "owcrps_bs":
         brier = (float(dist.cdf(w.t)) - (ys <= w.t)) ** 2

@@ -2,19 +2,20 @@
 
 Ensemble forecasts are scored with exact kernel sums by kernels over
 stacks of ensembles (members (n, m), observations (n,)); the member-pair
-sums run over the sorted members in O(m log m).  The per-case functions
-call these kernels with n = 1, and ``archive`` calls them on blocks of
-records, so both give the same value for a case.  Normal forecasts are
-scored in closed form under the unit, censoring and indicator
-weights: the CRPS, the censored-normal twCRPS, the truncated-normal
-owCRPS and the indicator-weight vrCRPS, all from ``scipy.special.ndtr``
-without frozen scipy objects.  Every other parametric forecast and
-weight goes through one engine, ``_CdfGrid``: the forecast cdf is
-tabulated on a piecewise-uniform grid with the observation, thresholds
-and anchor as knots, and the integral forms of the scores are
-integrated by composite Simpson.  The same engine scores one forecast
-at many observations for the propriety Monte Carlo of ``synthlab``.
-Every public scoring function returns a ``ScoreValue``.
+sums run over the sorted members in O(m log m).  Normal forecasts under
+the unit, censoring and indicator weights (``_closed_form``) are scored
+by elementwise closed forms over arrays of means, sds and observations:
+the CRPS, the Brier score, the censored-normal twCRPS, the
+truncated-normal owCRPS and the indicator-weight vrCRPS, all from
+``scipy.special.ndtr``.  The per-case functions call both kinds of
+kernel with one case, and ``archive`` and ``synthlab`` call them on
+many, so each route gives a case the same value.  Every other
+parametric forecast and weight goes through one engine, ``_CdfGrid``:
+the forecast cdf is tabulated on a piecewise-uniform grid with the
+observation, thresholds and anchor as knots, and the integral forms of
+the scores are integrated by composite Simpson.  The same engine scores
+one forecast at many observations for the propriety Monte Carlo of
+``synthlab``.  Every public scoring function returns a ``ScoreValue``.
 """
 
 from __future__ import annotations
@@ -196,6 +197,8 @@ def brier(forecast: Forecast, y: float, t: float) -> ScoreValue:
     t = _check_scalar(t, "t")
     if isinstance(forecast, Ensemble):
         value = _brier_ensembles(forecast.members[None], np.array([y]), t)[0]
+    elif isinstance(forecast, Normal):
+        value = _normal_brier(*_one_case(forecast, y), t)[0]
     elif isinstance(forecast, Parametric):
         value = (float(forecast.cdf(t)) - (1.0 if y <= t else 0.0)) ** 2
     else:
@@ -246,9 +249,13 @@ def crps_normal(mu: float, sigma: float, y: float) -> ScoreValue:
 # closed forms for normal forecasts
 # ---------------------------------------------------------------------------
 #
-# With U standard normal, Q(u) = P(U > u) = ndtr(-u).  Tail terms use Q
-# rather than 1 - Phi so that they keep their relative accuracy far out,
-# where the outcome-weighted score divides by the squared tail mass.
+# Each kernel scores many normal forecasts at once: means ``mu``, sds
+# ``sd`` and observations ``y`` are arrays that broadcast together, and
+# one weight serves every case.  The per-case functions call them with
+# one case.  With U standard normal, Q(u) = P(U > u) = ndtr(-u).  Tail
+# terms use Q rather than 1 - Phi so that they keep their relative
+# accuracy far out, where the outcome-weighted score divides by the
+# squared tail mass.
 # Weights on the left tail reduce to the right tail by reflecting
 # x -> -x, which leaves the CRPS and its weighted variants unchanged.
 
@@ -270,60 +277,114 @@ def _q2_integral(u):
     return -u * q * q + 2.0 * _std_pdf(u) * q - ndtr(-np.sqrt(2.0) * u) / np.sqrt(np.pi)
 
 
-def _standardise(forecast: Normal, w: WeightFunction, *xs: float) -> list:
-    # (x - mu) / sigma for each x, negated when w weights the left tail.
+def _closed_form(forecast, w: WeightFunction) -> bool:
+    """Whether the weighted scores of ``forecast`` under ``w`` have a closed form."""
+    return isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS)
+
+
+def _no_mass(w: WeightFunction, mass) -> WeightedMassZero:
+    """The error for an indicator weight whose tail mass is at or below the floor."""
+    side = "above" if isinstance(w, IndicatorAbove) else "below"
+    return WeightedMassZero(f"forecast mass {side} {w.t} is {mass:.3e}, below the floor")
+
+
+def _one_case(forecast: Normal, y: float) -> tuple:
+    """(mu, sd, y) of one normal case as the kernels take them."""
+    return np.array([forecast.mean_], dtype=float), np.array([forecast.sd]), np.array([y])
+
+
+def _standardise(mu, sd, w: WeightFunction, *xs) -> list:
+    # (x - mu) / sd for each x, negated when w weights the left tail.
     sign = -1.0 if isinstance(w, IndicatorBelow) else 1.0
-    return [sign * (x - forecast.mean_) / forecast.sd for x in xs]
+    return [sign * (x - mu) / sd for x in xs]
 
 
-def _twcrps_normal(forecast: Normal, y: float, w: WeightFunction) -> float:
-    # sigma times the integral of (Phi(u) - 1{z <= u})^2 over (a, inf):
-    # with m = max(z, a) that is G(m) - G(a) + K(m) = K(-m) - K(-a) + K(m).
+def _normal_brier(mu, sd, y, t: float):
+    """Brier score of each normal forecast for the event {Y <= t}."""
+    return (ndtr((t - mu) / sd) - (y <= t)) ** 2
+
+
+def _twcrps_normal(mu, sd, y, w: WeightFunction):
+    """Threshold-weighted CRPS of each normal forecast under the chaining
+    that integrates ``w``.
+
+    sd times the integral of (Phi(u) - 1{z <= u})^2 over (a, inf): with
+    m = max(z, a) that is G(m) - G(a) + K(m) = K(-m) - K(-a) + K(m).
+    """
     if isinstance(w, Constant):
-        return normal_crps_values(forecast.mean_, forecast.sd, y)
-    z, a = _standardise(forecast, w, y, w.t)
-    m = max(z, a)
-    return float(forecast.sd * (_q2_integral(-m) - _q2_integral(-a) + _q2_integral(m)))
+        return normal_crps_values(mu, sd, y)
+    z, a = _standardise(mu, sd, w, y, w.t)
+    m = np.maximum(z, a)
+    return sd * (_q2_integral(-m) - _q2_integral(-a) + _q2_integral(m))
 
 
-def _owcrps_normal(forecast: Normal, y: float, w: WeightFunction) -> float:
-    # CRPS at z > a of the normal truncated to (a, inf), whose cdf is
-    # 1 - Q(u) / p with p = Q(a):
-    # (z - a) - 2 (H(a) - H(z)) / p + K(a) / p^2, times sigma.
+def _owcrps_normal(mu, sd, y, w: WeightFunction):
+    """Outcome-weighted CRPS of each normal forecast: w(y) times the CRPS
+    of the forecast truncated to the weighted tail, exactly 0 where
+    w(y) = 0.
+
+    At z > a the truncated normal's cdf is 1 - Q(u) / p with p = Q(a),
+    and its CRPS is sd ((z - a) - 2 (H(a) - H(z)) / p + K(a) / p^2).
+    The first case with w(y) > 0 whose tail mass is at or below the
+    floor raises WeightedMassZero.
+    """
     if isinstance(w, Constant):
-        return normal_crps_values(forecast.mean_, forecast.sd, y)
-    z, a = _standardise(forecast, w, y, w.t)
+        return normal_crps_values(mu, sd, y)
+    z, a = _standardise(mu, sd, w, y, w.t)
+    wy = np.asarray(w(y), dtype=float)
+    live = wy != 0.0
     p = ndtr(-a)
-    if p <= MASS_FLOOR:
-        side = "above" if isinstance(w, IndicatorAbove) else "below"
-        raise WeightedMassZero(
-            f"forecast mass {side} {w.t} is {p:.3e}, below the floor"
-        )
+    bad = live & (p <= MASS_FLOOR)
+    if bad.any():
+        raise _no_mass(w, np.broadcast_to(p, bad.shape)[bad.argmax()])
+    # Cases with w(y) = 0 score 0; a unit mass keeps their arithmetic finite.
+    p = np.where(live, p, 1.0)
     h = _q_integral(a) - _q_integral(z)
-    return float(forecast.sd * ((z - a) - 2.0 * h / p + _q2_integral(a) / (p * p)))
+    return np.where(live, wy * (sd * ((z - a) - 2.0 * h / p + _q2_integral(a) / (p * p))), 0.0)
 
 
-def _vrcrps_normal(forecast: Normal, y: float, w: WeightFunction, x0: float) -> float:
-    # The three expectations of the vrCRPS for w = 1{U > a}, standardised:
-    # the tail mass p = Q(a), the partial moment E|U - c| 1{U > a} and
-    # E|U - U'| 1{U > a} 1{U' > a} = 2 (p H(a) - K(a)).
+def _vrcrps_normal(mu, sd, y, w: WeightFunction, x0: float):
+    """Vertically re-scaled CRPS of each normal forecast, anchored at x0.
+
+    The three expectations of the vrCRPS for w = 1{U > a}, standardised:
+    the tail mass p = Q(a), the partial moment E|U - c| 1{U > a} and
+    E|U - U'| 1{U > a} 1{U' > a} = 2 (p H(a) - K(a)).
+    """
     if isinstance(w, Constant):
-        return normal_crps_values(forecast.mean_, forecast.sd, y)
-    wy = float(w(y))
-    sd = forecast.sd
-    z, a, c = _standardise(forecast, w, y, w.t, x0)
+        return normal_crps_values(mu, sd, y)
+    wy = np.asarray(w(y), dtype=float)
+    z, a, c = _standardise(mu, sd, w, y, w.t, x0)
     p = ndtr(-a)
     ha = _q_integral(a)
 
     def partial(u):
         # |U - u| = (U - u) + 2 (u - U)^+, integrated over U > a.
-        b = max(a, u)
+        b = np.maximum(a, u)
         return 2.0 * _q_integral(b) - ha + (2.0 * b - a - u) * p
 
     pair = 2.0 * (p * ha - _q2_integral(a))
     term1 = sd * partial(z) * wy
-    term3 = (sd * partial(c) - abs(y - x0) * wy) * (p - wy)
-    return float(term1 - 0.5 * sd * pair + term3)
+    term3 = (sd * partial(c) - np.abs(y - x0) * wy) * (p - wy)
+    return term1 - 0.5 * sd * pair + term3
+
+
+def _normal_score(score: str, mu, sd, y, w: WeightFunction, x0: float):
+    """One score of normal forecasts under the weight ``w``, elementwise.
+
+    twcrps takes the chaining that integrates ``w``; brier and owcrps_bs
+    take the threshold of an ``IndicatorAbove``; crps ignores ``w``.
+    """
+    if score == "crps":
+        return normal_crps_values(mu, sd, y)
+    if score == "brier":
+        return _normal_brier(mu, sd, y, w.t)
+    if score == "twcrps":
+        return _twcrps_normal(mu, sd, y, w)
+    if score == "owcrps":
+        return _owcrps_normal(mu, sd, y, w)
+    if score == "owcrps_bs":
+        return _normal_brier(mu, sd, y, w.t) + _owcrps_normal(mu, sd, y, w)
+    return _vrcrps_normal(mu, sd, y, w, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +446,7 @@ class _CdfGrid:
             tail = forecast.sf if above else forecast.cdf
             mass = float(tail(w.t))
             if mass <= MASS_FLOOR:
-                side = "above" if above else "below"
-                raise WeightedMassZero(
-                    f"forecast mass {side} {w.t} is {mass:.3e}, below the floor"
-                )
+                raise _no_mass(w, mass)
             lo, hi = forecast.support_interval(_TAIL)
             step = hi - lo if above else lo - hi
             end = w.t + step
@@ -556,8 +614,8 @@ def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool 
         if fair:
             raise ContractViolation("the fair variant applies to ensembles only")
         w = v.weight()
-        if isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
-            value = _twcrps_normal(forecast, y, w)
+        if _closed_form(forecast, w):
+            value = _twcrps_normal(*_one_case(forecast, y), w)[0]
         else:
             value = _CdfGrid(forecast, (y, *w.breakpoints())).twcrps(np.array([y]), w)[0]
         return ScoreValue(value, "twcrps", params)
@@ -586,13 +644,12 @@ def owcrps(forecast: Forecast, y: float, w: WeightFunction) -> ScoreValue:
         )
     if not isinstance(forecast, Parametric):
         raise ContractViolation("owcrps needs a parametric forecast")
+    if _closed_form(forecast, w):
+        return ScoreValue(_owcrps_normal(*_one_case(forecast, y), w)[0], "owcrps", params)
     wy = float(w(y))
     if wy == 0.0:
         return ScoreValue(0.0, "owcrps", params)
-    if isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
-        value = _owcrps_normal(forecast, y, w)
-    else:
-        value = _CdfGrid.conditioned(forecast, w, (y,)).owcrps(np.array([y]), w)[0]
+    value = _CdfGrid.conditioned(forecast, w, (y,)).owcrps(np.array([y]), w)[0]
     return ScoreValue(wy * value, "owcrps", params)
 
 
@@ -633,8 +690,8 @@ def vrcrps(forecast: Forecast, y: float, w: WeightFunction, x0: float = 0.0) -> 
     params = {"weight": repr(w), "x0": x0}
     if isinstance(forecast, Ensemble):
         value = _vrcrps_ensembles(forecast.members[None], np.array([y]), w, x0)[0]
-    elif isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS):
-        value = _vrcrps_normal(forecast, y, w, x0)
+    elif _closed_form(forecast, w):
+        value = _vrcrps_normal(*_one_case(forecast, y), w, x0)[0]
     elif isinstance(forecast, Parametric):
         grid = _CdfGrid(forecast, (y, x0, *w.breakpoints()))
         value = grid.vrcrps(np.array([y]), w, x0)[0]
@@ -672,17 +729,13 @@ def weighted_cdf(forecast: Parametric, w: WeightFunction, x: float) -> float:
     if isinstance(w, IndicatorAbove):
         denom = 1.0 - float(forecast.cdf(w.t))
         if denom <= MASS_FLOOR:
-            raise WeightedMassZero(
-                f"forecast mass above {w.t} is {denom:.3e}, below the floor"
-            )
+            raise _no_mass(w, denom)
         num = max(float(forecast.cdf(x)) - float(forecast.cdf(w.t)), 0.0)
         return min(num / denom, 1.0)
     if isinstance(w, IndicatorBelow):
         denom = float(forecast.cdf(w.t))
         if denom <= MASS_FLOOR:
-            raise WeightedMassZero(
-                f"forecast mass below {w.t} is {denom:.3e}, below the floor"
-            )
+            raise _no_mass(w, denom)
         num = float(forecast.cdf(min(x, w.t)))
         return min(num / denom, 1.0)
 

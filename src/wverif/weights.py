@@ -58,6 +58,18 @@ def _check_positive_sigma(sigma) -> None:
         raise ContractViolation("sigma must be positive")
 
 
+@dataclass(frozen=True)
+class _Gauss:
+    """Centre and sd of the normal behind a univariate Gaussian weight or
+    chaining function."""
+
+    mu: float
+    sigma: float
+
+    def __post_init__(self):
+        _check_positive_sigma(self.sigma)
+
+
 # ---------------------------------------------------------------------------
 # weight functions
 # ---------------------------------------------------------------------------
@@ -140,17 +152,11 @@ class IndicatorBelow(WeightFunction):
 
 
 @dataclass(frozen=True)
-class GaussPdf(WeightFunction):
+class GaussPdf(_Gauss, WeightFunction):
     """w(z) = normal density with the given centre and sd.
 
     Emphasises outcomes near ``mu``.
     """
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive_sigma(self.sigma)
 
     def __call__(self, z):
         out = stats.norm.pdf(np.asarray(z, dtype=float), self.mu, self.sigma)
@@ -158,17 +164,11 @@ class GaussPdf(WeightFunction):
 
 
 @dataclass(frozen=True)
-class OneMinusGaussPdfRatio(WeightFunction):
+class OneMinusGaussPdfRatio(_Gauss, WeightFunction):
     """w(z) = 1 - pdf(z) / pdf(mu), zero at the centre, one far out.
 
     Emphasises both tails at once.
     """
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive_sigma(self.sigma)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
@@ -179,14 +179,8 @@ class OneMinusGaussPdfRatio(WeightFunction):
 
 
 @dataclass(frozen=True)
-class GaussCdf(WeightFunction):
+class GaussCdf(_Gauss, WeightFunction):
     """w(z) = normal cdf, a smooth emphasis on the right tail."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive_sigma(self.sigma)
 
     def __call__(self, z):
         out = stats.norm.cdf(np.asarray(z, dtype=float), self.mu, self.sigma)
@@ -194,14 +188,8 @@ class GaussCdf(WeightFunction):
 
 
 @dataclass(frozen=True)
-class OneMinusGaussCdf(WeightFunction):
+class OneMinusGaussCdf(_Gauss, WeightFunction):
     """w(z) = 1 - normal cdf, a smooth emphasis on the left tail."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive_sigma(self.sigma)
 
     def __call__(self, z):
         out = stats.norm.sf(np.asarray(z, dtype=float), self.mu, self.sigma)
@@ -476,14 +464,8 @@ def _gauss_cdf_antideriv(z, mu, sigma):
 
 
 @dataclass(frozen=True)
-class GaussCdfChain(ChainingFunction):
+class GaussCdfChain(_Gauss, ChainingFunction):
     """Antiderivative of the GaussCdf weight (right-tail emphasis)."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive_sigma(self.sigma)
 
     def weight(self) -> WeightFunction:
         return GaussCdf(self.mu, self.sigma)
@@ -495,14 +477,8 @@ class GaussCdfChain(ChainingFunction):
 
 
 @dataclass(frozen=True)
-class GaussCdfComplementChain(ChainingFunction):
+class GaussCdfComplementChain(_Gauss, ChainingFunction):
     """Antiderivative of 1 - GaussCdf (left-tail emphasis)."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive_sigma(self.sigma)
 
     def weight(self) -> WeightFunction:
         return OneMinusGaussCdf(self.mu, self.sigma)
@@ -514,14 +490,8 @@ class GaussCdfComplementChain(ChainingFunction):
 
 
 @dataclass(frozen=True)
-class GaussPdfChain(ChainingFunction):
+class GaussPdfChain(_Gauss, ChainingFunction):
     """Antiderivative of the GaussPdf weight, i.e. the normal cdf."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive_sigma(self.sigma)
 
     def weight(self) -> WeightFunction:
         return GaussPdf(self.mu, self.sigma)
@@ -533,14 +503,8 @@ class GaussPdfChain(ChainingFunction):
 
 
 @dataclass(frozen=True)
-class GaussPdfRatioComplementChain(ChainingFunction):
+class GaussPdfRatioComplementChain(_Gauss, ChainingFunction):
     """Antiderivative of 1 - pdf(z)/pdf(mu) (two-sided tail emphasis)."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        _check_positive_sigma(self.sigma)
 
     def weight(self) -> WeightFunction:
         return OneMinusGaussPdfRatio(self.mu, self.sigma)

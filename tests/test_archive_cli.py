@@ -20,6 +20,7 @@ from wverif import (
     ContractViolation,
     DataError,
     Ensemble,
+    Normal,
     NumericalError,
     ScoreValue,
     UnsupportedInput,
@@ -37,10 +38,10 @@ from wverif import (
     write_archive_csv,
     write_archive_jsonl,
 )
-from wverif import archive
+from wverif import archive, cli
 from wverif.archive import ScoredCase
 from wverif.cli import main
-from wverif.postprocess import smooth_ensemble
+from wverif.postprocess import StationMeta, lapse_rate_correct, smooth_ensemble
 from wverif.mvscores import (
     VariogramSpec,
     ow_energy_score,
@@ -50,7 +51,7 @@ from wverif.mvscores import (
     vr_energy_score,
     vr_variogram_score,
 )
-from wverif.uniscores import brier, vrcrps
+from wverif.uniscores import brier, owcrps, owcrps_bs, vrcrps
 from wverif.weights import (
     HEAT_WARM,
     BoxIndicator,
@@ -273,6 +274,19 @@ def test_archive_checks_its_columns():
             Archive(**{**good, **bad})
 
 
+def test_csv_writer_writes_only_the_members_of_a_padded_archive(tmp_path):
+    # The member array may be wider than every record's member count.
+    d = datetime.date(2024, 6, 1)
+    padded = Archive(("a", "b"), (d, d), (1, 2), [[1.5, 2.5, np.nan], [0.5, 3.0, np.nan]],
+                     [2, 2], [1.0, 2.0])
+    path = tmp_path / "a.csv"
+    write_archive_csv(padded, path)
+    assert path.read_text() == (
+        "station_id,init_date,lead_time,m1,m2,obs\n"
+        "a,2024-06-01,1,1.5,2.5,1.0\nb,2024-06-01,2,0.5,3.0,2.0\n"
+    )
+
+
 def test_csv_writer_formats_values_with_repr_and_quotes_station_ids(tmp_path):
     d = datetime.date(2024, 6, 1)
     values = [-0.0, 5e-324, 0.1, 1e300, -2.5e-8, 123456789.125]
@@ -285,16 +299,17 @@ def test_csv_writer_formats_values_with_repr_and_quotes_station_ids(tmp_path):
     for rec in recs:
         writer.writerow([rec.station_id, rec.init_date.isoformat(), rec.lead_time]
                         + [repr(float(v)) for v in rec.members] + [repr(rec.obs)])
+    # csv.writer leaves a lone carriage return unquoted, which does not
+    # read back; the archive writer quotes it.
+    want = buf.getvalue().replace("\ncr\rid,", '\n"cr\rid",')
     path = tmp_path / "a.csv"
     write_archive_csv(recs, path)
-    assert path.read_bytes() == buf.getvalue().encode()
+    assert path.read_bytes() == want.encode()
     for sid in stations + ("", " x ", "#"):
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerow([sid, "1"])
-        assert archive._csv_field(sid) + ",1\n" == buf.getvalue()
-    # A lone carriage return is written unquoted and does not read back.
-    recs = [r for r in recs if "\r" not in r.station_id]
-    write_archive_csv(recs, path)
+        want = '"cr\rid",1\n' if sid == "cr\rid" else buf.getvalue()
+        assert archive._csv_field(sid) + ",1\n" == want
     got = read_archive_csv(path)
     assert got.station_ids == tuple(r.station_id for r in recs)
     assert np.array_equal(got.members, np.array([values] * len(recs)))
@@ -376,6 +391,22 @@ def _write(path, text):
         fh.write(text)
 
 
+# A quoted station id over lines 2 and 3, then a bad row on line 4.
+_MULTILINE_STATION = (
+    "station_id,init_date,lead_time,m1,obs\n"
+    '"a\nb",2024-06-01,1,1.0,1.5\n'
+    "c,bad,1,1.0,1.5\n"
+)
+
+
+def test_rejects_after_a_multiline_field_carry_their_file_line(tmp_path):
+    path = tmp_path / "a.csv"
+    _write(path, _MULTILINE_STATION)
+    got = read_archive_csv(path, max_reject_fraction=1.0)
+    assert got.station_ids == ("a\nb",)
+    assert got.rejects == (archive.RejectedRow(4, "bad init_date 'bad'"),)
+
+
 @pytest.mark.parametrize(
     "name, text",
     [(k, _HEADER + _GOOD + v) for k, v in _ROWS.items()]
@@ -385,10 +416,11 @@ def _write(path, text):
         ("crlf", (_HEADER + _GOOD).replace("\n", "\r\n")),
         ("no_final_newline", _HEADER + _GOOD.rstrip("\n")),
         # The header's quoted name spans two lines; rows are numbered
-        # as csv records, from 2 after the header.
+        # by the file line they start on, from 3.
         ("multiline_header",
          'station_id,init_date,lead_time,"m1\n5,6,7,8.0,9.0,x",obs\n'
          "a,2024-06-01,1,1.0,1.5\nb,2024-06-01,1,x,1.5\n"),
+        ("multiline_station", _MULTILINE_STATION),
     ],
 )
 def test_bulk_csv_parse_equals_per_row_parser(tmp_path, name, text):
@@ -520,14 +552,14 @@ def test_score_archive_matches_direct_calls():
         assert row.value == want
 
 
-def _ragged_records(n_days, seed=7):
+def _ragged_records(n_days, seed=7, sizes=(5, 8, 1)):
     """Records whose member count alternates between stations, so that
     blocks of one member count interleave in record and case order."""
     rng = np.random.default_rng(seed)
     start = datetime.date(2024, 6, 1)
     recs = []
     for day in range(n_days):
-        for sid, m in (("ayr", 5), ("bex", 8), ("cor", 1)):
+        for sid, m in zip(("ayr", "bex", "cor"), sizes):
             for lt in (1, 2, 3):
                 members = 20.0 + rng.normal(0.0, 2.0, m)
                 obs = 20.0 + float(rng.normal(0.0, 2.0))
@@ -613,12 +645,67 @@ def test_score_archive_owes_raises_the_per_case_message():
     assert str(stacked.value) == str(per_case.value)
 
 
-def test_score_archive_smooth_route():
-    recs = _mk_records(n_days=1)
-    rows = score_archive(recs, "crps", smooth=True)
-    for row, rec in zip(rows, recs):
-        want = crps(smooth_ensemble(Ensemble(rec.members)), rec.obs).value
-        assert row.value == want
+def _per_case_smooth(score, rec, x0=None):
+    f, y, t = smooth_ensemble(Ensemble(rec.members)), rec.obs, _THRESHOLD
+    w = IndicatorAbove(t)
+    return {
+        "crps": lambda: crps(f, y),
+        "brier": lambda: brier(f, y, t),
+        "twcrps": lambda: twcrps(f, y, CensorAbove(t)),
+        "owcrps": lambda: owcrps(f, y, w),
+        "owcrps_bs": lambda: owcrps_bs(f, y, t),
+        "vrcrps": lambda: vrcrps(f, y, w, t if x0 is None else x0),
+    }[score]()
+
+
+@pytest.mark.parametrize("x0", [None, 19.0], ids=["x0_default", "x0_given"])
+@pytest.mark.parametrize("score", archive.UNIVARIATE_SCORES)
+def test_score_archive_smooth_route(score, x0, monkeypatch):
+    # Three member counts, each filling two blocks and part of a third.
+    monkeypatch.setattr(archive, "_STACK", 16)
+    recs = _ragged_records(12, sizes=(5, 8, 3))
+    rows = score_archive(recs, score, threshold=_THRESHOLD, x0=x0, smooth=True)
+    assert [(r.station_id, r.init_date, r.lead_time) for r in rows] == [
+        (r.station_id, r.init_date, r.lead_time) for r in recs
+    ]
+    assert [r.value for r in rows] == [_per_case_smooth(score, rec, x0).value for rec in recs]
+
+
+def _with_tail_mass(rec, a):
+    """``rec`` with members whose normal fit puts the threshold ``a`` sds
+    above its mean, and an observation above the threshold."""
+    z = rec.members - rec.members.mean()
+    members = _THRESHOLD + 0.01 * (z / z.std(ddof=1) - a)
+    return ArchiveRecord(rec.station_id, rec.init_date, rec.lead_time, members, _THRESHOLD + 1.0)
+
+
+@pytest.mark.parametrize("score", ["owcrps", "owcrps_bs"])
+def test_score_archive_smooth_raises_for_the_first_failing_record(score, monkeypatch):
+    # Member counts are scored 5, 8, 3 by block; the first record without
+    # tail mass has 8 members, a later one 5.
+    monkeypatch.setattr(archive, "_STACK", 16)
+    recs = _ragged_records(12, sizes=(5, 8, 3))
+    recs[3] = _with_tail_mass(recs[3], 7.5)
+    recs[45] = _with_tail_mass(recs[45], 8.0)
+    assert (recs[3].members.size, recs[45].members.size) == (8, 5)
+    with pytest.raises(WeightedMassZero) as first:
+        _per_case_smooth(score, recs[3])
+    with pytest.raises(WeightedMassZero) as per_case:
+        for rec in recs:
+            _per_case_smooth(score, rec)
+    with pytest.raises(WeightedMassZero) as stacked:
+        score_archive(recs, score, threshold=_THRESHOLD, smooth=True)
+    assert str(stacked.value) == str(per_case.value) == str(first.value)
+
+
+def test_score_archive_smooth_refuses_one_member_records():
+    recs = _ragged_records(2)
+    assert recs[6].members.size == 1
+    with pytest.raises(ContractViolation) as per_case:
+        smooth_ensemble(Ensemble(recs[6].members))
+    with pytest.raises(ContractViolation) as stacked:
+        score_archive(recs, "crps", smooth=True)
+    assert str(stacked.value) == str(per_case.value)
 
 
 def test_outcome_weighted_scores_need_smooth_forecasts():
@@ -891,6 +978,58 @@ def test_cli_postprocess_pipeline(tmp_path):
         clim = list(csvmod.DictReader(fh))
     assert [c["station_id"] for c in clim] == ["ayr", "bex"]
     assert all(int(c["n"]) == 28 * 3 for c in clim)
+
+
+def test_postprocess_moments_equal_each_records_own(monkeypatch):
+    # Row-wise over NaN-padded blocks of one member count, lapse-rate
+    # corrected for stations with heights; bit-identical to one record at
+    # a time.
+    monkeypatch.setattr(archive, "_STACK", 4)
+    recs = _ragged_records(6)
+    stations = {
+        "ayr": (StationMeta("ayr", 0.4, -0.2), (120.0, 80.0)),
+        "cor": (StationMeta("cor", 0.0, 0.0), (95.5, 101.25)),
+    }
+    xbar, var = cli._member_moments(archive._archive_of(recs), stations)
+    for rec, m, v in zip(recs, xbar, var):
+        heights = stations.get(rec.station_id, (None, None))[1]
+        x = rec.members if heights is None else lapse_rate_correct(rec.members, *heights)
+        assert m == float(x.mean())
+        assert v == (float(x.var(ddof=1)) if x.size > 1 else 0.0)
+
+
+def test_cli_ecc_skips_incomplete_and_mixed_groups(tmp_path):
+    # On day 12, bex lacks lead time 3 and cor has 6 members at lead time 2.
+    recs = _mk_records(n_days=15, stations=("ayr", "bex", "cor"), seed=4)
+    day12 = datetime.date(2024, 6, 13)
+    recs = [r for r in recs if (r.station_id, r.init_date, r.lead_time) != ("bex", day12, 3)]
+    recs = [
+        ArchiveRecord(r.station_id, r.init_date, r.lead_time, np.append(r.members, 20.0), r.obs)
+        if (r.station_id, r.init_date, r.lead_time) == ("cor", day12, 2) else r
+        for r in recs
+    ]
+    path = tmp_path / "arch.jsonl"
+    write_archive_jsonl(recs, path)
+    out = tmp_path / "pp"
+    assert main(["postprocess", "--archive", str(path), "--ecc", "--out", str(out)]) == 0
+    with open(out / "predictions.csv", newline="") as fh:
+        preds = {
+            (p["station_id"], datetime.date.fromisoformat(p["init_date"]), int(p["lead_time"])):
+            (float(p["mean"]), float(p["sd"]))
+            for p in csv.DictReader(fh)
+        }
+    assert ("cor", day12, 2) in preds
+    groups = {(sid, d) for sid, d, _ in preds if all((sid, d, lt) in preds for lt in (1, 2, 3))}
+    ecc = read_archive_csv(out / "ecc.csv")
+    assert set(zip(ecc.station_ids, ecc.init_dates)) == groups - {("cor", day12)}
+    assert ("ayr", day12) in groups and ("bex", day12) not in groups
+    raw = {(r.station_id, r.init_date, r.lead_time): r for r in recs}
+    for rec in ecc:
+        mean, sd = preds[(rec.station_id, rec.init_date, rec.lead_time)]
+        raw_rec = raw[(rec.station_id, rec.init_date, rec.lead_time)]
+        assert rec.obs == raw_rec.obs
+        assert np.array_equal(np.argsort(rec.members), np.argsort(raw_rec.members))
+        assert_allclose(np.sort(rec.members), Normal(mean, sd**2).ppf((np.arange(5) + 0.5) / 5), rtol=1e-12)
 
 
 def test_cli_synth_small(tmp_path):

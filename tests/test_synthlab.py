@@ -62,6 +62,18 @@ def test_batch_route_matches_per_case_functions(dist):
         assert np.abs(got - _per_case(dist, score, ys, w)).max() < 1e-6, score
 
 
+def test_batch_route_of_a_normal_under_closed_form_weights_is_the_per_case_closed_form():
+    dist = Normal(0.3, 1.44)
+    ys = np.array([-1.8, -0.2, 0.31, 0.9, 2.4])
+    t = 0.31
+    cases = [("crps", Constant()), ("owcrps_bs", IndicatorAbove(t))] + [
+        (score, w) for w in (IndicatorAbove(t), IndicatorBelow(t)) for score in ("twcrps", "vrcrps")
+    ]
+    for score, w in cases:
+        got = _score_draws(dist, score, ys, w)
+        assert got.tolist() == _per_case(dist, score, ys, w).tolist(), (score, w)
+
+
 def test_batch_route_indicator_weights():
     dist = Logistic(-0.2, 0.9)
     ys = np.array([-2.0, -0.4, 0.31, 1.7])

@@ -66,6 +66,8 @@ def test_brier_hand_values():
     f = Normal(0.0, 1.0)
     assert brier(f, 1.0, 0.0).value == pytest.approx(0.25)
     assert brier(f, -1.0, 0.0).value == pytest.approx(0.25)
+    # The event {Y <= t} holds at y = t.
+    assert brier(Normal(1.0, 1.0), 0.0, 0.0).value == pytest.approx((stats.norm.cdf(-1.0) - 1.0) ** 2)
     e = Ensemble(np.array([0.0, 2.0]))
     assert brier(e, 2.0, 1.0).value == pytest.approx(0.25)
     assert brier(e, 0.5, 1.0).value == pytest.approx(0.25)
@@ -536,6 +538,58 @@ def test_owcrps_normal_mass_floor_on_both_sides():
     # Just inside the floor, where the closed form still has the tail mass.
     assert owcrps(f, 7.1, IndicatorAbove(7.0)).value > 0.0
     assert owcrps(f, -7.1, IndicatorBelow(-7.0)).value > 0.0
+
+
+@st.composite
+def _normal_stack(draw):
+    """Normal forecasts, observations, one threshold t and one anchor x0,
+    with the weighted tail on a drawn side.
+
+    Each forecast puts t between 3 sds inside and 6.5 sds into its
+    weighted tail, so the tail mass stays above the floor.  Returns
+    (forecasts, ys, t, x0, above).
+    """
+    n = draw(st.integers(1, 12))
+    t = draw(st.floats(-3.0, 3.0))
+    x0 = draw(st.floats(-4.0, 4.0))
+    sign = 1.0 if draw(st.booleans()) else -1.0
+    floats = lambda lo, hi: st.lists(st.floats(lo, hi), min_size=n, max_size=n)  # noqa: E731
+    sd = np.array(draw(floats(0.2, 3.0)))
+    mu = t - sign * np.array(draw(floats(-3.0, 6.5))) * sd
+    ys = mu + sign * np.array(draw(floats(-4.0, 9.0))) * sd
+    forecasts = [Normal(m, s * s) for m, s in zip(mu.tolist(), sd.tolist())]
+    return forecasts, ys, t, x0, sign > 0
+
+
+@_ORACLE_SETTINGS
+@given(_normal_stack())
+def test_normal_kernels_equal_per_case_functions(case):
+    """The closed forms over arrays give each case the value of the
+    per-case function, which calls them with one case, in either tail."""
+    fs, ys, t, x0, above = case
+    mu = np.array([f.mean_ for f in fs])
+    sd = np.array([f.sd for f in fs])
+    w, v = (IndicatorAbove(t), CensorAbove(t)) if above else (IndicatorBelow(t), CensorBelow(t))
+
+    def same(got, per_case):
+        # ScoreValue clamps negative roundoff to 0, as archive._checked does.
+        got = np.where(got < 0.0, 0.0, got)
+        assert got.tolist() == [per_case(f, y).value for f, y in zip(fs, ys.tolist())]
+
+    same(uniscores.normal_crps_values(mu, sd, ys), crps)
+    same(uniscores._normal_brier(mu, sd, ys, t), lambda f, y: brier(f, y, t))
+    for weight, chain in ((Constant(), Identity()), (w, v)):
+        same(uniscores._twcrps_normal(mu, sd, ys, weight), lambda f, y: twcrps(f, y, chain))
+        same(uniscores._owcrps_normal(mu, sd, ys, weight), lambda f, y: owcrps(f, y, weight))
+        same(uniscores._vrcrps_normal(mu, sd, ys, weight, x0), lambda f, y: vrcrps(f, y, weight, x0))
+    if above:
+        same(
+            uniscores._normal_brier(mu, sd, ys, t) + uniscores._owcrps_normal(mu, sd, ys, w),
+            lambda f, y: owcrps_bs(f, y, t),
+        )
+    # Exactly +0.0 where w(y) = 0, as the per-case function returns.
+    unweighted = uniscores._owcrps_normal(mu, sd, ys, w)[w(ys) == 0.0]
+    assert (unweighted == 0.0).all() and not np.signbit(unweighted).any()
 
 
 # ---------------------------------------------------------------------------
