@@ -745,6 +745,15 @@ def _ensemble_kernel(score: str, threshold, x0):
     raise ContractViolation(f"no ensemble kernel for score {score!r}")
 
 
+def _smooth_normals(a: Archive) -> tuple:
+    """Mean and sd of the normal fit to each record, as smooth_ensemble
+    makes it, computed per block of one member count."""
+    mu, var = np.empty(len(a)), np.empty(len(a))
+    for k, items in _blocks(a.n_members):
+        mu[items], var[items] = _smooth_moments(a.members[items, :k])
+    return mu, np.sqrt(var)
+
+
 def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
     if score in _NEEDS_THRESHOLD and threshold is None:
         raise ContractViolation(f"score {score!r} needs a threshold")
@@ -753,16 +762,12 @@ def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
             "outcome-weighted scores need a smooth forecast; set smooth: true"
         )
     if smooth:
-        # The normal fit of each record, as smooth_ensemble makes it,
-        # then one kernel call over all records in record order.
-        mu, var = np.empty(len(a)), np.empty(len(a))
-        for k, items in _blocks(a.n_members):
-            mu[items], var[items] = _smooth_moments(a.members[items, :k])
-        # The threshold's indicator, which twcrps's censoring integrates;
+        # One kernel call over all records in record order.  The
+        # threshold's indicator is what twcrps's censoring integrates;
         # crps has no threshold and ignores it.
         w = IndicatorAbove(threshold)
         anchor = threshold if x0 is None else x0
-        values = _normal_score(score, mu, np.sqrt(var), a.obs, w, anchor)
+        values = _normal_score(score, *_smooth_normals(a), a.obs, w, anchor)
     else:
         kernel = _ensemble_kernel(score, threshold, x0)
         values = np.empty(len(a))

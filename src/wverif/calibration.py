@@ -54,6 +54,28 @@ def _rng(seed) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _ranks(members: np.ndarray, obs: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """1-based ranks of observations (n,) among members (n, m), ties broken
+    by one ``gen.integers(0, ties + 1)`` call: the stream of one scalar call
+    per case in case order, which a case without ties leaves as it is."""
+    y = obs[:, None]
+    below = np.sum(members < y, axis=1)
+    ties = np.sum(members == y, axis=1)
+    return 1 + below + gen.integers(0, ties + 1)
+
+
+def _cpit_values(st, sy) -> np.ndarray:
+    """Conditional PIT beyond t, (S(t) - S(y)) / S(t) clipped to [0, 1],
+    elementwise from survival values st = S(t) and sy = S(y) (one S(t) may
+    serve many y).  The survival form keeps its relative accuracy deep in
+    the right tail, where 1 - F(t) cancels.  NaN where S(t) is at or below
+    _DEGENERATE_FLOOR: the forecast has essentially no mass above t."""
+    st, sy = np.asarray(st, dtype=float), np.asarray(sy, dtype=float)
+    ok = st > _DEGENERATE_FLOOR
+    u = np.clip((st - sy) / np.where(ok, st, 1.0), 0.0, 1.0)
+    return np.where(ok, u, np.nan)
+
+
 def pit(forecast: Forecast, y: float) -> float:
     """Probability integral transform F(y) of a parametric forecast."""
     if isinstance(forecast, Ensemble):
@@ -78,20 +100,17 @@ def rank(forecast, y: float, rng) -> int:
     )
     if members.ndim != 1 or members.size == 0:
         raise ContractViolation("rank needs a non-empty 1-d ensemble")
-    y = float(y)
-    gen = _rng(rng)
-    below = int(np.sum(members < y))
-    ties = int(np.sum(members == y))
-    return 1 + below + int(gen.integers(0, ties + 1))
+    return int(_ranks(members[None], np.array([float(y)]), _rng(rng))[0])
 
 
 def cpit(forecast: Forecast, y: float, t: float) -> float | None:
     """Conditional PIT beyond threshold t.
 
-    Returns (F(y) - F(t)) / (1 - F(t)) when y > t, and None when the
-    case does not qualify (y <= t).  Ensembles are smoothed to a normal
-    first and need at least MIN_TAIL_MEMBERS members above t so the
-    conditional tail is actually informed by the sample.
+    Returns (S(t) - S(y)) / S(t), the conditional cdf of the forecast
+    given exceedance of t at y, when y > t, and None when the case does
+    not qualify (y <= t).  Ensembles are smoothed to a normal first and
+    need at least MIN_TAIL_MEMBERS members above t so the conditional
+    tail is actually informed by the sample.
 
     Raises
     ------
@@ -114,14 +133,13 @@ def cpit(forecast: Forecast, y: float, t: float) -> float | None:
         forecast = smooth_ensemble(forecast)
     if not isinstance(forecast, Parametric):
         raise ContractViolation("cpit needs a parametric or ensemble forecast")
-    ft = float(forecast.cdf(t))
-    tail = 1.0 - ft
-    if tail <= _DEGENERATE_FLOOR:
+    tail = float(forecast.sf(t))
+    u = float(_cpit_values(tail, forecast.sf(y)))
+    if np.isnan(u):
         raise DegenerateConditional(
             f"forecast probability above {t} is {tail:.3e}; conditional PIT undefined"
         )
-    u = (float(forecast.cdf(y)) - ft) / tail
-    return float(np.clip(u, 0.0, 1.0))
+    return u
 
 
 def pit_ecdf(values) -> tuple[np.ndarray, np.ndarray]:
@@ -343,8 +361,7 @@ def prerank_cpit(
                 f"only {int(tail * n_samples)} of {n_samples} sampled preranks "
                 f"exceed the threshold; conditional PIT is not estimable"
             )
-        u = (float(np.mean(s <= y_star)) - (1.0 - tail)) / tail
-        return float(np.clip(u, 0.0, 1.0))
+        return float(_cpit_values(tail, np.mean(s > y_star)))
 
     # ensemble route
     from .mvscores import MvEnsemble

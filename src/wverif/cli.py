@@ -21,6 +21,7 @@ import sys
 import time
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import __version__
 from .archive import (
@@ -32,17 +33,17 @@ from .archive import (
     _csv_keys,
     _multivariate_groups,
     _score_columns,
+    _smooth_normals,
     read_archive,
     score_archive,
     skill_table,
     write_archive_csv,
 )
 from .calibration import (
+    _cpit_values,
+    _ranks,
     corp_reliability,
-    cpit,
-    pit,
     pit_ecdf,
-    rank,
     rank_histogram,
     histogram_summary,
     reliability_index,
@@ -56,7 +57,7 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
-from .forecasts import Ensemble, Normal
+from .forecasts import Normal
 from .postprocess import (
     StationMeta,
     TrainingWindow,
@@ -65,9 +66,15 @@ from .postprocess import (
     fit_emos,
     lapse_rate_correct,
     predict_emos,
-    smooth_ensemble,
 )
 from .synthlab import ExperimentSpec, run_experiment
+
+# diagnose works on the archive's columns through the calibration
+# kernels; the per-case functions are not called here, but stay bound
+# under these names: perfbench's tracer wraps them here and cannot start
+# without them.
+from .calibration import cpit, pit, rank  # noqa: F401
+from .postprocess import smooth_ensemble  # noqa: F401
 
 _MAX_TABLE_ROWS = 2048
 
@@ -137,15 +144,31 @@ def _num_label(x: float) -> str:
     return f"{x:g}".replace("-", "m").replace(".", "p")
 
 
-def _hist_rows(hist):
-    edges = hist.bin_edges
-    return [
-        (edges[i], edges[i + 1], int(hist.counts[i]), float(hist.frequencies[i]))
-        for i in range(hist.k)
-    ]
+def _write_hist(out: str, name: str, hist) -> str:
+    edges, counts, freqs = hist.bin_edges.tolist(), hist.counts.tolist(), hist.frequencies.tolist()
+    _write_csv(
+        os.path.join(out, name),
+        ("bin_lo", "bin_hi", "count", "frequency"),
+        zip(edges[:-1], edges[1:], counts, freqs),
+    )
+    return name
 
 
-_HIST_HEADER = ("bin_lo", "bin_hi", "count", "frequency")
+def _write_ecdf(out: str, name: str, u, p) -> str:
+    keep = _thin(u.size)
+    _write_csv(os.path.join(out, name), ("u", "p"), zip(u[keep], p[keep]))
+    return name
+
+
+def _write_corp(out: str, name: str, fit) -> str:
+    keep = _thin(fit.n)
+    cols = (fit.probs, fit.cep, fit.band_lower, fit.band_upper)
+    _write_csv(
+        os.path.join(out, name),
+        ("prob", "cep", "band_lower", "band_upper"),
+        zip(*(c[keep] for c in cols)),
+    )
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -224,98 +247,57 @@ def _cmd_diagnose(args) -> list:
     archive = read_archive(args.archive, args.max_reject_fraction)
     if len(archive) == 0:
         raise DataError(f"{args.archive}: no records to diagnose")
-    sizes = {rec.members.size for rec in archive}
+    sizes = np.unique(archive.n_members).tolist()
     if len(sizes) != 1:
-        raise DataError(
-            f"rank histograms need one member count per archive, found {sorted(sizes)}"
-        )
-    m = sizes.pop()
+        raise DataError(f"rank histograms need one member count per archive, found {sizes}")
+    m = sizes[0]
     outputs = []
     summary: dict = {"n_records": len(archive), "members": m, "seed": args.seed}
 
-    rng = np.random.default_rng(args.seed)
-    ranks = [rank(Ensemble(rec.members), rec.obs, rng) for rec in archive]
+    ranks = _ranks(archive.members[:, :m], archive.obs, np.random.default_rng(args.seed))
     rhist = rank_histogram(ranks, m + 1)
     _write_csv(
         os.path.join(args.out, "ranks.csv"),
         ("rank", "count", "frequency"),
-        [
-            (i + 1, int(rhist.counts[i]), float(rhist.frequencies[i]))
-            for i in range(rhist.k)
-        ],
+        zip(range(1, rhist.k + 1), rhist.counts.tolist(), rhist.frequencies.tolist()),
     )
     outputs.append("ranks.csv")
     summary["rank_ri"] = reliability_index(rhist)
 
     if args.smooth:
-        smoothed = [smooth_ensemble(Ensemble(rec.members)) for rec in archive]
-        pits = np.array([pit(fc, rec.obs) for fc, rec in zip(smoothed, archive)])
-        phist = histogram_summary(pits, bins=args.bins)
-        _write_csv(os.path.join(args.out, "pit_hist.csv"), _HIST_HEADER, _hist_rows(phist))
-        outputs.append("pit_hist.csv")
+        # Normal.cdf's and Normal.sf's arithmetic on every record at once.
+        mu, sd = _smooth_normals(archive)
+        z = (archive.obs - mu) / sd
+        phist = histogram_summary(ndtr(z), bins=args.bins)
+        outputs.append(_write_hist(args.out, "pit_hist.csv", phist))
         summary["pit_ri"] = reliability_index(phist)
         summary["thresholds"] = []
+        sy = ndtr(-z)
 
         for t in _parse_floats(args.thresholds):
             label = _num_label(t)
-            cps = []
-            n_skipped = 0
-            for fc, rec in zip(smoothed, archive):
-                try:
-                    u = cpit(fc, rec.obs, t)
-                except DegenerateConditional:
-                    n_skipped += 1
-                    continue
-                if u is not None:
-                    cps.append(u)
-            cps = np.asarray(cps, dtype=float)
-            entry = {
-                "threshold": t,
-                "n_exceed": int(cps.size),
-                "n_skipped": n_skipped,
-            }
+            # S(t) is the cPIT denominator and the CORP event probability.
+            st = ndtr(-((t - mu) / sd))
+            exceed = archive.obs > t
+            u = _cpit_values(st[exceed], sy[exceed])
+            cps = u[~np.isnan(u)]
+            entry = {"threshold": t, "n_exceed": cps.size, "n_skipped": u.size - cps.size}
             if cps.size:
                 chist = histogram_summary(cps, bins=args.bins)
-                _write_csv(
-                    os.path.join(args.out, f"cpit_hist_{label}.csv"),
-                    _HIST_HEADER,
-                    _hist_rows(chist),
-                )
-                outputs.append(f"cpit_hist_{label}.csv")
                 entry["cpit_ri"] = reliability_index(chist)
-                u_sorted, p_sorted = pit_ecdf(cps)
-                keep = _thin(u_sorted.size)
-                _write_csv(
-                    os.path.join(args.out, f"cpit_ecdf_{label}.csv"),
-                    ("u", "p"),
-                    list(zip(u_sorted[keep], p_sorted[keep])),
-                )
-                outputs.append(f"cpit_ecdf_{label}.csv")
-            probs = np.array([1.0 - fc.cdf(t) for fc in smoothed])
-            events = np.array([1.0 if rec.obs > t else 0.0 for rec in archive])
+                outputs.append(_write_hist(args.out, f"cpit_hist_{label}.csv", chist))
+                outputs.append(_write_ecdf(args.out, f"cpit_ecdf_{label}.csv", *pit_ecdf(cps)))
+            events = exceed.astype(float)
             if np.unique(events).size == 2:
                 fit = corp_reliability(
-                    probs,
+                    st,
                     events,
                     resamples=args.corp_resamples,
                     seed=np.random.default_rng(
                         (args.seed, 7, int(round(t * 1000)) & 0xFFFFFFFF)
                     ),
                 )
-                keep = _thin(fit.probs.size)
-                _write_csv(
-                    os.path.join(args.out, f"corp_{label}.csv"),
-                    ("prob", "cep", "band_lower", "band_upper"),
-                    list(
-                        zip(
-                            fit.probs[keep],
-                            fit.cep[keep],
-                            fit.band_lower[keep],
-                            fit.band_upper[keep],
-                        )
-                    ),
-                )
-                outputs.append(f"corp_{label}.csv")
+                outputs.append(_write_corp(args.out, f"corp_{label}.csv", fit))
             summary["thresholds"].append(entry)
 
     _write_json(os.path.join(args.out, "summary.json"), summary)
@@ -474,12 +456,13 @@ def _run_ecc(args, archive, predicted: dict, lead_times) -> str:
 
 
 def _run_climatology(args, archive) -> str:
-    by_station: dict = {}
-    for rec in archive:
-        by_station.setdefault(rec.station_id, []).append(rec.obs)
+    # The observations of each station in record order, stations sorted.
+    sids, station, counts = np.unique(
+        np.array(archive.station_ids, dtype=object), return_inverse=True, return_counts=True
+    )
+    by_station = np.split(archive.obs[np.argsort(station, kind="stable")], np.cumsum(counts)[:-1])
     rows = []
-    for sid in sorted(by_station):
-        obs = by_station[sid]
+    for sid, obs in zip(sids.tolist(), by_station):
         try:
             fc = fit_climatology(obs)
         except InsufficientData:
@@ -545,7 +528,7 @@ def _write_ideal_forecaster(out: str, res) -> list:
         "restricted_hist.csv": res.restricted_hist,
     }
     for name, hist in files.items():
-        _write_csv(os.path.join(out, name), _HIST_HEADER, _hist_rows(hist))
+        _write_hist(out, name, hist)
     _write_json(
         os.path.join(out, "summary.json"),
         {
@@ -567,29 +550,11 @@ def _write_tail_forecasters(out: str, res) -> list:
     summary = {"n": res.n, "n_exceed": res.n_exceed, "t": res.t, "seed": res.seed}
     for name in sorted(res.forecasters):
         fc = res.forecasters[name]
-        _write_csv(
-            os.path.join(out, f"cpit_hist_{name}.csv"), _HIST_HEADER, _hist_rows(fc.cpit_hist)
-        )
-        keep = _thin(fc.ecdf_u.size)
-        _write_csv(
-            os.path.join(out, f"cpit_ecdf_{name}.csv"),
-            ("u", "p"),
-            list(zip(fc.ecdf_u[keep], fc.ecdf_p[keep])),
-        )
-        keep = _thin(fc.corp.probs.size)
-        _write_csv(
-            os.path.join(out, f"corp_{name}.csv"),
-            ("prob", "cep", "band_lower", "band_upper"),
-            list(
-                zip(
-                    fc.corp.probs[keep],
-                    fc.corp.cep[keep],
-                    fc.corp.band_lower[keep],
-                    fc.corp.band_upper[keep],
-                )
-            ),
-        )
-        outputs += [f"cpit_hist_{name}.csv", f"cpit_ecdf_{name}.csv", f"corp_{name}.csv"]
+        outputs += [
+            _write_hist(out, f"cpit_hist_{name}.csv", fc.cpit_hist),
+            _write_ecdf(out, f"cpit_ecdf_{name}.csv", fc.ecdf_u, fc.ecdf_p),
+            _write_corp(out, f"corp_{name}.csv", fc.corp),
+        ]
         summary[f"cpit_ri_{name}"] = reliability_index(fc.cpit_hist)
     _write_json(os.path.join(out, "summary.json"), summary)
     return outputs + ["summary.json"]

@@ -22,6 +22,8 @@ from scipy import stats
 from .calibration import (
     HistogramSummary,
     ReliabilityFit,
+    _cpit_values,
+    _rng,
     corp_reliability,
     histogram_summary,
     pit_ecdf,
@@ -60,12 +62,6 @@ __all__ = [
     "run_impropriety_demo",
     "run_experiment",
 ]
-
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +141,12 @@ def run_ideal_forecaster(
     sd = np.sqrt(sigma2)
     pit_vals = stats.norm.cdf((y - mu) / sd)
     exceed = y > t
-    ft = stats.norm.cdf((t - mu) / sd)
-    cpit_vals = np.clip(
-        (pit_vals[exceed] - ft[exceed]) / (1.0 - ft[exceed]), 0.0, 1.0
+    cpit_vals = _cpit_values(
+        stats.norm.sf((t - mu[exceed]) / sd), stats.norm.sf((y[exceed] - mu[exceed]) / sd)
     )
     return IdealForecasterResult(
         pit_hist=histogram_summary(pit_vals, bins=bins),
-        cpit_hist=histogram_summary(cpit_vals, bins=bins),
+        cpit_hist=histogram_summary(cpit_vals[~np.isnan(cpit_vals)], bins=bins),
         restricted_hist=histogram_summary(pit_vals[exceed], bins=bins),
         n=n,
         n_exceed=int(exceed.sum()),
@@ -214,19 +209,19 @@ def run_tail_forecasters(
     sd_norm = np.sqrt(cond_var)
     s_t5 = np.sqrt(cond_var * (5.0 - 2.0) / 5.0)
     families = (
-        ("normal", lambda x: stats.norm.cdf((x - mu) / sd_norm)),
-        ("logistic", lambda x: stats.logistic.cdf((x - mu) / s_log)),
-        ("student_t5", lambda x: stats.t.cdf((x - mu) / s_t5, df=5)),
+        ("normal", lambda x: stats.norm.sf((x - mu) / sd_norm)),
+        ("logistic", lambda x: stats.logistic.sf((x - mu) / s_log)),
+        ("student_t5", lambda x: stats.t.sf((x - mu) / s_t5, df=5)),
     )
 
     out = {}
-    for idx, (name, cdf) in enumerate(families):
-        ft = cdf(t)
-        fy = cdf(y)
-        cp = np.clip((fy[exceed] - ft[exceed]) / (1.0 - ft[exceed]), 0.0, 1.0)
+    for idx, (name, sf) in enumerate(families):
+        st = sf(t)
+        cp = _cpit_values(st[exceed], sf(y)[exceed])
+        cp = cp[~np.isnan(cp)]
         u, pvals = pit_ecdf(cp)
         corp = corp_reliability(
-            1.0 - ft,
+            st,
             exceed.astype(float),
             resamples=corp_resamples,
             seed=np.random.default_rng((seed, 303, idx)),
@@ -490,17 +485,15 @@ class _TruncatedAbove:
     interval that the tabulated-cdf engine reads."""
 
     def __init__(self, base: Parametric, t: float):
-        ft = float(base.cdf(t))
-        mass = 1.0 - ft
+        mass = float(base.sf(t))
         if mass <= MASS_FLOOR:
             raise WeightedMassZero(f"no forecast mass above {t}")
         self.base = base
         self.t = t
-        self._ft = ft
         self._mass = mass
 
     def cdf(self, z):
-        return np.clip((self.base.cdf(z) - self._ft) / self._mass, 0.0, 1.0)
+        return _cpit_values(self._mass, self.base.sf(z))
 
     def support_interval(self, tail: float = 1e-12):
         _, hi = self.base.support_interval(tail)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
+from .calibration import _cpit_values
 from .exceptions import (
     ContractViolation,
     DimensionMismatch,
@@ -727,11 +728,10 @@ def weighted_cdf(forecast: Parametric, w: WeightFunction, x: float) -> float:
     if isinstance(w, Constant):
         return float(forecast.cdf(x))
     if isinstance(w, IndicatorAbove):
-        denom = 1.0 - float(forecast.cdf(w.t))
+        denom = float(forecast.sf(w.t))
         if denom <= MASS_FLOOR:
             raise _no_mass(w, denom)
-        num = max(float(forecast.cdf(x)) - float(forecast.cdf(w.t)), 0.0)
-        return min(num / denom, 1.0)
+        return float(_cpit_values(denom, forecast.sf(x)))
     if isinstance(w, IndicatorBelow):
         denom = float(forecast.cdf(w.t))
         if denom <= MASS_FLOOR:

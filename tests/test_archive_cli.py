@@ -5,6 +5,7 @@ import importlib
 import io
 import json
 import math
+import statistics
 import warnings
 from pathlib import Path
 
@@ -924,6 +925,25 @@ def test_cli_diagnose_outputs(tmp_path):
         summary = json.load(fh)
     assert summary["n_records"] == 30 and summary["members"] == 5
     assert summary["thresholds"][0]["n_exceed"] > 0
+
+    # Per-record reference: ranks with ties broken by one draw per record
+    # in record order, and PITs of the smoothed normal from the standard
+    # library.
+    gen = np.random.default_rng(3)
+    want_ranks = np.zeros(6, dtype=int)
+    pits = []
+    for rec in read_archive(arch):
+        ties = int(np.sum(rec.members == rec.obs))
+        want_ranks[int(np.sum(rec.members < rec.obs)) + int(gen.integers(0, ties + 1))] += 1
+        x = rec.members.tolist()
+        pits.append(statistics.NormalDist(statistics.fmean(x), statistics.stdev(x)).cdf(rec.obs))
+    assert [int(r["count"]) for r in rank_rows] == want_ranks.tolist()
+    with open(out / "pit_hist.csv", newline="") as fh:
+        pit_counts = [int(r["count"]) for r in csvmod.DictReader(fh)]
+    assert pit_counts == np.histogram(pits, bins=10, range=(0.0, 1.0))[0].tolist()
+    entry = summary["thresholds"][0]
+    n_above = sum(rec.obs > 20.5 for rec in read_archive(arch))
+    assert entry["n_exceed"] + entry["n_skipped"] == n_above
 
 
 def test_cli_postprocess_pipeline(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from wverif.calibration import _cpit_values, _ranks
 from wverif import (
     ContractViolation,
     DegenerateConditional,
@@ -57,6 +58,44 @@ def test_rank_ties_spread_uniformly():
     # admissible ranks are 2, 3, 4
     assert counts[0] == counts[4] == counts[5] == 0
     assert_allclose(counts[1:4] / n, np.ones(3) / 3.0, atol=0.02)
+
+
+def test_stacked_ranks_equal_per_record_ranks_with_ties():
+    # Members and observations on a 0.5 grid, so many cases have ties.
+    rng = np.random.default_rng(11)
+    members = np.round(rng.normal(0.0, 1.5, (400, 9)) * 2.0) / 2.0
+    obs = np.round(rng.normal(0.0, 1.5, 400) * 2.0) / 2.0
+    assert 0 < np.sum(np.any(members == obs[:, None], axis=1)) < 400
+    one, many = np.random.default_rng(4), np.random.default_rng(4)
+    want = [rank(Ensemble(x), y, one) for x, y in zip(members, obs)]
+    got = _ranks(members, obs, many)
+    assert got.tolist() == want
+    # Both routes leave the generator in the same state.
+    assert many.random() == one.random()
+
+
+def test_cpit_kernel_matches_a_40_digit_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(12)
+    # Standardised threshold a and observation b > a; S(t) stays above
+    # the floor for a <= 7.
+    a = rng.uniform(-3.0, 7.0, 1000)
+    b = a + rng.exponential(0.5, a.size)
+    got = _cpit_values(stats.norm.sf(a), stats.norm.sf(b))
+
+    def q(x):
+        return mpmath.erfc(mpmath.mpf(float(x)) / mpmath.sqrt(2)) / 2
+
+    want = np.array([float((q(x) - q(z)) / q(x)) for x, z in zip(a, b)])
+    assert np.max(np.abs(got - want)) < 5e-14
+
+
+def test_cpit_kernel_marks_degenerate_tails_and_broadcasts():
+    got = _cpit_values(np.array([0.5, 1e-12, 0.0]), np.array([0.25, 1e-13, 0.0]))
+    assert got[0] == 0.5 and np.isnan(got[1]) and np.isnan(got[2])
+    # One S(t) for many observations, those at or below t giving 0.
+    assert_allclose(_cpit_values(0.5, [0.75, 0.5, 0.25, 0.0]), [0.0, 0.0, 0.5, 1.0])
 
 
 def test_cpit_basic():

@@ -269,6 +269,20 @@ def test_weighted_cdf_truncation():
     assert weighted_cdf(f, w, -1.0) == 0.0
 
 
+def test_weighted_cdf_keeps_relative_accuracy_in_the_far_right_tail():
+    # (Q(7) - Q(7.1)) / Q(7) for the standard normal tail Q, to 40 digits;
+    # forming the tail mass as 1 - F(7) loses about 2e-5 of it.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def q(x):
+        return mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2
+
+    want = float((q(7.0) - q(7.1)) / q(7.0))
+    got = weighted_cdf(Normal(0.0, 1.0), IndicatorAbove(7.0), 7.1)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_weighted_cdf_generic_matches_quadrature():
     f = Normal(0.3, 1.2)
     w = GaussCdf(0.5, 0.8)
