@@ -423,6 +423,9 @@ def _cmd_postprocess(args) -> list:
             "n_before_first_fit": n_unfit,
             "n_stations_without_metadata": n_meta_missing,
             "window_days": args.window_days,
+            "n_fits": len(params_rows),
+            "n_fits_not_converged": sum(not r["converged"] for r in params_rows),
+            "fit_iters_max": max((r["n_iter"] for r in params_rows), default=0),
         },
     )
     outputs.append("summary.json")

@@ -4,17 +4,19 @@ The chain is: correct raw temperatures for the height mismatch between
 model grid cell and station, fit a normal regression model (mean linear
 in the ensemble mean and station descriptors, variance linear in the
 ensemble variance) by minimising the closed-form CRPS over a rolling
-training window, and restore a physically ordered ensemble by sampling
-equidistant quantiles and reordering them like the raw members.
+training window with damped Newton steps on its closed-form gradient and
+Hessian (Gneiting, Raftery, Westveld & Goldman 2005), and restore a
+physically ordered ensemble by sampling equidistant quantiles and
+reordering them like the raw members.
 """
 
 from __future__ import annotations
 
+import bisect
 import datetime
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr
 
 from .exceptions import ContractViolation, DimensionMismatch, InsufficientData
@@ -120,10 +122,12 @@ class TrainingWindow:
     mhd: list = field(default_factory=list)
     tpi: list = field(default_factory=list)
     obs: list = field(default_factory=list)
+    _n_days: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.capacity_days < 1:
             raise ContractViolation("capacity must be at least one day")
+        self._n_days = len(set(self.dates))
 
     @property
     def size(self) -> int:
@@ -131,7 +135,7 @@ class TrainingWindow:
 
     @property
     def distinct_days(self) -> int:
-        return len(set(self.dates))
+        return self._n_days
 
     def add_case(
         self,
@@ -145,19 +149,22 @@ class TrainingWindow:
             raise ContractViolation("training cases must arrive in date order")
         if var < 0.0:
             raise ContractViolation("ensemble variance cannot be negative")
+        new_day = not self.dates or date != self.dates[-1]
         self.dates.append(date)
         self.xbar.append(float(xbar))
         self.var.append(float(var))
         self.mhd.append(float(meta.mhd))
         self.tpi.append(float(meta.tpi))
         self.obs.append(float(obs))
-        days = sorted(set(self.dates))
-        if len(days) > self.capacity_days:
-            cutoff = days[-self.capacity_days]
-            keep = [i for i, d in enumerate(self.dates) if d >= cutoff]
-            for name in ("dates", "xbar", "var", "mhd", "tpi", "obs"):
-                lst = getattr(self, name)
-                setattr(self, name, [lst[i] for i in keep])
+        if not new_day:
+            return
+        self._n_days += 1
+        # Dates are sorted, so the oldest day is a prefix of every list.
+        while self._n_days > self.capacity_days:
+            k = bisect.bisect_right(self.dates, self.dates[0])
+            for lst in (self.dates, self.xbar, self.var, self.mhd, self.tpi, self.obs):
+                del lst[:k]
+            self._n_days -= 1
 
     def arrays(self):
         return (
@@ -216,44 +223,93 @@ class EmosParams:
 
 _INIT_THETA = np.array([0.0, 1.0, 0.0, 0.0, 0.0, np.log(0.1)])
 _GRAD_TOL = 1e-6
+_DECREMENT_TOL = 1e-14
 _MAX_ITER = 500
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 40
 
 
 def _design(xbar, mhd, tpi) -> np.ndarray:
     return np.column_stack([np.ones_like(xbar), xbar, mhd, tpi])
 
 
-def _objective_and_grad(theta, X, var, y):
-    beta = theta[:4]
-    s0 = np.exp(theta[4])
-    s1 = np.exp(theta[5])
-    mu = X @ beta
-    v = np.maximum(s0 + s1 * var, VARIANCE_FLOOR)
-    sig = np.sqrt(v)
-    z = (y - mu) / sig
+def _objective_grad_hess(theta, X, var, y):
+    """Mean CRPS of the regression, its gradient and its Hessian in theta.
+
+    In (mu, sigma) the normal CRPS has the gradient (1 - 2 Phi(z),
+    2 phi(z) - 1/sqrt(pi)) and the rank-one Hessian (2 phi(z) / sigma)
+    [1, z]^T [1, z].  Through mu = X beta and sigma = sqrt(s0 + s1 var)
+    the data term becomes U^T diag(2 phi / sigma) U / n with U = [X,
+    z dsigma/dlog s0, z dsigma/dlog s1], and the sigma-gradient times
+    the second derivatives of sigma adds to the two log-sigma entries.
+    Cases whose variance sits on VARIANCE_FLOOR do not move sigma.
+    """
+    s0, s1 = np.exp(theta[4:])
+    raw = s0 + s1 * var
+    sig = np.sqrt(np.maximum(raw, VARIANCE_FLOOR))
+    z = (y - X @ theta[:4]) / sig
     cdf = ndtr(z)
     pdf = _std_pdf(z)
-    crps = sig * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / np.sqrt(np.pi))
-    dmu = 1.0 - 2.0 * cdf
     dsig = 2.0 * pdf - 1.0 / np.sqrt(np.pi)
+    crps = sig * (z * (2.0 * cdf - 1.0) + dsig)
     n = y.size
+    live = raw > VARIANCE_FLOOR
+    ds0 = np.where(live, s0 / (2.0 * sig), 0.0)
+    ds1 = np.where(live, s1 * var / (2.0 * sig), 0.0)
     grad = np.empty(6)
-    grad[:4] = X.T @ dmu / n
-    live = (s0 + s1 * var) > VARIANCE_FLOOR
-    half = np.where(live, dsig / (2.0 * sig), 0.0)
-    grad[4] = np.mean(half) * s0
-    grad[5] = np.mean(half * var) * s1
-    return float(np.mean(crps)), grad
+    grad[:4] = X.T @ (1.0 - 2.0 * cdf) / n
+    grad[4] = np.mean(dsig * ds0)
+    grad[5] = np.mean(dsig * ds1)
+    U = np.column_stack([X, z * ds0, z * ds1])
+    hess = (U.T * (2.0 * pdf / sig)) @ U / n
+    # d2 sigma / dlog s_i dlog s_j = delta_ij ds_i - ds_i ds_j / sigma
+    curv = dsig / sig
+    hess[4, 4] += grad[4] - np.mean(curv * ds0 * ds0)
+    hess[5, 5] += grad[5] - np.mean(curv * ds1 * ds1)
+    cross = np.mean(curv * ds0 * ds1)
+    hess[4, 5] -= cross
+    hess[5, 4] -= cross
+    return float(np.mean(crps)), grad, hess
+
+
+def _newton_step(grad, hess):
+    """Newton direction on H + lambda I and the decrement g^T (H + lambda I)^-1 g.
+
+    Coefficients whose diagonal entry of H is 0, such as a covariate
+    column of zeros or log sigma1 when every ensemble variance is 0, do
+    not move the objective; they keep a zero step.  On the others lambda
+    stays 0 while H has a Cholesky factor, and otherwise rises by factors
+    of ten from 1e-8 until H + lambda I has one (Levenberg-Marquardt).
+    """
+    free = np.diag(hess) != 0.0
+    h, g = hess[np.ix_(free, free)], grad[free]
+    lam = 0.0
+    while True:
+        try:
+            chol = np.linalg.cholesky(h + lam * np.eye(g.size))
+            break
+        except np.linalg.LinAlgError:
+            lam = 1e-8 if lam == 0.0 else 10.0 * lam
+    half = np.linalg.solve(chol, g)
+    step = np.zeros_like(grad)
+    step[free] = -np.linalg.solve(chol.T, half)
+    return step, float(half @ half)
 
 
 def fit_emos(window, init: EmosParams | None = None, history: list | None = None) -> EmosParams:
     """Fit the regression by CRPS minimisation over a training window.
 
-    Quasi-Newton minimisation in (beta, log sigma0, log sigma1), warm
-    started from ``init`` when given.  Stops when the projected gradient
-    drops below 1e-6 or after 500 iterations; in the latter case the
-    best parameters so far are returned with ``converged`` unset rather
-    than raising.  ``history``, if supplied, collects the objective at
+    Damped Newton steps in (beta, log sigma0, log sigma1) on the closed-form
+    gradient and Hessian, warm started from ``init`` when given.  Each step
+    solves with the Cholesky factor of the Hessian, damped by lambda I when
+    the Hessian is not positive definite, and backtracks to the Armijo
+    condition.  The fit stops when the largest gradient entry is at most
+    1e-6 and the Newton decrement at most 1e-14 (``converged``); it also
+    stops when the line search cannot lower the objective or after 500
+    iterations, and is then ``converged`` only if the largest gradient entry
+    is at most 1e-5.  The line search is monotone, so the last iterate is
+    the best one and is returned rather than raising.  ``n_iter`` counts
+    Newton iterations; ``history``, if supplied, collects the objective at
     every accepted iterate.
     """
     if isinstance(window, TrainingWindow):
@@ -266,37 +322,44 @@ def fit_emos(window, init: EmosParams | None = None, history: list | None = None
     X = _design(xbar, mhd, tpi)
 
     if init is None:
-        theta0 = _INIT_THETA.copy()
+        theta = _INIT_THETA.copy()
     else:
-        theta0 = np.concatenate(
+        theta = np.concatenate(
             [np.asarray(init.beta, dtype=float), np.log([init.sigma0, init.sigma1])]
         )
 
-    def fun(theta):
-        return _objective_and_grad(theta, X, var, y)
-
-    callback = None
-    if history is not None:
-        def callback(xk):
-            history.append(fun(xk)[0])
-
-    res = optimize.minimize(
-        fun,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL, "ftol": 1e-14},
-    )
-    theta = res.x
-    grad_ok = float(np.max(np.abs(res.jac))) <= 10.0 * _GRAD_TOL
+    f, grad, hess = _objective_grad_hess(theta, X, var, y)
+    n_iter = 0
+    stopped = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a non-finite Hessian (a NaN observation, say) ends the fit unconverged
+        while np.all(np.isfinite(hess)):
+            step, decrement = _newton_step(grad, hess)
+            if np.max(np.abs(grad)) <= _GRAD_TOL and decrement <= _DECREMENT_TOL:
+                stopped = True
+                break
+            if n_iter == _MAX_ITER:
+                break
+            t = 1.0
+            for _ in range(_MAX_HALVINGS):
+                trial = theta + t * step
+                f_new, g_new, h_new = _objective_grad_hess(trial, X, var, y)
+                if f_new < f - _ARMIJO * t * decrement:
+                    break
+                t *= 0.5
+            else:
+                break
+            theta, f, grad, hess = trial, f_new, g_new, h_new
+            n_iter += 1
+            if history is not None:
+                history.append(f)
     return EmosParams(
         beta=tuple(theta[:4]),
         sigma0=max(float(np.exp(theta[4])), 1e-12),
         sigma1=max(float(np.exp(theta[5])), 1e-12),
-        converged=bool(res.success or grad_ok),
-        n_iter=int(res.nit),
-        objective=float(res.fun),
+        converged=stopped or float(np.max(np.abs(grad))) <= 10.0 * _GRAD_TOL,
+        n_iter=n_iter,
+        objective=f,
     )
 
 

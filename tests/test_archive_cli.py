@@ -972,6 +972,10 @@ def test_cli_postprocess_pipeline(tmp_path):
     assert params
     assert {"beta", "sigma0", "sigma1", "lead_time", "n_train"} <= set(params[0])
     assert len(params[0]["beta"]) == 4
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_fits"] == len(params)
+    assert summary["n_fits_not_converged"] == sum(not p["converged"] for p in params)
+    assert summary["fit_iters_max"] == max(p["n_iter"] for p in params)
 
     ecc = read_archive_csv(out / "ecc.csv")
     assert len(ecc) > 0

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import stats
+from scipy import optimize
 
+from wverif import postprocess
 from wverif import (
     ContractViolation,
     Ensemble,
@@ -257,3 +258,207 @@ def test_ecc_output_scores_against_truth():
         shuffled = np.stack([rng.permutation(coupled.members[i]) for i in range(d)])
         es_ind.append(energy_score(MvEnsemble(shuffled), y).value)
     assert np.mean(es_ecc) < np.mean(es_ind)
+
+
+# ---------------------------------------------------------------------------
+# damped Newton fit against the L-BFGS-B oracle
+# ---------------------------------------------------------------------------
+
+
+def _lbfgsb_fit(data, init=None):
+    """L-BFGS-B on the same objective and gradient, with the tolerances
+    fit_emos once used: the oracle for the Newton fit."""
+    xbar, var, mhd, tpi, y = (np.asarray(a, dtype=float) for a in data)
+    X = postprocess._design(xbar, mhd, tpi)
+    theta0 = (
+        postprocess._INIT_THETA
+        if init is None
+        else np.r_[init.beta, np.log([init.sigma0, init.sigma1])]
+    )
+    return optimize.minimize(
+        lambda th: postprocess._objective_grad_hess(th, X, var, y)[:2],
+        theta0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": 500, "gtol": 1e-6, "ftol": 1e-14},
+    )
+
+
+def _calibrate_stream(rng, days, stations=10, m=21):
+    """(days, stations) arrays shaped like perfbench's calibrate archive: a
+    raw ensemble biased warm by 1.5 with spread 0.5 against an error of
+    1.5, and fixed station descriptors."""
+    shift = rng.uniform(-1.0, 1.0, stations)
+    mhd = np.broadcast_to(rng.uniform(-300.0, 300.0, stations), (days, stations))
+    tpi = np.broadcast_to(rng.uniform(-50.0, 50.0, stations), (days, stations))
+    truth = 24.0 + shift + rng.normal(0.0, 2.5, (days, stations))
+    centre = truth + 1.5 + rng.normal(0.0, 1.5, (days, stations))
+    members = centre[..., None] + 0.5 * rng.standard_normal((days, stations, m))
+    return members.mean(axis=-1), members.var(axis=-1, ddof=1), mhd, tpi, truth
+
+
+def _days(stream, first, last):
+    return tuple(np.ravel(a[first:last]) for a in stream)
+
+
+def _zero_variance_window():
+    rng = np.random.default_rng(5)
+    xbar = rng.uniform(-5.0, 5.0, 200)
+    y = 0.3 + 0.9 * xbar + rng.normal(0.0, 1.0, 200)
+    return xbar, np.zeros(200), rng.normal(size=200), rng.normal(size=200), y
+
+
+def _floored_window():
+    """Half the cases carry no ensemble variance and are predicted exactly,
+    so the fit drives sigma0 below VARIANCE_FLOOR for them."""
+    rng = np.random.default_rng(6)
+    n = 200
+    xbar = rng.uniform(-5.0, 5.0, n)
+    calm = np.arange(n) < n // 2
+    var = np.where(calm, 0.0, rng.uniform(1.0, 5.0, n))
+    mhd, tpi = rng.normal(size=n), rng.normal(size=n)
+    y = 0.5 + 1.1 * xbar + 0.2 * mhd + np.where(calm, 0.0, rng.normal(0.0, np.sqrt(0.8 * var)))
+    return xbar, var, mhd, tpi, y
+
+
+def _oracle_cases():
+    """(id, window, init) triples: cold starts on two-regime windows of
+    several sizes, cold and warm starts on 300-case calibrate-shaped
+    windows (warm from the fit to the window a day earlier), one far
+    off the starting point, a window with every variance 0 and one that
+    reaches the variance floor."""
+    cases = []
+    for seed, n in enumerate((30, 60, 100, 300, 300, 1000)):
+        data = _synthetic_training(np.random.default_rng(40 + seed), n, (0.5, 1.1, 0.2, -0.1), 0.6, 0.5)
+        cases.append((f"two-regime-{n}-{seed}", data, None))
+    for seed in range(6):
+        stream = _calibrate_stream(np.random.default_rng(60 + seed), 31)
+        earlier = _days(stream, 0, 30)
+        cases.append((f"calibrate-cold-{seed}", earlier, None))
+        cases.append((f"calibrate-warm-{seed}", _days(stream, 1, 31), fit_emos(earlier)))
+    # observations in kelvin against forecasts in degrees C: at the start
+    # every phi(z) underflows, so the beta block of the Hessian is 0
+    xbar, var, mhd, tpi, y = _days(_calibrate_stream(np.random.default_rng(66), 30), 0, 30)
+    cases.append(("kelvin-offset", (xbar, var, mhd, tpi, y + 273.15), None))
+    cases.append(("zero-variance", _zero_variance_window(), None))
+    cases.append(("variance-floor", _floored_window(), None))
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("data, init", [c[1:] for c in _ORACLE_CASES], ids=[c[0] for c in _ORACLE_CASES])
+def test_newton_fit_is_no_worse_than_the_lbfgsb_oracle(data, init):
+    history = []
+    got = fit_emos(data, init=init, history=history)
+    want = _lbfgsb_fit(data, init=init)
+    assert got.converged
+    assert got.objective <= want.fun + 1e-9
+    assert np.all(np.diff(history) <= 0.0)
+
+
+def test_oracle_cases_cover_twenty_windows_and_the_variance_floor():
+    assert len(_ORACLE_CASES) >= 20
+    xbar, var, *_ = _floored_window()
+    p = fit_emos(_floored_window())
+    assert np.any(p.sigma0 + p.sigma1 * var <= postprocess.VARIANCE_FLOOR)
+    assert np.any(p.sigma0 + p.sigma1 * var > postprocess.VARIANCE_FLOOR)
+
+
+def test_zero_covariate_columns_do_not_slow_the_fit():
+    # Without station descriptors mhd and tpi are columns of zeros and the
+    # Hessian is singular.  Damping the whole matrix for them held log
+    # sigma0 back near the variance floor, and this fit ran to the cap.
+    xbar, var, mhd, tpi, y = _floored_window()
+    zeros = np.zeros_like(xbar)
+    p = fit_emos((xbar, var, zeros, zeros, y - 0.2 * mhd))
+    assert p.converged and p.n_iter < 50
+    assert p.beta[2] == p.beta[3] == 0.0
+
+
+def _central_differences(theta, X, var, y, h=1e-7):
+    """Central differences of the objective (gradient) and of the
+    gradient (Hessian)."""
+    grad, hess = np.empty(6), np.empty((6, 6))
+    for j in range(6):
+        e = np.zeros(6)
+        e[j] = h
+        f_up, g_up, _ = postprocess._objective_grad_hess(theta + e, X, var, y)
+        f_down, g_down, _ = postprocess._objective_grad_hess(theta - e, X, var, y)
+        grad[j] = (f_up - f_down) / (2.0 * h)
+        hess[:, j] = (g_up - g_down) / (2.0 * h)
+    return grad, hess
+
+
+@pytest.mark.parametrize("where", ["start", "optimum", "indefinite", "floored"])
+def test_analytic_gradient_and_hessian_match_central_differences(where):
+    stream = _calibrate_stream(np.random.default_rng(71), 30)
+    data = _days(stream, 0, 30)
+    if where == "start":
+        theta = postprocess._INIT_THETA.copy()
+    elif where == "optimum":
+        p = fit_emos(data)
+        theta = np.r_[p.beta, np.log([p.sigma0, p.sigma1])]
+    elif where == "indefinite":
+        # mean off by the raw bias and a spread far too small: most |z| are
+        # large, where the sigma-chain term bends the objective downwards
+        theta = np.array([0.0, 1.0, 0.0, 0.0, np.log(0.05), np.log(0.05)])
+    else:
+        # some cases on the floor, the others well clear of it
+        data = _floored_window()
+        theta = np.array([0.5, 1.1, 0.2, 0.0, np.log(1e-8), np.log(0.8)])
+    xbar, var, mhd, tpi, y = data
+    X = postprocess._design(xbar, mhd, tpi)
+    _, grad, hess = postprocess._objective_grad_hess(theta, X, var, y)
+    if where == "indefinite":
+        assert np.linalg.eigvalsh(hess)[0] < 0.0
+    if where == "floored":
+        v = np.exp(theta[4]) + np.exp(theta[5]) * var
+        assert np.any(v < postprocess.VARIANCE_FLOOR) and np.all((v < 1e-7) | (v > 1e-2))
+    numeric_grad, numeric_hess = _central_differences(theta, X, var, y)
+    assert np.max(np.abs(grad - numeric_grad)) <= 1e-6
+    assert np.max(np.abs(hess - numeric_hess)) <= 1e-6 * np.max(np.abs(hess))
+    # the log-sigma block is orders of magnitude below the beta block
+    sig, numeric_sig = hess[4:, 4:], numeric_hess[4:, 4:]
+    assert np.max(np.abs(sig - numeric_sig)) <= 1e-6 * np.max(np.abs(sig))
+
+
+def test_fit_emos_returns_the_last_iterate_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(postprocess, "_MAX_ITER", 2)
+    data = _synthetic_training(np.random.default_rng(7), 300, (0.5, 1.1, 0.0, 0.0), 0.6, 0.5)
+    history = []
+    p = fit_emos(data, history=history)
+    assert not p.converged
+    assert p.n_iter == 2
+    assert len(history) == 2
+    assert p.objective == history[-1]
+    assert np.all(np.diff(history) <= 0.0)
+
+
+def test_fit_emos_with_a_nan_observation_returns_the_start_unconverged():
+    data = list(_synthetic_training(np.random.default_rng(9), 50, (0.5, 1.1, 0.0, 0.0), 0.6, 0.5))
+    data[4][3] = np.nan
+    p = fit_emos(data)
+    assert not p.converged and p.n_iter == 0 and np.isnan(p.objective)
+
+
+def test_training_window_equals_a_recomputation_over_its_last_days():
+    rng = np.random.default_rng(12)
+    start = datetime.date(2021, 3, 1)
+    w = TrainingWindow(capacity_days=7)
+    stream = []
+    day = 0
+    for _ in range(400):
+        day += int(rng.choice([0, 0, 0, 1, 1, 3]))
+        sid = f"S{rng.integers(0, 12)}"
+        case = (start + datetime.timedelta(days=day), rng.normal(), rng.uniform(0, 2), StationMeta(sid, rng.normal(), rng.normal()), rng.normal())
+        stream.append(case)
+        w.add_case(*case)
+        days = sorted({c[0] for c in stream})[-7:]
+        kept = [c for c in stream if c[0] >= days[0]]
+        assert w.dates == [c[0] for c in kept]
+        assert w.distinct_days == len(days)
+        assert_allclose(np.stack(w.arrays()), np.array(
+            [[c[1] for c in kept], [c[2] for c in kept], [c[3].mhd for c in kept],
+             [c[3].tpi for c in kept], [c[4] for c in kept]]), rtol=0, atol=0)

@@ -684,6 +684,18 @@ def test_no_module_of_the_package_imports_scipy_integrate():
             assert not bad, f"{path.name}:{node.lineno} imports {bad[0]}"
 
 
+def test_only_calibration_imports_scipy_optimize():
+    """EMOS fits by damped Newton steps on a closed-form Hessian; the
+    isotonic regression of the CORP diagram is the one optimizer left."""
+    for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
+        if path.name == "calibration.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, names in _imported_modules(tree):
+            bad = [n for n in names if n == "scipy.optimize" or n.startswith("scipy.optimize.")]
+            assert not bad, f"{path.name}:{node.lineno} imports {bad[0]}"
+
+
 # ---------------------------------------------------------------------------
 # stacked ensemble kernels against pairwise oracles and the per-case API
 # ---------------------------------------------------------------------------
