@@ -23,7 +23,10 @@ and ``mvscores``: blocks of at most ``_STACK`` records, or stacked
 multivariate cases, sharing a member count go to one kernel call as
 slices of the member array, and each case gets exactly the value the
 per-case function gives.  ``_score_columns`` returns the scores as
-columns, which ``score_archive`` wraps in one ``ScoredCase`` per case.
+columns: the CLI's score and report commands write and join those, and
+``score_archive`` wraps them in one ``ScoredCase`` per case.  Skill
+tables come from one join over key columns, ``_skill_rows``, which
+``skill_table`` feeds from ``ScoredCase`` lists.
 Smoothed forecasts are normal fits to the members, taken per block of
 one member count, and each score is one call of its closed-form kernel
 over all records.
@@ -625,6 +628,19 @@ class MultivariateCase:
     obs: np.ndarray
 
 
+def _key_codes(*columns) -> np.ndarray:
+    """One integer per row of the key columns: equal for rows that agree in
+    every column, and ascending as the rows sort by the first column, then
+    the next.  Entries compare as Python values, None after all others."""
+    code = np.zeros(len(columns[0]), dtype=np.intp)
+    for col in columns:
+        values = sorted(set(col), key=lambda v: (v is None, 0 if v is None else v))
+        rank = dict(zip(values, range(len(values))))
+        code = code * len(values) + np.fromiter(map(rank.__getitem__, col), np.intp, len(col))
+        code = np.unique(code, return_inverse=True)[1].reshape(-1)
+    return code
+
+
 def _multivariate_groups(archive: Archive, lead_times) -> tuple:
     """The stacked cases of an archive: (lead_times, keys, index).
 
@@ -636,25 +652,18 @@ def _multivariate_groups(archive: Archive, lead_times) -> tuple:
     lead_times = tuple(int(lt) for lt in lead_times)
     if len(set(lead_times)) != len(lead_times) or not lead_times:
         raise ContractViolation("lead_times must be non-empty and distinct")
-    wanted = set(lead_times)
-    by_key: dict = {}
-    for i, (sid, init, lead) in enumerate(
-        zip(archive.station_ids, archive.init_dates, archive.lead_times)
-    ):
-        if lead in wanted:
-            by_key.setdefault((sid, init), {})[lead] = i
-    sizes = archive.n_members.tolist()
-    keys, index = [], []
-    for key in sorted(by_key, key=lambda k: (k[0], k[1].toordinal())):
-        by_lead = by_key[key]
-        if len(by_lead) != len(lead_times):
-            continue
-        idx = [by_lead[lt] for lt in lead_times]
-        if len({sizes[i] for i in idx}) != 1:
-            continue
-        keys.append(key)
-        index.append(idx)
-    return lead_times, keys, np.array(index, dtype=np.intp).reshape(-1, len(lead_times))
+    lead = np.array(archive.lead_times, dtype=np.int64).reshape(-1)
+    rec = np.flatnonzero(np.isin(lead, lead_times))
+    # One row per (station, init date) in sorted order, one column per lead time.
+    cols = (np.array(c, dtype=object)[rec] for c in (archive.station_ids, archive.init_dates))
+    group = _key_codes(*cols)
+    column = np.argsort(lead_times)[np.searchsorted(np.sort(lead_times), lead[rec])]
+    index = np.full((group.max(initial=-1) + 1, len(lead_times)), -1, dtype=np.intp)
+    index[group, column] = rec
+    sizes = archive.n_members[index]
+    index = index[(index >= 0).all(axis=1) & (sizes == sizes[:, :1]).all(axis=1)]
+    keys = [(archive.station_ids[i], archive.init_dates[i]) for i in index[:, 0].tolist()]
+    return lead_times, keys, index
 
 
 def group_multivariate(archive, lead_times=(1, 2, 3)) -> list:
@@ -923,6 +932,34 @@ def skill_score(mean_score: float, mean_reference: float) -> tuple[float, bool]:
     return 1.0 - mean_score / mean_reference, False
 
 
+def _skill_rows(keys, values, ref_keys, ref_values, by: str = "lead_time") -> list:
+    """The skill table of scored cases against reference cases, from columns.
+
+    ``keys`` and ``ref_keys`` hold the same key columns: station ids, init
+    dates and lead times as ``_score_columns`` returns them, then any more
+    the cases must match on.  A case counts against the reference's last
+    value for its key; group means run over the values in case order.
+    """
+    if by not in ("lead_time", "all"):
+        raise ContractViolation("by must be 'lead_time' or 'all'")
+    n, n_ref = len(values), len(ref_values)
+    key = _key_codes(*(list(a) + list(b) for a, b in zip(keys, ref_keys)))
+    # One sort of the reversed reference keys finds each key's last case.
+    ref_of = np.full(key.size, -1)
+    found, last = np.unique(key[n:][::-1], return_index=True)
+    ref_of[found] = n_ref - 1 - last
+    match = ref_of[key[:n]]
+    # Lead times sort as numbers (1, 2, 10), stacked cases (None) last.
+    group = np.where(match < 0, -1, _key_codes(keys[2]) if by == "lead_time" else 0)
+    rows = []
+    for g in np.unique(group[group >= 0]).tolist():
+        cases = np.flatnonzero(group == g)
+        mean_s, mean_r = float(values[cases].mean()), float(ref_values[match[cases]].mean())
+        label = "all" if by == "all" else str(keys[2][cases[0]])
+        rows.append(SkillRow(label, cases.size, mean_s, mean_r, *skill_score(mean_s, mean_r)))
+    return rows
+
+
 def skill_table(scored, reference, by: str = "lead_time") -> list:
     """Mean-score skill of one set of scored cases against a reference.
 
@@ -930,27 +967,8 @@ def skill_table(scored, reference, by: str = "lead_time") -> list:
     the intersection contributes.  ``by`` groups rows by lead time or
     pools everything ("all").
     """
-    if by not in ("lead_time", "all"):
-        raise ContractViolation("by must be 'lead_time' or 'all'")
-
-    def _key(c: ScoredCase):
-        return (c.station_id, c.init_date, c.lead_time, c.score)
-
-    ref_map = {_key(c): c.value for c in reference}
-    grouped: dict = {}
-    for c in scored:
-        k = _key(c)
-        if k not in ref_map:
-            continue
-        g = c.lead_time if by == "lead_time" else "all"
-        grouped.setdefault(g, []).append((c.value, ref_map[k]))
-    rows = []
-    # Lead times sort as numbers (1, 2, 10), multivariate cases (lead time
-    # None) last; rows are labelled with the string form.
-    for g in sorted(grouped, key=lambda g: (g is None, 0 if g is None else g)):
-        vals = np.asarray(grouped[g])
-        mean_s = float(vals[:, 0].mean())
-        mean_r = float(vals[:, 1].mean())
-        skill, degenerate = skill_score(mean_s, mean_r)
-        rows.append(SkillRow(str(g), len(grouped[g]), mean_s, mean_r, skill, degenerate))
-    return rows
+    cols = []
+    for cases in (list(scored), list(reference)):
+        keys = [[getattr(c, n) for c in cases] for n in ("station_id", "init_date", "lead_time", "score")]
+        cols += [keys, np.array([c.value for c in cases], dtype=float)]
+    return _skill_rows(*cols, by)

@@ -21,7 +21,7 @@ import sys
 import time
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from . import __version__
 from .archive import (
@@ -31,12 +31,12 @@ from .archive import (
     _blocks,
     _csv_field,
     _csv_keys,
+    _key_codes,
     _multivariate_groups,
     _score_columns,
     _smooth_normals,
+    _skill_rows,
     read_archive,
-    score_archive,
-    skill_table,
     write_archive_csv,
 )
 from .calibration import (
@@ -57,24 +57,22 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
-from .forecasts import Normal
 from .postprocess import (
-    StationMeta,
-    TrainingWindow,
-    ecc_reorder,
+    _ecc_place,
+    emos_mean_variance,
     fit_climatology,
     fit_emos,
     lapse_rate_correct,
-    predict_emos,
 )
 from .synthlab import ExperimentSpec, run_experiment
 
-# diagnose works on the archive's columns through the calibration
-# kernels; the per-case functions are not called here, but stay bound
-# under these names: perfbench's tracer wraps them here and cannot start
-# without them.
+# diagnose, postprocess and report work on the archive's columns through
+# the kernels that the per-case functions wrap; those functions are not
+# called here, but stay bound under these names: perfbench's tracer wraps
+# them here and cannot start without them.
+from .archive import score_archive, skill_table  # noqa: F401
 from .calibration import cpit, pit, rank  # noqa: F401
-from .postprocess import smooth_ensemble  # noqa: F401
+from .postprocess import ecc_reorder, predict_emos, smooth_ensemble  # noqa: F401
 
 _MAX_TABLE_ROWS = 2048
 
@@ -116,10 +114,8 @@ def _json_safe(v):
         return {k: _json_safe(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_json_safe(x) for x in v]
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
+    if isinstance(v, np.generic):
+        return v.item()
     if isinstance(v, np.ndarray):
         return [_json_safe(x) for x in v.tolist()]
     if isinstance(v, datetime.date):
@@ -178,7 +174,7 @@ def _write_corp(out: str, name: str, fit) -> str:
 
 def _cmd_score(args) -> list:
     archive = read_archive(args.archive, args.max_reject_fraction)
-    lead_times = _parse_lead_times(args.lead_times)
+    lead_times = _parse_list(args.lead_times, int, "lead time")
     sids, dates, leads, values = _score_columns(
         archive,
         args.score,
@@ -196,9 +192,7 @@ def _cmd_score(args) -> list:
         key=lambda i: (sids[i], dates[i], -1 if leads[i] is None else leads[i]),
     )
     values = values[order]
-    sids = [sids[i] for i in order]
-    dates = [dates[i] for i in order]
-    leads = [leads[i] for i in order]
+    sids, dates, leads = ([col[i] for i in order] for col in (sids, dates, leads))
     outputs = []
     if args.format == "csv":
         with open(os.path.join(args.out, "scores.csv"), "w", newline="") as fh:
@@ -274,7 +268,7 @@ def _cmd_diagnose(args) -> list:
         summary["thresholds"] = []
         sy = ndtr(-z)
 
-        for t in _parse_floats(args.thresholds):
+        for t in _parse_list(args.thresholds, float, "number"):
             label = _num_label(t)
             # S(t) is the cPIT denominator and the CORP event probability.
             st = ndtr(-((t - mu) / sd))
@@ -311,7 +305,9 @@ def _cmd_diagnose(args) -> list:
 
 
 def _read_stations(path: str) -> dict:
-    """Station metadata csv: station_id, mhd, tpi and optional heights."""
+    """Station metadata csv: station_id, mhd, tpi and optional heights, as
+    (mhd, tpi, model height, station height) per station id, the heights
+    NaN unless the row gives both."""
     out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -320,23 +316,26 @@ def _read_stations(path: str) -> dict:
             raise DataError(f"{path}: expected columns station_id, mhd, tpi")
         for row in reader:
             sid = row["station_id"].strip()
+            heights = (row.get("model_height"), row.get("station_height"))
             try:
-                meta = StationMeta(sid, float(row["mhd"]), float(row["tpi"]))
-                heights = None
-                if row.get("model_height") and row.get("station_height"):
-                    heights = (float(row["model_height"]), float(row["station_height"]))
+                cells = (row["mhd"], row["tpi"], *(heights if all(heights) else ("nan", "nan")))
+                out[sid] = tuple(map(float, cells))
             except ValueError as exc:
                 raise DataError(f"{path}: bad row for station {sid!r}: {exc}") from None
-            out[sid] = (meta, heights)
     return out
 
 
-def _member_moments(archive, stations: dict) -> tuple:
+def _stations_of(archive, stations: dict) -> np.ndarray:
+    """Each record's (mhd, tpi, model height, station height) in an (n, 4)
+    array: covariates 0 and heights NaN for a station without metadata."""
+    table = [stations.get(sid, (0.0, 0.0, np.nan, np.nan)) for sid in sorted(set(archive.station_ids))]
+    return np.array(table, dtype=float).reshape(-1, 4)[_key_codes(archive.station_ids)]
+
+
+def _member_moments(archive, heights: np.ndarray) -> tuple:
     """Mean and (m-1) variance of each record's members, lapse-rate
-    corrected for stations with heights; the variance of one member is 0."""
-    heights = np.array(
-        [stations.get(sid, (None, None))[1] or (np.nan, np.nan) for sid in archive.station_ids]
-    ).reshape(-1, 2)
+    corrected where the (n, 2) model and station ``heights`` are not NaN;
+    the variance of one member is 0."""
     xbar, var = np.empty(len(archive)), np.zeros(len(archive))
     for k, items in _blocks(archive.n_members):
         x = archive.members[items, :k]
@@ -347,7 +346,7 @@ def _member_moments(archive, stations: dict) -> tuple:
         xbar[items] = x.mean(axis=1)
         if k > 1:
             var[items] = x.var(axis=1, ddof=1)
-    return xbar.tolist(), var.tolist()
+    return xbar, var
 
 
 def _cmd_postprocess(args) -> list:
@@ -355,61 +354,57 @@ def _cmd_postprocess(args) -> list:
     if len(archive) == 0:
         raise DataError(f"{args.archive}: nothing to postprocess")
     stations = _read_stations(args.stations) if args.stations else {}
-    lead_times = sorted(set(archive.lead_times))
-    sids, dates, obs = archive.station_ids, archive.init_dates, archive.obs.tolist()
-    meta = [stations[sid][0] if sid in stations else StationMeta(sid, 0.0, 0.0) for sid in sids]
-    xbar, var = _member_moments(archive, stations)
+    if args.window_days < 1:
+        raise ContractViolation("the training window needs at least one day")
+    covariates = _stations_of(archive, stations)
+    xbar, var = _member_moments(archive, covariates[:, 2:])
+    lead = np.array(archive.lead_times)
+    sids, dates = (np.array(c, dtype=object) for c in (archive.station_ids, archive.init_dates))
 
-    n_meta_missing = len({sid for sid in sids if sid not in stations}) if stations else 0
+    # Sorted by lead time, date and station, each day of a lead time is a
+    # run of records, and each training window a run of days.
+    order = np.argsort(_key_codes(lead, dates, sids))
+    cols = [c[order] for c in (xbar, var, covariates[:, 0], covariates[:, 1], archive.obs)]
+    starts = np.r_[0, np.flatnonzero(np.diff(_key_codes(lead, dates)[order])) + 1]
+    ends = np.r_[starts[1:], len(order)]
+    mean, sd = np.full(len(archive), np.nan), np.full(len(archive), np.nan)
+    params_rows, n_unfit, params, first = [], 0, None, 0
+    for j, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+        lt, date = archive.lead_times[order[a]], archive.init_dates[order[a]]
+        if a == 0 or lt != archive.lead_times[order[a - 1]]:
+            params, first = None, j
+        if params is None:
+            n_unfit += b - a
+        else:
+            mu, v = emos_mean_variance(params, *(c[a:b] for c in cols[:4]))
+            if not (np.isfinite(mu).all() and np.isfinite(v).all()):
+                raise ContractViolation("normal parameters must be finite")
+            mean[order[a:b]], sd[order[a:b]] = mu, np.sqrt(v)
+        w = starts[max(first, j - args.window_days + 1)]
+        try:
+            params = fit_emos([c[w:b] for c in cols], init=params)
+        except InsufficientData:
+            params = None
+            continue
+        params_rows.append(
+            {"lead_time": lt, "train_through": date.isoformat(), "n_train": b - w}
+            | params.to_dict()
+        )
 
-    by_lead: dict = {}
-    for i, lt in enumerate(archive.lead_times):
-        by_lead.setdefault(lt, []).append(i)
-
-    predictions = []
-    predicted = {}  # record index -> (mean, sd)
-    params_rows = []
-    n_unfit = 0
-    for lt in lead_times:
-        recs = sorted(by_lead[lt], key=lambda i: (dates[i].toordinal(), sids[i]))
-        window = TrainingWindow(capacity_days=args.window_days)
-        params = None
-        for date, day in itertools.groupby(recs, key=lambda i: dates[i]):
-            day = list(day)
-            if params is not None:
-                for i in day:
-                    fc = predict_emos(params, xbar[i], var[i], meta[i])
-                    predicted[i] = (fc.mean_, np.sqrt(fc.variance_))
-                    predictions.append((sids[i], date, lt, *predicted[i]))
-            else:
-                n_unfit += len(day)
-            for i in day:
-                window.add_case(date, xbar[i], var[i], meta[i], obs[i])
-            try:
-                params = fit_emos(window, init=params)
-            except InsufficientData:
-                params = None
-                continue
-            params_rows.append(
-                {
-                    "lead_time": lt,
-                    "train_through": date.isoformat(),
-                    "n_train": window.size,
-                    **params.to_dict(),
-                }
-            )
-
-    predictions.sort(key=lambda r: (r[0], r[1].toordinal(), r[2]))
+    # Rows sort by station, init date and lead time.
+    rows = np.argsort(_key_codes(sids, dates, lead))
+    rows = rows[~np.isnan(mean[rows])]
     _write_csv(
         os.path.join(args.out, "predictions.csv"),
         ("station_id", "init_date", "lead_time", "mean", "sd"),
-        predictions,
+        zip(sids[rows], dates[rows], lead[rows], mean[rows], sd[rows]),
     )
     _write_jsonl(os.path.join(args.out, "params.jsonl"), params_rows)
     outputs = ["predictions.csv", "params.jsonl"]
 
+    lead_times = np.unique(lead).tolist()
     if args.ecc:
-        outputs.append(_run_ecc(args, archive, predicted, lead_times))
+        outputs.append(_run_ecc(args, archive, mean, sd, lead_times))
     if args.climatology:
         outputs.append(_run_climatology(args, archive))
 
@@ -419,9 +414,10 @@ def _cmd_postprocess(args) -> list:
             "n_records": len(archive),
             "n_rejected": len(archive.rejects),
             "lead_times": lead_times,
-            "n_predictions": len(predictions),
+            "n_predictions": rows.size,
             "n_before_first_fit": n_unfit,
-            "n_stations_without_metadata": n_meta_missing,
+            "n_stations_without_metadata": len(set(archive.station_ids) - set(stations))
+            if stations else 0,
             "window_days": args.window_days,
             "n_fits": len(params_rows),
             "n_fits_not_converged": sum(not r["converged"] for r in params_rows),
@@ -432,24 +428,27 @@ def _cmd_postprocess(args) -> list:
     return outputs
 
 
-def _run_ecc(args, archive, predicted: dict, lead_times) -> str:
+def _run_ecc(args, archive, mean, sd, lead_times) -> str:
     """Recouple calibrated margins with raw ensemble rank order.
 
-    ``predicted`` maps record indices to their predicted (mean, sd).
-    Each (station, init date) with every lead time, one member count and
-    a prediction for each record is coupled.
+    ``mean`` and ``sd`` hold each record's predicted normal, NaN where
+    there is none.  Each (station, init date) with every lead time, one
+    member count and a prediction for each record is coupled; per block
+    of one member count, the quantiles of all its margins are placed at
+    once.
     """
     _, _, index = _multivariate_groups(archive, lead_times)
-    index = [idx for idx in index.tolist() if all(i in predicted for i in idx)]
+    index = index[~np.isnan(mean[index]).any(axis=1)]
     members = np.array(archive.members)
-    for idx in index:
-        k = archive.n_members[idx[0]]
-        margins = [Normal(predicted[i][0], predicted[i][1] ** 2) for i in idx]
-        members[idx, :k] = ecc_reorder(margins, archive.members[idx, :k]).members
-    rows = [i for idx in index for i in idx]
+    for k, cases in _blocks(archive.n_members[index[:, 0]]):
+        idx = index[cases]
+        # Normal.ppf's arithmetic at the levels (i - 1/2) / k.
+        q = ndtri((np.arange(k) + 0.5) / k) * sd[idx][..., None] + mean[idx][..., None]
+        members[idx, :k] = _ecc_place(q, archive.members[idx, :k])
+    rows = index.ravel()
     keys = (archive.station_ids, archive.init_dates, archive.lead_times)
     coupled = Archive(
-        *(tuple(col[i] for i in rows) for col in keys),
+        *(tuple(np.array(col, dtype=object)[rows]) for col in keys),
         members[rows],
         archive.n_members[rows],
         archive.obs[rows],
@@ -627,30 +626,21 @@ _SYNTH_WRITERS = {
 def _cmd_report(args) -> list:
     archive = read_archive(args.archive, args.max_reject_fraction)
     reference = read_archive(args.reference, args.max_reject_fraction)
-    lead_times = _parse_lead_times(args.lead_times)
+    kwargs = dict(
+        threshold=args.threshold,
+        p=args.p,
+        smooth=args.smooth,
+        lead_times=_parse_list(args.lead_times, int, "lead time"),
+        level=args.level,
+    )
     rows = []
     for score in [s.strip() for s in args.scores.split(",") if s.strip()]:
-        kwargs = dict(
-            threshold=args.threshold,
-            p=args.p,
-            smooth=args.smooth,
-            lead_times=lead_times,
-            level=args.level,
-        )
-        scored = score_archive(archive, score, **kwargs)
-        scored_ref = score_archive(reference, score, **kwargs)
+        *keys, values = _score_columns(archive, score, **kwargs)
+        *ref_keys, ref_values = _score_columns(reference, score, **kwargs)
         by = "lead_time" if score in UNIVARIATE_SCORES else "all"
-        for r in skill_table(scored, scored_ref, by=by):
+        for r in _skill_rows(keys, values, ref_keys, ref_values, by):
             rows.append(
-                (
-                    score,
-                    r.group,
-                    r.n,
-                    r.mean_score,
-                    r.mean_reference,
-                    r.skill,
-                    r.degenerate,
-                )
+                (score, r.group, r.n, r.mean_score, r.mean_reference, r.skill, r.degenerate)
             )
     _write_csv(
         os.path.join(args.out, "report.csv"),
@@ -665,18 +655,13 @@ def _cmd_report(args) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _parse_lead_times(text: str) -> tuple:
+def _parse_list(text: str, kind, what: str) -> tuple:
+    """The comma-separated values of ``text`` as ``kind``; ``what`` names
+    them in the error."""
     try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
+        return tuple(kind(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise ContractViolation(f"bad lead time list {text!r}") from None
-
-
-def _parse_floats(text: str) -> tuple:
-    try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ContractViolation(f"bad number list {text!r}") from None
+        raise ContractViolation(f"bad {what} list {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

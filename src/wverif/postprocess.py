@@ -7,14 +7,18 @@ ensemble variance) by minimising the closed-form CRPS over a rolling
 training window with damped Newton steps on its closed-form gradient and
 Hessian (Gneiting, Raftery, Westveld & Goldman 2005), and restore a
 physically ordered ensemble by sampling equidistant quantiles and
-reordering them like the raw members.
+reordering them like the raw members (Schefzik, Thorarinsdottir &
+Gneiting 2013).  The kernels take arrays: a training window is any set of
+columns (an index range over records sorted by lead time, date and station
+in the CLI), and ``predict_emos`` and ``ecc_reorder`` are one-case
+wrappers over ``emos_mean_variance`` and ``_ecc_place``.
 """
 
 from __future__ import annotations
 
 import bisect
 import datetime
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.special import ndtr
@@ -167,13 +171,7 @@ class TrainingWindow:
             self._n_days -= 1
 
     def arrays(self):
-        return (
-            np.asarray(self.xbar, dtype=float),
-            np.asarray(self.var, dtype=float),
-            np.asarray(self.mhd, dtype=float),
-            np.asarray(self.tpi, dtype=float),
-            np.asarray(self.obs, dtype=float),
-        )
+        return tuple(np.asarray(c, float) for c in (self.xbar, self.var, self.mhd, self.tpi, self.obs))
 
 
 @dataclass(frozen=True)
@@ -200,25 +198,11 @@ class EmosParams:
         object.__setattr__(self, "beta", beta)
 
     def to_dict(self) -> dict:
-        return {
-            "beta": list(self.beta),
-            "sigma0": self.sigma0,
-            "sigma1": self.sigma1,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "objective": self.objective,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"beta": list(self.beta)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EmosParams":
-        return cls(
-            beta=tuple(d["beta"]),
-            sigma0=d["sigma0"],
-            sigma1=d["sigma1"],
-            converged=d["converged"],
-            n_iter=d["n_iter"],
-            objective=d["objective"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 _INIT_THETA = np.array([0.0, 1.0, 0.0, 0.0, 0.0, np.log(0.1)])
@@ -321,12 +305,7 @@ def fit_emos(window, init: EmosParams | None = None, history: list | None = None
         raise InsufficientData(f"the fit needs at least {_MIN_CASES} cases, got {n}")
     X = _design(xbar, mhd, tpi)
 
-    if init is None:
-        theta = _INIT_THETA.copy()
-    else:
-        theta = np.concatenate(
-            [np.asarray(init.beta, dtype=float), np.log([init.sigma0, init.sigma1])]
-        )
+    theta = _INIT_THETA if init is None else np.r_[init.beta, np.log([init.sigma0, init.sigma1])]
 
     f, grad, hess = _objective_grad_hess(theta, X, var, y)
     n_iter = 0
@@ -364,9 +343,11 @@ def fit_emos(window, init: EmosParams | None = None, history: list | None = None
 
 
 def emos_mean_variance(params: EmosParams, xbar, var, mhd, tpi):
-    """Predictive mean and variance arrays for fitted parameters."""
-    xbar = np.asarray(xbar, dtype=float)
-    mu = _design(xbar, np.asarray(mhd, dtype=float), np.asarray(tpi, dtype=float)) @ np.asarray(params.beta)
+    """Predictive mean and variance arrays for fitted parameters.  The mean
+    is a stack of one-case dot products, so every case gets the bits it
+    gets alone; one matrix-vector product may sum in another order."""
+    X = _design(*(np.asarray(a, dtype=float) for a in (xbar, mhd, tpi)))
+    mu = (X[:, None, :] @ np.asarray(params.beta)[:, None])[:, 0, 0]
     v = np.maximum(params.sigma0 + params.sigma1 * np.asarray(var, dtype=float), VARIANCE_FLOOR)
     return mu, v
 
@@ -377,6 +358,14 @@ def predict_emos(params: EmosParams, xbar: float, var: float, meta: StationMeta)
         raise ContractViolation("ensemble variance cannot be negative")
     mu, v = emos_mean_variance(params, [xbar], [var], [meta.mhd], [meta.tpi])
     return Normal(float(mu[0]), float(v[0]))
+
+
+def _ecc_place(q, raw) -> np.ndarray:
+    """Sorted quantiles ``q`` (..., m) placed in the rank order of the raw
+    members (..., m) of each margin, ties broken by member index."""
+    out = np.empty(np.shape(raw))
+    np.put_along_axis(out, np.argsort(raw, axis=-1, kind="stable"), q, axis=-1)
+    return out
 
 
 def ecc_reorder(margins, raw) -> MvEnsemble:
@@ -396,13 +385,6 @@ def ecc_reorder(margins, raw) -> MvEnsemble:
     for mg in margins:
         if not isinstance(mg, Parametric):
             raise ContractViolation("margins must be parametric forecasts")
-    m = raw.size
-    levels = (np.arange(m) + 0.5) / m
-    out = np.empty_like(raw.members)
-    for i, mg in enumerate(margins):
-        q = np.asarray(mg.ppf(levels), dtype=float)
-        order = np.argsort(raw.members[i], kind="stable")
-        ranks = np.empty(m, dtype=int)
-        ranks[order] = np.arange(m)
-        out[i] = q[ranks]
-    return MvEnsemble(out)
+    levels = (np.arange(raw.size) + 0.5) / raw.size
+    q = np.array([np.asarray(mg.ppf(levels), dtype=float) for mg in margins])
+    return MvEnsemble(_ecc_place(q, raw.members))

@@ -249,6 +249,20 @@ class ProprietyRow:
     passed: bool
 
 
+def _se(d: np.ndarray) -> float:
+    """Standard error of the mean of the paired differences ``d``."""
+    return float(np.std(d, ddof=1) / np.sqrt(d.size))
+
+
+def _propriety_row(score: str, pair: str, a: np.ndarray, b: np.ndarray) -> ProprietyRow:
+    """The truth's scores ``a`` against the alternative's ``b`` at the same
+    draws: passed when the truth is no worse than b plus two standard errors."""
+    d = a - b
+    se = _se(d)
+    passed = bool(np.mean(d) <= 2.0 * se)
+    return ProprietyRow(score, pair, float(np.mean(a)), float(np.mean(b)), se, passed)
+
+
 _UNI_SCORES = ("crps", "twcrps", "owcrps_bs", "vrcrps")
 _MV_SCORES = ("es", "vs", "twes", "twvs", "vres")
 
@@ -257,28 +271,16 @@ def _uni_pair(rng, i: int):
     """Random truth plus a clearly wrong alternative forecast."""
     mu = rng.uniform(-1.0, 1.0)
     sd = rng.uniform(0.7, 1.6)
-    fam = i % 3
-    if fam == 0:
-        g = Normal(mu, sd**2)
-    elif fam == 1:
-        g = Logistic(mu, sd * np.sqrt(3.0) / np.pi)
-    else:
-        g = StudentT.from_moments(5.0, mu, sd**2)
-    kind = i % 4
+    scale = sd * np.sqrt(3.0) / np.pi
+    g = (Normal(mu, sd**2), Logistic(mu, scale), StudentT.from_moments(5.0, mu, sd**2))[i % 3]
     shift = rng.uniform(0.3, 0.8) * sd * (1 if rng.random() < 0.5 else -1)
     infl = rng.uniform(1.3, 1.7)
-    if kind == 0:
-        f = Normal(mu + shift, sd**2)
-        desc = "shifted"
-    elif kind == 1:
-        f = Normal(mu, (sd * infl) ** 2)
-        desc = "inflated"
-    elif kind == 2:
-        f = Normal(mu + shift, (sd * infl) ** 2)
-        desc = "shifted+inflated"
-    else:
-        f = Logistic(mu + shift, sd * np.sqrt(3.0) / np.pi)
-        desc = "wrong family"
+    desc, f = (
+        ("shifted", Normal(mu + shift, sd**2)),
+        ("inflated", Normal(mu, (sd * infl) ** 2)),
+        ("shifted+inflated", Normal(mu + shift, (sd * infl) ** 2)),
+        ("wrong family", Logistic(mu + shift, scale)),
+    )[i % 4]
     return g, f, f"{type(g).__name__} vs {desc}"
 
 
@@ -306,7 +308,7 @@ def _score_draws(dist, score: str, ys: np.ndarray, w: WeightFunction) -> np.ndar
     """One univariate score of a fixed forecast at every draw; 0.0 is the
     vrCRPS anchor.  A normal forecast under a weight with a closed form
     goes through the closed-form kernels, any other on one tabulated cdf
-    whose grid spans the draws."""
+    with the extreme draws as knots where they fall on its support."""
     if _closed_form(dist, w):
         return _normal_score(score, dist.mean_, dist.sd, ys, w, 0.0)
     knots = (ys.min(), ys.max(), 0.0, *w.breakpoints())
@@ -334,14 +336,7 @@ def _propriety_uni(score: str, n_pairs: int, n: int, seed) -> list:
             w = _uni_weight(k, centre, np.sqrt(g.variance()))
             label = f"{score}[{type(w).__name__}]"
         a, b = (_score_draws(dist, score, ys, w) for dist in (g, f))
-        d = a - b
-        se = float(np.std(d, ddof=1) / np.sqrt(n))
-        rows.append(
-            ProprietyRow(
-                label, desc, float(np.mean(a)), float(np.mean(b)), se,
-                bool(np.mean(d) <= 2.0 * se),
-            )
-        )
+        rows.append(_propriety_row(label, desc, a, b))
     return rows
 
 
@@ -356,18 +351,13 @@ def _mv_pair(rng, i: int, d: int):
     sd = rng.uniform(0.8, 1.4, d)
     rhos = (0.0, 0.3, 0.6, 0.8)
     rho_g = rhos[i % 4]
-    kind = i % 3
-    if kind == 0:
-        # A common shift leaves every difference between components, and so
-        # the variogram score, unchanged; shift the components unequally.
-        other = (mu + 0.5 * (1.0 + np.linspace(-1.0, 1.0, d)), sd, rho_g)
-        desc = "shifted"
-    elif kind == 1:
-        other = (mu, sd * 1.4, rho_g)
-        desc = "inflated"
-    else:
-        other = (mu + 0.3, sd, rhos[(i + 2) % 4])
-        desc = "shifted+recorrelated"
+    # A common shift leaves every difference between components, and so
+    # the variogram score, unchanged; "shifted" moves the components unequally.
+    other, desc = (
+        ((mu + 0.5 * (1.0 + np.linspace(-1.0, 1.0, d)), sd, rho_g), "shifted"),
+        ((mu, sd * 1.4, rho_g), "inflated"),
+        ((mu + 0.3, sd, rhos[(i + 2) % 4]), "shifted+recorrelated"),
+    )[i % 3]
     return (mu, sd, rho_g), other, desc
 
 
@@ -400,14 +390,7 @@ def _propriety_mv(score: str, n_pairs: int, n: int, m: int, seed) -> list:
         else:
             w = MvGaussCdf(q, sd)
             a, b = _vr_energy(xg, ys, w, q), _vr_energy(xf, ys, w, q)
-        diff = a - b
-        se = float(np.std(diff, ddof=1) / np.sqrt(n))
-        rows.append(
-            ProprietyRow(
-                score, desc, float(np.mean(a)), float(np.mean(b)), se,
-                bool(np.mean(diff) <= 2.0 * se),
-            )
-        )
+        rows.append(_propriety_row(score, desc, a, b))
     return rows
 
 
@@ -525,10 +508,6 @@ def run_impropriety_demo(
     naive_b = wy * sc_trunc.twcrps(ys, Constant())
     tw_a = sc_truth.twcrps(ys, w)
     tw_b = sc_trunc.twcrps(ys, w)
-
-    def _se(d):
-        return float(np.std(d, ddof=1) / np.sqrt(n))
-
     return ImproprietyResult(
         naive_truth=float(np.mean(naive_a)),
         naive_trunc=float(np.mean(naive_b)),

@@ -11,11 +11,12 @@ truncated-normal owCRPS and the indicator-weight vrCRPS, all from
 kernel with one case, and ``archive`` and ``synthlab`` call them on
 many, so each route gives a case the same value.  Every other
 parametric forecast and weight goes through one engine, ``_CdfGrid``:
-the forecast cdf is tabulated on a piecewise-uniform grid with the
-observation, thresholds and anchor as knots, and the integral forms of
-the scores are integrated by composite Simpson.  The same engine scores
-one forecast at many observations for the propriety Monte Carlo of
-``synthlab``.  Every public scoring function returns a ``ScoreValue``.
+the forecast cdf is tabulated on a piecewise-uniform grid over its
+support with the observation, thresholds and anchor as knots where they
+fall on it, the integral forms of the scores are integrated by composite
+Simpson, and what lies beyond the support is added in closed form.  The
+same engine scores one forecast at many observations for the propriety
+Monte Carlo of ``synthlab``.  Every public scoring function returns a ``ScoreValue``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .weights import (
     IndicatorAbove,
     IndicatorBelow,
     WeightFunction,
+    canonical_chaining,
 )
 
 __all__ = [
@@ -417,9 +419,15 @@ class _CdfGrid:
     also need ``pdf``, and a right-tail conditional cdf needs ``sf``.
     """
 
-    def __init__(self, forecast, knots=()):
-        lo, hi = forecast.support_interval(_TAIL)
-        edges = np.unique(np.concatenate([[lo, hi], np.asarray(knots, dtype=float)]))
+    def __init__(self, forecast, knots=(), span=None):
+        # The grid spans the support, or ``span``: beyond the support the
+        # cdf is 0 or 1 to within 1e-12, so knots there are left out rather
+        # than take nodes from it, and the scores add what lies beyond in
+        # closed form.
+        lo, hi = span or forecast.support_interval(_TAIL)
+        knots = np.asarray(knots, dtype=float)
+        inner = knots[(knots > lo) & (knots < hi)]
+        edges = np.unique(np.concatenate([[lo, hi], inner]))
         widths = np.diff(edges)
         panels = np.maximum(1, np.rint(widths / (edges[-1] - edges[0]) * (_NODES // 2))).astype(int)
         pieces = [np.linspace(a, b, 2 * k + 1)[:-1] for a, b, k in zip(edges[:-1], edges[1:], panels)]
@@ -442,25 +450,27 @@ class _CdfGrid:
         negligible against the mass the conditional cdf divides by.
         """
         knots = (*knots, *w.breakpoints())
+        lo, hi = forecast.support_interval(_TAIL)
         if isinstance(w, (IndicatorAbove, IndicatorBelow)):
             above = isinstance(w, IndicatorAbove)
             tail = forecast.sf if above else forecast.cdf
             mass = float(tail(w.t))
             if mass <= MASS_FLOOR:
                 raise _no_mass(w, mass)
-            lo, hi = forecast.support_interval(_TAIL)
             step = hi - lo if above else lo - hi
             end = w.t + step
             while tail(end) > _TAIL * mass:
                 end += step
-            knots += (end,)
-        return cls(forecast, knots)
+            knots += (lo, hi)
+            lo, hi = min(lo, end), max(hi, end)
+        return cls(forecast, knots, (lo, hi))
 
     def integral(self, g, p):
         """Integral of the tabulated g from the first node to each point p:
         composite Simpson over the whole panels below p, plus the integral
-        up to p of the quadratic through the three nodes of p's panel."""
-        p = np.asarray(p, dtype=float)
+        up to p of the quadratic through the three nodes of p's panel.  A
+        point beyond the grid counts as its nearest end."""
+        p = np.clip(np.asarray(p, dtype=float), self.z[0], self.z[-1])
         g0, g1, g2 = g[:-2:2], g[1::2], g[2::2]
         before = np.concatenate([[0.0], np.cumsum(self.h / 3.0 * (g0 + 4.0 * g1 + g2))])
         # The panel holding p: find its piece among the few edges, then
@@ -488,10 +498,18 @@ class _CdfGrid:
 
     def _crps(self, cdf, sf, w: WeightFunction, ys):
         # Integral of (G(z) - 1{y <= z})^2 w(z) for the tabulated cdf G,
-        # passed with its complement 1 - G, at each observation y.
+        # passed with its complement 1 - G, at each observation y.  Beyond
+        # the grid G is 0 or 1, so out to a far y the integrand is w, the
+        # derivative of its chaining function v.
         below = self.weighted_integral(cdf * cdf, w, ys)
         above = self.weighted_integral(sf * sf, w, np.append(ys, self.z[-1]))
-        return below + above[-1] - above[:-1]
+        out = below + above[-1] - above[:-1]
+        lo, hi = self.z[0], self.z[-1]
+        far = (ys < lo) | (ys > hi)
+        if far.any():
+            v, yf = canonical_chaining(w), ys[far]
+            out[far] += np.where(yf > hi, v(yf) - v(hi), v(lo) - v(yf))
+        return out
 
     def twcrps(self, ys, w: WeightFunction):
         """Threshold-weighted CRPS at each observation; the CRPS itself
@@ -768,9 +786,13 @@ def twcrps_decomposition_check(forecast: Parametric, y: float, t: float) -> floa
     rhs = tail**2 * ow
     grid = _CdfGrid(forecast, (y, t))
     above = IndicatorAbove(t)
+    # The grid spans the support: below it F is 0 and above it 1, so the
+    # stretches of [t, y] or [t, inf) beyond it are added in closed form.
+    lo, hi = grid.z[0], grid.z[-1]
     if y > t:
         inner = grid.weighted_integral(grid.F - ft, above, y)
+        inner += (1.0 - ft) * max(0.0, y - max(t, hi)) - ft * max(0.0, min(y, lo) - t)
         rhs += ft**2 * (y - t) + 2.0 * ft * inner
     else:
-        rhs += grid.weighted_integral((1.0 - grid.F) ** 2, above, grid.z[-1])
+        rhs += grid.weighted_integral((1.0 - grid.F) ** 2, above, hi) + max(0.0, lo - t)
     return float(lhs - rhs)

@@ -3,6 +3,7 @@ import csv
 import datetime
 import importlib
 import io
+import itertools
 import json
 import math
 import statistics
@@ -17,6 +18,7 @@ from numpy.testing import assert_allclose
 
 from wverif import (
     Archive,
+    InsufficientData,
     ArchiveRecord,
     ContractViolation,
     DataError,
@@ -42,7 +44,16 @@ from wverif import (
 from wverif import archive, cli
 from wverif.archive import ScoredCase
 from wverif.cli import main
-from wverif.postprocess import StationMeta, lapse_rate_correct, smooth_ensemble
+from wverif.postprocess import (
+    StationMeta,
+    TrainingWindow,
+    ecc_reorder,
+    fit_climatology,
+    fit_emos,
+    lapse_rate_correct,
+    predict_emos,
+    smooth_ensemble,
+)
 from wverif.mvscores import (
     VariogramSpec,
     ow_energy_score,
@@ -533,6 +544,41 @@ def test_group_multivariate_skips_incomplete_groups():
         group_multivariate(recs, lead_times=())
 
 
+@st.composite
+def _grouping_case(draw):
+    # Records on a grid of keys, each key present or not, with two member
+    # counts, and the lead times to stack in any order.
+    grid = [(s, d, lt) for s in ("b", "a", "a,c") for d in range(3) for lt in (1, 2, 3, 4)]
+    keys = [k for k in grid if draw(st.booleans())]
+    sizes = [draw(st.sampled_from([2, 2, 3])) for _ in keys]
+    leads = draw(st.permutations([1, 2, 3, 4]))[: draw(st.integers(1, 4))]
+    return keys, sizes, leads
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_grouping_case())
+def test_multivariate_groups_equal_a_dict_grouping(case):
+    keys, sizes, leads = case
+    start = datetime.date(2024, 6, 1)
+    recs = [
+        ArchiveRecord(s, start + datetime.timedelta(days=d), lt, np.arange(m, dtype=float), 0.0)
+        for (s, d, lt), m in zip(keys, sizes)
+    ]
+    by_key = {}
+    for i, r in enumerate(recs):
+        if r.lead_time in leads:
+            by_key.setdefault((r.station_id, r.init_date), {})[r.lead_time] = i
+    want_keys, want_index = [], []
+    for key in sorted(by_key):
+        idx = [by_key[key].get(lt) for lt in leads]
+        if None not in idx and len({sizes[i] for i in idx}) == 1:
+            want_keys.append(key)
+            want_index.append(idx)
+    got_leads, got_keys, got_index = archive._multivariate_groups(archive._archive_of(recs), leads)
+    assert got_leads == tuple(leads) and got_keys == want_keys
+    assert got_index.tolist() == want_index and got_index.shape == (len(want_keys), len(leads))
+
+
 # ---------------------------------------------------------------------------
 # scoring an archive
 # ---------------------------------------------------------------------------
@@ -790,6 +836,57 @@ def test_skill_table_matches_on_case_and_groups():
         skill_table(scored, reference, by="station")
 
 
+def _dict_skill_table(scored, reference, by):
+    # The join as a dict over (station, init date, lead time, score), the
+    # last reference case of a key winning.
+    def key(c):
+        return (c.station_id, c.init_date, c.lead_time, c.score)
+
+    ref = {key(c): c.value for c in reference}
+    grouped = {}
+    for c in scored:
+        if key(c) in ref:
+            g = c.lead_time if by == "lead_time" else "all"
+            grouped.setdefault(g, []).append((c.value, ref[key(c)]))
+    rows = []
+    for g in sorted(grouped, key=lambda g: (g is None, 0 if g is None else g)):
+        vals = np.asarray(grouped[g])
+        mean_s, mean_r = float(vals[:, 0].mean()), float(vals[:, 1].mean())
+        rows.append((str(g), len(grouped[g]), mean_s, mean_r, *skill_score(mean_s, mean_r)))
+    return rows
+
+
+@st.composite
+def _scored_cases(draw):
+    d0 = datetime.date(2024, 6, 1)
+    case = st.builds(
+        ScoredCase,
+        st.sampled_from(["a", "b", "ab", "b,c"]),
+        st.sampled_from([d0, d0 + datetime.timedelta(days=1)]),
+        st.sampled_from([1, 2, 10, None]),
+        st.sampled_from(["crps", "es"]),
+        st.floats(0.0, 10.0),
+    )
+    return draw(st.lists(case, max_size=30)), draw(st.lists(case, max_size=30))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_scored_cases(), st.sampled_from(["lead_time", "all"]))
+def test_skill_table_equals_a_dict_join(cases, by):
+    # Duplicate keys, keys differing only in the score, cases missing from
+    # either side, and stacked cases (lead time None) among lead times.
+    scored, reference = cases
+    got = [
+        (r.group, r.n, r.mean_score, r.mean_reference, r.skill, r.degenerate)
+        for r in skill_table(scored, reference, by=by)
+    ]
+    want = _dict_skill_table(scored, reference, by)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:4] == w[:4] and g[5] == w[5]
+        assert g[4] == w[4] or (math.isnan(g[4]) and math.isnan(w[4]))
+
+
 def test_skill_table_sorts_lead_times_numerically():
     d = datetime.date(2024, 6, 1)
     cases = [ScoredCase("a", d, lead, "crps", 1.0) for lead in (10, 2, 1)]
@@ -1010,13 +1107,11 @@ def test_postprocess_moments_equal_each_records_own(monkeypatch):
     # a time.
     monkeypatch.setattr(archive, "_STACK", 4)
     recs = _ragged_records(6)
-    stations = {
-        "ayr": (StationMeta("ayr", 0.4, -0.2), (120.0, 80.0)),
-        "cor": (StationMeta("cor", 0.0, 0.0), (95.5, 101.25)),
-    }
-    xbar, var = cli._member_moments(archive._archive_of(recs), stations)
+    stations = {"ayr": (0.4, -0.2, 120.0, 80.0), "cor": (0.0, 0.0, 95.5, 101.25)}
+    a = archive._archive_of(recs)
+    xbar, var = cli._member_moments(a, cli._stations_of(a, stations)[:, 2:])
     for rec, m, v in zip(recs, xbar, var):
-        heights = stations.get(rec.station_id, (None, None))[1]
+        heights = stations[rec.station_id][2:] if rec.station_id in stations else None
         x = rec.members if heights is None else lapse_rate_correct(rec.members, *heights)
         assert m == float(x.mean())
         assert v == (float(x.var(ddof=1)) if x.size > 1 else 0.0)
@@ -1054,6 +1149,175 @@ def test_cli_ecc_skips_incomplete_and_mixed_groups(tmp_path):
         assert rec.obs == raw_rec.obs
         assert np.array_equal(np.argsort(rec.members), np.argsort(raw_rec.members))
         assert_allclose(np.sort(rec.members), Normal(mean, sd**2).ppf((np.arange(5) + 0.5) / 5), rtol=1e-12)
+
+
+_EDGE_STATIONS = (
+    "station_id,mhd,tpi,model_height,station_height\n"
+    "ayr,0.4,-0.2,120,80\n"
+    "bex,1.1,0.6,,\n"
+)
+
+
+def _edge_records():
+    """Fourteen days of three stations: cor has no metadata and lacks lead
+    time 2 on the first three days and every fourth day, so lead time 2 is
+    fitted a day later than the others; bex has six members at lead time 3
+    every fifth day, and ayr has one member (variance 0) at lead time 1
+    every third day, so their groups mix member counts there."""
+    rng = np.random.default_rng(21)
+    start = datetime.date(2024, 6, 1)
+    recs = []
+    for day in range(14):
+        for sid in ("ayr", "bex", "cor"):
+            for lt in (1, 2, 3):
+                if sid == "cor" and lt == 2 and (day < 3 or day % 4 == 1):
+                    continue
+                m = {("bex", 3, 2): 6}.get((sid, lt, day % 5), 5)
+                if sid == "ayr" and lt == 1 and day % 3 == 0:
+                    m = 1
+                members = 20.0 + lt + rng.normal(0.0, 2.0, m)
+                obs = 20.0 + lt + float(rng.normal(0.0, 2.0))
+                recs.append(
+                    ArchiveRecord(sid, start + datetime.timedelta(days=day), lt, members, obs)
+                )
+    return recs
+
+
+def _library_postprocess(recs, stations: dict, window_days: int, out) -> dict:
+    """The files of ``postprocess --ecc --climatology``, built one record
+    at a time through TrainingWindow, fit_emos, predict_emos and
+    ecc_reorder; ``stations`` maps ids to (StationMeta, heights or None)."""
+    predicted, params_rows, n_unfit = {}, [], 0
+    for lt in (1, 2, 3):
+        window, params = TrainingWindow(capacity_days=window_days), None
+        cases = sorted(
+            (r for r in recs if r.lead_time == lt), key=lambda r: (r.init_date, r.station_id)
+        )
+        for date, day in itertools.groupby(cases, key=lambda r: r.init_date):
+            for r in day:
+                meta, heights = stations.get(r.station_id, (StationMeta(r.station_id), None))
+                x = r.members if heights is None else lapse_rate_correct(r.members, *heights)
+                xbar, var = float(x.mean()), float(x.var(ddof=1)) if x.size > 1 else 0.0
+                if params is None:
+                    n_unfit += 1
+                else:
+                    fc = predict_emos(params, xbar, var, meta)
+                    predicted[(r.station_id, date, lt)] = (fc.mean(), fc.sd)
+                window.add_case(date, xbar, var, meta, r.obs)
+            try:
+                params = fit_emos(window, init=params)
+            except InsufficientData:
+                params = None
+                continue
+            params_rows.append(
+                {"lead_time": lt, "train_through": date.isoformat(), "n_train": window.size,
+                 **params.to_dict()}
+            )
+    coupled = []
+    for case in group_multivariate(recs, (1, 2, 3)):
+        keys = [(case.station_id, case.init_date, lt) for lt in case.lead_times]
+        if all(k in predicted for k in keys):
+            margins = [Normal(predicted[k][0], predicted[k][1] ** 2) for k in keys]
+            members = ecc_reorder(margins, case.ensemble).members
+            coupled += [ArchiveRecord(*k, row, y) for k, row, y in zip(keys, members, case.obs)]
+    write_archive_csv(coupled, out / "ecc.csv")
+    clim = []
+    for sid in sorted({r.station_id for r in recs}):
+        obs = [r.obs for r in recs if r.station_id == sid]
+        fc = fit_climatology(obs)
+        clim.append(f"{sid},{fc.mean_!r},{float(np.sqrt(fc.variance_))!r},{len(obs)}\n")
+    summary = {
+        "n_records": len(recs),
+        "n_rejected": 0,
+        "lead_times": [1, 2, 3],
+        "n_predictions": len(predicted),
+        "n_before_first_fit": n_unfit,
+        "n_stations_without_metadata": len({r.station_id for r in recs} - set(stations)),
+        "window_days": window_days,
+        "n_fits": len(params_rows),
+        "n_fits_not_converged": sum(not p["converged"] for p in params_rows),
+        "fit_iters_max": max(p["n_iter"] for p in params_rows),
+    }
+    return {
+        "predictions.csv": "station_id,init_date,lead_time,mean,sd\n" + "".join(
+            f"{sid},{d.isoformat()},{lt},{m!r},{sd!r}\n"
+            for (sid, d, lt), (m, sd) in sorted(predicted.items())
+        ),
+        "params.jsonl": "".join(json.dumps(p, sort_keys=True) + "\n" for p in params_rows),
+        "ecc.csv": (out / "ecc.csv").read_text(),
+        "climatology.csv": "station_id,mean,sd,n\n" + "".join(clim),
+        "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    }
+
+
+def test_cli_postprocess_equals_the_library_route_bit_for_bit(tmp_path):
+    recs = _edge_records()
+    path = tmp_path / "arch.jsonl"
+    write_archive_jsonl(recs, path)
+    (tmp_path / "stations.csv").write_text(_EDGE_STATIONS)
+    out = tmp_path / "pp"
+    assert main(
+        ["postprocess", "--archive", str(path), "--stations", str(tmp_path / "stations.csv"),
+         "--window-days", "4", "--ecc", "--climatology", "--out", str(out)]
+    ) == 0
+    stations = {
+        "ayr": (StationMeta("ayr", 0.4, -0.2), (120.0, 80.0)),
+        "bex": (StationMeta("bex", 1.1, 0.6), None),
+    }
+    (tmp_path / "lib").mkdir()
+    want = _library_postprocess(recs, stations, 4, tmp_path / "lib")
+    for name, text in want.items():
+        assert (out / name).read_text() == text, name
+    # The archive reaches what it is meant to: days before the first fit,
+    # evicted days, a one-member record predicted, and groups left out of
+    # ECC.
+    summary = json.loads(want["summary.json"])
+    assert summary["n_before_first_fit"] >= 9 and summary["n_stations_without_metadata"] == 1
+    params = [json.loads(line) for line in want["params.jsonl"].splitlines()]
+    assert max(p["n_train"] for p in params) <= 4 * 3
+    assert "\nayr,2024-06-07,1," in want["predictions.csv"]
+    predicted = {tuple(line.split(",")[:3]) for line in want["predictions.csv"].splitlines()}
+    n_predicted = [
+        sum((c.station_id, c.init_date.isoformat(), str(lt)) in predicted for lt in (1, 2, 3))
+        for c in group_multivariate(recs)
+    ]
+    assert 0 < n_predicted.count(3) and any(0 < k < 3 for k in n_predicted), n_predicted
+    ecc = read_archive_csv(out / "ecc.csv")
+    assert len(ecc) == 3 * n_predicted.count(3)
+    assert ("ayr", datetime.date(2024, 6, 7)) not in set(zip(ecc.station_ids, ecc.init_dates))
+
+
+def test_cli_report_equals_score_archive_and_skill_table_bit_for_bit(tmp_path):
+    recs = _mk_records(n_days=6, stations=("ayr", "bex", "cor"), seed=3)
+    shifted = [
+        ArchiveRecord(r.station_id, r.init_date, r.lead_time, r.members + 0.5, r.obs) for r in recs
+    ]
+    # The reference lacks every seventh case, and with it the stacked case.
+    reference = [r for i, r in enumerate(recs) if i % 7 != 3]
+    arch, ref = tmp_path / "arch.csv", tmp_path / "ref.csv"
+    write_archive_csv(shifted, arch)
+    write_archive_csv(reference, ref)
+    scores = ("crps", "twcrps", "vrcrps", "es", "vs", "twes")
+    out = tmp_path / "rep"
+    assert main(
+        ["report", "--archive", str(arch), "--reference", str(ref), "--scores", ",".join(scores),
+         "--threshold", "20.5", "--out", str(out)]
+    ) == 0
+    lines = ["score,group,n,mean_score,mean_reference,skill,degenerate\n"]
+    for score in scores:
+        by = "lead_time" if score in archive.UNIVARIATE_SCORES else "all"
+        for r in skill_table(
+            score_archive(shifted, score, threshold=20.5),
+            score_archive(reference, score, threshold=20.5),
+            by=by,
+        ):
+            lines.append(
+                f"{score},{r.group},{r.n},{r.mean_score!r},{r.mean_reference!r},{r.skill!r},"
+                f"{'true' if r.degenerate else 'false'}\n"
+            )
+    assert (out / "report.csv").read_text() == "".join(lines)
+    n_stacked = len(group_multivariate(reference))
+    assert n_stacked < 18 and f"es,all,{n_stacked}," in "".join(lines)
 
 
 def test_cli_synth_small(tmp_path):

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
+from scipy.special import ndtri
 
 from wverif import postprocess
 from wverif import (
@@ -462,3 +465,48 @@ def test_training_window_equals_a_recomputation_over_its_last_days():
         assert_allclose(np.stack(w.arrays()), np.array(
             [[c[1] for c in kept], [c[2] for c in kept], [c[3].mhd for c in kept],
              [c[3].tpi for c in kept], [c[4] for c in kept]]), rtol=0, atol=0)
+
+
+_finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(_finite, st.floats(0.0, 50.0), _finite, _finite), min_size=1, max_size=40
+    ),
+    st.tuples(_finite, _finite, _finite, _finite),
+    st.floats(1e-3, 10.0),
+    st.floats(1e-3, 10.0),
+)
+def test_emos_mean_variance_equals_predict_emos_per_record(cases, beta, sigma0, sigma1):
+    # The postprocess CLI predicts a day's cases in one call; each must get
+    # the bits it gets alone.  A plain matrix-vector product does not.
+    params = EmosParams(beta=beta, sigma0=sigma0, sigma1=sigma1)
+    xbar, var, mhd, tpi = (np.array(c) for c in zip(*cases))
+    mu, v = postprocess.emos_mean_variance(params, xbar, var, mhd, tpi)
+    for i, (x, s2, a, b) in enumerate(cases):
+        fc = predict_emos(params, x, s2, StationMeta("s", a, b))
+        assert (fc.mean_, fc.variance_) == (mu[i], v[i])
+
+
+@st.composite
+def _ecc_stack(draw):
+    g, d, m = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 7))
+    # Members on a few integers, so ranks tie often.
+    raw = np.array(draw(st.lists(st.integers(-2, 2), min_size=g * d * m, max_size=g * d * m)))
+    mean = np.array(draw(st.lists(_finite, min_size=g * d, max_size=g * d)))
+    sd = np.array(draw(st.lists(st.floats(1e-3, 1e2), min_size=g * d, max_size=g * d)))
+    return raw.reshape(g, d, m).astype(float), mean.reshape(g, d), sd.reshape(g, d)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_ecc_stack())
+def test_stacked_ecc_equals_ecc_reorder_per_group(stack):
+    raw, mean, sd = stack
+    m = raw.shape[-1]
+    q = ndtri((np.arange(m) + 0.5) / m) * sd[..., None] + mean[..., None]
+    out = postprocess._ecc_place(q, raw)
+    for k in range(raw.shape[0]):
+        margins = [Normal(mu, s**2) for mu, s in zip(mean[k], sd[k])]
+        assert np.array_equal(ecc_reorder(margins, raw[k]).members, out[k])

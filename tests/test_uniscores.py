@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import wverif
 from wverif import (
@@ -396,6 +396,19 @@ def test_twcrps_decomposition_residual():
         assert abs(res) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "f", [Normal(0.0, 1.0), Logistic(0.0, 1.0), StudentT(10.0, 1.0, 2.0)], ids=["normal", "logistic", "t10"]
+)
+def test_twcrps_decomposition_residual_beyond_the_support(f):
+    # y or t beyond the grid's support: the stretch past it enters in
+    # closed form on both sides of the decomposition.
+    lo, hi = f.support_interval(1e-12)
+    cases = [(10.0, 0.0), (-10.0, 0.0), (1e3, 0.0), (-1e3, 0.0), (hi + 5.0, -3.0), (lo - 5.0, 2.0),
+             (0.5, lo - 3.0), (hi + 3.0, lo - 3.0), (lo - 2.0, lo - 3.0), (0.0, hi + 1.0), (hi + 2.0, hi + 1.0)]
+    for y, t in cases:
+        assert abs(twcrps_decomposition_check(f, y, t)) < 1e-8, (y, t)
+
+
 def test_score_inputs_validated():
     with pytest.raises(ContractViolation):
         crps(Normal(0.0, 1.0), np.inf)
@@ -664,6 +677,56 @@ def test_per_case_engine_matches_quadrature_oracles(f, w):
     v = canonical_chaining(w)
     assert twcrps(f, y, v).value == pytest.approx(_twcrps_parametric(f, y, v), abs=1e-6)
     assert vrcrps(f, y, w, x0).value == pytest.approx(_vrcrps_parametric(f, y, w, x0), abs=1e-6)
+
+
+def _crps_logistic(f, y):
+    # Jordan, Krueger & Lerch (2019): s (z - 2 log F(z) - 1), z = (y - mu) / s.
+    z = (y - f.location) / f.scale
+    return f.scale * (z + 2.0 * np.logaddexp(0.0, -z) - 1.0)
+
+
+def _crps_student_t(f, y):
+    # Jordan, Krueger & Lerch (2019), for df > 1.
+    nu, z = f.df, (y - f.location) / f.scale
+    b = special.beta(0.5, nu / 2.0)
+    tail = 2.0 * np.sqrt(nu) * special.beta(0.5, nu - 0.5) / ((nu - 1.0) * b * b)
+    return f.scale * (
+        z * (2.0 * stats.t.cdf(z, nu) - 1.0)
+        + 2.0 * stats.t.pdf(z, nu) * (nu + z * z) / (nu - 1.0)
+        - tail
+    )
+
+
+@pytest.mark.parametrize(
+    "f, oracle",
+    [
+        (Logistic(0.0, 1.0), _crps_logistic),
+        (Logistic(25.0, 2.0), _crps_logistic),
+        (StudentT(10.0, 1.0, 2.0), _crps_student_t),
+        (StudentT(30.0, -3.0, 0.5), _crps_student_t),
+    ],
+    ids=["logistic", "logistic-25-2", "t10", "t30"],
+)
+def test_engine_crps_far_from_the_support_matches_closed_forms(f, oracle):
+    # A far observation is not a knot: the grid keeps its nodes on the
+    # support and the stretch out to y is added in closed form.
+    lo, hi = f.support_interval(1e-12)
+    ys = [-1e6, -5e4, -5e3, lo - 1.0, -50.0, -3.0, 0.0, 2.5, 40.0, hi + 1.0, 5e3, 5e4, 1e6]
+    for y in ys:
+        assert crps(f, y).value == pytest.approx(oracle(f, y), rel=1e-9, abs=0.0), y
+
+
+@pytest.mark.parametrize("w", _ORACLE_WEIGHTS, ids=lambda w: type(w).__name__)
+def test_engine_weighted_scores_far_from_the_support(w):
+    # Beyond the support F is 0 or 1, so moving a far observation on by
+    # dy adds the weight's integral over dy to the twCRPS, and the vrCRPS
+    # stays finite and non-negative.
+    f = Logistic(0.2, 0.6)
+    v = canonical_chaining(w)
+    for a, b in ((60.0, 5e4), (-60.0, -5e4)):
+        step = twcrps(f, b, v).value - twcrps(f, a, v).value
+        assert step == pytest.approx(abs(float(v(b)) - float(v(a))), rel=1e-12, abs=1e-9)
+        assert 0.0 <= vrcrps(f, b, w, 0.1).value < np.inf
 
 
 def _imported_modules(tree):
