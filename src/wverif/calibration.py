@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .exceptions import (
     ContractViolation,
@@ -240,6 +239,10 @@ class ReliabilityFit:
 
 
 def _isotonic(y: np.ndarray) -> np.ndarray:
+    # Imported on first use: commands that draw no CORP diagram do not
+    # pay for loading scipy.optimize.
+    from scipy.optimize import isotonic_regression
+
     return isotonic_regression(y).x
 
 

@@ -38,6 +38,7 @@ from .archive import (
     _skill_rows,
     read_archive,
     write_archive_csv,
+    write_archive_jsonl,
 )
 from .calibration import (
     _cpit_values,
@@ -435,7 +436,9 @@ def _run_ecc(args, archive, mean, sd, lead_times) -> str:
     there is none.  Each (station, init date) with every lead time, one
     member count and a prediction for each record is coupled; per block
     of one member count, the quantiles of all its margins are placed at
-    once.
+    once.  The coupled archive is written as ``ecc.csv``, or as
+    ``ecc.jsonl`` when its groups differ in member count, which csv
+    cannot hold.
     """
     _, _, index = _multivariate_groups(archive, lead_times)
     index = index[~np.isnan(mean[index]).any(axis=1)]
@@ -453,23 +456,25 @@ def _run_ecc(args, archive, mean, sd, lead_times) -> str:
         archive.n_members[rows],
         archive.obs[rows],
     )
+    if len(set(coupled.n_members.tolist())) > 1:
+        write_archive_jsonl(coupled, os.path.join(args.out, "ecc.jsonl"))
+        return "ecc.jsonl"
     write_archive_csv(coupled, os.path.join(args.out, "ecc.csv"))
     return "ecc.csv"
 
 
 def _run_climatology(args, archive) -> str:
     # The observations of each station in record order, stations sorted.
-    sids, station, counts = np.unique(
-        np.array(archive.station_ids, dtype=object), return_inverse=True, return_counts=True
-    )
-    by_station = np.split(archive.obs[np.argsort(station, kind="stable")], np.cumsum(counts)[:-1])
+    station = _key_codes(archive.station_ids)
+    order = np.argsort(station, kind="stable")
+    starts = np.flatnonzero(np.diff(station[order], prepend=-1))
     rows = []
-    for sid, obs in zip(sids.tolist(), by_station):
+    for i, obs in zip(order[starts].tolist(), np.split(archive.obs[order], starts[1:])):
         try:
             fc = fit_climatology(obs)
         except InsufficientData:
             continue
-        rows.append((sid, fc.mean_, float(np.sqrt(fc.variance_)), len(obs)))
+        rows.append((archive.station_ids[i], fc.mean_, float(np.sqrt(fc.variance_)), len(obs)))
     _write_csv(
         os.path.join(args.out, "climatology.csv"),
         ("station_id", "mean", "sd", "n"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .exceptions import ContractViolation, DimensionMismatch
 
@@ -85,9 +85,11 @@ class Parametric(Forecast):
     """Base class for univariate parametric forecasts.
 
     Subclasses provide a frozen scipy distribution through ``_dist``;
-    the methods below delegate to it.  ``Normal`` overrides cdf, pdf and
-    ppf with direct ``scipy.special`` expressions, so scoring a normal
-    forecast builds no frozen scipy object.
+    the methods below delegate to it.  ``_dist`` imports ``scipy.stats``
+    on first use, so that importing the package does not load it.
+    ``Normal`` overrides cdf, sf, pdf and ppf with direct
+    ``scipy.special`` expressions, so scoring a normal forecast builds no
+    frozen scipy object.
     """
 
     __slots__ = ()
@@ -147,6 +149,8 @@ class Normal(Parametric):
     def _dist(self):
         # Only ``sample`` still goes through the frozen object, so that
         # seeded draws keep scipy's random stream.
+        from scipy import stats
+
         return stats.norm(self.mean_, self.sd)
 
     # cdf, sf, pdf and ppf repeat scipy.stats.norm's arithmetic step for
@@ -187,6 +191,8 @@ class Logistic(Parametric):
 
     @property
     def _dist(self):
+        from scipy import stats
+
         return stats.logistic(self.location, self.scale)
 
 
@@ -219,6 +225,8 @@ class StudentT(Parametric):
 
     @property
     def _dist(self):
+        from scipy import stats
+
         return stats.t(self.df, self.location, self.scale)
 
 

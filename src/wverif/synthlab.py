@@ -17,7 +17,7 @@ import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import expit, ndtr, stdtr
 
 from .calibration import (
     HistogramSummary,
@@ -139,10 +139,10 @@ def run_ideal_forecaster(
     mu = gen.normal(0.0, np.sqrt(1.0 - sigma2), n)
     y = gen.normal(mu, np.sqrt(sigma2))
     sd = np.sqrt(sigma2)
-    pit_vals = stats.norm.cdf((y - mu) / sd)
+    pit_vals = ndtr((y - mu) / sd)
     exceed = y > t
     cpit_vals = _cpit_values(
-        stats.norm.sf((t - mu[exceed]) / sd), stats.norm.sf((y[exceed] - mu[exceed]) / sd)
+        ndtr(-((t - mu[exceed]) / sd)), ndtr(-((y[exceed] - mu[exceed]) / sd))
     )
     return IdealForecasterResult(
         pit_hist=histogram_summary(pit_vals, bins=bins),
@@ -208,10 +208,11 @@ def run_tail_forecasters(
 
     sd_norm = np.sqrt(cond_var)
     s_t5 = np.sqrt(cond_var * (5.0 - 2.0) / 5.0)
+    # Survival functions as scipy.stats computes them for unit scale.
     families = (
-        ("normal", lambda x: stats.norm.sf((x - mu) / sd_norm)),
-        ("logistic", lambda x: stats.logistic.sf((x - mu) / s_log)),
-        ("student_t5", lambda x: stats.t.sf((x - mu) / s_t5, df=5)),
+        ("normal", lambda x: ndtr(-((x - mu) / sd_norm))),
+        ("logistic", lambda x: expit(-((x - mu) / s_log))),
+        ("student_t5", lambda x: stdtr(5, -((x - mu) / s_t5))),
     )
 
     out = {}

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .exceptions import ContractViolation, DimensionMismatch
-from .forecasts import _scalar_or_array
+from .forecasts import _scalar_or_array, _std_pdf
 
 __all__ = [
     "WeightFunction",
@@ -51,6 +51,17 @@ __all__ = [
 
 # Forecast mass below this floor counts as zero when normalising.
 MASS_FLOOR = 1e-12
+
+
+def _norm_pdf(z, mu, sigma):
+    # scipy.stats.norm.pdf(z, mu, sigma), bit for bit: the standard
+    # density at (z - mu) / sigma, divided by sigma.
+    return _std_pdf((z - mu) / sigma) / sigma
+
+
+def _norm_cdf(z, mu, sigma):
+    # scipy.stats.norm.cdf(z, mu, sigma), bit for bit.
+    return ndtr((z - mu) / sigma)
 
 
 def _check_positive_sigma(sigma) -> None:
@@ -159,7 +170,7 @@ class GaussPdf(_Gauss, WeightFunction):
     """
 
     def __call__(self, z):
-        out = stats.norm.pdf(np.asarray(z, dtype=float), self.mu, self.sigma)
+        out = _norm_pdf(np.asarray(z, dtype=float), self.mu, self.sigma)
         return _scalar_or_array(out)
 
 
@@ -172,8 +183,8 @@ class OneMinusGaussPdfRatio(_Gauss, WeightFunction):
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
-        peak = stats.norm.pdf(self.mu, self.mu, self.sigma)
-        out = 1.0 - stats.norm.pdf(z, self.mu, self.sigma) / peak
+        peak = _norm_pdf(self.mu, self.mu, self.sigma)
+        out = 1.0 - _norm_pdf(z, self.mu, self.sigma) / peak
         out = np.clip(out, 0.0, 1.0)
         return _scalar_or_array(out)
 
@@ -183,7 +194,7 @@ class GaussCdf(_Gauss, WeightFunction):
     """w(z) = normal cdf, a smooth emphasis on the right tail."""
 
     def __call__(self, z):
-        out = stats.norm.cdf(np.asarray(z, dtype=float), self.mu, self.sigma)
+        out = _norm_cdf(np.asarray(z, dtype=float), self.mu, self.sigma)
         return _scalar_or_array(out)
 
 
@@ -192,7 +203,7 @@ class OneMinusGaussCdf(_Gauss, WeightFunction):
     """w(z) = 1 - normal cdf, a smooth emphasis on the left tail."""
 
     def __call__(self, z):
-        out = stats.norm.sf(np.asarray(z, dtype=float), self.mu, self.sigma)
+        out = ndtr(-((np.asarray(z, dtype=float) - self.mu) / self.sigma))
         return _scalar_or_array(out)
 
 
@@ -238,7 +249,7 @@ class MvGaussPdf(_MvGauss):
 
     def __call__(self, z):
         z = self._check(z)
-        out = np.prod(stats.norm.pdf(z, self.mu, self.sigma_diag), axis=-1)
+        out = np.prod(_norm_pdf(z, self.mu, self.sigma_diag), axis=-1)
         return _scalar_or_array(out)
 
 
@@ -248,8 +259,8 @@ class OneMinusMvGaussPdfRatio(_MvGauss):
 
     def __call__(self, z):
         z = self._check(z)
-        peak = np.prod(stats.norm.pdf(self.mu, self.mu, self.sigma_diag))
-        out = 1.0 - np.prod(stats.norm.pdf(z, self.mu, self.sigma_diag), axis=-1) / peak
+        peak = np.prod(_norm_pdf(self.mu, self.mu, self.sigma_diag))
+        out = 1.0 - np.prod(_norm_pdf(z, self.mu, self.sigma_diag), axis=-1) / peak
         out = np.clip(out, 0.0, 1.0)
         return _scalar_or_array(out)
 
@@ -260,7 +271,7 @@ class MvGaussCdf(_MvGauss):
 
     def __call__(self, z):
         z = self._check(z)
-        out = np.prod(stats.norm.cdf(z, self.mu, self.sigma_diag), axis=-1)
+        out = np.prod(_norm_cdf(z, self.mu, self.sigma_diag), axis=-1)
         return _scalar_or_array(out)
 
 
@@ -270,7 +281,7 @@ class OneMinusMvGaussCdf(_MvGauss):
 
     def __call__(self, z):
         z = self._check(z)
-        out = 1.0 - np.prod(stats.norm.cdf(z, self.mu, self.sigma_diag), axis=-1)
+        out = 1.0 - np.prod(_norm_cdf(z, self.mu, self.sigma_diag), axis=-1)
         return _scalar_or_array(out)
 
 
@@ -458,9 +469,7 @@ class CensorBelow(ChainingFunction):
 def _gauss_cdf_antideriv(z, mu, sigma):
     # Antiderivative of the normal cdf:
     # (z - mu) * cdf(z) + sigma^2 * pdf(z).
-    return (z - mu) * stats.norm.cdf(z, mu, sigma) + sigma**2 * stats.norm.pdf(
-        z, mu, sigma
-    )
+    return (z - mu) * _norm_cdf(z, mu, sigma) + sigma**2 * _norm_pdf(z, mu, sigma)
 
 
 @dataclass(frozen=True)
@@ -498,7 +507,7 @@ class GaussPdfChain(_Gauss, ChainingFunction):
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
-        out = stats.norm.cdf(z, self.mu, self.sigma)
+        out = _norm_cdf(z, self.mu, self.sigma)
         return _scalar_or_array(out)
 
 
@@ -511,8 +520,8 @@ class GaussPdfRatioComplementChain(_Gauss, ChainingFunction):
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
-        peak = stats.norm.pdf(self.mu, self.mu, self.sigma)
-        out = z - stats.norm.cdf(z, self.mu, self.sigma) / peak
+        peak = _norm_pdf(self.mu, self.mu, self.sigma)
+        out = z - _norm_cdf(z, self.mu, self.sigma) / peak
         return _scalar_or_array(out)
 
 

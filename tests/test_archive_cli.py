@@ -6,7 +6,10 @@ import io
 import itertools
 import json
 import math
+import os
 import statistics
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1285,6 +1288,98 @@ def test_cli_postprocess_equals_the_library_route_bit_for_bit(tmp_path):
     ecc = read_archive_csv(out / "ecc.csv")
     assert len(ecc) == 3 * n_predicted.count(3)
     assert ("ayr", datetime.date(2024, 6, 7)) not in set(zip(ecc.station_ids, ecc.init_dates))
+
+
+def test_cli_climatology_groups_unsorted_interleaved_station_ids(tmp_path):
+    # Records arrive shuffled, with ids that sort differently as strings
+    # than as numbers or without case; "short" has too few observations.
+    recs = _mk_records(n_days=12, stations=("zed", "Bex", "10", "ayr", "9"), seed=8)
+    recs += _mk_records(n_days=3, stations=("short",), seed=9)
+    recs = [recs[i] for i in np.random.default_rng(10).permutation(len(recs))]
+    path = tmp_path / "arch.csv"
+    write_archive_csv(recs, path)
+    out = tmp_path / "pp"
+    assert main(["postprocess", "--archive", str(path), "--climatology", "--out", str(out)]) == 0
+    rows = ["station_id,mean,sd,n\n"]
+    for sid in sorted({r.station_id for r in recs} - {"short"}):
+        obs = [r.obs for r in recs if r.station_id == sid]
+        fc = fit_climatology(obs)
+        rows.append(f"{sid},{fc.mean_!r},{float(np.sqrt(fc.variance_))!r},{len(obs)}\n")
+    assert [line.split(",")[0] for line in rows[1:]] == ["10", "9", "Bex", "ayr", "zed"]
+    assert (out / "climatology.csv").read_text() == "".join(rows)
+
+
+def test_cli_ecc_writes_jsonl_when_groups_differ_in_member_count(tmp_path):
+    # Station "one" has a single member, the others five: every group is
+    # complete and of one member count, but csv holds only one per file.
+    recs = _mk_records(n_days=12, stations=("ayr", "bex"), seed=6)
+    recs += _mk_records(n_days=12, stations=("one",), m=1, seed=7)
+    path = tmp_path / "arch.jsonl"
+    write_archive_jsonl(recs, path)
+    out = tmp_path / "pp"
+    assert main(["postprocess", "--archive", str(path), "--ecc", "--out", str(out)]) == 0
+    assert not (out / "ecc.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["ecc.jsonl", "params.jsonl", "predictions.csv", "summary.json"]
+    assert json.loads((out / "summary.json").read_text())["n_predictions"] > 0
+    ecc = read_archive_jsonl(out / "ecc.jsonl")
+    assert ecc.rejects == () and sorted(set(ecc.n_members.tolist())) == [1, 5]
+    with open(out / "predictions.csv", newline="") as fh:
+        preds = {
+            (p["station_id"], datetime.date.fromisoformat(p["init_date"]), int(p["lead_time"])):
+            (float(p["mean"]), float(p["sd"]))
+            for p in csv.DictReader(fh)
+        }
+    raw = {(r.station_id, r.init_date, r.lead_time): r for r in recs}
+    assert len(ecc) == sum(
+        all((sid, d, lt) in preds for lt in (1, 2, 3)) for sid, d, _ in preds
+    )
+    for rec in ecc:
+        key = (rec.station_id, rec.init_date, rec.lead_time)
+        mean, sd = preds[key]
+        m = rec.members.size
+        assert rec.obs == raw[key].obs and m == raw[key].members.size
+        assert np.array_equal(np.argsort(rec.members), np.argsort(raw[key].members))
+        q = Normal(mean, sd**2).ppf((np.arange(m) + 0.5) / m)
+        assert_allclose(np.sort(rec.members), q, rtol=1e-12)
+
+
+_SRC = str(Path(archive.__file__).resolve().parents[1])
+_LOADED = "[m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules]"
+
+
+def _fresh_python(code: str, *argv: str):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    wverif and return the JSON value it prints last."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_and_cli_loads_neither_scipy_stats_nor_optimize():
+    code = f"import json, sys, wverif, wverif.cli; print(json.dumps({_LOADED}))"
+    assert _fresh_python(code) == []
+
+
+def test_score_and_postprocess_runs_load_neither_scipy_stats_nor_optimize(tmp_path):
+    path = tmp_path / "arch.csv"
+    write_archive_csv(_mk_records(n_days=12, stations=("ayr", "bex", "cor"), seed=12), path)
+    code = f"""
+import json, os, sys
+from wverif.cli import main
+arch, out = sys.argv[1:]
+runs = [["score", "--score", "crps"],
+        ["score", "--score", "twcrps", "--threshold", "22", "--smooth"],
+        ["postprocess", "--ecc", "--climatology"]]
+codes = [main(a + ["--archive", arch, "--out", os.path.join(out, str(i))])
+         for i, a in enumerate(runs)]
+print(json.dumps([codes, {_LOADED}]))
+"""
+    codes, loaded = _fresh_python(code, str(path), str(tmp_path / "out"))
+    assert codes == [0, 0, 0] and loaded == []
+    assert (tmp_path / "out" / "2" / "ecc.csv").exists()
 
 
 def test_cli_report_equals_score_archive_and_skill_table_bit_for_bit(tmp_path):

@@ -133,6 +133,29 @@ def test_sampling_is_seeded():
     assert not np.allclose(a, c)
 
 
+@pytest.mark.parametrize(
+    "f, frozen",
+    [
+        (Normal(1.0, 2.0), stats.norm(1.0, np.sqrt(2.0))),
+        (Logistic(-0.5, 0.7), stats.logistic(-0.5, 0.7)),
+        (StudentT(4.5, 0.2, 1.3), stats.t(4.5, 0.2, 1.3)),
+    ],
+    ids=["normal", "logistic", "student_t"],
+)
+def test_sample_equals_the_frozen_scipy_draws(f, frozen):
+    # scipy.stats is imported only when a sample is drawn; the draws stay
+    # those of the frozen object under the same seed.
+    for n in (1, 7, 10_000):
+        got = f.sample(n, np.random.default_rng(41))
+        want = frozen.rvs(size=n, random_state=np.random.default_rng(41))
+        assert_array_equal(got, want)
+    # The generator's stream advances as it does under scipy.
+    gen, ref = np.random.default_rng(42), np.random.default_rng(42)
+    f.sample(5, gen)
+    frozen.rvs(size=5, random_state=ref)
+    assert gen.random() == ref.random()
+
+
 def test_sample_moments():
     rng = np.random.default_rng(11)
     for f in (Normal(1.0, 2.0), Logistic(-0.5, 0.7), StudentT.from_moments(6.0, 0.2, 1.5)):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
+from scipy.special import expit, ndtr, stdtr
 
 from wverif import (
     Constant,
@@ -16,6 +18,7 @@ from wverif import (
     twcrps,
     vrcrps,
 )
+from wverif.calibration import _cpit_values, histogram_summary
 from wverif.synthlab import (
     ExperimentSpec,
     _score_draws,
@@ -146,6 +149,61 @@ def test_tail_forecasters_reduced():
     assert tf[0] > tf[-1]
     for fc in res.forecasters.values():
         assert fc.corp.n == res.n
+
+
+def test_survival_functions_equal_scipy_stats_bit_for_bit():
+    """The synthetic experiments call scipy.special where they called
+    scipy.stats; at unit scale scipy.stats computes with these calls."""
+    u = np.random.default_rng(5).normal(0.0, 4.0, 200_000)
+    u = np.concatenate([u, [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf]])
+    assert np.array_equal(ndtr(u), stats.norm.cdf(u))
+    assert np.array_equal(ndtr(-u), stats.norm.sf(u))
+    assert np.array_equal(expit(-u), stats.logistic.sf(u))
+    assert np.array_equal(stdtr(5, -u), stats.t.sf(u, df=5))
+
+
+def test_ideal_forecaster_equals_the_scipy_stats_route():
+    n, t, sigma2, seed = 20_000, 0.5, 0.3, 23
+    res = run_ideal_forecaster(n=n, sigma2=sigma2, t=t, bins=10, seed=seed)
+    gen = np.random.default_rng(seed)
+    mu = gen.normal(0.0, np.sqrt(1.0 - sigma2), n)
+    y = gen.normal(mu, np.sqrt(sigma2))
+    sd = np.sqrt(sigma2)
+    pit = stats.norm.cdf((y - mu) / sd)
+    exceed = y > t
+    cp = _cpit_values(
+        stats.norm.sf((t - mu[exceed]) / sd), stats.norm.sf((y[exceed] - mu[exceed]) / sd)
+    )
+    assert np.array_equal(res.pit_hist.counts, histogram_summary(pit, bins=10).counts)
+    assert np.array_equal(res.cpit_hist.counts, histogram_summary(cp, bins=10).counts)
+    restricted = histogram_summary(pit[exceed], bins=10)
+    assert np.array_equal(res.restricted_hist.counts, restricted.counts)
+
+
+def test_tail_forecasters_equal_the_scipy_stats_route():
+    n, t, seed = 20_000, 1.5, 17
+    res = run_tail_forecasters(n=n, t=t, bins=10, seed=seed, corp_resamples=3)
+    gen = np.random.default_rng(seed)
+    s_log = 1.0 / np.pi
+    mu = gen.normal(0.0, np.sqrt(2.0 / 3.0), n)
+    y = mu + gen.logistic(0.0, s_log, n)
+    exceed = y > t
+    s_t5 = np.sqrt(1.0 / 3.0 * (5.0 - 2.0) / 5.0)
+    sfs = {
+        "normal": lambda x: stats.norm.sf((x - mu) / np.sqrt(1.0 / 3.0)),
+        "logistic": lambda x: stats.logistic.sf((x - mu) / s_log),
+        "student_t5": lambda x: stats.t.sf((x - mu) / s_t5, df=5),
+    }
+    for name, sf in sfs.items():
+        fc = res.forecasters[name]
+        st = sf(t)
+        cp = _cpit_values(st[exceed], sf(y)[exceed])
+        # The ecdf holds the sorted conditional PITs, the CORP fit the
+        # sorted event probabilities S(t): every bit of both is compared.
+        assert np.array_equal(fc.ecdf_u, np.sort(cp[~np.isnan(cp)])), name
+        assert np.array_equal(fc.corp.probs, np.sort(st)), name
+        hist = histogram_summary(cp[~np.isnan(cp)], bins=10)
+        assert np.array_equal(fc.cpit_hist.counts, hist.counts), name
 
 
 def test_propriety_mc_smoke():

@@ -759,6 +759,31 @@ def test_only_calibration_imports_scipy_optimize():
             assert not bad, f"{path.name}:{node.lineno} imports {bad[0]}"
 
 
+
+def _outside_functions(node):
+    """The nodes under ``node`` that run when the module is imported: all
+    but those inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def test_scipy_stats_and_optimize_are_imported_only_inside_functions():
+    """Importing the package loads neither: scipy.stats serves sampling
+    and the Logistic and Student t forecasts, scipy.optimize the CORP
+    fit, and each is imported where it is used."""
+    for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        at_import = {id(n) for n in _outside_functions(tree)}
+        for node, names in _imported_modules(tree):
+            if id(node) not in at_import:
+                continue
+            bad = [n for n in names if n in ("scipy.stats", "scipy.optimize")
+                   or n.startswith(("scipy.stats.", "scipy.optimize."))]
+            assert not bad, f"{path.name}:{node.lineno} imports {bad[0]}"
+
+
 # ---------------------------------------------------------------------------
 # stacked ensemble kernels against pairwise oracles and the per-case API
 # ---------------------------------------------------------------------------

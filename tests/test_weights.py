@@ -35,6 +35,7 @@ from wverif import (
     twcrps,
     weighted_cdf,
 )
+from wverif import weights as weights_module
 
 
 def test_constant_and_indicators():
@@ -307,3 +308,85 @@ def test_weighted_cdf_mass_floor():
         weighted_cdf(f, IndicatorAbove(100.0), 101.0)
     with pytest.raises(WeightedMassZero):
         weighted_cdf(f, IndicatorBelow(-100.0), -101.0)
+
+
+# ---------------------------------------------------------------------------
+# Gaussian weights and chainings against scipy.stats.norm, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _norm_oracles(mu, s):
+    """Each Gaussian weight and chaining as it was written on
+    ``scipy.stats.norm``; mu and s are scalars or the diagonal's arrays."""
+    pdf = lambda z: stats.norm.pdf(z, mu, s)  # noqa: E731
+    cdf = lambda z: stats.norm.cdf(z, mu, s)  # noqa: E731
+    peak = stats.norm.pdf(mu, mu, s)
+    antideriv = lambda z: (z - mu) * cdf(z) + s**2 * pdf(z)  # noqa: E731
+    return {
+        "GaussPdf": pdf,
+        "OneMinusGaussPdfRatio": lambda z: np.clip(1.0 - pdf(z) / peak, 0.0, 1.0),
+        "GaussCdf": cdf,
+        "OneMinusGaussCdf": lambda z: stats.norm.sf(z, mu, s),
+        "GaussCdfChain": antideriv,
+        "GaussCdfComplementChain": lambda z: z - antideriv(z),
+        "GaussPdfChain": cdf,
+        "GaussPdfRatioComplementChain": lambda z: z - cdf(z) / peak,
+        "MvGaussPdf": lambda z: np.prod(pdf(z), axis=-1),
+        "OneMinusMvGaussPdfRatio": lambda z: np.clip(
+            1.0 - np.prod(pdf(z), axis=-1) / np.prod(peak), 0.0, 1.0
+        ),
+        "MvGaussCdf": lambda z: np.prod(cdf(z), axis=-1),
+        "OneMinusMvGaussCdf": lambda z: 1.0 - np.prod(cdf(z), axis=-1),
+    }
+
+
+_UNI_GAUSS = (
+    "GaussPdf", "OneMinusGaussPdfRatio", "GaussCdf", "OneMinusGaussCdf", "GaussCdfChain",
+    "GaussCdfComplementChain", "GaussPdfChain", "GaussPdfRatioComplementChain",
+)
+_MV_GAUSS = ("MvGaussPdf", "OneMinusMvGaussPdfRatio", "MvGaussCdf", "OneMinusMvGaussCdf")
+
+
+def _evaluate(obj, z):
+    return obj.transform(z) if isinstance(obj, weights_module.ChainingFunction) else obj(z)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("name", _UNI_GAUSS)
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (24.7, 3.3), (-3.0, 0.05), (2, 3)])
+def test_gauss_weights_equal_scipy_stats_norm_bit_for_bit(name, mu, sigma):
+    obj = getattr(weights_module, name)(mu, sigma)
+    oracle = _norm_oracles(mu, sigma)[name]
+    rng = np.random.default_rng(31)
+    z = np.concatenate([
+        mu + sigma * rng.normal(0.0, 3.0, 200_000),
+        mu + rng.uniform(-60.0, 60.0, 2_000),
+        [np.inf, -np.inf, mu, mu + 40.0 * sigma, mu - 40.0 * sigma],
+    ])
+    assert np.array_equal(_evaluate(obj, z), oracle(z), equal_nan=True)
+    # A scalar keeps its return type: a Python float.
+    for z0 in (float(mu), mu + 0.37 * sigma, -np.inf, np.inf):
+        got = _evaluate(obj, z0)
+        assert type(got) is float
+        assert np.array_equal(got, float(oracle(np.asarray(z0, dtype=float))), equal_nan=True)
+    block = z[:200_000].reshape(400, 500)
+    assert np.array_equal(_evaluate(obj, block), oracle(block), equal_nan=True)
+
+
+@pytest.mark.parametrize("name", _MV_GAUSS)
+def test_mv_gauss_weights_equal_scipy_stats_norm_bit_for_bit(name):
+    mu, sd = np.array([24.0, -1.5, 0.0]), np.array([3.0, 0.2, 1.0])
+    obj = getattr(weights_module, name)(mu, sd)
+    oracle = _norm_oracles(mu, sd)[name]
+    rng = np.random.default_rng(32)
+    z = mu + sd * rng.normal(0.0, 3.0, (60_000, 3))
+    z[:3] = mu
+    # One component at +-inf, the others at the centre.
+    for i, (c, v) in enumerate(itertools.product(range(3), (np.inf, -np.inf))):
+        z[3 + i] = mu
+        z[3 + i, c] = v
+    assert np.array_equal(obj(z), oracle(z))
+    assert np.array_equal(obj(z.reshape(300, 200, 3)), oracle(z.reshape(300, 200, 3)))
+    for point in (mu, z[4], z[10]):
+        got = obj(point)
+        assert type(got) is float and got == float(oracle(point))
