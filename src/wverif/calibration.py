@@ -238,12 +238,24 @@ class ReliabilityFit:
     n: int
 
 
-def _isotonic(y: np.ndarray) -> np.ndarray:
+def _isotonic(y: np.ndarray, at=None) -> np.ndarray:
+    """Non-decreasing least-squares fit to the 0/1 outcomes ``y``, at the
+    positions ``at`` (everywhere by default).
+
+    Each run of equal outcomes is pooled into one point weighted by its
+    length.  The fit is constant on equal neighbours, so this is the fit
+    to ``y`` itself, from a PAVA pass over the runs alone.
+    """
     # Imported on first use: commands that draw no CORP diagram do not
     # pay for loading scipy.optimize.
     from scipy.optimize import isotonic_regression
 
-    return isotonic_regression(y).x
+    starts = np.flatnonzero(np.concatenate(([True], y[1:] != y[:-1])))
+    lengths = np.diff(np.append(starts, y.size))
+    fit = isotonic_regression(y[starts].astype(float), weights=lengths.astype(float)).x
+    if at is None:
+        return np.repeat(fit, lengths)
+    return fit[np.searchsorted(starts, at, side="right") - 1]
 
 
 def corp_reliability(
@@ -285,9 +297,13 @@ def corp_reliability(
     n_probe = min(n, band_probes)
     probe = np.unique(np.linspace(0, n - 1, n_probe).round().astype(int))
     sims = np.empty((resamples, probe.size))
+    # Drawn into buffers made once, from the same stream as fresh arrays.
+    u = np.empty(n)
+    sim = np.empty(n, dtype=bool)
     for r in range(resamples):
-        sim = (gen.random(n) < ps).astype(float)
-        sims[r] = _isotonic(sim)[probe]
+        gen.random(out=u)
+        np.less(u, ps, out=sim)
+        sims[r] = _isotonic(sim, probe)
     alpha = 1.0 - level
     lo_q = np.quantile(sims, alpha / 2.0, axis=0)
     hi_q = np.quantile(sims, 1.0 - alpha / 2.0, axis=0)

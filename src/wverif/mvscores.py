@@ -10,10 +10,12 @@ Every score is computed by a kernel over a stack of cases: members
 (n, m, d) and observations (n, d).  The per-case functions check their
 inputs and call the kernels with n = 1; ``archive`` calls them on blocks
 of stacked cases and the propriety Monte Carlo in ``synthlab`` on whole
-samples.  Member-pair terms run in blocks of ``_BLOCK`` cases and build
-(m, m) distances one component at a time, so memory stays bounded;
-the pair term of the re-scaled variogram score comes from weighted
-moments of the increments.
+samples.  The member-pair sums of the energy family come from one
+kernel, ``_pair_sum``, which walks the pairs by circular offset on
+blocks of ``_PAIR_BLOCK`` cases; the variogram kernels run in blocks of
+``_BLOCK`` cases, and the pair term of the re-scaled variogram score
+comes from weighted moments of the increments.  Memory stays bounded
+however many cases are stacked.
 """
 
 from __future__ import annotations
@@ -156,10 +158,15 @@ def _transform(chaining: ChainingFunction, x: np.ndarray, y: np.ndarray):
 # kernels over stacks of cases: members x (n, m, d), observations y (n, d)
 # ---------------------------------------------------------------------------
 
-# Cases per block of the pairwise loops.  This keeps each (block, m, m)
-# temporary under about 0.5 MB for m = 51 members, so scoring stays
-# within a small, fixed memory budget however many cases are stacked.
+# Cases per block of the variogram kernels.  This keeps each
+# (block, m, d, d) increment temporary under about 0.5 MB for m = 51
+# members and a few components, so scoring stays within a small, fixed
+# memory budget however many cases are stacked.
 _BLOCK = 16
+
+# Cases per block of the member-pair sums; their temporaries are
+# (block, m) rows, about 0.2 MB for m = 51.
+_PAIR_BLOCK = 512
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -167,20 +174,39 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt((v**2).sum(-1))
 
 
-def _pair_norms(x: np.ndarray) -> np.ndarray:
-    """Distances (..., m, m) between the members of ``x`` (..., m, d).
+def _pair_sum(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """sum_kl w_k w_l ||x_k - x_l|| over all ordered member pairs of each
+    case of ``x`` (n, m, d), with w (n, m) or unit weights.
 
-    The squared differences of each component are added into one buffer
-    in component order, the order in which numpy sums a short trailing
-    axis, so the result is bit-identical to summing the (..., m, m, d)
-    difference tensor without ever building it.
+    Each unordered pair is visited once and the sum doubled.  Members
+    are laid out twice along a row, so the pairs (i, i + k mod m) at
+    circular offset k are one slice against another; offsets
+    1 <= k < m/2 take full rows, and for even m the offset m/2 takes
+    half a row, whose other half would repeat its pairs.  At each offset
+    the squared component differences are added in component order, the
+    square root is taken, and the result is multiplied by
+    w[i] * w[i + k] and summed along the row.  The temporaries are
+    (block, m) rows, never an (m, m) distance matrix.
     """
-    out = np.zeros(x.shape[:-1] + x.shape[-2:-1])
-    for k in range(x.shape[-1]):
-        c = x[..., k]
-        diff = c[..., :, None] - c[..., None, :]
-        out += np.square(diff, out=diff)
-    return np.sqrt(out, out=out)
+    n, m, d = x.shape
+    out = np.zeros(n)
+    for a in range(0, n, _PAIR_BLOCK):
+        b = slice(a, a + _PAIR_BLOCK)
+        comps = [np.concatenate([x[b, :, c], x[b, :, c]], 1) for c in range(d)]
+        wb = None if w is None else np.concatenate([w[b], w[b]], 1)
+        total = out[b]
+        for k in range(1, m // 2 + 1):
+            j = m if 2 * k < m else m - k
+            acc = None
+            for c in comps:
+                diff = c[:, k : k + j] - c[:, :j]
+                sq = np.square(diff, out=diff)
+                acc = sq if acc is None else np.add(acc, sq, out=acc)
+            dist = np.sqrt(acc, out=acc)
+            if wb is not None:
+                dist *= wb[:, k : k + j] * wb[:, :j]
+            total += dist.sum(1)
+    return 2.0 * out
 
 
 def _increments(z: np.ndarray, p: float) -> np.ndarray:
@@ -190,12 +216,9 @@ def _increments(z: np.ndarray, p: float) -> np.ndarray:
 
 def _energy(x: np.ndarray, y: np.ndarray, fair: bool = False) -> np.ndarray:
     """Energy score of each case; the fair variant needs m >= 2."""
-    n, m, _ = x.shape
+    m = x.shape[1]
     denom = m * (m - 1) if fair else m * m
-    out = _norm(x - y[:, None, :]).mean(1)
-    for a in range(0, n, _BLOCK):
-        out[a : a + _BLOCK] -= _pair_norms(x[a : a + _BLOCK]).sum((1, 2)) / (2.0 * denom)
-    return out
+    return _norm(x - y[:, None, :]).mean(1) - _pair_sum(x) / (2.0 * denom)
 
 
 def _variogram(x: np.ndarray, y: np.ndarray, p: float, h: np.ndarray) -> np.ndarray:
@@ -211,15 +234,9 @@ def _variogram(x: np.ndarray, y: np.ndarray, p: float, h: np.ndarray) -> np.ndar
 
 def _vr_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction, x0: np.ndarray) -> np.ndarray:
     """Vertically re-scaled energy score of each case, anchored at ``x0`` (d,)."""
-    n = x.shape[0]
     wx = _member_weights(w, x)
     wy = _member_weights(w, y)
-    pair = np.empty(n)
-    for a in range(0, n, _BLOCK):
-        wa = wx[a : a + _BLOCK]
-        pair[a : a + _BLOCK] = (
-            wa[:, :, None] * wa[:, None, :] * _pair_norms(x[a : a + _BLOCK])
-        ).sum((1, 2))
+    pair = _pair_sum(x, wx)
     return _vertical(wx, wy, _norm(x - y[:, None, :]), _norm(x - x0), pair, _norm(y - x0))
 
 
@@ -231,7 +248,6 @@ def _ow_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction) -> np.ndarray:
     Raises WeightedMassZero for the first case, in case order, whose
     observation has weight but whose members carry no weight mass.
     """
-    n = x.shape[0]
     wy = _member_weights(w, y)
     wx = _member_weights(w, x)
     total = wx.sum(1)
@@ -243,12 +259,7 @@ def _ow_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction) -> np.ndarray:
     # The floor only matters for cases with w(y) = 0, which score zero
     # whatever their mass; it keeps their division finite.
     pi = wx / np.maximum(total, MASS_FLOOR)[:, None]
-    out = (pi * _norm(x - y[:, None, :])).sum(1)
-    for a in range(0, n, _BLOCK):
-        pa = pi[a : a + _BLOCK]
-        out[a : a + _BLOCK] -= 0.5 * (
-            pa[:, :, None] * pa[:, None, :] * _pair_norms(x[a : a + _BLOCK])
-        ).sum((1, 2))
+    out = (pi * _norm(x - y[:, None, :])).sum(1) - 0.5 * _pair_sum(x, pi)
     return np.where(wy == 0.0, 0.0, wy * out)
 
 

@@ -8,7 +8,8 @@ same engine that ``uniscores`` uses for a single case of a family or
 weight without a closed form.  Score curves run the closed-form
 kernels on their whole grid of observations.  Multivariate propriety runs
 the shipped energy, variogram and vertically re-scaled kernels of
-``mvscores`` on whole samples at once.
+``mvscores`` on whole samples at once, every score of a pair on the same
+draws.
 """
 
 from __future__ import annotations
@@ -369,10 +370,17 @@ def _mv_sample(rng, params, n: int, m: int, d: int) -> np.ndarray:
     return z @ chol.T + mu
 
 
-def _propriety_mv(score: str, n_pairs: int, n: int, m: int, seed) -> list:
+def _propriety_mv(scores, n_pairs: int, n: int, m: int, seed) -> dict:
+    """Rows of each multivariate score in ``scores``, by score name.
+
+    Each pair's truth, members and alternative members are drawn once
+    and every score is computed on them: the raw scores first, then the
+    threshold-weighted ones on the chained draws, which replace the raw
+    ones so that one set of draws is alive at a time.
+    """
     d = 3
     h = np.ones((d, d))
-    rows = []
+    rows = {s: [] for s in scores}
     for i in range(n_pairs):
         rng = np.random.default_rng((seed, 202, i))
         pg, pf, desc = _mv_pair(rng, i, d)
@@ -381,17 +389,20 @@ def _propriety_mv(score: str, n_pairs: int, n: int, m: int, seed) -> list:
         xf = _mv_sample(rng, pf, n, m, d)
         mu, sd, _ = pg
         q = mu - 0.5 * sd  # roughly the 30th percentile componentwise
-        if score in ("twes", "twvs"):
-            v = CollapseOutside(BoxIndicator(q, np.full(d, np.inf)), q).transform
-            xg, xf, ys = v(xg), v(xf), v(ys)
-        if score in ("es", "twes"):
-            a, b = _energy(xg, ys), _energy(xf, ys)
-        elif score in ("vs", "twvs"):
-            a, b = _variogram(xg, ys, 0.5, h), _variogram(xf, ys, 0.5, h)
-        else:
-            w = MvGaussCdf(q, sd)
-            a, b = _vr_energy(xg, ys, w, q), _vr_energy(xf, ys, w, q)
-        rows.append(_propriety_row(score, desc, a, b))
+        chained = False
+        for score in sorted(rows, key=lambda s: s.startswith("tw")):
+            if score.startswith("tw") and not chained:
+                v = CollapseOutside(BoxIndicator(q, np.full(d, np.inf)), q).transform
+                xg, xf, ys = v(xg), v(xf), v(ys)
+                chained = True
+            if score in ("es", "twes"):
+                a, b = _energy(xg, ys), _energy(xf, ys)
+            elif score in ("vs", "twvs"):
+                a, b = _variogram(xg, ys, 0.5, h), _variogram(xf, ys, 0.5, h)
+            else:
+                w = MvGaussCdf(q, sd)
+                a, b = _vr_energy(xg, ys, w, q), _vr_energy(xf, ys, w, q)
+            rows[score].append(_propriety_row(score, desc, a, b))
     return rows
 
 
@@ -420,15 +431,15 @@ def run_propriety_mc(
     if isinstance(scores, str):
         scores = scores.split(",")
     chosen = tuple(scores) if scores else _UNI_SCORES + _MV_SCORES
-    rows = []
     for s in chosen:
-        if s in _UNI_SCORES:
-            rows.extend(_propriety_uni(s, n_pairs, n_uni, seed))
-        elif s in _MV_SCORES:
-            rows.extend(_propriety_mv(s, n_pairs, n_mv, m_members, seed))
-        else:
+        if s not in _UNI_SCORES + _MV_SCORES:
             raise ContractViolation(f"unknown score {s!r}")
-    return rows
+    mv = [s for s in _MV_SCORES if s in chosen]
+    rows = _propriety_mv(mv, n_pairs, n_mv, m_members, seed) if mv else {}
+    for s in chosen:
+        if s not in rows:
+            rows[s] = _propriety_uni(s, n_pairs, n_uni, seed)
+    return [r for s in chosen for r in rows[s]]
 
 
 # ---------------------------------------------------------------------------

@@ -468,8 +468,11 @@ class CensorBelow(ChainingFunction):
 
 def _gauss_cdf_antideriv(z, mu, sigma):
     # Antiderivative of the normal cdf:
-    # (z - mu) * cdf(z) + sigma^2 * pdf(z).
-    return (z - mu) * _norm_cdf(z, mu, sigma) + sigma**2 * _norm_pdf(z, mu, sigma)
+    # (z - mu) * cdf(z) + sigma^2 * pdf(z), with its limit 0 at -inf,
+    # where the product is -inf * 0.
+    with np.errstate(invalid="ignore"):
+        out = (z - mu) * _norm_cdf(z, mu, sigma) + sigma**2 * _norm_pdf(z, mu, sigma)
+    return np.where(z == -np.inf, 0.0, out)
 
 
 @dataclass(frozen=True)
@@ -494,8 +497,10 @@ class GaussCdfComplementChain(_Gauss, ChainingFunction):
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
-        out = z - _gauss_cdf_antideriv(z, self.mu, self.sigma)
-        return _scalar_or_array(out)
+        # The limit at inf is mu, where the difference is inf - inf.
+        with np.errstate(invalid="ignore"):
+            out = z - _gauss_cdf_antideriv(z, self.mu, self.sigma)
+        return _scalar_or_array(np.where(z == np.inf, self.mu, out))
 
 
 @dataclass(frozen=True)

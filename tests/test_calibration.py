@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from wverif.calibration import _cpit_values, _ranks
+from wverif.calibration import _cpit_values, _isotonic, _ranks
 from wverif import (
     ContractViolation,
     DegenerateConditional,
@@ -215,6 +215,36 @@ def test_corp_resampling_is_seeded():
     assert_allclose(a.band_upper, b.band_upper)
     c = corp_reliability(p, o, resamples=100, seed=8)
     assert not np.allclose(a.band_upper, c.band_upper)
+
+
+def _zero_one_sequences():
+    """Seeded 0/1 sequences like the CORP resamples (outcomes drawn at
+    sorted event probabilities) and the degenerate patterns."""
+    for n in (1, 2, 600, 5_000, 100_000):
+        for seed in range(60):
+            rng = np.random.default_rng((seed, n))
+            ps = np.sort(rng.beta(rng.uniform(0.2, 2.0), rng.uniform(0.5, 10.0), n))
+            yield rng.random(n) < ps
+    yield np.zeros(5_000, dtype=bool)
+    yield np.ones(5_000, dtype=bool)
+    yield np.arange(5_001) % 2 == 0
+    yield np.arange(5_001) % 2 == 1
+
+
+def test_isotonic_by_runs_equals_plain_fit_bit_for_bit():
+    """The fit over pooled runs gives scipy's plain fit to the bit, at
+    every size, everywhere and at probe positions."""
+    from scipy.optimize import isotonic_regression
+
+    count = 0
+    for y in _zero_one_sequences():
+        want = isotonic_regression(y.astype(float)).x
+        probe = np.unique(np.linspace(0, y.size - 1, min(y.size, 1024)).round().astype(int))
+        assert np.array_equal(_isotonic(y), want)
+        assert np.array_equal(_isotonic(y.astype(float)), want)
+        assert np.array_equal(_isotonic(y, probe), want[probe])
+        count += 1
+    assert count == 304
 
 
 def test_corp_input_validation():

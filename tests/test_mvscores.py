@@ -394,12 +394,33 @@ def test_stacked_kernels_match_per_case_functions_property(stack):
             assert_allclose(np.maximum(got, 0.0), want, rtol=1e-12, err_msg=name)
 
 
-@_STACK_SETTINGS
-@given(_mv_stack())
-def test_pair_norms_equal_difference_tensor_bit_for_bit(stack):
-    x, _ = stack
-    tensor = np.sqrt(((x[..., :, None, :] - x[..., None, :, :]) ** 2).sum(-1))
-    assert np.array_equal(mvscores._pair_norms(x), tensor)
+@pytest.mark.parametrize(
+    "n, m",
+    [(3, 1), (4, 2), (2, 7), (5, 8), (mvscores._PAIR_BLOCK + 7, 5), (mvscores._PAIR_BLOCK + 7, 6)],
+)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    d=st.integers(1, 4),
+    centre=st.floats(-30.0, 30.0),
+    spread=st.floats(0.01, 10.0),
+    weighted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_sum_equals_difference_tensor(n, m, d, centre, spread, weighted, seed):
+    """The offset walk sums the same pairs as the full (m, m, d) tensor;
+    only the order of summation differs."""
+    rng = np.random.default_rng(seed)
+    x = centre + spread * rng.standard_normal((n, m, d))
+    dist = np.sqrt(((x[:, :, None, :] - x[:, None, :, :]) ** 2).sum(-1))
+    if weighted:
+        w = rng.uniform(0.0, 2.0, (n, m))
+        w[rng.random((n, m)) < 0.3] = 0.0
+        got, want = mvscores._pair_sum(x, w), (w[:, :, None] * w[:, None, :] * dist).sum((1, 2))
+    else:
+        got, want = mvscores._pair_sum(x), dist.sum((1, 2))
+    assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    same = np.broadcast_to(x[:, :1], x.shape)
+    assert np.array_equal(mvscores._pair_sum(same), np.zeros(n))
 
 
 def _vr_variogram_tensor(x, y, w, p, h, x0):

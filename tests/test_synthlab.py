@@ -20,6 +20,8 @@ from wverif import (
 )
 from wverif.calibration import _cpit_values, histogram_summary
 from wverif.synthlab import (
+    _MV_SCORES,
+    _UNI_SCORES,
     ExperimentSpec,
     _score_draws,
     run_experiment,
@@ -213,6 +215,18 @@ def test_propriety_mc_smoke():
     assert len(rows) == 6
     assert all(r.passed for r in rows)
     assert all(r.se_diff > 0.0 for r in rows)
+
+
+def test_propriety_mc_shared_draws_leave_rows_unchanged():
+    """Every multivariate score is computed on one set of draws per pair;
+    each row must be the one its score gets when run alone."""
+    kw = dict(n_pairs=2, n_uni=2000, n_mv=300, m_members=12, seed=5)
+    single = {s: run_propriety_mc(scores=[s], **kw) for s in _UNI_SCORES + _MV_SCORES}
+    assert run_propriety_mc(**kw) == [r for s in _UNI_SCORES + _MV_SCORES for r in single[s]]
+    chosen = ["twvs", "es", "crps", "vres", "twvs", "vs", "twes"]
+    assert run_propriety_mc(scores=",".join(chosen), **kw) == [
+        r for s in chosen for r in single[s]
+    ]
 
 
 def test_propriety_mc_rejects_unknown_score():

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -321,14 +322,19 @@ def _norm_oracles(mu, s):
     pdf = lambda z: stats.norm.pdf(z, mu, s)  # noqa: E731
     cdf = lambda z: stats.norm.cdf(z, mu, s)  # noqa: E731
     peak = stats.norm.pdf(mu, mu, s)
-    antideriv = lambda z: (z - mu) * cdf(z) + s**2 * pdf(z)  # noqa: E731
+    # The antiderivative with its limit 0 at -inf, where the formula
+    # gives -inf * 0.
+    antideriv = lambda z: np.where(  # noqa: E731
+        z == -np.inf, 0.0, (z - mu) * cdf(z) + s**2 * pdf(z)
+    )
     return {
         "GaussPdf": pdf,
         "OneMinusGaussPdfRatio": lambda z: np.clip(1.0 - pdf(z) / peak, 0.0, 1.0),
         "GaussCdf": cdf,
         "OneMinusGaussCdf": lambda z: stats.norm.sf(z, mu, s),
         "GaussCdfChain": antideriv,
-        "GaussCdfComplementChain": lambda z: z - antideriv(z),
+        # Its limit mu at inf, where the difference is inf - inf.
+        "GaussCdfComplementChain": lambda z: np.where(z == np.inf, mu, z - antideriv(z)),
         "GaussPdfChain": cdf,
         "GaussPdfRatioComplementChain": lambda z: z - cdf(z) / peak,
         "MvGaussPdf": lambda z: np.prod(pdf(z), axis=-1),
@@ -371,6 +377,24 @@ def test_gauss_weights_equal_scipy_stats_norm_bit_for_bit(name, mu, sigma):
         assert np.array_equal(got, float(oracle(np.asarray(z0, dtype=float))), equal_nan=True)
     block = z[:200_000].reshape(400, 500)
     assert np.array_equal(_evaluate(obj, block), oracle(block), equal_nan=True)
+
+
+@pytest.mark.parametrize("mu, sigma", [(0.0, 1.0), (24.7, 3.3), (-3.0, 0.05)])
+def test_gauss_cdf_chains_take_their_limits_at_infinity(mu, sigma):
+    chain = weights_module.GaussCdfChain(mu, sigma)
+    complement = weights_module.GaussCdfComplementChain(mu, sigma)
+    z = np.array([-np.inf, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert chain.transform(-np.inf) == 0.0
+        assert chain.transform(np.inf) == np.inf
+        assert complement.transform(np.inf) == mu
+        assert complement.transform(-np.inf) == -np.inf
+        assert np.array_equal(chain.transform(z), [0.0, np.inf])
+        assert np.array_equal(complement.transform(z), [-np.inf, mu])
+    # Far out the finite values approach the limits.
+    assert chain.transform(mu - 40.0 * sigma) == pytest.approx(0.0, abs=1e-300)
+    assert complement.transform(mu + 40.0 * sigma) == pytest.approx(mu, abs=1e-10)
 
 
 @pytest.mark.parametrize("name", _MV_GAUSS)
