@@ -44,16 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ContractViolation, DataError, UnsupportedInput
-from .mvscores import (
-    MvEnsemble,
-    VariogramSpec,
-    _energy,
-    _ow_energy,
-    _transform,
-    _variogram,
-    _vr_energy,
-    _vr_variogram,
-)
+from .mvscores import MvEnsemble, _mv_kernel
 from .postprocess import _smooth_moments
 from .uniscores import (
     _NEGATIVE_TOL,
@@ -83,7 +74,6 @@ from .weights import (
     HEAT_WARM,
     BoxIndicator,
     CensorAbove,
-    CollapseOutside,
     HeatLevelIndicator,
     IndicatorAbove,
 )
@@ -798,40 +788,15 @@ def _mv_weight(threshold, level, warm, hot, d):
     return w, np.full(d, float(threshold))
 
 
-def _mv_kernel(score: str, threshold, level, warm, hot, p, d: int):
-    """The stacked kernel of a multivariate score: (x (n, m, d), y (n, d)) -> (n,)."""
-    if score == "es":
-        return _energy
-    h = np.ones((d, d))
-    if score == "vs":
-        spec = VariogramSpec(p=p)
-        return lambda x, y: _variogram(x, y, spec.p, h)
-    w, anchor = _mv_weight(threshold, level, warm, hot, d)
-    if score == "twes":
-        chain = CollapseOutside(w, anchor)
-        return lambda x, y: _energy(*_transform(chain, x, y))
-    if score == "twvs":
-        chain = CollapseOutside(w, anchor)
-        spec = VariogramSpec(p=p)
-        return lambda x, y: _variogram(*_transform(chain, x, y), spec.p, h)
-    if score == "owes":
-        return lambda x, y: _ow_energy(x, y, w)
-    if score == "vres":
-        return lambda x, y: _vr_energy(x, y, w, anchor)
-    if score == "vrvs":
-        spec = VariogramSpec(p=p, x0=anchor)
-        x0 = spec.reference_for(d)
-        return lambda x, y: _vr_variogram(x, y, w, spec.p, h, x0)
-    raise ContractViolation(f"unknown multivariate score {score!r}")
-
-
 def _score_multivariate(
     a: Archive, score, threshold, level, warm, hot, p, lead_times
 ) -> tuple:
     lead_times, keys, index = _multivariate_groups(a, lead_times)
     if not keys:
         return [], [], [], np.empty(0)
-    kernel = _mv_kernel(score, threshold, level, warm, hot, p, len(lead_times))
+    d = len(lead_times)
+    w, anchor = (None, None) if score in ("es", "vs") else _mv_weight(threshold, level, warm, hot, d)
+    kernel = _mv_kernel(score, w, anchor, p, np.ones((d, d)))
     values = np.empty(len(keys))
     # Blocks follow member counts rather than case order.  That cannot
     # change which owes message is raised: archive weights are indicators,

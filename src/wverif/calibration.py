@@ -188,6 +188,8 @@ def histogram_summary(values, bins: int = 20, lo: float = 0.0, hi: float = 1.0) 
         raise InsufficientData("no values to bin")
     if np.any(u < lo) or np.any(u > hi):
         raise ContractViolation(f"values must lie inside [{lo}, {hi}]")
+    if bins < 1:
+        raise ContractViolation(f"bins must be at least 1, got {bins}")
     counts, edges = np.histogram(u, bins=bins, range=(lo, hi))
     return HistogramSummary(edges, counts, int(u.size))
 
@@ -286,6 +288,8 @@ def corp_reliability(
         raise ContractViolation("outcomes must be 0 or 1")
     if not 0.0 < level < 1.0:
         raise ContractViolation("level must lie in (0, 1)")
+    if resamples < 1:
+        raise ContractViolation(f"resamples must be at least 1, got {resamples}")
 
     order = np.argsort(p, kind="stable")
     ps = p[order]

@@ -681,7 +681,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="wverif",
         description="probabilistic forecast verification with event weighting",
@@ -747,13 +748,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_report)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args, argv) -> None:
-    """Fill options from the json config for flags not given explicitly."""
-    if not args.config:
-        return
+def _with_config(args, argv) -> argparse.Namespace:
+    """``argv`` parsed again after the json config's values as flags, so
+    that explicit flags win and argparse checks every value.  A text
+    option takes a json string as it stands, any other option the json
+    text of its value ("21" is no number); a switch takes true or false,
+    a repeatable option a list, and null leaves the default."""
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -761,14 +764,29 @@ def _apply_config(args, argv) -> None:
         raise ContractViolation(f"cannot read config {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ContractViolation(f"{args.config}: config must be a json object")
-    explicit = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
+    parser, commands = _build_parser()
+    for p in (parser, *commands.values()):
+        p.exit_on_error = False  # a bad value raises ArgumentError
+    options = {a.dest: a for a in commands[args.cmd]._actions if a.option_strings}
+    flags = []
     for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("func", "cmd", "config"):
+        action = options.get(key.replace("-", "_"))
+        if action is None or action.dest in ("help", "config"):
             raise ContractViolation(f"unknown config key {key!r}")
-        if f"--{dest.replace('_', '-')}" in explicit:
-            continue
-        setattr(args, dest, value)
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ContractViolation(f"config key {key!r} takes true or false")
+            flags += [flag] if value else []
+        elif value is not None:
+            repeat = isinstance(action, argparse._AppendAction) and isinstance(value, list)
+            for v in value if repeat else [value]:
+                text = v if isinstance(v, str) and action.type is None else json.dumps(v)
+                flags.append(f"{flag}={text}")
+    try:
+        return parser.parse_args(argv[:1] + flags + argv[1:])
+    except argparse.ArgumentError as exc:
+        raise ContractViolation(f"{args.config}: {exc}") from None
 
 
 def _echo_config(args) -> dict:
@@ -779,7 +797,7 @@ def _echo_config(args) -> dict:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
+    parser, _ = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -788,13 +806,13 @@ def main(argv=None) -> int:
     if getattr(args, "cmd", None) is None:
         parser.print_usage(sys.stderr)
         return 1
-    if getattr(args, "seed", 0) < 0:
-        print("wverif: --seed must be non-negative", file=sys.stderr)
-        return 1
 
     start = time.perf_counter()
     try:
-        _apply_config(args, argv)
+        if args.config:
+            args = _with_config(args, argv)
+        if args.seed < 0:
+            raise ContractViolation("--seed must be non-negative")
         os.makedirs(args.out, exist_ok=True)
         outputs = args.func(args)
     except (ContractViolation, UnsupportedInput) as exc:

@@ -8,8 +8,9 @@ kernel terms and anchors a correction at a reference point.
 
 Every score is computed by a kernel over a stack of cases: members
 (n, m, d) and observations (n, d).  The per-case functions check their
-inputs and call the kernels with n = 1; ``archive`` calls them on blocks
-of stacked cases and the propriety Monte Carlo in ``synthlab`` on whole
+inputs and call the kernels with n = 1.  ``_mv_kernel`` maps a score
+name, weight and anchor to its kernel; ``archive`` runs it on blocks of
+stacked cases and the propriety Monte Carlo in ``synthlab`` on whole
 samples.  The member-pair sums of the energy family come from one
 kernel, ``_pair_sum``, which walks the pairs by circular offset on
 blocks of ``_PAIR_BLOCK`` cases; the variogram kernels run in blocks of
@@ -29,6 +30,7 @@ from .uniscores import ScoreValue, _vertical
 from .weights import (
     MASS_FLOOR,
     ChainingFunction,
+    CollapseOutside,
     Constant,
     WeightFunction,
 )
@@ -170,8 +172,9 @@ _PAIR_BLOCK = 512
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis."""
-    return np.sqrt((v**2).sum(-1))
+    """Euclidean norm over the last axis of ``v``, a temporary that is
+    squared in place so that no second array of its size is made."""
+    return np.sqrt(np.square(v, out=v).sum(-1))
 
 
 def _pair_sum(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -294,6 +297,32 @@ def _vr_variogram(
         pair[b] = 2.0 * (h * (wx[b].sum(1)[:, None, None] * s2 - s1 * s1)).sum((1, 2))
     rho_y0 = (h * (gy - g0) ** 2).sum((1, 2))
     return _vertical(wx, wy, rho_y, rho_0, pair, rho_y0)
+
+
+def _mv_kernel(score: str, w: WeightFunction | None, anchor, p: float, h: np.ndarray):
+    """The stacked kernel of a multivariate score: (x (n, m, d), y (n, d)) -> (n,).
+
+    Weighted scores take the weight ``w`` and the anchor (d,): a
+    threshold-weighted score is its plain kernel on points chained by
+    collapsing those of weight 0 onto the anchor, which live only for
+    the call.  Variogram scores take the order ``p`` and proximities ``h``.
+    """
+    if score.endswith("vs"):
+        VariogramSpec(p=p)  # refuses an order p <= 0
+    if score.startswith("tw"):
+        chain, kernel = CollapseOutside(w, anchor), _mv_kernel(score[2:], None, None, p, h)
+        return lambda x, y: kernel(*_transform(chain, x, y))
+    if score == "es":
+        return _energy
+    if score == "vs":
+        return lambda x, y: _variogram(x, y, p, h)
+    if score == "owes":
+        return lambda x, y: _ow_energy(x, y, w)
+    if score == "vres":
+        return lambda x, y: _vr_energy(x, y, w, anchor)
+    if score == "vrvs":
+        return lambda x, y: _vr_variogram(x, y, w, p, h, anchor)
+    raise ContractViolation(f"unknown multivariate score {score!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Synthetic experiments: score behaviour, calibration, and propriety.
 
-Everything here is driven by explicit seeds.  The univariate Monte
-Carlo runs score each forecast at all its draws at once: a normal
-forecast under the unit or an indicator weight through the closed-form
-kernels of ``uniscores``, any other on one tabulated cdf, through the
-same engine that ``uniscores`` uses for a single case of a family or
-weight without a closed form.  Score curves run the closed-form
-kernels on their whole grid of observations.  Multivariate propriety runs
-the shipped energy, variogram and vertically re-scaled kernels of
-``mvscores`` on whole samples at once, every score of a pair on the same
-draws.
+Everything here is driven by explicit seeds.  No score is computed
+here: univariate scores come from ``uniscores._parametric_score``, the
+route that the per-case functions call with one observation, here with
+every observation of a curve or every draw of a Monte Carlo sample at
+once; multivariate scores from ``mvscores._mv_kernel``, the table of
+stacked kernels that ``archive`` scores its cases with, here on whole
+samples.  The propriety Monte Carlo draws each truth/alternative pair
+once and scores every requested score on the same draws.
 """
 
 from __future__ import annotations
@@ -31,12 +29,11 @@ from .calibration import (
 )
 from .exceptions import ContractViolation, WeightedMassZero
 from .forecasts import Logistic, Normal, Parametric, StudentT
-from .mvscores import _energy, _variogram, _vr_energy
-from .uniscores import _CdfGrid, _closed_form, _normal_score
+from .mvscores import _mv_kernel
+from .uniscores import _parametric_score
 from .weights import (
     MASS_FLOOR,
     BoxIndicator,
-    CollapseOutside,
     Constant,
     GaussCdf,
     GaussPdf,
@@ -87,16 +84,16 @@ class ScoreCurves:
 def run_score_curves(t: float = 1.0, ys=None, x0: float = 0.0) -> ScoreCurves:
     """Score a standard normal forecast along a grid of observations.
 
-    Runs the closed-form normal kernels of ``uniscores`` on all the
-    observations at once.  The weight is the indicator of exceeding
-    ``t``, which the censoring chaining of the threshold-weighted score
-    integrates.
+    Scores all the observations at once, which for a normal forecast
+    runs the closed-form kernels of ``uniscores``.  The weight is the
+    indicator of exceeding ``t``, which the censoring chaining of the
+    threshold-weighted score integrates.
     """
     if ys is None:
         ys = np.linspace(-3.0, 3.0, 121)
     ys = np.asarray(ys, dtype=float)
-    w = IndicatorAbove(t)
-    curves = [_normal_score(s, 0.0, 1.0, ys, w, x0) for s in ("crps", "twcrps", "owcrps", "vrcrps")]
+    f, w = Normal(0.0, 1.0), IndicatorAbove(t)
+    curves = [_parametric_score(s, f, ys, w, x0) for s in ("crps", "twcrps", "owcrps", "vrcrps")]
     return ScoreCurves(ys, *curves, t, x0)
 
 
@@ -306,39 +303,26 @@ def _uni_weight(i: int, centre: float, sd: float) -> WeightFunction:
     return families[i % len(families)]
 
 
-def _score_draws(dist, score: str, ys: np.ndarray, w: WeightFunction) -> np.ndarray:
-    """One univariate score of a fixed forecast at every draw; 0.0 is the
-    vrCRPS anchor.  A normal forecast under a weight with a closed form
-    goes through the closed-form kernels, any other on one tabulated cdf
-    with the extreme draws as knots where they fall on its support."""
-    if _closed_form(dist, w):
-        return _normal_score(score, dist.mean_, dist.sd, ys, w, 0.0)
-    knots = (ys.min(), ys.max(), 0.0, *w.breakpoints())
-    if score == "owcrps_bs":
-        brier = (float(dist.cdf(w.t)) - (ys <= w.t)) ** 2
-        return brier + w(ys) * _CdfGrid.conditioned(dist, w, knots).owcrps(ys, w)
-    grid = _CdfGrid(dist, knots)
-    if score == "vrcrps":
-        return grid.vrcrps(ys, w, 0.0)
-    return grid.twcrps(ys, w)
-
-
-def _propriety_uni(score: str, n_pairs: int, n: int, seed) -> list:
-    rows = []
+def _propriety_uni(scores, n_pairs: int, n: int, seed) -> dict:
+    """Rows of each univariate score in ``scores``, by score name, all
+    scored on one set of draws per pair; vrcrps is anchored at 0."""
+    rows = {s: [] for s in scores}
     for i in range(n_pairs):
         rng = np.random.default_rng((seed, 101, i))
         g, f, desc = _uni_pair(rng, i)
         ys = g.sample(n, rng)
-        centre = g.mean() + 0.5 * np.sqrt(g.variance())
-        w, label = Constant(), score
-        if score == "owcrps_bs":
-            w = IndicatorAbove(float(g.ppf(rng.uniform(0.4, 0.85))))
-        elif score in ("twcrps", "vrcrps"):
-            k = i if score == "twcrps" else i + 1
-            w = _uni_weight(k, centre, np.sqrt(g.variance()))
-            label = f"{score}[{type(w).__name__}]"
-        a, b = (_score_draws(dist, score, ys, w) for dist in (g, f))
-        rows.append(_propriety_row(label, desc, a, b))
+        t = float(g.ppf(rng.uniform(0.4, 0.85)))
+        sd = np.sqrt(g.variance())
+        centre = g.mean() + 0.5 * sd
+        for score in rows:
+            w, label = Constant(), score
+            if score == "owcrps_bs":
+                w = IndicatorAbove(t)
+            elif score in ("twcrps", "vrcrps"):
+                w = _uni_weight(i if score == "twcrps" else i + 1, centre, sd)
+                label = f"{score}[{type(w).__name__}]"
+            a, b = (_parametric_score(score, dist, ys, w) for dist in (g, f))
+            rows[score].append(_propriety_row(label, desc, a, b))
     return rows
 
 
@@ -371,13 +355,10 @@ def _mv_sample(rng, params, n: int, m: int, d: int) -> np.ndarray:
 
 
 def _propriety_mv(scores, n_pairs: int, n: int, m: int, seed) -> dict:
-    """Rows of each multivariate score in ``scores``, by score name.
-
-    Each pair's truth, members and alternative members are drawn once
-    and every score is computed on them: the raw scores first, then the
-    threshold-weighted ones on the chained draws, which replace the raw
-    ones so that one set of draws is alive at a time.
-    """
+    """Rows of each multivariate score in ``scores``, by score name, all
+    scored on one set of draws per pair.  The weights emphasise the
+    region above q, roughly the 30th percentile componentwise: [q, inf)
+    chains the twes and twvs onto q, a Gaussian cdf re-scales vres."""
     d = 3
     h = np.ones((d, d))
     rows = {s: [] for s in scores}
@@ -388,21 +369,11 @@ def _propriety_mv(scores, n_pairs: int, n: int, m: int, seed) -> dict:
         xg = _mv_sample(rng, pg, n, m, d)
         xf = _mv_sample(rng, pf, n, m, d)
         mu, sd, _ = pg
-        q = mu - 0.5 * sd  # roughly the 30th percentile componentwise
-        chained = False
-        for score in sorted(rows, key=lambda s: s.startswith("tw")):
-            if score.startswith("tw") and not chained:
-                v = CollapseOutside(BoxIndicator(q, np.full(d, np.inf)), q).transform
-                xg, xf, ys = v(xg), v(xf), v(ys)
-                chained = True
-            if score in ("es", "twes"):
-                a, b = _energy(xg, ys), _energy(xf, ys)
-            elif score in ("vs", "twvs"):
-                a, b = _variogram(xg, ys, 0.5, h), _variogram(xf, ys, 0.5, h)
-            else:
-                w = MvGaussCdf(q, sd)
-                a, b = _vr_energy(xg, ys, w, q), _vr_energy(xf, ys, w, q)
-            rows[score].append(_propriety_row(score, desc, a, b))
+        q = mu - 0.5 * sd
+        box = BoxIndicator(q, np.full(d, np.inf))
+        for score in rows:
+            kernel = _mv_kernel(score, MvGaussCdf(q, sd) if score == "vres" else box, q, 0.5, h)
+            rows[score].append(_propriety_row(score, desc, kernel(xg, ys), kernel(xf, ys)))
     return rows
 
 
@@ -423,10 +394,12 @@ def run_propriety_mc(
     is compared with the mean score of the wrong forecast over draws
     from the truth.  A row passes when the truth is no worse than the
     alternative plus twice the standard error of the paired difference.
-    Univariate forecasts are scored as full distributions on cdf grids;
-    multivariate ones as 50-member samples, drawn the same way for both
-    sides so the finite-ensemble bias cancels in the comparison, by the
-    same kernels that ``mvscores`` runs for every case it scores.
+    Univariate forecasts are scored as full distributions by the route
+    of the per-case functions, in closed form for a normal forecast
+    under the unit or an indicator weight and on a tabulated cdf
+    otherwise; multivariate ones as 50-member samples, drawn the same
+    way for both sides so the finite-ensemble bias cancels in the
+    comparison, by the kernels that ``archive`` scores its cases with.
     """
     if isinstance(scores, str):
         scores = scores.split(",")
@@ -434,11 +407,10 @@ def run_propriety_mc(
     for s in chosen:
         if s not in _UNI_SCORES + _MV_SCORES:
             raise ContractViolation(f"unknown score {s!r}")
+    uni = [s for s in _UNI_SCORES if s in chosen]
     mv = [s for s in _MV_SCORES if s in chosen]
-    rows = _propriety_mv(mv, n_pairs, n_mv, m_members, seed) if mv else {}
-    for s in chosen:
-        if s not in rows:
-            rows[s] = _propriety_uni(s, n_pairs, n_uni, seed)
+    rows = _propriety_uni(uni, n_pairs, n_uni, seed) if uni else {}
+    rows.update(_propriety_mv(mv, n_pairs, n_mv, m_members, seed) if mv else {})
     return [r for s in chosen for r in rows[s]]
 
 
@@ -512,14 +484,8 @@ def run_impropriety_demo(
     w = IndicatorAbove(t)
     wy = np.asarray(w(ys), dtype=float)
 
-    knots = (ys.min(), ys.max(), t)
-    sc_truth = _CdfGrid(truth, knots)
-    sc_trunc = _CdfGrid(trunc, knots)
-
-    naive_a = wy * sc_truth.twcrps(ys, Constant())
-    naive_b = wy * sc_trunc.twcrps(ys, Constant())
-    tw_a = sc_truth.twcrps(ys, w)
-    tw_b = sc_trunc.twcrps(ys, w)
+    naive_a, naive_b = (wy * _parametric_score("crps", f, ys, Constant()) for f in (truth, trunc))
+    tw_a, tw_b = (_parametric_score("twcrps", f, ys, w) for f in (truth, trunc))
     return ImproprietyResult(
         naive_truth=float(np.mean(naive_a)),
         naive_trunc=float(np.mean(naive_b)),

@@ -2,21 +2,23 @@
 
 Ensemble forecasts are scored with exact kernel sums by kernels over
 stacks of ensembles (members (n, m), observations (n,)); the member-pair
-sums run over the sorted members in O(m log m).  Normal forecasts under
-the unit, censoring and indicator weights (``_closed_form``) are scored
-by elementwise closed forms over arrays of means, sds and observations:
+sums run over the sorted members in O(m log m).  Parametric forecasts
+go through one route, ``_parametric_score``, which scores one forecast
+at many observations.  A normal forecast under the unit, censoring or
+indicator weight (``_closed_form``) is scored by elementwise closed
+forms over arrays of means, sds and observations (``_normal_score``):
 the CRPS, the Brier score, the censored-normal twCRPS, the
 truncated-normal owCRPS and the indicator-weight vrCRPS, all from
-``scipy.special.ndtr``.  The per-case functions call both kinds of
-kernel with one case, and ``archive`` and ``synthlab`` call them on
-many, so each route gives a case the same value.  Every other
-parametric forecast and weight goes through one engine, ``_CdfGrid``:
-the forecast cdf is tabulated on a piecewise-uniform grid over its
-support with the observation, thresholds and anchor as knots where they
-fall on it, the integral forms of the scores are integrated by composite
-Simpson, and what lies beyond the support is added in closed form.  The
-same engine scores one forecast at many observations for the propriety
-Monte Carlo of ``synthlab``.  Every public scoring function returns a ``ScoreValue``.
+``scipy.special.ndtr``.  Every other family and weight goes through one
+engine, ``_CdfGrid``: the forecast cdf is tabulated on a
+piecewise-uniform grid over its support with the extreme observations,
+weight breakpoints and anchor as knots where they fall on it, the
+integral forms of the scores are integrated by composite Simpson, and
+what lies beyond the support is added in closed form.  The per-case
+functions call the route with one observation and the propriety Monte
+Carlo of ``synthlab`` with all its draws; ``archive`` calls the closed
+forms on all its smoothed records at once, so each route gives a case
+the same value.  Every public scoring function returns a ``ScoreValue``.
 """
 
 from __future__ import annotations
@@ -200,10 +202,8 @@ def brier(forecast: Forecast, y: float, t: float) -> ScoreValue:
     t = _check_scalar(t, "t")
     if isinstance(forecast, Ensemble):
         value = _brier_ensembles(forecast.members[None], np.array([y]), t)[0]
-    elif isinstance(forecast, Normal):
-        value = _normal_brier(*_one_case(forecast, y), t)[0]
     elif isinstance(forecast, Parametric):
-        value = (float(forecast.cdf(t)) - (1.0 if y <= t else 0.0)) ** 2
+        value = _parametric_score("brier", forecast, np.array([y]), IndicatorAbove(t))[0]
     else:
         raise ContractViolation("brier needs an ensemble or parametric forecast")
     return ScoreValue(value, "brier", {"t": t})
@@ -227,8 +227,8 @@ def crps_ensemble(forecast, y: float, fair: bool = False) -> ScoreValue:
 def normal_crps_values(mu, sigma, y):
     """Closed-form normal CRPS, vectorised over numpy arrays.
 
-    Returns plain floats/arrays; used by the post-processing fit and the
-    synthetic experiment batch paths.
+    Returns plain floats/arrays; ``crps_normal`` and the closed-form
+    kernels for normal forecasts call it.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -254,11 +254,11 @@ def crps_normal(mu: float, sigma: float, y: float) -> ScoreValue:
 #
 # Each kernel scores many normal forecasts at once: means ``mu``, sds
 # ``sd`` and observations ``y`` are arrays that broadcast together, and
-# one weight serves every case.  The per-case functions call them with
-# one case.  With U standard normal, Q(u) = P(U > u) = ndtr(-u).  Tail
-# terms use Q rather than 1 - Phi so that they keep their relative
-# accuracy far out, where the outcome-weighted score divides by the
-# squared tail mass.
+# one weight serves every case.  The per-case functions reach them
+# through ``_parametric_score`` with one case.  With U standard normal,
+# Q(u) = P(U > u) = ndtr(-u).  Tail terms use Q rather than 1 - Phi so
+# that they keep their relative accuracy far out, where the
+# outcome-weighted score divides by the squared tail mass.
 # Weights on the left tail reduce to the right tail by reflecting
 # x -> -x, which leaves the CRPS and its weighted variants unchanged.
 
@@ -289,11 +289,6 @@ def _no_mass(w: WeightFunction, mass) -> WeightedMassZero:
     """The error for an indicator weight whose tail mass is at or below the floor."""
     side = "above" if isinstance(w, IndicatorAbove) else "below"
     return WeightedMassZero(f"forecast mass {side} {w.t} is {mass:.3e}, below the floor")
-
-
-def _one_case(forecast: Normal, y: float) -> tuple:
-    """(mu, sd, y) of one normal case as the kernels take them."""
-    return np.array([forecast.mean_], dtype=float), np.array([forecast.sd]), np.array([y])
 
 
 def _standardise(mu, sd, w: WeightFunction, *xs) -> list:
@@ -557,6 +552,35 @@ class _CdfGrid:
         return dist[:-1] * wy - 0.5 * pair + (dist[-1] - np.abs(ys - x0) * wy) * (ew - wy)
 
 
+def _parametric_score(score: str, forecast, ys: np.ndarray, w: WeightFunction, x0: float = 0.0):
+    """One score of ``forecast`` at every observation of ``ys``, with
+    ``score``, ``w`` and the anchor x0 as ``_normal_score`` takes them.
+
+    Closed forms where ``_closed_form`` holds, else one tabulated cdf
+    with the extreme observations, the weight's breakpoints and, for the
+    vrCRPS, x0 as knots.  No conditional grid is built where w(y) = 0.
+    """
+    if _closed_form(forecast, w):
+        return _normal_score(score, forecast.mean_, forecast.sd, ys, w, x0)
+    if score in ("brier", "owcrps_bs"):
+        # Two scalar squares, as the Brier score of one observation takes them.
+        p = float(forecast.cdf(w.t))
+        brier = np.where(ys <= w.t, (p - 1.0) ** 2, p**2)
+        if score == "brier":
+            return brier
+    knots = (ys.min(), ys.max(), *w.breakpoints())
+    if score in ("owcrps", "owcrps_bs"):
+        wy = np.asarray(w(ys), dtype=float)
+        live = wy != 0.0
+        out = np.zeros(ys.shape)
+        if live.any():
+            out[live] = wy[live] * _CdfGrid.conditioned(forecast, w, knots).owcrps(ys[live], w)
+        return out if score == "owcrps" else brier + out
+    if score == "vrcrps":
+        return _CdfGrid(forecast, (*knots, x0)).vrcrps(ys, w, x0)
+    return _CdfGrid(forecast, knots).twcrps(ys, Constant() if score == "crps" else w)
+
+
 # ---------------------------------------------------------------------------
 # CRPS by integration
 # ---------------------------------------------------------------------------
@@ -632,11 +656,7 @@ def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool 
     if isinstance(forecast, Parametric):
         if fair:
             raise ContractViolation("the fair variant applies to ensembles only")
-        w = v.weight()
-        if _closed_form(forecast, w):
-            value = _twcrps_normal(*_one_case(forecast, y), w)[0]
-        else:
-            value = _CdfGrid(forecast, (y, *w.breakpoints())).twcrps(np.array([y]), w)[0]
+        value = _parametric_score("twcrps", forecast, np.array([y]), v.weight())[0]
         return ScoreValue(value, "twcrps", params)
     raise ContractViolation("twcrps needs an ensemble or parametric forecast")
 
@@ -644,6 +664,18 @@ def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool 
 # ---------------------------------------------------------------------------
 # outcome-weighted CRPS
 # ---------------------------------------------------------------------------
+
+
+def _outcome_weighted_forecast(forecast, score: str) -> None:
+    """Refuse raw ensembles, whose reweighting throws away almost all of
+    a small sample, and any other forecast that is not parametric."""
+    if isinstance(forecast, Ensemble):
+        raise UnsupportedInput(
+            "outcome-weighted scores are not defined on raw ensembles here; "
+            "fit a smooth forecast with postprocess.smooth_ensemble first"
+        )
+    if not isinstance(forecast, Parametric):
+        raise ContractViolation(f"{score} needs a parametric forecast")
 
 
 def owcrps(forecast: Forecast, y: float, w: WeightFunction) -> ScoreValue:
@@ -656,20 +688,9 @@ def owcrps(forecast: Forecast, y: float, w: WeightFunction) -> ScoreValue:
     w = _univariate_weight(w)
     y = _check_scalar(y)
     params = {"weight": repr(w)}
-    if isinstance(forecast, Ensemble):
-        raise UnsupportedInput(
-            "outcome-weighted scores are not defined on raw ensembles here; "
-            "fit a smooth forecast with postprocess.smooth_ensemble first"
-        )
-    if not isinstance(forecast, Parametric):
-        raise ContractViolation("owcrps needs a parametric forecast")
-    if _closed_form(forecast, w):
-        return ScoreValue(_owcrps_normal(*_one_case(forecast, y), w)[0], "owcrps", params)
-    wy = float(w(y))
-    if wy == 0.0:
-        return ScoreValue(0.0, "owcrps", params)
-    value = _CdfGrid.conditioned(forecast, w, (y,)).owcrps(np.array([y]), w)[0]
-    return ScoreValue(wy * value, "owcrps", params)
+    _outcome_weighted_forecast(forecast, "owcrps")
+    value = _parametric_score("owcrps", forecast, np.array([y]), w)[0]
+    return ScoreValue(value, "owcrps", params)
 
 
 def owcrps_bs(forecast: Forecast, y: float, t: float) -> ScoreValue:
@@ -681,15 +702,13 @@ def owcrps_bs(forecast: Forecast, y: float, t: float) -> ScoreValue:
     threshold event at every outcome restores propriety: the score is
     1{y > t} CRPS(F conditioned beyond t, y) + (F(t) - 1{y <= t})^2.
     For y <= t the first term vanishes and the score is exactly the
-    Brier score.
+    Brier score.  Raw ensembles are refused, as by ``owcrps``.
     """
     y = _check_scalar(y)
     t = _check_scalar(t, "t")
-    params = {"t": t}
-    value = brier(forecast, y, t).value
-    if y > t:
-        value += owcrps(forecast, y, IndicatorAbove(t)).value
-    return ScoreValue(value, "owcrps_bs", params)
+    _outcome_weighted_forecast(forecast, "owcrps_bs")
+    value = _parametric_score("owcrps_bs", forecast, np.array([y]), IndicatorAbove(t))[0]
+    return ScoreValue(value, "owcrps_bs", {"t": t})
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +728,8 @@ def vrcrps(forecast: Forecast, y: float, w: WeightFunction, x0: float = 0.0) -> 
     params = {"weight": repr(w), "x0": x0}
     if isinstance(forecast, Ensemble):
         value = _vrcrps_ensembles(forecast.members[None], np.array([y]), w, x0)[0]
-    elif _closed_form(forecast, w):
-        value = _vrcrps_normal(*_one_case(forecast, y), w, x0)[0]
     elif isinstance(forecast, Parametric):
-        grid = _CdfGrid(forecast, (y, x0, *w.breakpoints()))
-        value = grid.vrcrps(np.array([y]), w, x0)[0]
+        value = _parametric_score("vrcrps", forecast, np.array([y]), w, x0)[0]
     else:
         raise ContractViolation("vrcrps needs an ensemble or parametric forecast")
     return ScoreValue(value, "vrcrps", params)

@@ -1498,6 +1498,52 @@ def test_cli_config_file_defaults_and_overrides(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize(
+    "cfg, argv",
+    [
+        ({"threshold": "21"}, ["score", "--score", "twcrps"]),
+        ({"bins": "abc"}, ["diagnose", "--smooth"]),
+        ({"lead_times": [1, 2, 3]}, ["score", "--score", "es"]),
+        ({"seed": -1}, ["score", "--score", "crps"]),
+        ({"format": "xml"}, ["score", "--score", "crps"]),
+        ({"smooth": "yes"}, ["score", "--score", "crps"]),
+    ],
+    ids=("string-for-float", "text-for-int", "list-for-text", "negative-seed", "choice", "switch"),
+)
+def test_cli_config_values_pass_the_flag_checks(tmp_path, capsys, cfg, argv):
+    """A config value goes through the subcommand's parser as a flag
+    would: a bad one exits 1 with a message, not a traceback."""
+    arch = _write_archive_file(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = main(argv + ["--archive", arch, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("wverif: ")
+
+
+def test_cli_config_switches_and_text_options(tmp_path):
+    arch = _write_archive_file(tmp_path, n_days=30, stations=("ayr",), leads=(1,))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"smooth": True, "thresholds": "20.5", "corp-resamples": 20}))
+    out = tmp_path / "o"
+    assert main(["diagnose", "--archive", arch, "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert [t["threshold"] for t in summary["thresholds"]] == [20.5]
+    assert (out / "corp_20p5.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", (["--bins", "0"], ["--thresholds", "20.5", "--corp-resamples", "0"])
+)
+def test_cli_diagnose_refuses_empty_bins_and_resamples(tmp_path, capsys, flags):
+    arch = _write_archive_file(tmp_path, n_days=30, stations=("ayr",), leads=(1,))
+    capsys.readouterr()
+    code = main(["diagnose", "--archive", arch, "--smooth", *flags, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("wverif: ")
+
+
 def test_benchmark_tracer_bindings_resolve():
     # perfbench/tracing.py wraps these functions at the names their
     # callers bind; a binding that no longer resolves stops a traced run.

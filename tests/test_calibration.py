@@ -155,6 +155,9 @@ def test_histogram_summary():
 def test_histogram_summary_rejects_out_of_range():
     with pytest.raises(ContractViolation):
         histogram_summary(np.array([-0.1, 0.5]))
+    for bins in (0, -3):
+        with pytest.raises(ContractViolation):
+            histogram_summary(np.array([0.1, 0.5]), bins=bins)
 
 
 def test_rank_histogram_counts():
@@ -204,6 +207,14 @@ def test_corp_band_tracks_the_diagonal():
     fit = corp_reliability(p, o, resamples=300, seed=9)
     frac = np.mean((fit.probs >= fit.band_lower) & (fit.probs <= fit.band_upper))
     assert frac > 0.95
+
+
+def test_corp_needs_a_resample():
+    p = np.linspace(0.05, 0.95, 20)
+    o = (np.arange(20) % 3 == 0).astype(float)
+    for resamples in (0, -1):
+        with pytest.raises(ContractViolation):
+            corp_reliability(p, o, resamples=resamples, seed=7)
 
 
 def test_corp_resampling_is_seeded():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,7 +26,7 @@ from wverif.synthlab import (
     _MV_SCORES,
     _UNI_SCORES,
     ExperimentSpec,
-    _score_draws,
+    _uni_weight,
     run_experiment,
     run_ideal_forecaster,
     run_impropriety_demo,
@@ -31,6 +34,7 @@ from wverif.synthlab import (
     run_score_curves,
     run_tail_forecasters,
 )
+from wverif.uniscores import _closed_form, _parametric_score
 from wverif.weights import CensorAbove, canonical_chaining
 
 
@@ -48,23 +52,38 @@ def _per_case(dist, score, ys, w):
 
 
 @pytest.mark.parametrize(
-    "dist", (Normal(0.3, 1.44), StudentT.from_moments(5.0, 0.3, 1.44)), ids=("normal", "t5")
+    "dist",
+    (
+        Normal(0.3, 1.44),
+        StudentT.from_moments(5.0, 0.3, 1.44),
+        Logistic(0.3, 1.2 * np.sqrt(3.0) / np.pi),
+    ),
+    ids=("normal", "t5", "logistic"),
 )
 def test_batch_route_matches_per_case_functions(dist):
-    """Scoring all draws on one grid that spans them agrees with scoring
-    each draw on its own grid, with the draw as a knot, or with the
-    closed form for the normal; draws between the nodes are integrated
-    to through the quadratic of their Simpson panel."""
+    """Scoring all draws at once agrees with scoring each draw on its
+    own, for each forecast family of the propriety pairs under each of
+    their weight families: bit for bit where the closed form serves
+    both, and within 1e-6 on tabulated cdfs, where the batch has one
+    grid that spans all draws and each case its own with the draw as a
+    knot; draws between the nodes are integrated to through the
+    quadratic of their Simpson panel."""
     ys = np.array([-1.8, -0.2, 0.31, 0.9, 2.4])
     t = 0.31
-    for score, w in (
+    cases = [
         ("crps", Constant()),
         ("twcrps", GaussCdf(t, 1.2)),
         ("owcrps_bs", IndicatorAbove(t)),
         ("vrcrps", GaussCdf(t, 1.2)),
-    ):
-        got = _score_draws(dist, score, ys, w)
-        assert np.abs(got - _per_case(dist, score, ys, w)).max() < 1e-6, score
+    ]
+    cases += [(s, _uni_weight(k, 0.9, 1.2)) for k in range(7) for s in ("twcrps", "vrcrps")]
+    for score, w in cases:
+        got = _parametric_score(score, dist, ys, w)
+        want = _per_case(dist, score, ys, w)
+        if _closed_form(dist, w):
+            assert got.tolist() == want.tolist(), (score, w)
+        else:
+            assert np.abs(got - want).max() < 1e-6, (score, w)
 
 
 def test_batch_route_of_a_normal_under_closed_form_weights_is_the_per_case_closed_form():
@@ -75,7 +94,7 @@ def test_batch_route_of_a_normal_under_closed_form_weights_is_the_per_case_close
         (score, w) for w in (IndicatorAbove(t), IndicatorBelow(t)) for score in ("twcrps", "vrcrps")
     ]
     for score, w in cases:
-        got = _score_draws(dist, score, ys, w)
+        got = _parametric_score(score, dist, ys, w)
         assert got.tolist() == _per_case(dist, score, ys, w).tolist(), (score, w)
 
 
@@ -85,11 +104,34 @@ def test_batch_route_indicator_weights():
     for t in (0.31, -0.5):
         for w in (IndicatorAbove(t), IndicatorBelow(t)):
             for score in ("twcrps", "vrcrps"):
-                got = _score_draws(dist, score, ys, w)
+                got = _parametric_score(score, dist, ys, w)
                 assert np.abs(got - _per_case(dist, score, ys, w)).max() < 1e-6, (score, w)
-        got = _score_draws(dist, "owcrps_bs", ys, IndicatorAbove(t))
+        got = _parametric_score("owcrps_bs", dist, ys, IndicatorAbove(t))
         want = _per_case(dist, "owcrps_bs", ys, IndicatorAbove(t))
         assert np.abs(got - want).max() < 1e-6
+
+
+def test_synthlab_scores_only_through_the_dispatch_points():
+    """synthlab has no scoring code of its own: of the scoring modules
+    it imports only the univariate route that the per-case functions
+    call and the multivariate kernel table that archive scores with."""
+    import wverif.synthlab
+
+    tree = ast.parse(Path(wverif.synthlab.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, alias.name) for alias in node.names}
+    scoring = {
+        (module, name)
+        for module, name in imported
+        if "scores" in (module or "") or "scores" in (name or "")
+    }
+    assert scoring == {("uniscores", "_parametric_score"), ("mvscores", "_mv_kernel")}
+    kernels = {"_CdfGrid", "_normal_score", "_energy", "_variogram", "_vr_energy", "_closed_form"}
+    assert not kernels & {name for _, name in imported}
 
 
 def test_score_curves_shapes():

@@ -220,6 +220,11 @@ def test_owcrps_refuses_raw_ensembles():
     e = Ensemble(np.array([-0.5, 0.5, 1.5]))
     with pytest.raises(UnsupportedInput):
         owcrps(e, 2.0, IndicatorAbove(0.0))
+    # owcrps_bs refuses them on both sides of its threshold, not only
+    # where its outcome-weighted part is live.
+    for y in (0.0, 3.0):
+        with pytest.raises(UnsupportedInput):
+            owcrps_bs(Ensemble(np.array([1.0, 2.0, 3.0])), y, 2.5)
 
 
 def test_owcrps_constant_weight_is_crps():
