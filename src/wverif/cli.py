@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import itertools
 import json
 import os
 import sys
@@ -60,9 +59,9 @@ from .exceptions import (
 )
 from .postprocess import (
     _ecc_place,
+    _fit_chains,
     emos_mean_variance,
     fit_climatology,
-    fit_emos,
     lapse_rate_correct,
 )
 from .synthlab import ExperimentSpec, run_experiment
@@ -73,7 +72,7 @@ from .synthlab import ExperimentSpec, run_experiment
 # them here and cannot start without them.
 from .archive import score_archive, skill_table  # noqa: F401
 from .calibration import cpit, pit, rank  # noqa: F401
-from .postprocess import ecc_reorder, predict_emos, smooth_ensemble  # noqa: F401
+from .postprocess import ecc_reorder, fit_emos, predict_emos, smooth_ensemble  # noqa: F401
 
 _MAX_TABLE_ROWS = 2048
 
@@ -83,7 +82,8 @@ _MAX_TABLE_ROWS = 2048
 # ---------------------------------------------------------------------------
 
 
-def _fmt_cell(v) -> str:
+def _cell_text(v) -> str:
+    """One csv field for a value of any kind."""
     if v is None:
         return ""
     if isinstance(v, (bool, np.bool_)):
@@ -94,13 +94,39 @@ def _fmt_cell(v) -> str:
         return repr(float(v))
     if isinstance(v, datetime.date):
         return v.isoformat()
-    return str(v)
+    return _csv_field(str(v))
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _column_text(column) -> list:
+    """The csv fields of a column.  A numeric or boolean array is
+    formatted from its ``tolist()`` in one pass; a date or a string is
+    formatted once per distinct value."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return list(map(repr, values))
+        if column.dtype.kind == "b":
+            return ["true" if v else "false" for v in values]
+        return list(map(str, values))
+    seen: dict = {}
+    out = []
+    for v in column:
+        if isinstance(v, (str, datetime.date)):
+            text = seen.get(v)
+            if text is None:
+                text = seen[v] = _cell_text(v)
+        else:
+            text = _cell_text(v)
+        out.append(text)
+    return out
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """A csv table from its header and its equal-length columns."""
+    lines = [",".join(_column_text(header))]
+    lines += map(",".join, zip(*map(_column_text, columns), strict=True))
     with open(path, "w", newline="") as fh:
-        for row in itertools.chain([header], rows):
-            fh.write(",".join(_csv_field(_fmt_cell(v)) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_jsonl(path: str, rows) -> None:
@@ -142,18 +168,18 @@ def _num_label(x: float) -> str:
 
 
 def _write_hist(out: str, name: str, hist) -> str:
-    edges, counts, freqs = hist.bin_edges.tolist(), hist.counts.tolist(), hist.frequencies.tolist()
+    edges = hist.bin_edges
     _write_csv(
         os.path.join(out, name),
         ("bin_lo", "bin_hi", "count", "frequency"),
-        zip(edges[:-1], edges[1:], counts, freqs),
+        (edges[:-1], edges[1:], hist.counts, hist.frequencies),
     )
     return name
 
 
 def _write_ecdf(out: str, name: str, u, p) -> str:
     keep = _thin(u.size)
-    _write_csv(os.path.join(out, name), ("u", "p"), zip(u[keep], p[keep]))
+    _write_csv(os.path.join(out, name), ("u", "p"), (u[keep], p[keep]))
     return name
 
 
@@ -163,7 +189,7 @@ def _write_corp(out: str, name: str, fit) -> str:
     _write_csv(
         os.path.join(out, name),
         ("prob", "cep", "band_lower", "band_upper"),
-        zip(*(c[keep] for c in cols)),
+        [c[keep] for c in cols],
     )
     return name
 
@@ -254,7 +280,7 @@ def _cmd_diagnose(args) -> list:
     _write_csv(
         os.path.join(args.out, "ranks.csv"),
         ("rank", "count", "frequency"),
-        zip(range(1, rhist.k + 1), rhist.counts.tolist(), rhist.frequencies.tolist()),
+        (np.arange(1, rhist.k + 1), rhist.counts, rhist.frequencies),
     )
     outputs.append("ranks.csv")
     summary["rank_ri"] = reliability_index(rhist)
@@ -363,34 +389,45 @@ def _cmd_postprocess(args) -> list:
     sids, dates = (np.array(c, dtype=object) for c in (archive.station_ids, archive.init_dates))
 
     # Sorted by lead time, date and station, each day of a lead time is a
-    # run of records, and each training window a run of days.
+    # run of records, each lead time a run of days, and each training
+    # window a run of days.
     order = np.argsort(_key_codes(lead, dates, sids))
     cols = [c[order] for c in (xbar, var, covariates[:, 0], covariates[:, 1], archive.obs)]
     starts = np.r_[0, np.flatnonzero(np.diff(_key_codes(lead, dates)[order])) + 1]
-    ends = np.r_[starts[1:], len(order)]
+    firsts = np.r_[0, np.flatnonzero(np.diff(lead[order[starts]])) + 1].tolist()
+    starts = starts.tolist()
+    ends, lasts = starts[1:] + [len(order)], firsts[1:] + [len(starts)]
     mean, sd = np.full(len(archive), np.nan), np.full(len(archive), np.nan)
-    params_rows, n_unfit, params, first = [], 0, None, 0
-    for j, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-        lt, date = archive.lead_times[order[a]], archive.init_dates[order[a]]
-        if a == 0 or lt != archive.lead_times[order[a - 1]]:
-            params, first = None, j
-        if params is None:
-            n_unfit += b - a
-        else:
-            mu, v = emos_mean_variance(params, *(c[a:b] for c in cols[:4]))
-            if not (np.isfinite(mu).all() and np.isfinite(v).all()):
-                raise ContractViolation("normal parameters must be finite")
-            mean[order[a:b]], sd[order[a:b]] = mu, np.sqrt(v)
-        w = starts[max(first, j - args.window_days + 1)]
-        try:
-            params = fit_emos([c[w:b] for c in cols], init=params)
-        except InsufficientData:
-            params = None
-            continue
-        params_rows.append(
-            {"lead_time": lt, "train_through": date.isoformat(), "n_train": b - w}
-            | params.to_dict()
-        )
+    params, fitted, n_unfit = [None] * len(firsts), [[] for _ in firsts], 0
+    # Day k of every lead time at once: predict it from the lead time's
+    # last fit, then fit all their windows through day k in lockstep.
+    for k in range(max(q - p for p, q in zip(firsts, lasts))):
+        leads_k, windows, labels = [], [], []
+        for i, (p, q) in enumerate(zip(firsts, lasts)):
+            if p + k >= q:
+                continue
+            a, b = starts[p + k], ends[p + k]
+            if params[i] is None:
+                n_unfit += b - a
+            else:
+                mu, v = emos_mean_variance(params[i], *(c[a:b] for c in cols[:4]))
+                if not (np.isfinite(mu).all() and np.isfinite(v).all()):
+                    raise ContractViolation("normal parameters must be finite")
+                mean[order[a:b]], sd[order[a:b]] = mu, np.sqrt(v)
+            w = starts[max(p, p + k - args.window_days + 1)]
+            leads_k.append(i)
+            windows.append(tuple(c[w:b] for c in cols))
+            labels.append({
+                "lead_time": archive.lead_times[order[a]],
+                "train_through": archive.init_dates[order[a]].isoformat(),
+                "n_train": b - w,
+            })
+        fits = _fit_chains(windows, [params[i] for i in leads_k], [None] * len(windows))
+        for i, label, fit in zip(leads_k, labels, fits):
+            params[i] = fit
+            if fit is not None:
+                fitted[i].append(label | fit.to_dict())
+    params_rows = [row for rows in fitted for row in rows]
 
     # Rows sort by station, init date and lead time.
     rows = np.argsort(_key_codes(sids, dates, lead))
@@ -398,7 +435,7 @@ def _cmd_postprocess(args) -> list:
     _write_csv(
         os.path.join(args.out, "predictions.csv"),
         ("station_id", "init_date", "lead_time", "mean", "sd"),
-        zip(sids[rows], dates[rows], lead[rows], mean[rows], sd[rows]),
+        [c[rows] for c in (sids, dates, lead, mean, sd)],
     )
     _write_jsonl(os.path.join(args.out, "params.jsonl"), params_rows)
     outputs = ["predictions.csv", "params.jsonl"]
@@ -478,7 +515,7 @@ def _run_climatology(args, archive) -> str:
     _write_csv(
         os.path.join(args.out, "climatology.csv"),
         ("station_id", "mean", "sd", "n"),
-        rows,
+        list(zip(*rows)),
     )
     return "climatology.csv"
 
@@ -519,7 +556,7 @@ def _write_score_curves(out: str, res) -> list:
     _write_csv(
         os.path.join(out, "curves.csv"),
         ("y", "crps", "twcrps", "owcrps", "vrcrps"),
-        list(zip(res.ys, res.crps, res.twcrps, res.owcrps, res.vrcrps)),
+        (res.ys, res.crps, res.twcrps, res.owcrps, res.vrcrps),
     )
     _write_json(
         os.path.join(out, "summary.json"),
@@ -571,7 +608,10 @@ def _write_propriety(out: str, rows) -> list:
     _write_csv(
         os.path.join(out, "propriety.csv"),
         ("score", "pair", "mean_true", "mean_other", "se_diff", "passed"),
-        [(r.score, r.pair, r.mean_true, r.mean_other, r.se_diff, r.passed) for r in rows],
+        [
+            [getattr(r, k) for r in rows]
+            for k in ("score", "pair", "mean_true", "mean_other", "se_diff", "passed")
+        ],
     )
     _write_json(
         os.path.join(out, "summary.json"),
@@ -585,18 +625,12 @@ def _write_impropriety(out: str, res) -> list:
         os.path.join(out, "impropriety.csv"),
         ("rule", "mean_truth", "mean_truncated", "se_diff", "preferred"),
         [
+            ("naive_weighted_crps", "twcrps"),
+            (res.naive_truth, res.tw_truth),
+            (res.naive_trunc, res.tw_trunc),
+            (res.naive_se, res.tw_se),
             (
-                "naive_weighted_crps",
-                res.naive_truth,
-                res.naive_trunc,
-                res.naive_se,
                 "truncated" if res.naive_prefers_truncated else "none",
-            ),
-            (
-                "twcrps",
-                res.tw_truth,
-                res.tw_trunc,
-                res.tw_se,
                 "truth" if res.tw_prefers_truth else "none",
             ),
         ],
@@ -650,7 +684,7 @@ def _cmd_report(args) -> list:
     _write_csv(
         os.path.join(args.out, "report.csv"),
         ("score", "group", "n", "mean_score", "mean_reference", "skill", "degenerate"),
-        rows,
+        list(zip(*rows)),
     )
     return ["report.csv"]
 

@@ -10,8 +10,11 @@ physically ordered ensemble by sampling equidistant quantiles and
 reordering them like the raw members (Schefzik, Thorarinsdottir &
 Gneiting 2013).  The kernels take arrays: a training window is any set of
 columns (an index range over records sorted by lead time, date and station
-in the CLI), and ``predict_emos`` and ``ecc_reorder`` are one-case
-wrappers over ``emos_mean_variance`` and ``_ecc_place``.
+in the CLI).  ``_fit_chains`` fits several windows in lockstep, with one
+stacked objective call per window length in each round, and every window
+gets the bits it gets alone; ``fit_emos`` is its one-window wrapper, and
+``predict_emos`` and ``ecc_reorder`` are one-case wrappers over
+``emos_mean_variance`` and ``_ecc_place``.
 """
 
 from __future__ import annotations
@@ -227,57 +230,186 @@ def _objective_grad_hess(theta, X, var, y):
     z dsigma/dlog s0, z dsigma/dlog s1], and the sigma-gradient times
     the second derivatives of sigma adds to the two log-sigma entries.
     Cases whose variance sits on VARIANCE_FLOOR do not move sigma.
+
+    Takes one window or a stack of windows of one length: theta (..., 6),
+    X (..., n, 4), var and y (..., n).  Each product and mean runs over one
+    window's cases, so a window in a stack gets the bits it gets alone.
     """
-    s0, s1 = np.exp(theta[4:])
+    s = np.exp(theta[..., 4:, None])
+    s0, s1 = s[..., 0, :], s[..., 1, :]
     raw = s0 + s1 * var
     sig = np.sqrt(np.maximum(raw, VARIANCE_FLOOR))
-    z = (y - X @ theta[:4]) / sig
+    z = (y - (X @ theta[..., :4, None])[..., 0]) / sig
     cdf = ndtr(z)
     pdf = _std_pdf(z)
     dsig = 2.0 * pdf - 1.0 / np.sqrt(np.pi)
     crps = sig * (z * (2.0 * cdf - 1.0) + dsig)
-    n = y.size
+    n = y.shape[-1]
+
+    def mean(a):  # np.mean's sum and division, without its overhead
+        return np.add.reduce(a, axis=-1) / n
+
     live = raw > VARIANCE_FLOOR
     ds0 = np.where(live, s0 / (2.0 * sig), 0.0)
     ds1 = np.where(live, s1 * var / (2.0 * sig), 0.0)
-    grad = np.empty(6)
-    grad[:4] = X.T @ (1.0 - 2.0 * cdf) / n
-    grad[4] = np.mean(dsig * ds0)
-    grad[5] = np.mean(dsig * ds1)
-    U = np.column_stack([X, z * ds0, z * ds1])
-    hess = (U.T * (2.0 * pdf / sig)) @ U / n
+    grad = np.empty(theta.shape)
+    grad[..., :4] = (X.swapaxes(-1, -2) @ (1.0 - 2.0 * cdf)[..., None])[..., 0] / n
+    grad[..., 4] = mean(dsig * ds0)
+    grad[..., 5] = mean(dsig * ds1)
+    U = np.concatenate([X, (z * ds0)[..., None], (z * ds1)[..., None]], axis=-1)
+    hess = (U.swapaxes(-1, -2) * (2.0 * pdf / sig)[..., None, :]) @ U / n
     # d2 sigma / dlog s_i dlog s_j = delta_ij ds_i - ds_i ds_j / sigma
     curv = dsig / sig
-    hess[4, 4] += grad[4] - np.mean(curv * ds0 * ds0)
-    hess[5, 5] += grad[5] - np.mean(curv * ds1 * ds1)
-    cross = np.mean(curv * ds0 * ds1)
-    hess[4, 5] -= cross
-    hess[5, 4] -= cross
-    return float(np.mean(crps)), grad, hess
+    hess[..., 4, 4] += grad[..., 4] - mean(curv * ds0 * ds0)
+    hess[..., 5, 5] += grad[..., 5] - mean(curv * ds1 * ds1)
+    cross = mean(curv * ds0 * ds1)
+    hess[..., 4, 5] -= cross
+    hess[..., 5, 4] -= cross
+    return mean(crps), grad, hess
 
 
-def _newton_step(grad, hess):
-    """Newton direction on H + lambda I and the decrement g^T (H + lambda I)^-1 g.
+def _newton_steps(grad, hess):
+    """Newton directions on H + lambda I and the decrements g^T (H + lambda I)^-1 g
+    of a stack of iterates: grad (k, 6), hess (k, 6, 6).
 
     Coefficients whose diagonal entry of H is 0, such as a covariate
     column of zeros or log sigma1 when every ensemble variance is 0, do
     not move the objective; they keep a zero step.  On the others lambda
     stays 0 while H has a Cholesky factor, and otherwise rises by factors
     of ten from 1e-8 until H + lambda I has one (Levenberg-Marquardt).
+    The iterates with one set of such coefficients climb that ladder
+    together, one stacked factorisation per rung for those still without
+    a factor.  It calls numpy's Cholesky kernel without the wrapper that
+    raises for the whole stack: under the caller's
+    ``np.errstate(invalid="ignore")`` a failed factor comes back as NaNs.
     """
-    free = np.diag(hess) != 0.0
-    h, g = hess[np.ix_(free, free)], grad[free]
-    lam = 0.0
-    while True:
-        try:
-            chol = np.linalg.cholesky(h + lam * np.eye(g.size))
-            break
-        except np.linalg.LinAlgError:
-            lam = 1e-8 if lam == 0.0 else 10.0 * lam
-    half = np.linalg.solve(chol, g)
-    step = np.zeros_like(grad)
-    step[free] = -np.linalg.solve(chol.T, half)
-    return step, float(half @ half)
+    free = np.diagonal(hess, axis1=1, axis2=2) != 0.0
+    if free.all():
+        return _damped_newton(grad, hess)
+    step, decrement = np.zeros_like(grad), np.empty(len(grad))
+    patterns = free.tolist()
+    for keep in set(map(tuple, patterns)):
+        rows = [r for r, f in enumerate(patterns) if tuple(f) == keep]
+        cols = [j for j, f in enumerate(keep) if f]
+        step[np.ix_(rows, cols)], decrement[rows] = _damped_newton(
+            grad[np.ix_(rows, cols)], hess[np.ix_(rows, cols, cols)]
+        )
+    return step, decrement
+
+
+def _damped_newton(g, h):
+    """``_newton_steps`` on a stack whose Hessians have no zero diagonal entry."""
+    chol, eye, lam, todo = np.empty_like(h), np.eye(g.shape[1]), 0.0, np.arange(len(h))
+    while todo.size:
+        factor = np.linalg._umath_linalg.cholesky_lo(h[todo] + lam * eye, signature="d->d")
+        chol[todo] = factor
+        todo = todo[np.isnan(factor.reshape(len(todo), -1)).any(axis=1)]
+        lam = 1e-8 if lam == 0.0 else 10.0 * lam
+    half = np.linalg.solve(chol, g[..., None])
+    step = -np.linalg.solve(chol.swapaxes(1, 2), half)[..., 0]
+    return step, (half.swapaxes(1, 2) @ half)[:, 0, 0]
+
+
+def _window_objective(groups, chains, theta):
+    """``_objective_grad_hess`` of the ``chains`` (a sorted list) at their
+    rows of ``theta``, one stacked call per group of equal-length windows.
+    ``groups`` holds ({chain: position}, X, var, y) stacks."""
+    f, grad, hess = np.empty(len(chains)), np.empty((len(chains), 6)), np.empty((len(chains), 6, 6))
+    for where, X, var, y in groups:
+        rows = [r for r, c in enumerate(chains) if c in where]
+        if len(rows) < len(where):
+            k = [where[chains[r]] for r in rows]
+            X, var, y = X[k], var[k], y[k]
+        if rows:
+            f[rows], grad[rows], hess[rows] = _objective_grad_hess(theta[rows], X, var, y)
+    return f, grad, hess
+
+
+def _fit_chains(windows, inits, histories) -> list:
+    """Fit several windows at once: the EmosParams of each, or None for a
+    window of fewer than _MIN_CASES cases.
+
+    ``windows`` are (xbar, var, mhd, tpi, obs) array tuples, ``inits`` their
+    warm starts (or None) and ``histories`` their objective lists (or None);
+    see ``fit_emos`` for the fit.  The chains run in lockstep: each round
+    takes the Newton steps of the chains at a new iterate together, then
+    evaluates one line-search trial of every running chain, in one stacked
+    call per window length.  Windows are not padded to one length, which
+    would change the order of their sums, so every chain takes the steps
+    it takes alone.
+    """
+    out = [None] * len(windows)
+    chains = [i for i, w in enumerate(windows) if w[4].size >= _MIN_CASES]
+    by_length = {}
+    for c, i in enumerate(chains):
+        by_length.setdefault(windows[i][4].size, []).append(c)
+    groups = []
+    for members in by_length.values():
+        stack = [windows[chains[c]] for c in members]
+        groups.append((
+            {c: p for p, c in enumerate(members)},
+            np.stack([_design(xbar, mhd, tpi) for xbar, _, mhd, tpi, _ in stack]),
+            np.stack([w[1] for w in stack]),
+            np.stack([w[4] for w in stack]),
+        ))
+
+    k = len(chains)
+    theta = np.array([
+        _INIT_THETA if inits[i] is None
+        else np.r_[inits[i].beta, np.log([inits[i].sigma0, inits[i].sigma1])]
+        for i in chains
+    ]).reshape(k, 6)
+    running = fresh = list(range(k))
+    f, grad, hess = _window_objective(groups, running, theta)
+    f, step, decrement = f.tolist(), np.zeros((k, 6)), [0.0] * k
+    n_iter, stopped, t, halvings, ended = [0] * k, [False] * k, [1.0] * k, [0] * k, set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        while running:
+            if fresh:
+                # a non-finite Hessian (a NaN observation, say) ends the fit unconverged
+                finite = np.isfinite(hess[fresh].reshape(-1, 36)).all(axis=1).tolist()
+                ended.update(c for c, ok in zip(fresh, finite) if not ok)
+                fresh = [c for c, ok in zip(fresh, finite) if ok]
+                g = grad[fresh]
+                step[fresh], new = _newton_steps(g, hess[fresh])
+                largest = np.max(np.abs(g), axis=1).tolist()
+                for c, dec, top in zip(fresh, new.tolist(), largest):
+                    decrement[c], t[c], halvings[c] = dec, 1.0, 0
+                    if top <= _GRAD_TOL and dec <= _DECREMENT_TOL:
+                        stopped[c] = True
+                        ended.add(c)
+                    elif n_iter[c] == _MAX_ITER:
+                        ended.add(c)
+            running = [c for c in running if c not in ended]
+            if not running:
+                break
+            trial = theta[running] + np.array([t[c] for c in running])[:, None] * step[running]
+            f_new, g_new, h_new = _window_objective(groups, running, trial)
+            took = []
+            for r, (c, value) in enumerate(zip(running, f_new.tolist())):
+                if value < f[c] - _ARMIJO * t[c] * decrement[c]:
+                    took.append(r)
+                    f[c], n_iter[c] = value, n_iter[c] + 1
+                    if histories[chains[c]] is not None:
+                        histories[chains[c]].append(value)
+                else:
+                    t[c] *= 0.5
+                    halvings[c] += 1
+                    if halvings[c] == _MAX_HALVINGS:
+                        ended.add(c)
+            fresh = [running[r] for r in took]
+            if took:
+                theta[fresh], grad[fresh], hess[fresh] = trial[took], g_new[took], h_new[took]
+    for c, i in enumerate(chains):
+        out[i] = EmosParams(
+            beta=tuple(theta[c, :4]),
+            sigma0=max(float(np.exp(theta[c, 4])), 1e-12),
+            sigma1=max(float(np.exp(theta[c, 5])), 1e-12),
+            converged=stopped[c] or float(np.max(np.abs(grad[c]))) <= 10.0 * _GRAD_TOL,
+            n_iter=n_iter[c],
+            objective=f[c],
+        )
+    return out
 
 
 def fit_emos(window, init: EmosParams | None = None, history: list | None = None) -> EmosParams:
@@ -294,52 +426,17 @@ def fit_emos(window, init: EmosParams | None = None, history: list | None = None
     is at most 1e-5.  The line search is monotone, so the last iterate is
     the best one and is returned rather than raising.  ``n_iter`` counts
     Newton iterations; ``history``, if supplied, collects the objective at
-    every accepted iterate.
+    every accepted iterate.  One window of ``_fit_chains``, which fits
+    several in lockstep.
     """
     if isinstance(window, TrainingWindow):
-        xbar, var, mhd, tpi, y = window.arrays()
+        cols = window.arrays()
     else:
-        xbar, var, mhd, tpi, y = (np.asarray(a, dtype=float) for a in window)
-    n = y.size
-    if n < _MIN_CASES:
-        raise InsufficientData(f"the fit needs at least {_MIN_CASES} cases, got {n}")
-    X = _design(xbar, mhd, tpi)
-
-    theta = _INIT_THETA if init is None else np.r_[init.beta, np.log([init.sigma0, init.sigma1])]
-
-    f, grad, hess = _objective_grad_hess(theta, X, var, y)
-    n_iter = 0
-    stopped = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a non-finite Hessian (a NaN observation, say) ends the fit unconverged
-        while np.all(np.isfinite(hess)):
-            step, decrement = _newton_step(grad, hess)
-            if np.max(np.abs(grad)) <= _GRAD_TOL and decrement <= _DECREMENT_TOL:
-                stopped = True
-                break
-            if n_iter == _MAX_ITER:
-                break
-            t = 1.0
-            for _ in range(_MAX_HALVINGS):
-                trial = theta + t * step
-                f_new, g_new, h_new = _objective_grad_hess(trial, X, var, y)
-                if f_new < f - _ARMIJO * t * decrement:
-                    break
-                t *= 0.5
-            else:
-                break
-            theta, f, grad, hess = trial, f_new, g_new, h_new
-            n_iter += 1
-            if history is not None:
-                history.append(f)
-    return EmosParams(
-        beta=tuple(theta[:4]),
-        sigma0=max(float(np.exp(theta[4])), 1e-12),
-        sigma1=max(float(np.exp(theta[5])), 1e-12),
-        converged=stopped or float(np.max(np.abs(grad))) <= 10.0 * _GRAD_TOL,
-        n_iter=n_iter,
-        objective=f,
-    )
+        cols = tuple(np.asarray(a, dtype=float) for a in window)
+    params = _fit_chains([cols], [init], [history])[0]
+    if params is None:
+        raise InsufficientData(f"the fit needs at least {_MIN_CASES} cases, got {cols[4].size}")
+    return params
 
 
 def emos_mean_variance(params: EmosParams, xbar, var, mhd, tpi):

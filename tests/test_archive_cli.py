@@ -76,6 +76,8 @@ from wverif.weights import (
     IndicatorAbove,
 )
 
+from emos_oracle import fit_emos_oracle
+
 
 def _mk_records(n_days=3, stations=("ayr", "bex"), leads=(1, 2, 3), m=5, seed=0):
     rng = np.random.default_rng(seed)
@@ -1288,6 +1290,140 @@ def test_cli_postprocess_equals_the_library_route_bit_for_bit(tmp_path):
     ecc = read_archive_csv(out / "ecc.csv")
     assert len(ecc) == 3 * n_predicted.count(3)
     assert ("ayr", datetime.date(2024, 6, 7)) not in set(zip(ecc.station_ids, ecc.init_dates))
+
+
+def _cell_oracle(v) -> str:
+    """One table cell, formatted and quoted the way the per-row csv writer
+    did it before tables were written by column."""
+    if v is None:
+        text = ""
+    elif isinstance(v, (bool, np.bool_)):
+        text = "true" if v else "false"
+    elif isinstance(v, (int, np.integer)):
+        text = str(int(v))
+    elif isinstance(v, (float, np.floating)):
+        text = repr(float(v))
+    elif isinstance(v, datetime.date):
+        text = v.isoformat()
+    else:
+        text = str(v)
+    return archive._csv_field(text)
+
+
+def _table_oracle(header, columns) -> bytes:
+    rows = itertools.chain([header], zip(*columns))
+    return "".join(",".join(map(_cell_oracle, row)) + "\n" for row in rows).encode()
+
+
+_ODD_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, np.float32(0.1)]
+_ODD_STRINGS = ["plain", "a,b", 'say "hi"', "cr\rid", "lf\nid", "", " x "]
+
+
+def _typed_columns(rows: int):
+    """Columns of every kind the tables hold, ``rows`` long."""
+    def pick(values):
+        return [values[i % len(values)] for i in range(rows)]
+
+    days = pick([datetime.date(2024, 6, 1), datetime.date(2021, 12, 31)])
+    return [
+        np.array(pick(_ODD_FLOATS), dtype=float),
+        np.array(pick([0.1, -0.0, np.inf]), dtype=np.float32),
+        pick(_ODD_FLOATS),
+        np.arange(rows, dtype=np.int64) - 3,
+        pick([1, np.int64(-2), 0]),
+        np.arange(rows) % 2 == 0,
+        pick([True, np.bool_(False)]),
+        days,
+        np.array(days, dtype=object),
+        pick(_ODD_STRINGS),
+        np.array(pick(_ODD_STRINGS), dtype=object),
+        pick([None, 1, 2.5, "all", True, datetime.date(2024, 1, 2), None]),
+    ]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 9])
+def test_columnar_csv_writer_equals_the_per_cell_formatting(tmp_path, rows):
+    columns = _typed_columns(rows)
+    header = [f"c{i}" for i in range(len(columns) - 1)] + ["quoted,name"]
+    cli._write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == _table_oracle(header, columns)
+
+
+_cells = st.none() | st.booleans() | st.integers() | st.floats() | st.dates() | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 5).flatmap(
+        lambda rows: st.lists(st.lists(_cells, min_size=rows, max_size=rows), min_size=1, max_size=4)
+    )
+)
+def test_columnar_csv_writer_equals_the_per_cell_formatting_on_mixed_columns(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(path, header, columns)
+    assert path.read_bytes() == _table_oracle(header, columns)
+
+
+def _oracle_fit_chains(windows, inits, histories):
+    """``postprocess._fit_chains`` one window at a time through the
+    per-window oracle."""
+    fits = []
+    for window, init, history in zip(windows, inits, histories):
+        try:
+            fits.append(fit_emos_oracle(window, init, history))
+        except InsufficientData:
+            fits.append(None)
+    return fits
+
+
+def test_cli_lockstep_fits_equal_per_window_fits_with_ragged_lead_times(tmp_path, monkeypatch):
+    # Lead time 2 lacks its first two days and every fifth day, and lead
+    # time 3 lacks station "dun" every third day, so the lead times' day k
+    # falls on different dates and their windows differ in length.
+    recs = _mk_records(n_days=18, stations=("ayr", "bex", "cor", "dun", "eck"), seed=13)
+    start = datetime.date(2024, 6, 1)
+    recs = [
+        r for r in recs
+        if not (r.lead_time == 2 and ((r.init_date - start).days < 2 or (r.init_date - start).days % 5 == 4))
+        and not (r.lead_time == 3 and r.station_id == "dun" and (r.init_date - start).days % 3 == 1)
+    ]
+    path = tmp_path / "arch.csv"
+    write_archive_csv(recs, path)
+    (tmp_path / "stations.csv").write_text(_EDGE_STATIONS)
+    lengths = []
+
+    def spy(windows, inits, histories):
+        lengths.append([w[4].size for w in windows])
+        return stacked(windows, inits, histories)
+
+    stacked = cli._fit_chains
+    runs = {}
+    for name, fit in (("stacked", spy), ("oracle", _oracle_fit_chains)):
+        monkeypatch.setattr(cli, "_fit_chains", fit)
+        out = tmp_path / name
+        assert main(
+            ["postprocess", "--archive", str(path), "--stations", str(tmp_path / "stations.csv"),
+             "--window-days", "4", "--ecc", "--climatology", "--out", str(out)]
+        ) == 0
+        runs[name] = out
+    for file in ("params.jsonl", "predictions.csv", "ecc.csv", "climatology.csv", "summary.json"):
+        assert (runs["stacked"] / file).read_bytes() == (runs["oracle"] / file).read_bytes(), file
+    # Both equal the lead-by-lead library route.
+    stations = {
+        "ayr": (StationMeta("ayr", 0.4, -0.2), (120.0, 80.0)),
+        "bex": (StationMeta("bex", 1.1, 0.6), None),
+    }
+    (tmp_path / "lib").mkdir()
+    for name, text in _library_postprocess(recs, stations, 4, tmp_path / "lib").items():
+        assert (runs["stacked"] / name).read_text() == text, name
+    # Some rounds stack windows of one length, others of several, and one
+    # leaves a lead time's short first window unfit beside fitted ones.
+    assert any(len(k) > len(set(k)) > 1 for k in lengths)
+    assert any(len(set(k)) == 1 and len(k) > 1 for k in lengths)
+    assert any(min(k) < 10 <= max(k) for k in lengths)
 
 
 def test_cli_climatology_groups_unsorted_interleaved_station_ids(tmp_path):

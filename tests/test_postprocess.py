@@ -29,6 +29,8 @@ from wverif import (
     smooth_ensemble,
 )
 
+from emos_oracle import fit_emos_oracle
+
 
 def test_lapse_rate_correction():
     # model cell 1000 m above the station: forecasts warmed by 6 degrees
@@ -510,3 +512,122 @@ def test_stacked_ecc_equals_ecc_reorder_per_group(stack):
     for k in range(raw.shape[0]):
         margins = [Normal(mu, s**2) for mu, s in zip(mean[k], sd[k])]
         assert np.array_equal(ecc_reorder(margins, raw[k]).members, out[k])
+
+
+# ---------------------------------------------------------------------------
+# stacked fits against the per-window oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _fit_bits(p):
+    """Everything a fit reports, floats as their bytes, so -0.0 counts.  Every
+    NaN counts as one value: numpy adds a NaN to a NaN of the other sign
+    into either of them, by the SIMD lane they fall in, which moves when a
+    window joins a stack; neither json nor csv text shows the sign."""
+    floats = np.array([*p.beta, p.sigma0, p.sigma1, p.objective])
+    return np.where(np.isnan(floats), np.nan, floats).tobytes(), p.converged, p.n_iter
+
+
+def _assert_stack_equals_oracle(windows, inits):
+    histories = [[] for _ in windows]
+    got = postprocess._fit_chains(windows, inits, histories)
+    for window, init, fit, history in zip(windows, inits, got, histories):
+        want_history = []
+        try:
+            want = fit_emos_oracle(window, init, want_history)
+        except InsufficientData:
+            assert fit is None and history == []
+            continue
+        assert _fit_bits(fit) == _fit_bits(want)
+        assert np.array(history).tobytes() == np.array(want_history).tobytes()
+    return got
+
+
+_KINDS = ("calibrate", "zero-variance", "zero-covariate", "nan-observation", "short", "kelvin")
+
+
+def _kind_window(kind, n, rng):
+    """A calibrate-shaped window of ``n`` cases, altered by ``kind``: every
+    variance 0 (a zero Hessian diagonal), a covariate column of zeros, one
+    NaN observation (the non-finite stop), under _MIN_CASES cases, or
+    observations in kelvin (every phi(z) underflows at the start)."""
+    if kind == "short":
+        n = int(rng.integers(1, 10))
+    xbar, var, mhd, tpi, y = (np.ravel(a).copy() for a in _calibrate_stream(rng, n, stations=1))
+    if kind == "zero-variance":
+        var[:] = 0.0
+    elif kind == "zero-covariate":
+        tpi[:] = 0.0
+    elif kind == "nan-observation":
+        y[rng.integers(n)] = np.nan
+    elif kind == "kelvin":
+        y += 273.15
+    return xbar, var, mhd, tpi, y
+
+
+@st.composite
+def _window_stack(draw):
+    windows, inits = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(_KINDS))
+        # a few shared lengths, so that stacks hold several windows
+        n = draw(st.sampled_from([30, 200]) | st.integers(10, 300))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        windows.append(_kind_window(kind, n, rng))
+        warm = EmosParams((-1.0, 1.0, 0.001, -0.01), 1.5, 0.5)
+        inits.append(draw(st.sampled_from([None, warm])))
+    return windows, inits
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_window_stack())
+def test_stacked_fits_equal_the_per_window_oracle_bit_for_bit(stack):
+    _assert_stack_equals_oracle(*stack)
+
+
+def test_stacked_fits_cover_every_kind_of_window():
+    # One stack with a window of each kind, all but the short one of one length.
+    rng = np.random.default_rng(3)
+    windows = [_kind_window(kind, 40, rng) for kind in _KINDS]
+    got = _assert_stack_equals_oracle(windows, [None] * len(windows))
+    fits = dict(zip(_KINDS, got))
+    assert fits["short"] is None
+    assert fits["nan-observation"].n_iter == 0 and not fits["nan-observation"].converged
+    assert fits["zero-covariate"].beta[3] == 0.0
+    assert all(fits[k].converged for k in ("calibrate", "zero-variance", "zero-covariate", "kelvin"))
+
+
+def test_a_hessian_with_a_zero_diagonal_leaves_the_start_in_a_stack():
+    # Every variance 0 and sigma0 far below the floor: no case moves sigma,
+    # and 300 degrees off every phi(z) underflows, so the whole diagonal is
+    # 0 and the step is 0; the chain beside it fits as it does alone.
+    rng = np.random.default_rng(8)
+    flat = (rng.uniform(15.0, 25.0, 20), np.zeros(20), rng.normal(size=20), rng.normal(size=20),
+            300.0 + rng.normal(size=20))
+    start = EmosParams((0.0, 1.0, 0.0, 0.0), 1e-9, 1.0)
+    got = _assert_stack_equals_oracle([flat, _kind_window("calibrate", 20, rng)], [start, None])
+    assert got[0].n_iter == 0 and not got[0].converged and got[1].converged
+
+
+def _drifting_window():
+    """Twelve calibrate-shaped cases (four stations over three days) whose
+    optimum lies on the sigma1 -> 0 boundary: log sigma1 drifts down step
+    after step while the gradient test already holds."""
+    rng = np.random.default_rng(2722)
+    truth = 24.0 + rng.normal(0.0, 2.5, 12)
+    centre = truth + 1.5 + rng.normal(0.0, 1.5, 12)
+    members = centre[:, None] + 0.5 * rng.standard_normal((12, 21))
+    mhd, tpi = np.tile(rng.uniform(-300.0, 300.0, 4), 3), np.tile(rng.uniform(-50.0, 50.0, 4), 3)
+    return members.mean(axis=1), members.var(axis=1, ddof=1), mhd, tpi, truth
+
+
+def test_sigma1_boundary_drift_is_reproduced_among_short_chains():
+    # The fit runs to the iteration cap, reported converged, with sigma1
+    # near 0; the chains beside it stop within a few rounds.
+    rng = np.random.default_rng(4)
+    windows = [_drifting_window(), _kind_window("calibrate", 12, rng), _kind_window("calibrate", 30, rng)]
+    got = _assert_stack_equals_oracle(windows, [None] * 3)
+    drift = got[0]
+    assert drift.n_iter == postprocess._MAX_ITER and drift.converged
+    assert drift.sigma1 < 1e-6
+    assert max(p.n_iter for p in got[1:]) < 50
