@@ -22,14 +22,13 @@ Raw ensembles are scored through the stacked kernels of ``uniscores``
 and ``mvscores``: blocks of at most ``_STACK`` records, or stacked
 multivariate cases, sharing a member count go to one kernel call as
 slices of the member array, and each case gets exactly the value the
-per-case function gives.  ``_score_columns`` returns the scores as
-columns: the CLI's score and report commands write and join those, and
-``score_archive`` wraps them in one ``ScoredCase`` per case.  Skill
-tables come from one join over key columns, ``_skill_rows``, which
-``skill_table`` feeds from ``ScoredCase`` lists.
-Smoothed forecasts are normal fits to the members, taken per block of
-one member count, and each score is one call of its closed-form kernel
-over all records.
+per-case function gives.  Like the kernels, the archive functions take
+and return columns: ``score_archive`` gives (station ids, init dates,
+lead times, values), ``skill_table`` joins two such sets by one sort of
+their keys, and ``group_multivariate`` gives the (cases, d) array of the
+record indices of each stacked case.  Smoothed forecasts are normal fits
+to the members, taken per block of one member count, and each score is
+one call of its closed-form kernel over all records.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import ContractViolation, DataError, UnsupportedInput
-from .mvscores import MvEnsemble, _mv_kernel
+from .mvscores import _mv_kernel
 from .postprocess import _smooth_moments
 from .uniscores import (
     _NEGATIVE_TOL,
@@ -82,9 +81,6 @@ __all__ = [
     "ArchiveRecord",
     "RejectedRow",
     "Archive",
-    "MultivariateCase",
-    "ScoredCase",
-    "SkillRow",
     "read_archive",
     "read_archive_csv",
     "read_archive_jsonl",
@@ -224,6 +220,11 @@ def _archive_of(records, rejects=()) -> Archive:
 
 def _columns_of(archive) -> Archive:
     return archive if isinstance(archive, Archive) else _archive_of(archive)
+
+
+def _check_fraction(max_fraction) -> None:
+    if not 0.0 <= max_fraction <= 1.0:  # NaN fails too
+        raise ContractViolation(f"max_reject_fraction must lie in [0, 1], got {max_fraction!r}")
 
 
 def _check_reject_fraction(n_rows: int, rejects, max_fraction: float, path: str):
@@ -473,9 +474,11 @@ def read_archive_csv(path, max_reject_fraction: float = 0.01) -> Archive:
     An empty or header-only file yields an empty archive.  Rows that do
     not parse, and rows repeating the (station, init date, lead time) of
     an earlier row, are collected as rejects; the read aborts with
-    DataError only when their fraction exceeds ``max_reject_fraction``.
+    DataError only when their fraction exceeds ``max_reject_fraction``,
+    which must lie in [0, 1].
     The numbers of a file are parsed in bulk unless it quotes a field.
     """
+    _check_fraction(max_reject_fraction)
     path = str(path)
     archive = _bulk_csv(path, max_reject_fraction)
     if archive is None:
@@ -518,6 +521,7 @@ def read_archive_jsonl(path, max_reject_fraction: float = 0.01) -> Archive:
     Each line is an object with keys station_id, init_date, lead_time,
     members, obs.  Reject handling matches the csv reader.
     """
+    _check_fraction(max_reject_fraction)
     path = str(path)
     return _collect(_jsonl_rows(path), path, max_reject_fraction)
 
@@ -607,17 +611,6 @@ def write_archive_jsonl(archive, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MultivariateCase:
-    """Consecutive lead times of one station/init stacked into a vector."""
-
-    station_id: str
-    init_date: datetime.date
-    lead_times: tuple
-    ensemble: MvEnsemble
-    obs: np.ndarray
-
-
 def _key_codes(*columns) -> np.ndarray:
     """One integer per row of the key columns: equal for rows that agree in
     every column, and ascending as the rows sort by the first column, then
@@ -631,62 +624,36 @@ def _key_codes(*columns) -> np.ndarray:
     return code
 
 
-def _multivariate_groups(archive: Archive, lead_times) -> tuple:
-    """The stacked cases of an archive: (lead_times, keys, index).
+def group_multivariate(archive, lead_times=(1, 2, 3)) -> np.ndarray:
+    """Stack records sharing (station, init date) across lead times.
 
-    ``keys`` lists the (station, init date) of each case, sorted by
-    station and date; row c of the (cases, d) array ``index`` holds the
-    case's record indices in lead-time order.  Groups missing a lead
+    Returns the (cases, d) array of record indices: row c holds the
+    records of case c in the order of ``lead_times``, and the station and
+    init date of case c are those of record ``index[c, 0]``.  Cases sort
+    by station and init date.  Member k of a stacked ensemble is the
+    trajectory of member k over the lead times, which preserves whatever
+    temporal dependence the raw ensemble carries.  Groups missing a lead
     time or mixing member counts are skipped.
     """
+    a = _columns_of(archive)
     lead_times = tuple(int(lt) for lt in lead_times)
     if len(set(lead_times)) != len(lead_times) or not lead_times:
         raise ContractViolation("lead_times must be non-empty and distinct")
-    lead = np.array(archive.lead_times, dtype=np.int64).reshape(-1)
+    lead = np.array(a.lead_times, dtype=np.int64).reshape(-1)
     rec = np.flatnonzero(np.isin(lead, lead_times))
     # One row per (station, init date) in sorted order, one column per lead time.
-    cols = (np.array(c, dtype=object)[rec] for c in (archive.station_ids, archive.init_dates))
+    cols = (np.array(c, dtype=object)[rec] for c in (a.station_ids, a.init_dates))
     group = _key_codes(*cols)
     column = np.argsort(lead_times)[np.searchsorted(np.sort(lead_times), lead[rec])]
     index = np.full((group.max(initial=-1) + 1, len(lead_times)), -1, dtype=np.intp)
     index[group, column] = rec
-    sizes = archive.n_members[index]
-    index = index[(index >= 0).all(axis=1) & (sizes == sizes[:, :1]).all(axis=1)]
-    keys = [(archive.station_ids[i], archive.init_dates[i]) for i in index[:, 0].tolist()]
-    return lead_times, keys, index
-
-
-def group_multivariate(archive, lead_times=(1, 2, 3)) -> list:
-    """Stack records sharing (station, init date) across lead times.
-
-    Member k of the multivariate ensemble is the trajectory of member k
-    over the requested lead times, which preserves whatever temporal
-    dependence the raw ensemble carries.  Groups missing a lead time or
-    mixing member counts are skipped.
-    """
-    a = _columns_of(archive)
-    lead_times, keys, index = _multivariate_groups(a, lead_times)
-    return [
-        MultivariateCase(
-            sid, init, lead_times,
-            MvEnsemble(a.members[idx, : a.n_members[idx[0]]]), a.obs[idx],
-        )
-        for (sid, init), idx in zip(keys, index)
-    ]
+    sizes = a.n_members[index]
+    return index[(index >= 0).all(axis=1) & (sizes == sizes[:, :1]).all(axis=1)]
 
 
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScoredCase:
-    station_id: str
-    init_date: datetime.date
-    lead_time: int | None
-    score: str
-    value: float
 
 
 # Records, or stacked multivariate cases, per kernel call.  The kernels'
@@ -791,24 +758,26 @@ def _mv_weight(threshold, level, warm, hot, d):
 def _score_multivariate(
     a: Archive, score, threshold, level, warm, hot, p, lead_times
 ) -> tuple:
-    lead_times, keys, index = _multivariate_groups(a, lead_times)
-    if not keys:
+    index = group_multivariate(a, lead_times)
+    if not len(index):
         return [], [], [], np.empty(0)
-    d = len(lead_times)
+    d = index.shape[1]
     w, anchor = (None, None) if score in ("es", "vs") else _mv_weight(threshold, level, warm, hot, d)
     kernel = _mv_kernel(score, w, anchor, p, np.ones((d, d)))
-    values = np.empty(len(keys))
+    values = np.empty(len(index))
     # Blocks follow member counts rather than case order.  That cannot
     # change which owes message is raised: archive weights are indicators,
     # so every case without weight mass has a mass of exactly 0.
     for k, cases in _blocks(a.n_members[index[:, 0]]):
-        # (cases, d, m) as in group_multivariate, viewed as (cases, m, d).
+        # (cases, d, m) member trajectories, viewed as (cases, m, d).
         x = a.members[index[cases], :k]
         values[cases] = kernel(x.transpose(0, 2, 1), a.obs[index[cases]])
-    return [sid for sid, _ in keys], [init for _, init in keys], [None] * len(keys), values
+    first = index[:, 0].tolist()
+    sids, dates = ([col[i] for i in first] for col in (a.station_ids, a.init_dates))
+    return sids, dates, [None] * len(first), values
 
 
-def _score_columns(
+def score_archive(
     archive,
     score: str,
     threshold: float | None = None,
@@ -820,10 +789,17 @@ def _score_columns(
     warm: float = HEAT_WARM,
     hot: float = HEAT_HOT,
 ) -> tuple:
-    """``score_archive`` as columns: (station ids, init dates, lead times, values).
+    """Score every case (or every stacked case) of an archive, as columns:
+    (station ids, init dates, lead times, values).
 
-    Lead times are None for multivariate cases; the values have passed
-    ScoreValue's checks.
+    Univariate scores give one value per record, in record order;
+    multivariate ones stack the given lead times per (station, init date)
+    first, as ``group_multivariate`` does, and have lead times None.  Raw
+    ensembles are scored in blocks by the stacked kernels, smoothed
+    forecasts by the normal closed forms over all records at once.
+    Threshold-based weights are exceedance indicators; ``level`` selects
+    the heat-level weight instead for multivariate scores.  The values
+    have passed ScoreValue's checks.
     """
     a = _columns_of(archive)
     if score in UNIVARIATE_SCORES:
@@ -840,49 +816,9 @@ def _score_columns(
     return sids, dates, leads, _checked(values, score)
 
 
-def score_archive(
-    archive,
-    score: str,
-    threshold: float | None = None,
-    x0: float | None = None,
-    p: float = 0.5,
-    smooth: bool = False,
-    lead_times=(1, 2, 3),
-    level: int | None = None,
-    warm: float = HEAT_WARM,
-    hot: float = HEAT_HOT,
-) -> list:
-    """Score every case (or every stacked case) of an archive.
-
-    Univariate scores give one value per record; multivariate ones stack
-    the given lead times per (station, init date) first.  Raw ensembles
-    are scored in blocks by the stacked kernels, smoothed forecasts by
-    the normal closed forms over all records at once.  Threshold-based
-    weights are exceedance indicators; ``level`` selects the heat-level
-    weight instead for multivariate scores.
-    """
-    sids, dates, leads, values = _score_columns(
-        archive, score, threshold, x0, p, smooth, lead_times, level, warm, hot
-    )
-    return [
-        ScoredCase(sid, init, lead, score, v)
-        for sid, init, lead, v in zip(sids, dates, leads, values.tolist())
-    ]
-
-
 # ---------------------------------------------------------------------------
 # skill
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SkillRow:
-    group: str
-    n: int
-    mean_score: float
-    mean_reference: float
-    skill: float
-    degenerate: bool
 
 
 def skill_score(mean_score: float, mean_reference: float) -> tuple[float, bool]:
@@ -897,16 +833,21 @@ def skill_score(mean_score: float, mean_reference: float) -> tuple[float, bool]:
     return 1.0 - mean_score / mean_reference, False
 
 
-def _skill_rows(keys, values, ref_keys, ref_values, by: str = "lead_time") -> list:
-    """The skill table of scored cases against reference cases, from columns.
+def skill_table(keys, values, ref_keys, ref_values, by: str = "lead_time") -> list:
+    """Mean-score skill of scored cases against reference cases.
 
     ``keys`` and ``ref_keys`` hold the same key columns: station ids, init
-    dates and lead times as ``_score_columns`` returns them, then any more
-    the cases must match on.  A case counts against the reference's last
-    value for its key; group means run over the values in case order.
+    dates and lead times as ``score_archive`` returns them, then any more
+    the cases must match on, such as the score.  Only cases whose key the
+    reference has count, each against the reference's last value for that
+    key; group means run over the values in case order.  ``by`` groups the
+    cases by lead time, sorted as numbers with stacked cases (None) last,
+    or pools everything ("all").  Returns one (group, n, mean score, mean
+    reference, skill, degenerate) tuple per group.
     """
     if by not in ("lead_time", "all"):
         raise ContractViolation("by must be 'lead_time' or 'all'")
+    values, ref_values = np.asarray(values, dtype=float), np.asarray(ref_values, dtype=float)
     n, n_ref = len(values), len(ref_values)
     key = _key_codes(*(list(a) + list(b) for a, b in zip(keys, ref_keys)))
     # One sort of the reversed reference keys finds each key's last case.
@@ -914,26 +855,11 @@ def _skill_rows(keys, values, ref_keys, ref_values, by: str = "lead_time") -> li
     found, last = np.unique(key[n:][::-1], return_index=True)
     ref_of[found] = n_ref - 1 - last
     match = ref_of[key[:n]]
-    # Lead times sort as numbers (1, 2, 10), stacked cases (None) last.
     group = np.where(match < 0, -1, _key_codes(keys[2]) if by == "lead_time" else 0)
     rows = []
     for g in np.unique(group[group >= 0]).tolist():
         cases = np.flatnonzero(group == g)
         mean_s, mean_r = float(values[cases].mean()), float(ref_values[match[cases]].mean())
         label = "all" if by == "all" else str(keys[2][cases[0]])
-        rows.append(SkillRow(label, cases.size, mean_s, mean_r, *skill_score(mean_s, mean_r)))
+        rows.append((label, cases.size, mean_s, mean_r, *skill_score(mean_s, mean_r)))
     return rows
-
-
-def skill_table(scored, reference, by: str = "lead_time") -> list:
-    """Mean-score skill of one set of scored cases against a reference.
-
-    Cases are matched on (station, init date, lead time, score); only
-    the intersection contributes.  ``by`` groups rows by lead time or
-    pools everything ("all").
-    """
-    cols = []
-    for cases in (list(scored), list(reference)):
-        keys = [[getattr(c, n) for c in cases] for n in ("station_id", "init_date", "lead_time", "score")]
-        cols += [keys, np.array([c.value for c in cases], dtype=float)]
-    return _skill_rows(*cols, by)

@@ -15,6 +15,7 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -31,11 +32,11 @@ from .archive import (
     _csv_field,
     _csv_keys,
     _key_codes,
-    _multivariate_groups,
-    _score_columns,
     _smooth_normals,
-    _skill_rows,
+    group_multivariate,
     read_archive,
+    score_archive,
+    skill_table,
     write_archive_csv,
     write_archive_jsonl,
 )
@@ -66,11 +67,9 @@ from .postprocess import (
 )
 from .synthlab import ExperimentSpec, run_experiment
 
-# diagnose, postprocess and report work on the archive's columns through
-# the kernels that the per-case functions wrap; those functions are not
-# called here, but stay bound under these names: perfbench's tracer wraps
-# them here and cannot start without them.
-from .archive import score_archive, skill_table  # noqa: F401
+# diagnose and postprocess call the kernels that these per-case functions
+# wrap, not the functions; they stay bound under these names because
+# perfbench's tracer wraps them here and cannot start without them.
 from .calibration import cpit, pit, rank  # noqa: F401
 from .postprocess import ecc_reorder, fit_emos, predict_emos, smooth_ensemble  # noqa: F401
 
@@ -202,7 +201,7 @@ def _write_corp(out: str, name: str, fit) -> str:
 def _cmd_score(args) -> list:
     archive = read_archive(args.archive, args.max_reject_fraction)
     lead_times = _parse_list(args.lead_times, int, "lead time")
-    sids, dates, leads, values = _score_columns(
+    sids, dates, leads, values = score_archive(
         archive,
         args.score,
         threshold=args.threshold,
@@ -214,10 +213,7 @@ def _cmd_score(args) -> list:
     )
     # Rows sort by station, init date and lead time (stacked cases have
     # none); the keys are unique, so the order is total.
-    order = sorted(
-        range(len(values)),
-        key=lambda i: (sids[i], dates[i], -1 if leads[i] is None else leads[i]),
-    )
+    order = np.argsort(_key_codes(sids, dates, leads)).tolist()
     values = values[order]
     sids, dates, leads = ([col[i] for i in order] for col in (sids, dates, leads))
     outputs = []
@@ -244,7 +240,8 @@ def _cmd_score(args) -> list:
             ],
         )
         outputs.append("scores.jsonl")
-    mean = float(np.mean(values)) if len(values) else float("nan")
+    # Strict json has no NaN: the mean of no cases is null.
+    mean = float(np.mean(values)) if len(values) else None
     _write_json(
         os.path.join(args.out, "summary.json"),
         {
@@ -295,7 +292,7 @@ def _cmd_diagnose(args) -> list:
         summary["thresholds"] = []
         sy = ndtr(-z)
 
-        for t in _parse_list(args.thresholds, float, "number"):
+        for t in _parse_list(args.thresholds, _finite, "number"):
             label = _num_label(t)
             # S(t) is the cPIT denominator and the CORP event probability.
             st = ndtr(-((t - mu) / sd))
@@ -477,7 +474,7 @@ def _run_ecc(args, archive, mean, sd, lead_times) -> str:
     ``ecc.jsonl`` when its groups differ in member count, which csv
     cannot hold.
     """
-    _, _, index = _multivariate_groups(archive, lead_times)
+    index = group_multivariate(archive, lead_times)
     index = index[~np.isnan(mean[index]).any(axis=1)]
     members = np.array(archive.members)
     for k, cases in _blocks(archive.n_members[index[:, 0]]):
@@ -674,13 +671,10 @@ def _cmd_report(args) -> list:
     )
     rows = []
     for score in [s.strip() for s in args.scores.split(",") if s.strip()]:
-        *keys, values = _score_columns(archive, score, **kwargs)
-        *ref_keys, ref_values = _score_columns(reference, score, **kwargs)
+        *keys, values = score_archive(archive, score, **kwargs)
+        *ref_keys, ref_values = score_archive(reference, score, **kwargs)
         by = "lead_time" if score in UNIVARIATE_SCORES else "all"
-        for r in _skill_rows(keys, values, ref_keys, ref_values, by):
-            rows.append(
-                (score, r.group, r.n, r.mean_score, r.mean_reference, r.skill, r.degenerate)
-            )
+        rows += [(score, *row) for row in skill_table(keys, values, ref_keys, ref_values, by)]
     _write_csv(
         os.path.join(args.out, "report.csv"),
         ("score", "group", "n", "mean_score", "mean_reference", "skill", "degenerate"),
@@ -699,8 +693,18 @@ def _parse_list(text: str, kind, what: str) -> tuple:
     them in the error."""
     try:
         return tuple(kind(v) for v in text.split(",") if v.strip())
-    except ValueError:
+    except (ValueError, argparse.ArgumentTypeError):
         raise ContractViolation(f"bad {what} list {text!r}") from None
+
+
+def _finite(text: str) -> float:
+    """A numeric flag or list entry: a finite float, as NaN passes every gate."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -709,7 +713,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="json file with option defaults")
     p.add_argument(
         "--max-reject-fraction",
-        type=float,
+        type=_finite,
         default=0.01,
         help="abort ingest when more than this fraction of rows fail",
     )
@@ -731,9 +735,9 @@ def _build_parser() -> tuple:
         required=True,
         choices=UNIVARIATE_SCORES + MULTIVARIATE_SCORES,
     )
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--x0", type=float, default=None)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite, default=None)
+    p.add_argument("--x0", type=_finite, default=None)
+    p.add_argument("--p", type=_finite, default=0.5)
     p.add_argument("--level", type=int, default=None, choices=(1, 2, 3, 4))
     p.add_argument("--smooth", action="store_true")
     p.add_argument("--lead-times", default="1,2,3")
@@ -774,8 +778,8 @@ def _build_parser() -> tuple:
     p.add_argument("--archive", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--scores", default="crps,es,vs")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--p", type=float, default=0.5)
+    p.add_argument("--threshold", type=_finite, default=None)
+    p.add_argument("--p", type=_finite, default=0.5)
     p.add_argument("--level", type=int, default=None, choices=(1, 2, 3, 4))
     p.add_argument("--smooth", action="store_true")
     p.add_argument("--lead-times", default="1,2,3")

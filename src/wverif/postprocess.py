@@ -8,20 +8,19 @@ training window with damped Newton steps on its closed-form gradient and
 Hessian (Gneiting, Raftery, Westveld & Goldman 2005), and restore a
 physically ordered ensemble by sampling equidistant quantiles and
 reordering them like the raw members (Schefzik, Thorarinsdottir &
-Gneiting 2013).  The kernels take arrays: a training window is any set of
-columns (an index range over records sorted by lead time, date and station
-in the CLI).  ``_fit_chains`` fits several windows in lockstep, with one
-stacked objective call per window length in each round, and every window
-gets the bits it gets alone; ``fit_emos`` is its one-window wrapper, and
+Gneiting 2013).  The kernels take arrays: a training window is a tuple of
+(xbar, var, mhd, tpi, obs) columns, which the CLI slices as one index
+range out of records sorted by lead time, date and station.
+``_fit_chains`` fits several windows in lockstep, with one stacked
+objective call per window length in each round, and every window gets
+the bits it gets alone; ``fit_emos`` is its one-window wrapper, and
 ``predict_emos`` and ``ecc_reorder`` are one-case wrappers over
 ``emos_mean_variance`` and ``_ecc_place``.
 """
 
 from __future__ import annotations
 
-import bisect
-import datetime
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
@@ -34,7 +33,6 @@ __all__ = [
     "LAPSE_RATE",
     "VARIANCE_FLOOR",
     "StationMeta",
-    "TrainingWindow",
     "EmosParams",
     "lapse_rate_correct",
     "smooth_ensemble",
@@ -109,72 +107,6 @@ class StationMeta:
     station_id: str
     mhd: float = 0.0
     tpi: float = 0.0
-
-
-@dataclass
-class TrainingWindow:
-    """Rolling pool of training cases for the regression fit.
-
-    Cases are (ensemble mean, ensemble variance, station descriptors,
-    observation) tuples tagged with their date.  The window keeps the
-    most recent ``capacity_days`` distinct dates; with several stations
-    per date the pool holds one case per station and day.  Dates must
-    arrive in non-decreasing order.
-    """
-
-    capacity_days: int = 45
-    dates: list = field(default_factory=list)
-    xbar: list = field(default_factory=list)
-    var: list = field(default_factory=list)
-    mhd: list = field(default_factory=list)
-    tpi: list = field(default_factory=list)
-    obs: list = field(default_factory=list)
-    _n_days: int = field(default=0, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.capacity_days < 1:
-            raise ContractViolation("capacity must be at least one day")
-        self._n_days = len(set(self.dates))
-
-    @property
-    def size(self) -> int:
-        return len(self.dates)
-
-    @property
-    def distinct_days(self) -> int:
-        return self._n_days
-
-    def add_case(
-        self,
-        date: datetime.date,
-        xbar: float,
-        var: float,
-        meta: StationMeta,
-        obs: float,
-    ) -> None:
-        if self.dates and date < self.dates[-1]:
-            raise ContractViolation("training cases must arrive in date order")
-        if var < 0.0:
-            raise ContractViolation("ensemble variance cannot be negative")
-        new_day = not self.dates or date != self.dates[-1]
-        self.dates.append(date)
-        self.xbar.append(float(xbar))
-        self.var.append(float(var))
-        self.mhd.append(float(meta.mhd))
-        self.tpi.append(float(meta.tpi))
-        self.obs.append(float(obs))
-        if not new_day:
-            return
-        self._n_days += 1
-        # Dates are sorted, so the oldest day is a prefix of every list.
-        while self._n_days > self.capacity_days:
-            k = bisect.bisect_right(self.dates, self.dates[0])
-            for lst in (self.dates, self.xbar, self.var, self.mhd, self.tpi, self.obs):
-                del lst[:k]
-            self._n_days -= 1
-
-    def arrays(self):
-        return tuple(np.asarray(c, float) for c in (self.xbar, self.var, self.mhd, self.tpi, self.obs))
 
 
 @dataclass(frozen=True)
@@ -413,7 +345,8 @@ def _fit_chains(windows, inits, histories) -> list:
 
 
 def fit_emos(window, init: EmosParams | None = None, history: list | None = None) -> EmosParams:
-    """Fit the regression by CRPS minimisation over a training window.
+    """Fit the regression by CRPS minimisation over a training window, an
+    (xbar, var, mhd, tpi, obs) tuple of equal-length arrays.
 
     Damped Newton steps in (beta, log sigma0, log sigma1) on the closed-form
     gradient and Hessian, warm started from ``init`` when given.  Each step
@@ -429,10 +362,7 @@ def fit_emos(window, init: EmosParams | None = None, history: list | None = None
     every accepted iterate.  One window of ``_fit_chains``, which fits
     several in lockstep.
     """
-    if isinstance(window, TrainingWindow):
-        cols = window.arrays()
-    else:
-        cols = tuple(np.asarray(a, dtype=float) for a in window)
+    cols = tuple(np.asarray(a, dtype=float) for a in window)
     params = _fit_chains([cols], [init], [history])[0]
     if params is None:
         raise InsufficientData(f"the fit needs at least {_MIN_CASES} cases, got {cols[4].size}")

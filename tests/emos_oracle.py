@@ -11,9 +11,9 @@ itself does not use it.
 import numpy as np
 from scipy.special import ndtr
 
-from wverif import EmosParams, InsufficientData, TrainingWindow
+from wverif import InsufficientData
 from wverif.forecasts import _std_pdf
-from wverif.postprocess import VARIANCE_FLOOR, _design
+from wverif.postprocess import VARIANCE_FLOOR, EmosParams, _design
 
 _MIN_CASES = 10
 _INIT_THETA = np.array([0.0, 1.0, 0.0, 0.0, 0.0, np.log(0.1)])
@@ -73,10 +73,7 @@ def newton_step(grad, hess):
 
 def fit_emos_oracle(window, init: EmosParams | None = None, history: list | None = None) -> EmosParams:
     """Fit one window by CRPS minimisation, as ``fit_emos`` documents."""
-    if isinstance(window, TrainingWindow):
-        xbar, var, mhd, tpi, y = window.arrays()
-    else:
-        xbar, var, mhd, tpi, y = (np.asarray(a, dtype=float) for a in window)
+    xbar, var, mhd, tpi, y = (np.asarray(a, dtype=float) for a in window)
     n = y.size
     if n < _MIN_CASES:
         raise InsufficientData(f"the fit needs at least {_MIN_CASES} cases, got {n}")

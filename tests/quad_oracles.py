@@ -11,15 +11,9 @@ use them.
 import numpy as np
 from scipy import integrate
 
-from wverif import (
-    MASS_FLOOR,
-    ChainingFunction,
-    IndicatorAbove,
-    IndicatorBelow,
-    Parametric,
-    WeightedMassZero,
-    WeightFunction,
-)
+from wverif import IndicatorAbove, WeightedMassZero
+from wverif.forecasts import Parametric
+from wverif.weights import MASS_FLOOR, ChainingFunction, IndicatorBelow, WeightFunction
 
 _QUAD_OPTS = dict(limit=300, epsabs=1e-11, epsrel=1e-10)
 

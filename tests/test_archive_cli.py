@@ -2,6 +2,7 @@ import ast
 import csv
 import datetime
 import importlib
+import importlib.util
 import io
 import itertools
 import json
@@ -20,36 +21,36 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wverif import (
-    Archive,
     InsufficientData,
-    ArchiveRecord,
     ContractViolation,
     DataError,
     Ensemble,
+    MvEnsemble,
     Normal,
     NumericalError,
-    ScoreValue,
     UnsupportedInput,
     WeightedMassZero,
     crps,
     energy_score,
+    skill_score,
+    twcrps,
+    write_archive_csv,
+)
+from wverif import archive, cli
+from wverif.archive import (
+    Archive,
+    ArchiveRecord,
     group_multivariate,
     read_archive,
     read_archive_csv,
     read_archive_jsonl,
     score_archive,
-    skill_score,
     skill_table,
-    twcrps,
-    write_archive_csv,
     write_archive_jsonl,
 )
-from wverif import archive, cli
-from wverif.archive import ScoredCase
 from wverif.cli import main
 from wverif.postprocess import (
     StationMeta,
-    TrainingWindow,
     ecc_reorder,
     fit_climatology,
     fit_emos,
@@ -66,7 +67,7 @@ from wverif.mvscores import (
     vr_energy_score,
     vr_variogram_score,
 )
-from wverif.uniscores import brier, owcrps, owcrps_bs, vrcrps
+from wverif.uniscores import ScoreValue, brier, owcrps, owcrps_bs, vrcrps
 from wverif.weights import (
     HEAT_WARM,
     BoxIndicator,
@@ -92,6 +93,20 @@ def _mk_records(n_days=3, stations=("ayr", "bex"), leads=(1, 2, 3), m=5, seed=0)
                     ArchiveRecord(sid, start + datetime.timedelta(days=day), lt, members, obs)
                 )
     return recs
+
+
+def _stacked_cases(recs, lead_times=(1, 2, 3)):
+    """(station, init date, MvEnsemble, obs) of each case that
+    group_multivariate stacks, built from its record indices."""
+    return [
+        (
+            recs[idx[0]].station_id,
+            recs[idx[0]].init_date,
+            MvEnsemble(np.array([recs[i].members for i in idx])),
+            np.array([recs[i].obs for i in idx]),
+        )
+        for idx in group_multivariate(recs, lead_times).tolist()
+    ]
 
 
 def _write_csv_text(path, text):
@@ -522,27 +537,28 @@ def test_bulk_csv_parse_equals_per_row_parser_property(tmp_path_factory, text, b
 
 def test_group_multivariate_stacks_member_trajectories():
     recs = _mk_records(n_days=2, stations=("s1", "s2"))
-    cases = group_multivariate(recs, lead_times=(1, 2, 3))
-    assert len(cases) == 4
-    keys = [(c.station_id, c.init_date) for c in cases]
+    a = archive._archive_of(recs)
+    index = group_multivariate(a, lead_times=(1, 2, 3))
+    assert len(index) == 4
+    keys = [(a.station_ids[i], a.init_dates[i]) for i in index[:, 0]]
     assert keys == sorted(keys, key=lambda k: (k[0], k[1].toordinal()))
     by_key = {
         (r.station_id, r.init_date, r.lead_time): r for r in recs
     }
-    case = cases[0]
-    assert case.ensemble.members.shape == (3, 5)
+    case = index[0]
+    assert a.members[case].shape == (3, 5)
     for i, lt in enumerate((1, 2, 3)):
-        rec = by_key[(case.station_id, case.init_date, lt)]
-        assert np.array_equal(case.ensemble.members[i], rec.members)
-        assert case.obs[i] == rec.obs
+        rec = by_key[(*keys[0], lt)]
+        assert np.array_equal(a.members[case[i]], rec.members)
+        assert a.obs[case[i]] == rec.obs
 
 
 def test_group_multivariate_skips_incomplete_groups():
     recs = _mk_records(n_days=1, stations=("s1", "s2"))
     # drop one lead of s2 so only s1 forms a complete trajectory
     recs = [r for r in recs if not (r.station_id == "s2" and r.lead_time == 3)]
-    cases = group_multivariate(recs, lead_times=(1, 2, 3))
-    assert [c.station_id for c in cases] == ["s1"]
+    index = group_multivariate(recs, lead_times=(1, 2, 3))
+    assert [recs[i].station_id for i in index[:, 0]] == ["s1"]
     with pytest.raises(ContractViolation):
         group_multivariate(recs, lead_times=(1, 1, 2))
     with pytest.raises(ContractViolation):
@@ -579,8 +595,9 @@ def test_multivariate_groups_equal_a_dict_grouping(case):
         if None not in idx and len({sizes[i] for i in idx}) == 1:
             want_keys.append(key)
             want_index.append(idx)
-    got_leads, got_keys, got_index = archive._multivariate_groups(archive._archive_of(recs), leads)
-    assert got_leads == tuple(leads) and got_keys == want_keys
+    got_index = group_multivariate(archive._archive_of(recs), leads)
+    got_keys = [(recs[i].station_id, recs[i].init_date) for i in got_index[:, 0].tolist()]
+    assert got_keys == want_keys
     assert got_index.tolist() == want_index and got_index.shape == (len(want_keys), len(leads))
 
 
@@ -591,17 +608,17 @@ def test_multivariate_groups_equal_a_dict_grouping(case):
 
 def test_score_archive_matches_direct_calls():
     recs = _mk_records(n_days=2)
-    rows = score_archive(recs, "crps")
-    assert len(rows) == len(recs)
-    for row, rec in zip(rows, recs):
-        assert row.value == crps(Ensemble(rec.members), rec.obs).value
-        assert row.lead_time == rec.lead_time
+    _, _, leads, values = score_archive(recs, "crps")
+    assert len(values) == len(recs)
+    for lead, value, rec in zip(leads, values.tolist(), recs):
+        assert value == crps(Ensemble(rec.members), rec.obs).value
+        assert lead == rec.lead_time
 
     t = 20.5
-    tw_rows = score_archive(recs, "twcrps", threshold=t)
-    for row, rec in zip(tw_rows, recs):
+    *_, tw_values = score_archive(recs, "twcrps", threshold=t)
+    for value, rec in zip(tw_values.tolist(), recs):
         want = twcrps(Ensemble(rec.members), rec.obs, CensorAbove(t)).value
-        assert row.value == want
+        assert value == want
 
 
 def _ragged_records(n_days, seed=7, sizes=(5, 8, 1)):
@@ -636,7 +653,7 @@ def _per_case_univariate(score, rec):
 
 
 def _per_case_multivariate(score, case):
-    e, y = case.ensemble, case.obs
+    _, _, e, y = case
     w, z0 = HeatLevelIndicator(1), np.full(3, HEAT_WARM)
     return {
         "es": lambda: energy_score(e, y),
@@ -654,11 +671,9 @@ def test_stacked_univariate_scores_equal_per_case_functions(score, monkeypatch):
     # Three member counts, each filling two blocks and part of a third.
     monkeypatch.setattr(archive, "_STACK", 16)
     recs = _ragged_records(12)
-    rows = score_archive(recs, score, threshold=_THRESHOLD)
-    assert [(r.station_id, r.init_date, r.lead_time) for r in rows] == [
-        (r.station_id, r.init_date, r.lead_time) for r in recs
-    ]
-    assert [r.value for r in rows] == [_per_case_univariate(score, rec).value for rec in recs]
+    *keys, values = score_archive(recs, score, threshold=_THRESHOLD)
+    assert list(zip(*keys)) == [(r.station_id, r.init_date, r.lead_time) for r in recs]
+    assert values.tolist() == [_per_case_univariate(score, rec).value for rec in recs]
 
 
 @pytest.mark.parametrize("score", ["es", "vs", "twes", "twvs", "owes", "vres", "vrvs"])
@@ -666,13 +681,11 @@ def test_stacked_multivariate_scores_equal_per_case_functions(score, monkeypatch
     # Three member counts, each filling one block and part of another.
     monkeypatch.setattr(archive, "_STACK", 16)
     recs = _ragged_records(16 + 7)
-    rows = score_archive(recs, score, level=1)
-    cases = group_multivariate(recs)
-    assert len(rows) == len(cases) == 3 * (16 + 7)
-    assert [(r.station_id, r.init_date) for r in rows] == [
-        (c.station_id, c.init_date) for c in cases
-    ]
-    assert [r.value for r in rows] == [_per_case_multivariate(score, c).value for c in cases]
+    sids, dates, _, values = score_archive(recs, score, level=1)
+    cases = _stacked_cases(recs)
+    assert len(values) == len(cases) == 3 * (16 + 7)
+    assert list(zip(sids, dates)) == [(sid, init) for sid, init, _, _ in cases]
+    assert values.tolist() == [_per_case_multivariate(score, c).value for c in cases]
 
 
 @pytest.mark.parametrize("score", ["twes", "twvs", "owes", "vres", "vrvs"])
@@ -680,7 +693,8 @@ def test_weighted_multivariate_score_without_cases_is_empty(score):
     # No (station, init date) has all three lead times, so there is
     # nothing to score and no weight is needed.
     recs = [r for r in _mk_records(n_days=2) if r.lead_time != 3]
-    assert score_archive(recs, score) == []
+    sids, dates, leads, values = score_archive(recs, score)
+    assert len(sids) == len(dates) == len(leads) == values.size == 0
 
 
 def test_score_archive_owes_raises_the_per_case_message():
@@ -689,9 +703,9 @@ def test_score_archive_owes_raises_the_per_case_message():
     # Observations in the box [25, inf)^3, no member there.
     recs += [ArchiveRecord("zzz", start, lt, np.full(5, 15.0), 30.0) for lt in (1, 2, 3)]
     with pytest.raises(WeightedMassZero) as per_case:
-        for case in group_multivariate(recs):
+        for _, _, ens, obs in _stacked_cases(recs):
             w = BoxIndicator(np.full(3, 25.0), np.full(3, np.inf))
-            ow_energy_score(case.ensemble, case.obs, w)
+            ow_energy_score(ens, obs, w)
     with pytest.raises(WeightedMassZero) as stacked:
         score_archive(recs, "owes", threshold=25.0)
     assert str(stacked.value) == str(per_case.value)
@@ -716,11 +730,9 @@ def test_score_archive_smooth_route(score, x0, monkeypatch):
     # Three member counts, each filling two blocks and part of a third.
     monkeypatch.setattr(archive, "_STACK", 16)
     recs = _ragged_records(12, sizes=(5, 8, 3))
-    rows = score_archive(recs, score, threshold=_THRESHOLD, x0=x0, smooth=True)
-    assert [(r.station_id, r.init_date, r.lead_time) for r in rows] == [
-        (r.station_id, r.init_date, r.lead_time) for r in recs
-    ]
-    assert [r.value for r in rows] == [_per_case_smooth(score, rec, x0).value for rec in recs]
+    *keys, values = score_archive(recs, score, threshold=_THRESHOLD, x0=x0, smooth=True)
+    assert list(zip(*keys)) == [(r.station_id, r.init_date, r.lead_time) for r in recs]
+    assert values.tolist() == [_per_case_smooth(score, rec, x0).value for rec in recs]
 
 
 def _with_tail_mass(rec, a):
@@ -791,12 +803,12 @@ def test_score_archive_validation():
 
 def test_score_archive_multivariate_matches_grouped_cases():
     recs = _mk_records(n_days=2)
-    rows = score_archive(recs, "es")
-    cases = group_multivariate(recs)
-    assert len(rows) == len(cases)
-    for row, case in zip(rows, cases):
-        assert row.value == energy_score(case.ensemble, case.obs).value
-        assert row.lead_time is None
+    _, _, leads, values = score_archive(recs, "es")
+    cases = _stacked_cases(recs)
+    assert len(values) == len(cases)
+    for lead, value, (_, _, ens, obs) in zip(leads, values.tolist(), cases):
+        assert value == energy_score(ens, obs).value
+        assert lead is None
 
 
 # ---------------------------------------------------------------------------
@@ -813,46 +825,49 @@ def test_skill_score_value():
     assert degenerate and math.isnan(skill)
 
 
+def _skill_columns(cases):
+    """The key columns (station, init date, lead time, score) and the
+    values of (station, init date, lead time, score, value) cases."""
+    return [[c[k] for c in cases] for k in range(4)], np.array([c[4] for c in cases])
+
+
 def test_skill_table_matches_on_case_and_groups():
     d = datetime.date(2024, 6, 1)
-    scored = [
-        ScoredCase("a", d, 1, "crps", 0.8),
-        ScoredCase("a", d, 2, "crps", 0.96),
-        ScoredCase("b", d, 1, "crps", 1.0),
-        ScoredCase("c", d, 1, "crps", 5.0),  # not in the reference
-    ]
-    reference = [
-        ScoredCase("a", d, 1, "crps", 1.0),
-        ScoredCase("a", d, 2, "crps", 1.2),
-        ScoredCase("b", d, 1, "crps", 1.0),
-    ]
-    rows = skill_table(scored, reference, by="lead_time")
-    assert [r.group for r in rows] == ["1", "2"]
-    lead1 = rows[0]
-    assert lead1.n == 2
-    assert_allclose(lead1.mean_score, 0.9)
-    assert_allclose(lead1.mean_reference, 1.0)
-    assert_allclose(lead1.skill, 0.1)
-    assert_allclose(rows[1].skill, 0.2)
+    scored = _skill_columns([
+        ("a", d, 1, "crps", 0.8),
+        ("a", d, 2, "crps", 0.96),
+        ("b", d, 1, "crps", 1.0),
+        ("c", d, 1, "crps", 5.0),  # not in the reference
+    ])
+    reference = _skill_columns([
+        ("a", d, 1, "crps", 1.0),
+        ("a", d, 2, "crps", 1.2),
+        ("b", d, 1, "crps", 1.0),
+    ])
+    rows = skill_table(*scored, *reference, by="lead_time")
+    assert [r[0] for r in rows] == ["1", "2"]
+    _, n, mean_score, mean_reference, skill, _ = rows[0]
+    assert n == 2
+    assert_allclose(mean_score, 0.9)
+    assert_allclose(mean_reference, 1.0)
+    assert_allclose(skill, 0.1)
+    assert_allclose(rows[1][4], 0.2)
 
-    pooled = skill_table(scored, reference, by="all")
-    assert len(pooled) == 1 and pooled[0].n == 3
+    pooled = skill_table(*scored, *reference, by="all")
+    assert len(pooled) == 1 and pooled[0][1] == 3
     with pytest.raises(ContractViolation):
-        skill_table(scored, reference, by="station")
+        skill_table(*scored, *reference, by="station")
 
 
 def _dict_skill_table(scored, reference, by):
     # The join as a dict over (station, init date, lead time, score), the
     # last reference case of a key winning.
-    def key(c):
-        return (c.station_id, c.init_date, c.lead_time, c.score)
-
-    ref = {key(c): c.value for c in reference}
+    ref = {c[:4]: c[4] for c in reference}
     grouped = {}
     for c in scored:
-        if key(c) in ref:
-            g = c.lead_time if by == "lead_time" else "all"
-            grouped.setdefault(g, []).append((c.value, ref[key(c)]))
+        if c[:4] in ref:
+            g = c[2] if by == "lead_time" else "all"
+            grouped.setdefault(g, []).append((c[4], ref[c[:4]]))
     rows = []
     for g in sorted(grouped, key=lambda g: (g is None, 0 if g is None else g)):
         vals = np.asarray(grouped[g])
@@ -864,8 +879,7 @@ def _dict_skill_table(scored, reference, by):
 @st.composite
 def _scored_cases(draw):
     d0 = datetime.date(2024, 6, 1)
-    case = st.builds(
-        ScoredCase,
+    case = st.tuples(
         st.sampled_from(["a", "b", "ab", "b,c"]),
         st.sampled_from([d0, d0 + datetime.timedelta(days=1)]),
         st.sampled_from([1, 2, 10, None]),
@@ -881,10 +895,7 @@ def test_skill_table_equals_a_dict_join(cases, by):
     # Duplicate keys, keys differing only in the score, cases missing from
     # either side, and stacked cases (lead time None) among lead times.
     scored, reference = cases
-    got = [
-        (r.group, r.n, r.mean_score, r.mean_reference, r.skill, r.degenerate)
-        for r in skill_table(scored, reference, by=by)
-    ]
+    got = skill_table(*_skill_columns(scored), *_skill_columns(reference), by=by)
     want = _dict_skill_table(scored, reference, by)
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -894,10 +905,11 @@ def test_skill_table_equals_a_dict_join(cases, by):
 
 def test_skill_table_sorts_lead_times_numerically():
     d = datetime.date(2024, 6, 1)
-    cases = [ScoredCase("a", d, lead, "crps", 1.0) for lead in (10, 2, 1)]
-    cases.append(ScoredCase("a", d, None, "es", 1.0))
-    rows = skill_table(cases, cases, by="lead_time")
-    assert [r.group for r in rows] == ["1", "2", "10", "None"]
+    cases = [("a", d, lead, "crps", 1.0) for lead in (10, 2, 1)]
+    cases.append(("a", d, None, "es", 1.0))
+    columns = _skill_columns(cases)
+    rows = skill_table(*columns, *columns, by="lead_time")
+    assert [r[0] for r in rows] == ["1", "2", "10", "None"]
 
 
 # ---------------------------------------------------------------------------
@@ -1190,15 +1202,17 @@ def _edge_records():
 
 def _library_postprocess(recs, stations: dict, window_days: int, out) -> dict:
     """The files of ``postprocess --ecc --climatology``, built one record
-    at a time through TrainingWindow, fit_emos, predict_emos and
-    ecc_reorder; ``stations`` maps ids to (StationMeta, heights or None)."""
+    at a time through a rolling list of training days, fit_emos,
+    predict_emos and ecc_reorder; ``stations`` maps ids to (StationMeta,
+    heights or None)."""
     predicted, params_rows, n_unfit = {}, [], 0
     for lt in (1, 2, 3):
-        window, params = TrainingWindow(capacity_days=window_days), None
+        days, params = [], None
         cases = sorted(
             (r for r in recs if r.lead_time == lt), key=lambda r: (r.init_date, r.station_id)
         )
         for date, day in itertools.groupby(cases, key=lambda r: r.init_date):
+            days.append([])
             for r in day:
                 meta, heights = stations.get(r.station_id, (StationMeta(r.station_id), None))
                 x = r.members if heights is None else lapse_rate_correct(r.members, *heights)
@@ -1208,23 +1222,25 @@ def _library_postprocess(recs, stations: dict, window_days: int, out) -> dict:
                 else:
                     fc = predict_emos(params, xbar, var, meta)
                     predicted[(r.station_id, date, lt)] = (fc.mean(), fc.sd)
-                window.add_case(date, xbar, var, meta, r.obs)
+                days[-1].append((xbar, var, meta.mhd, meta.tpi, r.obs))
+            # The cases of the last window_days days, in arrival order.
+            window = [case for cases_of_day in days[-window_days:] for case in cases_of_day]
             try:
-                params = fit_emos(window, init=params)
+                params = fit_emos(tuple(zip(*window)), init=params)
             except InsufficientData:
                 params = None
                 continue
             params_rows.append(
-                {"lead_time": lt, "train_through": date.isoformat(), "n_train": window.size,
+                {"lead_time": lt, "train_through": date.isoformat(), "n_train": len(window),
                  **params.to_dict()}
             )
     coupled = []
-    for case in group_multivariate(recs, (1, 2, 3)):
-        keys = [(case.station_id, case.init_date, lt) for lt in case.lead_times]
+    for sid, init, ens, obs in _stacked_cases(recs):
+        keys = [(sid, init, lt) for lt in (1, 2, 3)]
         if all(k in predicted for k in keys):
             margins = [Normal(predicted[k][0], predicted[k][1] ** 2) for k in keys]
-            members = ecc_reorder(margins, case.ensemble).members
-            coupled += [ArchiveRecord(*k, row, y) for k, row, y in zip(keys, members, case.obs)]
+            members = ecc_reorder(margins, ens).members
+            coupled += [ArchiveRecord(*k, row, y) for k, row, y in zip(keys, members, obs)]
     write_archive_csv(coupled, out / "ecc.csv")
     clim = []
     for sid in sorted({r.station_id for r in recs}):
@@ -1283,8 +1299,8 @@ def test_cli_postprocess_equals_the_library_route_bit_for_bit(tmp_path):
     assert "\nayr,2024-06-07,1," in want["predictions.csv"]
     predicted = {tuple(line.split(",")[:3]) for line in want["predictions.csv"].splitlines()}
     n_predicted = [
-        sum((c.station_id, c.init_date.isoformat(), str(lt)) in predicted for lt in (1, 2, 3))
-        for c in group_multivariate(recs)
+        sum((sid, init.isoformat(), str(lt)) in predicted for lt in (1, 2, 3))
+        for sid, init, _, _ in _stacked_cases(recs)
     ]
     assert 0 < n_predicted.count(3) and any(0 < k < 3 for k in n_predicted), n_predicted
     ecc = read_archive_csv(out / "ecc.csv")
@@ -1537,14 +1553,14 @@ def test_cli_report_equals_score_archive_and_skill_table_bit_for_bit(tmp_path):
     lines = ["score,group,n,mean_score,mean_reference,skill,degenerate\n"]
     for score in scores:
         by = "lead_time" if score in archive.UNIVARIATE_SCORES else "all"
-        for r in skill_table(
-            score_archive(shifted, score, threshold=20.5),
-            score_archive(reference, score, threshold=20.5),
-            by=by,
+        *keys, values = score_archive(shifted, score, threshold=20.5)
+        *ref_keys, ref_values = score_archive(reference, score, threshold=20.5)
+        for group, n, mean_s, mean_r, skill, degenerate in skill_table(
+            keys, values, ref_keys, ref_values, by=by
         ):
             lines.append(
-                f"{score},{r.group},{r.n},{r.mean_score!r},{r.mean_reference!r},{r.skill!r},"
-                f"{'true' if r.degenerate else 'false'}\n"
+                f"{score},{group},{n},{mean_s!r},{mean_r!r},{skill!r},"
+                f"{'true' if degenerate else 'false'}\n"
             )
     assert (out / "report.csv").read_text() == "".join(lines)
     n_stacked = len(group_multivariate(reference))
@@ -1643,8 +1659,13 @@ def test_cli_config_file_defaults_and_overrides(tmp_path):
         ({"seed": -1}, ["score", "--score", "crps"]),
         ({"format": "xml"}, ["score", "--score", "crps"]),
         ({"smooth": "yes"}, ["score", "--score", "crps"]),
+        ({"threshold": float("nan")}, ["score", "--score", "twcrps"]),
+        ({"thresholds": "25,nan"}, ["diagnose", "--smooth"]),
     ],
-    ids=("string-for-float", "text-for-int", "list-for-text", "negative-seed", "choice", "switch"),
+    ids=(
+        "string-for-float", "text-for-int", "list-for-text", "negative-seed", "choice", "switch",
+        "nan-for-float", "nan-in-list",
+    ),
 )
 def test_cli_config_values_pass_the_flag_checks(tmp_path, capsys, cfg, argv):
     """A config value goes through the subcommand's parser as a flag
@@ -1680,17 +1701,112 @@ def test_cli_diagnose_refuses_empty_bins_and_resamples(tmp_path, capsys, flags):
     assert capsys.readouterr().err.startswith("wverif: ")
 
 
-def test_benchmark_tracer_bindings_resolve():
-    # perfbench/tracing.py wraps these functions at the names their
-    # callers bind; a binding that no longer resolves stops a traced run.
-    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    tree = ast.parse(tracing.read_text())
-    (bindings,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "_FUNCTIONS" for t in node.targets)
-    ]
-    assert bindings
-    for module, name, _ in bindings:
-        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+def _half_malformed_archive(tmp_path):
+    """A csv archive of 180 rows, every other one with a field too many."""
+    path = tmp_path / "half.csv"
+    write_archive_csv(_mk_records(n_days=30), path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(
+        row.replace("\n", ",1.0\n") if i % 2 else row for i, row in enumerate(rows)
+    ))
+    return path
+
+
+@pytest.mark.parametrize("fraction", [float("nan"), -0.1, 1.5])
+def test_readers_refuse_a_reject_fraction_outside_0_1(tmp_path, fraction):
+    path = _half_malformed_archive(tmp_path)
+    for read in (read_archive, read_archive_csv, read_archive_jsonl):
+        with pytest.raises(ContractViolation, match="max_reject_fraction"):
+            read(path, fraction)
+
+
+def test_cli_reject_gate_takes_no_nan(tmp_path):
+    # NaN compares false, so a NaN fraction used to turn the gate off.
+    path = _half_malformed_archive(tmp_path)
+    argv = ["score", "--archive", str(path), "--score", "crps", "--out", str(tmp_path / "o")]
+    assert main(argv + ["--max-reject-fraction", "0.5"]) == 0
+    assert main(argv + ["--max-reject-fraction", "0.01"]) == 2
+    assert main(argv + ["--max-reject-fraction", "nan"]) == 1
+    assert main(argv + ["--max-reject-fraction", "1.5"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--score", "twcrps", "--threshold", "nan"],
+        ["score", "--score", "twcrps", "--threshold", "inf"],
+        ["score", "--score", "vrcrps", "--threshold", "25", "--x0", "nan"],
+        ["score", "--score", "vs", "--p", "nan"],
+        ["report", "--scores", "twcrps", "--threshold", "nan"],
+        ["diagnose", "--smooth", "--thresholds", "25,nan"],
+    ],
+    ids=("threshold", "threshold-inf", "x0", "p", "report-threshold", "diagnose-thresholds"),
+)
+def test_cli_refuses_non_finite_numbers(tmp_path, capsys, argv):
+    """Input at fault exits 1, not 3 (a numerical failure) or 0."""
+    arch = _write_archive_file(tmp_path, n_days=30, stations=("ayr",))
+    bad = argv[-1]
+    if argv[0] == "report":
+        argv = argv + ["--reference", arch]
+    capsys.readouterr()
+    assert main(argv + ["--archive", arch, "--out", str(tmp_path / "o")]) == 1
+    assert f"{bad!r}" in capsys.readouterr().err
+
+
+def test_cli_writes_strict_json(tmp_path):
+    # Every json and json-lines file parses without NaN or Infinity.
+    arch = _write_archive_file(tmp_path, n_days=30)
+    runs = {
+        "nothing_scored": ["score", "--archive", arch, "--score", "es", "--lead-times", "7"],
+        "crps": ["score", "--archive", arch, "--score", "crps", "--format", "jsonl"],
+        "es": ["score", "--archive", arch, "--score", "es", "--format", "jsonl"],
+        "diagnose": ["diagnose", "--archive", arch, "--smooth", "--thresholds", "20,21",
+                     "--corp-resamples", "20"],
+        "postprocess": ["postprocess", "--archive", arch, "--window-days", "5", "--ecc",
+                        "--climatology"],
+        "report": ["report", "--archive", arch, "--reference", arch],
+        "synth": ["synth", "ideal_forecaster", "--param", "n=4000"],
+    }
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not json")
+
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0, name
+        files = [p for p in out.iterdir() if p.suffix in (".json", ".jsonl")]
+        assert files, name
+        for path in files:
+            text = path.read_text()
+            for doc in [text] if path.suffix == ".json" else text.splitlines():
+                json.loads(doc, parse_constant=refuse)
+    summary = json.loads((tmp_path / "nothing_scored" / "summary.json").read_text())
+    assert summary["n_scored"] == 0 and summary["mean"] is None
+
+
+def test_benchmark_tracer_bindings_resolve(tmp_path):
+    # perfbench/tracing.py wraps functions at the names their callers bind,
+    # and methods of the forecast and weight classes; a binding that no
+    # longer resolves stops a traced benchmark run, and a name the program
+    # no longer calls leaves its metric at 0.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bound = {(m, n): getattr(importlib.import_module(m), n) for m, n, _ in tracing._FUNCTIONS}
+    tracer = tracing.Tracer()
+    arch = _write_archive_file(tmp_path)
+    out = ["--out", str(tmp_path / "out")]
+    try:
+        tracer.install()
+        for (module, name), orig in bound.items():
+            assert getattr(importlib.import_module(module), name) is not orig, f"{module}.{name}"
+        assert main(["score", "--archive", arch, "--score", "es", *out]) == 0
+        assert main(["report", "--archive", arch, "--reference", arch, *out]) == 0
+    finally:
+        tracer.uninstall()
+    for (module, name), orig in bound.items():
+        assert getattr(importlib.import_module(module), name) is orig, f"{module}.{name}"
+    assert {"archive.read", "archive.score", "archive.group", "archive.skill"} <= {
+        span[0] for span in tracer.spans
+    }

@@ -3,17 +3,20 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from wverif.calibration import _cpit_values, _isotonic, _ranks
 from wverif import (
     ContractViolation,
     DegenerateConditional,
     Ensemble,
-    HistogramSummary,
-    IndependentProduct,
     InsufficientData,
-    Logistic,
     Normal,
     UnsupportedInput,
+    reliability_index,
+)
+from wverif.calibration import (
+    HistogramSummary,
+    _cpit_values,
+    _isotonic,
+    _ranks,
     corp_reliability,
     cpit,
     histogram_summary,
@@ -22,8 +25,8 @@ from wverif import (
     prerank_cpit,
     rank,
     rank_histogram,
-    reliability_index,
 )
+from wverif.forecasts import IndependentProduct, Logistic
 
 
 def test_pit_values():

@@ -5,14 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from wverif import (
-    ContractViolation,
-    Ensemble,
-    IndependentProduct,
-    Logistic,
-    Normal,
-    StudentT,
-)
+from wverif import ContractViolation, Ensemble, Normal
+from wverif.forecasts import IndependentProduct, Logistic, StudentT
 
 
 def test_ensemble_basic():

@@ -5,29 +5,23 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wverif import (
-    BoxIndicator,
     CensorAbove,
-    CollapseOutside,
     ContractViolation,
     DimensionMismatch,
     Ensemble,
-    GaussCdf,
     Identity,
     MvEnsemble,
-    MvGaussCdf,
-    MvGaussPdf,
     VariogramSpec,
     WeightedMassZero,
     crps_ensemble,
     energy_score,
-    ow_energy_score,
     tw_energy_score,
     tw_variogram_score,
     variogram_score,
-    vr_energy_score,
-    vr_variogram_score,
     vrcrps,
 )
+from wverif.mvscores import ow_energy_score, vr_energy_score, vr_variogram_score
+from wverif.weights import BoxIndicator, CollapseOutside, GaussCdf, MvGaussCdf, MvGaussPdf
 from wverif import mvscores
 
 

@@ -1,4 +1,3 @@
-import datetime
 import json
 
 import numpy as np
@@ -13,21 +12,17 @@ from wverif import postprocess
 from wverif import (
     ContractViolation,
     Ensemble,
-    EmosParams,
     InsufficientData,
     MvEnsemble,
     Normal,
     StationMeta,
-    TrainingWindow,
     crps,
     crps_ensemble,
     ecc_reorder,
-    fit_climatology,
     fit_emos,
-    lapse_rate_correct,
     predict_emos,
-    smooth_ensemble,
 )
+from wverif.postprocess import EmosParams, fit_climatology, lapse_rate_correct, smooth_ensemble
 
 from emos_oracle import fit_emos_oracle
 
@@ -60,35 +55,6 @@ def test_fit_climatology():
     assert f.variance() == pytest.approx(30.0 / 29.0)
     with pytest.raises(InsufficientData):
         fit_climatology(np.arange(9, dtype=float))
-
-
-def test_training_window_eviction():
-    w = TrainingWindow(capacity_days=45)
-    meta = StationMeta("S1")
-    start = datetime.date(2021, 1, 1)
-    for k in range(50):
-        w.add_case(start + datetime.timedelta(days=k), 1.0, 0.5, meta, 1.2)
-    assert w.distinct_days == 45
-    assert min(w.dates) == start + datetime.timedelta(days=5)
-
-
-def test_training_window_keeps_all_stations_of_a_day():
-    w = TrainingWindow(capacity_days=2)
-    d = datetime.date(2021, 1, 1)
-    for sid in ("A", "B", "C"):
-        w.add_case(d, 1.0, 0.5, StationMeta(sid), 1.0)
-    w.add_case(d + datetime.timedelta(days=1), 1.0, 0.5, StationMeta("A"), 1.0)
-    assert w.size == 4
-    w.add_case(d + datetime.timedelta(days=2), 1.0, 0.5, StationMeta("A"), 1.0)
-    assert w.size == 2
-    assert w.distinct_days == 2
-
-
-def test_training_window_requires_date_order():
-    w = TrainingWindow()
-    w.add_case(datetime.date(2021, 1, 2), 1.0, 0.5, StationMeta("A"), 1.0)
-    with pytest.raises(ContractViolation):
-        w.add_case(datetime.date(2021, 1, 1), 1.0, 0.5, StationMeta("A"), 1.0)
 
 
 def test_emos_params_validation_and_round_trip():
@@ -446,27 +412,6 @@ def test_fit_emos_with_a_nan_observation_returns_the_start_unconverged():
     data[4][3] = np.nan
     p = fit_emos(data)
     assert not p.converged and p.n_iter == 0 and np.isnan(p.objective)
-
-
-def test_training_window_equals_a_recomputation_over_its_last_days():
-    rng = np.random.default_rng(12)
-    start = datetime.date(2021, 3, 1)
-    w = TrainingWindow(capacity_days=7)
-    stream = []
-    day = 0
-    for _ in range(400):
-        day += int(rng.choice([0, 0, 0, 1, 1, 3]))
-        sid = f"S{rng.integers(0, 12)}"
-        case = (start + datetime.timedelta(days=day), rng.normal(), rng.uniform(0, 2), StationMeta(sid, rng.normal(), rng.normal()), rng.normal())
-        stream.append(case)
-        w.add_case(*case)
-        days = sorted({c[0] for c in stream})[-7:]
-        kept = [c for c in stream if c[0] >= days[0]]
-        assert w.dates == [c[0] for c in kept]
-        assert w.distinct_days == len(days)
-        assert_allclose(np.stack(w.arrays()), np.array(
-            [[c[1] for c in kept], [c[2] for c in kept], [c[3].mhd for c in kept],
-             [c[3].tpi for c in kept], [c[4] for c in kept]]), rtol=0, atol=0)
 
 
 _finite = st.floats(-1e3, 1e3, allow_nan=False)

@@ -7,21 +7,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import expit, ndtr, stdtr
 
-from wverif import (
-    Constant,
-    ContractViolation,
-    GaussCdf,
-    IndicatorAbove,
-    IndicatorBelow,
-    Logistic,
-    Normal,
-    StudentT,
-    crps,
-    owcrps_bs,
-    twcrps,
-    vrcrps,
-)
+from wverif import ContractViolation, IndicatorAbove, Normal, crps, twcrps, vrcrps
 from wverif.calibration import _cpit_values, histogram_summary
+from wverif.forecasts import Logistic, StudentT
 from wverif.synthlab import (
     _MV_SCORES,
     _UNI_SCORES,
@@ -34,8 +22,8 @@ from wverif.synthlab import (
     run_score_curves,
     run_tail_forecasters,
 )
-from wverif.uniscores import _closed_form, _parametric_score
-from wverif.weights import CensorAbove, canonical_chaining
+from wverif.uniscores import _closed_form, _parametric_score, owcrps_bs
+from wverif.weights import CensorAbove, Constant, GaussCdf, IndicatorBelow, canonical_chaining
 
 
 def _per_case(dist, score, ys, w):

@@ -11,38 +11,36 @@ from scipy import integrate, special, stats
 import wverif
 from wverif import (
     CensorAbove,
-    CensorBelow,
-    Constant,
     ContractViolation,
     Ensemble,
-    GaussCdf,
-    GaussCdfChain,
-    GaussPdf,
     Identity,
     IndicatorAbove,
-    IndicatorBelow,
-    Logistic,
     Normal,
     NumericalError,
-    OneMinusGaussCdf,
-    OneMinusGaussPdfRatio,
-    ScoreValue,
-    StudentT,
     WeightedMassZero,
-    brier,
     crps,
     crps_ensemble,
     crps_normal,
     crps_numeric,
     owcrps,
-    owcrps_bs,
     twcrps,
     twcrps_decomposition_check,
     vrcrps,
 )
+from wverif.forecasts import Logistic, StudentT
+from wverif.uniscores import ScoreValue, _CdfGrid, brier, owcrps_bs
+from wverif.weights import (
+    CensorBelow,
+    Constant,
+    GaussCdf,
+    GaussCdfChain,
+    GaussPdf,
+    IndicatorBelow,
+    OneMinusGaussCdf,
+    OneMinusGaussPdfRatio,
+    canonical_chaining,
+)
 from wverif import mvscores, uniscores
-from wverif.uniscores import _CdfGrid
-from wverif.weights import canonical_chaining
 
 from quad_oracles import (
     _crps_numeric_parametric,

@@ -7,34 +7,36 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 from wverif import (
-    BoxIndicator,
     CensorAbove,
-    CensorBelow,
-    CollapseOutside,
-    Constant,
     ContractViolation,
     DimensionMismatch,
     Ensemble,
-    GaussCdf,
-    GaussPdf,
-    GaussPdfRatioComplementChain,
     HeatLevelIndicator,
     Identity,
     IndicatorAbove,
+    Normal,
+    WeightedMassZero,
+    crps_ensemble,
+    twcrps,
+)
+from wverif.uniscores import weighted_cdf
+from wverif.weights import (
+    BoxIndicator,
+    CensorBelow,
+    CollapseOutside,
+    Constant,
+    GaussCdf,
+    GaussPdf,
+    GaussPdfRatioComplementChain,
     IndicatorBelow,
     MvGaussCdf,
     MvGaussPdf,
-    Normal,
     OneMinusGaussCdf,
     OneMinusGaussPdfRatio,
     OneMinusMvGaussCdf,
     OneMinusMvGaussPdfRatio,
-    WeightedMassZero,
     canonical_chaining,
-    crps_ensemble,
     heat_levels,
-    twcrps,
-    weighted_cdf,
 )
 from wverif import weights as weights_module
 
