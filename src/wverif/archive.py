@@ -611,17 +611,37 @@ def write_archive_jsonl(archive, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The largest code _key_codes may build: it renumbers its codes first.
+_CODE_LIMIT = np.iinfo(np.intp).max
+
+
+def _dense(code: np.ndarray) -> np.ndarray:
+    """The rank of each code among the distinct codes."""
+    return np.unique(code, return_inverse=True)[1].reshape(-1)
+
+
 def _key_codes(*columns) -> np.ndarray:
-    """One integer per row of the key columns: equal for rows that agree in
-    every column, and ascending as the rows sort by the first column, then
-    the next.  Entries compare as Python values, None after all others."""
+    """One integer per row of the key columns: 0, 1, ... , equal for rows
+    that agree in every column, and ascending as the rows sort by the
+    first column, then the next.  Entries compare as Python values, None
+    after all others.
+
+    Codes combine column ranks in mixed radix and are renumbered once,
+    at the end; they are renumbered early only where the next column
+    could take them past ``_CODE_LIMIT``.
+    """
     code = np.zeros(len(columns[0]), dtype=np.intp)
+    span = 1  # codes lie in [0, span)
     for col in columns:
         values = sorted(set(col), key=lambda v: (v is None, 0 if v is None else v))
         rank = dict(zip(values, range(len(values))))
+        if span * len(values) > _CODE_LIMIT + 1:
+            code = _dense(code)
+            span = int(code.max(initial=-1)) + 1
         code = code * len(values) + np.fromiter(map(rank.__getitem__, col), np.intp, len(col))
-        code = np.unique(code, return_inverse=True)[1].reshape(-1)
-    return code
+        span *= len(values)
+    # One column's ranks are already dense.
+    return _dense(code) if len(columns) > 1 else code
 
 
 def group_multivariate(archive, lead_times=(1, 2, 3)) -> np.ndarray:
@@ -763,7 +783,7 @@ def _score_multivariate(
         return [], [], [], np.empty(0)
     d = index.shape[1]
     w, anchor = (None, None) if score in ("es", "vs") else _mv_weight(threshold, level, warm, hot, d)
-    kernel = _mv_kernel(score, w, anchor, p, np.ones((d, d)))
+    kernel = _mv_kernel({score: w}, anchor, p, np.ones((d, d)))
     values = np.empty(len(index))
     # Blocks follow member counts rather than case order.  That cannot
     # change which owes message is raised: archive weights are indicators,
@@ -771,7 +791,7 @@ def _score_multivariate(
     for k, cases in _blocks(a.n_members[index[:, 0]]):
         # (cases, d, m) member trajectories, viewed as (cases, m, d).
         x = a.members[index[cases], :k]
-        values[cases] = kernel(x.transpose(0, 2, 1), a.obs[index[cases]])
+        values[cases] = kernel(x.transpose(0, 2, 1), a.obs[index[cases]])[score]
     first = index[:, 0].tolist()
     sids, dates = ([col[i] for i in first] for col in (a.station_ids, a.init_dates))
     return sids, dates, [None] * len(first), values

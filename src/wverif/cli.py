@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import itertools
 import json
 import math
 import os
@@ -261,7 +262,24 @@ def _cmd_score(args) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _threshold_labels(text: str) -> list:
+    """(threshold, file label) of each entry of a --thresholds list.
+
+    Two entries that are one threshold, or that share a label (25 and
+    25.000001 both label 25), would be scored and listed twice or write
+    the same files, so the list is refused, naming both as given."""
+    texts = _parse_list(text, str.strip, "number")
+    pairs = [(t, _num_label(t)) for t in _parse_list(text, _finite, "number")]
+    for (a, (t, label)), (b, (u, other)) in itertools.combinations(zip(texts, pairs), 2):
+        if t == u or label == other:
+            raise ContractViolation(
+                f"--thresholds {a} and {b} name one threshold or the same files (label {label})"
+            )
+    return pairs
+
+
 def _cmd_diagnose(args) -> list:
+    thresholds = _threshold_labels(args.thresholds) if args.smooth else []
     archive = read_archive(args.archive, args.max_reject_fraction)
     if len(archive) == 0:
         raise DataError(f"{args.archive}: no records to diagnose")
@@ -292,8 +310,7 @@ def _cmd_diagnose(args) -> list:
         summary["thresholds"] = []
         sy = ndtr(-z)
 
-        for t in _parse_list(args.thresholds, _finite, "number"):
-            label = _num_label(t)
+        for t, label in thresholds:
             # S(t) is the cPIT denominator and the CORP event probability.
             st = ndtr(-((t - mu) / sd))
             exceed = archive.obs > t

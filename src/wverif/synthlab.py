@@ -4,10 +4,11 @@ Everything here is driven by explicit seeds.  No score is computed
 here: univariate scores come from ``uniscores._parametric_score``, the
 route that the per-case functions call with one observation, here with
 every observation of a curve or every draw of a Monte Carlo sample at
-once; multivariate scores from ``mvscores._mv_kernel``, the table of
-stacked kernels that ``archive`` scores its cases with, here on whole
-samples.  The propriety Monte Carlo draws each truth/alternative pair
-once and scores every requested score on the same draws.
+once; multivariate scores from ``mvscores._mv_kernel``, the stacked
+kernel that ``archive`` scores its cases with, here on whole samples.
+The propriety Monte Carlo draws each truth/alternative pair once and
+scores every requested score on the same draws, the multivariate ones
+in one kernel call per side.
 """
 
 from __future__ import annotations
@@ -356,9 +357,10 @@ def _mv_sample(rng, params, n: int, m: int, d: int) -> np.ndarray:
 
 def _propriety_mv(scores, n_pairs: int, n: int, m: int, seed) -> dict:
     """Rows of each multivariate score in ``scores``, by score name, all
-    scored on one set of draws per pair.  The weights emphasise the
-    region above q, roughly the 30th percentile componentwise: [q, inf)
-    chains the twes and twvs onto q, a Gaussian cdf re-scales vres."""
+    scored on one set of draws per pair by one kernel call per side.
+    The weights emphasise the region above q, roughly the 30th
+    percentile componentwise: [q, inf) chains the twes and twvs onto q,
+    a Gaussian cdf re-scales vres."""
     d = 3
     h = np.ones((d, d))
     rows = {s: [] for s in scores}
@@ -371,9 +373,11 @@ def _propriety_mv(scores, n_pairs: int, n: int, m: int, seed) -> dict:
         mu, sd, _ = pg
         q = mu - 0.5 * sd
         box = BoxIndicator(q, np.full(d, np.inf))
+        weights = {s: MvGaussCdf(q, sd) if s == "vres" else box for s in rows}
+        kernel = _mv_kernel(weights, q, 0.5, h)
+        a, b = kernel(xg, ys), kernel(xf, ys)
         for score in rows:
-            kernel = _mv_kernel(score, MvGaussCdf(q, sd) if score == "vres" else box, q, 0.5, h)
-            rows[score].append(_propriety_row(score, desc, kernel(xg, ys), kernel(xf, ys)))
+            rows[score].append(_propriety_row(score, desc, a[score], b[score]))
     return rows
 
 

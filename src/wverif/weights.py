@@ -69,6 +69,14 @@ def _check_positive_sigma(sigma) -> None:
         raise ContractViolation("sigma must be positive")
 
 
+def _points(z, dim: int) -> np.ndarray:
+    """``z`` as an array of points (..., dim)."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0 or z.shape[-1] != dim:
+        raise DimensionMismatch(f"expected points with last axis {dim}, got shape {z.shape}")
+    return z
+
+
 @dataclass(frozen=True)
 class _Gauss:
     """Centre and sd of the normal behind a univariate Gaussian weight or
@@ -113,7 +121,9 @@ class WeightFunction:
 
 @dataclass(frozen=True)
 class Constant(WeightFunction):
-    """w(z) = 1 everywhere (any dimension)."""
+    """w(z) = 1 everywhere, a univariate weight: it broadcasts over
+    arrays of any shape.  The unit weight of R^d is a ``BoxIndicator``
+    over all of R^d."""
 
     @property
     def is_binary(self) -> bool:
@@ -211,12 +221,7 @@ class _MvWeight(WeightFunction):
     __slots__ = ()
 
     def _check(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 0 or z.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"expected points with last axis {self.dim}, got shape {z.shape}"
-            )
-        return z
+        return _points(z, self.dim)
 
 
 @dataclass(frozen=True)
@@ -563,16 +568,17 @@ class CollapseOutside(ChainingFunction):
     def weight(self) -> WeightFunction:
         return self.w
 
-    def transform(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.shape[-1] != self.dim:
-            raise DimensionMismatch(
-                f"expected points with last axis {self.dim}, got shape {z.shape}"
-            )
-        mask = np.asarray(self.w(z), dtype=float)
+    def mask(self, z) -> np.ndarray:
+        """The weight (...) of points (..., dim): 1 where a point is kept,
+        0 where it collapses onto ``z0``."""
+        mask = np.asarray(self.w(_points(z, self.dim)), dtype=float)
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ContractViolation("CollapseOutside requires a binary weight")
-        return np.where(mask[..., None] == 1.0, z, self.z0)
+        return mask
+
+    def transform(self, z):
+        z = np.asarray(z, dtype=float)
+        return np.where(self.mask(z)[..., None] == 1.0, z, self.z0)
 
 
 _CANONICAL = {

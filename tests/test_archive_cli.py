@@ -1810,3 +1810,67 @@ def test_benchmark_tracer_bindings_resolve(tmp_path):
     assert {"archive.read", "archive.score", "archive.group", "archive.skill"} <= {
         span[0] for span in tracer.spans
     }
+
+
+@pytest.mark.parametrize(
+    "thresholds, a, b",
+    [("25,25", "25", "25"), ("21,25,25.0", "25", "25.0"), ("25, 25.000001", "25", "25.000001")],
+    ids=("repeat", "repeat-spelled-apart", "same-label"),
+)
+def test_cli_diagnose_refuses_thresholds_that_share_files(tmp_path, capsys, thresholds, a, b):
+    """Thresholds that are equal or share a file label would write one
+    threshold's files over the other's: refused before the archive is
+    read (this one does not exist), naming both."""
+    out = tmp_path / "o"
+    capsys.readouterr()
+    argv = ["diagnose", "--archive", str(tmp_path / "missing.csv"), "--smooth"]
+    assert main(argv + ["--thresholds", thresholds, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"--thresholds {a} and {b} " in err
+    assert list(out.iterdir()) == []
+
+
+@st.composite
+def _key_columns(draw):
+    """Key columns of one length: strings, dates, small integers or None."""
+    n = draw(st.integers(0, 30))
+    kinds = (
+        st.sampled_from(["a", "b", "a,c", "S01"]),
+        st.dates(datetime.date(2024, 1, 1), datetime.date(2024, 1, 9)),
+        st.one_of(st.none(), st.integers(-2, 3)),
+    )
+    return [draw(st.lists(draw(st.sampled_from(kinds)), min_size=n, max_size=n))
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_key_columns(), st.sampled_from([archive._CODE_LIMIT, 40, 6, 1]))
+def test_key_codes_rank_rows_as_sorted_tuples(columns, limit):
+    """Each row's code is the rank of its key tuple among the distinct
+    tuples in sorted order (None last), with the codes renumbered at the
+    end or, under a small limit, early too."""
+
+    def order(v):
+        return (v is None, 0 if v is None else v)
+
+    rows = [tuple(map(order, row)) for row in zip(*columns)]
+    rank = {row: i for i, row in enumerate(sorted(set(rows)))}
+    saved = archive._CODE_LIMIT
+    archive._CODE_LIMIT = limit
+    try:
+        got = archive._key_codes(*columns)
+    finally:
+        archive._CODE_LIMIT = saved
+    assert got.dtype == np.intp
+    assert got.tolist() == [rank[row] for row in rows]
+
+
+def test_key_codes_renumber_before_they_overflow():
+    """Four columns of 2**16 distinct values each span 2**64 codes, past
+    intp; the codes are renumbered before the last column and stay exact."""
+    n = 2**16
+    rng = np.random.default_rng(61)
+    columns = [rng.permutation(n).tolist() for _ in range(4)]
+    rows = list(zip(*columns))
+    rank = {row: i for i, row in enumerate(sorted(rows))}
+    assert archive._key_codes(*columns).tolist() == [rank[row] for row in rows]

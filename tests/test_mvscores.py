@@ -21,12 +21,31 @@ from wverif import (
     vrcrps,
 )
 from wverif.mvscores import ow_energy_score, vr_energy_score, vr_variogram_score
-from wverif.weights import BoxIndicator, CollapseOutside, GaussCdf, MvGaussCdf, MvGaussPdf
+from wverif.weights import (
+    BoxIndicator,
+    CollapseOutside,
+    Constant,
+    GaussCdf,
+    MvGaussCdf,
+    MvGaussPdf,
+)
 from wverif import mvscores
 
 
 def _rand_ens(rng, d=3, m=8):
     return MvEnsemble(rng.normal(size=(d, m)))
+
+
+def _kernel(score, w=None, anchor=None, p=0.5, h=None):
+    """The stacked kernel of ``score`` alone: (x, y) -> values, with
+    proximities all ones unless ``h`` is given."""
+
+    def kernel(x, y):
+        d = x.shape[-1]
+        hd = np.ones((d, d)) if h is None else h
+        return mvscores._mv_kernel({score: w}, anchor, p, hd)(x, y)[score]
+
+    return kernel
 
 
 def test_mv_ensemble_validation():
@@ -240,10 +259,19 @@ def test_vr_scores_with_binary_weight_match_collapsed_tw():
         assert abs(c - d) < 1e-12
 
 
-@pytest.mark.parametrize("n, m", [(20, 1), (mvscores._BLOCK + 7, 5)])
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (20, 1),
+        (mvscores._BLOCK + 7, 5),
+        (mvscores._PAIR_BLOCK + 7, 5),
+        (mvscores._PAIR_BLOCK + 7, 6),
+    ],
+)
 def test_stacked_kernels_match_per_case_functions(n, m):
     """The kernels behind the propriety Monte Carlo and the archive
-    score a stack of cases as the public functions score each case."""
+    score a stack of cases as the public functions score each case, in
+    every block of cases and across block boundaries."""
     rng = np.random.default_rng(49)
     d = 3
     x = rng.normal(size=(n, m, d))
@@ -256,7 +284,8 @@ def test_stacked_kernels_match_per_case_functions(n, m):
     stacked = {
         "es": mvscores._energy(x, y),
         "vs": mvscores._variogram(x, y, 0.5, h),
-        "twes": mvscores._energy(tx, ty),
+        "twes": _kernel("twes", chain.w, lower)(x, y),
+        "twes_chained": mvscores._energy(tx, ty),
         "twvs": mvscores._variogram(tx, ty, 0.5, h),
         "vres": mvscores._vr_energy(x, y, w, lower),
         "vrvs": mvscores._vr_variogram(x, y, w, 0.5, h, lower),
@@ -266,6 +295,7 @@ def test_stacked_kernels_match_per_case_functions(n, m):
         "es": lambda e, yi: energy_score(e, yi),
         "vs": lambda e, yi: variogram_score(e, yi),
         "twes": lambda e, yi: tw_energy_score(e, yi, chain),
+        "twes_chained": lambda e, yi: tw_energy_score(e, yi, chain),
         "twvs": lambda e, yi: tw_variogram_score(e, yi, chain),
         "vres": lambda e, yi: vr_energy_score(e, yi, w, x0=lower),
         "vrvs": lambda e, yi: vr_variogram_score(e, yi, w, VariogramSpec(x0=lower)),
@@ -297,6 +327,21 @@ def test_variogram_discriminates_correlation():
         good += variogram_score(MvEnsemble(xg), y).value
         bad += variogram_score(MvEnsemble(xb), y).value
     assert good < bad
+
+
+def test_constant_weight_gives_the_plain_scores():
+    """With the unit weight of R^3 the re-scaled and outcome-weighted
+    scores are the plain ones; a univariate weight does not fit."""
+    rng = np.random.default_rng(51)
+    w = BoxIndicator(np.full(3, -np.inf), np.full(3, np.inf))
+    for _ in range(10):
+        e, y = _rand_ens(rng), rng.normal(size=3)
+        es, vs = energy_score(e, y).value, variogram_score(e, y).value
+        assert vr_energy_score(e, y, w).value == pytest.approx(es, abs=1e-12)
+        assert ow_energy_score(e, y, w).value == pytest.approx(es, abs=1e-12)
+        assert vr_variogram_score(e, y, w).value == pytest.approx(vs, abs=1e-12)
+    with pytest.raises(DimensionMismatch):
+        vr_energy_score(e, y, Constant())
 
 
 def test_mv_dimension_checks():
@@ -409,12 +454,15 @@ def test_pair_sum_equals_difference_tensor(n, m, d, centre, spread, weighted, se
     if weighted:
         w = rng.uniform(0.0, 2.0, (n, m))
         w[rng.random((n, m)) < 0.3] = 0.0
-        got, want = mvscores._pair_sum(x, w), (w[:, :, None] * w[:, None, :] * dist).sum((1, 2))
+        got, unit = mvscores._pair_sum(x, [w, None])
+        want = (w[:, :, None] * w[:, None, :] * dist).sum((1, 2))
+        # A row's sum does not depend on the rows that share the call.
+        assert np.array_equal(unit, mvscores._pair_sum(x, [None])[0])
     else:
-        got, want = mvscores._pair_sum(x), dist.sum((1, 2))
+        got, want = mvscores._pair_sum(x, [None])[0], dist.sum((1, 2))
     assert_allclose(got, want, rtol=1e-13, atol=0.0)
     same = np.broadcast_to(x[:, :1], x.shape)
-    assert np.array_equal(mvscores._pair_sum(same), np.zeros(n))
+    assert np.array_equal(mvscores._pair_sum(same, [None])[0], np.zeros(n))
 
 
 def _vr_variogram_tensor(x, y, w, p, h, x0):
@@ -471,3 +519,70 @@ def test_stacked_ow_energy_raises_like_the_per_case_loop():
     assert str(stacked.value) == str(per_case.value)
     assert "e-13" in str(stacked.value)
     assert mvscores._ow_energy(x[:2], y[:2], w)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# several scores in one kernel call
+# ---------------------------------------------------------------------------
+
+_ALL_MV = ("es", "twes", "vres", "owes", "vs", "twvs", "vrvs")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, 2, 5, mvscores._BLOCK + 3, mvscores._PAIR_BLOCK + 1]),
+    m=st.integers(1, 9),
+    d=st.integers(1, 4),
+    binary=st.booleans(),
+    chosen=st.lists(st.sampled_from(_ALL_MV), min_size=1, unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_kernel_leaves_each_score_unchanged(n, m, d, binary, chosen, seed):
+    """Each score's values from one call with several scores, in any
+    order, are bit for bit those of a call with that score alone, for
+    binary and continuous weights, odd and even member counts, and stacks
+    that span several blocks."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, m, d))
+    y = 1.5 * rng.standard_normal((n, d))
+    anchor = np.full(d, -0.3)
+    box = BoxIndicator(anchor, np.full(d, np.inf))
+    # A binary re-scaling weight is the box object of the tw scores itself.
+    w = box if binary else MvGaussCdf(anchor, np.ones(d))
+    h = rng.uniform(0.5, 1.5, (d, d))
+    h = h + h.T
+    weights = {s: box if s.startswith("tw") else w for s in chosen}
+    together = _values_or_error(lambda: mvscores._mv_kernel(weights, anchor, 0.5, h)(x, y))
+    alone = {s: _values_or_error(lambda: _kernel(s, weights[s], anchor, 0.5, h)(x, y)) for s in chosen}
+    errors = [v for v in alone.values() if isinstance(v, str)]
+    if errors:
+        # Only owes raises, and the call with it raises its message.
+        assert together == errors[0]
+        return
+    assert list(together) == chosen
+    for s in chosen:
+        assert np.array_equal(together[s], alone[s]), s
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_mv_stack(), st.floats(-1.0, 1.0))
+def test_kernel_twes_equals_the_collapsed_energy_score(stack, shift):
+    """The kernel's twes, from binary member weights, is the energy score
+    of the chained points, as ``tw_energy_score`` gives it; exactly 0
+    where nothing has weight and exactly es where everything has."""
+    x, y = stack
+    d = x.shape[-1]
+    anchor = y.mean(0) + shift * x.std()
+    box = BoxIndicator(anchor, np.full(d, np.inf))
+    got = _kernel("twes", box, anchor)(x, y)
+    chain = CollapseOutside(box, anchor)
+    per_case = [tw_energy_score(MvEnsemble(xi.T), yi, chain).value for xi, yi in zip(x, y)]
+    assert np.array_equal(np.maximum(got, 0.0), per_case)
+    tx, ty = chain.transform(x), chain.transform(y)
+    chained = [energy_score(MvEnsemble(xi.T), yi).value for xi, yi in zip(tx, ty)]
+    assert_allclose(per_case, chained, rtol=1e-12, atol=0.0)
+    below, above = np.min([x.min((0, 1)), y.min(0)], 0), np.max([x.max((0, 1)), y.max(0)], 0)
+    outside = BoxIndicator(above + 1.0, np.full(d, np.inf))
+    assert np.array_equal(_kernel("twes", outside, above + 1.0)(x, y), np.zeros(len(x)))
+    inside = BoxIndicator(below, np.full(d, np.inf))
+    assert np.array_equal(_kernel("twes", inside, below)(x, y), _kernel("es")(x, y))

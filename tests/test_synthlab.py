@@ -259,6 +259,23 @@ def test_propriety_mc_shared_draws_leave_rows_unchanged():
     ]
 
 
+def test_propriety_mc_scores_each_side_in_one_distance_pass(monkeypatch):
+    """The five multivariate scores of a pair side share one pass over the
+    member distances: one pair-sum call per side of each pair, carrying
+    the es, twes and vres weight rows, instead of one call per score."""
+    from wverif import mvscores
+
+    pair_sum, rows = mvscores._pair_sum, []
+
+    def counted(x, weights):
+        rows.append(len(weights))
+        return pair_sum(x, weights)
+
+    monkeypatch.setattr(mvscores, "_pair_sum", counted)
+    run_propriety_mc(scores=_MV_SCORES, n_pairs=2, n_mv=300, m_members=12, seed=5)
+    assert rows == [3, 3, 3, 3]
+
+
 def test_propriety_mc_rejects_unknown_score():
     with pytest.raises(ContractViolation):
         run_propriety_mc(scores=["nope"], n_pairs=2)

@@ -38,6 +38,7 @@ from wverif.weights import (
     canonical_chaining,
     heat_levels,
 )
+from wverif import mvscores
 from wverif import weights as weights_module
 
 
@@ -171,6 +172,60 @@ def test_mv_weight_dimension_checks():
     w = MvGaussCdf(np.zeros(3), np.ones(3))
     with pytest.raises(DimensionMismatch):
         w(np.zeros(2))
+
+
+def _weights_at(d: int) -> list:
+    """One instance of every weight class that weights points of R^d."""
+    mu, sd = np.linspace(-1.0, 1.0, d), np.full(d, 1.5)
+    if d == 1:
+        return [
+            Constant(),
+            IndicatorAbove(0.2),
+            IndicatorBelow(0.2),
+            GaussPdf(0.1, 1.5),
+            OneMinusGaussPdfRatio(0.1, 1.5),
+            GaussCdf(0.1, 1.5),
+            OneMinusGaussCdf(0.1, 1.5),
+        ]
+    out = [
+        MvGaussPdf(mu, sd),
+        OneMinusMvGaussPdfRatio(mu, sd),
+        MvGaussCdf(mu, sd),
+        OneMinusMvGaussCdf(mu, sd),
+        BoxIndicator(mu, np.full(d, np.inf)),
+    ]
+    return out + [HeatLevelIndicator(2)] if d == 3 else out
+
+
+def test_every_weight_returns_one_value_per_point():
+    """On (n, d) points every weight of dimension d > 1 returns shape (n,);
+    a univariate weight weighs each number of an array of any shape.
+    Either way the kernels get one weight per member."""
+    classes = {
+        cls
+        for cls in map(weights_module.__dict__.get, weights_module.__all__)
+        if isinstance(cls, type) and issubclass(cls, weights_module.WeightFunction)
+    }
+    seen = set()
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        for w in _weights_at(d):
+            seen.add(type(w))
+            assert w.dim == d
+            pts = rng.normal(25.0 if isinstance(w, HeatLevelIndicator) else 0.0, 2.0, (6, d))
+            if d == 1:
+                assert np.shape(w(pts[:, 0])) == (6,)
+                assert np.shape(w(pts)) == (6, 1)
+            else:
+                assert np.shape(w(pts)) == (6,), w
+            members = pts.reshape(2, 3, d)
+            assert mvscores._member_weights(w, members).shape == (2, 3), w
+    assert seen == classes - {weights_module.WeightFunction}
+    # Constant is univariate: it weighs each number, and the kernels
+    # refuse it on points of R^3.
+    assert Constant()(np.zeros((4, 3))).shape == (4, 3)
+    with pytest.raises(DimensionMismatch):
+        mvscores._member_weights(Constant(), np.zeros((2, 4, 3)))
 
 
 def test_box_indicator():
