@@ -29,6 +29,10 @@ their keys, and ``group_multivariate`` gives the (cases, d) array of the
 record indices of each stacked case.  Smoothed forecasts are normal fits
 to the members, taken per block of one member count, and each score is
 one call of its closed-form kernel over all records.
+
+``_write_csv`` is the package's one csv writer: archives, score tables
+and every table of the command line interface are written by it, a
+column at a time, in one canonical text.
 """
 
 from __future__ import annotations
@@ -100,6 +104,16 @@ MULTIVARIATE_SCORES = ("es", "vs", "twes", "twvs", "owes", "vres", "vrvs")
 _NEEDS_THRESHOLD = ("brier", "twcrps", "owcrps", "owcrps_bs", "vrcrps")
 
 
+def _check_station_ids(station_ids) -> None:
+    """Station ids must be non-empty and free of surrounding whitespace,
+    which the readers strip: a written id must read back as itself."""
+    for sid in station_ids:
+        if not sid:
+            raise ContractViolation("station_id must be non-empty")
+        if sid != sid.strip():
+            raise ContractViolation(f"station_id {sid!r} has surrounding whitespace")
+
+
 @dataclass(frozen=True)
 class ArchiveRecord:
     """One forecast case: ensemble members plus verifying observation."""
@@ -111,8 +125,7 @@ class ArchiveRecord:
     obs: float
 
     def __post_init__(self):
-        if not self.station_id:
-            raise ContractViolation("station_id must be non-empty")
+        _check_station_ids((self.station_id,))
         m = np.asarray(self.members, dtype=float)
         if m.ndim != 1 or m.size == 0 or not np.isfinite(m).all():
             raise ContractViolation("members must be a non-empty finite 1-d array")
@@ -140,8 +153,9 @@ class Archive:
     member counts differ (jsonl archives may mix them), and ``obs`` an
     (n,) array.  The archive keeps read-only views of the arrays, because
     the records share their memory.  The constructor checks what
-    ArchiveRecord checks of each record: non-empty station ids, at least
-    one member, and finite members and observations.
+    ArchiveRecord checks of each record: non-empty station ids without
+    surrounding whitespace (checked once per distinct id), at least one
+    member, and finite members and observations.
     """
 
     station_ids: tuple
@@ -167,8 +181,7 @@ class Archive:
             )
         if n and (sizes.min() < 1 or sizes.max() > members.shape[1]):
             raise ContractViolation("member counts must lie in 1..members.shape[1]")
-        if not all(self.station_ids):
-            raise ContractViolation("station_id must be non-empty")
+        _check_station_ids(dict.fromkeys(self.station_ids))
         filled = np.arange(members.shape[1]) < sizes[:, None]
         if not np.isfinite(members)[filled].all() or not np.isfinite(obs).all():
             raise ContractViolation("members and obs must be finite")
@@ -544,18 +557,55 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _csv_keys(station_ids, init_dates, lead_times):
-    """The station, init date and lead time fields that start each csv row.
+def _cell_text(v) -> str:
+    """One csv field for a value of any kind."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    if isinstance(v, datetime.date):
+        return v.isoformat()
+    return _csv_field(str(v))
 
-    Station ids are quoted by ``_csv_field``; a lead time of None is an
-    empty field.
-    """
-    sids = {sid: _csv_field(sid) for sid in set(station_ids)}
-    dates = {d: d.isoformat() for d in set(init_dates)}
-    return (
-        f"{sids[sid]},{dates[d]},{'' if lead is None else lead}"
-        for sid, d, lead in zip(station_ids, init_dates, lead_times)
-    )
+
+def _column_text(column) -> list:
+    """The csv fields of a column.  A numeric or boolean array is
+    formatted from its ``tolist()`` in one pass; a string, an int or a
+    date is formatted once per distinct value.  The cache is keyed by
+    exact type, so that True never takes the entry of 1."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return list(map(repr, values))
+        if column.dtype.kind == "b":
+            return ["true" if v else "false" for v in values]
+        return list(map(str, values))
+    cached = (str, int, datetime.date)
+    seen: dict = {}
+    out = []
+    for v in column:
+        if type(v) in cached:
+            text = seen.get(v)
+            if text is None:
+                text = seen[v] = _cell_text(v)
+        else:
+            text = _cell_text(v)
+        out.append(text)
+    return out
+
+
+def _write_csv(path, header, columns) -> None:
+    """A csv table from its header and its equal-length columns: floats
+    as ``repr``, booleans as true and false, dates in iso format, None
+    as an empty field, and text quoted by ``_csv_field``."""
+    lines = [",".join(_column_text(header))]
+    lines += map(",".join, zip(*map(_column_text, columns), strict=True))
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_archive_csv(archive, path) -> None:
@@ -571,19 +621,10 @@ def write_archive_csv(archive, path) -> None:
             f"csv needs one member count per file, found {sizes}; "
             "write jsonl instead"
         )
-    n_members = sizes[0] if sizes else 0
-    header = (
-        ["station_id", "init_date", "lead_time"]
-        + [f"m{i + 1}" for i in range(n_members)]
-        + ["obs"]
-    )
-    keys = _csv_keys(a.station_ids, a.init_dates, a.lead_times)
-    with open(str(path), "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(
-            f"{key},{','.join(map(repr, row))},{y!r}\n"
-            for key, row, y in zip(keys, a.members[:, :n_members].tolist(), a.obs.tolist())
-        )
+    k = sizes[0] if sizes else 0
+    header = ["station_id", "init_date", "lead_time", *(f"m{i + 1}" for i in range(k)), "obs"]
+    columns = [a.station_ids, a.init_dates, a.lead_times, *a.members[:, :k].T, a.obs]
+    _write_csv(path, header, columns)
 
 
 def write_archive_jsonl(archive, path) -> None:

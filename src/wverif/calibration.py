@@ -20,6 +20,7 @@ from .exceptions import (
     UnsupportedInput,
 )
 from .forecasts import Ensemble, Forecast, IndependentProduct, Parametric
+from .weights import MASS_FLOOR
 
 __all__ = [
     "HistogramSummary",
@@ -34,9 +35,6 @@ __all__ = [
     "corp_reliability",
     "prerank_cpit",
 ]
-
-# Conditioning events with forecast probability below this are refused.
-_DEGENERATE_FLOOR = 1e-12
 
 # Minimum ensemble members beyond the threshold for conditional work.
 MIN_TAIL_MEMBERS = 10
@@ -68,9 +66,9 @@ def _cpit_values(st, sy) -> np.ndarray:
     elementwise from survival values st = S(t) and sy = S(y) (one S(t) may
     serve many y).  The survival form keeps its relative accuracy deep in
     the right tail, where 1 - F(t) cancels.  NaN where S(t) is at or below
-    _DEGENERATE_FLOOR: the forecast has essentially no mass above t."""
+    MASS_FLOOR: the forecast has essentially no mass above t."""
     st, sy = np.asarray(st, dtype=float), np.asarray(sy, dtype=float)
-    ok = st > _DEGENERATE_FLOOR
+    ok = st > MASS_FLOOR
     u = np.clip((st - sy) / np.where(ok, st, 1.0), 0.0, 1.0)
     return np.where(ok, u, np.nan)
 
@@ -240,6 +238,13 @@ class ReliabilityFit:
     n: int
 
 
+def _thin(n: int, limit: int) -> np.ndarray:
+    """Indices of at most ``limit`` evenly spaced positions out of ``n``."""
+    if n <= limit:
+        return np.arange(n)
+    return np.unique(np.linspace(0, n - 1, limit).round().astype(int))
+
+
 def _isotonic(y: np.ndarray, at=None) -> np.ndarray:
     """Non-decreasing least-squares fit to the 0/1 outcomes ``y``, at the
     positions ``at`` (everywhere by default).
@@ -298,8 +303,7 @@ def corp_reliability(
 
     n = ps.size
     gen = _rng(seed)
-    n_probe = min(n, band_probes)
-    probe = np.unique(np.linspace(0, n - 1, n_probe).round().astype(int))
+    probe = _thin(n, band_probes)
     sims = np.empty((resamples, probe.size))
     # Drawn into buffers made once, from the same stream as fresh arrays.
     u = np.empty(n)

@@ -30,10 +30,9 @@ from .archive import (
     UNIVARIATE_SCORES,
     Archive,
     _blocks,
-    _csv_field,
-    _csv_keys,
     _key_codes,
     _smooth_normals,
+    _write_csv,
     group_multivariate,
     read_archive,
     score_archive,
@@ -44,6 +43,7 @@ from .archive import (
 from .calibration import (
     _cpit_values,
     _ranks,
+    _thin,
     corp_reliability,
     pit_ecdf,
     rank_histogram,
@@ -82,53 +82,6 @@ _MAX_TABLE_ROWS = 2048
 # ---------------------------------------------------------------------------
 
 
-def _cell_text(v) -> str:
-    """One csv field for a value of any kind."""
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, datetime.date):
-        return v.isoformat()
-    return _csv_field(str(v))
-
-
-def _column_text(column) -> list:
-    """The csv fields of a column.  A numeric or boolean array is
-    formatted from its ``tolist()`` in one pass; a date or a string is
-    formatted once per distinct value."""
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        values = column.tolist()
-        if column.dtype.kind == "f":
-            return list(map(repr, values))
-        if column.dtype.kind == "b":
-            return ["true" if v else "false" for v in values]
-        return list(map(str, values))
-    seen: dict = {}
-    out = []
-    for v in column:
-        if isinstance(v, (str, datetime.date)):
-            text = seen.get(v)
-            if text is None:
-                text = seen[v] = _cell_text(v)
-        else:
-            text = _cell_text(v)
-        out.append(text)
-    return out
-
-
-def _write_csv(path: str, header, columns) -> None:
-    """A csv table from its header and its equal-length columns."""
-    lines = [",".join(_column_text(header))]
-    lines += map(",".join, zip(*map(_column_text, columns), strict=True))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _write_jsonl(path: str, rows) -> None:
     with open(path, "w") as fh:
         for row in rows:
@@ -156,13 +109,6 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _thin(n: int, limit: int = _MAX_TABLE_ROWS) -> np.ndarray:
-    """Indices of at most ``limit`` evenly spaced rows out of ``n``."""
-    if n <= limit:
-        return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, limit).round().astype(int))
-
-
 def _num_label(x: float) -> str:
     return f"{x:g}".replace("-", "m").replace(".", "p")
 
@@ -178,13 +124,13 @@ def _write_hist(out: str, name: str, hist) -> str:
 
 
 def _write_ecdf(out: str, name: str, u, p) -> str:
-    keep = _thin(u.size)
+    keep = _thin(u.size, _MAX_TABLE_ROWS)
     _write_csv(os.path.join(out, name), ("u", "p"), (u[keep], p[keep]))
     return name
 
 
 def _write_corp(out: str, name: str, fit) -> str:
-    keep = _thin(fit.n)
+    keep = _thin(fit.n, _MAX_TABLE_ROWS)
     cols = (fit.probs, fit.cep, fit.band_lower, fit.band_upper)
     _write_csv(
         os.path.join(out, name),
@@ -219,12 +165,11 @@ def _cmd_score(args) -> list:
     sids, dates, leads = ([col[i] for i in order] for col in (sids, dates, leads))
     outputs = []
     if args.format == "csv":
-        with open(os.path.join(args.out, "scores.csv"), "w", newline="") as fh:
-            fh.write("station_id,init_date,lead_time,score,value\n")
-            fh.writelines(
-                f"{key},{args.score},{v!r}\n"
-                for key, v in zip(_csv_keys(sids, dates, leads), values.tolist())
-            )
+        _write_csv(
+            os.path.join(args.out, "scores.csv"),
+            ("station_id", "init_date", "lead_time", "score", "value"),
+            (sids, dates, leads, [args.score] * len(values), values),
+        )
         outputs.append("scores.csv")
     else:
         _write_jsonl(

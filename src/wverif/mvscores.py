@@ -343,34 +343,6 @@ def _variogram_scores(x: np.ndarray, y: np.ndarray, weights: dict, anchor, p: fl
     return out
 
 
-def _tw_energy(x: np.ndarray, y: np.ndarray, chain: CollapseOutside) -> np.ndarray:
-    """Threshold-weighted energy score of each case under ``chain``."""
-    return _mv_kernel({"twes": chain.w}, chain.z0, None, None)(x, y)["twes"]
-
-
-def _vr_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction, x0: np.ndarray) -> np.ndarray:
-    """Vertically re-scaled energy score of each case, anchored at ``x0`` (d,)."""
-    return _mv_kernel({"vres": w}, x0, None, None)(x, y)["vres"]
-
-
-def _ow_energy(x: np.ndarray, y: np.ndarray, w: WeightFunction) -> np.ndarray:
-    """Outcome-weighted energy score of each case; raises WeightedMassZero
-    as ``_outcome_weights`` does."""
-    return _mv_kernel({"owes": w}, None, None, None)(x, y)["owes"]
-
-
-def _variogram(x: np.ndarray, y: np.ndarray, p: float, h: np.ndarray) -> np.ndarray:
-    """Variogram score of order ``p`` with proximity weights ``h`` (d, d)."""
-    return _mv_kernel({"vs": None}, None, p, h)(x, y)["vs"]
-
-
-def _vr_variogram(
-    x: np.ndarray, y: np.ndarray, w: WeightFunction, p: float, h: np.ndarray, x0: np.ndarray
-) -> np.ndarray:
-    """Vertically re-scaled variogram score of each case, anchored at ``x0`` (d,)."""
-    return _mv_kernel({"vrvs": w}, x0, p, h)(x, y)["vrvs"]
-
-
 def _mv_kernel(weights: dict, anchor, p: float | None, h: np.ndarray | None):
     """The stacked kernel of one or more multivariate scores:
     (x (n, m, d), y (n, d)) -> {score: values (n,)}, in the order of ``weights``.
@@ -444,7 +416,8 @@ def tw_energy_score(forecast, y, chaining: ChainingFunction, fair: bool = False)
     ens = _as_mv(forecast)
     y = _check_obs(y, ens.dim)
     if isinstance(chaining, CollapseOutside) and not fair:
-        value = _tw_energy(ens.members.T[None], y[None], chaining)[0]
+        kernel = _mv_kernel({"twes": chaining.w}, chaining.z0, None, None)
+        value = kernel(ens.members.T[None], y[None])["twes"][0]
         return ScoreValue(value, "twes", {"chaining": repr(chaining), "fair": fair})
     tx, ty = _transform(chaining, ens.members.T[None], y[None])
     if fair and ens.size < 2:
@@ -461,7 +434,7 @@ def ow_energy_score(forecast, y, w: WeightFunction) -> ScoreValue:
     """
     ens = _as_mv(forecast)
     y = _check_obs(y, ens.dim)
-    value = _ow_energy(ens.members.T[None], y[None], w)[0]
+    value = _mv_kernel({"owes": w}, None, None, None)(ens.members.T[None], y[None])["owes"][0]
     return ScoreValue(value, "owes", {"weight": repr(w)})
 
 
@@ -471,7 +444,7 @@ def vr_energy_score(forecast, y, w: WeightFunction, x0=None) -> ScoreValue:
     y = _check_obs(y, ens.dim)
     x0 = np.zeros(ens.dim) if x0 is None else _check_obs(x0, ens.dim)
     params = {"weight": repr(w), "x0": x0.tolist()}
-    value = _vr_energy(ens.members.T[None], y[None], w, x0)[0]
+    value = _mv_kernel({"vres": w}, x0, None, None)(ens.members.T[None], y[None])["vres"][0]
     return ScoreValue(value, "vres", params)
 
 
@@ -491,7 +464,7 @@ def variogram_score(forecast, y, spec: VariogramSpec | None = None) -> ScoreValu
     ens = _as_mv(forecast)
     y = _check_obs(y, ens.dim)
     h = spec.weights_for(ens.dim)
-    value = _variogram(ens.members.T[None], y[None], spec.p, h)[0]
+    value = _mv_kernel({"vs": None}, None, spec.p, h)(ens.members.T[None], y[None])["vs"][0]
     return ScoreValue(value, "vs", {"p": spec.p})
 
 
@@ -504,7 +477,7 @@ def tw_variogram_score(
     y = _check_obs(y, ens.dim)
     tx, ty = _transform(chaining, ens.members.T[None], y[None])
     h = spec.weights_for(ens.dim)
-    value = _variogram(tx, ty, spec.p, h)[0]
+    value = _mv_kernel({"vs": None}, None, spec.p, h)(tx, ty)["vs"][0]
     return ScoreValue(value, "twvs", {"p": spec.p, "chaining": repr(chaining)})
 
 
@@ -521,5 +494,6 @@ def vr_variogram_score(
     y = _check_obs(y, ens.dim)
     h = spec.weights_for(ens.dim)
     x0 = spec.reference_for(ens.dim)
-    value = _vr_variogram(ens.members.T[None], y[None], w, spec.p, h, x0)[0]
+    kernel = _mv_kernel({"vrvs": w}, x0, spec.p, h)
+    value = kernel(ens.members.T[None], y[None])["vrvs"][0]
     return ScoreValue(value, "vrvs", {"p": spec.p, "weight": repr(w)})

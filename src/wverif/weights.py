@@ -11,7 +11,7 @@ products of the margins and cdfs into products of marginal cdfs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtr
@@ -409,8 +409,8 @@ class HeatLevelIndicator(_MvWeight):
 class ChainingFunction:
     """Non-decreasing transform v with v' equal to a weight function.
 
-    Univariate chainings implement ``weight()`` returning the weight
-    they integrate.  ``transform`` is vectorised.
+    ``weight()`` returns the weight v integrates; a univariate chaining
+    takes it from its pair in ``_CHAINS``.  ``transform`` is vectorised.
     """
 
     __slots__ = ()
@@ -419,8 +419,11 @@ class ChainingFunction:
     def dim(self) -> int:
         return 1
 
-    def weight(self) -> WeightFunction:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def weight(self) -> WeightFunction:
+        weight = _WEIGHTS.get(type(self))
+        if weight is None:  # pragma: no cover - abstract
+            raise NotImplementedError
+        return _with_fields(weight, self)
 
     def transform(self, z):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -433,9 +436,6 @@ class ChainingFunction:
 class Identity(ChainingFunction):
     """v(z) = z, the unweighted case."""
 
-    def weight(self) -> WeightFunction:
-        return Constant()
-
     def transform(self, z):
         z = np.asarray(z, dtype=float)
         return _scalar_or_array(z.copy())
@@ -446,9 +446,6 @@ class CensorAbove(ChainingFunction):
     """v(z) = max(z, t); integrates the indicator of z > t."""
 
     t: float
-
-    def weight(self) -> WeightFunction:
-        return IndicatorAbove(self.t)
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
@@ -461,9 +458,6 @@ class CensorBelow(ChainingFunction):
     """v(z) = min(z, t); integrates the indicator of z < t."""
 
     t: float
-
-    def weight(self) -> WeightFunction:
-        return IndicatorBelow(self.t)
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
@@ -484,9 +478,6 @@ def _gauss_cdf_antideriv(z, mu, sigma):
 class GaussCdfChain(_Gauss, ChainingFunction):
     """Antiderivative of the GaussCdf weight (right-tail emphasis)."""
 
-    def weight(self) -> WeightFunction:
-        return GaussCdf(self.mu, self.sigma)
-
     def transform(self, z):
         z = np.asarray(z, dtype=float)
         out = _gauss_cdf_antideriv(z, self.mu, self.sigma)
@@ -496,9 +487,6 @@ class GaussCdfChain(_Gauss, ChainingFunction):
 @dataclass(frozen=True)
 class GaussCdfComplementChain(_Gauss, ChainingFunction):
     """Antiderivative of 1 - GaussCdf (left-tail emphasis)."""
-
-    def weight(self) -> WeightFunction:
-        return OneMinusGaussCdf(self.mu, self.sigma)
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
@@ -512,9 +500,6 @@ class GaussCdfComplementChain(_Gauss, ChainingFunction):
 class GaussPdfChain(_Gauss, ChainingFunction):
     """Antiderivative of the GaussPdf weight, i.e. the normal cdf."""
 
-    def weight(self) -> WeightFunction:
-        return GaussPdf(self.mu, self.sigma)
-
     def transform(self, z):
         z = np.asarray(z, dtype=float)
         out = _norm_cdf(z, self.mu, self.sigma)
@@ -524,9 +509,6 @@ class GaussPdfChain(_Gauss, ChainingFunction):
 @dataclass(frozen=True)
 class GaussPdfRatioComplementChain(_Gauss, ChainingFunction):
     """Antiderivative of 1 - pdf(z)/pdf(mu) (two-sided tail emphasis)."""
-
-    def weight(self) -> WeightFunction:
-        return OneMinusGaussPdfRatio(self.mu, self.sigma)
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
@@ -581,15 +563,23 @@ class CollapseOutside(ChainingFunction):
         return np.where(self.mask(z)[..., None] == 1.0, z, self.z0)
 
 
-_CANONICAL = {
-    Constant: lambda w: Identity(),
-    IndicatorAbove: lambda w: CensorAbove(w.t),
-    IndicatorBelow: lambda w: CensorBelow(w.t),
-    GaussCdf: lambda w: GaussCdfChain(w.mu, w.sigma),
-    OneMinusGaussCdf: lambda w: GaussCdfComplementChain(w.mu, w.sigma),
-    GaussPdf: lambda w: GaussPdfChain(w.mu, w.sigma),
-    OneMinusGaussPdfRatio: lambda w: GaussPdfRatioComplementChain(w.mu, w.sigma),
+# Each univariate weight and the chaining function that integrates it.
+# A pair shares its field names, so each builds the other from its fields.
+_CHAINS = {
+    Constant: Identity,
+    IndicatorAbove: CensorAbove,
+    IndicatorBelow: CensorBelow,
+    GaussCdf: GaussCdfChain,
+    OneMinusGaussCdf: GaussCdfComplementChain,
+    GaussPdf: GaussPdfChain,
+    OneMinusGaussPdfRatio: GaussPdfRatioComplementChain,
 }
+_WEIGHTS = {chain: weight for weight, chain in _CHAINS.items()}
+
+
+def _with_fields(cls, obj):
+    """An instance of ``cls`` with the field values of the dataclass ``obj``."""
+    return cls(*(getattr(obj, f.name) for f in fields(obj)))
 
 
 def canonical_chaining(w: WeightFunction, z0=None) -> ChainingFunction:
@@ -599,9 +589,9 @@ def canonical_chaining(w: WeightFunction, z0=None) -> ChainingFunction:
     Binary multivariate weights map to ``CollapseOutside`` with the
     supplied collapse point ``z0``.
     """
-    builder = _CANONICAL.get(type(w))
-    if builder is not None:
-        return builder(w)
+    chain = _CHAINS.get(type(w))
+    if chain is not None:
+        return _with_fields(chain, w)
     if w.dim > 1 and w.is_binary:
         if z0 is None:
             raise ContractViolation("multivariate chaining needs a collapse point z0")

@@ -923,6 +923,26 @@ def _write_archive_file(tmp_path, name="arch.csv", **kwargs):
     return str(path)
 
 
+@pytest.mark.parametrize("write", [write_archive_csv, write_archive_jsonl])
+def test_archives_refuse_station_ids_the_readers_would_strip(tmp_path, write):
+    """Both readers strip station ids, so " x " written as it stands would
+    read back as "x", and a record of "x" on its key as its duplicate."""
+    d = datetime.date(2024, 6, 1)
+    path = tmp_path / ("a.csv" if write is write_archive_csv else "a.jsonl")
+
+    def round_trip(ids):
+        n = len(ids)
+        write(Archive(ids, (d,) * n, (1,) * n, np.ones((n, 1)), [1] * n, [0.5] * n), path)
+        return read_archive(path).station_ids
+
+    assert round_trip(("x", "y z")) == ("x", "y z")
+    for sid in (" x ", "x\t", "\nx"):
+        with pytest.raises(ContractViolation, match="whitespace"):
+            round_trip((sid, "x"))
+        with pytest.raises(ContractViolation, match="whitespace"):
+            ArchiveRecord(sid, d, 1, [1.0], 0.5)
+
+
 def _manifest_without_timing(path):
     with open(path) as fh:
         manifest = json.load(fh)
@@ -986,6 +1006,33 @@ def test_cli_score_jsonl_format(tmp_path):
     assert len(lines) == 6
     row = json.loads(lines[0])
     assert row["score"] == "es" and row["lead_time"] is None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("score", ["crps", "es"])
+def test_cli_score_tables_hold_score_archives_sorted_columns(tmp_path, score, fmt):
+    """scores.csv and scores.jsonl list score_archive's columns sorted by
+    station, init date and lead time, with station ids quoted in csv; es
+    stacks the lead times, so its lead time is blank in csv and null in jsonl."""
+    path = tmp_path / "a.csv"
+    write_archive_csv(_mk_records(n_days=2, stations=("plain", 'q"x', "a,b", "nl\nid")), path)
+    out = tmp_path / "out"
+    argv = ["score", "--archive", str(path), "--score", score, "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    *keys, values = score_archive(read_archive(path), score)
+    rows = sorted(zip(*keys, values.tolist()), key=lambda r: (r[0], r[1], r[2] or 0))
+    sids, dates, leads, vals = zip(*rows)
+    assert (score == "es") == (set(leads) == {None})
+    if fmt == "csv":
+        header = ("station_id", "init_date", "lead_time", "score", "value")
+        want = _table_oracle(header, (sids, dates, leads, [score] * len(vals), vals))
+    else:
+        want = "".join(
+            json.dumps({"station_id": sid, "init_date": d.isoformat(), "lead_time": lead,
+                        "score": score, "value": v}, sort_keys=True) + "\n"
+            for sid, d, lead, v in rows
+        ).encode()
+    assert (out / f"scores.{fmt}").read_bytes() == want
 
 
 def test_cli_exit_codes(tmp_path):
@@ -1349,6 +1396,7 @@ def _typed_columns(rows: int):
         pick([1, np.int64(-2), 0]),
         np.arange(rows) % 2 == 0,
         pick([True, np.bool_(False)]),
+        pick([True, 1, False, 0]),
         days,
         np.array(days, dtype=object),
         pick(_ODD_STRINGS),
@@ -1361,7 +1409,7 @@ def _typed_columns(rows: int):
 def test_columnar_csv_writer_equals_the_per_cell_formatting(tmp_path, rows):
     columns = _typed_columns(rows)
     header = [f"c{i}" for i in range(len(columns) - 1)] + ["quoted,name"]
-    cli._write_csv(tmp_path / "t.csv", header, columns)
+    archive._write_csv(tmp_path / "t.csv", header, columns)
     assert (tmp_path / "t.csv").read_bytes() == _table_oracle(header, columns)
 
 
@@ -1379,7 +1427,7 @@ _cells = st.none() | st.booleans() | st.integers() | st.floats() | st.dates() | 
 def test_columnar_csv_writer_equals_the_per_cell_formatting_on_mixed_columns(tmp_path_factory, columns):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     header = [f"c{i}" for i in range(len(columns))]
-    cli._write_csv(path, header, columns)
+    archive._write_csv(path, header, columns)
     assert path.read_bytes() == _table_oracle(header, columns)
 
 

@@ -283,13 +283,13 @@ def test_stacked_kernels_match_per_case_functions(n, m):
     tx, ty = chain.transform(x), chain.transform(y)
     stacked = {
         "es": mvscores._energy(x, y),
-        "vs": mvscores._variogram(x, y, 0.5, h),
+        "vs": _kernel("vs", h=h)(x, y),
         "twes": _kernel("twes", chain.w, lower)(x, y),
         "twes_chained": mvscores._energy(tx, ty),
-        "twvs": mvscores._variogram(tx, ty, 0.5, h),
-        "vres": mvscores._vr_energy(x, y, w, lower),
-        "vrvs": mvscores._vr_variogram(x, y, w, 0.5, h, lower),
-        "owes": mvscores._ow_energy(x, y, w),
+        "twvs": _kernel("vs", h=h)(tx, ty),
+        "vres": _kernel("vres", w, lower)(x, y),
+        "vrvs": _kernel("vrvs", w, lower, h=h)(x, y),
+        "owes": _kernel("owes", w)(x, y),
     }
     per_case = {
         "es": lambda e, yi: energy_score(e, yi),
@@ -401,23 +401,23 @@ def test_stacked_kernels_match_per_case_functions_property(stack):
     tx, ty = mvscores._transform(chain, x, y)
     cases = {
         "es": (lambda: mvscores._energy(x, y), lambda e, yi: energy_score(e, yi)),
-        "vs": (lambda: mvscores._variogram(x, y, 0.5, h), lambda e, yi: variogram_score(e, yi)),
+        "vs": (lambda: _kernel("vs", h=h)(x, y), lambda e, yi: variogram_score(e, yi)),
         "twes": (lambda: mvscores._energy(tx, ty), lambda e, yi: tw_energy_score(e, yi, chain)),
         "twvs": (
-            lambda: mvscores._variogram(tx, ty, 0.5, h),
+            lambda: _kernel("vs", h=h)(tx, ty),
             lambda e, yi: tw_variogram_score(e, yi, chain),
         ),
-        "owes": (lambda: mvscores._ow_energy(x, y, w), lambda e, yi: ow_energy_score(e, yi, w)),
+        "owes": (lambda: _kernel("owes", w)(x, y), lambda e, yi: ow_energy_score(e, yi, w)),
         "owes_box": (
-            lambda: mvscores._ow_energy(x, y, box),
+            lambda: _kernel("owes", box)(x, y),
             lambda e, yi: ow_energy_score(e, yi, box),
         ),
         "vres": (
-            lambda: mvscores._vr_energy(x, y, box, lower),
+            lambda: _kernel("vres", box, lower)(x, y),
             lambda e, yi: vr_energy_score(e, yi, box, x0=lower),
         ),
         "vrvs": (
-            lambda: mvscores._vr_variogram(x, y, box, 0.5, h, lower),
+            lambda: _kernel("vrvs", box, lower, h=h)(x, y),
             lambda e, yi: vr_variogram_score(e, yi, box, VariogramSpec(x0=lower)),
         ),
     }
@@ -466,8 +466,9 @@ def test_pair_sum_equals_difference_tensor(n, m, d, centre, spread, weighted, se
 
 
 def _vr_variogram_tensor(x, y, w, p, h, x0):
-    """vrVS of one case, members x (m, d), with the (m, m, d, d) tensor of
-    increment differences between member pairs."""
+    """The three terms whose sum is the vrVS of one case, members x (m, d),
+    with the (m, m, d, d) tensor of increment differences between member
+    pairs."""
     wx = mvscores._member_weights(w, x)
     wy = float(mvscores._member_weights(w, y))
 
@@ -481,7 +482,18 @@ def _vr_variogram_tensor(x, y, w, p, h, x0):
     rho_pairs = np.einsum("ij,klij->kl", h, (gx[:, None] - gx[None, :]) ** 2)
     pair = (wx[:, None] * wx[None, :] * rho_pairs).sum()
     term3 = ((rho_0 * wx).mean() - np.sum(h * (gy - g0) ** 2) * wy) * (wx.mean() - wy)
-    return (rho_y * wx).mean() * wy - pair / (2.0 * m * m) + term3
+    return (rho_y * wx).mean() * wy, -pair / (2.0 * m * m), term3
+
+
+def _moment_parts(x, w, p, h):
+    """The size of the two parts whose difference is the moment form's
+    vrVS pair term, for one case of members x (m, d):
+    sum_kl w_k w_l sum_ij h_ij (c_kij^2 + c_lij^2) / (2 m^2), with c the
+    increments centred on their member mean."""
+    wx = mvscores._member_weights(w, x)
+    g = np.abs(x[:, :, None] - x[:, None, :]) ** p
+    q = np.einsum("ij,kij->k", h, (g - g.mean(0)) ** 2)
+    return wx.sum() * (wx * q).sum() / x.shape[0] ** 2
 
 
 @_STACK_SETTINGS
@@ -495,9 +507,13 @@ def test_vr_variogram_moment_form_matches_pair_tensor(stack, p, seed):
     centre = y.mean(0)
     x0 = centre + rng.standard_normal(d)
     for w in (MvGaussCdf(centre, np.ones(d)), BoxIndicator(centre, np.full(d, np.inf))):
-        got = mvscores._vr_variogram(x, y, w, p, h, x0)
-        want = [_vr_variogram_tensor(xi, yi, w, p, h, x0) for xi, yi in zip(x, y)]
-        assert_allclose(got, want, rtol=1e-12, err_msg=repr(w))
+        got = _kernel("vrvs", w, x0, p, h)(x, y)
+        for g, xi, yi in zip(got, x, y):
+            terms = _vr_variogram_tensor(xi, yi, w, p, h, x0)
+            # Both forms add terms that cancel, so their rounding scales
+            # with the sizes of those terms, not with the value.
+            atol = 1e-12 * (sum(map(abs, terms)) + _moment_parts(xi, w, p, h))
+            assert_allclose(g, sum(terms), rtol=1e-12, atol=atol, err_msg=repr(w))
 
 
 def test_stacked_ow_energy_raises_like_the_per_case_loop():
@@ -515,10 +531,10 @@ def test_stacked_ow_energy_raises_like_the_per_case_loop():
         for xi, yi in zip(x, y):
             ow_energy_score(MvEnsemble(xi.T), yi, w)
     with pytest.raises(WeightedMassZero) as stacked:
-        mvscores._ow_energy(x, y, w)
+        _kernel("owes", w)(x, y)
     assert str(stacked.value) == str(per_case.value)
     assert "e-13" in str(stacked.value)
-    assert mvscores._ow_energy(x[:2], y[:2], w)[0] == 0.0
+    assert _kernel("owes", w)(x[:2], y[:2])[0] == 0.0
 
 
 # ---------------------------------------------------------------------------

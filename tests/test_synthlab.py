@@ -118,7 +118,9 @@ def test_synthlab_scores_only_through_the_dispatch_points():
         if "scores" in (module or "") or "scores" in (name or "")
     }
     assert scoring == {("uniscores", "_parametric_score"), ("mvscores", "_mv_kernel")}
-    kernels = {"_CdfGrid", "_normal_score", "_energy", "_variogram", "_vr_energy", "_closed_form"}
+    kernels = {
+        "_CdfGrid", "_normal_score", "_energy", "_energy_scores", "_variogram_scores", "_closed_form"
+    }
     assert not kernels & {name for _, name in imported}
 
 
