@@ -574,10 +574,13 @@ def _cell_text(v) -> str:
 
 def _column_text(column) -> list:
     """The csv fields of a column.  A numeric or boolean array is
-    formatted from its ``tolist()`` in one pass; a string, an int or a
+    formatted from its ``tolist()`` in one pass, a 2-d one a row at a
+    time, each row's fields joined into one text; a string, an int or a
     date is formatted once per distinct value.  The cache is keyed by
     exact type, so that True never takes the entry of 1."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        if column.ndim == 2:
+            return [",".join(_column_text(row)) for row in column]
         values = column.tolist()
         if column.dtype.kind == "f":
             return list(map(repr, values))
@@ -599,7 +602,8 @@ def _column_text(column) -> list:
 
 
 def _write_csv(path, header, columns) -> None:
-    """A csv table from its header and its equal-length columns: floats
+    """A csv table from its header and its equal-length columns (a 2-d
+    array stands for as many columns as it has columns): floats
     as ``repr``, booleans as true and false, dates in iso format, None
     as an empty field, and text quoted by ``_csv_field``."""
     lines = [",".join(_column_text(header))]
@@ -623,7 +627,7 @@ def write_archive_csv(archive, path) -> None:
         )
     k = sizes[0] if sizes else 0
     header = ["station_id", "init_date", "lead_time", *(f"m{i + 1}" for i in range(k)), "obs"]
-    columns = [a.station_ids, a.init_dates, a.lead_times, *a.members[:, :k].T, a.obs]
+    columns = [a.station_ids, a.init_dates, a.lead_times, a.members[:, :k], a.obs]
     _write_csv(path, header, columns)
 
 

@@ -7,6 +7,9 @@ across runs (the manifest also records wall time, which is not).
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data
 problem, 3 numerical failure.
+
+``main(argv)`` returns the exit code and may be called repeatedly in
+one process; every call parses with one parser, built on the first.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import itertools
 import json
 import math
@@ -681,16 +685,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_parser() -> tuple:
-    """The parser and its subcommand parsers by name."""
+@functools.cache
+def _build_parser(exit_on_error: bool = True) -> tuple:
+    """The parser and its subcommand parsers by name, built once per
+    process for each ``exit_on_error`` and never changed afterwards, so
+    every ``main`` call parses with the same tree.  Without
+    ``exit_on_error`` a bad value raises ``argparse.ArgumentError``."""
     parser = argparse.ArgumentParser(
         prog="wverif",
         description="probabilistic forecast verification with event weighting",
+        exit_on_error=exit_on_error,
     )
     parser.add_argument("--version", action="version", version=f"wverif {__version__}")
     sub = parser.add_subparsers(dest="cmd")
+    add = functools.partial(sub.add_parser, exit_on_error=exit_on_error)
 
-    p = sub.add_parser("score", help="score every case of an archive")
+    p = add("score", help="score every case of an archive")
     p.add_argument("--archive", required=True)
     p.add_argument(
         "--score",
@@ -707,7 +717,7 @@ def _build_parser() -> tuple:
     _add_common(p)
     p.set_defaults(func=_cmd_score)
 
-    p = sub.add_parser("diagnose", help="calibration diagnostics for an archive")
+    p = add("diagnose", help="calibration diagnostics for an archive")
     p.add_argument("--archive", required=True)
     p.add_argument("--smooth", action="store_true")
     p.add_argument("--thresholds", default="25,27")
@@ -716,7 +726,7 @@ def _build_parser() -> tuple:
     _add_common(p)
     p.set_defaults(func=_cmd_diagnose)
 
-    p = sub.add_parser("postprocess", help="regression-based calibration pipeline")
+    p = add("postprocess", help="regression-based calibration pipeline")
     p.add_argument("--archive", required=True)
     p.add_argument("--stations", default=None, help="station metadata csv")
     p.add_argument("--window-days", type=int, default=45)
@@ -725,7 +735,7 @@ def _build_parser() -> tuple:
     _add_common(p)
     p.set_defaults(func=_cmd_postprocess)
 
-    p = sub.add_parser("synth", help="seeded synthetic experiments")
+    p = add("synth", help="seeded synthetic experiments")
     p.add_argument("experiment", choices=sorted(_SYNTH_WRITERS))
     p.add_argument(
         "--param",
@@ -736,7 +746,7 @@ def _build_parser() -> tuple:
     _add_common(p)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("report", help="skill against a reference archive")
+    p = add("report", help="skill against a reference archive")
     p.add_argument("--archive", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--scores", default="crps,es,vs")
@@ -764,9 +774,7 @@ def _with_config(args, argv) -> argparse.Namespace:
         raise ContractViolation(f"cannot read config {args.config}: {exc}") from None
     if not isinstance(cfg, dict):
         raise ContractViolation(f"{args.config}: config must be a json object")
-    parser, commands = _build_parser()
-    for p in (parser, *commands.values()):
-        p.exit_on_error = False  # a bad value raises ArgumentError
+    parser, commands = _build_parser(exit_on_error=False)
     options = {a.dest: a for a in commands[args.cmd]._actions if a.option_strings}
     flags = []
     for key, value in cfg.items():

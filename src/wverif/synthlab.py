@@ -63,6 +63,18 @@ __all__ = [
 ]
 
 
+def _check_size(name: str, value, least: int = 2) -> None:
+    """Refuse a count that is not an int of at least ``least``; a sample
+    needs two draws for its standard error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ContractViolation(f"{name} must be an int of at least {least}, got {value!r}")
+
+
+def _check_finite(name: str, value) -> None:
+    if not np.isfinite(value):
+        raise ContractViolation(f"{name} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # score curves across the observation axis
 # ---------------------------------------------------------------------------
@@ -90,6 +102,8 @@ def run_score_curves(t: float = 1.0, ys=None, x0: float = 0.0) -> ScoreCurves:
     indicator of exceeding ``t``, which the censoring chaining of the
     threshold-weighted score integrates.
     """
+    _check_finite("t", t)
+    _check_finite("x0", x0)
     if ys is None:
         ys = np.linspace(-3.0, 3.0, 121)
     ys = np.asarray(ys, dtype=float)
@@ -132,6 +146,8 @@ def run_ideal_forecaster(
     PIT and conditional PIT beyond ``t`` are both uniform, while the
     PIT restricted to exceedance cases is not.
     """
+    _check_size("n", n)
+    _check_finite("t", t)
     if not 0.0 < sigma2 < 1.0:
         raise ContractViolation("sigma2 must lie in (0, 1)")
     gen = _rng(seed)
@@ -197,6 +213,8 @@ def run_tail_forecasters(
     the exceedance event is fitted by isotonic regression with a
     consistency band.
     """
+    _check_size("n", n)
+    _check_finite("t", t)
     gen = _rng(seed)
     tau = np.sqrt(2.0 / 3.0)
     s_log = 1.0 / np.pi
@@ -405,6 +423,10 @@ def run_propriety_mc(
     way for both sides so the finite-ensemble bias cancels in the
     comparison, by the kernels that ``archive`` scores its cases with.
     """
+    _check_size("n_pairs", n_pairs, least=1)
+    _check_size("n_uni", n_uni)
+    _check_size("n_mv", n_mv)
+    _check_size("m_members", m_members, least=1)
     if isinstance(scores, str):
         scores = scores.split(",")
     chosen = tuple(scores) if scores else _UNI_SCORES + _MV_SCORES
@@ -481,6 +503,8 @@ def run_impropriety_demo(
     shifts all mass beyond ``t``; the threshold-weighted CRPS with the
     same indicator favours the honest forecaster.
     """
+    _check_size("n", n)
+    _check_finite("t", t)
     gen = _rng(seed)
     truth = Normal(0.0, 1.0)
     trunc = _TruncatedAbove(truth, t)

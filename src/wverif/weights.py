@@ -317,9 +317,13 @@ class BoxIndicator(_MvWeight):
 
     def __call__(self, z):
         z = self._check(z)
-        inside = np.all((z >= self.lower) & (z <= self.upper), axis=-1)
-        out = inside.astype(float)
-        return _scalar_or_array(out)
+        within = (z >= self.lower) & (z <= self.upper)
+        # The and over components, in place on the first column's view:
+        # faster than np.all(within, axis=-1) for a few components.
+        inside = within[..., 0]
+        for j in range(1, self.dim):
+            inside &= within[..., j]
+        return _scalar_or_array(inside.astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -1413,6 +1413,20 @@ def test_columnar_csv_writer_equals_the_per_cell_formatting(tmp_path, rows):
     assert (tmp_path / "t.csv").read_bytes() == _table_oracle(header, columns)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 9])
+def test_csv_writer_takes_a_2d_block_as_its_columns(tmp_path, rows):
+    """A 2-d array is written a row at a time and gives the bytes of its
+    columns passed one by one, as write_archive_csv passes its members."""
+    floats = np.resize(np.array(_ODD_FLOATS, dtype=float), (rows, 4))
+    blocks = [floats, np.arange(rows * 3).reshape(rows, 3) - 4, floats[:, :2] > 0.05]
+    ends = [np.array(_typed_columns(rows)[10], dtype=object), np.linspace(0.0, 1.0, rows)]
+    columns = [ends[0], *blocks, ends[1]]
+    split = [ends[0], *(c for b in blocks for c in b.T), ends[1]]
+    header = [f"c{i}" for i in range(len(split))]
+    archive._write_csv(tmp_path / "t.csv", header, columns)
+    assert (tmp_path / "t.csv").read_bytes() == _table_oracle(header, split)
+
+
 _cells = st.none() | st.booleans() | st.integers() | st.floats() | st.dates() | st.text(
     st.characters(blacklist_categories=("Cs",)), max_size=6
 )
@@ -1629,6 +1643,69 @@ def test_cli_synth_small(tmp_path):
         summary = json.load(fh)
     assert summary["n"] == 4000 and summary["seed"] == 12
     assert summary["restricted_ri"] > summary["pit_ri"]
+
+
+def test_cli_main_builds_its_parser_once(tmp_path):
+    """Repeated main calls in one process parse with one parser tree."""
+    arch = _write_archive_file(tmp_path)
+    cli._build_parser.cache_clear()
+    for i in range(3):
+        out = str(tmp_path / f"o{i}")
+        assert main(["score", "--archive", arch, "--score", "crps", "--out", out]) == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_cli_bad_config_leaves_the_shared_parser_as_it_was(tmp_path, capsys):
+    """The config route parses with parsers of its own that raise on a bad
+    value; the plain route's parser still exits with its usage after it."""
+    arch = _write_archive_file(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threshold": "21"}))
+    out = str(tmp_path / "o")
+    capsys.readouterr()
+    argv = ["score", "--archive", arch, "--score", "twcrps", "--out", out]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("wverif: ")
+    assert main(["score", "--no-such-flag"]) == 1
+    assert capsys.readouterr().err.startswith("usage:")
+    assert main(argv + ["--threshold", "abc"]) == 1
+    assert capsys.readouterr().err.startswith("usage:")
+
+
+def test_cli_synth_params_do_not_carry_over_to_the_next_run(tmp_path):
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    assert main(["synth", "score_curves", "--param", "t=1.5", "--out", out1]) == 0
+    assert main(["synth", "score_curves", "--out", out2]) == 0
+    assert json.loads((tmp_path / "a" / "summary.json").read_text())["t"] == 1.5
+    assert json.loads((tmp_path / "b" / "summary.json").read_text())["t"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "experiment, params, name",
+    [
+        ("impropriety", ["n=-5"], "n"),
+        ("impropriety", ["n=0"], "n"),
+        ("ideal_forecaster", ["n=-5"], "n"),
+        ("tail_forecasters", ["n=-5"], "n"),
+        ("propriety", ["scores=crps", "n_pairs=1", "n_uni=-3"], "n_uni"),
+        ("propriety", ["scores=crps", "n_pairs=1", "n_uni=1"], "n_uni"),
+        ("propriety", ["scores=es", "n_pairs=1", "n_mv=0"], "n_mv"),
+        ("propriety", ["scores=es", "n_pairs=1", "n_mv=1"], "n_mv"),
+        ("propriety", ["scores=es", "n_pairs=1", "n_mv=300", "m_members=0"], "m_members"),
+        ("propriety", ["n_pairs=-1"], "n_pairs"),
+        ("propriety", ["scores=crps", "n_uni=2000", "n_pairs=true"], "n_pairs"),
+        ("score_curves", ["t=nan"], "t"),
+        ("score_curves", ["x0=inf"], "x0"),
+    ],
+)
+def test_cli_synth_refuses_sizes_too_small_for_a_standard_error(tmp_path, capsys, experiment, params, name):
+    """A sample size that is not an int of at least 2 (1 for the pair and
+    member counts), or a non-finite t or x0, exits 1 naming it."""
+    argv = ["synth", experiment, "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert main(argv + [a for p in params for a in ("--param", p)]) == 1
+    assert capsys.readouterr().err.startswith(f"wverif: {name} must be")
 
 
 def test_cli_synth_propriety_selects_scores(tmp_path):

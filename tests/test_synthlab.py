@@ -283,6 +283,26 @@ def test_propriety_mc_rejects_unknown_score():
         run_propriety_mc(scores=["nope"], n_pairs=2)
 
 
+@pytest.mark.parametrize(
+    "run, kwargs",
+    [
+        (run_ideal_forecaster, dict(n=2000.0)),
+        (run_ideal_forecaster, dict(n=True)),
+        (run_tail_forecasters, dict(n=1)),
+        (run_impropriety_demo, dict(n=np.int64(1))),
+        (run_impropriety_demo, dict(t=np.nan)),
+        (run_propriety_mc, dict(n_pairs=0)),
+        (run_propriety_mc, dict(n_uni=1)),
+        (run_propriety_mc, dict(n_mv=False)),
+        (run_propriety_mc, dict(m_members=0)),
+        (run_score_curves, dict(x0=-np.inf)),
+    ],
+)
+def test_experiments_refuse_sizes_and_levels_they_cannot_use(run, kwargs):
+    with pytest.raises(ContractViolation, match=f"^{next(iter(kwargs))} must be"):
+        run(**kwargs)
+
+
 def test_impropriety_demo_reduced():
     res = run_impropriety_demo(n=30000, seed=11)
     assert res.naive_prefers_truncated

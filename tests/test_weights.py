@@ -240,6 +240,21 @@ def test_box_indicator():
         BoxIndicator(np.array([1.0]), np.array([0.0]))
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_box_indicator_equals_np_all_at_bounds_infinite_limits_and_nan(d):
+    rng = np.random.default_rng(d)
+    lower = rng.choice([-1.0, 0.0, -np.inf], d)
+    upper = np.maximum(lower, rng.choice([0.0, 1.0, np.inf], d))
+    w = BoxIndicator(lower, upper)
+    # Points on the bounds, at and beyond ±inf, inside, outside and NaN.
+    grid = np.stack([lower, upper, lower - 1.0, upper + 1.0, np.full(d, np.inf),
+                     np.full(d, -np.inf), np.full(d, np.nan), np.clip(0.5, lower, upper)])
+    z = grid[rng.integers(0, grid.shape[0], (40, 7, d)), np.arange(d)]
+    want = np.all((z >= lower) & (z <= upper), axis=-1).astype(float)
+    assert np.array_equal(w(z), want)
+    assert all(w(point) == want[0, i] for i, point in enumerate(z[0]))
+
+
 def test_collapse_outside_transform():
     w = BoxIndicator(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
     z0 = np.array([0.0, 0.0])
