@@ -16,7 +16,9 @@ are parsed by one ``np.loadtxt``.  A row with a wrong field count, a key
 that does not parse, a number loadtxt refuses or a non-finite value goes
 through the per-row parser's functions, which name every reject reason;
 a file with a quote is read row by row throughout.  Json lines are
-always parsed row by row.
+always parsed row by row.  ``read_archive``, the reader the command line
+calls, keeps the archives it parsed by the sha256 of the file's bytes,
+so a file read again with the same content is not parsed again.
 
 Raw ensembles are scored through the stacked kernels of ``uniscores``
 and ``mvscores``: blocks of at most ``_STACK`` records, or stacked
@@ -39,10 +41,14 @@ from __future__ import annotations
 
 import csv
 import datetime
+import hashlib
+import io
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+import os
+import threading
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -152,7 +158,9 @@ class Archive:
     float array, NaN-padded past ``n_members[i]`` members when the
     member counts differ (jsonl archives may mix them), and ``obs`` an
     (n,) array.  The archive keeps read-only views of the arrays, because
-    the records share their memory.  The constructor checks what
+    the records share their memory.  ``_source`` is the (sha256 hex digest,
+    size) of the bytes ``read_archive`` parsed it from, and None for any
+    other archive.  The constructor checks what
     ArchiveRecord checks of each record: non-empty station ids without
     surrounding whitespace (checked once per distinct id), at least one
     member, and finite members and observations.
@@ -165,6 +173,7 @@ class Archive:
     n_members: np.ndarray
     obs: np.ndarray
     rejects: tuple = ()
+    _source: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         members = np.asarray(self.members, dtype=float).view()
@@ -240,9 +249,13 @@ def _check_fraction(max_fraction) -> None:
         raise ContractViolation(f"max_reject_fraction must lie in [0, 1], got {max_fraction!r}")
 
 
-def _check_reject_fraction(n_rows: int, rejects, max_fraction: float, path: str):
-    if n_rows == 0 or not rejects:
+def _check_reject_fraction(archive: Archive, max_fraction: float, path: str) -> None:
+    """DataError when more than ``max_fraction`` of the rows of the file
+    ``path`` that ``archive`` was read from were rejected."""
+    rejects = archive.rejects
+    if not rejects:
         return
+    n_rows = len(archive) + len(rejects)
     frac = len(rejects) / n_rows
     if frac > max_fraction:
         shown = "; ".join(f"line {r.line}: {r.reason}" for r in rejects[:5])
@@ -302,7 +315,7 @@ def _claim(first_line: dict, key, line_no: int):
     return None if first == line_no else f"duplicate of line {first}"
 
 
-def _collect(rows, path: str, max_reject_fraction: float) -> Archive:
+def _collect(rows) -> Archive:
     """Parse the rows of one file into an archive.
 
     ``rows`` yields (line number, fields) with fields either the raw
@@ -314,9 +327,7 @@ def _collect(rows, path: str, max_reject_fraction: float) -> Archive:
     rejects = []
     first_line: dict = {}
     dates: dict = {}
-    n_rows = 0
     for line_no, fields in rows:
-        n_rows += 1
         if isinstance(fields, str):
             rejects.append(RejectedRow(line_no, fields))
             continue
@@ -330,7 +341,6 @@ def _collect(rows, path: str, max_reject_fraction: float) -> Archive:
             rejects.append(RejectedRow(line_no, duplicate))
             continue
         records.append(rec)
-    _check_reject_fraction(n_rows, rejects, max_reject_fraction, path)
     return _archive_of(records, rejects)
 
 
@@ -357,19 +367,20 @@ def _csv_fields(row: list, width: int):
     return row[0], row[1], row[2], row[3:-1], row[-1]
 
 
-def _csv_rows(path: str):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _csv_header(reader, path)
-        if header is None:
-            return
-        # A record is numbered by the file line it starts on; a quoted
-        # field may carry it over several lines.
+def _csv_rows(fh, path: str):
+    """(line number, fields or reject reason) of each row of the csv text
+    ``fh``, read by ``csv``; ``path`` names the file in errors."""
+    reader = csv.reader(fh)
+    header = _csv_header(reader, path)
+    if header is None:
+        return
+    # A record is numbered by the file line it starts on; a quoted
+    # field may carry it over several lines.
+    line_no = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield line_no, _csv_fields(row, len(header))
         line_no = reader.line_num + 1
-        for row in reader:
-            if row:
-                yield line_no, _csv_fields(row, len(header))
-            line_no = reader.line_num + 1
 
 
 # Lines per np.loadtxt call of the bulk csv parse.  A block that loadtxt
@@ -379,8 +390,9 @@ def _csv_rows(path: str):
 _READ_BLOCK = 32
 
 
-def _bulk_csv(path: str, max_reject_fraction: float):
-    """The archive of a csv file read in bulk, or None for a file with a quote.
+def _bulk_csv(fh, path: str):
+    """The archive of the csv text ``fh`` read in bulk, or None for a file
+    with a quote; ``path`` names the file in errors.
 
     Each line's key is split off and parsed as ``_parse_record`` parses
     it; the numbers of blocks of ``_READ_BLOCK`` lines are parsed by one
@@ -398,7 +410,6 @@ def _bulk_csv(path: str, max_reject_fraction: float):
     rejects = []
     first_line: dict = {}
     dates: dict = {}
-    n_rows = 0
     block = []  # (line number, key or reject reason, line)
 
     def flush():
@@ -439,34 +450,31 @@ def _bulk_csv(path: str, max_reject_fraction: float):
         blocks.append(values if len(keep) == len(values) else values[keep])
         block.clear()
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _csv_header(reader, path)
-        if header is None:
-            return _archive_of(())
-        width = len(header)
-        # Blank lines are skipped but numbered; without quotes each line
-        # is one row.  The header may span lines.
-        for line_no, line in enumerate(fh, start=reader.line_num + 1):
-            if line in ("\n", "\r\n", "\r"):
-                continue
-            if '"' in line:
-                return None
-            n_rows += 1
-            if line.count(",") != width - 1:
-                key = _csv_fields(line.rstrip("\r\n").split(","), width)
-            else:
-                sid, date_str, lead_str, _ = line.split(",", 3)
-                try:
-                    key = _parse_key(sid, date_str, lead_str, dates)
-                except ValueError as exc:
-                    key = str(exc)
-            block.append((line_no, key, line))
-            if len(block) == _READ_BLOCK:
-                flush()
-        if block:
+    reader = csv.reader(fh)
+    header = _csv_header(reader, path)
+    if header is None:
+        return _archive_of(())
+    width = len(header)
+    # Blank lines are skipped but numbered; without quotes each line is
+    # one row.  The header may span lines.
+    for line_no, line in enumerate(fh, start=reader.line_num + 1):
+        if line in ("\n", "\r\n", "\r"):
+            continue
+        if '"' in line:
+            return None
+        if line.count(",") != width - 1:
+            key = _csv_fields(line.rstrip("\r\n").split(","), width)
+        else:
+            sid, date_str, lead_str, _ = line.split(",", 3)
+            try:
+                key = _parse_key(sid, date_str, lead_str, dates)
+            except ValueError as exc:
+                key = str(exc)
+        block.append((line_no, key, line))
+        if len(block) == _READ_BLOCK:
             flush()
-    _check_reject_fraction(n_rows, rejects, max_reject_fraction, path)
+    if block:
+        flush()
     if not station_ids:
         return _archive_of((), rejects)
     return Archive(
@@ -480,6 +488,45 @@ def _bulk_csv(path: str, max_reject_fraction: float):
     )
 
 
+class _Hashed(io.RawIOBase):
+    """A file's raw bytes, hashed with sha256 as they are read.  Closing
+    it reads what is left, so ``sha256`` and ``size`` are always of the
+    whole file as this one opening of it read it."""
+
+    def __init__(self, path: str):
+        self._fh = open(path, "rb", buffering=0)
+        self.sha256 = hashlib.sha256()
+        self.size = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self._fh.readinto(b)
+        self.sha256.update(memoryview(b)[:n])
+        self.size += n
+        return n
+
+    def close(self) -> None:
+        if not self.closed:
+            rest = bytearray(1 << 16)
+            while self.readinto(rest):
+                pass
+            self._fh.close()
+        super().close()
+
+
+def _parse_csv(open_text, path: str) -> Archive:
+    """The archive of a csv file, in bulk or, when it quotes a field, row
+    by row; ``open_text(newline=...)`` opens the file as text."""
+    with open_text(newline="") as fh:
+        archive = _bulk_csv(fh, path)
+    if archive is None:
+        with open_text(newline="") as fh:
+            archive = _collect(_csv_rows(fh, path))
+    return archive
+
+
 def read_archive_csv(path, max_reject_fraction: float = 0.01) -> Archive:
     """Read an archive from csv.
 
@@ -490,63 +537,123 @@ def read_archive_csv(path, max_reject_fraction: float = 0.01) -> Archive:
     DataError only when their fraction exceeds ``max_reject_fraction``,
     which must lie in [0, 1].
     The numbers of a file are parsed in bulk unless it quotes a field.
+    Every call parses the file; ``read_archive`` keeps what it parsed.
     """
     _check_fraction(max_reject_fraction)
     path = str(path)
-    archive = _bulk_csv(path, max_reject_fraction)
-    if archive is None:
-        archive = _collect(_csv_rows(path), path, max_reject_fraction)
+    archive = _parse_csv(partial(open, path), path)
+    _check_reject_fraction(archive, max_reject_fraction, path)
     return archive
 
 
-def _jsonl_rows(path: str):
+def _jsonl_rows(fh):
     keys = ("station_id", "init_date", "lead_time", "members", "obs")
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                yield line_no, f"bad json: {exc.msg}"
-                continue
-            if not isinstance(obj, dict):
-                yield line_no, "row is not an object"
-                continue
-            missing = [k for k in keys if k not in obj]
-            if missing:
-                yield line_no, f"missing keys {missing}"
-            elif not isinstance(obj["members"], list):
-                yield line_no, "members must be a list"
-            else:
-                yield line_no, (
-                    str(obj["station_id"]),
-                    str(obj["init_date"]),
-                    str(obj["lead_time"]),
-                    [str(v) for v in obj["members"]],
-                    str(obj["obs"]),
-                )
+    for line_no, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            yield line_no, f"bad json: {exc.msg}"
+            continue
+        if not isinstance(obj, dict):
+            yield line_no, "row is not an object"
+            continue
+        missing = [k for k in keys if k not in obj]
+        if missing:
+            yield line_no, f"missing keys {missing}"
+        elif not isinstance(obj["members"], list):
+            yield line_no, "members must be a list"
+        else:
+            yield line_no, (
+                str(obj["station_id"]),
+                str(obj["init_date"]),
+                str(obj["lead_time"]),
+                [str(v) for v in obj["members"]],
+                str(obj["obs"]),
+            )
+
+
+def _parse_jsonl(open_text, path: str) -> Archive:
+    """The archive of a jsonl file; ``path``, unused, keeps the signature
+    of ``_parse_csv``."""
+    with open_text() as fh:
+        return _collect(_jsonl_rows(fh))
 
 
 def read_archive_jsonl(path, max_reject_fraction: float = 0.01) -> Archive:
     """Read an archive from json lines.
 
     Each line is an object with keys station_id, init_date, lead_time,
-    members, obs.  Reject handling matches the csv reader.
+    members, obs.  Reject handling matches the csv reader.  Every call
+    parses the file; ``read_archive`` keeps what it parsed.
     """
     _check_fraction(max_reject_fraction)
     path = str(path)
-    return _collect(_jsonl_rows(path), path, max_reject_fraction)
+    archive = _parse_jsonl(partial(open, path), path)
+    _check_reject_fraction(archive, max_reject_fraction, path)
+    return archive
+
+
+# How many parsed archives read_archive keeps: a run of the command line
+# reads at most two (report's archive and reference), and the calibrate
+# workload's loop alternates two files.
+_READ_CACHE = 2
+_reads: dict = {}  # (parser, sha256 of the bytes) -> archive, least recently used first
+_reads_lock = threading.Lock()
 
 
 def read_archive(path, max_reject_fraction: float = 0.01) -> Archive:
-    """Read csv or jsonl depending on the file extension."""
+    """Read csv or jsonl depending on the file extension.
+
+    The archive carries the sha256 digest and size of the bytes it was
+    parsed from as ``_source``; they are hashed as the parser reads them.
+    The last ``_READ_CACHE`` archives parsed here are kept by that digest
+    (and the format), least recently used dropped first.  When a kept
+    archive has the file's size, the file is hashed first, and a kept
+    archive of the same digest is returned without parsing: the key is
+    the content, never the path or the modification time, and an archive
+    is immutable, so sharing it is safe.  Each call checks
+    ``max_reject_fraction`` itself and names its own path, as
+    ``read_archive_csv`` and ``read_archive_jsonl`` do.  The parse
+    streams the file, as theirs does; a read that parses also pays the
+    hash (about 2 ms on a 2.3 MB file), and only a process that reads the
+    same bytes again gains.  Up to ``_READ_CACHE`` archives stay in
+    memory for the life of the process.
+    """
     p = str(path)
     if p.endswith(".csv"):
-        return read_archive_csv(p, max_reject_fraction)
-    if p.endswith(".jsonl"):
-        return read_archive_jsonl(p, max_reject_fraction)
-    raise DataError(f"{p}: unsupported archive format; use .csv or .jsonl")
+        parse = _parse_csv
+    elif p.endswith(".jsonl"):
+        parse = _parse_jsonl
+    else:
+        raise DataError(f"{p}: unsupported archive format; use .csv or .jsonl")
+    _check_fraction(max_reject_fraction)
+    with _reads_lock:
+        sizes = {a._source[1] for a in _reads.values()}
+    archive = None
+    if sizes and os.stat(p).st_size in sizes:
+        with _Hashed(p) as whole:
+            pass  # closing it hashes the whole file
+        key = (parse, whole.sha256.hexdigest())
+        with _reads_lock:
+            archive = _reads.pop(key, None)
+    if archive is None:
+        opened = []
+
+        def open_text(newline=None):
+            opened.append(_Hashed(p))
+            return io.TextIOWrapper(io.BufferedReader(opened[-1]), newline=newline)
+
+        archive = parse(open_text, p)
+        key = (parse, opened[-1].sha256.hexdigest())
+        object.__setattr__(archive, "_source", (key[1], opened[-1].size))
+    with _reads_lock:
+        _reads[key] = archive
+        while len(_reads) > _READ_CACHE:
+            del _reads[next(iter(_reads))]
+    _check_reject_fraction(archive, max_reject_fraction, p)
+    return archive
 
 
 def _csv_field(text: str) -> str:
@@ -842,6 +949,14 @@ def _score_multivariate(
     return sids, dates, [None] * len(first), values
 
 
+def _check_score(score) -> None:
+    if score not in UNIVARIATE_SCORES and score not in MULTIVARIATE_SCORES:
+        raise ContractViolation(
+            f"unknown score {score!r}; univariate: {UNIVARIATE_SCORES}, "
+            f"multivariate: {MULTIVARIATE_SCORES}"
+        )
+
+
 def score_archive(
     archive,
     score: str,
@@ -866,17 +981,13 @@ def score_archive(
     the heat-level weight instead for multivariate scores.  The values
     have passed ScoreValue's checks.
     """
+    _check_score(score)
     a = _columns_of(archive)
     if score in UNIVARIATE_SCORES:
         sids, dates, leads, values = _score_univariate(a, score, threshold, x0, smooth)
-    elif score in MULTIVARIATE_SCORES:
+    else:
         sids, dates, leads, values = _score_multivariate(
             a, score, threshold, level, warm, hot, p, lead_times
-        )
-    else:
-        raise ContractViolation(
-            f"unknown score {score!r}; univariate: {UNIVARIATE_SCORES}, "
-            f"multivariate: {MULTIVARIATE_SCORES}"
         )
     return sids, dates, leads, _checked(values, score)
 

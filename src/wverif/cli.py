@@ -9,7 +9,11 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 data
 problem, 3 numerical failure.
 
 ``main(argv)`` returns the exit code and may be called repeatedly in
-one process; every call parses with one parser, built on the first.
+one process; every call parses with one parser, built on the first, and
+``read_archive`` does not parse again bytes it parsed before (see its
+docstring).  Flags are checked before any archive is read.  The
+manifest records the sha256 and size of each archive read under
+``inputs``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .archive import (
     UNIVARIATE_SCORES,
     Archive,
     _blocks,
+    _check_score,
     _key_codes,
     _smooth_normals,
     _write_csv,
@@ -149,9 +154,14 @@ def _write_corp(out: str, name: str, fit) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_score(args) -> list:
-    archive = read_archive(args.archive, args.max_reject_fraction)
+def _inputs(**archives) -> dict:
+    """The sha256 and size of the bytes of each archive read, by flag name."""
+    return {name: dict(zip(("sha256", "bytes"), a._source)) for name, a in archives.items()}
+
+
+def _cmd_score(args) -> tuple:
     lead_times = _parse_list(args.lead_times, int, "lead time")
+    archive = read_archive(args.archive, args.max_reject_fraction)
     sids, dates, leads, values = score_archive(
         archive,
         args.score,
@@ -203,7 +213,7 @@ def _cmd_score(args) -> list:
         },
     )
     outputs.append("summary.json")
-    return outputs
+    return outputs, _inputs(archive=archive)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +237,7 @@ def _threshold_labels(text: str) -> list:
     return pairs
 
 
-def _cmd_diagnose(args) -> list:
+def _cmd_diagnose(args) -> tuple:
     thresholds = _threshold_labels(args.thresholds) if args.smooth else []
     archive = read_archive(args.archive, args.max_reject_fraction)
     if len(archive) == 0:
@@ -286,7 +296,7 @@ def _cmd_diagnose(args) -> list:
 
     _write_json(os.path.join(args.out, "summary.json"), summary)
     outputs.append("summary.json")
-    return outputs
+    return outputs, _inputs(archive=archive)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +349,13 @@ def _member_moments(archive, heights: np.ndarray) -> tuple:
     return xbar, var
 
 
-def _cmd_postprocess(args) -> list:
+def _cmd_postprocess(args) -> tuple:
+    if args.window_days < 1:
+        raise ContractViolation("the training window needs at least one day")
     archive = read_archive(args.archive, args.max_reject_fraction)
     if len(archive) == 0:
         raise DataError(f"{args.archive}: nothing to postprocess")
     stations = _read_stations(args.stations) if args.stations else {}
-    if args.window_days < 1:
-        raise ContractViolation("the training window needs at least one day")
     covariates = _stations_of(archive, stations)
     xbar, var = _member_moments(archive, covariates[:, 2:])
     lead = np.array(archive.lead_times)
@@ -426,7 +436,7 @@ def _cmd_postprocess(args) -> list:
         },
     )
     outputs.append("summary.json")
-    return outputs
+    return outputs, _inputs(archive=archive)
 
 
 def _run_ecc(args, archive, mean, sd, lead_times) -> str:
@@ -504,7 +514,7 @@ def _parse_param(text: str):
         return key, raw
 
 
-def _cmd_synth(args) -> list:
+def _cmd_synth(args) -> tuple:
     params = dict(_parse_param(p) for p in args.param or [])
     spec = ExperimentSpec(args.experiment, params, seed=args.seed)
     try:
@@ -512,7 +522,7 @@ def _cmd_synth(args) -> list:
     except TypeError as exc:
         raise ContractViolation(f"bad parameter for {args.experiment}: {exc}") from None
     writer = _SYNTH_WRITERS[args.experiment]
-    return writer(args.out, result)
+    return writer(args.out, result), {}
 
 
 def _write_score_curves(out: str, res) -> list:
@@ -625,9 +635,7 @@ _SYNTH_WRITERS = {
 # ---------------------------------------------------------------------------
 
 
-def _cmd_report(args) -> list:
-    archive = read_archive(args.archive, args.max_reject_fraction)
-    reference = read_archive(args.reference, args.max_reject_fraction)
+def _cmd_report(args) -> tuple:
     kwargs = dict(
         threshold=args.threshold,
         p=args.p,
@@ -635,8 +643,13 @@ def _cmd_report(args) -> list:
         lead_times=_parse_list(args.lead_times, int, "lead time"),
         level=args.level,
     )
+    scores = [s.strip() for s in args.scores.split(",") if s.strip()]
+    for score in scores:
+        _check_score(score)
+    archive = read_archive(args.archive, args.max_reject_fraction)
+    reference = read_archive(args.reference, args.max_reject_fraction)
     rows = []
-    for score in [s.strip() for s in args.scores.split(",") if s.strip()]:
+    for score in scores:
         *keys, values = score_archive(archive, score, **kwargs)
         *ref_keys, ref_values = score_archive(reference, score, **kwargs)
         by = "lead_time" if score in UNIVARIATE_SCORES else "all"
@@ -646,7 +659,7 @@ def _cmd_report(args) -> list:
         ("score", "group", "n", "mean_score", "mean_reference", "skill", "degenerate"),
         list(zip(*rows)),
     )
-    return ["report.csv"]
+    return ["report.csv"], _inputs(archive=archive, reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +835,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ContractViolation("--seed must be non-negative")
         os.makedirs(args.out, exist_ok=True)
-        outputs = args.func(args)
+        outputs, inputs = args.func(args)
     except (ContractViolation, UnsupportedInput) as exc:
         print(f"wverif: {exc}", file=sys.stderr)
         return 1
@@ -840,6 +853,7 @@ def main(argv=None) -> int:
         "package_version": __version__,
         "wall_time_s": round(time.perf_counter() - start, 3),
         "outputs": sorted(outputs),
+        "inputs": inputs,
     }
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
     return 0

@@ -1,6 +1,7 @@
 import ast
 import csv
 import datetime
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -11,6 +12,7 @@ import os
 import statistics
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -360,7 +362,10 @@ def _read_or_error(read, path, max_reject_fraction):
 
 
 def _per_row_read(path, max_reject_fraction):
-    return archive._collect(archive._csv_rows(path), path, max_reject_fraction)
+    with open(path, newline="") as fh:
+        got = archive._collect(archive._csv_rows(fh, path))
+    archive._check_reject_fraction(got, max_reject_fraction, path)
+    return got
 
 
 def _assert_same_read(path):
@@ -459,7 +464,8 @@ def test_bulk_csv_parse_equals_per_row_parser(tmp_path, name, text):
     path = tmp_path / "a.csv"
     _write(path, text)
     quoted = '"' in text.partition("obs")[2]
-    assert (archive._bulk_csv(str(path), 1.0) is None) == quoted
+    with open(path, newline="") as fh:
+        assert (archive._bulk_csv(fh, str(path)) is None) == quoted
     _assert_same_read(path)
 
 
@@ -1999,3 +2005,314 @@ def test_key_codes_renumber_before_they_overflow():
     rows = list(zip(*columns))
     rank = {row: i for i, row in enumerate(sorted(rows))}
     assert archive._key_codes(*columns).tolist() == [rank[row] for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# the read cache of read_archive
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def bulk_parses(monkeypatch):
+    """A fresh, empty read cache, and the list of the paths _bulk_csv parses."""
+    monkeypatch.setattr(archive, "_reads", {})
+    parses = []
+    bulk = archive._bulk_csv
+
+    def counted(fh, path):
+        parses.append(path)
+        return bulk(fh, path)
+
+    monkeypatch.setattr(archive, "_bulk_csv", counted)
+    return parses
+
+
+def test_read_archive_parses_identical_bytes_once(tmp_path, bulk_parses):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_archive_csv(_mk_records(), a)
+    b.write_bytes(a.read_bytes())
+    first = read_archive(a)
+    assert read_archive(b) is first and read_archive(a) is first
+    assert bulk_parses == [str(a)]
+    # The same bytes as another format are another archive.
+    c = tmp_path / "c.jsonl"
+    write_archive_jsonl(first, c)
+    d = tmp_path / "d.csv"
+    d.write_bytes(c.read_bytes())
+    assert len(read_archive(c)) == len(first)
+    with pytest.raises(DataError, match="expected header"):
+        read_archive(d)
+
+
+def test_read_archive_keys_on_content_not_on_path_or_mtime(tmp_path, bulk_parses):
+    path = tmp_path / "a.csv"
+    write_archive_csv(_mk_records(), path)
+    old = path.read_bytes()
+    first = read_archive(path)
+    stat = path.stat()
+    new = old.replace(b"ayr,", b"ayz,")
+    assert len(new) == len(old) and new != old
+    path.write_bytes(new)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+    second = read_archive(path)
+    assert second is not first
+    assert set(second.station_ids) == {"ayz", "bex"}
+    assert second.members.tobytes() == first.members.tobytes()
+    assert len(bulk_parses) == 2
+
+
+def test_read_archive_hashes_before_parsing_only_when_a_kept_archive_has_the_size(
+    tmp_path, bulk_parses, monkeypatch
+):
+    """A file is opened once to parse and hash it, and hashed first only
+    when a kept archive has its size; the digest is of the bytes parsed,
+    also when a quote sends the parse back to the start."""
+    opened = []
+    hashed = archive._Hashed
+    monkeypatch.setattr(archive, "_Hashed", lambda p: opened.append(Path(p).name) or hashed(p))
+    a, b, c, d = (tmp_path / f"{n}.csv" for n in "abcd")
+    write_archive_csv(_mk_records(), a)
+    write_archive_csv(_mk_records(n_days=4), b)
+    c.write_bytes(a.read_bytes())
+    d.write_bytes(a.read_bytes().replace(b"ayr,", b"ayz,"))
+    for p in (a, a, b, c, d):
+        got = read_archive(p)
+        assert got._source == (hashlib.sha256(p.read_bytes()).hexdigest(), p.stat().st_size)
+    assert opened == ["a.csv", "a.csv", "b.csv", "c.csv", "d.csv", "d.csv"]
+    assert bulk_parses == [str(a), str(b), str(d)]
+    assert read_archive_csv(a)._source is None
+    q = tmp_path / "q.csv"
+    _write(q, _MULTILINE_STATION)
+    got = read_archive(q, 1.0)
+    assert got._source == (hashlib.sha256(q.read_bytes()).hexdigest(), q.stat().st_size)
+    assert opened[-2:] == ["q.csv", "q.csv"]
+
+
+def test_read_archive_checks_the_reject_fraction_on_each_call(tmp_path, bulk_parses):
+    path = _half_malformed_archive(tmp_path)
+    other = tmp_path / "other.csv"
+    other.write_bytes(path.read_bytes())
+    a = read_archive(path, 0.5)
+    assert len(a) == 90 and len(a.rejects) == 90
+    for p in (other, path):
+        with pytest.raises(DataError) as err:
+            read_archive(p, 0.01)
+        assert str(err.value).startswith(f"{p}: 90 of 180 rows rejected")
+        with pytest.raises(DataError) as want:
+            read_archive_csv(p, 0.01)
+        assert str(err.value) == str(want.value)
+    assert read_archive(other, 0.5) is a
+    # One cached parse; read_archive_csv parses on each call.
+    assert bulk_parses == [str(path), str(other), str(path)]
+
+
+def test_read_archive_cache_drops_the_least_recently_used(tmp_path, bulk_parses):
+    paths = []
+    for i in range(archive._READ_CACHE + 1):
+        paths.append(tmp_path / f"a{i}.csv")
+        write_archive_csv(_mk_records(seed=i), paths[-1])
+    for p in paths[:-1]:
+        read_archive(p)
+    read_archive(paths[0])  # now the most recently used
+    read_archive(paths[-1])  # drops paths[1]
+    assert len(archive._reads) == archive._READ_CACHE
+    del bulk_parses[:]
+    read_archive(paths[0])
+    read_archive(paths[-1])
+    assert bulk_parses == []
+    read_archive(paths[1])
+    assert bulk_parses == [str(paths[1])]
+    assert len(archive._reads) == archive._READ_CACHE
+
+
+def test_cached_archives_stay_read_only_through_postprocess_ecc(tmp_path, bulk_parses):
+    path = _write_archive_file(tmp_path, n_days=8)
+    a = read_archive(path)
+    before = [x.tobytes() for x in (a.members, a.n_members, a.obs)]
+    out = tmp_path / "pp"
+    assert main(["postprocess", "--archive", path, "--window-days", "3", "--ecc",
+                 "--out", str(out)]) == 0
+    assert (out / "ecc.csv").exists()
+    assert read_archive(path) is a and bulk_parses == [path]
+    for x, b in zip((a.members, a.n_members, a.obs), before):
+        assert not x.flags.writeable
+        assert x.tobytes() == b
+        with pytest.raises(ValueError):
+            x[0] = 0
+
+
+def test_read_archive_csv_and_jsonl_parse_on_every_call(tmp_path, bulk_parses, monkeypatch):
+    path = _write_archive_file(tmp_path)
+    jsonl = tmp_path / "a.jsonl"
+    write_archive_jsonl(read_archive_csv(path), jsonl)
+    rows = []
+    jsonl_rows = archive._jsonl_rows
+    monkeypatch.setattr(archive, "_jsonl_rows", lambda fh: rows.append(1) or jsonl_rows(fh))
+    for _ in range(3):
+        read_archive_csv(path)
+        read_archive_jsonl(jsonl)
+    assert bulk_parses == [path] * 4 and len(rows) == 3
+    assert archive._reads == {}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_csv_archive())
+def test_read_archive_equals_read_archive_csv_cold_and_warm(tmp_path_factory, text):
+    path = str(tmp_path_factory.getbasetemp() / "cache_property.csv")
+    _write(path, text)
+    reads = archive._reads
+    try:
+        for frac in (1.0, 0.01):
+            archive._reads = {}
+            want = _read_or_error(read_archive_csv, path, frac)
+            cold = _read_or_error(read_archive, path, frac)
+            warm = _read_or_error(read_archive, path, frac)
+            assert len(archive._reads) == 1
+            for got in (cold, warm):
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert got.station_ids == want.station_ids
+                assert got.init_dates == want.init_dates
+                assert got.lead_times == want.lead_times
+                assert got.members.shape == want.members.shape
+                assert got.members.tobytes() == want.members.tobytes()
+                assert got.obs.tobytes() == want.obs.tobytes()
+                assert np.array_equal(got.n_members, want.n_members)
+                assert got.rejects == want.rejects
+            assert isinstance(want, str) or warm is cold
+    finally:
+        archive._reads = reads
+
+
+def test_read_archive_cache_under_concurrent_readers(tmp_path, monkeypatch):
+    """Threads reading more files than the cache holds each get their
+    own file's archive, and the cache never exceeds its bound."""
+    monkeypatch.setattr(archive, "_reads", {})
+    paths = []
+    for i in range(archive._READ_CACHE + 2):
+        paths.append(str(tmp_path / f"a{i}.csv"))
+        write_archive_csv(_mk_records(n_days=1, stations=(f"s{i}",)), paths[-1])
+    errors, sizes = [], []
+
+    def reader(k):
+        try:
+            for j in range(60):
+                p = paths[(j * (k + 1)) % len(paths)]
+                got = read_archive(p)
+                assert got.station_ids[0] == f"s{paths.index(p)}"
+                sizes.append(len(archive._reads))
+        except Exception as exc:  # reported to the main thread below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(sizes) == 240 and max(sizes) <= archive._READ_CACHE
+
+
+def test_cli_manifest_records_the_digest_of_each_archive_read(tmp_path):
+    arch = _write_archive_file(tmp_path)
+    data = Path(arch).read_bytes()
+    want = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    runs = []
+    for i in (1, 2):
+        out = tmp_path / f"run{i}"
+        assert main(["score", "--archive", arch, "--score", "crps", "--out", str(out)]) == 0
+        runs.append(_manifest_without_timing(out / "manifest.json"))
+    assert runs[0] == runs[1]
+    assert runs[0]["inputs"] == {"archive": want}
+    # One byte more: another digest and size.
+    Path(arch).write_bytes(data.replace(b"\n", b"\n\n", 1))
+    out = tmp_path / "run3"
+    assert main(["score", "--archive", arch, "--score", "crps", "--out", str(out)]) == 0
+    inputs = _manifest_without_timing(out / "manifest.json")["inputs"]["archive"]
+    assert inputs["bytes"] == len(data) + 1 and inputs["sha256"] != want["sha256"]
+    ref = tmp_path / "ref.csv"
+    ref.write_bytes(data)
+    out = tmp_path / "rep"
+    assert main(["report", "--archive", arch, "--reference", str(ref), "--out", str(out)]) == 0
+    assert _manifest_without_timing(out / "manifest.json")["inputs"] == {
+        "archive": inputs, "reference": want,
+    }
+    out = tmp_path / "synth"
+    assert main(["synth", "score_curves", "--out", str(out)]) == 0
+    assert _manifest_without_timing(out / "manifest.json")["inputs"] == {}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["score", "--score", "crps", "--lead-times", "x"],
+        ["report", "--reference", "REF", "--lead-times", "x"],
+        ["report", "--reference", "REF", "--scores", "crps,bogus"],
+        ["postprocess", "--window-days", "0"],
+    ],
+    ids=("score-lead-times", "report-lead-times", "report-scores", "postprocess-window-days"),
+)
+def test_cli_checks_flags_before_reading_the_archive(tmp_path, capsys, argv):
+    """A bad flag exits 1 even when the archive does not exist."""
+    missing = str(tmp_path / "missing.csv")
+    argv = [missing if a == "REF" else a for a in argv]
+    capsys.readouterr()
+    assert main(argv + ["--archive", missing, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wverif: ") and "No such file" not in err
+
+
+def _score_raw_archive(path):
+    """A small seeded archive like the benchmark's score-raw one: members
+    straddling 25 degrees, and one stacked case (ayr, first day) with
+    three hot observations and no member in [25, inf)^3, on which owes
+    fails."""
+    rng = np.random.default_rng(20)
+    recs = []
+    for day in range(6):
+        for sid in ("ayr", "bex", "cor"):
+            for lead in (1, 2, 3):
+                date = datetime.date(2024, 6, 1) + datetime.timedelta(days=day)
+                if sid == "ayr" and day == 0:
+                    members, obs = 15.0 + 0.05 * np.arange(11), 29.5 + 0.5 * lead
+                else:
+                    members, obs = 25.0 + rng.normal(0.0, 2.0, 11), 25.0 + rng.normal(0.0, 2.0)
+                recs.append(ArchiveRecord(sid, date, lead, members, float(obs)))
+    write_archive_csv(recs, path)
+
+
+def test_cli_score_raw_ops_in_a_loop_give_cold_bytes_warm(tmp_path, monkeypatch):
+    """All score-raw ops of the benchmark, twice in one process: each op's
+    second (cached) run writes the bytes of its first, and the failing owes
+    op leaves the cached archive as it was."""
+    monkeypatch.setattr(archive, "_reads", {})
+    path = tmp_path / "archive.csv"
+    _score_raw_archive(path)
+    base = ["score", "--archive", str(path), "--threshold", "25.0", "--score"]
+    ops = {s: base + [s] for s in ("crps", "brier", "twcrps", "vrcrps", "owes")}
+    ops |= {s: base[:-3] + ["--score", s] for s in ("es", "vs")}
+    ops |= {s: base[:-3] + ["--level", "3", "--score", s] for s in ("twes", "twvs", "vres", "vrvs")}
+    assert len(ops) == 11
+    written = []
+    for run in ("cold", "warm"):
+        files = {}
+        for name, argv in ops.items():
+            out = tmp_path / run / name
+            code = main(argv + ["--out", str(out)])
+            assert code == (3 if name == "owes" else 0), name
+            if code == 0:
+                files[name] = (out / "scores.csv").read_bytes()
+        written.append(files)
+        assert len(archive._reads) == 1
+        (a,) = archive._reads.values()
+        assert a.members.tobytes() == read_archive_csv(path).members.tobytes()
+    assert written[0] == written[1]
+    assert len(written[0]) == 10 and all(b.count(b"\n") > 1 for b in written[0].values())
