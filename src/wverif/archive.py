@@ -52,8 +52,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .exceptions import ContractViolation, DataError, UnsupportedInput
-from .mvscores import _mv_kernel
+from .exceptions import ContractViolation, DataError, DimensionMismatch, UnsupportedInput
+from .mvscores import _VARIOGRAM, VariogramSpec, _mv_kernel
 from .postprocess import _smooth_moments
 from .uniscores import (
     _NEGATIVE_TOL,
@@ -796,6 +796,13 @@ def _key_codes(*columns) -> np.ndarray:
     return _dense(code) if len(columns) > 1 else code
 
 
+def _lead_times(lead_times) -> tuple:
+    lead_times = tuple(int(lt) for lt in lead_times)
+    if len(set(lead_times)) != len(lead_times) or not lead_times:
+        raise ContractViolation("lead_times must be non-empty and distinct")
+    return lead_times
+
+
 def group_multivariate(archive, lead_times=(1, 2, 3)) -> np.ndarray:
     """Stack records sharing (station, init date) across lead times.
 
@@ -808,9 +815,7 @@ def group_multivariate(archive, lead_times=(1, 2, 3)) -> np.ndarray:
     time or mixing member counts are skipped.
     """
     a = _columns_of(archive)
-    lead_times = tuple(int(lt) for lt in lead_times)
-    if len(set(lead_times)) != len(lead_times) or not lead_times:
-        raise ContractViolation("lead_times must be non-empty and distinct")
+    lead_times = _lead_times(lead_times)
     lead = np.array(a.lead_times, dtype=np.int64).reshape(-1)
     rec = np.flatnonzero(np.isin(lead, lead_times))
     # One row per (station, init date) in sorted order, one column per lead time.
@@ -893,12 +898,6 @@ def _smooth_normals(a: Archive) -> tuple:
 
 
 def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
-    if score in _NEEDS_THRESHOLD and threshold is None:
-        raise ContractViolation(f"score {score!r} needs a threshold")
-    if score in ("owcrps", "owcrps_bs") and not smooth:
-        raise UnsupportedInput(
-            "outcome-weighted scores need a smooth forecast; set smooth: true"
-        )
     if smooth:
         # One kernel call over all records in record order.  The
         # threshold's indicator is what twcrps's censoring integrates;
@@ -949,12 +948,33 @@ def _score_multivariate(
     return sids, dates, [None] * len(first), values
 
 
-def _check_score(score) -> None:
-    if score not in UNIVARIATE_SCORES and score not in MULTIVARIATE_SCORES:
+def _check_score(score, threshold, p, smooth, lead_times, level) -> None:
+    """Refuse a score and options that no archive could be scored with.
+
+    These checks read no data, so ``score_archive`` makes them first and
+    the CLI before it reads an archive: a bad flag is refused the same
+    way whether or not the archive exists.  A weighted multivariate
+    score's missing threshold is not among them: an archive with no
+    stacked case needs no weight, and scores to no values.
+    """
+    if score in UNIVARIATE_SCORES:
+        if score in _NEEDS_THRESHOLD and threshold is None:
+            raise ContractViolation(f"score {score!r} needs a threshold")
+        if score in ("owcrps", "owcrps_bs") and not smooth:
+            raise UnsupportedInput(
+                "outcome-weighted scores need a smooth forecast; set smooth: true"
+            )
+        return
+    if score not in MULTIVARIATE_SCORES:
         raise ContractViolation(
             f"unknown score {score!r}; univariate: {UNIVARIATE_SCORES}, "
             f"multivariate: {MULTIVARIATE_SCORES}"
         )
+    d = len(_lead_times(lead_times))
+    if level is not None and score not in ("es", "vs") and d != 3:
+        raise DimensionMismatch(f"heat-level weights need 3 lead times, got {d}")
+    if score in _VARIOGRAM:
+        VariogramSpec(p=p)
 
 
 def score_archive(
@@ -981,7 +1001,7 @@ def score_archive(
     the heat-level weight instead for multivariate scores.  The values
     have passed ScoreValue's checks.
     """
-    _check_score(score)
+    _check_score(score, threshold, p, smooth, lead_times, level)
     a = _columns_of(archive)
     if score in UNIVARIATE_SCORES:
         sids, dates, leads, values = _score_univariate(a, score, threshold, x0, smooth)

@@ -30,7 +30,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import __version__
 from .archive import (
@@ -68,6 +67,7 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
+from .forecasts import ndtr, ndtri
 from .postprocess import (
     _ecc_place,
     _fit_chains,
@@ -161,6 +161,7 @@ def _inputs(**archives) -> dict:
 
 def _cmd_score(args) -> tuple:
     lead_times = _parse_list(args.lead_times, int, "lead time")
+    _check_score(args.score, args.threshold, args.p, args.smooth, lead_times, args.level)
     archive = read_archive(args.archive, args.max_reject_fraction)
     sids, dates, leads, values = score_archive(
         archive,
@@ -645,7 +646,7 @@ def _cmd_report(args) -> tuple:
     )
     scores = [s.strip() for s in args.scores.split(",") if s.strip()]
     for score in scores:
-        _check_score(score)
+        _check_score(score, **kwargs)
     archive = read_archive(args.archive, args.max_reject_fraction)
     reference = read_archive(args.reference, args.max_reject_fraction)
     rows = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .exceptions import ContractViolation, DimensionMismatch
 
@@ -26,6 +25,32 @@ __all__ = [
 ]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+
+
+def _special(name: str):
+    """``scipy.special.<name>``, imported on its first call and kept.
+
+    ``scipy.special`` costs about as much to import as the rest of the
+    package, and raw-ensemble scoring never calls it, so no module of
+    the package imports it at top level.  The call passes its arguments
+    through unchanged, so every value keeps its bits.
+    """
+    fn = None
+
+    def call(*args):
+        nonlocal fn
+        if fn is None:
+            from scipy import special
+
+            fn = getattr(special, name)
+        return fn(*args)
+
+    call.__name__ = call.__qualname__ = name
+    call.__doc__ = f"``scipy.special.{name}``, imported on the first call."
+    return call
+
+
+ndtr, ndtri, expit, stdtr = map(_special, ("ndtr", "ndtri", "expit", "stdtr"))
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -159,17 +184,17 @@ class Normal(Parametric):
     # object's at a fraction of the cost.
 
     def cdf(self, x):
-        return special.ndtr((np.asarray(x, dtype=float) - self.mean_) / self.sd)
+        return ndtr((np.asarray(x, dtype=float) - self.mean_) / self.sd)
 
     def sf(self, x):
-        return special.ndtr(-((np.asarray(x, dtype=float) - self.mean_) / self.sd))
+        return ndtr(-((np.asarray(x, dtype=float) - self.mean_) / self.sd))
 
     def pdf(self, x):
         sd = self.sd
         return _std_pdf((np.asarray(x, dtype=float) - self.mean_) / sd) / sd
 
     def ppf(self, q):
-        return special.ndtri(np.asarray(q, dtype=float)) * self.sd + self.mean_
+        return ndtri(np.asarray(q, dtype=float)) * self.sd + self.mean_
 
     def mean(self) -> float:
         return float(self.mean_)

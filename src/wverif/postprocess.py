@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import ContractViolation, DimensionMismatch, InsufficientData
-from .forecasts import Ensemble, Normal, Parametric, _scalar_or_array, _std_pdf
+from .forecasts import Ensemble, Normal, Parametric, _scalar_or_array, _std_pdf, ndtr
 from .mvscores import MvEnsemble
 
 __all__ = [

@@ -17,7 +17,6 @@ import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtr, stdtr
 
 from .calibration import (
     HistogramSummary,
@@ -29,7 +28,7 @@ from .calibration import (
     pit_ecdf,
 )
 from .exceptions import ContractViolation, WeightedMassZero
-from .forecasts import Logistic, Normal, Parametric, StudentT
+from .forecasts import Logistic, Normal, Parametric, StudentT, expit, ndtr, stdtr
 from .mvscores import _mv_kernel
 from .uniscores import _parametric_score
 from .weights import (

@@ -9,16 +9,18 @@ indicator weight (``_closed_form``) is scored by elementwise closed
 forms over arrays of means, sds and observations (``_normal_score``):
 the CRPS, the Brier score, the censored-normal twCRPS, the
 truncated-normal owCRPS and the indicator-weight vrCRPS, all from
-``scipy.special.ndtr``.  Every other family and weight goes through one
-engine, ``_CdfGrid``: the forecast cdf is tabulated on a
-piecewise-uniform grid over its support with the extreme observations,
-weight breakpoints and anchor as knots where they fall on it, the
-integral forms of the scores are integrated by composite Simpson, and
-what lies beyond the support is added in closed form.  The per-case
-functions call the route with one observation and the propriety Monte
-Carlo of ``synthlab`` with all its draws; ``archive`` calls the closed
-forms on all its smoothed records at once, so each route gives a case
-the same value.  Every public scoring function returns a ``ScoreValue``.
+``ndtr`` (``scipy.special.ndtr``, which ``forecasts`` imports on its
+first call, so ensemble scoring never loads ``scipy.special``).  Every
+other family and weight goes through one engine, ``_CdfGrid``: the
+forecast cdf is tabulated on a piecewise-uniform grid over its support
+with the extreme observations, weight breakpoints and anchor as knots
+where they fall on it, the integral forms of the scores are integrated
+by composite Simpson, and what lies beyond the support is added in
+closed form.  The per-case functions call the route with one
+observation and the propriety Monte Carlo of ``synthlab`` with all its
+draws; ``archive`` calls the closed forms on all its smoothed records at
+once, so each route gives a case the same value.  Every public scoring
+function returns a ``ScoreValue``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .calibration import _cpit_values
 from .exceptions import (
@@ -36,7 +37,7 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
-from .forecasts import Ensemble, Forecast, Normal, Parametric, _scalar_or_array, _std_pdf
+from .forecasts import Ensemble, Forecast, Normal, Parametric, _scalar_or_array, _std_pdf, ndtr
 from .weights import (
     MASS_FLOOR,
     CensorAbove,

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.special import ndtr
 
 from .exceptions import ContractViolation, DimensionMismatch
-from .forecasts import _scalar_or_array, _std_pdf
+from .forecasts import _scalar_or_array, _std_pdf, ndtr
 
 __all__ = [
     "WeightFunction",

@@ -1602,6 +1602,41 @@ print(json.dumps([codes, {_LOADED}]))
     assert (tmp_path / "out" / "2" / "ecc.csv").exists()
 
 
+_SPECIAL = "'scipy.special' in sys.modules"
+
+
+def test_importing_the_package_and_cli_leaves_scipy_special_unloaded():
+    code = f"import json, sys, wverif, wverif.cli; print(json.dumps({_SPECIAL}))"
+    assert _fresh_python(code) is False
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["score", "--score", "crps"], False),
+        (["score", "--score", "es"], False),
+        (["score", "--score", "twcrps", "--threshold", "22", "--smooth"], True),
+        (["postprocess", "--ecc", "--climatology"], True),
+    ],
+    ids=("score-crps", "score-es", "score-smooth", "postprocess"),
+)
+def test_cli_runs_load_scipy_special_only_on_demand(tmp_path, argv, loads):
+    """Raw-ensemble scoring never needs scipy.special; a smoothed score or
+    a postprocess run imports it on its first call and succeeds."""
+    path = tmp_path / "arch.csv"
+    write_archive_csv(_mk_records(n_days=12, stations=("ayr", "bex", "cor"), seed=12), path)
+    code = f"""
+import json, sys
+from wverif.cli import main
+before = {_SPECIAL}
+code = main(json.loads(sys.argv[1]) + ["--archive", sys.argv[2], "--out", sys.argv[3]])
+print(json.dumps([before, code, {_SPECIAL}]))
+"""
+    out = tmp_path / "out"
+    assert _fresh_python(code, json.dumps(argv), str(path), str(out)) == [False, 0, loads]
+    assert (out / "manifest.json").exists()
+
+
 def test_cli_report_equals_score_archive_and_skill_table_bit_for_bit(tmp_path):
     recs = _mk_records(n_days=6, stations=("ayr", "bex", "cor"), seed=3)
     shifted = [
@@ -2257,8 +2292,25 @@ def test_cli_manifest_records_the_digest_of_each_archive_read(tmp_path):
         ["report", "--reference", "REF", "--lead-times", "x"],
         ["report", "--reference", "REF", "--scores", "crps,bogus"],
         ["postprocess", "--window-days", "0"],
+        ["score", "--score", "brier"],
+        ["score", "--score", "owcrps", "--threshold", "25"],
+        ["score", "--score", "es", "--lead-times", "1,1"],
+        ["report", "--reference", "REF", "--scores", "brier"],
+        ["score", "--score", "vs", "--p", "0"],
+        ["score", "--score", "twes", "--level", "1", "--lead-times", "1,2"],
     ],
-    ids=("score-lead-times", "report-lead-times", "report-scores", "postprocess-window-days"),
+    ids=(
+        "score-lead-times",
+        "report-lead-times",
+        "report-scores",
+        "postprocess-window-days",
+        "score-brier-no-threshold",
+        "score-owcrps-no-smooth",
+        "score-es-repeated-lead-times",
+        "report-brier-no-threshold",
+        "score-vs-p-zero",
+        "score-heat-level-two-lead-times",
+    ),
 )
 def test_cli_checks_flags_before_reading_the_archive(tmp_path, capsys, argv):
     """A bad flag exits 1 even when the archive does not exist."""

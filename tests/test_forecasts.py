@@ -3,10 +3,36 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy import stats
+from scipy import special, stats
 
-from wverif import ContractViolation, Ensemble, Normal
+from wverif import ContractViolation, Ensemble, Normal, forecasts
 from wverif.forecasts import IndependentProduct, Logistic, StudentT
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def test_special_accessor_equals_scipy_special_bit_for_bit():
+    """forecasts' ndtr, ndtri, expit and stdtr import scipy.special on their
+    first call and pass their arguments through: every value, the sign of
+    every zero and every NaN included, keeps scipy's bits."""
+    u = np.random.default_rng(5).normal(0.0, 4.0, 200_000)
+    u = np.concatenate([u, [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf, np.nan]])
+    q = np.concatenate([special.ndtr(u), [0.0, 1.0, -0.0, 0.5, 1e-300, 1.5, -0.5]])
+    pairs = [
+        (forecasts.ndtr(u), special.ndtr(u)),
+        (forecasts.ndtr(-u), special.ndtr(-u)),
+        (forecasts.ndtri(q), special.ndtri(q)),
+        (forecasts.expit(-u), special.expit(-u)),
+        (forecasts.stdtr(5, -u), special.stdtr(5, -u)),
+    ]
+    for got, want in pairs:
+        assert np.array_equal(_bits(got), _bits(want))
+    for x in (0.0, -0.0, 0.3, np.inf, np.nan):
+        assert _bits(forecasts.ndtr(x)) == _bits(special.ndtr(x))
+    for q0 in (0.0, 1.0):
+        assert _bits(forecasts.ndtri(q0)) == _bits(special.ndtri(q0))
 
 
 def test_ensemble_basic():

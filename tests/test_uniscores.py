@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 
 import numpy as np
@@ -333,7 +334,14 @@ def test_vrcrps_indicator_anchor_equals_twcrps():
 def test_vrcrps_parametric_against_double_quadrature():
     mu, var, t, x0 = 0.3, 1.44, 0.31, 0.0
     sd = np.sqrt(var)
-    f = stats.norm(mu, sd).pdf
+    # The normal density as a plain expression: dblquad calls it about
+    # 570,000 times, and a frozen scipy pdf costs about 100 times more per
+    # call for the same values.
+    c = 1.0 / (sd * math.sqrt(2.0 * math.pi))
+
+    def f(x):
+        return c * math.exp(-0.5 * ((x - mu) / sd) ** 2)
+
     hi = mu + 9 * sd
     ew = integrate.quad(f, t, hi)[0]
     c3 = integrate.quad(lambda x: abs(x - x0) * f(x), t, hi)[0]

@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
@@ -486,3 +489,46 @@ def test_mv_gauss_weights_equal_scipy_stats_norm_bit_for_bit(name):
     for point in (mu, z[4], z[10]):
         got = obj(point)
         assert type(got) is float and got == float(oracle(point))
+
+
+# Drawn weights of every univariate family: the fields of each class in
+# weights._CHAINS are a threshold t or a centre mu and sd sigma.
+_FIELDS = {
+    "t": st.floats(-100.0, 100.0),
+    "mu": st.floats(-100.0, 100.0),
+    "sigma": st.floats(1e-3, 100.0),
+}
+_UNIVARIATE_WEIGHTS = st.one_of(
+    *(
+        st.builds(cls, **{f.name: _FIELDS[f.name] for f in dataclasses.fields(cls)})
+        for cls in weights_module._CHAINS
+    )
+)
+_POINTS = st.floats(-1e4, 1e4) | st.sampled_from([-np.inf, np.inf])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mu=_FIELDS["mu"], sigma=_FIELDS["sigma"], z=st.lists(_POINTS, min_size=1, max_size=20))
+def test_gauss_cdf_and_its_complement_sum_to_one(mu, sigma, z):
+    z = np.array(z)
+    total = GaussCdf(mu, sigma)(z) + OneMinusGaussCdf(mu, sigma)(z)
+    assert np.all(np.abs(total - 1.0) <= 1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(w=_UNIVARIATE_WEIGHTS, z=st.lists(_POINTS, min_size=2, max_size=20))
+def test_every_univariate_chaining_is_nondecreasing(w, z):
+    """v(z) never falls as z grows, up to roundoff relative to the largest
+    finite |v|; it is never NaN, the infinite ends included."""
+    v = np.asarray(canonical_chaining(w)(np.sort(z)), dtype=float)
+    assert not np.isnan(v).any()
+    tol = 1e-12 * max(1.0, np.abs(v[np.isfinite(v)]).max(initial=0.0))
+    assert np.all(v[1:] >= v[:-1] - tol)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(w=_UNIVARIATE_WEIGHTS)
+def test_canonical_chaining_gives_back_its_weight(w):
+    chain = canonical_chaining(w)
+    assert type(chain) is weights_module._CHAINS[type(w)]
+    assert chain.weight() == w
