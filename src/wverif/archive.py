@@ -20,11 +20,12 @@ always parsed row by row.  ``read_archive``, the reader the command line
 calls, keeps the archives it parsed by the sha256 of the file's bytes,
 so a file read again with the same content is not parsed again.
 
-Raw ensembles are scored through the stacked kernels of ``uniscores``
-and ``mvscores``: blocks of at most ``_STACK`` records, or stacked
-multivariate cases, sharing a member count go to one kernel call as
-slices of the member array, and each case gets exactly the value the
-per-case function gives.  Like the kernels, the archive functions take
+Raw ensembles are scored through the stacked kernels of the dispatch
+points ``uniscores._ensemble_kernel`` and ``mvscores._mv_kernel``:
+blocks of at most ``_STACK`` records, or stacked multivariate cases,
+sharing a member count go to one kernel call as slices of the member
+array, and each case gets exactly the value of the per-case function,
+which calls the same kernel.  Like the kernels, the archive functions take
 and return columns: ``score_archive`` gives (station ids, init dates,
 lead times, values), ``skill_table`` joins two such sets by one sort of
 their keys, and ``group_multivariate`` gives the (cases, d) array of the
@@ -55,14 +56,7 @@ import numpy as np
 from .exceptions import ContractViolation, DataError, DimensionMismatch, UnsupportedInput
 from .mvscores import _VARIOGRAM, VariogramSpec, _mv_kernel
 from .postprocess import _smooth_moments
-from .uniscores import (
-    _NEGATIVE_TOL,
-    ScoreValue,
-    _brier_ensembles,
-    _crps_ensembles,
-    _normal_score,
-    _vrcrps_ensembles,
-)
+from .uniscores import _NEGATIVE_TOL, ScoreValue, _ensemble_kernel, _normal_score
 
 # Archives are scored by the stacked and closed-form kernels; the
 # per-case functions are not called here, but stay bound under these
@@ -82,7 +76,6 @@ from .weights import (
     HEAT_HOT,
     HEAT_WARM,
     BoxIndicator,
-    CensorAbove,
     HeatLevelIndicator,
     IndicatorAbove,
 )
@@ -872,22 +865,6 @@ def _checked(values: np.ndarray, score: str) -> np.ndarray:
     return np.where(values < 0.0, 0.0, values)
 
 
-def _ensemble_kernel(score: str, threshold, x0):
-    """The stacked kernel of a raw-ensemble score: (x (n, m), y (n,)) -> (n,)."""
-    if score == "crps":
-        return _crps_ensembles
-    if score == "brier":
-        return lambda x, y: _brier_ensembles(x, y, threshold)
-    if score == "twcrps":
-        v = CensorAbove(threshold)
-        return lambda x, y: _crps_ensembles(v.transform(x), v.transform(y))
-    if score == "vrcrps":
-        w = IndicatorAbove(threshold)
-        anchor = threshold if x0 is None else x0
-        return lambda x, y: _vrcrps_ensembles(x, y, w, anchor)
-    raise ContractViolation(f"no ensemble kernel for score {score!r}")
-
-
 def _smooth_normals(a: Archive) -> tuple:
     """Mean and sd of the normal fit to each record, as smooth_ensemble
     makes it, computed per block of one member count."""
@@ -898,15 +875,15 @@ def _smooth_normals(a: Archive) -> tuple:
 
 
 def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
+    # The threshold's indicator is what twcrps's censoring integrates;
+    # crps has no threshold and ignores it.
+    w = IndicatorAbove(threshold)
+    anchor = threshold if x0 is None else x0
     if smooth:
-        # One kernel call over all records in record order.  The
-        # threshold's indicator is what twcrps's censoring integrates;
-        # crps has no threshold and ignores it.
-        w = IndicatorAbove(threshold)
-        anchor = threshold if x0 is None else x0
+        # One kernel call over all records in record order.
         values = _normal_score(score, *_smooth_normals(a), a.obs, w, anchor)
     else:
-        kernel = _ensemble_kernel(score, threshold, x0)
+        kernel = _ensemble_kernel(score, w, anchor)
         values = np.empty(len(a))
         for k, items in _blocks(a.n_members):
             values[items] = kernel(a.members[items, :k], a.obs[items])
@@ -918,10 +895,6 @@ def _mv_weight(threshold, level, warm, hot, d):
         w = HeatLevelIndicator(level, warm, hot)
         anchor = np.full(3, hot if level == 4 else warm)
         return w, anchor
-    if threshold is None:
-        raise ContractViolation(
-            "multivariate weighted scores need a threshold or a heat level"
-        )
     w = BoxIndicator(np.full(d, float(threshold)), np.full(d, np.inf))
     return w, np.full(d, float(threshold))
 
@@ -953,9 +926,7 @@ def _check_score(score, threshold, p, smooth, lead_times, level) -> None:
 
     These checks read no data, so ``score_archive`` makes them first and
     the CLI before it reads an archive: a bad flag is refused the same
-    way whether or not the archive exists.  A weighted multivariate
-    score's missing threshold is not among them: an archive with no
-    stacked case needs no weight, and scores to no values.
+    way whether or not the archive exists.
     """
     if score in UNIVARIATE_SCORES:
         if score in _NEEDS_THRESHOLD and threshold is None:
@@ -970,8 +941,11 @@ def _check_score(score, threshold, p, smooth, lead_times, level) -> None:
             f"unknown score {score!r}; univariate: {UNIVARIATE_SCORES}, "
             f"multivariate: {MULTIVARIATE_SCORES}"
         )
+    weighted = score not in ("es", "vs")
+    if weighted and threshold is None and level is None:
+        raise ContractViolation("multivariate weighted scores need a threshold or a heat level")
     d = len(_lead_times(lead_times))
-    if level is not None and score not in ("es", "vs") and d != 3:
+    if weighted and level is not None and d != 3:
         raise DimensionMismatch(f"heat-level weights need 3 lead times, got {d}")
     if score in _VARIOGRAM:
         VariogramSpec(p=p)

@@ -239,6 +239,9 @@ def _threshold_labels(text: str) -> list:
 
 
 def _cmd_diagnose(args) -> tuple:
+    for flag, value in (("--bins", args.bins), ("--corp-resamples", args.corp_resamples)):
+        if value < 1:
+            raise ContractViolation(f"{flag} must be at least 1, got {value}")
     thresholds = _threshold_labels(args.thresholds) if args.smooth else []
     archive = read_archive(args.archive, args.max_reject_fraction)
     if len(archive) == 0:

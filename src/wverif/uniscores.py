@@ -1,10 +1,12 @@
 """Univariate proper scoring rules and their weighted variants.
 
-Ensemble forecasts are scored with exact kernel sums by kernels over
-stacks of ensembles (members (n, m), observations (n,)); the member-pair
-sums run over the sorted members in O(m log m).  Parametric forecasts
-go through one route, ``_parametric_score``, which scores one forecast
-at many observations.  A normal forecast under the unit, censoring or
+Each forecast kind has one route.  Raw ensembles go through
+``_ensemble_kernel``, which returns a score's kernel over stacks of
+ensembles (members (n, m), observations (n,)): exact kernel sums, with
+the member-pair sums over the sorted members in O(m log m), and the
+twCRPS as the CRPS of the chained members.  Parametric forecasts go
+through ``_parametric_score``, which scores one forecast at many
+observations.  A normal forecast under the unit, censoring or
 indicator weight (``_closed_form``) is scored by elementwise closed
 forms over arrays of means, sds and observations (``_normal_score``):
 the CRPS, the Brier score, the censored-normal twCRPS, the
@@ -16,11 +18,13 @@ forecast cdf is tabulated on a piecewise-uniform grid over its support
 with the extreme observations, weight breakpoints and anchor as knots
 where they fall on it, the integral forms of the scores are integrated
 by composite Simpson, and what lies beyond the support is added in
-closed form.  The per-case functions call the route with one
-observation and the propriety Monte Carlo of ``synthlab`` with all its
-draws; ``archive`` calls the closed forms on all its smoothed records at
-once, so each route gives a case the same value.  Every public scoring
-function returns a ``ScoreValue``.
+closed form.  The per-case functions call the route of their forecast
+with one case, through ``_score_case``; the propriety Monte Carlo of
+``synthlab`` calls ``_parametric_score`` with all its draws, and
+``archive`` calls ``_ensemble_kernel`` on blocks of raw records and the
+closed forms on all its smoothed records at once, so each route gives a
+case the same value.  Every public scoring function returns a
+``ScoreValue``.
 """
 
 from __future__ import annotations
@@ -104,12 +108,6 @@ class ScoreValue:
         return self.value
 
 
-def _as_members(forecast) -> np.ndarray:
-    if isinstance(forecast, Ensemble):
-        return forecast.members
-    return Ensemble(np.asarray(forecast, dtype=float)).members
-
-
 def _check_scalar(y, name="y") -> float:
     y = float(y)
     if not np.isfinite(y):
@@ -188,6 +186,45 @@ def _vrcrps_ensembles(x: np.ndarray, y: np.ndarray, w: WeightFunction, x0: float
     return _vertical(wx, wy, np.abs(xs - y[:, None]), np.abs(xs - x0), pair, np.abs(y - x0))
 
 
+def _ensemble_kernel(score: str, w: WeightFunction, x0: float = 0.0, fair: bool = False):
+    """The stacked kernel of one score of raw ensembles: kernel(x (n, m),
+    y (n,)) -> (n,), with ``score``, ``w`` and x0 as ``_parametric_score``
+    takes them.  twcrps is the CRPS of the members and observations chained
+    by ``canonical_chaining(w)``; ``fair`` applies to crps and twcrps.  The
+    outcome-weighted scores are refused: reweighting a small sample throws
+    away almost all of it.
+    """
+    if score in ("owcrps", "owcrps_bs"):
+        raise UnsupportedInput(
+            "outcome-weighted scores are not defined on raw ensembles here; "
+            "fit a smooth forecast with postprocess.smooth_ensemble first"
+        )
+    if score == "crps":
+        return lambda x, y: _crps_ensembles(x, y, fair)
+    if score == "brier":
+        return lambda x, y: _brier_ensembles(x, y, w.t)
+    if score == "twcrps":
+        v = canonical_chaining(w)
+        return lambda x, y: _crps_ensembles(v.transform(x), v.transform(y), fair)
+    return lambda x, y: _vrcrps_ensembles(x, y, w, x0)
+
+
+def _score_case(score: str, forecast, y: float, w: WeightFunction, x0=0.0, fair=False) -> float:
+    """One score of one forecast at one observation: ``_ensemble_kernel``
+    or ``_parametric_score`` on a stack of one case, so that a case gets
+    the value that archive and synthlab give it in a stack."""
+    ys = np.array([y])
+    if isinstance(forecast, Ensemble):
+        if fair and forecast.size < 2:
+            raise ContractViolation("the fair variant needs at least two members")
+        return _ensemble_kernel(score, w, x0, fair)(forecast.members[None], ys)[0]
+    if not isinstance(forecast, Parametric):
+        raise ContractViolation(f"{score} needs an ensemble or parametric forecast")
+    if fair:
+        raise ContractViolation("the fair variant applies to ensembles only")
+    return _parametric_score(score, forecast, ys, w, x0)[0]
+
+
 # ---------------------------------------------------------------------------
 # threshold (Brier) and plain CRPS
 # ---------------------------------------------------------------------------
@@ -201,27 +238,20 @@ def brier(forecast: Forecast, y: float, t: float) -> ScoreValue:
     """
     y = _check_scalar(y)
     t = _check_scalar(t, "t")
-    if isinstance(forecast, Ensemble):
-        value = _brier_ensembles(forecast.members[None], np.array([y]), t)[0]
-    elif isinstance(forecast, Parametric):
-        value = _parametric_score("brier", forecast, np.array([y]), IndicatorAbove(t))[0]
-    else:
-        raise ContractViolation("brier needs an ensemble or parametric forecast")
+    value = _score_case("brier", forecast, y, IndicatorAbove(t))
     return ScoreValue(value, "brier", {"t": t})
 
 
 def crps_ensemble(forecast, y: float, fair: bool = False) -> ScoreValue:
-    """CRPS of an ensemble via the kernel (energy) form.
+    """CRPS of an ensemble (or of an array of members) via the kernel
+    (energy) form.
 
     mean |x_i - y| - (1 / 2 m^2) sum_ij |x_i - x_j|.  With ``fair`` the
     spread term uses the m (m - 1) denominator instead; that variant
     needs at least two members.
     """
-    x = _as_members(forecast)
-    y = _check_scalar(y)
-    if fair and x.size < 2:
-        raise ContractViolation("the fair variant needs at least two members")
-    value = _crps_ensembles(x[None], np.array([y]), fair)[0]
+    e = forecast if isinstance(forecast, Ensemble) else Ensemble(forecast)
+    value = _score_case("crps", e, _check_scalar(y), Constant(), fair=fair)
     return ScoreValue(value, "crps", {"fair": fair})
 
 
@@ -620,16 +650,12 @@ def crps_numeric(forecast: Forecast, y: float) -> ScoreValue:
 
 
 def crps(forecast: Forecast, y: float) -> ScoreValue:
-    """CRPS with representation-appropriate dispatch.
+    """CRPS of an ensemble or parametric forecast.
 
     Ensembles use the kernel form, normal forecasts the closed form,
-    other parametric forecasts the tabulated cdf of ``crps_numeric``.
+    other parametric forecasts the tabulated cdf.
     """
-    if isinstance(forecast, Ensemble):
-        return crps_ensemble(forecast, y)
-    if isinstance(forecast, Normal):
-        return crps_normal(forecast.mean(), forecast.sd, y)
-    return crps_numeric(forecast, y)
+    return ScoreValue(_score_case("crps", forecast, _check_scalar(y), Constant()), "crps")
 
 
 # ---------------------------------------------------------------------------
@@ -646,37 +672,13 @@ def twcrps(forecast: Forecast, y: float, chaining: ChainingFunction, fair: bool 
     integrates.
     """
     v = _univariate_chaining(chaining)
-    y = _check_scalar(y)
-    params = {"chaining": repr(v), "fair": fair}
-    if isinstance(forecast, Ensemble):
-        if fair and forecast.size < 2:
-            raise ContractViolation("the fair variant needs at least two members")
-        tx = np.asarray(v.transform(forecast.members[None]), dtype=float)
-        ty = np.asarray(v.transform(np.array([y])), dtype=float)
-        return ScoreValue(_crps_ensembles(tx, ty, fair)[0], "twcrps", params)
-    if isinstance(forecast, Parametric):
-        if fair:
-            raise ContractViolation("the fair variant applies to ensembles only")
-        value = _parametric_score("twcrps", forecast, np.array([y]), v.weight())[0]
-        return ScoreValue(value, "twcrps", params)
-    raise ContractViolation("twcrps needs an ensemble or parametric forecast")
+    value = _score_case("twcrps", forecast, _check_scalar(y), v.weight(), fair=fair)
+    return ScoreValue(value, "twcrps", {"chaining": repr(v), "fair": fair})
 
 
 # ---------------------------------------------------------------------------
 # outcome-weighted CRPS
 # ---------------------------------------------------------------------------
-
-
-def _outcome_weighted_forecast(forecast, score: str) -> None:
-    """Refuse raw ensembles, whose reweighting throws away almost all of
-    a small sample, and any other forecast that is not parametric."""
-    if isinstance(forecast, Ensemble):
-        raise UnsupportedInput(
-            "outcome-weighted scores are not defined on raw ensembles here; "
-            "fit a smooth forecast with postprocess.smooth_ensemble first"
-        )
-    if not isinstance(forecast, Parametric):
-        raise ContractViolation(f"{score} needs a parametric forecast")
 
 
 def owcrps(forecast: Forecast, y: float, w: WeightFunction) -> ScoreValue:
@@ -687,11 +689,8 @@ def owcrps(forecast: Forecast, y: float, w: WeightFunction) -> ScoreValue:
     away almost all of it; smooth the ensemble first.
     """
     w = _univariate_weight(w)
-    y = _check_scalar(y)
-    params = {"weight": repr(w)}
-    _outcome_weighted_forecast(forecast, "owcrps")
-    value = _parametric_score("owcrps", forecast, np.array([y]), w)[0]
-    return ScoreValue(value, "owcrps", params)
+    value = _score_case("owcrps", forecast, _check_scalar(y), w)
+    return ScoreValue(value, "owcrps", {"weight": repr(w)})
 
 
 def owcrps_bs(forecast: Forecast, y: float, t: float) -> ScoreValue:
@@ -707,8 +706,7 @@ def owcrps_bs(forecast: Forecast, y: float, t: float) -> ScoreValue:
     """
     y = _check_scalar(y)
     t = _check_scalar(t, "t")
-    _outcome_weighted_forecast(forecast, "owcrps_bs")
-    value = _parametric_score("owcrps_bs", forecast, np.array([y]), IndicatorAbove(t))[0]
+    value = _score_case("owcrps_bs", forecast, y, IndicatorAbove(t))
     return ScoreValue(value, "owcrps_bs", {"t": t})
 
 
@@ -726,14 +724,8 @@ def vrcrps(forecast: Forecast, y: float, w: WeightFunction, x0: float = 0.0) -> 
     w = _univariate_weight(w)
     y = _check_scalar(y)
     x0 = _check_scalar(x0, "x0")
-    params = {"weight": repr(w), "x0": x0}
-    if isinstance(forecast, Ensemble):
-        value = _vrcrps_ensembles(forecast.members[None], np.array([y]), w, x0)[0]
-    elif isinstance(forecast, Parametric):
-        value = _parametric_score("vrcrps", forecast, np.array([y]), w, x0)[0]
-    else:
-        raise ContractViolation("vrcrps needs an ensemble or parametric forecast")
-    return ScoreValue(value, "vrcrps", params)
+    value = _score_case("vrcrps", forecast, y, w, x0)
+    return ScoreValue(value, "vrcrps", {"weight": repr(w), "x0": x0})
 
 
 # ---------------------------------------------------------------------------

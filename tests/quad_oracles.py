@@ -27,8 +27,19 @@ def _bounds(forecast: Parametric, *extra: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _frozen(forecast: Parametric):
+    """What the oracles call ``cdf`` and ``pdf`` on: for a forecast whose
+    ``cdf`` is its frozen scipy distribution's (t, logistic), that
+    distribution, built once rather than on every call that quad makes;
+    the forecast itself otherwise (a normal forecast has its own ``ndtr``
+    expressions).  Either gives the values of the forecast's own methods.
+    """
+    return forecast._dist if type(forecast).cdf is Parametric.cdf else forecast
+
+
 def _crps_numeric_parametric(forecast: Parametric, y: float) -> float:
     lo, hi = _bounds(forecast, y)
+    forecast = _frozen(forecast)
     left, _ = integrate.quad(lambda z: forecast.cdf(z) ** 2, lo, y, **_QUAD_OPTS)
     right, _ = integrate.quad(lambda z: (forecast.cdf(z) - 1.0) ** 2, y, hi, **_QUAD_OPTS)
     return left + right
@@ -39,6 +50,7 @@ def _twcrps_parametric(forecast: Parametric, y: float, v: ChainingFunction) -> f
     bps = [float(b) for b in w.breakpoints()]
     lo, hi = _bounds(forecast, y, *bps)
     knots = sorted({lo, hi, y, *[b for b in bps if lo < b < hi]})
+    forecast = _frozen(forecast)
 
     def integrand(z):
         ind = 1.0 if y <= z else 0.0
@@ -61,6 +73,7 @@ def _owcrps_indicator_above(forecast: Parametric, y: float, t: float) -> float:
         )
     ft = float(forecast.cdf(t))
     _, hi = _bounds(forecast, y, t)
+    forecast = _frozen(forecast)
 
     def fw(z):
         return np.clip((forecast.cdf(z) - ft) / denom, 0.0, 1.0)
@@ -77,6 +90,7 @@ def _owcrps_indicator_below(forecast: Parametric, y: float, t: float) -> float:
             f"forecast mass below {t} is {denom:.3e}, below the floor"
         )
     lo, _ = _bounds(forecast, y, t)
+    forecast = _frozen(forecast)
 
     def fw(z):
         return np.clip(forecast.cdf(z) / denom, 0.0, 1.0)
@@ -89,6 +103,7 @@ def _owcrps_indicator_below(forecast: Parametric, y: float, t: float) -> float:
 def _vrcrps_parametric(forecast: Parametric, y: float, w: WeightFunction, x0: float) -> float:
     bps = [float(b) for b in w.breakpoints()]
     lo, hi = _bounds(forecast, y, x0, *bps)
+    forecast = _frozen(forecast)
 
     def q(fn, *split):
         knots = sorted({lo, hi, *[s for s in split if lo < s < hi]})

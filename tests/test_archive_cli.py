@@ -695,12 +695,14 @@ def test_stacked_multivariate_scores_equal_per_case_functions(score, monkeypatch
 
 
 @pytest.mark.parametrize("score", ["twes", "twvs", "owes", "vres", "vrvs"])
-def test_weighted_multivariate_score_without_cases_is_empty(score):
+def test_weighted_multivariate_score_without_a_weight_is_refused(score):
     # No (station, init date) has all three lead times, so there is
-    # nothing to score and no weight is needed.
+    # nothing to score; the missing weight is refused all the same, as
+    # it is on an archive with stacked cases.
     recs = [r for r in _mk_records(n_days=2) if r.lead_time != 3]
-    sids, dates, leads, values = score_archive(recs, score)
-    assert len(sids) == len(dates) == len(leads) == values.size == 0
+    for archive_recs in (recs, _mk_records(n_days=2)):
+        with pytest.raises(ContractViolation, match="a threshold or a heat level"):
+            score_archive(archive_recs, score)
 
 
 def test_score_archive_owes_raises_the_per_case_message():
@@ -2298,6 +2300,10 @@ def test_cli_manifest_records_the_digest_of_each_archive_read(tmp_path):
         ["report", "--reference", "REF", "--scores", "brier"],
         ["score", "--score", "vs", "--p", "0"],
         ["score", "--score", "twes", "--level", "1", "--lead-times", "1,2"],
+        ["score", "--score", "twes"],
+        ["report", "--reference", "REF", "--scores", "crps,vrvs"],
+        ["diagnose", "--smooth", "--bins", "0"],
+        ["diagnose", "--corp-resamples", "0"],
     ],
     ids=(
         "score-lead-times",
@@ -2310,6 +2316,10 @@ def test_cli_manifest_records_the_digest_of_each_archive_read(tmp_path):
         "report-brier-no-threshold",
         "score-vs-p-zero",
         "score-heat-level-two-lead-times",
+        "score-twes-no-weight",
+        "report-vrvs-no-weight",
+        "diagnose-bins-zero",
+        "diagnose-corp-resamples-zero",
     ),
 )
 def test_cli_checks_flags_before_reading_the_archive(tmp_path, capsys, argv):
@@ -2320,6 +2330,18 @@ def test_cli_checks_flags_before_reading_the_archive(tmp_path, capsys, argv):
     assert main(argv + ["--archive", missing, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("wverif: ") and "No such file" not in err
+
+
+@pytest.mark.parametrize("flag", ["--bins", "--corp-resamples"])
+def test_cli_diagnose_bad_count_writes_no_ranks(tmp_path, flag):
+    """A zero count is refused before the read, so an existing archive
+    leaves no rank histogram behind without a manifest."""
+    path = tmp_path / "archive.csv"
+    _score_raw_archive(path)
+    out = tmp_path / "o"
+    argv = ["diagnose", "--smooth", flag, "0", "--archive", str(path), "--out", str(out)]
+    assert main(argv) == 1
+    assert not (out / "ranks.csv").exists()
 
 
 def _score_raw_archive(path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
@@ -339,3 +341,97 @@ def test_prerank_cpit_ensemble_route():
     t = np.zeros(3)
     got = prerank_cpit(e, y, t, lambda v: np.mean(v, axis=-1))
     assert got is None or 0.0 <= got <= 1.0
+
+
+_PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def _tied_cases(draw):
+    """Members (n, m) and observations (n,) on an integer grid whose width
+    is drawn, so that ties between members and observations are common,
+    and a generator seed."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 25))
+    k = draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    members = rng.integers(-k, k + 1, (n, m)).astype(float)
+    obs = rng.integers(-k - 1, k + 2, n).astype(float)
+    return members, obs, draw(st.integers(0, 2**32 - 1))
+
+
+@_PROPERTY_SETTINGS
+@given(_tied_cases())
+def test_ranks_lie_in_range_and_the_histogram_counts_every_case(case):
+    members, obs, seed = case
+    m = members.shape[1]
+    r = _ranks(members, obs, np.random.default_rng(seed))
+    assert r.min() >= 1 and r.max() <= m + 1
+    hist = rank_histogram(r, m + 1)
+    assert hist.k == m + 1 and hist.counts.sum() == obs.size
+
+
+_INCREASING = (
+    lambda z: 3.0 * z - 7.0,
+    lambda z: np.exp(z / 8.0),
+    np.arctan,
+    np.cbrt,
+)
+
+
+@_PROPERTY_SETTINGS
+@given(_tied_cases(), st.sampled_from(_INCREASING))
+def test_ranks_are_invariant_under_increasing_maps(case, f):
+    # On an integer grid of width at most 20 each map keeps distinct
+    # values distinct, so ties, and the generator's draws, are unchanged.
+    members, obs, seed = case
+    want = _ranks(members, obs, np.random.default_rng(seed))
+    got = _ranks(f(members), f(obs), np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+@_PROPERTY_SETTINGS
+@given(
+    st.sampled_from(("normal", "logistic")),
+    st.floats(-5.0, 5.0),
+    st.floats(0.1, 4.0),
+    st.floats(-3.0, 3.0),
+    st.floats(1e-6, 10.0),
+)
+def test_cpit_lies_in_the_unit_interval(family, loc, scale, a, gap):
+    f = Normal(loc, scale * scale) if family == "normal" else Logistic(loc, scale)
+    t = loc + a * scale
+    u = cpit(f, t + gap, t)
+    assert 0.0 <= u <= 1.0
+    assert cpit(f, t - gap, t) is None
+
+
+def test_cpit_far_below_the_forecast_is_the_pit():
+    # S(-40) is 1.0 exactly, so the conditional PIT is the plain one.
+    f = Normal(0.3, 1.2)
+    assert float(f.sf(-40.0)) == 1.0
+    assert cpit(f, 0.7, -40.0) == pit(f, 0.7)
+
+
+def _pava(y) -> np.ndarray:
+    """Pool adjacent violators over single points, with no runs pooled
+    beforehand: the reference fit of ``_isotonic``."""
+    blocks = []  # [mean, weight]
+    for v in y:
+        blocks.append([float(v), 1.0])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            (a, wa), (b, wb) = blocks.pop(-2), blocks.pop()
+            blocks.append([(a * wa + b * wb) / (wa + wb), wa + wb])
+    return np.concatenate([np.full(int(w), mean) for mean, w in blocks])
+
+
+@_PROPERTY_SETTINGS
+@given(st.lists(st.booleans(), min_size=1, max_size=300))
+def test_isotonic_fit_is_monotone_keeps_the_sum_and_equals_pava(bits):
+    y = np.array(bits)
+    fit = _isotonic(y)
+    assert np.all(np.diff(fit) >= 0.0)
+    assert fit.sum() == pytest.approx(y.sum(), abs=1e-9)
+    assert_allclose(fit, _pava(y), rtol=1e-12, atol=1e-12)
+    at = np.arange(0, y.size, 3)
+    assert np.array_equal(_isotonic(y, at), fit[at])

@@ -923,3 +923,69 @@ def test_stacked_ensemble_kernels_equal_per_case_functions(stack):
         got = [ScoreValue(v, name).value for v in values]
         want = [per_case(Ensemble(xi), yi).value for xi, yi in zip(x, y)]
         assert got == want, name
+
+
+@_STACK_SETTINGS
+@given(_ensemble_stack())
+def test_ensemble_twcrps_splits_the_crps_at_a_threshold(stack):
+    # Censoring above and below t splits the CRPS integral at t.
+    x, y, t = stack
+    crps_rows = uniscores._ensemble_kernel("crps", Constant())(x, y)
+    above = uniscores._ensemble_kernel("twcrps", IndicatorAbove(t))(x, y)
+    below = uniscores._ensemble_kernel("twcrps", IndicatorBelow(t))(x, y)
+    assert_allclose(above + below, crps_rows, rtol=1e-12, atol=1e-10)
+
+
+@_STACK_SETTINGS
+@given(_ensemble_stack())
+def test_ensemble_vrcrps_at_its_anchor_is_the_censored_twcrps(stack):
+    # Under 1{z > t} and anchored at t the vrCRPS is the CRPS of the
+    # members and observation censored below at t.
+    x, y, t = stack
+    w = IndicatorAbove(t)
+    vr = uniscores._ensemble_kernel("vrcrps", w, t)(x, y)
+    tw = uniscores._ensemble_kernel("twcrps", w)(x, y)
+    assert_allclose(vr, tw, rtol=1e-12, atol=1e-10)
+
+
+@_STACK_SETTINGS
+@given(_ensemble_stack(), st.booleans())
+def test_per_case_scores_equal_rows_of_the_ensemble_kernel(stack, fair):
+    """Each per-case function gives, bit for bit, its case's row of one
+    ``_ensemble_kernel`` call on the stack."""
+    x, y, t = stack
+    if fair and x.shape[1] < 2:
+        with pytest.raises(ContractViolation):
+            crps_ensemble(Ensemble(x[0]), y[0], fair=True)
+        return
+    kernel = uniscores._ensemble_kernel
+    stacked = {
+        "crps": (kernel("crps", Constant(), fair=fair), lambda e, yi: crps_ensemble(e, yi, fair)),
+        "brier": (kernel("brier", IndicatorAbove(t)), lambda e, yi: brier(e, yi, t)),
+    }
+    if not fair:
+        stacked["crps_dispatch"] = (kernel("crps", Constant()), crps)
+    for w in _weights(t):
+        v = canonical_chaining(w)
+        stacked["tw" + repr(w)] = (
+            kernel("twcrps", w, fair=fair),
+            lambda e, yi, v=v: twcrps(e, yi, v, fair=fair),
+        )
+        stacked["vr" + repr(w)] = (
+            kernel("vrcrps", w, t + 0.3),
+            lambda e, yi, w=w: vrcrps(e, yi, w, t + 0.3),
+        )
+    for name, (stack_kernel, per_case) in stacked.items():
+        got = [ScoreValue(v, name).value for v in stack_kernel(x, y)]
+        want = [per_case(Ensemble(xi), yi).value for xi, yi in zip(x, y)]
+        assert got == want, name
+
+
+def test_ensemble_kernel_and_per_case_refusals():
+    for score in ("owcrps", "owcrps_bs"):
+        with pytest.raises(wverif.UnsupportedInput):
+            uniscores._ensemble_kernel(score, IndicatorAbove(0.0))
+    with pytest.raises(ContractViolation, match="ensembles only"):
+        twcrps(Normal(0.0, 1.0), 0.5, CensorAbove(0.0), fair=True)
+    with pytest.raises(ContractViolation, match="ensemble or parametric"):
+        crps(np.array([0.0, 1.0]), 0.5)
