@@ -876,8 +876,8 @@ def _smooth_normals(a: Archive) -> tuple:
 
 def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
     # The threshold's indicator is what twcrps's censoring integrates;
-    # crps has no threshold and ignores it.
-    w = IndicatorAbove(threshold)
+    # crps may have no threshold and ignores it.
+    w = None if threshold is None else IndicatorAbove(threshold)
     anchor = threshold if x0 is None else x0
     if smooth:
         # One kernel call over all records in record order.

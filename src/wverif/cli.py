@@ -311,7 +311,7 @@ def _cmd_diagnose(args) -> tuple:
 def _read_stations(path: str) -> dict:
     """Station metadata csv: station_id, mhd, tpi and optional heights, as
     (mhd, tpi, model height, station height) per station id, the heights
-    NaN unless the row gives both."""
+    NaN unless the row gives both.  Every value given must be finite."""
     out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -321,11 +321,14 @@ def _read_stations(path: str) -> dict:
         for row in reader:
             sid = row["station_id"].strip()
             heights = (row.get("model_height"), row.get("station_height"))
+            given = all(heights)
             try:
-                cells = (row["mhd"], row["tpi"], *(heights if all(heights) else ("nan", "nan")))
+                cells = (row["mhd"], row["tpi"], *(heights if given else ("nan", "nan")))
                 out[sid] = tuple(map(float, cells))
             except ValueError as exc:
                 raise DataError(f"{path}: bad row for station {sid!r}: {exc}") from None
+            if not np.isfinite(out[sid][: 4 if given else 2]).all():
+                raise DataError(f"{path}: bad row for station {sid!r}: values must be finite")
     return out
 
 

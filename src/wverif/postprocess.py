@@ -11,11 +11,12 @@ reordering them like the raw members (Schefzik, Thorarinsdottir &
 Gneiting 2013).  The kernels take arrays: a training window is a tuple of
 (xbar, var, mhd, tpi, obs) columns, which the CLI slices as one index
 range out of records sorted by lead time, date and station.
-``_fit_chains`` fits several windows in lockstep, with one stacked
-objective call per window length in each round, and every window gets
-the bits it gets alone; ``fit_emos`` is its one-window wrapper, and
-``predict_emos`` and ``ecc_reorder`` are one-case wrappers over
-``emos_mean_variance`` and ``_ecc_place``.
+A window's fit is a generator, ``_fit_one``, that asks for each objective
+evaluation and Newton step; ``_fit_chains`` runs several in lockstep with
+stacked answers, and every window gets the bits it gets alone.
+``fit_emos`` is its one-window wrapper, and ``predict_emos`` and
+``ecc_reorder`` are one-case wrappers over ``emos_mean_variance`` and
+``_ecc_place``.
 """
 
 from __future__ import annotations
@@ -241,19 +242,46 @@ def _damped_newton(g, h):
     return step, (half.swapaxes(1, 2) @ half)[:, 0, 0]
 
 
-def _window_objective(groups, chains, theta):
-    """``_objective_grad_hess`` of the ``chains`` (a sorted list) at their
-    rows of ``theta``, one stacked call per group of equal-length windows.
-    ``groups`` holds ({chain: position}, X, var, y) stacks."""
-    f, grad, hess = np.empty(len(chains)), np.empty((len(chains), 6)), np.empty((len(chains), 6, 6))
-    for where, X, var, y in groups:
-        rows = [r for r, c in enumerate(chains) if c in where]
-        if len(rows) < len(where):
-            k = [where[chains[r]] for r in rows]
-            X, var, y = X[k], var[k], y[k]
-        if rows:
-            f[rows], grad[rows], hess[rows] = _objective_grad_hess(theta[rows], X, var, y)
-    return f, grad, hess
+def _fit_one(theta, X, var, y, history):
+    """The fit of one window from ``theta``, as a generator: it yields
+    ("eval", theta, X, var, y) for ``_objective_grad_hess`` and ("step",
+    grad, hess) for ``_newton_steps``, takes each answer from ``send``, and
+    returns the EmosParams; see ``fit_emos`` for the fit."""
+    f, grad, hess = yield "eval", theta, X, var, y
+    n_iter, stopped = 0, False
+    # a non-finite Hessian (a NaN observation, say) ends the fit unconverged
+    while np.isfinite(hess).all():
+        step, decrement = yield "step", grad, hess
+        if np.max(np.abs(grad)) <= _GRAD_TOL and decrement <= _DECREMENT_TOL:
+            stopped = True
+            break
+        if n_iter == _MAX_ITER:
+            break
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = theta + t * step
+            f_new, g_new, h_new = yield "eval", trial, X, var, y
+            if f_new < f - _ARMIJO * t * decrement:
+                break
+            t *= 0.5
+        else:
+            break
+        theta, f, grad, hess = trial, f_new, g_new, h_new
+        n_iter += 1
+        if history is not None:
+            history.append(f)
+    return EmosParams(
+        beta=tuple(theta[:4]),
+        sigma0=max(float(np.exp(theta[4])), 1e-12),
+        sigma1=max(float(np.exp(theta[5])), 1e-12),
+        converged=stopped or float(np.max(np.abs(grad))) <= 10.0 * _GRAD_TOL,
+        n_iter=n_iter,
+        objective=f,
+    )
+
+
+# How _fit_chains answers a stack of asks of one kind.
+_ANSWERS = {"step": _newton_steps, "eval": _objective_grad_hess}
 
 
 def _fit_chains(windows, inits, histories) -> list:
@@ -261,85 +289,38 @@ def _fit_chains(windows, inits, histories) -> list:
     window of fewer than _MIN_CASES cases.
 
     ``windows`` are (xbar, var, mhd, tpi, obs) array tuples, ``inits`` their
-    warm starts (or None) and ``histories`` their objective lists (or None);
-    see ``fit_emos`` for the fit.  The chains run in lockstep: each round
-    takes the Newton steps of the chains at a new iterate together, then
-    evaluates one line-search trial of every running chain, in one stacked
-    call per window length.  Windows are not padded to one length, which
-    would change the order of their sums, so every chain takes the steps
-    it takes alone.
+    warm starts (or None) and ``histories`` their objective lists (or None).
+    Each window's ``_fit_one`` runs in lockstep with the others: each round
+    answers the pending Newton steps, then the pending evaluations, with
+    one stacked call per kind of ask and shape of its arguments, so per
+    window length for evaluations.  Windows are not padded to one length,
+    which would change the order of their sums, so every fit takes the
+    steps it takes alone.
     """
-    out = [None] * len(windows)
-    chains = [i for i, w in enumerate(windows) if w[4].size >= _MIN_CASES]
-    by_length = {}
-    for c, i in enumerate(chains):
-        by_length.setdefault(windows[i][4].size, []).append(c)
-    groups = []
-    for members in by_length.values():
-        stack = [windows[chains[c]] for c in members]
-        groups.append((
-            {c: p for p, c in enumerate(members)},
-            np.stack([_design(xbar, mhd, tpi) for xbar, _, mhd, tpi, _ in stack]),
-            np.stack([w[1] for w in stack]),
-            np.stack([w[4] for w in stack]),
-        ))
-
-    k = len(chains)
-    theta = np.array([
-        _INIT_THETA if inits[i] is None
-        else np.r_[inits[i].beta, np.log([inits[i].sigma0, inits[i].sigma1])]
-        for i in chains
-    ]).reshape(k, 6)
-    running = fresh = list(range(k))
-    f, grad, hess = _window_objective(groups, running, theta)
-    f, step, decrement = f.tolist(), np.zeros((k, 6)), [0.0] * k
-    n_iter, stopped, t, halvings, ended = [0] * k, [False] * k, [1.0] * k, [0] * k, set()
+    out, fits, asks = [None] * len(windows), {}, {}
+    for i, (xbar, var, mhd, tpi, y) in enumerate(windows):
+        if y.size >= _MIN_CASES:
+            init = inits[i]
+            theta = _INIT_THETA if init is None else np.r_[init.beta, np.log([init.sigma0, init.sigma1])]
+            fits[i] = _fit_one(theta, _design(xbar, mhd, tpi), var, y, histories[i])
+            asks[i] = next(fits[i])
     with np.errstate(over="ignore", invalid="ignore"):
-        while running:
-            if fresh:
-                # a non-finite Hessian (a NaN observation, say) ends the fit unconverged
-                finite = np.isfinite(hess[fresh].reshape(-1, 36)).all(axis=1).tolist()
-                ended.update(c for c, ok in zip(fresh, finite) if not ok)
-                fresh = [c for c, ok in zip(fresh, finite) if ok]
-                g = grad[fresh]
-                step[fresh], new = _newton_steps(g, hess[fresh])
-                largest = np.max(np.abs(g), axis=1).tolist()
-                for c, dec, top in zip(fresh, new.tolist(), largest):
-                    decrement[c], t[c], halvings[c] = dec, 1.0, 0
-                    if top <= _GRAD_TOL and dec <= _DECREMENT_TOL:
-                        stopped[c] = True
-                        ended.add(c)
-                    elif n_iter[c] == _MAX_ITER:
-                        ended.add(c)
-            running = [c for c in running if c not in ended]
-            if not running:
-                break
-            trial = theta[running] + np.array([t[c] for c in running])[:, None] * step[running]
-            f_new, g_new, h_new = _window_objective(groups, running, trial)
-            took = []
-            for r, (c, value) in enumerate(zip(running, f_new.tolist())):
-                if value < f[c] - _ARMIJO * t[c] * decrement[c]:
-                    took.append(r)
-                    f[c], n_iter[c] = value, n_iter[c] + 1
-                    if histories[chains[c]] is not None:
-                        histories[chains[c]].append(value)
-                else:
-                    t[c] *= 0.5
-                    halvings[c] += 1
-                    if halvings[c] == _MAX_HALVINGS:
-                        ended.add(c)
-            fresh = [running[r] for r in took]
-            if took:
-                theta[fresh], grad[fresh], hess[fresh] = trial[took], g_new[took], h_new[took]
-    for c, i in enumerate(chains):
-        out[i] = EmosParams(
-            beta=tuple(theta[c, :4]),
-            sigma0=max(float(np.exp(theta[c, 4])), 1e-12),
-            sigma1=max(float(np.exp(theta[c, 5])), 1e-12),
-            converged=stopped[c] or float(np.max(np.abs(grad[c]))) <= 10.0 * _GRAD_TOL,
-            n_iter=n_iter[c],
-            objective=f[c],
-        )
+        while asks:
+            for kind, answer in _ANSWERS.items():
+                stacks = {}
+                for i, ask in asks.items():
+                    if ask[0] == kind:
+                        stacks.setdefault(tuple(a.shape for a in ask[1:]), []).append(i)
+                for members in stacks.values():
+                    stacked = answer(*map(np.array, zip(*(asks[i][1:] for i in members))))
+                    # objectives and decrements go back as Python floats, as the fits keep them
+                    rows = zip(*(a.tolist() if a.ndim == 1 else a for a in stacked))
+                    for i, row in zip(members, rows):
+                        try:
+                            asks[i] = fits[i].send(row)
+                        except StopIteration as done:
+                            out[i] = done.value
+                            del asks[i]
     return out
 
 
@@ -358,8 +339,8 @@ def fit_emos(window, init: EmosParams | None = None, history: list | None = None
     is at most 1e-5.  The line search is monotone, so the last iterate is
     the best one and is returned rather than raising.  ``n_iter`` counts
     Newton iterations; ``history``, if supplied, collects the objective at
-    every accepted iterate.  One window of ``_fit_chains``, which fits
-    several in lockstep.
+    every accepted iterate.  The fit is the generator ``_fit_one``, run
+    alone through ``_fit_chains``, which runs several in lockstep.
     """
     cols = tuple(np.asarray(a, dtype=float) for a in window)
     params = _fit_chains([cols], [init], [history])[0]

@@ -63,6 +63,13 @@ def _norm_cdf(z, mu, sigma):
     return ndtr((z - mu) / sigma)
 
 
+def _check_not_nan(*params) -> None:
+    """Refuse a NaN parameter (or None), which would weigh every point
+    the same wrong way; +-inf stays, as a box bound or a threshold."""
+    if np.isnan(np.asarray(params, dtype=float)).any():
+        raise ContractViolation("weight and chaining parameters must not be NaN")
+
+
 def _check_positive_sigma(sigma) -> None:
     if np.any(np.asarray(sigma, dtype=float) <= 0.0):
         raise ContractViolation("sigma must be positive")
@@ -77,6 +84,16 @@ def _points(z, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Threshold:
+    """The threshold of an indicator weight or a censoring chaining function."""
+
+    t: float
+
+    def __post_init__(self):
+        _check_not_nan(self.t)
+
+
+@dataclass(frozen=True)
 class _Gauss:
     """Centre and sd of the normal behind a univariate Gaussian weight or
     chaining function."""
@@ -85,6 +102,7 @@ class _Gauss:
     sigma: float
 
     def __post_init__(self):
+        _check_not_nan(self.mu, self.sigma)
         _check_positive_sigma(self.sigma)
 
 
@@ -134,10 +152,8 @@ class Constant(WeightFunction):
 
 
 @dataclass(frozen=True)
-class IndicatorAbove(WeightFunction):
+class IndicatorAbove(_Threshold, WeightFunction):
     """w(z) = 1 if z > t else 0."""
-
-    t: float
 
     @property
     def is_binary(self) -> bool:
@@ -153,10 +169,8 @@ class IndicatorAbove(WeightFunction):
 
 
 @dataclass(frozen=True)
-class IndicatorBelow(WeightFunction):
+class IndicatorBelow(_Threshold, WeightFunction):
     """w(z) = 1 if z < t else 0."""
-
-    t: float
 
     @property
     def is_binary(self) -> bool:
@@ -235,6 +249,7 @@ class _MvGauss(_MvWeight):
         sd = np.asarray(self.sigma_diag, dtype=float)
         if mu.ndim != 1 or mu.shape != sd.shape:
             raise DimensionMismatch("mu and sigma_diag must be 1-d arrays of equal length")
+        _check_not_nan(mu, sd)
         _check_positive_sigma(sd)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma_diag", sd)
@@ -301,6 +316,7 @@ class BoxIndicator(_MvWeight):
         hi = np.asarray(self.upper, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise DimensionMismatch("lower and upper must be 1-d arrays of equal length")
+        _check_not_nan(lo, hi)
         if np.any(lo > hi):
             raise ContractViolation("box must satisfy lower <= upper")
         object.__setattr__(self, "lower", lo)
@@ -354,7 +370,7 @@ def heat_levels(temps, warm: float = HEAT_WARM, hot: float = HEAT_HOT):
     -------
     int array of shape (...), values in {1, 2, 3, 4}.
     """
-    if warm >= hot:
+    if not warm < hot:
         raise ContractViolation("warm threshold must lie below hot threshold")
     t = np.asarray(temps, dtype=float)
     if t.shape[-1] != 3:
@@ -387,7 +403,7 @@ class HeatLevelIndicator(_MvWeight):
     def __post_init__(self):
         if self.level not in (1, 2, 3, 4):
             raise ContractViolation("heat level must be 1, 2, 3 or 4")
-        if self.warm >= self.hot:
+        if not self.warm < self.hot:
             raise ContractViolation("warm threshold must lie below hot threshold")
 
     @property
@@ -445,10 +461,8 @@ class Identity(ChainingFunction):
 
 
 @dataclass(frozen=True)
-class CensorAbove(ChainingFunction):
+class CensorAbove(_Threshold, ChainingFunction):
     """v(z) = max(z, t); integrates the indicator of z > t."""
-
-    t: float
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
@@ -457,10 +471,8 @@ class CensorAbove(ChainingFunction):
 
 
 @dataclass(frozen=True)
-class CensorBelow(ChainingFunction):
+class CensorBelow(_Threshold, ChainingFunction):
     """v(z) = min(z, t); integrates the indicator of z < t."""
-
-    t: float
 
     def transform(self, z):
         z = np.asarray(z, dtype=float)
@@ -544,6 +556,7 @@ class CollapseOutside(ChainingFunction):
         z0 = np.asarray(self.z0, dtype=float)
         if z0.ndim != 1 or z0.size != self.w.dim:
             raise DimensionMismatch("z0 must be a vector matching the weight dimension")
+        _check_not_nan(z0)
         object.__setattr__(self, "z0", z0)
 
     @property

@@ -1230,6 +1230,23 @@ _EDGE_STATIONS = (
 )
 
 
+@pytest.mark.parametrize("row", [
+    "bex,nan,0.6,,", "bex,1.1,inf,,", "bex,1.1,0.6,-inf,80", "bex,1.1,0.6,120,nan", "bex,x,0.6,,",
+])
+def test_cli_postprocess_refuses_station_metadata_that_is_not_a_finite_number(tmp_path, capsys, row):
+    # A data error in the stations file (exit 2), not a usage error (exit 1)
+    # from the fit it would spoil; blank heights still mean no correction.
+    arch = _write_archive_file(tmp_path, n_days=12, stations=("ayr", "bex"), leads=(1,), seed=3)
+    stations = tmp_path / "stations.csv"
+    stations.write_text(_EDGE_STATIONS.replace("bex,1.1,0.6,,", row))
+    argv = ["postprocess", "--archive", arch, "--stations", str(stations), "--out", str(tmp_path / "pp")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "stations.csv" in err and "'bex'" in err
+    stations.write_text(_EDGE_STATIONS)
+    assert main(argv) == 0
+
+
 def _edge_records():
     """Fourteen days of three stations: cor has no metadata and lacks lead
     time 2 on the first three days and every fourth day, so lead time 2 is

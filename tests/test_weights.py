@@ -532,3 +532,128 @@ def test_canonical_chaining_gives_back_its_weight(w):
     chain = canonical_chaining(w)
     assert type(chain) is weights_module._CHAINS[type(w)]
     assert chain.weight() == w
+
+
+# ---------------------------------------------------------------------------
+# NaN parameters, and the remaining weight invariants as properties
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make", [
+    lambda: IndicatorAbove(np.nan),
+    lambda: IndicatorBelow(np.nan),
+    lambda: CensorAbove(np.nan),
+    lambda: CensorBelow(np.nan),
+    lambda: GaussPdf(0.0, np.nan),
+    lambda: GaussCdf(np.nan, 1.0),
+    lambda: weights_module.GaussPdfChain(np.nan, 1.0),
+    lambda: MvGaussCdf(np.array([0.0, np.nan]), np.ones(2)),
+    lambda: MvGaussPdf(np.zeros(2), np.array([1.0, np.nan])),
+    lambda: BoxIndicator(np.array([0.0, np.nan]), np.ones(2)),
+    lambda: BoxIndicator(np.zeros(2), np.array([np.nan, 1.0])),
+    lambda: HeatLevelIndicator(2, warm=np.nan),
+    lambda: CollapseOutside(BoxIndicator(np.zeros(2), np.ones(2)), np.array([np.nan, 0.0])),
+], ids=[
+    "IndicatorAbove", "IndicatorBelow", "CensorAbove", "CensorBelow", "GaussPdf-sigma", "GaussCdf-mu",
+    "GaussPdfChain-mu", "MvGaussCdf-mu", "MvGaussPdf-sigma", "BoxIndicator-lower", "BoxIndicator-upper",
+    "HeatLevelIndicator-warm", "CollapseOutside-z0",
+])
+def test_weights_and_chainings_refuse_nan_parameters(make):
+    # A NaN threshold once scored every case 0 (vrcrps, owcrps) or failed
+    # as a numerical error (twcrps); a NaN sigma was taken as positive.
+    with pytest.raises(ContractViolation):
+        make()
+
+
+def test_infinite_parameters_stay_allowed():
+    assert IndicatorAbove(-np.inf)(np.array([-1e300, 0.0])).tolist() == [1.0, 1.0]
+    assert CensorBelow(np.inf)(3.0) == 3.0
+    assert BoxIndicator(np.full(2, -np.inf), np.full(2, np.inf))(np.zeros(2)) == 1.0
+
+
+def _mp_weight(w, mp):
+    """The weight ``w`` in mpmath arithmetic, written from its docstring."""
+    kind = type(w).__name__
+    if kind == "Constant":
+        return lambda z: mp.mpf(1)
+    if kind in ("IndicatorAbove", "IndicatorBelow"):
+        above = kind == "IndicatorAbove"
+        return lambda z: mp.mpf(int(z > w.t if above else z < w.t))
+    mu, s = mp.mpf(w.mu), mp.mpf(w.sigma)
+    return {
+        "GaussPdf": lambda z: mp.npdf(z, mu, s),
+        "GaussCdf": lambda z: mp.ncdf(z, mu, s),
+        "OneMinusGaussCdf": lambda z: mp.ncdf(-z, -mu, s),
+        "OneMinusGaussPdfRatio": lambda z: -mp.expm1(-((z - mu) / s) ** 2 / 2),
+    }[kind]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(w=_UNIVARIATE_WEIGHTS, ends=st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=2))
+def test_every_univariate_chaining_integrates_its_weight_against_mpmath(w, ends):
+    """v(b) - v(a) is the integral of w over [a, b], to roundoff relative to
+    the largest of 1, |a|, |b|, |v(a)| and |v(b)|; the integral is taken in
+    40-digit mpmath, split at the weight's breakpoints and around its centre."""
+    mpmath = pytest.importorskip("mpmath")
+    a, b = sorted(ends)
+    v = canonical_chaining(w)
+    va, vb = v(a), v(b)
+    knots = [*w.breakpoints()]
+    if hasattr(w, "mu"):
+        knots += [w.mu + k * w.sigma for k in (-40, -10, -3, 0, 3, 10, 40)]
+    with mpmath.workdps(40):
+        f = _mp_weight(w, mpmath.mp)
+        points = [a, *sorted(k for k in knots if a < k < b), b]
+        want = mpmath.quad(f, [mpmath.mpf(p) for p in points]) if b > a else mpmath.mpf(0)
+    scale = max(1.0, abs(a), abs(b), abs(va), abs(vb))
+    assert abs((vb - va) - float(want)) <= 1e-14 * scale, (w, a, b, vb - va, want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(t=_FIELDS["t"], z=st.lists(_POINTS | _FIELDS["t"], min_size=1, max_size=20))
+def test_indicators_above_and_below_sum_to_one_away_from_their_threshold(t, z):
+    z = np.array(z + [t])
+    total = IndicatorAbove(t)(z) + IndicatorBelow(t)(z)
+    assert np.all(total[z != t] == 1.0) and np.all(total[z == t] == 0.0)
+
+
+@st.composite
+def _heat_thresholds(draw):
+    warm = draw(st.floats(-100.0, 100.0))
+    return warm, warm + draw(st.floats(1e-6, 50.0))
+
+
+def _heat_points(draw, warm, hot, n):
+    """Points of R^3 near the thresholds, on them, and anywhere."""
+    near = st.floats(warm - 5.0, hot + 5.0) | st.sampled_from([warm, hot])
+    coords = draw(st.lists(near | st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=3 * n, max_size=3 * n))
+    return np.array(coords).reshape(n, 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_exactly_one_heat_level_holds_at_every_point(data):
+    warm, hot = data.draw(_heat_thresholds())
+    z = _heat_points(data.draw, warm, hot, data.draw(st.integers(1, 12)))
+    held = np.array([HeatLevelIndicator(level, warm, hot)(z) for level in (1, 2, 3, 4)])
+    assert np.array_equal(held.sum(axis=0), np.ones(len(z)))
+    assert np.array_equal(np.argmax(held, axis=0) + 1, heat_levels(z, warm, hot))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_box_and_heat_level_indicators_return_only_zero_or_one(data):
+    d = data.draw(st.integers(1, 4))
+    bounds = st.floats(allow_nan=False)
+    pairs = [sorted(data.draw(st.tuples(bounds, bounds))) for _ in range(d)]
+    box = BoxIndicator(*map(np.array, zip(*pairs)))
+    # Any point at all: NaN, infinite and huge coordinates included.
+    anywhere = st.lists(st.floats(), min_size=d, max_size=d)
+    z = np.array(data.draw(st.lists(anywhere, min_size=1, max_size=10)))
+    assert set(np.unique(box(z)).tolist()) <= {0.0, 1.0}
+    warm, hot = data.draw(_heat_thresholds())
+    level = HeatLevelIndicator(data.draw(st.integers(1, 4)), warm, hot)
+    anywhere = st.lists(st.floats(), min_size=3, max_size=3)
+    z = np.array(data.draw(st.lists(anywhere, min_size=1, max_size=10)))
+    assert set(np.unique(level(z)).tolist()) <= {0.0, 1.0}
