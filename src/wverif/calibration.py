@@ -184,7 +184,7 @@ def histogram_summary(values, bins: int = 20, lo: float = 0.0, hi: float = 1.0) 
     u = np.asarray(values, dtype=float)
     if u.size == 0:
         raise InsufficientData("no values to bin")
-    if np.any(u < lo) or np.any(u > hi):
+    if not np.all((u >= lo) & (u <= hi)):
         raise ContractViolation(f"values must lie inside [{lo}, {hi}]")
     if bins < 1:
         raise ContractViolation(f"bins must be at least 1, got {bins}")
@@ -238,6 +238,10 @@ class ReliabilityFit:
     n: int
 
 
+# Positions at which the CORP consistency band is resampled at most.
+_BAND_PROBES = 1024
+
+
 def _thin(n: int, limit: int) -> np.ndarray:
     """Indices of at most ``limit`` evenly spaced positions out of ``n``."""
     if n <= limit:
@@ -271,7 +275,6 @@ def corp_reliability(
     level: float = 0.99,
     resamples: int = 1000,
     seed=0,
-    band_probes: int = 1024,
 ) -> ReliabilityFit:
     """CORP reliability diagram data with a consistency band.
 
@@ -279,7 +282,7 @@ def corp_reliability(
     non-decreasing conditional event probabilities, and resamples
     outcomes under the hypothesis of calibration to trace out a central
     band at ``level``.  For large inputs the band is evaluated on at
-    most ``band_probes`` positions and interpolated between them.
+    most ``_BAND_PROBES`` positions and interpolated between them.
     """
     p = np.asarray(probs, dtype=float)
     o = np.asarray(outcomes, dtype=float)
@@ -287,7 +290,7 @@ def corp_reliability(
         raise DimensionMismatch("probs and outcomes must be 1-d arrays of equal length")
     if p.size == 0:
         raise InsufficientData("no cases")
-    if np.any((p < 0.0) | (p > 1.0)):
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ContractViolation("probabilities must lie in [0, 1]")
     if not np.all((o == 0.0) | (o == 1.0)):
         raise ContractViolation("outcomes must be 0 or 1")
@@ -303,7 +306,7 @@ def corp_reliability(
 
     n = ps.size
     gen = _rng(seed)
-    probe = _thin(n, band_probes)
+    probe = _thin(n, _BAND_PROBES)
     sims = np.empty((resamples, probe.size))
     # Drawn into buffers made once, from the same stream as fresh arrays.
     u = np.empty(n)

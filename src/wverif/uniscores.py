@@ -312,8 +312,13 @@ def _q2_integral(u):
 
 
 def _closed_form(forecast, w: WeightFunction) -> bool:
-    """Whether the weighted scores of ``forecast`` under ``w`` have a closed form."""
-    return isinstance(forecast, Normal) and isinstance(w, _NORMAL_WEIGHTS)
+    """Whether the weighted scores of ``forecast`` under ``w`` have a closed
+    form; at an infinite threshold the closed forms give NaN."""
+    return (
+        isinstance(forecast, Normal)
+        and isinstance(w, _NORMAL_WEIGHTS)
+        and np.isfinite(w.breakpoints()).all()
+    )
 
 
 def _no_mass(w: WeightFunction, mass) -> WeightedMassZero:
@@ -473,7 +478,9 @@ class _CdfGrid:
 
         For an indicator weight the grid reaches on past the support, a
         support width at a time, until the forecast mass beyond its end is
-        negligible against the mass the conditional cdf divides by.
+        negligible against the mass the conditional cdf divides by.  The
+        walk starts at the threshold or, for one beyond the support on the
+        weighted side (-inf included), at the support's end.
         """
         knots = (*knots, *w.breakpoints())
         lo, hi = forecast.support_interval(_TAIL)
@@ -484,7 +491,7 @@ class _CdfGrid:
             if mass <= MASS_FLOOR:
                 raise _no_mass(w, mass)
             step = hi - lo if above else lo - hi
-            end = w.t + step
+            end = (max(w.t, lo) if above else min(w.t, hi)) + step
             while tail(end) > _TAIL * mass:
                 end += step
             knots += (lo, hi)

@@ -7,6 +7,11 @@ function; they drive the threshold-weighted scores.  Both come in
 univariate and multivariate flavours.  Multivariate Gaussian weights
 are restricted to diagonal covariances, so densities factor into
 products of the margins and cdfs into products of marginal cdfs.
+
+Only the base classes evaluate: ``WeightFunction.__call__`` (and, for
+points of R^d, ``_MvWeight.__call__``) and ``ChainingFunction.transform``
+coerce z, apply the subclass's formula ``_value(z)`` or ``_chain(z)`` and
+return a Python float for one value; ``CollapseOutside`` has its own.
 """
 
 from __future__ import annotations
@@ -75,14 +80,6 @@ def _check_positive_sigma(sigma) -> None:
         raise ContractViolation("sigma must be positive")
 
 
-def _points(z, dim: int) -> np.ndarray:
-    """``z`` as an array of points (..., dim)."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 0 or z.shape[-1] != dim:
-        raise DimensionMismatch(f"expected points with last axis {dim}, got shape {z.shape}")
-    return z
-
-
 @dataclass(frozen=True)
 class _Threshold:
     """The threshold of an indicator weight or a censoring chaining function."""
@@ -122,14 +119,12 @@ class WeightFunction:
 
     __slots__ = ()
 
-    @property
-    def dim(self) -> int:
-        return 1
+    dim = 1
+    # Whether the weight only takes the values 0 and 1.
+    is_binary = False
 
-    @property
-    def is_binary(self) -> bool:
-        """Whether the weight only takes the values 0 and 1."""
-        return False
+    def __call__(self, z):
+        return _scalar_or_array(self._value(np.asarray(z, dtype=float)))
 
     def breakpoints(self) -> tuple:
         """Discontinuity locations, knots of the grids that integrate the weight."""
@@ -142,47 +137,36 @@ class Constant(WeightFunction):
     arrays of any shape.  The unit weight of R^d is a ``BoxIndicator``
     over all of R^d."""
 
-    @property
-    def is_binary(self) -> bool:
-        return True
+    is_binary = True
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        return _scalar_or_array(np.ones(z.shape))
+    def _value(self, z):
+        return np.ones(z.shape)
 
 
 @dataclass(frozen=True)
 class IndicatorAbove(_Threshold, WeightFunction):
     """w(z) = 1 if z > t else 0."""
 
-    @property
-    def is_binary(self) -> bool:
-        return True
+    is_binary = True
 
     def breakpoints(self) -> tuple:
         return (self.t,)
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        out = (z > self.t).astype(float)
-        return _scalar_or_array(out)
+    def _value(self, z):
+        return (z > self.t).astype(float)
 
 
 @dataclass(frozen=True)
 class IndicatorBelow(_Threshold, WeightFunction):
     """w(z) = 1 if z < t else 0."""
 
-    @property
-    def is_binary(self) -> bool:
-        return True
+    is_binary = True
 
     def breakpoints(self) -> tuple:
         return (self.t,)
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
-        out = (z < self.t).astype(float)
-        return _scalar_or_array(out)
+    def _value(self, z):
+        return (z < self.t).astype(float)
 
 
 @dataclass(frozen=True)
@@ -192,9 +176,8 @@ class GaussPdf(_Gauss, WeightFunction):
     Emphasises outcomes near ``mu``.
     """
 
-    def __call__(self, z):
-        out = _norm_pdf(np.asarray(z, dtype=float), self.mu, self.sigma)
-        return _scalar_or_array(out)
+    def _value(self, z):
+        return _norm_pdf(z, self.mu, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -204,37 +187,36 @@ class OneMinusGaussPdfRatio(_Gauss, WeightFunction):
     Emphasises both tails at once.
     """
 
-    def __call__(self, z):
-        z = np.asarray(z, dtype=float)
+    def _value(self, z):
         peak = _norm_pdf(self.mu, self.mu, self.sigma)
-        out = 1.0 - _norm_pdf(z, self.mu, self.sigma) / peak
-        out = np.clip(out, 0.0, 1.0)
-        return _scalar_or_array(out)
+        return np.clip(1.0 - _norm_pdf(z, self.mu, self.sigma) / peak, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class GaussCdf(_Gauss, WeightFunction):
     """w(z) = normal cdf, a smooth emphasis on the right tail."""
 
-    def __call__(self, z):
-        out = _norm_cdf(np.asarray(z, dtype=float), self.mu, self.sigma)
-        return _scalar_or_array(out)
+    def _value(self, z):
+        return _norm_cdf(z, self.mu, self.sigma)
 
 
 @dataclass(frozen=True)
 class OneMinusGaussCdf(_Gauss, WeightFunction):
     """w(z) = 1 - normal cdf, a smooth emphasis on the left tail."""
 
-    def __call__(self, z):
-        out = ndtr(-((np.asarray(z, dtype=float) - self.mu) / self.sigma))
-        return _scalar_or_array(out)
+    def _value(self, z):
+        return ndtr(-((z - self.mu) / self.sigma))
 
 
 class _MvWeight(WeightFunction):
     __slots__ = ()
 
-    def _check(self, z) -> np.ndarray:
-        return _points(z, self.dim)
+    def __call__(self, z):
+        # Not via WeightFunction.__call__: perfbench's tracer wraps both, and would time it twice.
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 0 or z.shape[-1] != self.dim:
+            raise DimensionMismatch(f"expected points with last axis {self.dim}, got shape {z.shape}")
+        return _scalar_or_array(self._value(z))
 
 
 @dataclass(frozen=True)
@@ -266,42 +248,34 @@ class MvGaussPdf(_MvGauss):
     The density is the product of the marginal densities.
     """
 
-    def __call__(self, z):
-        z = self._check(z)
-        out = np.prod(_norm_pdf(z, self.mu, self.sigma_diag), axis=-1)
-        return _scalar_or_array(out)
+    def _value(self, z):
+        return np.prod(_norm_pdf(z, self.mu, self.sigma_diag), axis=-1)
 
 
 @dataclass(frozen=True)
 class OneMinusMvGaussPdfRatio(_MvGauss):
     """1 - density(z) / density(mu) with diagonal covariance."""
 
-    def __call__(self, z):
-        z = self._check(z)
+    def _value(self, z):
         peak = np.prod(_norm_pdf(self.mu, self.mu, self.sigma_diag))
         out = 1.0 - np.prod(_norm_pdf(z, self.mu, self.sigma_diag), axis=-1) / peak
-        out = np.clip(out, 0.0, 1.0)
-        return _scalar_or_array(out)
+        return np.clip(out, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class MvGaussCdf(_MvGauss):
     """Product of marginal normal cdfs (diagonal covariance)."""
 
-    def __call__(self, z):
-        z = self._check(z)
-        out = np.prod(_norm_cdf(z, self.mu, self.sigma_diag), axis=-1)
-        return _scalar_or_array(out)
+    def _value(self, z):
+        return np.prod(_norm_cdf(z, self.mu, self.sigma_diag), axis=-1)
 
 
 @dataclass(frozen=True)
 class OneMinusMvGaussCdf(_MvGauss):
     """1 - product of marginal normal cdfs (diagonal covariance)."""
 
-    def __call__(self, z):
-        z = self._check(z)
-        out = 1.0 - np.prod(_norm_cdf(z, self.mu, self.sigma_diag), axis=-1)
-        return _scalar_or_array(out)
+    def _value(self, z):
+        return 1.0 - np.prod(_norm_cdf(z, self.mu, self.sigma_diag), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -310,6 +284,8 @@ class BoxIndicator(_MvWeight):
 
     lower: np.ndarray
     upper: np.ndarray
+
+    is_binary = True
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -326,19 +302,14 @@ class BoxIndicator(_MvWeight):
     def dim(self) -> int:
         return self.lower.size
 
-    @property
-    def is_binary(self) -> bool:
-        return True
-
-    def __call__(self, z):
-        z = self._check(z)
+    def _value(self, z):
         within = (z >= self.lower) & (z <= self.upper)
         # The and over components, in place on the first column's view:
         # faster than np.all(within, axis=-1) for a few components.
         inside = within[..., 0]
         for j in range(1, self.dim):
             inside &= within[..., j]
-        return _scalar_or_array(inside.astype(float))
+        return inside.astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +339,21 @@ def heat_levels(temps, warm: float = HEAT_WARM, hot: float = HEAT_HOT):
 
     Returns
     -------
-    int array of shape (...), values in {1, 2, 3, 4}.
+    int array of shape (...), values in {1, 2, 3, 4}.  A vector with a
+    NaN day has no level and is refused.
     """
     if not warm < hot:
         raise ContractViolation("warm threshold must lie below hot threshold")
     t = np.asarray(temps, dtype=float)
     if t.shape[-1] != 3:
         raise DimensionMismatch("heat levels are defined for 3-day vectors")
+    if np.isnan(t).any():
+        raise ContractViolation("heat levels are not defined for a NaN day")
+    return _heat_levels(t, warm, hot)
+
+
+def _heat_levels(t, warm, hot):
+    """``heat_levels`` of the checked (..., 3) array ``t``."""
     n_warm = np.sum(t >= warm, axis=-1)
     all_hot = np.all(t >= hot, axis=-1)
     out = np.ones(t.shape[:-1], dtype=int)
@@ -400,24 +379,19 @@ class HeatLevelIndicator(_MvWeight):
     warm: float = HEAT_WARM
     hot: float = HEAT_HOT
 
+    dim = 3
+    is_binary = True
+
     def __post_init__(self):
         if self.level not in (1, 2, 3, 4):
             raise ContractViolation("heat level must be 1, 2, 3 or 4")
         if not self.warm < self.hot:
             raise ContractViolation("warm threshold must lie below hot threshold")
 
-    @property
-    def dim(self) -> int:
-        return 3
-
-    @property
-    def is_binary(self) -> bool:
-        return True
-
-    def __call__(self, z):
-        z = self._check(z)
-        out = (heat_levels(z, self.warm, self.hot) == self.level).astype(float)
-        return _scalar_or_array(out)
+    def _value(self, z):
+        # A point with a NaN day lies in no level, as it lies in no box.
+        inside = _heat_levels(z, self.warm, self.hot) == self.level
+        return (inside & ~np.isnan(z).any(axis=-1)).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +408,7 @@ class ChainingFunction:
 
     __slots__ = ()
 
-    @property
-    def dim(self) -> int:
-        return 1
+    dim = 1
 
     def weight(self) -> WeightFunction:
         weight = _WEIGHTS.get(type(self))
@@ -444,8 +416,8 @@ class ChainingFunction:
             raise NotImplementedError
         return _with_fields(weight, self)
 
-    def transform(self, z):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def transform(self, z):
+        return _scalar_or_array(self._chain(np.asarray(z, dtype=float)))
 
     def __call__(self, z):
         return self.transform(z)
@@ -455,29 +427,24 @@ class ChainingFunction:
 class Identity(ChainingFunction):
     """v(z) = z, the unweighted case."""
 
-    def transform(self, z):
-        z = np.asarray(z, dtype=float)
-        return _scalar_or_array(z.copy())
+    def _chain(self, z):
+        return z.copy()
 
 
 @dataclass(frozen=True)
 class CensorAbove(_Threshold, ChainingFunction):
     """v(z) = max(z, t); integrates the indicator of z > t."""
 
-    def transform(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.maximum(z, self.t)
-        return _scalar_or_array(out)
+    def _chain(self, z):
+        return np.maximum(z, self.t)
 
 
 @dataclass(frozen=True)
 class CensorBelow(_Threshold, ChainingFunction):
     """v(z) = min(z, t); integrates the indicator of z < t."""
 
-    def transform(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.minimum(z, self.t)
-        return _scalar_or_array(out)
+    def _chain(self, z):
+        return np.minimum(z, self.t)
 
 
 def _gauss_cdf_antideriv(z, mu, sigma):
@@ -493,43 +460,36 @@ def _gauss_cdf_antideriv(z, mu, sigma):
 class GaussCdfChain(_Gauss, ChainingFunction):
     """Antiderivative of the GaussCdf weight (right-tail emphasis)."""
 
-    def transform(self, z):
-        z = np.asarray(z, dtype=float)
-        out = _gauss_cdf_antideriv(z, self.mu, self.sigma)
-        return _scalar_or_array(out)
+    def _chain(self, z):
+        return _gauss_cdf_antideriv(z, self.mu, self.sigma)
 
 
 @dataclass(frozen=True)
 class GaussCdfComplementChain(_Gauss, ChainingFunction):
     """Antiderivative of 1 - GaussCdf (left-tail emphasis)."""
 
-    def transform(self, z):
-        z = np.asarray(z, dtype=float)
+    def _chain(self, z):
         # The limit at inf is mu, where the difference is inf - inf.
         with np.errstate(invalid="ignore"):
             out = z - _gauss_cdf_antideriv(z, self.mu, self.sigma)
-        return _scalar_or_array(np.where(z == np.inf, self.mu, out))
+        return np.where(z == np.inf, self.mu, out)
 
 
 @dataclass(frozen=True)
 class GaussPdfChain(_Gauss, ChainingFunction):
     """Antiderivative of the GaussPdf weight, i.e. the normal cdf."""
 
-    def transform(self, z):
-        z = np.asarray(z, dtype=float)
-        out = _norm_cdf(z, self.mu, self.sigma)
-        return _scalar_or_array(out)
+    def _chain(self, z):
+        return _norm_cdf(z, self.mu, self.sigma)
 
 
 @dataclass(frozen=True)
 class GaussPdfRatioComplementChain(_Gauss, ChainingFunction):
     """Antiderivative of 1 - pdf(z)/pdf(mu) (two-sided tail emphasis)."""
 
-    def transform(self, z):
-        z = np.asarray(z, dtype=float)
+    def _chain(self, z):
         peak = _norm_pdf(self.mu, self.mu, self.sigma)
-        out = z - _norm_cdf(z, self.mu, self.sigma) / peak
-        return _scalar_or_array(out)
+        return z - _norm_cdf(z, self.mu, self.sigma) / peak
 
 
 @dataclass(frozen=True)
@@ -569,7 +529,7 @@ class CollapseOutside(ChainingFunction):
     def mask(self, z) -> np.ndarray:
         """The weight (...) of points (..., dim): 1 where a point is kept,
         0 where it collapses onto ``z0``."""
-        mask = np.asarray(self.w(_points(z, self.dim)), dtype=float)
+        mask = np.asarray(self.w(z), dtype=float)
         if not np.all((mask == 0.0) | (mask == 1.0)):
             raise ContractViolation("CollapseOutside requires a binary weight")
         return mask

@@ -160,6 +160,8 @@ def test_histogram_summary():
 def test_histogram_summary_rejects_out_of_range():
     with pytest.raises(ContractViolation):
         histogram_summary(np.array([-0.1, 0.5]))
+    with pytest.raises(ContractViolation, match="must lie inside"):
+        histogram_summary(np.array([0.2, np.nan]))
     for bins in (0, -3):
         with pytest.raises(ContractViolation):
             histogram_summary(np.array([0.1, 0.5]), bins=bins)
@@ -266,6 +268,8 @@ def test_isotonic_by_runs_equals_plain_fit_bit_for_bit():
 def test_corp_input_validation():
     with pytest.raises(ContractViolation):
         corp_reliability(np.array([1.2]), np.array([1.0]))
+    with pytest.raises(ContractViolation, match="must lie in"):
+        corp_reliability(np.array([0.2, np.nan, 0.7, 0.4]), np.array([0.0, 1.0, 1.0, 0.0]))
     with pytest.raises(ContractViolation):
         corp_reliability(np.array([0.5]), np.array([0.4]))
     with pytest.raises(InsufficientData):

@@ -1,6 +1,10 @@
 import ast
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -738,6 +742,45 @@ def test_engine_weighted_scores_far_from_the_support(w):
         step = twcrps(f, b, v).value - twcrps(f, a, v).value
         assert step == pytest.approx(abs(float(v(b)) - float(v(a))), rel=1e-12, abs=1e-9)
         assert 0.0 <= vrcrps(f, b, w, 0.1).value < np.inf
+
+
+# Each line: forecast, weight or chaining, score name, score, CRPS.
+_INFINITE_THRESHOLD_SCORES = """
+import json
+import numpy as np
+from wverif import crps, owcrps, twcrps, vrcrps
+from wverif.forecasts import Logistic, Normal, StudentT
+from wverif.weights import CensorAbove, CensorBelow, IndicatorAbove, IndicatorBelow
+out = []
+for f in (Normal(0.0, 1.0), Logistic(0.0, 1.0), StudentT(5.0, 0.0, 1.0)):
+    want = crps(f, 0.5).value
+    for w in (IndicatorAbove(-np.inf), IndicatorBelow(np.inf)):
+        out += [(repr(f), repr(w), s.__name__, s(f, 0.5, w).value, want) for s in (owcrps, vrcrps)]
+    for v in (CensorAbove(-np.inf), CensorBelow(np.inf)):
+        out.append((repr(f), repr(v), "twcrps", twcrps(f, 0.5, v).value, want))
+f, w = Logistic(0.0, 1.0), IndicatorAbove(-1e300)
+out.append((repr(f), repr(w), "owcrps", owcrps(f, 0.5, w).value, crps(f, 0.5).value))
+print(json.dumps(out))
+"""
+
+
+def test_an_infinite_indicator_threshold_weighs_every_outcome():
+    # Under IndicatorAbove(-inf), IndicatorBelow(inf) and their censoring
+    # chainings every outcome has weight one, so each weighted CRPS is the
+    # CRPS: to roundoff for the normal and logistic, to the grid error for
+    # the t.  In a subprocess with a timeout, because the conditional
+    # grid's walk out from an infinite threshold never moves.
+    src = pathlib.Path(wverif.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _INFINITE_THRESHOLD_SCORES],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    rows = json.loads(done.stdout)
+    assert len(rows) == 19
+    for f, w, score, got, want in rows:
+        rel = 1e-7 if f.startswith("StudentT") else 1e-11
+        assert got == pytest.approx(want, rel=rel, abs=0.0), (f, w, score)
 
 
 def _imported_modules(tree):

@@ -39,6 +39,7 @@ from wverif.weights import (
     OneMinusMvGaussCdf,
     OneMinusMvGaussPdfRatio,
     canonical_chaining,
+    classify_heat_level,
     heat_levels,
 )
 from wverif import mvscores
@@ -203,7 +204,9 @@ def _weights_at(d: int) -> list:
 def test_every_weight_returns_one_value_per_point():
     """On (n, d) points every weight of dimension d > 1 returns shape (n,);
     a univariate weight weighs each number of an array of any shape.
-    Either way the kernels get one weight per member."""
+    Either way the kernels get one weight per member.  A single point, a
+    float or a (d,) vector, gets a Python float from every weight and
+    every univariate chaining, and a wrong last axis is refused."""
     classes = {
         cls
         for cls in map(weights_module.__dict__.get, weights_module.__all__)
@@ -219,8 +222,13 @@ def test_every_weight_returns_one_value_per_point():
             if d == 1:
                 assert np.shape(w(pts[:, 0])) == (6,)
                 assert np.shape(w(pts)) == (6, 1)
+                assert type(w(pts[0, 0])) is float, w
+                assert type(canonical_chaining(w)(pts[0, 0])) is float, w
             else:
                 assert np.shape(w(pts)) == (6,), w
+                assert type(w(pts[0])) is float, w
+                with pytest.raises(DimensionMismatch):
+                    w(np.zeros((6, d + 1)))
             members = pts.reshape(2, 3, d)
             assert mvscores._member_weights(w, members).shape == (2, 3), w
     assert seen == classes - {weights_module.WeightFunction}
@@ -335,6 +343,18 @@ def test_heat_level_indicator_validation():
         HeatLevelIndicator(5)
     with pytest.raises(DimensionMismatch):
         HeatLevelIndicator(2)(np.zeros(2))
+
+
+@pytest.mark.parametrize("temps", [np.full(3, np.nan), np.array([np.nan, 30.0, 30.0])],
+                         ids=["all-nan", "one-nan"])
+def test_a_nan_day_has_no_heat_level(temps):
+    # heat_levels refuses it; the indicators weigh it 0, as a box does.
+    with pytest.raises(ContractViolation, match="NaN day"):
+        heat_levels(temps)
+    with pytest.raises(ContractViolation, match="NaN day"):
+        classify_heat_level(temps)
+    assert [HeatLevelIndicator(level)(temps) for level in (1, 2, 3, 4)] == [0.0] * 4
+    assert BoxIndicator(np.full(3, -np.inf), np.full(3, np.inf))(temps) == 0.0
 
 
 def test_weighted_cdf_truncation():
