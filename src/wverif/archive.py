@@ -921,13 +921,17 @@ def _score_multivariate(
     return sids, dates, [None] * len(first), values
 
 
-def _check_score(score, threshold, p, smooth, lead_times, level) -> None:
+def _check_score(score, threshold, p, smooth, lead_times, level, x0=None) -> None:
     """Refuse a score and options that no archive could be scored with.
 
     These checks read no data, so ``score_archive`` makes them first and
     the CLI before it reads an archive: a bad flag is refused the same
-    way whether or not the archive exists.
+    way whether or not the archive exists.  A threshold, x0 or p that is
+    not finite is refused for every score, as the CLI refuses the flag.
     """
+    for name, value in (("threshold", threshold), ("x0", x0), ("p", p)):
+        if value is not None and not math.isfinite(value):
+            raise ContractViolation(f"{name} must be finite, got {value!r}")
     if score in UNIVARIATE_SCORES:
         if score in _NEEDS_THRESHOLD and threshold is None:
             raise ContractViolation(f"score {score!r} needs a threshold")
@@ -975,7 +979,7 @@ def score_archive(
     the heat-level weight instead for multivariate scores.  The values
     have passed ScoreValue's checks.
     """
-    _check_score(score, threshold, p, smooth, lead_times, level)
+    _check_score(score, threshold, p, smooth, lead_times, level, x0)
     a = _columns_of(archive)
     if score in UNIVARIATE_SCORES:
         sids, dates, leads, values = _score_univariate(a, score, threshold, x0, smooth)

@@ -161,7 +161,7 @@ def _inputs(**archives) -> dict:
 
 def _cmd_score(args) -> tuple:
     lead_times = _parse_list(args.lead_times, int, "lead time")
-    _check_score(args.score, args.threshold, args.p, args.smooth, lead_times, args.level)
+    _check_score(args.score, args.threshold, args.p, args.smooth, lead_times, args.level, args.x0)
     archive = read_archive(args.archive, args.max_reject_fraction)
     sids, dates, leads, values = score_archive(
         archive,

@@ -7,12 +7,14 @@ reweights members by their own weight, vertical re-scaling damps the
 kernel terms and anchors a correction at a reference point.
 
 Every score is computed by a kernel over a stack of cases: members
-(n, m, d) and observations (n, d).  The per-case functions check their
-inputs and call the kernels with n = 1.  ``_mv_kernel`` is the one
-dispatch point: it maps score names, each with its weight, and an
-anchor to a kernel that scores all of them on one stack; ``archive``
-runs it for one score on blocks of stacked cases, and the propriety
-Monte Carlo in ``synthlab`` for all of its scores on whole samples.
+(n, m, d) and observations (n, d).  ``_mv_kernel`` is the one dispatch
+point: it maps score names, each with its weight, and an anchor to a
+kernel that scores all of them on one stack; ``archive`` runs it for
+one score on blocks of stacked cases, the propriety Monte Carlo in
+``synthlab`` for all of its scores on whole samples, and each per-case
+function through ``_mv_case``, which checks one case and runs it on a
+stack of one.  A threshold-weighted score under a chaining other than
+``CollapseOutside`` is the plain score of the chained points.
 The scores of a family share one pass over the member pairs.  Energy
 scores come from one kernel, ``_pair_sum``, which walks the pairs by
 circular offset on blocks of ``_PAIR_BLOCK`` cases, computes each
@@ -89,8 +91,8 @@ class VariogramSpec:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.p <= 0.0:
-            raise ContractViolation("variogram order p must be positive")
+        if not (np.isfinite(self.p) and self.p > 0.0):
+            raise ContractViolation("variogram order p must be positive and finite")
         if self.h is not None:
             h = np.asarray(self.h, dtype=float)
             if h.ndim != 2 or h.shape[0] != h.shape[1]:
@@ -99,7 +101,10 @@ class VariogramSpec:
                 raise ContractViolation("h must be symmetric and non-negative")
             object.__setattr__(self, "h", h)
         if self.x0 is not None:
-            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+            x0 = np.asarray(self.x0, dtype=float)
+            if not np.all(np.isfinite(x0)):
+                raise ContractViolation("x0 must be finite")
+            object.__setattr__(self, "x0", x0)
 
     def weights_for(self, d: int) -> np.ndarray:
         if self.h is None:
@@ -122,13 +127,13 @@ def _as_mv(forecast) -> MvEnsemble:
     return MvEnsemble(np.asarray(forecast, dtype=float))
 
 
-def _check_obs(y, d: int) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (d,):
-        raise DimensionMismatch(f"observation has shape {y.shape}, expected ({d},)")
-    if not np.all(np.isfinite(y)):
-        raise ContractViolation("observation must be finite")
-    return y
+def _check_point(v, d: int, name: str = "observation") -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d,):
+        raise DimensionMismatch(f"{name} has shape {v.shape}, expected ({d},)")
+    if not np.all(np.isfinite(v)):
+        raise ContractViolation(f"{name} must be finite")
+    return v
 
 
 def _member_weights(w: WeightFunction, pts: np.ndarray) -> np.ndarray:
@@ -142,20 +147,6 @@ def _member_weights(w: WeightFunction, pts: np.ndarray) -> np.ndarray:
             f"weight dimension {w.dim} does not match ensemble dimension {pts.shape[-1]}"
         )
     return np.asarray(w(pts), dtype=float).reshape(pts.shape[:-1])
-
-
-def _transform(chaining: ChainingFunction, x: np.ndarray, y: np.ndarray):
-    """Apply a chaining function to members x (n, m, d) and observations
-    y (n, d); a univariate chaining acts on each component."""
-    d = x.shape[-1]
-    if chaining.dim not in (1, d):
-        raise DimensionMismatch(
-            f"chaining dimension {chaining.dim} does not match ensemble dimension {d}"
-        )
-    return (
-        np.asarray(chaining.transform(x), dtype=float),
-        np.asarray(chaining.transform(y), dtype=float),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +214,6 @@ def _pair_sum(x: np.ndarray, weights: list) -> list:
 def _increments(z: np.ndarray, p: float) -> np.ndarray:
     """Variogram increments |z_i - z_j|^p (..., d, d) of points (..., d)."""
     return np.abs(z[..., :, None] - z[..., None, :]) ** p
-
-
-def _energy(x: np.ndarray, y: np.ndarray, fair: bool = False) -> np.ndarray:
-    """Energy score of each case; the fair variant needs m >= 2."""
-    return _energy_scores(x, y, {"es": None}, None, fair)["es"]
 
 
 def _outcome_weights(wx: np.ndarray, wy: np.ndarray) -> tuple:
@@ -343,7 +329,7 @@ def _variogram_scores(x: np.ndarray, y: np.ndarray, weights: dict, anchor, p: fl
     return out
 
 
-def _mv_kernel(weights: dict, anchor, p: float | None, h: np.ndarray | None):
+def _mv_kernel(weights: dict, anchor, p: float | None, h: np.ndarray | None, fair: bool = False):
     """The stacked kernel of one or more multivariate scores:
     (x (n, m, d), y (n, d)) -> {score: values (n,)}, in the order of ``weights``.
 
@@ -353,7 +339,8 @@ def _mv_kernel(weights: dict, anchor, p: float | None, h: np.ndarray | None):
     with ``CollapseOutside``'s checks on the weight; the re-scaled
     scores are anchored there too; es and vs ignore the anchor.
     Variogram scores take the order ``p`` and proximities ``h`` (d, d),
-    which the energy scores ignore.  Each distinct weight is evaluated
+    which the energy scores ignore.  ``fair`` takes the fair es, whose
+    spread term needs m >= 2.  Each distinct weight is evaluated
     once per call, the energy scores share one pass over the member
     distances and the variogram scores one over the increments, and
     each score's values are those it gets on its own.
@@ -377,12 +364,43 @@ def _mv_kernel(weights: dict, anchor, p: float | None, h: np.ndarray | None):
         wts = {s: evaluated[keys[s]] if s in keys else None for s in weights}
         energy = {s: w for s, w in wts.items() if s in _ENERGY}
         variogram = {s: w for s, w in wts.items() if s in _VARIOGRAM}
-        out = _energy_scores(x, y, energy, anchor) if energy else {}
+        out = _energy_scores(x, y, energy, anchor, fair) if energy else {}
         if variogram:
             out.update(_variogram_scores(x, y, variogram, anchor, p, h))
         return {s: out[s] for s in weights}
 
     return kernel
+
+
+def _mv_case(score: str, forecast, y, w=None, anchor=None, spec=None, fair: bool = False) -> float:
+    """One multivariate score of one ensemble at one observation:
+    ``_mv_kernel`` on a stack of one case, so that a case gets the value
+    that archive and synthlab give it in a stack.
+
+    twes and twvs take a chaining function as ``w``.  Under
+    ``CollapseOutside`` they take the kernel's collapse route, as archive
+    scores them, except the fair twes; under any other chaining, or
+    ``fair``, they are the es or vs of the chained points (componentwise
+    for a univariate chaining).  Variogram scores take the order,
+    proximities and, for vrvs, the anchor from ``spec`` (the default
+    spec when omitted).
+    """
+    ens = _as_mv(forecast)
+    x, y = ens.members.T, _check_point(y, ens.dim)
+    if fair and ens.size < 2:
+        raise ContractViolation("the fair variant needs at least two members")
+    if score in ("twes", "twvs"):
+        if isinstance(w, CollapseOutside) and not fair:
+            w, anchor = w.w, w.z0
+        else:
+            score, x, y = score[2:], w.transform(x), w.transform(y)
+    p = h = None
+    if score in _VARIOGRAM:
+        spec = spec or VariogramSpec()
+        p, h = spec.p, spec.weights_for(ens.dim)
+        if score == "vrvs":
+            anchor = spec.reference_for(ens.dim)
+    return _mv_kernel({score: w}, anchor, p, h, fair)(x[None], y[None])[score][0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,35 +412,22 @@ def energy_score(forecast, y, fair: bool = False) -> ScoreValue:
     """Energy score of a multivariate ensemble.
 
     mean ||x_k - y|| - (1 / 2 m^2) sum_kl ||x_k - x_l||; reduces to the
-    ensemble CRPS in one dimension.
+    ensemble CRPS in one dimension.  With ``fair`` the spread term uses
+    the m (m - 1) denominator; that variant needs at least two members.
     """
-    ens = _as_mv(forecast)
-    y = _check_obs(y, ens.dim)
-    if fair and ens.size < 2:
-        raise ContractViolation("the fair variant needs at least two members")
-    value = _energy(ens.members.T[None], y[None], fair)[0]
-    return ScoreValue(value, "es", {"fair": fair})
+    return ScoreValue(_mv_case("es", forecast, y, fair=fair), "es", {"fair": fair})
 
 
 def tw_energy_score(forecast, y, chaining: ChainingFunction, fair: bool = False) -> ScoreValue:
     """Energy score after passing members and observation through a
     chaining function (componentwise if the chaining is univariate).
 
-    It takes one of two routes.  Under ``CollapseOutside`` without
-    ``fair`` it is the twes of ``_mv_kernel``, from the binary weights
-    of the points kept, as the archive and the propriety Monte Carlo
-    score it; under any other chaining, or ``fair``, it is the energy
-    score of the chained points.  The two agree to rounding."""
-    ens = _as_mv(forecast)
-    y = _check_obs(y, ens.dim)
-    if isinstance(chaining, CollapseOutside) and not fair:
-        kernel = _mv_kernel({"twes": chaining.w}, chaining.z0, None, None)
-        value = kernel(ens.members.T[None], y[None])["twes"][0]
-        return ScoreValue(value, "twes", {"chaining": repr(chaining), "fair": fair})
-    tx, ty = _transform(chaining, ens.members.T[None], y[None])
-    if fair and ens.size < 2:
-        raise ContractViolation("the fair variant needs at least two members")
-    value = _energy(tx, ty, fair)[0]
+    Under ``CollapseOutside`` without ``fair`` it is the twes of
+    ``_mv_kernel``, from the binary weights of the points kept, as the
+    archive and the propriety Monte Carlo score it; under any other
+    chaining, or ``fair``, it is the energy score of the chained points.
+    The two agree to rounding."""
+    value = _mv_case("twes", forecast, y, chaining, fair=fair)
     return ScoreValue(value, "twes", {"chaining": repr(chaining), "fair": fair})
 
 
@@ -432,20 +437,15 @@ def ow_energy_score(forecast, y, w: WeightFunction) -> ScoreValue:
     Members are reweighted by their own weight; the result is scaled by
     w(y) and is zero when w(y) = 0.
     """
-    ens = _as_mv(forecast)
-    y = _check_obs(y, ens.dim)
-    value = _mv_kernel({"owes": w}, None, None, None)(ens.members.T[None], y[None])["owes"][0]
-    return ScoreValue(value, "owes", {"weight": repr(w)})
+    return ScoreValue(_mv_case("owes", forecast, y, w), "owes", {"weight": repr(w)})
 
 
 def vr_energy_score(forecast, y, w: WeightFunction, x0=None) -> ScoreValue:
     """Vertically re-scaled energy score anchored at ``x0`` (zeros by default)."""
     ens = _as_mv(forecast)
-    y = _check_obs(y, ens.dim)
-    x0 = np.zeros(ens.dim) if x0 is None else _check_obs(x0, ens.dim)
-    params = {"weight": repr(w), "x0": x0.tolist()}
-    value = _mv_kernel({"vres": w}, x0, None, None)(ens.members.T[None], y[None])["vres"][0]
-    return ScoreValue(value, "vres", params)
+    x0 = np.zeros(ens.dim) if x0 is None else _check_point(x0, ens.dim, "x0")
+    value = _mv_case("vres", ens, y, w, x0)
+    return ScoreValue(value, "vres", {"weight": repr(w), "x0": x0.tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -461,23 +461,18 @@ def variogram_score(forecast, y, spec: VariogramSpec | None = None) -> ScoreValu
     weights h.
     """
     spec = spec or VariogramSpec()
-    ens = _as_mv(forecast)
-    y = _check_obs(y, ens.dim)
-    h = spec.weights_for(ens.dim)
-    value = _mv_kernel({"vs": None}, None, spec.p, h)(ens.members.T[None], y[None])["vs"][0]
-    return ScoreValue(value, "vs", {"p": spec.p})
+    return ScoreValue(_mv_case("vs", forecast, y, spec=spec), "vs", {"p": spec.p})
 
 
 def tw_variogram_score(
     forecast, y, chaining: ChainingFunction, spec: VariogramSpec | None = None
 ) -> ScoreValue:
-    """Variogram score on chained members and observation."""
+    """Variogram score on chained members and observation: under
+    ``CollapseOutside`` the twvs of ``_mv_kernel``, as the archive scores
+    it, and under any other chaining the variogram score of the chained
+    points."""
     spec = spec or VariogramSpec()
-    ens = _as_mv(forecast)
-    y = _check_obs(y, ens.dim)
-    tx, ty = _transform(chaining, ens.members.T[None], y[None])
-    h = spec.weights_for(ens.dim)
-    value = _mv_kernel({"vs": None}, None, spec.p, h)(tx, ty)["vs"][0]
+    value = _mv_case("twvs", forecast, y, chaining, spec=spec)
     return ScoreValue(value, "twvs", {"p": spec.p, "chaining": repr(chaining)})
 
 
@@ -490,10 +485,5 @@ def vr_variogram_score(
     variogram kernel; the reference point comes from ``spec.x0``.
     """
     spec = spec or VariogramSpec()
-    ens = _as_mv(forecast)
-    y = _check_obs(y, ens.dim)
-    h = spec.weights_for(ens.dim)
-    x0 = spec.reference_for(ens.dim)
-    kernel = _mv_kernel({"vrvs": w}, x0, spec.p, h)
-    value = kernel(ens.members.T[None], y[None])["vrvs"][0]
+    value = _mv_case("vrvs", forecast, y, w, spec=spec)
     return ScoreValue(value, "vrvs", {"p": spec.p, "weight": repr(w)})

@@ -4,8 +4,10 @@ Everything here is driven by explicit seeds.  No score is computed
 here: univariate scores come from ``uniscores._parametric_score``, the
 route that the per-case functions call with one observation, here with
 every observation of a curve or every draw of a Monte Carlo sample at
-once; multivariate scores from ``mvscores._mv_kernel``, the stacked
-kernel that ``archive`` scores its cases with, here on whole samples.
+once, and the truncated normal of the impropriety demonstration from
+``uniscores._tnorm_crps``, the closed form its owCRPS is made of;
+multivariate scores from ``mvscores._mv_kernel``, the stacked kernel
+that ``archive`` scores its cases with, here on whole samples.
 The propriety Monte Carlo draws each truth/alternative pair once and
 scores every requested score on the same draws, the multivariate ones
 in one kernel call per side.
@@ -28,9 +30,9 @@ from .calibration import (
     pit_ecdf,
 )
 from .exceptions import ContractViolation, WeightedMassZero
-from .forecasts import Logistic, Normal, Parametric, StudentT, expit, ndtr, stdtr
+from .forecasts import Logistic, Normal, StudentT, expit, ndtr, stdtr
 from .mvscores import _mv_kernel
-from .uniscores import _parametric_score
+from .uniscores import _parametric_score, _tnorm_crps
 from .weights import (
     MASS_FLOOR,
     BoxIndicator,
@@ -472,26 +474,6 @@ class ImproprietyResult:
         return self.tw_truth + 2.0 * self.tw_se < self.tw_trunc
 
 
-class _TruncatedAbove:
-    """Distribution conditioned on exceeding t, with the cdf and support
-    interval that the tabulated-cdf engine reads."""
-
-    def __init__(self, base: Parametric, t: float):
-        mass = float(base.sf(t))
-        if mass <= MASS_FLOOR:
-            raise WeightedMassZero(f"no forecast mass above {t}")
-        self.base = base
-        self.t = t
-        self._mass = mass
-
-    def cdf(self, z):
-        return _cpit_values(self._mass, self.base.sf(z))
-
-    def support_interval(self, tail: float = 1e-12):
-        _, hi = self.base.support_interval(tail)
-        return self.t, hi
-
-
 def run_impropriety_demo(
     t: float = 0.5, n: int = 100_000, seed: int = 20240804
 ) -> ImproprietyResult:
@@ -500,19 +482,26 @@ def run_impropriety_demo(
     Outcomes are standard normal.  The naive rule multiplies the CRPS
     by the indicator of exceeding ``t``, which favours a forecaster who
     shifts all mass beyond ``t``; the threshold-weighted CRPS with the
-    same indicator favours the honest forecaster.
+    same indicator favours the honest forecaster.  The hedger forecasts
+    the truth truncated to (t, inf), scored in closed form: its naive
+    score is the truth's owCRPS, and its twCRPS, under the censoring at
+    t, is its CRPS at max(y, t).
     """
     _check_size("n", n)
     _check_finite("t", t)
     gen = _rng(seed)
     truth = Normal(0.0, 1.0)
-    trunc = _TruncatedAbove(truth, t)
+    mass = ndtr(-t)
+    if mass <= MASS_FLOOR:
+        raise WeightedMassZero(f"no forecast mass above {t}")
     ys = truth.sample(n, gen)
     w = IndicatorAbove(t)
     wy = np.asarray(w(ys), dtype=float)
 
-    naive_a, naive_b = (wy * _parametric_score("crps", f, ys, Constant()) for f in (truth, trunc))
-    tw_a, tw_b = (_parametric_score("twcrps", f, ys, w) for f in (truth, trunc))
+    naive_a = wy * _parametric_score("crps", truth, ys, Constant())
+    naive_b = _parametric_score("owcrps", truth, ys, w)
+    tw_a = _parametric_score("twcrps", truth, ys, w)
+    tw_b = _tnorm_crps(np.maximum(ys, t), t, mass)
     return ImproprietyResult(
         naive_truth=float(np.mean(naive_a)),
         naive_trunc=float(np.mean(naive_b)),

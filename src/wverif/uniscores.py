@@ -10,15 +10,16 @@ observations.  A normal forecast under the unit, censoring or
 indicator weight (``_closed_form``) is scored by elementwise closed
 forms over arrays of means, sds and observations (``_normal_score``):
 the CRPS, the Brier score, the censored-normal twCRPS, the
-truncated-normal owCRPS and the indicator-weight vrCRPS, all from
-``ndtr`` (``scipy.special.ndtr``, which ``forecasts`` imports on its
-first call, so ensemble scoring never loads ``scipy.special``).  Every
-other family and weight goes through one engine, ``_CdfGrid``: the
-forecast cdf is tabulated on a piecewise-uniform grid over its support
-with the extreme observations, weight breakpoints and anchor as knots
-where they fall on it, the integral forms of the scores are integrated
-by composite Simpson, and what lies beyond the support is added in
-closed form.  The per-case functions call the route of their forecast
+truncated-normal owCRPS (``_tnorm_crps``, which also scores the
+truncated forecast of ``synthlab``'s impropriety demonstration) and the
+indicator-weight vrCRPS, all from ``ndtr`` (``scipy.special.ndtr``,
+which ``forecasts`` imports on its first call, so ensemble scoring
+never loads ``scipy.special``).  Every other family and weight goes
+through one engine, ``_CdfGrid``: the forecast cdf is tabulated on a
+piecewise-uniform grid over its support with the extreme observations,
+weight breakpoints and anchor as knots where they fall on it, the
+integral forms of the scores are integrated by composite Simpson, and
+what lies beyond the support is added in closed form.  The per-case functions call the route of their forecast
 with one case, through ``_score_case``; the propriety Monte Carlo of
 ``synthlab`` calls ``_parametric_score`` with all its draws, and
 ``archive`` calls ``_ensemble_kernel`` on blocks of raw records and the
@@ -352,13 +353,23 @@ def _twcrps_normal(mu, sd, y, w: WeightFunction):
     return sd * (_q2_integral(-m) - _q2_integral(-a) + _q2_integral(m))
 
 
+def _tnorm_crps(z, a, p):
+    """CRPS at each z >= a of the standard normal truncated to (a, inf),
+    whose mass is p = Q(a) (Jordan, Krueger & Lerch 2019):
+    z + 2 H(z) / p - Q(sqrt(2) a) / (sqrt(pi) p^2).
+
+    This is (z - a) - 2 (H(a) - H(z)) / p + K(a) / p^2 with the terms in
+    a cancelled in algebra, so none is left to cancel in rounding when
+    the threshold lies far below; at a -> -inf it is the CRPS.
+    """
+    return z + 2.0 * _q_integral(z) / p - ndtr(-np.sqrt(2.0) * a) / (np.sqrt(np.pi) * p * p)
+
+
 def _owcrps_normal(mu, sd, y, w: WeightFunction):
     """Outcome-weighted CRPS of each normal forecast: w(y) times the CRPS
-    of the forecast truncated to the weighted tail, exactly 0 where
-    w(y) = 0.
+    of the forecast truncated to the weighted tail (``_tnorm_crps``),
+    exactly 0 where w(y) = 0.
 
-    At z > a the truncated normal's cdf is 1 - Q(u) / p with p = Q(a),
-    and its CRPS is sd ((z - a) - 2 (H(a) - H(z)) / p + K(a) / p^2).
     The first case with w(y) > 0 whose tail mass is at or below the
     floor raises WeightedMassZero.
     """
@@ -373,8 +384,7 @@ def _owcrps_normal(mu, sd, y, w: WeightFunction):
         raise _no_mass(w, np.broadcast_to(p, bad.shape)[bad.argmax()])
     # Cases with w(y) = 0 score 0; a unit mass keeps their arithmetic finite.
     p = np.where(live, p, 1.0)
-    h = _q_integral(a) - _q_integral(z)
-    return np.where(live, wy * (sd * ((z - a) - 2.0 * h / p + _q2_integral(a) / (p * p))), 0.0)
+    return np.where(live, wy * (sd * _tnorm_crps(z, a, p)), 0.0)
 
 
 def _vrcrps_normal(mu, sd, y, w: WeightFunction, x0: float):
@@ -382,21 +392,22 @@ def _vrcrps_normal(mu, sd, y, w: WeightFunction, x0: float):
 
     The three expectations of the vrCRPS for w = 1{U > a}, standardised:
     the tail mass p = Q(a), the partial moment E|U - c| 1{U > a} and
-    E|U - U'| 1{U > a} 1{U' > a} = 2 (p H(a) - K(a)).
+    E|U - U'| 1{U > a} 1{U' > a} = 2 (Q(sqrt(2) a) / sqrt(pi) - p phi(a)),
+    written with no term in a that cancels when a lies far below.
     """
     if isinstance(w, Constant):
         return normal_crps_values(mu, sd, y)
     wy = np.asarray(w(y), dtype=float)
     z, a, c = _standardise(mu, sd, w, y, w.t, x0)
     p = ndtr(-a)
-    ha = _q_integral(a)
+    pa = _std_pdf(a)
 
     def partial(u):
         # |U - u| = (U - u) + 2 (u - U)^+, integrated over U > a.
         b = np.maximum(a, u)
-        return 2.0 * _q_integral(b) - ha + (2.0 * b - a - u) * p
+        return 2.0 * _q_integral(b) - pa + (2.0 * b - u) * p
 
-    pair = 2.0 * (p * ha - _q2_integral(a))
+    pair = 2.0 * (ndtr(-np.sqrt(2.0) * a) / np.sqrt(np.pi) - p * pa)
     term1 = sd * partial(z) * wy
     term3 = (sd * partial(c) - np.abs(y - x0) * wy) * (p - wy)
     return term1 - 0.5 * sd * pair + term3

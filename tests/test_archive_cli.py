@@ -809,6 +809,33 @@ def test_score_archive_validation():
         score_archive(recs, "xyz")
 
 
+@pytest.mark.parametrize(
+    "score, kwargs",
+    [
+        ("twcrps", dict(threshold=np.inf)),
+        ("twcrps", dict(threshold=np.inf, smooth=True)),
+        ("vrcrps", dict(threshold=20.0, x0=np.nan)),
+        ("vrcrps", dict(threshold=20.0, x0=-np.inf, smooth=True)),
+        ("twes", dict(threshold=np.inf)),
+        ("vres", dict(threshold=-np.inf)),
+        ("vrvs", dict(threshold=np.inf)),
+        ("vs", dict(p=np.inf)),
+        ("crps", dict(p=np.nan)),
+    ],
+)
+def test_score_archive_refuses_non_finite_numbers_before_reading(score, kwargs, monkeypatch):
+    """A threshold, x0 or p that is not finite is refused as the CLI
+    refuses the flag, before any record is read."""
+
+    def unread(_):
+        raise AssertionError("the archive was read")
+
+    monkeypatch.setattr(archive, "_columns_of", unread)
+    name = next(k for k, v in kwargs.items() if not np.isfinite(v))
+    with pytest.raises(ContractViolation, match=f"^{name} must be finite"):
+        score_archive(_mk_records(n_days=1), score, **kwargs)
+
+
 def test_score_archive_multivariate_matches_grouped_cases():
     recs = _mk_records(n_days=2)
     _, _, leads, values = score_archive(recs, "es")
@@ -981,6 +1008,21 @@ def test_cli_score_runs_are_byte_identical(tmp_path):
         summary = json.load(fh)
     assert summary["n_scored"] == summary["n_records"] == 18
     assert np.isfinite(summary["mean"])
+
+
+def test_cli_smooth_owcrps_past_a_far_threshold_is_the_crps(tmp_path):
+    """Under a threshold far below every forecast each outcome has weight
+    one, so the smoothed owCRPS of each record is its CRPS."""
+    arch = _write_archive_file(tmp_path)
+    values = {}
+    for score in ("owcrps", "crps"):
+        out = tmp_path / score
+        argv = ["score", "--archive", arch, "--smooth", "--score", score, "--out", str(out)]
+        assert main(argv + ["--threshold=-1e20"]) == 0
+        with open(out / "scores.csv", newline="") as fh:
+            values[score] = [float(row["value"]) for row in csv.DictReader(fh)]
+    assert len(values["crps"]) == 18 and min(values["crps"]) > 0.0
+    assert_allclose(values["owcrps"], values["crps"], rtol=1e-14, atol=0.0)
 
 
 def test_cli_score_values_match_library(tmp_path):

@@ -110,6 +110,9 @@ def test_variogram_score_order_and_h():
         VariogramSpec(p=-1.0)
     with pytest.raises(ContractViolation):
         VariogramSpec(h=np.array([[0.0, 1.0], [2.0, 0.0]]))
+    for kwargs in (dict(p=np.nan), dict(p=np.inf), dict(x0=[np.nan, 0.0, 0.0])):
+        with pytest.raises(ContractViolation, match="finite"):
+            VariogramSpec(**kwargs)
 
 
 def test_variogram_trivial_in_1d():
@@ -282,10 +285,10 @@ def test_stacked_kernels_match_per_case_functions(n, m):
     h = np.ones((d, d))
     tx, ty = chain.transform(x), chain.transform(y)
     stacked = {
-        "es": mvscores._energy(x, y),
+        "es": _kernel("es")(x, y),
         "vs": _kernel("vs", h=h)(x, y),
         "twes": _kernel("twes", chain.w, lower)(x, y),
-        "twes_chained": mvscores._energy(tx, ty),
+        "twes_chained": _kernel("es")(tx, ty),
         "twvs": _kernel("vs", h=h)(tx, ty),
         "vres": _kernel("vres", w, lower)(x, y),
         "vrvs": _kernel("vrvs", w, lower, h=h)(x, y),
@@ -302,7 +305,7 @@ def test_stacked_kernels_match_per_case_functions(n, m):
         "owes": lambda e, yi: ow_energy_score(e, yi, w),
     }
     if m > 1:
-        stacked["es_fair"] = mvscores._energy(x, y, fair=True)
+        stacked["es_fair"] = mvscores._mv_kernel({"es": None}, None, None, None, fair=True)(x, y)["es"]
         per_case["es_fair"] = lambda e, yi: energy_score(e, yi, fair=True)
     ensembles = [MvEnsemble(xi.T) for xi in x]
     for name, score in per_case.items():
@@ -352,6 +355,11 @@ def test_mv_dimension_checks():
         ow_energy_score(e, np.zeros(3), BoxIndicator(np.zeros(2), np.ones(2)))
     with pytest.raises(ContractViolation):
         energy_score(e, np.array([np.nan, 0.0, 0.0]))
+    w = MvGaussCdf(np.zeros(3), np.ones(3))
+    with pytest.raises(ContractViolation, match="^x0 must be finite"):
+        vr_energy_score(e, np.zeros(3), w, x0=[np.inf, 0.0, 0.0])
+    with pytest.raises(DimensionMismatch, match="^x0 has shape"):
+        vr_energy_score(e, np.zeros(3), w, x0=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +406,11 @@ def test_stacked_kernels_match_per_case_functions_property(stack):
     chain = CollapseOutside(box, lower)
     w = MvGaussCdf(lower, np.ones(d))
     h = np.ones((d, d))
-    tx, ty = mvscores._transform(chain, x, y)
+    tx, ty = chain.transform(x), chain.transform(y)
     cases = {
-        "es": (lambda: mvscores._energy(x, y), lambda e, yi: energy_score(e, yi)),
+        "es": (lambda: _kernel("es")(x, y), lambda e, yi: energy_score(e, yi)),
         "vs": (lambda: _kernel("vs", h=h)(x, y), lambda e, yi: variogram_score(e, yi)),
-        "twes": (lambda: mvscores._energy(tx, ty), lambda e, yi: tw_energy_score(e, yi, chain)),
+        "twes": (lambda: _kernel("es")(tx, ty), lambda e, yi: tw_energy_score(e, yi, chain)),
         "twvs": (
             lambda: _kernel("vs", h=h)(tx, ty),
             lambda e, yi: tw_variogram_score(e, yi, chain),

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import expit, ndtr, stdtr
 
-from wverif import ContractViolation, IndicatorAbove, Normal, crps, twcrps, vrcrps
-from wverif.calibration import _cpit_values, histogram_summary
+from wverif import ContractViolation, IndicatorAbove, Normal, WeightedMassZero, crps, twcrps, vrcrps
+from wverif.calibration import _cpit_values, _rng, histogram_summary
 from wverif.forecasts import Logistic, StudentT
 from wverif.synthlab import (
     _MV_SCORES,
@@ -102,7 +102,8 @@ def test_batch_route_indicator_weights():
 def test_synthlab_scores_only_through_the_dispatch_points():
     """synthlab has no scoring code of its own: of the scoring modules
     it imports only the univariate route that the per-case functions
-    call and the multivariate kernel table that archive scores with."""
+    call, the truncated-normal CRPS that the normal owCRPS is made of,
+    and the multivariate kernel table that archive scores with."""
     import wverif.synthlab
 
     tree = ast.parse(Path(wverif.synthlab.__file__).read_text())
@@ -117,7 +118,11 @@ def test_synthlab_scores_only_through_the_dispatch_points():
         for module, name in imported
         if "scores" in (module or "") or "scores" in (name or "")
     }
-    assert scoring == {("uniscores", "_parametric_score"), ("mvscores", "_mv_kernel")}
+    assert scoring == {
+        ("uniscores", "_parametric_score"),
+        ("uniscores", "_tnorm_crps"),
+        ("mvscores", "_mv_kernel"),
+    }
     kernels = {
         "_CdfGrid", "_normal_score", "_energy", "_energy_scores", "_variogram_scores", "_closed_form"
     }
@@ -309,6 +314,47 @@ def test_impropriety_demo_reduced():
     assert res.tw_prefers_truth
     assert res.naive_trunc < res.naive_truth
     assert res.tw_truth < res.tw_trunc
+    with pytest.raises(WeightedMassZero, match="no forecast mass above 7.2"):
+        run_impropriety_demo(t=7.2)
+
+
+def _impropriety_means_mp(t, ys):
+    """The four means of ``run_impropriety_demo`` in 40-digit mpmath, each
+    score the integral of its squared cdf gap over the weighted region."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        q = lambda u: mpmath.erfc(u / mpmath.sqrt(2)) / 2  # noqa: E731
+        p = q(t)
+
+        def gap(sf, lo, y):
+            # Integral over (lo, inf) of (F(u) - 1{y <= u})^2 with F = 1 - sf.
+            y = max(y, lo)
+            return mpmath.quad(lambda u: (1 - sf(u)) ** 2, [lo, y]) + mpmath.quad(
+                lambda u: sf(u) ** 2, [y, mpmath.inf]
+            )
+
+        crps = lambda y: gap(q, -mpmath.inf, y)  # noqa: E731
+        trunc = lambda y: gap(lambda u: q(u) / p, t, y)  # noqa: E731
+        above = [mpmath.mpf(y) for y in ys if y > t]
+        below = len(ys) - len(above)
+        n = len(ys)
+        return {
+            "naive_truth": float(sum(crps(y) for y in above) / n),
+            "naive_trunc": float(sum(trunc(y) for y in above) / n),
+            "tw_truth": float((below * gap(q, t, t) + sum(gap(q, t, y) for y in above)) / n),
+            "tw_trunc": float((below * trunc(t) + sum(trunc(y) for y in above)) / n),
+        }
+
+
+def test_impropriety_demo_matches_mpmath_far_in_the_tail():
+    """At t = 6.5 the truncated forecast lies beyond the 1e-12 quantile of
+    the untruncated normal, where a grid spanning that normal's support
+    has no nodes left; the closed form keeps its accuracy there."""
+    res = run_impropriety_demo(t=6.5, n=2000)
+    ys = Normal(0.0, 1.0).sample(2000, _rng(res.seed))
+    for name, want in _impropriety_means_mp(6.5, ys).items():
+        assert getattr(res, name) == pytest.approx(want, rel=1e-10, abs=0.0), name
 
 
 def test_run_experiment_dispatch():

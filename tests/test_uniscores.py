@@ -532,6 +532,45 @@ def test_vrcrps_normal_closed_form_matches_quadrature(case):
 
 
 @_ORACLE_SETTINGS
+@given(
+    st.floats(-5.0, 5.0),
+    st.floats(0.1, 5.0),
+    st.floats(-10.0, 10.0),
+    st.floats(2.0, 300.0),
+    st.floats(-10.0, 10.0),
+    st.booleans(),
+)
+def test_normal_owcrps_and_vrcrps_equal_the_crps_past_a_far_threshold(mu, sd, z, e, x0, above):
+    """A threshold 10^e (e up to 300) out on the weighted side weighs every
+    outcome one, so the owCRPS and vrCRPS are the CRPS: their closed
+    forms keep no threshold term that cancels in rounding."""
+    f, y = Normal(mu, sd**2), mu + z * sd
+    w = IndicatorAbove(-(10.0**e)) if above else IndicatorBelow(10.0**e)
+    want = crps(f, y).value
+    assert owcrps(f, y, w).value == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert vrcrps(f, y, w, x0).value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def _tnorm_crps_mp(z, a):
+    """CRPS at z of the standard normal truncated to (a, inf): the
+    integral of (F(u) - 1{z <= u})^2 in 40-digit mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z, a = mpmath.mpf(z), mpmath.mpf(a)
+        q = lambda u: mpmath.erfc(u / mpmath.sqrt(2)) / 2  # noqa: E731
+        p = q(a)
+        below = mpmath.quad(lambda u: (1 - q(u) / p) ** 2, [a, z])
+        return float(below + mpmath.quad(lambda u: (q(u) / p) ** 2, [z, mpmath.inf]))
+
+
+@pytest.mark.parametrize("a", np.linspace(-4.0, 7.0, 12))
+def test_truncated_normal_crps_matches_mpmath(a):
+    for z in (a, a + 1.0):
+        got = uniscores._tnorm_crps(z, a, special.ndtr(-a))
+        assert got == pytest.approx(_tnorm_crps_mp(z, a), rel=1e-11, abs=0.0), z
+
+
+@_ORACLE_SETTINGS
 @given(_normal_case(a_max=6.5))
 def test_normal_closed_forms_agree_under_reflection(case):
     """x -> -x maps the right tail onto the left one and leaves each
@@ -902,7 +941,7 @@ def test_stacked_energy_score_in_1d_equals_crps(stack, fair):
     x, y, _ = stack
     if fair and x.shape[1] < 2:
         return
-    got = mvscores._energy(x[:, :, None], y[:, None], fair)
+    got = mvscores._mv_kernel({"es": None}, None, None, None, fair)(x[:, :, None], y[:, None])["es"]
     assert_allclose(got, uniscores._crps_ensembles(x, y, fair), rtol=1e-12)
 
 
