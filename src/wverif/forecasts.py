@@ -3,7 +3,10 @@
 A forecast is either an ensemble (a finite sample standing in for the
 predictive distribution) or a parametric distribution.  Parametric
 forecasts expose cdf/pdf/quantile/moment methods, all vectorised over
-numpy arrays, plus seeded sampling.
+numpy arrays, plus seeded sampling.  They are ``scipy.special`` and
+numpy arithmetic in the steps that ``scipy.stats`` takes, so their values
+and draws equal the frozen scipy distributions' without loading
+``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ def _special(name: str):
     return call
 
 
-ndtr, ndtri, expit, stdtr = map(_special, ("ndtr", "ndtri", "expit", "stdtr"))
+ndtr, ndtri, expit, logit, log1p, stdtr, stdtrit, poch = map(
+    _special, ("ndtr", "ndtri", "expit", "logit", "log1p", "stdtr", "stdtrit", "poch")
+)
 
 
 def _scalar_or_array(out: np.ndarray):
@@ -109,41 +114,46 @@ class Ensemble(Forecast):
 class Parametric(Forecast):
     """Base class for univariate parametric forecasts.
 
-    Subclasses provide a frozen scipy distribution through ``_dist``;
-    the methods below delegate to it.  ``_dist`` imports ``scipy.stats``
-    on first use, so that importing the package does not load it.
-    ``Normal`` overrides cdf, sf, pdf and ppf with direct
-    ``scipy.special`` expressions, so scoring a normal forecast builds no
-    frozen scipy object.
+    Every family here is a location-scale family whose standard member
+    is symmetric about 0, so the methods below hold the location-scale
+    arithmetic once.  A subclass supplies its location and scale
+    (``_loc_scale`` reads the fields ``location`` and ``scale`` unless
+    overridden) and the standard member's functions, named as in scipy's
+    ``rv_continuous``: ``_cdf``, ``_pdf``, ``_ppf`` and the draws
+    ``_rvs``, all ``scipy.special`` or numpy expressions.  The steps are
+    those of ``rv_continuous`` ((x - loc) / scale, then the standard
+    function; the standard quantile times scale plus loc), so every
+    value equals the frozen ``scipy.stats`` object's bit for bit, NaN
+    signs aside, and seeded draws keep scipy's random stream, without
+    loading ``scipy.stats``.
     """
 
     __slots__ = ()
 
-    @property
-    def _dist(self):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _loc_scale(self) -> tuple[float, float]:
+        return self.location, self.scale
 
     def cdf(self, x):
-        return self._dist.cdf(x)
+        loc, scale = self._loc_scale()
+        return self._cdf((np.asarray(x, dtype=float) - loc) / scale)
 
     def sf(self, x):
-        """Survival function 1 - F(x), accurate deep in the right tail."""
-        return self._dist.sf(x)
+        """Survival function 1 - F(x), accurate deep in the right tail:
+        F0(-z), as the standard member is symmetric."""
+        loc, scale = self._loc_scale()
+        return self._cdf(-((np.asarray(x, dtype=float) - loc) / scale))
 
     def pdf(self, x):
-        return self._dist.pdf(x)
+        loc, scale = self._loc_scale()
+        return self._pdf((np.asarray(x, dtype=float) - loc) / scale) / scale
 
     def ppf(self, q):
-        return self._dist.ppf(q)
-
-    def mean(self) -> float:
-        return float(self._dist.mean())
-
-    def variance(self) -> float:
-        return float(self._dist.var())
+        loc, scale = self._loc_scale()
+        return self._ppf(np.asarray(q, dtype=float)) * scale + loc
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self._dist.rvs(size=n, random_state=rng)
+        loc, scale = self._loc_scale()
+        return self._rvs(n, rng) * scale + loc
 
     def support_interval(self, tail: float = 1e-12) -> tuple[float, float]:
         """An interval carrying all but ``2 * tail`` of the mass.
@@ -170,37 +180,30 @@ class Normal(Parametric):
     def sd(self) -> float:
         return float(np.sqrt(self.variance_))
 
-    @property
-    def _dist(self):
-        # Only ``sample`` still goes through the frozen object, so that
-        # seeded draws keep scipy's random stream.
-        from scipy import stats
+    def _loc_scale(self) -> tuple[float, float]:
+        return self.mean_, self.sd
 
-        return stats.norm(self.mean_, self.sd)
+    _cdf = staticmethod(ndtr)
+    _pdf = staticmethod(_std_pdf)
+    _ppf = staticmethod(ndtri)
 
-    # cdf, sf, pdf and ppf repeat scipy.stats.norm's arithmetic step for
-    # step ((x - mu) / sigma, then ndtr; ndtr of the negated value for sf;
-    # ndtri(q) * sigma + mu), so the values are bit-identical to the frozen
-    # object's at a fraction of the cost.
-
-    def cdf(self, x):
-        return ndtr((np.asarray(x, dtype=float) - self.mean_) / self.sd)
-
-    def sf(self, x):
-        return ndtr(-((np.asarray(x, dtype=float) - self.mean_) / self.sd))
-
-    def pdf(self, x):
-        sd = self.sd
-        return _std_pdf((np.asarray(x, dtype=float) - self.mean_) / sd) / sd
-
-    def ppf(self, q):
-        return ndtri(np.asarray(q, dtype=float)) * self.sd + self.mean_
+    @staticmethod
+    def _rvs(n, rng):
+        return rng.standard_normal(n)
 
     def mean(self) -> float:
         return float(self.mean_)
 
     def variance(self) -> float:
         return float(self.variance_)
+
+
+def _logistic_pdf(z):
+    """scipy's standard logistic density: exp of its log-density
+    y - 2 log1p(exp(y)) at y = -|z|, with scipy.special's log1p, which
+    differs from numpy's in the last bit at some arguments."""
+    y = -np.abs(z)
+    return np.exp(y - 2.0 * log1p(np.exp(y)))
 
 
 @dataclass(frozen=True)
@@ -214,11 +217,20 @@ class Logistic(Parametric):
         if self.scale <= 0.0 or not np.isfinite(self.scale) or not np.isfinite(self.location):
             raise ContractViolation("logistic scale must be positive and finite")
 
-    @property
-    def _dist(self):
-        from scipy import stats
+    _cdf = staticmethod(expit)
+    _pdf = staticmethod(_logistic_pdf)
+    _ppf = staticmethod(logit)
 
-        return stats.logistic(self.location, self.scale)
+    @staticmethod
+    def _rvs(n, rng):
+        return rng.logistic(size=n)
+
+    def mean(self) -> float:
+        # scipy's mu * scale + loc with mu = 0, which turns -0.0 into 0.0.
+        return float(0.0 + self.location)
+
+    def variance(self) -> float:
+        return float(np.pi * np.pi / 3.0 * self.scale * self.scale)
 
 
 @dataclass(frozen=True)
@@ -248,11 +260,33 @@ class StudentT(Parametric):
         scale = float(np.sqrt(variance * (df - 2.0) / df))
         return cls(df=df, location=mean, scale=scale)
 
-    @property
-    def _dist(self):
-        from scipy import stats
+    def _cdf(self, z):
+        return stdtr(self.df, z)
 
-        return stats.t(self.df, self.location, self.scale)
+    def _pdf(self, z):
+        # exp of scipy's t log-density, term for term.
+        df = self.df
+        return np.exp(
+            np.log(poch(0.5 * df, 0.5))
+            - 0.5 * (np.log(df) + np.log(np.pi))
+            - (df + 1) / 2 * np.log1p(z * z / df)
+        )
+
+    def _ppf(self, q):
+        # stdtrit(df, 0) is +inf; the lower end of the support is -inf.
+        return np.where(q == 0.0, -np.inf, stdtrit(self.df, q))
+
+    def _rvs(self, n, rng):
+        return rng.standard_t(self.df, size=n)
+
+    def mean(self) -> float:
+        return float(0.0 + self.location) if self.df > 1.0 else np.inf
+
+    def variance(self) -> float:
+        df, s = self.df, self.scale
+        if df > 2.0:
+            return float(df / (df - 2.0) * s * s)
+        return np.inf if df > 1.0 else np.nan
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ use them.
 """
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, stats
 
 from wverif import IndicatorAbove, WeightedMassZero
-from wverif.forecasts import Parametric
+from wverif.forecasts import Logistic, Parametric, StudentT
 from wverif.weights import MASS_FLOOR, ChainingFunction, IndicatorBelow, WeightFunction
 
 _QUAD_OPTS = dict(limit=300, epsabs=1e-11, epsrel=1e-10)
@@ -28,13 +28,18 @@ def _bounds(forecast: Parametric, *extra: float) -> tuple[float, float]:
 
 
 def _frozen(forecast: Parametric):
-    """What the oracles call ``cdf`` and ``pdf`` on: for a forecast whose
-    ``cdf`` is its frozen scipy distribution's (t, logistic), that
-    distribution, built once rather than on every call that quad makes;
-    the forecast itself otherwise (a normal forecast has its own ``ndtr``
-    expressions).  Either gives the values of the forecast's own methods.
+    """What the oracles call ``cdf`` and ``pdf`` on: for a logistic or t
+    forecast, the frozen scipy distribution with its parameters, so that
+    the integrands come from scipy.stats rather than from the package;
+    the forecast itself otherwise (``Normal`` is checked against
+    scipy.stats.norm bit for bit in test_forecasts).  The package's
+    logistic and t methods equal these frozen ones bit for bit as well.
     """
-    return forecast._dist if type(forecast).cdf is Parametric.cdf else forecast
+    if isinstance(forecast, Logistic):
+        return stats.logistic(forecast.location, forecast.scale)
+    if isinstance(forecast, StudentT):
+        return stats.t(forecast.df, forecast.location, forecast.scale)
+    return forecast
 
 
 def _crps_numeric_parametric(forecast: Parametric, y: float) -> float:

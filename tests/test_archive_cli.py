@@ -1663,6 +1663,22 @@ print(json.dumps([codes, {_LOADED}]))
     assert (tmp_path / "out" / "2" / "ecc.csv").exists()
 
 
+def test_propriety_and_impropriety_runs_load_neither_scipy_stats_nor_optimize(tmp_path):
+    # Three pairs draw a normal, a logistic and a t truth.
+    code = f"""
+import json, os, sys
+from wverif.cli import main
+runs = [["propriety", "--param", "n_pairs=3", "--param", "n_uni=500", "--param", "n_mv=100"],
+        ["impropriety", "--param", "n=1000"]]
+codes = [main(["synth", *a, "--out", os.path.join(sys.argv[1], a[0])]) for a in runs]
+print(json.dumps([codes, {_LOADED}]))
+"""
+    codes, loaded = _fresh_python(code, str(tmp_path))
+    assert codes == [0, 0] and loaded == []
+    rows = (tmp_path / "propriety" / "propriety.csv").read_text()
+    assert "Logistic vs" in rows and "StudentT vs" in rows
+
+
 _SPECIAL = "'scipy.special' in sys.modules"
 
 

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,9 +16,9 @@ def _bits(a):
 
 
 def test_special_accessor_equals_scipy_special_bit_for_bit():
-    """forecasts' ndtr, ndtri, expit and stdtr import scipy.special on their
-    first call and pass their arguments through: every value, the sign of
-    every zero and every NaN included, keeps scipy's bits."""
+    """forecasts' scipy.special names import scipy.special on their first
+    call and pass their arguments through: every value, the sign of every
+    zero and every NaN included, keeps scipy's bits."""
     u = np.random.default_rng(5).normal(0.0, 4.0, 200_000)
     u = np.concatenate([u, [0.0, -0.0, 40.0, -40.0, np.inf, -np.inf, np.nan]])
     q = np.concatenate([special.ndtr(u), [0.0, 1.0, -0.0, 0.5, 1e-300, 1.5, -0.5]])
@@ -26,6 +28,10 @@ def test_special_accessor_equals_scipy_special_bit_for_bit():
         (forecasts.ndtri(q), special.ndtri(q)),
         (forecasts.expit(-u), special.expit(-u)),
         (forecasts.stdtr(5, -u), special.stdtr(5, -u)),
+        (forecasts.logit(q), special.logit(q)),
+        (forecasts.log1p(np.exp(-np.abs(u))), special.log1p(np.exp(-np.abs(u)))),
+        (forecasts.stdtrit(2.5, q), special.stdtrit(2.5, q)),
+        (forecasts.poch(np.abs(u), 0.5), special.poch(np.abs(u), 0.5)),
     ]
     for got, want in pairs:
         assert np.array_equal(_bits(got), _bits(want))
@@ -105,6 +111,59 @@ def test_normal_methods_match_scipy_bit_for_bit(mu, sd, x, q):
     assert f.support_interval() == (float(ref.ppf(1e-12)), float(ref.ppf(1.0 - 1e-12)))
 
 
+# Points where the location-scale steps, the masks of scipy's generic
+# methods and the special functions' own edge cases all show; at -2.7067,
+# for location 0.2 and scale 1.3, the numpy scalar z gives z**2 != z * z.
+_XS = np.array(
+    [0.0, -0.0, 0.3, -1.7, -2.7067, 2.9, 40.0, -40.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+)
+_QS = np.array([0.0, -0.0, 1.0, 1e-300, 0.5, -0.1, 1.1, np.nan, 1e-12, 1.0 - 1e-12])
+_DFS = (0.75, 1.0, 1.5, 2.0, 2.5, 5.0, 30.0)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [Logistic(m, s) for m, s in ((0.0, 1.0), (-0.0, 2.0), (-0.5, 0.7), (3.0, 1e-3))]
+    + [StudentT(df, 0.2, 1.3) for df in _DFS]
+    + [StudentT(0.75, -4.0, 1e-3), StudentT(5.0, -4.0, 1e-3), StudentT(2.5, -0.0, 1.0)],
+    ids=repr,
+)
+def test_logistic_and_t_methods_match_scipy_bit_for_bit(f):
+    """cdf, sf, pdf, ppf, mean, variance and sample of Logistic and
+    StudentT repeat the frozen scipy object's arithmetic, so every bit
+    agrees, at +-0, +-inf, NaN, in the far tails and at q outside (0, 1),
+    for scalars and arrays alike."""
+    frozen = {Logistic: stats.logistic, StudentT: stats.t}[type(f)](*astuple(f))
+    xs = np.concatenate([_XS, np.random.default_rng(3).standard_cauchy(200)])
+    with np.errstate(over="ignore"):
+        for method in ("cdf", "sf", "pdf"):
+            _assert_same_bits(getattr(f, method)(xs), getattr(frozen, method)(xs))
+            for x in _XS:
+                _assert_same_bits(getattr(f, method)(x), getattr(frozen, method)(x))
+    _assert_same_bits(f.ppf(_QS), frozen.ppf(_QS))
+    for q in _QS:
+        _assert_same_bits(f.ppf(q), frozen.ppf(q))
+    _assert_same_bits(f.mean(), float(frozen.mean()))
+    _assert_same_bits(f.variance(), float(frozen.var()))
+    for n in (1, 7, 1000):
+        got = f.sample(n, np.random.default_rng(41))
+        _assert_same_bits(got, frozen.rvs(size=n, random_state=np.random.default_rng(41)))
+
+
+@pytest.mark.parametrize("df", _DFS)
+def test_student_t_quantile_is_minus_inf_at_zero(df):
+    """scipy.special.stdtrit(df, 0) is +inf (scipy 1.17); the quantile at
+    q = 0 is the lower end of the support, as the frozen object gives,
+    the upper end at q = 1, and NaN outside [0, 1]."""
+    f = StudentT(df, 0.3, 1.2)
+    assert f.ppf(0.0) == f.ppf(-0.0) == -np.inf
+    assert f.ppf(1.0) == np.inf
+    got = f.ppf(np.array([0.0, -0.0, 1.0, -0.1, 1.1, np.nan]))
+    assert_array_equal(got[:3], [-np.inf, -np.inf, np.inf])
+    assert np.isnan(got[3:]).all()
+    assert np.isnan(f.ppf(np.nan)) and np.isnan(f.ppf(-0.1)) and np.isnan(f.ppf(1.1))
+
+
 def test_normal_rejects_nonpositive_variance():
     with pytest.raises(ContractViolation):
         Normal(0.0, 0.0)
@@ -163,8 +222,9 @@ def test_sampling_is_seeded():
     ids=["normal", "logistic", "student_t"],
 )
 def test_sample_equals_the_frozen_scipy_draws(f, frozen):
-    # scipy.stats is imported only when a sample is drawn; the draws stay
-    # those of the frozen object under the same seed.
+    # A sample is the generator's standard draw times scale plus loc, as
+    # the frozen object makes it, so the draws are its draws under the
+    # same seed.
     for n in (1, 7, 10_000):
         got = f.sample(n, np.random.default_rng(41))
         want = frozen.rvs(size=n, random_state=np.random.default_rng(41))

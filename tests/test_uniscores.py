@@ -840,6 +840,16 @@ def test_no_module_of_the_package_imports_scipy_integrate():
             assert not bad, f"{path.name}:{node.lineno} imports {bad[0]}"
 
 
+def test_no_module_of_the_package_imports_scipy_stats():
+    """The parametric families are scipy.special arithmetic in forecasts;
+    scipy.stats stays in the tests, as an oracle."""
+    for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, names in _imported_modules(tree):
+            bad = [n for n in names if n == "scipy.stats" or n.startswith("scipy.stats.")]
+            assert not bad, f"{path.name}:{node.lineno} imports {bad[0]}"
+
+
 def test_only_calibration_imports_scipy_optimize():
     """EMOS fits by damped Newton steps on a closed-form Hessian; the
     isotonic regression of the CORP diagram is the one optimizer left."""
@@ -863,9 +873,9 @@ def _outside_functions(node):
 
 
 def test_scipy_stats_and_optimize_are_imported_only_inside_functions():
-    """Importing the package loads neither: scipy.stats serves sampling
-    and the Logistic and Student t forecasts, scipy.optimize the CORP
-    fit, and each is imported where it is used."""
+    """Importing the package loads neither: scipy.optimize serves the
+    CORP fit and is imported where it is used; no module imports
+    scipy.stats at all."""
     for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         at_import = {id(n) for n in _outside_functions(tree)}
