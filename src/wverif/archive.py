@@ -20,8 +20,9 @@ always parsed row by row.  ``read_archive``, the reader the command line
 calls, keeps the archives it parsed by the sha256 of the file's bytes,
 so a file read again with the same content is not parsed again.
 
-Raw ensembles are scored through the stacked kernels of the dispatch
-points ``uniscores._ensemble_kernel`` and ``mvscores._mv_kernel``:
+Raw ensembles are scored by ``kernels._mv_kernel``, the one engine of
+the ensemble kernel scores, univariate records as stacks of one
+dimension, and the Brier score by ``uniscores._brier_ensembles``:
 blocks of at most ``_STACK`` records, or stacked multivariate cases,
 sharing a member count go to one kernel call as slices of the member
 array, and each case gets exactly the value of the per-case function,
@@ -54,9 +55,10 @@ from functools import cached_property, partial
 import numpy as np
 
 from .exceptions import ContractViolation, DataError, DimensionMismatch, UnsupportedInput
-from .mvscores import _VARIOGRAM, VariogramSpec, _mv_kernel
+from .kernels import _mv_kernel
+from .mvscores import VariogramSpec
 from .postprocess import _smooth_moments
-from .uniscores import _NEGATIVE_TOL, ScoreValue, _ensemble_kernel, _normal_score
+from .uniscores import _NEGATIVE_TOL, ScoreValue, _brier_ensembles, _normal_score
 
 # Archives are scored by the stacked and closed-form kernels; the
 # per-case functions are not called here, but stay bound under these
@@ -883,10 +885,14 @@ def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
         # One kernel call over all records in record order.
         values = _normal_score(score, *_smooth_normals(a), a.obs, w, anchor)
     else:
-        kernel = _ensemble_kernel(score, w, anchor)
+        kernel = None if score == "brier" else _mv_kernel({score: w}, (anchor,), None, None)
         values = np.empty(len(a))
         for k, items in _blocks(a.n_members):
-            values[items] = kernel(a.members[items, :k], a.obs[items])
+            x, y = a.members[items, :k], a.obs[items]
+            if kernel is None:
+                values[items] = _brier_ensembles(x, y, threshold)
+            else:
+                values[items] = kernel(x[..., None], y[:, None])[score]
     return a.station_ids, a.init_dates, a.lead_times, values
 
 
@@ -951,7 +957,7 @@ def _check_score(score, threshold, p, smooth, lead_times, level, x0=None) -> Non
     d = len(_lead_times(lead_times))
     if weighted and level is not None and d != 3:
         raise DimensionMismatch(f"heat-level weights need 3 lead times, got {d}")
-    if score in _VARIOGRAM:
+    if score.endswith("vs"):
         VariogramSpec(p=p)
 
 

@@ -6,8 +6,9 @@ route that the per-case functions call with one observation, here with
 every observation of a curve or every draw of a Monte Carlo sample at
 once, and the truncated normal of the impropriety demonstration from
 ``uniscores._tnorm_crps``, the closed form its owCRPS is made of;
-multivariate scores from ``mvscores._mv_kernel``, the stacked kernel
-that ``archive`` scores its cases with, here on whole samples.
+multivariate scores from ``kernels._mv_kernel``, the engine of the
+ensemble kernel scores that ``archive`` and the per-case functions
+score with, here on whole samples.
 The propriety Monte Carlo draws each truth/alternative pair once and
 scores every requested score on the same draws, the multivariate ones
 in one kernel call per side.
@@ -31,7 +32,7 @@ from .calibration import (
 )
 from .exceptions import ContractViolation, WeightedMassZero
 from .forecasts import Logistic, Normal, StudentT, expit, ndtr, stdtr
-from .mvscores import _mv_kernel
+from .kernels import _mv_kernel
 from .uniscores import _parametric_score, _tnorm_crps
 from .weights import (
     MASS_FLOOR,

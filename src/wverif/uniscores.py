@@ -1,12 +1,10 @@
 """Univariate proper scoring rules and their weighted variants.
 
 Each forecast kind has one route.  Raw ensembles go through
-``_ensemble_kernel``, which returns a score's kernel over stacks of
-ensembles (members (n, m), observations (n,)): exact kernel sums, with
-the member-pair sums over the sorted members in O(m log m), and the
-twCRPS as the CRPS of the chained members.  Parametric forecasts go
-through ``_parametric_score``, which scores one forecast at many
-observations.  A normal forecast under the unit, censoring or
+``kernels._mv_kernel``, the engine of every ensemble kernel score, as
+stacks of one dimension, and their Brier score through
+``_brier_ensembles``.  Parametric forecasts go through
+``_parametric_score``, which scores one forecast at many observations.  A normal forecast under the unit, censoring or
 indicator weight (``_closed_form``) is scored by elementwise closed
 forms over arrays of means, sds and observations (``_normal_score``):
 the CRPS, the Brier score, the censored-normal twCRPS, the
@@ -19,12 +17,13 @@ through one engine, ``_CdfGrid``: the forecast cdf is tabulated on a
 piecewise-uniform grid over its support with the extreme observations,
 weight breakpoints and anchor as knots where they fall on it, the
 integral forms of the scores are integrated by composite Simpson, and
-what lies beyond the support is added in closed form.  The per-case functions call the route of their forecast
-with one case, through ``_score_case``; the propriety Monte Carlo of
-``synthlab`` calls ``_parametric_score`` with all its draws, and
-``archive`` calls ``_ensemble_kernel`` on blocks of raw records and the
-closed forms on all its smoothed records at once, so each route gives a
-case the same value.  Every public scoring function returns a
+what lies beyond the support is added in closed form; both take the
+vrCRPS's formula from ``kernels._vertical``.  The per-case functions call the route
+of their forecast with one case, through ``_score_case``; the propriety
+Monte Carlo of ``synthlab`` calls ``_parametric_score`` with all its
+draws, and ``archive`` calls ``_mv_kernel`` on blocks of raw records
+and the closed forms on all its smoothed records at once, so each route
+gives a case the same value.  Every public scoring function returns a
 ``ScoreValue``.
 """
 
@@ -42,12 +41,15 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
-from .forecasts import Ensemble, Forecast, Normal, Parametric, _scalar_or_array, _std_pdf, ndtr
+from .forecasts import Ensemble, Forecast, Normal, Parametric, StudentT
+from .forecasts import _scalar_or_array, _std_pdf, ndtr
+from .kernels import _mv_kernel, _vertical
 from .weights import (
     MASS_FLOOR,
     CensorAbove,
     ChainingFunction,
     Constant,
+    GaussPdf,
     IndicatorAbove,
     IndicatorBelow,
     WeightFunction,
@@ -128,97 +130,29 @@ def _univariate_chaining(v) -> ChainingFunction:
     return v
 
 
-# ---------------------------------------------------------------------------
-# kernels over stacks of ensembles: members x (n, m), observations y (n,)
-# ---------------------------------------------------------------------------
-#
-# Sums of |x_i - x_j| over member pairs run over the sorted members
-# (Zamo & Naveau 2018), on rows centred at their middle member so that
-# they keep the precision of the member differences.
-
-
-def _crps_ensembles(x: np.ndarray, y: np.ndarray, fair: bool = False) -> np.ndarray:
-    """Ensemble CRPS of each row; the fair variant needs m >= 2.
-
-    mean |x_i - y| - sum_ij |x_i - x_j| / (2 m^2), with
-    sum_ij |x_i - x_j| = 2 sum_i (2i - m - 1) x_(i) over the sorted members.
-    """
-    m = x.shape[1]
-    xs = np.sort(x, axis=1)
-    xs = xs - xs[:, m // 2, None]
-    denom = m * (m - 1) if fair else m * m
-    rank_coef = 2.0 * np.arange(1, m + 1) - m - 1
-    return np.abs(x - y[:, None]).mean(1) - (xs * rank_coef).sum(1) / denom
-
-
 def _brier_ensembles(x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    """Brier score of each row for the event {Y <= t}: the forecast
-    probability is the share of members <= t, as in ``Ensemble.cdf``."""
+    """Brier score of each row of members x (n, m) for the event {Y <= t}:
+    the forecast probability is the share of members <= t."""
     return ((x <= t).sum(1) / x.shape[1] - (y <= t)) ** 2
 
 
-def _vertical(wx, wy, rho_y, rho_0, pair, rho_y0):
-    """Vertically re-scaled combination term1 - term2 + term3 of a kernel rho.
-
-    Member weights ``wx`` and the member kernels ``rho_y`` = rho(x_k, y)
-    and ``rho_0`` = rho(x_k, x0) run along the last axis; ``wy`` is the
-    observation weight, ``pair`` the sum of wx_k wx_l rho(x_k, x_l) over
-    member pairs and ``rho_y0`` = rho(y, x0).
-    """
-    m = wx.shape[-1]
-    term1 = (rho_y * wx).mean(-1) * wy
-    term2 = pair / (2.0 * m * m)
-    term3 = ((rho_0 * wx).mean(-1) - rho_y0 * wy) * (wx.mean(-1) - wy)
-    return term1 - term2 + term3
-
-
-def _vrcrps_ensembles(x: np.ndarray, y: np.ndarray, w: WeightFunction, x0: float) -> np.ndarray:
-    """Vertically re-scaled CRPS of each row, anchored at ``x0``.
-
-    Over the sorted members, sum_ij w_i w_j |x_i - x_j| =
-    2 sum_j w_j (x_j W_j - M_j) with W_j and M_j the running sums of
-    w and w x up to member j.
-    """
-    xs = np.sort(x, axis=1)
-    c = xs - xs[:, xs.shape[1] // 2, None]
-    wx = np.asarray(w(xs), dtype=float)
-    wy = np.asarray(w(y), dtype=float)
-    pair = 2.0 * (wx * (c * np.cumsum(wx, 1) - np.cumsum(wx * c, 1))).sum(1)
-    return _vertical(wx, wy, np.abs(xs - y[:, None]), np.abs(xs - x0), pair, np.abs(y - x0))
-
-
-def _ensemble_kernel(score: str, w: WeightFunction, x0: float = 0.0, fair: bool = False):
-    """The stacked kernel of one score of raw ensembles: kernel(x (n, m),
-    y (n,)) -> (n,), with ``score``, ``w`` and x0 as ``_parametric_score``
-    takes them.  twcrps is the CRPS of the members and observations chained
-    by ``canonical_chaining(w)``; ``fair`` applies to crps and twcrps.  The
-    outcome-weighted scores are refused: reweighting a small sample throws
-    away almost all of it.
-    """
-    if score in ("owcrps", "owcrps_bs"):
-        raise UnsupportedInput(
-            "outcome-weighted scores are not defined on raw ensembles here; "
-            "fit a smooth forecast with postprocess.smooth_ensemble first"
-        )
-    if score == "crps":
-        return lambda x, y: _crps_ensembles(x, y, fair)
-    if score == "brier":
-        return lambda x, y: _brier_ensembles(x, y, w.t)
-    if score == "twcrps":
-        v = canonical_chaining(w)
-        return lambda x, y: _crps_ensembles(v.transform(x), v.transform(y), fair)
-    return lambda x, y: _vrcrps_ensembles(x, y, w, x0)
-
-
 def _score_case(score: str, forecast, y: float, w: WeightFunction, x0=0.0, fair=False) -> float:
-    """One score of one forecast at one observation: ``_ensemble_kernel``
-    or ``_parametric_score`` on a stack of one case, so that a case gets
-    the value that archive and synthlab give it in a stack."""
+    """One score of one forecast at one observation: ``_mv_kernel`` (or
+    ``_brier_ensembles``) or ``_parametric_score`` on a stack of one
+    case, so that a case gets the value that archive and synthlab give
+    it in a stack.  The outcome-weighted scores of raw ensembles are
+    refused: reweighting a small sample throws away almost all of it."""
     ys = np.array([y])
     if isinstance(forecast, Ensemble):
-        if fair and forecast.size < 2:
-            raise ContractViolation("the fair variant needs at least two members")
-        return _ensemble_kernel(score, w, x0, fair)(forecast.members[None], ys)[0]
+        x = forecast.members[None]
+        if score == "brier":
+            return _brier_ensembles(x, ys, w.t)[0]
+        if score in ("owcrps", "owcrps_bs"):
+            raise UnsupportedInput(
+                "outcome-weighted scores are not defined on raw ensembles here; "
+                "fit a smooth forecast with postprocess.smooth_ensemble first"
+            )
+        return _mv_kernel({score: w}, (x0,), None, None, fair)(x[..., None], ys[:, None])[score][0]
     if not isinstance(forecast, Parametric):
         raise ContractViolation(f"{score} needs an ensemble or parametric forecast")
     if fair:
@@ -408,9 +342,7 @@ def _vrcrps_normal(mu, sd, y, w: WeightFunction, x0: float):
         return 2.0 * _q_integral(b) - pa + (2.0 * b - u) * p
 
     pair = 2.0 * (ndtr(-np.sqrt(2.0) * a) / np.sqrt(np.pi) - p * pa)
-    term1 = sd * partial(z) * wy
-    term3 = (sd * partial(c) - np.abs(y - x0) * wy) * (p - wy)
-    return term1 - 0.5 * sd * pair + term3
+    return _vertical(sd * partial(z), sd * partial(c), p, wy, np.abs(y - x0), sd * pair)
 
 
 def _normal_score(score: str, mu, sd, y, w: WeightFunction, x0: float):
@@ -598,7 +530,7 @@ class _CdfGrid:
         dist = 2.0 * pts * wp - 2.0 * mp + mt - pts * ew
         pair = 2.0 * self.weighted_integral(f * (z * wz - mz), w, z[-1])
         wy = np.asarray(w(ys), dtype=float)
-        return dist[:-1] * wy - 0.5 * pair + (dist[-1] - np.abs(ys - x0) * wy) * (ew - wy)
+        return _vertical(dist[:-1], dist[-1], ew, wy, np.abs(ys - x0), pair)
 
 
 def _parametric_score(score: str, forecast, ys: np.ndarray, w: WeightFunction, x0: float = 0.0):
@@ -608,7 +540,20 @@ def _parametric_score(score: str, forecast, ys: np.ndarray, w: WeightFunction, x
     Closed forms where ``_closed_form`` holds, else one tabulated cdf
     with the extreme observations, the weight's breakpoints and, for the
     vrCRPS, x0 as knots.  No conditional grid is built where w(y) = 0.
+
+    A Student t score whose integral diverges is refused: under a weight
+    that does not vanish in both tails (any but ``GaussPdf``) the CRPS
+    integrand decays as |z|^(-2 df), so the CRPS and its threshold- and
+    outcome-weighted forms need df > 1/2, and the vrCRPS term
+    E|X - x0| w(X) needs df > 1.
     """
+    if isinstance(forecast, StudentT) and score != "brier" and not isinstance(w, GaussPdf):
+        least = 1.0 if score == "vrcrps" else 0.5
+        if forecast.df <= least:
+            raise UnsupportedInput(
+                f"{score} of a Student t with df {forecast.df} <= {least} diverges "
+                f"under {type(w).__name__}"
+            )
     if _closed_form(forecast, w):
         return _normal_score(score, forecast.mean_, forecast.sd, ys, w, x0)
     if score in ("brier", "owcrps_bs"):

@@ -562,13 +562,13 @@ def canonical_chaining(w: WeightFunction, z0=None) -> ChainingFunction:
     """The chaining function whose derivative is ``w``.
 
     Univariate weight families map to their closed-form antiderivatives.
-    Binary multivariate weights map to ``CollapseOutside`` with the
-    supplied collapse point ``z0``.
+    Binary multivariate weights, of one dimension too, map to
+    ``CollapseOutside`` with the supplied collapse point ``z0``.
     """
     chain = _CHAINS.get(type(w))
     if chain is not None:
         return _with_fields(chain, w)
-    if w.dim > 1 and w.is_binary:
+    if isinstance(w, _MvWeight) and w.is_binary:
         if z0 is None:
             raise ContractViolation("multivariate chaining needs a collapse point z0")
         return CollapseOutside(w, np.asarray(z0, dtype=float))

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import numpy as np
@@ -99,34 +100,79 @@ def test_batch_route_indicator_weights():
         assert np.abs(got - want).max() < 1e-6
 
 
-def test_synthlab_scores_only_through_the_dispatch_points():
-    """synthlab has no scoring code of its own: of the scoring modules
-    it imports only the univariate route that the per-case functions
-    call, the truncated-normal CRPS that the normal owCRPS is made of,
-    and the multivariate kernel table that archive scores with."""
-    import wverif.synthlab
-
-    tree = ast.parse(Path(wverif.synthlab.__file__).read_text())
+def _imports(module) -> set:
+    """(module, name) of each name that ``module``'s source imports."""
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {(alias.name, None) for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported |= {(node.module, alias.name) for alias in node.names}
+    return imported
+
+
+def test_synthlab_scores_only_through_the_dispatch_points():
+    """synthlab has no scoring code of its own: of the scoring modules
+    it imports only the univariate route that the per-case functions
+    call, the truncated-normal CRPS that the normal owCRPS is made of,
+    and the kernel-score engine that archive scores with."""
+    import wverif.synthlab
+
+    imported = _imports(wverif.synthlab)
     scoring = {
         (module, name)
         for module, name in imported
-        if "scores" in (module or "") or "scores" in (name or "")
+        if "scores" in (module or "") or "scores" in (name or "") or module == "kernels"
     }
     assert scoring == {
         ("uniscores", "_parametric_score"),
         ("uniscores", "_tnorm_crps"),
-        ("mvscores", "_mv_kernel"),
+        ("kernels", "_mv_kernel"),
     }
     kernels = {
         "_CdfGrid", "_normal_score", "_energy", "_energy_scores", "_variogram_scores", "_closed_form"
     }
     assert not kernels & {name for _, name in imported}
+
+
+# What each scoring module imports from the kernel-score engine: the
+# dispatch point, and for uniscores the re-scaling formula that its
+# parametric vrCRPS shares with the ensemble scores.
+_ENGINE_IMPORTS = {
+    "archive": {"_mv_kernel"},
+    "mvscores": {"_mv_kernel"},
+    "synthlab": {"_mv_kernel"},
+    "uniscores": {"_mv_kernel", "_vertical"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENGINE_IMPORTS))
+def test_ensemble_kernels_are_reached_only_through_the_dispatcher(name):
+    imported = _imports(importlib.import_module(f"wverif.{name}"))
+    assert {n for module, n in imported if module == "kernels"} == _ENGINE_IMPORTS[name]
+    # None of the engine's helpers is imported under its own name either.
+    helpers = {"_pair_sum", "_increments", "_outcome_weights", "_member_weights", "_norm"}
+    assert not helpers & {n for _, n in imported}
+
+
+def test_only_the_engine_defines_the_kernel_helpers():
+    """The pair sums, the increments and the re-scaling and outcome
+    weightings are written once, in ``kernels``, and the per-family
+    kernels they replaced are gone."""
+    import wverif
+
+    helpers = {"_pair_sum", "_increments", "_vertical", "_outcome_weights"}
+    replaced = {
+        "_crps_ensembles", "_vrcrps_ensembles", "_ensemble_kernel", "_energy_scores", "_variogram_scores"
+    }
+    defined = {}
+    for path in sorted(Path(wverif.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in helpers | replaced:
+                defined.setdefault(node.name, []).append(path.stem)
+    assert defined == {name: ["kernels"] for name in helpers}
 
 
 def test_score_curves_shapes():
@@ -270,15 +316,15 @@ def test_propriety_mc_scores_each_side_in_one_distance_pass(monkeypatch):
     """The five multivariate scores of a pair side share one pass over the
     member distances: one pair-sum call per side of each pair, carrying
     the es, twes and vres weight rows, instead of one call per score."""
-    from wverif import mvscores
+    from wverif import kernels
 
-    pair_sum, rows = mvscores._pair_sum, []
+    pair_sum, rows = kernels._pair_sum, []
 
     def counted(x, weights):
         rows.append(len(weights))
         return pair_sum(x, weights)
 
-    monkeypatch.setattr(mvscores, "_pair_sum", counted)
+    monkeypatch.setattr(kernels, "_pair_sum", counted)
     run_propriety_mc(scores=_MV_SCORES, n_pairs=2, n_mv=300, m_members=12, seed=5)
     assert rows == [3, 3, 3, 3]
 

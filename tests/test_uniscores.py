@@ -45,7 +45,7 @@ from wverif.weights import (
     OneMinusGaussPdfRatio,
     canonical_chaining,
 )
-from wverif import mvscores, uniscores
+from wverif import kernels, uniscores
 
 from quad_oracles import (
     _crps_numeric_parametric,
@@ -913,6 +913,12 @@ def _pairwise_vrcrps(x: np.ndarray, y: float, w, x0: float) -> float:
     return term1 - pair / (2.0 * m * m) + term3
 
 
+def _stacked(score, w, x, y, x0=0.0, fair=False):
+    """One score of the stack of members x (n, m) and observations y (n,)
+    through the kernel engine, as stacks of one dimension."""
+    return kernels._mv_kernel({score: w}, (x0,), None, None, fair)(x[..., None], y[:, None])[score]
+
+
 @st.composite
 def _ensemble_stack(draw):
     """Members (n, m) and observations (n,) around a common centre, with
@@ -940,7 +946,7 @@ def test_sorted_crps_matches_pairwise_oracle(stack, fair):
     x, y, _ = stack
     if fair and x.shape[1] < 2:
         return
-    got = uniscores._crps_ensembles(x, y, fair)
+    got = _stacked("crps", None, x, y, fair=fair)
     want = [_pairwise_crps(xi, yi, fair) for xi, yi in zip(x, y)]
     assert_allclose(got, want, rtol=1e-12)
 
@@ -951,8 +957,8 @@ def test_stacked_energy_score_in_1d_equals_crps(stack, fair):
     x, y, _ = stack
     if fair and x.shape[1] < 2:
         return
-    got = mvscores._mv_kernel({"es": None}, None, None, None, fair)(x[:, :, None], y[:, None])["es"]
-    assert_allclose(got, uniscores._crps_ensembles(x, y, fair), rtol=1e-12)
+    got = kernels._mv_kernel({"es": None}, None, None, None, fair)(x[:, :, None], y[:, None])["es"]
+    assert np.array_equal(got, _stacked("crps", None, x, y, fair=fair))
 
 
 @_STACK_SETTINGS
@@ -970,7 +976,7 @@ def test_fair_crps_is_unbiased(support, mass, m, y):
     p /= p.sum()
     draws = np.stack(np.meshgrid(*[np.arange(s.size)] * m, indexing="ij"), -1).reshape(-1, m)
     prob = p[draws].prod(1)
-    fair = uniscores._crps_ensembles(s[draws], np.full(len(draws), y), fair=True)
+    fair = _stacked("crps", None, s[draws], np.full(len(draws), y), fair=True)
     want = p @ np.abs(s - y) - 0.5 * p @ np.abs(s[:, None] - s[None, :]) @ p
     assert_allclose(prob @ fair, want, rtol=1e-12, atol=1e-12)
 
@@ -980,7 +986,7 @@ def test_fair_crps_is_unbiased(support, mass, m, y):
 def test_stacked_vrcrps_matches_pairwise_oracle(stack):
     x, y, t = stack
     for w in _weights(t):
-        got = uniscores._vrcrps_ensembles(x, y, w, t + 0.3)
+        got = _stacked("vrcrps", w, x, y, t + 0.3)
         want = [_pairwise_vrcrps(xi, yi, w, t + 0.3) for xi, yi in zip(x, y)]
         assert_allclose(got, want, rtol=1e-12, err_msg=repr(w))
 
@@ -991,24 +997,23 @@ def test_stacked_ensemble_kernels_equal_per_case_functions(stack):
     """One kernel call on a stack gives, case for case, exactly the value
     of the per-case function."""
     x, y, t = stack
-    k = uniscores
     stacked = {
-        "crps": (k._crps_ensembles(x, y), lambda e, yi: crps_ensemble(e, yi)),
-        "brier": (k._brier_ensembles(x, y, t), lambda e, yi: brier(e, yi, t)),
+        "crps": (_stacked("crps", None, x, y), lambda e, yi: crps_ensemble(e, yi)),
+        "brier": (uniscores._brier_ensembles(x, y, t), lambda e, yi: brier(e, yi, t)),
     }
     if x.shape[1] > 1:
         stacked["crps_fair"] = (
-            k._crps_ensembles(x, y, True),
+            _stacked("crps", None, x, y, fair=True),
             lambda e, yi: crps_ensemble(e, yi, fair=True),
         )
     for v in (CensorAbove(t), CensorBelow(t), GaussCdfChain(t, 1.0)):
         stacked[repr(v)] = (
-            k._crps_ensembles(v.transform(x), v.transform(y)),
+            _stacked("crps", None, v.transform(x), v.transform(y)),
             lambda e, yi, v=v: twcrps(e, yi, v),
         )
     for w in _weights(t):
         stacked["vr" + repr(w)] = (
-            k._vrcrps_ensembles(x, y, w, t),
+            _stacked("vrcrps", w, x, y, t),
             lambda e, yi, w=w: vrcrps(e, yi, w, t),
         )
     for name, (values, per_case) in stacked.items():
@@ -1022,9 +1027,9 @@ def test_stacked_ensemble_kernels_equal_per_case_functions(stack):
 def test_ensemble_twcrps_splits_the_crps_at_a_threshold(stack):
     # Censoring above and below t splits the CRPS integral at t.
     x, y, t = stack
-    crps_rows = uniscores._ensemble_kernel("crps", Constant())(x, y)
-    above = uniscores._ensemble_kernel("twcrps", IndicatorAbove(t))(x, y)
-    below = uniscores._ensemble_kernel("twcrps", IndicatorBelow(t))(x, y)
+    crps_rows = _stacked("crps", None, x, y)
+    above = _stacked("twcrps", IndicatorAbove(t), x, y)
+    below = _stacked("twcrps", IndicatorBelow(t), x, y)
     assert_allclose(above + below, crps_rows, rtol=1e-12, atol=1e-10)
 
 
@@ -1035,8 +1040,8 @@ def test_ensemble_vrcrps_at_its_anchor_is_the_censored_twcrps(stack):
     # members and observation censored below at t.
     x, y, t = stack
     w = IndicatorAbove(t)
-    vr = uniscores._ensemble_kernel("vrcrps", w, t)(x, y)
-    tw = uniscores._ensemble_kernel("twcrps", w)(x, y)
+    vr = _stacked("vrcrps", w, x, y, t)
+    tw = _stacked("twcrps", w, x, y)
     assert_allclose(vr, tw, rtol=1e-12, atol=1e-10)
 
 
@@ -1044,40 +1049,102 @@ def test_ensemble_vrcrps_at_its_anchor_is_the_censored_twcrps(stack):
 @given(_ensemble_stack(), st.booleans())
 def test_per_case_scores_equal_rows_of_the_ensemble_kernel(stack, fair):
     """Each per-case function gives, bit for bit, its case's row of one
-    ``_ensemble_kernel`` call on the stack."""
+    call of the kernel engine on the stack."""
     x, y, t = stack
     if fair and x.shape[1] < 2:
         with pytest.raises(ContractViolation):
             crps_ensemble(Ensemble(x[0]), y[0], fair=True)
         return
-    kernel = uniscores._ensemble_kernel
     stacked = {
-        "crps": (kernel("crps", Constant(), fair=fair), lambda e, yi: crps_ensemble(e, yi, fair)),
-        "brier": (kernel("brier", IndicatorAbove(t)), lambda e, yi: brier(e, yi, t)),
+        "crps": (_stacked("crps", None, x, y, fair=fair), lambda e, yi: crps_ensemble(e, yi, fair)),
+        "brier": (uniscores._brier_ensembles(x, y, t), lambda e, yi: brier(e, yi, t)),
     }
     if not fair:
-        stacked["crps_dispatch"] = (kernel("crps", Constant()), crps)
+        stacked["crps_dispatch"] = (_stacked("crps", None, x, y), crps)
     for w in _weights(t):
         v = canonical_chaining(w)
         stacked["tw" + repr(w)] = (
-            kernel("twcrps", w, fair=fair),
+            _stacked("twcrps", w, x, y, fair=fair),
             lambda e, yi, v=v: twcrps(e, yi, v, fair=fair),
         )
         stacked["vr" + repr(w)] = (
-            kernel("vrcrps", w, t + 0.3),
+            _stacked("vrcrps", w, x, y, t + 0.3),
             lambda e, yi, w=w: vrcrps(e, yi, w, t + 0.3),
         )
-    for name, (stack_kernel, per_case) in stacked.items():
-        got = [ScoreValue(v, name).value for v in stack_kernel(x, y)]
+    for name, (values, per_case) in stacked.items():
+        got = [ScoreValue(v, name).value for v in values]
         want = [per_case(Ensemble(xi), yi).value for xi, yi in zip(x, y)]
         assert got == want, name
 
 
 def test_ensemble_kernel_and_per_case_refusals():
-    for score in ("owcrps", "owcrps_bs"):
-        with pytest.raises(wverif.UnsupportedInput):
-            uniscores._ensemble_kernel(score, IndicatorAbove(0.0))
+    ens = Ensemble(np.array([0.0, 1.0]))
+    with pytest.raises(wverif.UnsupportedInput, match="raw ensembles"):
+        owcrps(ens, 0.5, IndicatorAbove(0.0))
+    with pytest.raises(wverif.UnsupportedInput, match="raw ensembles"):
+        owcrps_bs(ens, 0.5, 0.0)
     with pytest.raises(ContractViolation, match="ensembles only"):
         twcrps(Normal(0.0, 1.0), 0.5, CensorAbove(0.0), fair=True)
     with pytest.raises(ContractViolation, match="ensemble or parametric"):
         crps(np.array([0.0, 1.0]), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# Student t scores whose integral diverges
+# ---------------------------------------------------------------------------
+
+# Every univariate weight that does not vanish in both tails.
+_TAIL_WEIGHTS = [
+    Constant(),
+    IndicatorAbove(1.0),
+    IndicatorBelow(1.0),
+    GaussCdf(1.0, 1.0),
+    OneMinusGaussCdf(1.0, 1.0),
+    OneMinusGaussPdfRatio(1.0, 1.0),
+]
+
+
+def _t_score(score, f, w):
+    """One weighted score of ``f`` at an observation that ``w`` weights."""
+    if score == "crps":
+        return crps(f, 0.5)
+    if score == "twcrps":
+        return twcrps(f, 0.5, canonical_chaining(w))
+    if score == "owcrps":
+        return owcrps(f, 2.0 if w(2.0) > 0.0 else 0.0, w)
+    if score == "owcrps_bs":
+        return owcrps_bs(f, 2.0, w.t)
+    return vrcrps(f, 0.5, w)
+
+
+_DIVERGENT = (
+    [("crps", Constant()), ("owcrps_bs", IndicatorAbove(1.0))]
+    + [(s, w) for s in ("twcrps", "owcrps", "vrcrps") for w in _TAIL_WEIGHTS]
+)
+
+
+@pytest.mark.parametrize("score, w", _DIVERGENT, ids=[f"{s}-{w!r}" for s, w in _DIVERGENT])
+def test_divergent_student_t_scores_are_refused(score, w):
+    """The CRPS integrand of t_df decays as |z|^(-2 df) in a tail the
+    weight keeps, and E|X - x0| w(X) as |z|^(-df): the CRPS and its tw
+    and ow forms need df > 1/2, the vrCRPS df > 1."""
+    least = 1.0 if score == "vrcrps" else 0.5
+    for df in (0.4, 0.5, 0.9, 1.0):
+        f = StudentT(df, 0.0, 1.0)
+        if df <= least:
+            with pytest.raises(wverif.UnsupportedInput, match="diverges"):
+                _t_score(score, f, w)
+            with pytest.raises(wverif.UnsupportedInput, match="diverges"):
+                uniscores._parametric_score(score, f, np.array([-3.0, 0.5, 2.0]), w, 0.3)
+
+
+def test_convergent_student_t_scores_are_not_refused():
+    """The Brier score, and every score under the Gaussian pdf weight,
+    which vanishes in both tails, are finite for any df."""
+    f = StudentT(0.4, 0.0, 1.0)
+    assert 0.0 <= brier(f, 0.5, 1.0).value <= 1.0
+    w = GaussPdf(1.0, 1.0)
+    for score in ("twcrps", "owcrps", "vrcrps"):
+        assert np.isfinite(_t_score(score, f, w).value), score
+    assert np.isfinite(crps(StudentT(0.75, 0.0, 1.0), 0.5).value)
+    assert np.isfinite(vrcrps(StudentT(1.5, 0.0, 1.0), 0.5, IndicatorAbove(1.0)).value)

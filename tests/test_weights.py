@@ -42,7 +42,7 @@ from wverif.weights import (
     classify_heat_level,
     heat_levels,
 )
-from wverif import mvscores
+from wverif import kernels
 from wverif import weights as weights_module
 
 
@@ -230,13 +230,13 @@ def test_every_weight_returns_one_value_per_point():
                 with pytest.raises(DimensionMismatch):
                     w(np.zeros((6, d + 1)))
             members = pts.reshape(2, 3, d)
-            assert mvscores._member_weights(w, members).shape == (2, 3), w
+            assert kernels._member_weights(w, members).shape == (2, 3), w
     assert seen == classes - {weights_module.WeightFunction}
     # Constant is univariate: it weighs each number, and the kernels
     # refuse it on points of R^3.
     assert Constant()(np.zeros((4, 3))).shape == (4, 3)
     with pytest.raises(DimensionMismatch):
-        mvscores._member_weights(Constant(), np.zeros((2, 4, 3)))
+        kernels._member_weights(Constant(), np.zeros((2, 4, 3)))
 
 
 def test_box_indicator():
