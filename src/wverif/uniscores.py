@@ -381,6 +381,9 @@ _NODES = 32769
 # Forecast mass a grid may leave out on either side: of the forecast
 # itself, and relative to the mass a conditional cdf divides by.
 _TAIL = 1e-12
+# Points per block of ``_CdfGrid.integral``: its dozen temporaries of a
+# block's length then take about 0.4 MB together.
+_POINTS = 4096
 
 
 class _CdfGrid:
@@ -445,18 +448,29 @@ class _CdfGrid:
         """Integral of the tabulated g from the first node to each point p:
         composite Simpson over the whole panels below p, plus the integral
         up to p of the quadratic through the three nodes of p's panel.  A
-        point beyond the grid counts as its nearest end."""
+        point beyond the grid counts as its nearest end.
+
+        The panel sums are taken once; the points are evaluated
+        ``_POINTS`` at a time, so the temporaries stay the same size
+        however many points there are (observations, or the grid's own
+        nodes), and each point gets the value it gets alone."""
         p = np.clip(np.asarray(p, dtype=float), self.z[0], self.z[-1])
         g0, g1, g2 = g[:-2:2], g[1::2], g[2::2]
         before = np.concatenate([[0.0], np.cumsum(self.h / 3.0 * (g0 + 4.0 * g1 + g2))])
-        # The panel holding p: find its piece among the few edges, then
-        # count panels from the piece's start.
-        k = np.clip(np.searchsorted(self._edges, p, side="right") - 1, 0, self._hp.size - 1)
-        j = self._first[k] + ((p - self._edges[k]) / (2.0 * self._hp[k])).astype(int)
-        j = np.clip(j, self._first[k], self._first[k + 1] - 1)
-        h, a, b, c = self.h[j], g0[j], g1[j], g2[j]
-        s = (p - self.z[2 * j]) / h
-        return before[j] + h * s * (a + s * ((4.0 * b - 3.0 * a - c) / 4.0 + s * (a - 2.0 * b + c) / 6.0))
+        out = np.empty(p.shape)
+        points, values = p.reshape(-1), out.reshape(-1)
+        for lo in range(0, points.size, _POINTS):
+            q = points[lo : lo + _POINTS]
+            # The panel holding q: find its piece among the few edges, then
+            # count panels from the piece's start.
+            k = np.clip(np.searchsorted(self._edges, q, side="right") - 1, 0, self._hp.size - 1)
+            j = self._first[k] + ((q - self._edges[k]) / (2.0 * self._hp[k])).astype(int)
+            j = np.clip(j, self._first[k], self._first[k + 1] - 1)
+            h, a, b, c = self.h[j], g0[j], g1[j], g2[j]
+            s = (q - self.z[2 * j]) / h
+            poly = a + s * ((4.0 * b - 3.0 * a - c) / 4.0 + s * (a - 2.0 * b + c) / 6.0)
+            values[lo : lo + _POINTS] = before[j] + h * s * poly
+        return out[()]
 
     def weighted_integral(self, g, w: WeightFunction, p):
         """Integral of g w from the first node to each point p.
@@ -533,20 +547,12 @@ class _CdfGrid:
         return _vertical(dist[:-1], dist[-1], ew, wy, np.abs(ys - x0), pair)
 
 
-def _parametric_score(score: str, forecast, ys: np.ndarray, w: WeightFunction, x0: float = 0.0):
-    """One score of ``forecast`` at every observation of ``ys``, with
-    ``score``, ``w`` and the anchor x0 as ``_normal_score`` takes them.
-
-    Closed forms where ``_closed_form`` holds, else one tabulated cdf
-    with the extreme observations, the weight's breakpoints and, for the
-    vrCRPS, x0 as knots.  No conditional grid is built where w(y) = 0.
-
-    A Student t score whose integral diverges is refused: under a weight
+def _refuse_divergent(score: str, forecast, w: WeightFunction) -> None:
+    """Refuse a Student t score whose integral diverges: under a weight
     that does not vanish in both tails (any but ``GaussPdf``) the CRPS
     integrand decays as |z|^(-2 df), so the CRPS and its threshold- and
     outcome-weighted forms need df > 1/2, and the vrCRPS term
-    E|X - x0| w(X) needs df > 1.
-    """
+    E|X - x0| w(X) needs df > 1."""
     if isinstance(forecast, StudentT) and score != "brier" and not isinstance(w, GaussPdf):
         least = 1.0 if score == "vrcrps" else 0.5
         if forecast.df <= least:
@@ -554,6 +560,19 @@ def _parametric_score(score: str, forecast, ys: np.ndarray, w: WeightFunction, x
                 f"{score} of a Student t with df {forecast.df} <= {least} diverges "
                 f"under {type(w).__name__}"
             )
+
+
+def _parametric_score(score: str, forecast, ys: np.ndarray, w: WeightFunction, x0: float = 0.0):
+    """One score of ``forecast`` at every observation of ``ys``, with
+    ``score``, ``w`` and the anchor x0 as ``_normal_score`` takes them.
+
+    Closed forms where ``_closed_form`` holds, else one tabulated cdf
+    with the extreme observations, the weight's breakpoints and, for the
+    vrCRPS, x0 as knots.  No conditional grid is built where w(y) = 0.
+    A Student t score whose integral diverges is refused
+    (``_refuse_divergent``).
+    """
+    _refuse_divergent(score, forecast, w)
     if _closed_form(forecast, w):
         return _normal_score(score, forecast.mean_, forecast.sd, ys, w, x0)
     if score in ("brier", "owcrps_bs"):
@@ -600,12 +619,14 @@ def crps_numeric(forecast: Forecast, y: float) -> ScoreValue:
     Parametric forecasts are integrated on a tabulated cdf with y as a
     knot; ensembles use the exact piecewise integral of the empirical
     cdf.  This is the reference route the closed forms are checked
-    against.
+    against.  A Student t whose CRPS diverges is refused, as ``crps``
+    refuses it.
     """
     y = _check_scalar(y)
     if isinstance(forecast, Ensemble):
         value = _crps_numeric_ensemble(forecast.members, y)
     elif isinstance(forecast, Parametric):
+        _refuse_divergent("crps", forecast, Constant())
         value = _CdfGrid(forecast, (y,)).twcrps(np.array([y]), Constant())[0]
     else:
         raise ContractViolation("crps_numeric needs an ensemble or parametric forecast")

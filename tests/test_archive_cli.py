@@ -2314,7 +2314,10 @@ def test_read_archive_cache_under_concurrent_readers(tmp_path, monkeypatch):
                 p = paths[(j * (k + 1)) % len(paths)]
                 got = read_archive(p)
                 assert got.station_ids[0] == f"s{paths.index(p)}"
-                sizes.append(len(archive._reads))
+                # Under the lock: read_archive holds one entry too many
+                # for an instant between inserting and evicting.
+                with archive._reads_lock:
+                    sizes.append(len(archive._reads))
         except Exception as exc:  # reported to the main thread below
             errors.append(exc)
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,10 @@ from scipy import stats
 from scipy.special import expit, ndtr, stdtr
 
 from wverif import ContractViolation, IndicatorAbove, Normal, WeightedMassZero, crps, twcrps, vrcrps
+from wverif import synthlab
 from wverif.calibration import _cpit_values, _rng, histogram_summary
 from wverif.forecasts import Logistic, StudentT
+from wverif.kernels import _mv_kernel
 from wverif.synthlab import (
     _MV_SCORES,
     _UNI_SCORES,
@@ -24,7 +27,15 @@ from wverif.synthlab import (
     run_tail_forecasters,
 )
 from wverif.uniscores import _closed_form, _parametric_score, owcrps_bs
-from wverif.weights import CensorAbove, Constant, GaussCdf, IndicatorBelow, canonical_chaining
+from wverif.weights import (
+    BoxIndicator,
+    CensorAbove,
+    Constant,
+    GaussCdf,
+    IndicatorBelow,
+    MvGaussCdf,
+    canonical_chaining,
+)
 
 
 def _per_case(dist, score, ys, w):
@@ -314,8 +325,9 @@ def test_propriety_mc_shared_draws_leave_rows_unchanged():
 
 def test_propriety_mc_scores_each_side_in_one_distance_pass(monkeypatch):
     """The five multivariate scores of a pair side share one pass over the
-    member distances: one pair-sum call per side of each pair, carrying
-    the es, twes and vres weight rows, instead of one call per score."""
+    member distances: one pair-sum call per block of draws of each side,
+    carrying the es, twes and vres weight rows, instead of one call per
+    score."""
     from wverif import kernels
 
     pair_sum, rows = kernels._pair_sum, []
@@ -327,6 +339,53 @@ def test_propriety_mc_scores_each_side_in_one_distance_pass(monkeypatch):
     monkeypatch.setattr(kernels, "_pair_sum", counted)
     run_propriety_mc(scores=_MV_SCORES, n_pairs=2, n_mv=300, m_members=12, seed=5)
     assert rows == [3, 3, 3, 3]
+    # Two blocks of draws per side: one call per block, still three rows.
+    rows.clear()
+    run_propriety_mc(
+        scores=_MV_SCORES, n_pairs=2, n_mv=synthlab._DRAW_BLOCK + 88, m_members=12, seed=5
+    )
+    assert rows == [3] * 8
+
+
+def test_propriety_mc_blocks_equal_whole_stacks():
+    """Drawing and scoring the members a block of cases at a time gives,
+    bit for bit, the rows of drawing each side's whole stack from the
+    same generator and scoring it in one kernel call."""
+    n, m, d, seed = 2 * synthlab._DRAW_BLOCK + 76, 12, 3, 5
+    want = {s: [] for s in _MV_SCORES}
+    for i in range(3):
+        rng = np.random.default_rng((seed, 202, i))
+        pg, pf, desc = synthlab._mv_pair(rng, i, d)
+        ys = synthlab._mv_sample(rng, pg, n, 1, d)[:, 0, :]
+        xg = synthlab._mv_sample(rng, pg, n, m, d)
+        xf = synthlab._mv_sample(rng, pf, n, m, d)
+        mu, sd, _ = pg
+        q = mu - 0.5 * sd
+        box = BoxIndicator(q, np.full(d, np.inf))
+        weights = {s: MvGaussCdf(q, sd) if s == "vres" else box for s in _MV_SCORES}
+        kernel = _mv_kernel(weights, q, 0.5, np.ones((d, d)))
+        a, b = kernel(xg, ys), kernel(xf, ys)
+        for s in _MV_SCORES:
+            want[s].append(synthlab._propriety_row(s, desc, a[s], b[s]))
+    got = run_propriety_mc(scores=_MV_SCORES, n_pairs=3, n_mv=n, m_members=m, seed=seed)
+    assert got == [r for s in _MV_SCORES for r in want[s]]
+
+
+def test_propriety_mc_memory_does_not_grow_with_the_draws():
+    """The multivariate harness holds one block of members per side, so
+    its traced peak grows with n only by the observations and the score
+    values: well under 2 MiB from 1,024 to 8,192 cases."""
+    # A first run loads what the weights import on first use.
+    run_propriety_mc(scores=_MV_SCORES, n_pairs=1, n_mv=2, m_members=50)
+    peaks = []
+    for n in (1024, 8192):
+        tracemalloc.start()
+        try:
+            run_propriety_mc(scores=_MV_SCORES, n_pairs=1, n_mv=n, m_members=50)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
 
 
 def test_propriety_mc_rejects_unknown_score():

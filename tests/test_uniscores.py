@@ -707,6 +707,21 @@ def test_engine_owcrps_matches_normal_closed_form_deep_in_the_tail(case):
     assert got == pytest.approx(owcrps(f, y, w).value, abs=1e-9)
 
 
+def test_grid_integral_in_point_blocks_equals_each_point_alone():
+    """The integral evaluates its points ``_POINTS`` at a time; over
+    several blocks each point gets, bit for bit, the value it gets
+    alone: draws, nodes, knots and points beyond the grid."""
+    f = StudentT(5.0, 0.3, 1.2)
+    knots = (-1.0, 0.5, 2.0)
+    grid = _CdfGrid(f, knots)
+    g = grid.F * (1.0 - grid.F)
+    draws = f.sample(2 * uniscores._POINTS + 100, np.random.default_rng(3))
+    p = np.concatenate([draws, grid.z[::97], knots, [-1e9, 1e9]])
+    alone = np.array([grid.integral(g, q) for q in p])
+    assert np.array_equal(grid.integral(g, p), alone)
+    assert np.array_equal(grid.integral(g, grid.z)[::97], grid.integral(g, grid.z[::97]))
+
+
 _ORACLE_WEIGHTS = (
     Constant(),
     GaussPdf(0.4, 0.9),
@@ -1136,6 +1151,15 @@ def test_divergent_student_t_scores_are_refused(score, w):
                 _t_score(score, f, w)
             with pytest.raises(wverif.UnsupportedInput, match="diverges"):
                 uniscores._parametric_score(score, f, np.array([-3.0, 0.5, 2.0]), w, 0.3)
+
+
+def test_crps_numeric_refuses_a_divergent_student_t():
+    """crps_numeric integrates on a grid of its own, and refuses the
+    Student t whose CRPS diverges, as crps does."""
+    for df in (0.4, 0.5):
+        with pytest.raises(wverif.UnsupportedInput, match="diverges"):
+            crps_numeric(StudentT(df, 0.0, 1.0), 0.5)
+    assert np.isfinite(crps_numeric(StudentT(0.75, 0.0, 1.0), 0.5).value)
 
 
 def test_convergent_student_t_scores_are_not_refused():
