@@ -31,8 +31,9 @@ and return columns: ``score_archive`` gives (station ids, init dates,
 lead times, values), ``skill_table`` joins two such sets by one sort of
 their keys, and ``group_multivariate`` gives the (cases, d) array of the
 record indices of each stacked case.  Smoothed forecasts are normal fits
-to the members, taken per block of one member count, and each score is
-one call of its closed-form kernel over all records.
+to the members, taken per block of one member count into one ``Normal``
+of array parameters, and each score is one call of the parametric
+route, ``uniscores._parametric_score``, over all records.
 
 ``_write_csv`` is the package's one csv writer: archives, score tables
 and every table of the command line interface are written by it, a
@@ -55,12 +56,13 @@ from functools import cached_property, partial
 import numpy as np
 
 from .exceptions import ContractViolation, DataError, DimensionMismatch, UnsupportedInput
+from .forecasts import Normal
 from .kernels import _mv_kernel
 from .mvscores import VariogramSpec
 from .postprocess import _smooth_moments
-from .uniscores import _NEGATIVE_TOL, ScoreValue, _brier_ensembles, _normal_score
+from .uniscores import _NEGATIVE_TOL, ScoreValue, _brier_ensembles, _parametric_score
 
-# Archives are scored by the stacked and closed-form kernels; the
+# Archives are scored by the stacked kernels and the parametric route; the
 # per-case functions are not called here, but stay bound under these
 # names: perfbench's tracer wraps them here and cannot start without them.
 from .mvscores import (  # noqa: F401
@@ -78,6 +80,7 @@ from .weights import (
     HEAT_HOT,
     HEAT_WARM,
     BoxIndicator,
+    Constant,
     HeatLevelIndicator,
     IndicatorAbove,
 )
@@ -867,23 +870,23 @@ def _checked(values: np.ndarray, score: str) -> np.ndarray:
     return np.where(values < 0.0, 0.0, values)
 
 
-def _smooth_normals(a: Archive) -> tuple:
-    """Mean and sd of the normal fit to each record, as smooth_ensemble
-    makes it, computed per block of one member count."""
+def _smooth_normals(a: Archive) -> Normal:
+    """The normal fit to each record, as smooth_ensemble makes it, as one
+    column of forecasts, computed per block of one member count."""
     mu, var = np.empty(len(a)), np.empty(len(a))
     for k, items in _blocks(a.n_members):
         mu[items], var[items] = _smooth_moments(a.members[items, :k])
-    return mu, np.sqrt(var)
+    return Normal(mu, var)
 
 
 def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:
     # The threshold's indicator is what twcrps's censoring integrates;
-    # crps may have no threshold and ignores it.
-    w = None if threshold is None else IndicatorAbove(threshold)
+    # crps may have no threshold and ignores its weight.
+    w = Constant() if threshold is None else IndicatorAbove(threshold)
     anchor = threshold if x0 is None else x0
     if smooth:
-        # One kernel call over all records in record order.
-        values = _normal_score(score, *_smooth_normals(a), a.obs, w, anchor)
+        # One call over all records in record order.
+        values = _parametric_score(score, _smooth_normals(a), a.obs, w, anchor)
     else:
         kernel = None if score == "brier" else _mv_kernel({score: w}, (anchor,), None, None)
         values = np.empty(len(a))

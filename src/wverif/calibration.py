@@ -19,7 +19,8 @@ from .exceptions import (
     InsufficientData,
     UnsupportedInput,
 )
-from .forecasts import Ensemble, Forecast, IndependentProduct, Parametric
+from .forecasts import Ensemble, Forecast, IndependentProduct, MvEnsemble, Parametric
+from .postprocess import smooth_ensemble
 from .weights import MASS_FLOOR
 
 __all__ = [
@@ -44,6 +45,14 @@ def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _not_nan(name: str, v) -> np.ndarray:
+    """``v`` as floats, refused if any is NaN; +-inf has an answer here."""
+    v = np.asarray(v, dtype=float)
+    if np.isnan(v).any():
+        raise ContractViolation(f"{name} must not be NaN")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +91,7 @@ def pit(forecast: Forecast, y: float) -> float:
         )
     if not isinstance(forecast, Parametric):
         raise ContractViolation("pit needs a univariate parametric forecast")
-    return float(forecast.cdf(float(y)))
+    return float(forecast.cdf(float(_not_nan("y", y))))
 
 
 def rank(forecast, y: float, rng) -> int:
@@ -97,7 +106,7 @@ def rank(forecast, y: float, rng) -> int:
     )
     if members.ndim != 1 or members.size == 0:
         raise ContractViolation("rank needs a non-empty 1-d ensemble")
-    return int(_ranks(members[None], np.array([float(y)]), _rng(rng))[0])
+    return int(_ranks(members[None], np.array([float(_not_nan("y", y))]), _rng(rng))[0])
 
 
 def cpit(forecast: Forecast, y: float, t: float) -> float | None:
@@ -114,8 +123,8 @@ def cpit(forecast: Forecast, y: float, t: float) -> float | None:
     DegenerateConditional
         If the forecast puts essentially no mass above t.
     """
-    y = float(y)
-    t = float(t)
+    y = float(_not_nan("y", y))
+    t = float(_not_nan("t", t))
     if y <= t:
         return None
     if isinstance(forecast, Ensemble):
@@ -125,8 +134,6 @@ def cpit(forecast: Forecast, y: float, t: float) -> float | None:
                 f"only {n_above} of {forecast.size} members exceed {t}; "
                 f"conditional assessment needs at least {MIN_TAIL_MEMBERS}"
             )
-        from .postprocess import smooth_ensemble
-
         forecast = smooth_ensemble(forecast)
     if not isinstance(forecast, Parametric):
         raise ContractViolation("cpit needs a parametric or ensemble forecast")
@@ -186,19 +193,21 @@ def histogram_summary(values, bins: int = 20, lo: float = 0.0, hi: float = 1.0) 
         raise InsufficientData("no values to bin")
     if not np.all((u >= lo) & (u <= hi)):
         raise ContractViolation(f"values must lie inside [{lo}, {hi}]")
-    if bins < 1:
-        raise ContractViolation(f"bins must be at least 1, got {bins}")
+    if not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ContractViolation(f"bins must be an integer of at least 1, got {bins!r}")
     counts, edges = np.histogram(u, bins=bins, range=(lo, hi))
     return HistogramSummary(edges, counts, int(u.size))
 
 
 def rank_histogram(ranks, n_ranks: int) -> HistogramSummary:
     """Histogram over the integer ranks 1 .. n_ranks."""
-    r = np.asarray(ranks, dtype=int)
-    if r.size == 0:
+    x = np.asarray(ranks, dtype=float)
+    if x.size == 0:
         raise InsufficientData("no ranks to bin")
-    if np.any(r < 1) or np.any(r > n_ranks):
-        raise ContractViolation(f"ranks must lie in 1 .. {n_ranks}")
+    # NaN fails every comparison, so it is refused too.
+    if not np.all((x == np.round(x)) & (x >= 1) & (x <= n_ranks)):
+        raise ContractViolation(f"ranks must be integers in 1 .. {n_ranks}")
+    r = x.astype(int)
     counts = np.bincount(r, minlength=n_ranks + 1)[1:]
     edges = np.arange(n_ranks + 1) + 0.5
     return HistogramSummary(edges, counts, int(r.size))
@@ -210,8 +219,9 @@ def reliability_index(hist) -> float:
         f = hist.frequencies
     else:
         f = np.asarray(hist, dtype=float)
-        if f.size == 0 or abs(f.sum() - 1.0) > 1e-9:
-            raise ContractViolation("frequencies must sum to one")
+        # NaN fails both tests.
+        if f.size == 0 or not (np.all(f >= 0.0) and abs(f.sum() - 1.0) <= 1e-9):
+            raise ContractViolation("frequencies must be non-negative and sum to one")
     k = f.size
     return float(np.sum(np.abs(f - 1.0 / k)))
 
@@ -370,41 +380,30 @@ def prerank_cpit(
     Ensembles are preranked member by member, then handled as in
     ``cpit`` (smoothing plus the minimum-tail-membership rule).
     """
-    y = np.asarray(y, dtype=float)
-    tvec = np.asarray(thresholds, dtype=float)
+    y = _not_nan("y", y)
+    tvec = _not_nan("thresholds", thresholds)
 
-    if isinstance(forecast, IndependentProduct):
-        d = forecast.dim
-        if y.shape != (d,) or tvec.shape != (d,):
-            raise DimensionMismatch("y and thresholds must be d-vectors")
-        y_star = float(_apply_prerank(prerank, y[None, :])[0])
-        t_star = float(_apply_prerank(prerank, tvec[None, :])[0])
-        if y_star <= t_star:
-            return None
-        if d == 1 and _is_increasing_on(forecast.margins[0], prerank):
-            return cpit(forecast.margins[0], float(y[0]), float(tvec[0]))
-        gen = _rng(seed)
-        s = _apply_prerank(prerank, forecast.sample(n_samples, gen))
-        tail = float(np.mean(s > t_star))
-        if tail * n_samples < MIN_TAIL_MEMBERS:
-            raise DegenerateConditional(
-                f"only {int(tail * n_samples)} of {n_samples} sampled preranks "
-                f"exceed the threshold; conditional PIT is not estimable"
-            )
-        return float(_cpit_values(tail, np.mean(s > y_star)))
-
-    # ensemble route
-    from .mvscores import MvEnsemble
-
+    if not isinstance(forecast, (IndependentProduct, MvEnsemble)):
+        raise ContractViolation(
+            "prerank_cpit needs an IndependentProduct forecast or an MvEnsemble"
+        )
+    d = forecast.dim
+    if y.shape != (d,) or tvec.shape != (d,):
+        raise DimensionMismatch("y and thresholds must be d-vectors")
+    y_star = float(_apply_prerank(prerank, y[None, :])[0])
+    t_star = float(_apply_prerank(prerank, tvec[None, :])[0])
     if isinstance(forecast, MvEnsemble):
-        d = forecast.dim
-        if y.shape != (d,) or tvec.shape != (d,):
-            raise DimensionMismatch("y and thresholds must be d-vectors")
-        vals = _apply_prerank(prerank, forecast.members.T)
-        y_star = float(_apply_prerank(prerank, y[None, :])[0])
-        t_star = float(_apply_prerank(prerank, tvec[None, :])[0])
-        return cpit(Ensemble(vals), y_star, t_star)
-
-    raise ContractViolation(
-        "prerank_cpit needs an IndependentProduct forecast or an MvEnsemble"
-    )
+        return cpit(Ensemble(_apply_prerank(prerank, forecast.members.T)), y_star, t_star)
+    if y_star <= t_star:
+        return None
+    if d == 1 and _is_increasing_on(forecast.margins[0], prerank):
+        return cpit(forecast.margins[0], float(y[0]), float(tvec[0]))
+    gen = _rng(seed)
+    s = _apply_prerank(prerank, forecast.sample(n_samples, gen))
+    tail = float(np.mean(s > t_star))
+    if tail * n_samples < MIN_TAIL_MEMBERS:
+        raise DegenerateConditional(
+            f"only {int(tail * n_samples)} of {n_samples} sampled preranks "
+            f"exceed the threshold; conditional PIT is not estimable"
+        )
+    return float(_cpit_values(tail, np.mean(s > y_star)))

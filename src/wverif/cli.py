@@ -67,7 +67,7 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
-from .forecasts import ndtr, ndtri
+from .forecasts import Normal
 from .postprocess import (
     _ecc_place,
     _fit_chains,
@@ -178,29 +178,15 @@ def _cmd_score(args) -> tuple:
     order = np.argsort(_key_codes(sids, dates, leads)).tolist()
     values = values[order]
     sids, dates, leads = ([col[i] for i in order] for col in (sids, dates, leads))
-    outputs = []
+    header = ("station_id", "init_date", "lead_time", "score", "value")
+    columns = (sids, dates, leads, [args.score] * len(values), values)
+    name = f"scores.{args.format}"
     if args.format == "csv":
-        _write_csv(
-            os.path.join(args.out, "scores.csv"),
-            ("station_id", "init_date", "lead_time", "score", "value"),
-            (sids, dates, leads, [args.score] * len(values), values),
-        )
-        outputs.append("scores.csv")
+        _write_csv(os.path.join(args.out, name), header, columns)
     else:
-        _write_jsonl(
-            os.path.join(args.out, "scores.jsonl"),
-            [
-                {
-                    "station_id": sid,
-                    "init_date": d.isoformat(),
-                    "lead_time": lead,
-                    "score": args.score,
-                    "value": v,
-                }
-                for sid, d, lead, v in zip(sids, dates, leads, values.tolist())
-            ],
-        )
-        outputs.append("scores.jsonl")
+        rows = (dict(zip(header, row)) for row in zip(*columns))
+        _write_jsonl(os.path.join(args.out, name), rows)
+    outputs = [name]
     # Strict json has no NaN: the mean of no cases is null.
     mean = float(np.mean(values)) if len(values) else None
     _write_json(
@@ -264,18 +250,16 @@ def _cmd_diagnose(args) -> tuple:
     summary["rank_ri"] = reliability_index(rhist)
 
     if args.smooth:
-        # Normal.cdf's and Normal.sf's arithmetic on every record at once.
-        mu, sd = _smooth_normals(archive)
-        z = (archive.obs - mu) / sd
-        phist = histogram_summary(ndtr(z), bins=args.bins)
+        f = _smooth_normals(archive)
+        phist = histogram_summary(f.cdf(archive.obs), bins=args.bins)
         outputs.append(_write_hist(args.out, "pit_hist.csv", phist))
         summary["pit_ri"] = reliability_index(phist)
         summary["thresholds"] = []
-        sy = ndtr(-z)
+        sy = f.sf(archive.obs)
 
         for t, label in thresholds:
             # S(t) is the cPIT denominator and the CORP event probability.
-            st = ndtr(-((t - mu) / sd))
+            st = f.sf(t)
             exceed = archive.obs > t
             u = _cpit_values(st[exceed], sy[exceed])
             cps = u[~np.isnan(u)]
@@ -377,7 +361,7 @@ def _cmd_postprocess(args) -> tuple:
     firsts = np.r_[0, np.flatnonzero(np.diff(lead[order[starts]])) + 1].tolist()
     starts = starts.tolist()
     ends, lasts = starts[1:] + [len(order)], firsts[1:] + [len(starts)]
-    mean, sd = np.full(len(archive), np.nan), np.full(len(archive), np.nan)
+    mean, variance = np.full(len(archive), np.nan), np.full(len(archive), np.nan)
     params, fitted, n_unfit = [None] * len(firsts), [[] for _ in firsts], 0
     # Day k of every lead time at once: predict it from the lead time's
     # last fit, then fit all their windows through day k in lockstep.
@@ -390,10 +374,8 @@ def _cmd_postprocess(args) -> tuple:
             if params[i] is None:
                 n_unfit += b - a
             else:
-                mu, v = emos_mean_variance(params[i], *(c[a:b] for c in cols[:4]))
-                if not (np.isfinite(mu).all() and np.isfinite(v).all()):
-                    raise ContractViolation("normal parameters must be finite")
-                mean[order[a:b]], sd[order[a:b]] = mu, np.sqrt(v)
+                f = Normal(*emos_mean_variance(params[i], *(c[a:b] for c in cols[:4])))
+                mean[order[a:b]], variance[order[a:b]] = f.mean_, f.variance_
             w = starts[max(p, p + k - args.window_days + 1)]
             leads_k.append(i)
             windows.append(tuple(c[w:b] for c in cols))
@@ -415,14 +397,14 @@ def _cmd_postprocess(args) -> tuple:
     _write_csv(
         os.path.join(args.out, "predictions.csv"),
         ("station_id", "init_date", "lead_time", "mean", "sd"),
-        [c[rows] for c in (sids, dates, lead, mean, sd)],
+        [c[rows] for c in (sids, dates, lead, mean, np.sqrt(variance))],
     )
     _write_jsonl(os.path.join(args.out, "params.jsonl"), params_rows)
     outputs = ["predictions.csv", "params.jsonl"]
 
     lead_times = np.unique(lead).tolist()
     if args.ecc:
-        outputs.append(_run_ecc(args, archive, mean, sd, lead_times))
+        outputs.append(_run_ecc(args, archive, mean, variance, lead_times))
     if args.climatology:
         outputs.append(_run_climatology(args, archive))
 
@@ -446,10 +428,10 @@ def _cmd_postprocess(args) -> tuple:
     return outputs, _inputs(archive=archive)
 
 
-def _run_ecc(args, archive, mean, sd, lead_times) -> str:
+def _run_ecc(args, archive, mean, variance, lead_times) -> str:
     """Recouple calibrated margins with raw ensemble rank order.
 
-    ``mean`` and ``sd`` hold each record's predicted normal, NaN where
+    ``mean`` and ``variance`` hold each record's predicted normal, NaN where
     there is none.  Each (station, init date) with every lead time, one
     member count and a prediction for each record is coupled; per block
     of one member count, the quantiles of all its margins are placed at
@@ -462,8 +444,7 @@ def _run_ecc(args, archive, mean, sd, lead_times) -> str:
     members = np.array(archive.members)
     for k, cases in _blocks(archive.n_members[index[:, 0]]):
         idx = index[cases]
-        # Normal.ppf's arithmetic at the levels (i - 1/2) / k.
-        q = ndtri((np.arange(k) + 0.5) / k) * sd[idx][..., None] + mean[idx][..., None]
+        q = Normal(mean[idx][..., None], variance[idx][..., None]).ppf((np.arange(k) + 0.5) / k)
         members[idx, :k] = _ecc_place(q, archive.members[idx, :k])
     rows = index.ravel()
     keys = (archive.station_ids, archive.init_dates, archive.lead_times)
@@ -491,7 +472,7 @@ def _run_climatology(args, archive) -> str:
             fc = fit_climatology(obs)
         except InsufficientData:
             continue
-        rows.append((archive.station_ids[i], fc.mean_, float(np.sqrt(fc.variance_)), len(obs)))
+        rows.append((archive.station_ids[i], fc.mean_, fc.sd, len(obs)))
     _write_csv(
         os.path.join(args.out, "climatology.csv"),
         ("station_id", "mean", "sd", "n"),

@@ -6,7 +6,10 @@ forecasts expose cdf/pdf/quantile/moment methods, all vectorised over
 numpy arrays, plus seeded sampling.  They are ``scipy.special`` and
 numpy arithmetic in the steps that ``scipy.stats`` takes, so their values
 and draws equal the frozen scipy distributions' without loading
-``scipy.stats``.
+``scipy.stats``.  Like those, they take arrays of parameters that
+broadcast together: one object is then a column of forecasts, whose
+``cdf``, ``sf``, ``pdf`` and ``ppf`` give each forecast the bits of its
+own call.  The other methods describe one forecast.
 """
 
 from __future__ import annotations
@@ -163,6 +166,12 @@ class Parametric(Forecast):
         return float(self.ppf(tail)), float(self.ppf(1.0 - tail))
 
 
+def _one_forecast(forecast, what: str) -> None:
+    """Refuse a column of forecasts (array parameters) where ``what`` takes one."""
+    if isinstance(forecast, Parametric) and any(map(np.ndim, vars(forecast).values())):
+        raise ContractViolation(f"{what}: one forecast expected, got array parameters")
+
+
 @dataclass(frozen=True)
 class Normal(Parametric):
     """Normal predictive distribution with mean and variance."""
@@ -171,14 +180,15 @@ class Normal(Parametric):
     variance_: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mean_) or not np.isfinite(self.variance_):
+        if not (np.all(np.isfinite(self.mean_)) and np.all(np.isfinite(self.variance_))):
             raise ContractViolation("normal parameters must be finite")
-        if self.variance_ <= 0.0:
+        if np.any(np.less_equal(self.variance_, 0.0)):
             raise ContractViolation("normal variance must be positive")
 
     @property
-    def sd(self) -> float:
-        return float(np.sqrt(self.variance_))
+    def sd(self):
+        """A float for a scalar variance, an array otherwise."""
+        return _scalar_or_array(np.sqrt(self.variance_))
 
     def _loc_scale(self) -> tuple[float, float]:
         return self.mean_, self.sd
@@ -214,7 +224,8 @@ class Logistic(Parametric):
     scale: float
 
     def __post_init__(self):
-        if self.scale <= 0.0 or not np.isfinite(self.scale) or not np.isfinite(self.location):
+        scale = np.asarray(self.scale)
+        if not (np.all((scale > 0.0) & np.isfinite(scale)) and np.all(np.isfinite(self.location))):
             raise ContractViolation("logistic scale must be positive and finite")
 
     _cdf = staticmethod(expit)
@@ -246,9 +257,9 @@ class StudentT(Parametric):
     scale: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite((self.df, self.location, self.scale))):
+        if not all(np.all(np.isfinite(p)) for p in (self.df, self.location, self.scale)):
             raise ContractViolation("student t parameters must be finite")
-        if self.df <= 0.0 or self.scale <= 0.0:
+        if np.any(np.less_equal(self.df, 0.0)) or np.any(np.less_equal(self.scale, 0.0)):
             raise ContractViolation("student t needs df > 0 and scale > 0")
 
     @classmethod
@@ -302,6 +313,7 @@ class IndependentProduct(Forecast):
         for m in margins:
             if not isinstance(m, Parametric):
                 raise ContractViolation("margins must be parametric forecasts")
+            _one_forecast(m, "margin")
         object.__setattr__(self, "margins", margins)
 
     @property
@@ -320,3 +332,26 @@ class IndependentProduct(Forecast):
                 f"point has shape {x.shape}, forecast dimension is {self.dim}"
             )
         return float(np.prod([m.cdf(v) for m, v in zip(self.margins, x)]))
+
+
+@dataclass(frozen=True)
+class MvEnsemble:
+    """Multivariate ensemble: a (d, m) array, one member per column."""
+
+    members: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.members, dtype=float)
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+            raise ContractViolation("members must be a (d, m) array")
+        if not np.all(np.isfinite(m)):
+            raise ContractViolation("ensemble members must be finite")
+        object.__setattr__(self, "members", m)
+
+    @property
+    def dim(self) -> int:
+        return self.members.shape[0]
+
+    @property
+    def size(self) -> int:
+        return self.members.shape[1]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractViolation, DimensionMismatch
+from .forecasts import MvEnsemble
 from .kernels import _mv_kernel
 from .uniscores import ScoreValue
 from .weights import ChainingFunction, CollapseOutside, WeightFunction
@@ -40,33 +41,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MvEnsemble:
-    """Multivariate ensemble: a (d, m) array, one member per column."""
-
-    members: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.members, dtype=float)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise ContractViolation("members must be a (d, m) array")
-        if not np.all(np.isfinite(m)):
-            raise ContractViolation("ensemble members must be finite")
-        object.__setattr__(self, "members", m)
-
-    @property
-    def dim(self) -> int:
-        return self.members.shape[0]
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[1]
-
-
-@dataclass(frozen=True)
 class VariogramSpec:
     """Variogram score configuration.
 
-    ``p`` is the variogram order, ``h`` the symmetric non-negative
+    ``p`` is the variogram order, ``h`` the finite, symmetric, non-negative
     proximity matrix (all ones when omitted), ``x0`` the reference point
     used only by the vertically re-scaled variant (zeros when omitted).
     """
@@ -82,8 +60,8 @@ class VariogramSpec:
             h = np.asarray(self.h, dtype=float)
             if h.ndim != 2 or h.shape[0] != h.shape[1]:
                 raise DimensionMismatch("h must be a square matrix")
-            if np.any(h < 0.0) or not np.allclose(h, h.T):
-                raise ContractViolation("h must be symmetric and non-negative")
+            if not np.all(np.isfinite(h)) or np.any(h < 0.0) or not np.allclose(h, h.T):
+                raise ContractViolation("h must be finite, symmetric and non-negative")
             object.__setattr__(self, "h", h)
         if self.x0 is not None:
             x0 = np.asarray(self.x0, dtype=float)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .exceptions import ContractViolation, DimensionMismatch, InsufficientData
-from .forecasts import Ensemble, Normal, Parametric, _scalar_or_array, _std_pdf, ndtr
-from .mvscores import MvEnsemble
+from .forecasts import Ensemble, IndependentProduct, MvEnsemble, Normal
+from .forecasts import _scalar_or_array, _std_pdf, ndtr
 
 __all__ = [
     "LAPSE_RATE",
@@ -389,9 +389,7 @@ def ecc_reorder(margins, raw) -> MvEnsemble:
         raise DimensionMismatch(
             f"{len(margins)} margins for a {raw.dim}-dimensional ensemble"
         )
-    for mg in margins:
-        if not isinstance(mg, Parametric):
-            raise ContractViolation("margins must be parametric forecasts")
+    margins = IndependentProduct(margins).margins
     levels = (np.arange(raw.size) + 0.5) / raw.size
     q = np.array([np.asarray(mg.ppf(levels), dtype=float) for mg in margins])
     return MvEnsemble(_ecc_place(q, raw.members))

@@ -32,7 +32,7 @@ from .calibration import (
     pit_ecdf,
 )
 from .exceptions import ContractViolation, WeightedMassZero
-from .forecasts import Logistic, Normal, StudentT, expit, ndtr, stdtr
+from .forecasts import Logistic, Normal, StudentT
 from .kernels import _mv_kernel
 from .uniscores import _parametric_score, _tnorm_crps
 from .weights import (
@@ -156,12 +156,10 @@ def run_ideal_forecaster(
     gen = _rng(seed)
     mu = gen.normal(0.0, np.sqrt(1.0 - sigma2), n)
     y = gen.normal(mu, np.sqrt(sigma2))
-    sd = np.sqrt(sigma2)
-    pit_vals = ndtr((y - mu) / sd)
+    f = Normal(mu, sigma2)
+    pit_vals = f.cdf(y)
     exceed = y > t
-    cpit_vals = _cpit_values(
-        ndtr(-((t - mu[exceed]) / sd)), ndtr(-((y[exceed] - mu[exceed]) / sd))
-    )
+    cpit_vals = _cpit_values(f.sf(t)[exceed], f.sf(y)[exceed])
     return IdealForecasterResult(
         pit_hist=histogram_summary(pit_vals, bins=bins),
         cpit_hist=histogram_summary(cpit_vals[~np.isnan(cpit_vals)], bins=bins),
@@ -226,19 +224,17 @@ def run_tail_forecasters(
     y = mu + gen.logistic(0.0, s_log, n)
     exceed = y > t
 
-    sd_norm = np.sqrt(cond_var)
     s_t5 = np.sqrt(cond_var * (5.0 - 2.0) / 5.0)
-    # Survival functions as scipy.stats computes them for unit scale.
     families = (
-        ("normal", lambda x: ndtr(-((x - mu) / sd_norm))),
-        ("logistic", lambda x: expit(-((x - mu) / s_log))),
-        ("student_t5", lambda x: stdtr(5, -((x - mu) / s_t5))),
+        ("normal", Normal(mu, cond_var)),
+        ("logistic", Logistic(mu, s_log)),
+        ("student_t5", StudentT(5.0, mu, s_t5)),
     )
 
     out = {}
-    for idx, (name, sf) in enumerate(families):
-        st = sf(t)
-        cp = _cpit_values(st[exceed], sf(y)[exceed])
+    for idx, (name, f) in enumerate(families):
+        st = f.sf(t)
+        cp = _cpit_values(st[exceed], f.sf(y)[exceed])
         cp = cp[~np.isnan(cp)]
         u, pvals = pit_ecdf(cp)
         corp = corp_reliability(
@@ -514,7 +510,7 @@ def run_impropriety_demo(
     _check_finite("t", t)
     gen = _rng(seed)
     truth = Normal(0.0, 1.0)
-    mass = ndtr(-t)
+    mass = truth.sf(t)
     if mass <= MASS_FLOOR:
         raise WeightedMassZero(f"no forecast mass above {t}")
     ys = truth.sample(n, gen)

@@ -4,11 +4,12 @@ Each forecast kind has one route.  Raw ensembles go through
 ``kernels._mv_kernel``, the engine of every ensemble kernel score, as
 stacks of one dimension, and their Brier score through
 ``_brier_ensembles``.  Parametric forecasts go through
-``_parametric_score``, which scores one forecast at many observations.  A normal forecast under the unit, censoring or
-indicator weight (``_closed_form``) is scored by elementwise closed
-forms over arrays of means, sds and observations (``_normal_score``):
-the CRPS, the Brier score, the censored-normal twCRPS, the
-truncated-normal owCRPS (``_tnorm_crps``, which also scores the
+``_parametric_score``, which scores one forecast at many observations,
+or a column of normals (array parameters) at theirs.  A normal forecast
+under the unit, censoring or indicator weight (``_closed_form``) is
+scored by elementwise closed forms over arrays of means, sds and
+observations (``_normal_score``): the CRPS, the Brier score, the
+censored-normal twCRPS, the truncated-normal owCRPS (``_tnorm_crps``, which also scores the
 truncated forecast of ``synthlab``'s impropriety demonstration) and the
 indicator-weight vrCRPS, all from ``ndtr`` (``scipy.special.ndtr``,
 which ``forecasts`` imports on its first call, so ensemble scoring
@@ -18,13 +19,14 @@ piecewise-uniform grid over its support with the extreme observations,
 weight breakpoints and anchor as knots where they fall on it, the
 integral forms of the scores are integrated by composite Simpson, and
 what lies beyond the support is added in closed form; both take the
-vrCRPS's formula from ``kernels._vertical``.  The per-case functions call the route
-of their forecast with one case, through ``_score_case``; the propriety
+vrCRPS's formula from ``kernels._vertical``.  The per-case functions
+call the route of their forecast with one case, through
+``_score_case``; the propriety
 Monte Carlo of ``synthlab`` calls ``_parametric_score`` with all its
 draws, and ``archive`` calls ``_mv_kernel`` on blocks of raw records
-and the closed forms on all its smoothed records at once, so each route
-gives a case the same value.  Every public scoring function returns a
-``ScoreValue``.
+and ``_parametric_score`` on the column of all its smoothed records,
+so each route gives a case the same value; the per-case functions
+refuse a column.  Every public scoring function returns a ``ScoreValue``.
 """
 
 from __future__ import annotations
@@ -33,16 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import _cpit_values
+from .calibration import _cpit_values, _not_nan
 from .exceptions import (
     ContractViolation,
-    DimensionMismatch,
     NumericalError,
     UnsupportedInput,
     WeightedMassZero,
 )
 from .forecasts import Ensemble, Forecast, Normal, Parametric, StudentT
-from .forecasts import _scalar_or_array, _std_pdf, ndtr
+from .forecasts import _one_forecast, _scalar_or_array, _std_pdf, ndtr
 from .kernels import _mv_kernel, _vertical
 from .weights import (
     MASS_FLOOR,
@@ -157,6 +158,7 @@ def _score_case(score: str, forecast, y: float, w: WeightFunction, x0=0.0, fair=
         raise ContractViolation(f"{score} needs an ensemble or parametric forecast")
     if fair:
         raise ContractViolation("the fair variant applies to ensembles only")
+    _one_forecast(forecast, score)
     return _parametric_score(score, forecast, ys, w, x0)[0]
 
 
@@ -566,7 +568,8 @@ def _parametric_score(score: str, forecast, ys: np.ndarray, w: WeightFunction, x
     """One score of ``forecast`` at every observation of ``ys``, with
     ``score``, ``w`` and the anchor x0 as ``_normal_score`` takes them.
 
-    Closed forms where ``_closed_form`` holds, else one tabulated cdf
+    Closed forms where ``_closed_form`` holds, which broadcast a column of
+    normals (array parameters) against ``ys``, else one tabulated cdf
     with the extreme observations, the weight's breakpoints and, for the
     vrCRPS, x0 as knots.  No conditional grid is built where w(y) = 0.
     A Student t score whose integral diverges is refused
@@ -732,9 +735,8 @@ def weighted_cdf(forecast: Parametric, w: WeightFunction, x: float) -> float:
     """
     if not isinstance(forecast, Parametric):
         raise ContractViolation("weighted_cdf needs a univariate parametric forecast")
-    if w.dim != 1:
-        raise DimensionMismatch("weighted_cdf needs a univariate weight")
-    x = float(x)
+    w = _univariate_weight(w)
+    x = float(_not_nan("x", x))
 
     if isinstance(w, Constant):
         return float(forecast.cdf(x))

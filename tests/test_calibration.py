@@ -10,6 +10,7 @@ from wverif import (
     DegenerateConditional,
     Ensemble,
     InsufficientData,
+    MvEnsemble,
     Normal,
     UnsupportedInput,
     reliability_index,
@@ -116,6 +117,47 @@ def test_cpit_degenerate_tail():
         cpit(Normal(0.0, 1.0), 50.0, 45.0)
 
 
+# NaN has no PIT, rank or conditional PIT; +-inf keeps its answer.
+
+
+def test_pit_refuses_nan():
+    f = Normal(0.0, 1.0)
+    with pytest.raises(ContractViolation, match="y must not be NaN"):
+        pit(f, np.nan)
+    assert pit(f, -np.inf) == 0.0 and pit(f, np.inf) == 1.0
+
+
+def test_rank_refuses_nan():
+    e = Ensemble(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ContractViolation, match="y must not be NaN"):
+        rank(e, np.nan, 0)
+    assert rank(e, -np.inf, 0) == 1 and rank(e, np.inf, 0) == 4
+
+
+def test_cpit_refuses_nan():
+    f = Normal(0.0, 1.0)
+    members = Ensemble(np.linspace(-3.0, 3.0, 61))
+    for forecast in (f, members):
+        for y, t, name in ((np.nan, 0.5, "y"), (1.0, np.nan, "t")):
+            with pytest.raises(ContractViolation, match=f"{name} must not be NaN"):
+                cpit(forecast, y, t)
+    assert cpit(f, np.inf, 0.5) == 1.0
+    assert cpit(f, -np.inf, 0.5) is None and cpit(f, 1.0, np.inf) is None
+    assert cpit(f, 1.0, -np.inf) == pytest.approx(pit(f, 1.0), rel=1e-15)
+
+
+def test_prerank_cpit_refuses_nan():
+    def total(z):
+        return z.sum(-1)
+
+    product = IndependentProduct((Normal(0.0, 1.0), Normal(0.0, 1.0)))
+    members = MvEnsemble(np.random.default_rng(4).normal(size=(2, 50)))
+    for forecast in (product, members):
+        for y, t, name in (([np.nan, 1.0], [0.0, 0.0], "y"), ([1.0, 1.0], [0.0, np.nan], "thresholds")):
+            with pytest.raises(ContractViolation, match=f"{name} must not be NaN"):
+                prerank_cpit(forecast, y, t, total, n_samples=1000)
+
+
 def test_cpit_ensemble_needs_tail_members():
     rng = np.random.default_rng(2)
     big = Ensemble(np.concatenate([rng.normal(size=30), rng.normal(3.0, 0.5, 30)]))
@@ -162,8 +204,8 @@ def test_histogram_summary_rejects_out_of_range():
         histogram_summary(np.array([-0.1, 0.5]))
     with pytest.raises(ContractViolation, match="must lie inside"):
         histogram_summary(np.array([0.2, np.nan]))
-    for bins in (0, -3):
-        with pytest.raises(ContractViolation):
+    for bins in (0, -3, 2.5):
+        with pytest.raises(ContractViolation, match="bins"):
             histogram_summary(np.array([0.1, 0.5]), bins=bins)
 
 
@@ -172,8 +214,9 @@ def test_rank_histogram_counts():
     assert_allclose(h.counts, [2, 1, 0, 1])
     with pytest.raises(ContractViolation):
         rank_histogram(np.array([0]), n_ranks=4)
-    with pytest.raises(ContractViolation):
-        rank_histogram(np.array([5]), n_ranks=4)
+    for ranks in ([5], [1.5, 2.0], [np.nan], [np.inf]):
+        with pytest.raises(ContractViolation):
+            rank_histogram(np.array(ranks), n_ranks=4)
 
 
 def test_reliability_index_extremes():
@@ -184,6 +227,9 @@ def test_reliability_index_extremes():
     assert reliability_index(np.ones(k) / k) == 0.0
     h = histogram_summary(np.full(100, 0.025), bins=20)
     assert reliability_index(h) == pytest.approx(2.0 * 19 / 20)
+    for freqs in ([np.nan, 1.0], [1.5, -0.5], [0.5, 0.4]):
+        with pytest.raises(ContractViolation, match="non-negative and sum to one"):
+            reliability_index(freqs)
 
 
 def test_corp_pools_adjacent_violators():

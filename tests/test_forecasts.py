@@ -171,6 +171,71 @@ def test_normal_rejects_nonpositive_variance():
         Normal(0.0, -1.0)
 
 
+# A column of forecasts: array parameters broadcast together, and each
+# value is the bits of that forecast's own scalar call.
+_COLUMNS = [
+    (Normal, (np.array([0.0, -1.5, 2.0, 1e3]), np.array([1.0, 0.25, 9.0, 1e-4]))),
+    (Normal, (np.array([[0.3], [-0.7]]), 2.0)),
+    (Logistic, (np.array([0.0, -0.0, 3.0, -0.5]), np.array([1.0, 2.0, 1e-3, 0.7]))),
+    (StudentT, (np.array([0.75, 1.0, 2.5, 5.0, 30.0]), 0.2, np.array([1.3, 1e-3, 1.0, 2.0, 0.5]))),
+    (StudentT, (5.0, np.array([-4.0, 0.0, 4.0]), 1.3)),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params", _COLUMNS, ids=["normal", "normal-2d", "logistic", "t-df", "t-location"]
+)
+def test_array_parameters_equal_the_scalar_calls_bit_for_bit(family, params):
+    f = family(*params)
+    shape = np.broadcast(*params).shape
+    cols = [np.broadcast_to(p, shape) for p in params]
+    # Points of the broadcast shape, and one point for every forecast.
+    xs = np.resize(_XS, shape)
+    qs = np.resize(_QS, shape)
+    with np.errstate(over="ignore"):
+        for x in (xs, 0.3, np.inf, -np.inf):
+            for method in ("cdf", "sf", "pdf"):
+                got = getattr(f, method)(x)
+                want = [getattr(family(*(c[i] for c in cols)), method)(np.broadcast_to(x, shape)[i])
+                        for i in np.ndindex(shape)]
+                assert got.shape == shape, method
+                assert np.array_equal(_bits(got).ravel(), _bits(want)), (method, x)
+        for q in (qs, 0.0, 1.0, 0.5):
+            got = f.ppf(q)
+            want = [family(*(c[i] for c in cols)).ppf(np.broadcast_to(q, shape)[i])
+                    for i in np.ndindex(shape)]
+            assert got.shape == shape
+            assert np.array_equal(_bits(got).ravel(), _bits(want)), q
+
+
+def test_array_parameters_are_checked_elementwise_and_stored_as_given():
+    mu, var = np.array([0.0, 1.0]), [1.0, 4.0]
+    f = Normal(mu, var)
+    assert f.mean_ is mu and f.variance_ is var
+    assert_array_equal(f.sd, [1.0, 2.0])
+    assert type(Normal(np.array([0.0, 1.0]), 4.0).sd) is float
+    bad = [
+        (Normal, (np.array([0.0, np.nan]), 1.0), "finite"),
+        (Normal, (0.0, np.array([1.0, np.inf])), "finite"),
+        (Normal, (0.0, np.array([1.0, 0.0])), "positive"),
+        (Logistic, (np.array([0.0, np.inf]), 1.0), "positive and finite"),
+        (Logistic, (0.0, np.array([1.0, -1.0])), "positive and finite"),
+        (StudentT, (np.array([5.0, np.nan]), 0.0, 1.0), "finite"),
+        (StudentT, (np.array([5.0, 0.0]), 0.0, 1.0), "df > 0"),
+        (StudentT, (5.0, 0.0, np.array([1.0, -1.0])), "scale > 0"),
+    ]
+    for family, params, match in bad:
+        with pytest.raises(ContractViolation, match=match):
+            family(*params)
+
+
+def test_independent_product_refuses_array_parameters():
+    # Its cdf would multiply every forecast of the column.
+    for margin in (Normal(np.zeros(3), 1.0), Logistic(0.0, np.ones(2)), StudentT(np.full(2, 5.0), 0.0, 1.0)):
+        with pytest.raises(ContractViolation, match="one forecast"):
+            IndependentProduct((Normal(0.0, 1.0), margin))
+
+
 def test_logistic_moments():
     s = 0.8
     f = Logistic(2.0, s)

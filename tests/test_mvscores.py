@@ -29,7 +29,7 @@ from wverif.weights import (
     MvGaussCdf,
     MvGaussPdf,
 )
-from wverif import kernels
+from wverif import forecasts, kernels, mvscores
 
 
 def _rand_ens(rng, d=3, m=8):
@@ -110,7 +110,9 @@ def test_variogram_score_order_and_h():
         VariogramSpec(p=-1.0)
     with pytest.raises(ContractViolation):
         VariogramSpec(h=np.array([[0.0, 1.0], [2.0, 0.0]]))
-    for kwargs in (dict(p=np.nan), dict(p=np.inf), dict(x0=[np.nan, 0.0, 0.0])):
+    for kwargs in (
+        dict(p=np.nan), dict(p=np.inf), dict(x0=[np.nan, 0.0, 0.0]), dict(h=np.full((2, 2), np.inf))
+    ):
         with pytest.raises(ContractViolation, match="finite"):
             VariogramSpec(**kwargs)
 
@@ -547,3 +549,9 @@ def test_kernel_twes_equals_the_collapsed_energy_score(stack, shift):
     assert np.array_equal(_kernel("twes", outside, above + 1.0)(x, y), np.zeros(len(x)))
     inside = BoxIndicator(below, np.full(d, np.inf))
     assert np.array_equal(_kernel("twes", inside, below)(x, y), _kernel("es")(x, y))
+
+
+def test_mv_ensemble_is_defined_once_in_forecasts():
+    # mvscores and the package export the class that forecasts defines.
+    assert mvscores.MvEnsemble is forecasts.MvEnsemble is MvEnsemble
+    assert "MvEnsemble" not in forecasts.__all__

@@ -205,6 +205,9 @@ def test_ecc_reorder_validation():
         ecc_reorder([Normal(0.0, 1.0)], MvEnsemble(np.zeros((2, 3))))
     with pytest.raises(ContractViolation):
         ecc_reorder([object()], MvEnsemble(np.zeros((1, 3))))
+    # A column of three normals would give each member another margin.
+    with pytest.raises(ContractViolation, match="one forecast"):
+        ecc_reorder([Normal(np.array([0.0, 1.0, 2.0]), 1.0)], MvEnsemble(np.zeros((1, 3))))
 
 
 def test_ecc_output_scores_against_truth():

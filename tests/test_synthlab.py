@@ -167,6 +167,29 @@ def test_ensemble_kernels_are_reached_only_through_the_dispatcher(name):
     assert not helpers & {n for _, n in imported}
 
 
+def test_archive_scores_smoothed_records_only_through_the_parametric_route():
+    """archive's smoothed records are one column of normals scored by
+    ``_parametric_score``; it imports none of the closed forms or the
+    tabulated-cdf engine behind it."""
+    from wverif import uniscores
+
+    imported = {n for module, n in _imports(importlib.import_module("wverif.archive")) if module == "uniscores"}
+    assert "_parametric_score" in imported
+    behind = {n for n in vars(uniscores) if "normal" in n} | {"_CdfGrid", "_closed_form", "_tnorm_crps"}
+    assert "_normal_score" in behind
+    assert not imported & behind
+
+
+@pytest.mark.parametrize("name", ["cli", "synthlab"])
+def test_no_special_function_is_called_outside_forecasts(name):
+    """cli and synthlab take cdfs, survival functions and quantiles from
+    the forecast classes, not from scipy.special arithmetic of their own."""
+    imported = _imports(importlib.import_module(f"wverif.{name}"))
+    specials = {"ndtr", "ndtri", "expit", "logit", "log1p", "stdtr", "stdtrit", "poch"}
+    assert not specials & {n for module, n in imported if module == "forecasts"}
+    assert not [module for module, _ in imported if module and module.startswith("scipy")]
+
+
 def test_only_the_engine_defines_the_kernel_helpers():
     """The pair sums, the increments and the re-scaling and outcome
     weightings are written once, in ``kernels``, and the per-family

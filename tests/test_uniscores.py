@@ -1172,3 +1172,43 @@ def test_convergent_student_t_scores_are_not_refused():
         assert np.isfinite(_t_score(score, f, w).value), score
     assert np.isfinite(crps(StudentT(0.75, 0.0, 1.0), 0.5).value)
     assert np.isfinite(vrcrps(StudentT(1.5, 0.0, 1.0), 0.5, IndicatorAbove(1.0)).value)
+
+
+def test_per_case_scores_refuse_a_column_of_forecasts():
+    """The closed forms broadcast, so a per-case score of a column of
+    forecasts would be its first forecast's score: every per-case score
+    refuses array parameters."""
+    columns = (
+        Normal(np.array([0.0, 1.0, 2.0]), 1.0),
+        Logistic(0.0, np.ones(2)),
+        StudentT(np.full(2, 5.0), 0.0, 1.0),
+    )
+    for f in columns:
+        calls = (
+            lambda: crps(f, 0.5),
+            lambda: brier(f, 0.5, 1.0),
+            lambda: twcrps(f, 0.5, CensorAbove(1.0)),
+            lambda: owcrps(f, 1.5, IndicatorAbove(1.0)),
+            lambda: owcrps_bs(f, 1.5, 1.0),
+            lambda: vrcrps(f, 0.5, IndicatorAbove(1.0)),
+        )
+        for call in calls:
+            with pytest.raises(ContractViolation, match="one forecast"):
+                call()
+
+
+def test_no_module_imports_a_package_module_inside_a_function():
+    """Imports between the package's modules sit at module top, where
+    the import graph shows them; only scipy is imported late, to spare
+    the commands that do not use it its load time."""
+    for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        at_import = {id(n) for n in _outside_functions(tree)}
+        for node in ast.walk(tree):
+            if id(node) in at_import or not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom):
+                package = node.level > 0 or (node.module or "").split(".")[0] == "wverif"
+            else:
+                package = any(a.name.split(".")[0] == "wverif" for a in node.names)
+            assert not package, f"{path.name}:{node.lineno} imports a package module in a function"

@@ -406,6 +406,19 @@ def test_weighted_cdf_mass_floor():
         weighted_cdf(f, IndicatorBelow(-100.0), -101.0)
 
 
+def test_weighted_cdf_refuses_nan_and_non_weights():
+    f = Normal(0.0, 1.0)
+    for w in (Constant(), IndicatorAbove(0.0), IndicatorBelow(0.0), GaussCdf(0.5, 0.8)):
+        with pytest.raises(ContractViolation, match="x must not be NaN"):
+            weighted_cdf(f, w, np.nan)
+        # +-inf keeps its documented answer.
+        assert weighted_cdf(f, w, -np.inf) == 0.0
+        assert weighted_cdf(f, w, np.inf) == 1.0
+    for w in (None, 0.5, lambda z: 1.0):
+        with pytest.raises(ContractViolation, match="univariate weight function"):
+            weighted_cdf(f, w, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # Gaussian weights and chainings against scipy.stats.norm, bit for bit
 # ---------------------------------------------------------------------------
