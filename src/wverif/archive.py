@@ -761,37 +761,28 @@ def write_archive_jsonl(archive, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-# The largest code _key_codes may build: it renumbers its codes first.
-_CODE_LIMIT = np.iinfo(np.intp).max
-
-
-def _dense(code: np.ndarray) -> np.ndarray:
-    """The rank of each code among the distinct codes."""
-    return np.unique(code, return_inverse=True)[1].reshape(-1)
-
-
 def _key_codes(*columns) -> np.ndarray:
     """One integer per row of the key columns: 0, 1, ... , equal for rows
     that agree in every column, and ascending as the rows sort by the
     first column, then the next.  Entries compare as Python values, None
     after all others.
 
-    Codes combine column ranks in mixed radix and are renumbered once,
-    at the end; they are renumbered early only where the next column
-    could take them past ``_CODE_LIMIT``.
+    Each column is ranked among its distinct values; one lexsort orders
+    the rows by their ranks, and the codes count the changes of row
+    along that order.
     """
-    code = np.zeros(len(columns[0]), dtype=np.intp)
-    span = 1  # codes lie in [0, span)
+    ranks = []
     for col in columns:
         values = sorted(set(col), key=lambda v: (v is None, 0 if v is None else v))
         rank = dict(zip(values, range(len(values))))
-        if span * len(values) > _CODE_LIMIT + 1:
-            code = _dense(code)
-            span = int(code.max(initial=-1)) + 1
-        code = code * len(values) + np.fromiter(map(rank.__getitem__, col), np.intp, len(col))
-        span *= len(values)
-    # One column's ranks are already dense.
-    return _dense(code) if len(columns) > 1 else code
+        ranks.append(np.fromiter(map(rank.__getitem__, col), np.intp, len(col)))
+    order = np.lexsort(ranks[::-1])
+    rows = np.stack(ranks)[:, order]
+    change = np.ones(order.size, dtype=np.intp)
+    change[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
+    code = np.empty_like(order)
+    code[order] = np.cumsum(change) - 1
+    return code
 
 
 def _lead_times(lead_times) -> tuple:
@@ -983,7 +974,7 @@ def score_archive(
     multivariate ones stack the given lead times per (station, init date)
     first, as ``group_multivariate`` does, and have lead times None.  Raw
     ensembles are scored in blocks by the stacked kernels, smoothed
-    forecasts by the normal closed forms over all records at once.
+    forecasts as one column of normals by ``_parametric_score``.
     Threshold-based weights are exceedance indicators; ``level`` selects
     the heat-level weight instead for multivariate scores.  The values
     have passed ScoreValue's checks.

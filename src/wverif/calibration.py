@@ -47,6 +47,12 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _check_size(name: str, value, least: int) -> None:
+    """Refuse a count that is not an int (a bool is none) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ContractViolation(f"{name} must be an int of at least {least}, got {value!r}")
+
+
 def _not_nan(name: str, v) -> np.ndarray:
     """``v`` as floats, refused if any is NaN; +-inf has an answer here."""
     v = np.asarray(v, dtype=float)
@@ -148,7 +154,7 @@ def cpit(forecast: Forecast, y: float, t: float) -> float | None:
 
 def pit_ecdf(values) -> tuple[np.ndarray, np.ndarray]:
     """Empirical cdf of PIT values: sorted values and levels i/n."""
-    u = np.sort(np.asarray(values, dtype=float))
+    u = np.sort(_not_nan("PIT values", values))
     if u.size == 0:
         raise InsufficientData("no PIT values")
     return u, np.arange(1, u.size + 1) / u.size
@@ -193,14 +199,14 @@ def histogram_summary(values, bins: int = 20, lo: float = 0.0, hi: float = 1.0) 
         raise InsufficientData("no values to bin")
     if not np.all((u >= lo) & (u <= hi)):
         raise ContractViolation(f"values must lie inside [{lo}, {hi}]")
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise ContractViolation(f"bins must be an integer of at least 1, got {bins!r}")
+    _check_size("bins", bins, 1)
     counts, edges = np.histogram(u, bins=bins, range=(lo, hi))
     return HistogramSummary(edges, counts, int(u.size))
 
 
 def rank_histogram(ranks, n_ranks: int) -> HistogramSummary:
     """Histogram over the integer ranks 1 .. n_ranks."""
+    _check_size("n_ranks", n_ranks, 1)
     x = np.asarray(ranks, dtype=float)
     if x.size == 0:
         raise InsufficientData("no ranks to bin")
@@ -306,8 +312,7 @@ def corp_reliability(
         raise ContractViolation("outcomes must be 0 or 1")
     if not 0.0 < level < 1.0:
         raise ContractViolation("level must lie in (0, 1)")
-    if resamples < 1:
-        raise ContractViolation(f"resamples must be at least 1, got {resamples}")
+    _check_size("resamples", resamples, 1)
 
     order = np.argsort(p, kind="stable")
     ps = p[order]

@@ -108,10 +108,11 @@ class Ensemble(Forecast):
         return self.members.size
 
     def cdf(self, x):
-        """Empirical cdf: fraction of members <= x."""
+        """Empirical cdf: fraction of members <= x; NaN at NaN, as the
+        parametric cdfs give."""
         x = np.asarray(x, dtype=float)
         out = np.searchsorted(np.sort(self.members), x, side="right") / self.size
-        return _scalar_or_array(out)
+        return _scalar_or_array(np.where(np.isnan(x), np.nan, out))
 
 
 class Parametric(Forecast):

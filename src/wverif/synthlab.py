@@ -25,6 +25,7 @@ import numpy as np
 from .calibration import (
     HistogramSummary,
     ReliabilityFit,
+    _check_size,
     _cpit_values,
     _rng,
     corp_reliability,
@@ -64,13 +65,6 @@ __all__ = [
     "run_impropriety_demo",
     "run_experiment",
 ]
-
-
-def _check_size(name: str, value, least: int = 2) -> None:
-    """Refuse a count that is not an int of at least ``least``; a sample
-    needs two draws for its standard error."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ContractViolation(f"{name} must be an int of at least {least}, got {value!r}")
 
 
 def _check_finite(name: str, value) -> None:
@@ -149,7 +143,7 @@ def run_ideal_forecaster(
     PIT and conditional PIT beyond ``t`` are both uniform, while the
     PIT restricted to exceedance cases is not.
     """
-    _check_size("n", n)
+    _check_size("n", n, 2)
     _check_finite("t", t)
     if not 0.0 < sigma2 < 1.0:
         raise ContractViolation("sigma2 must lie in (0, 1)")
@@ -214,7 +208,7 @@ def run_tail_forecasters(
     the exceedance event is fitted by isotonic regression with a
     consistency band.
     """
-    _check_size("n", n)
+    _check_size("n", n, 2)
     _check_finite("t", t)
     gen = _rng(seed)
     tau = np.sqrt(2.0 / 3.0)
@@ -443,10 +437,10 @@ def run_propriety_mc(
     cases at a time, and the tabulated cdf evaluates its integrals at
     ``uniscores._POINTS`` points at a time.
     """
-    _check_size("n_pairs", n_pairs, least=1)
-    _check_size("n_uni", n_uni)
-    _check_size("n_mv", n_mv)
-    _check_size("m_members", m_members, least=1)
+    _check_size("n_pairs", n_pairs, 1)
+    _check_size("n_uni", n_uni, 2)
+    _check_size("n_mv", n_mv, 2)
+    _check_size("m_members", m_members, 1)
     if isinstance(scores, str):
         scores = scores.split(",")
     chosen = tuple(scores) if scores else _UNI_SCORES + _MV_SCORES
@@ -506,7 +500,7 @@ def run_impropriety_demo(
     score is the truth's owCRPS, and its twCRPS, under the censoring at
     t, is its CRPS at max(y, t).
     """
-    _check_size("n", n)
+    _check_size("n", n, 2)
     _check_finite("t", t)
     gen = _rng(seed)
     truth = Normal(0.0, 1.0)

@@ -5,10 +5,12 @@ Each forecast kind has one route.  Raw ensembles go through
 stacks of one dimension, and their Brier score through
 ``_brier_ensembles``.  Parametric forecasts go through
 ``_parametric_score``, which scores one forecast at many observations,
-or a column of normals (array parameters) at theirs.  A normal forecast
-under the unit, censoring or indicator weight (``_closed_form``) is
-scored by elementwise closed forms over arrays of means, sds and
-observations (``_normal_score``): the CRPS, the Brier score, the
+or a column of normals (array parameters) at theirs, and is the one
+place that maps a parametric score's name to its computation.  The
+Brier score is the forecast's cdf at the threshold against the event,
+for every family.  A normal forecast under the unit, censoring or
+indicator weight (``_closed_form``) is scored by elementwise closed
+forms over arrays of means, sds and observations: the CRPS, the
 censored-normal twCRPS, the truncated-normal owCRPS (``_tnorm_crps``, which also scores the
 truncated forecast of ``synthlab``'s impropriety demonstration) and the
 indicator-weight vrCRPS, all from ``ndtr`` (``scipy.special.ndtr``,
@@ -195,13 +197,13 @@ def crps_ensemble(forecast, y: float, fair: bool = False) -> ScoreValue:
 def normal_crps_values(mu, sigma, y):
     """Closed-form normal CRPS, vectorised over numpy arrays.
 
-    Returns plain floats/arrays; ``crps_normal`` and the closed-form
-    kernels for normal forecasts call it.
+    Returns plain floats/arrays; ``crps_normal`` and ``_parametric_score``
+    call it.  A NaN sigma is refused with the non-positive ones.
     """
     mu = np.asarray(mu, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(sigma <= 0.0):
+    if not np.all(sigma > 0.0):
         raise ContractViolation("sigma must be positive")
     z = (y - mu) / sigma
     out = sigma * (z * (2.0 * ndtr(z) - 1.0) + 2.0 * _std_pdf(z) - 1.0 / np.sqrt(np.pi))
@@ -270,11 +272,6 @@ def _standardise(mu, sd, w: WeightFunction, *xs) -> list:
     return [sign * (x - mu) / sd for x in xs]
 
 
-def _normal_brier(mu, sd, y, t: float):
-    """Brier score of each normal forecast for the event {Y <= t}."""
-    return (ndtr((t - mu) / sd) - (y <= t)) ** 2
-
-
 def _twcrps_normal(mu, sd, y, w: WeightFunction):
     """Threshold-weighted CRPS of each normal forecast under the chaining
     that integrates ``w``.
@@ -282,8 +279,6 @@ def _twcrps_normal(mu, sd, y, w: WeightFunction):
     sd times the integral of (Phi(u) - 1{z <= u})^2 over (a, inf): with
     m = max(z, a) that is G(m) - G(a) + K(m) = K(-m) - K(-a) + K(m).
     """
-    if isinstance(w, Constant):
-        return normal_crps_values(mu, sd, y)
     z, a = _standardise(mu, sd, w, y, w.t)
     m = np.maximum(z, a)
     return sd * (_q2_integral(-m) - _q2_integral(-a) + _q2_integral(m))
@@ -309,8 +304,6 @@ def _owcrps_normal(mu, sd, y, w: WeightFunction):
     The first case with w(y) > 0 whose tail mass is at or below the
     floor raises WeightedMassZero.
     """
-    if isinstance(w, Constant):
-        return normal_crps_values(mu, sd, y)
     z, a = _standardise(mu, sd, w, y, w.t)
     wy = np.asarray(w(y), dtype=float)
     live = wy != 0.0
@@ -331,8 +324,6 @@ def _vrcrps_normal(mu, sd, y, w: WeightFunction, x0: float):
     E|U - U'| 1{U > a} 1{U' > a} = 2 (Q(sqrt(2) a) / sqrt(pi) - p phi(a)),
     written with no term in a that cancels when a lies far below.
     """
-    if isinstance(w, Constant):
-        return normal_crps_values(mu, sd, y)
     wy = np.asarray(w(y), dtype=float)
     z, a, c = _standardise(mu, sd, w, y, w.t, x0)
     p = ndtr(-a)
@@ -345,25 +336,6 @@ def _vrcrps_normal(mu, sd, y, w: WeightFunction, x0: float):
 
     pair = 2.0 * (ndtr(-np.sqrt(2.0) * a) / np.sqrt(np.pi) - p * pa)
     return _vertical(sd * partial(z), sd * partial(c), p, wy, np.abs(y - x0), sd * pair)
-
-
-def _normal_score(score: str, mu, sd, y, w: WeightFunction, x0: float):
-    """One score of normal forecasts under the weight ``w``, elementwise.
-
-    twcrps takes the chaining that integrates ``w``; brier and owcrps_bs
-    take the threshold of an ``IndicatorAbove``; crps ignores ``w``.
-    """
-    if score == "crps":
-        return normal_crps_values(mu, sd, y)
-    if score == "brier":
-        return _normal_brier(mu, sd, y, w.t)
-    if score == "twcrps":
-        return _twcrps_normal(mu, sd, y, w)
-    if score == "owcrps":
-        return _owcrps_normal(mu, sd, y, w)
-    if score == "owcrps_bs":
-        return _normal_brier(mu, sd, y, w.t) + _owcrps_normal(mu, sd, y, w)
-    return _vrcrps_normal(mu, sd, y, w, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -565,33 +537,41 @@ def _refuse_divergent(score: str, forecast, w: WeightFunction) -> None:
 
 
 def _parametric_score(score: str, forecast, ys: np.ndarray, w: WeightFunction, x0: float = 0.0):
-    """One score of ``forecast`` at every observation of ``ys``, with
-    ``score``, ``w`` and the anchor x0 as ``_normal_score`` takes them.
+    """One score of ``forecast`` at every observation of ``ys``: the one
+    place that maps a parametric score's name to its computation.
 
-    Closed forms where ``_closed_form`` holds, which broadcast a column of
-    normals (array parameters) against ``ys``, else one tabulated cdf
-    with the extreme observations, the weight's breakpoints and, for the
-    vrCRPS, x0 as knots.  No conditional grid is built where w(y) = 0.
-    A Student t score whose integral diverges is refused
-    (``_refuse_divergent``).
+    twcrps takes the weight ``w`` that its chaining integrates, brier and
+    owcrps_bs an ``IndicatorAbove`` at their threshold, and crps ignores
+    ``w``; x0 anchors the vrCRPS.  The Brier score is one expression for
+    every family and for a column of normals (array parameters), and
+    owcrps_bs adds it to the owCRPS.  Where ``_closed_form`` holds, the
+    normal closed forms broadcast the forecast's parameters against
+    ``ys``; else one tabulated cdf with the extreme observations, the
+    weight's breakpoints and, for the vrCRPS, x0 as knots.  No
+    conditional grid is built where w(y) = 0.  A Student t score whose
+    integral diverges is refused (``_refuse_divergent``).
     """
     _refuse_divergent(score, forecast, w)
-    if _closed_form(forecast, w):
-        return _normal_score(score, forecast.mean_, forecast.sd, ys, w, x0)
     if score in ("brier", "owcrps_bs"):
-        # Two scalar squares, as the Brier score of one observation takes them.
-        p = float(forecast.cdf(w.t))
-        brier = np.where(ys <= w.t, (p - 1.0) ** 2, p**2)
-        if score == "brier":
-            return brier
+        brier = (forecast.cdf(w.t) - (ys <= w.t)) ** 2
+        return brier if score == "brier" else brier + _parametric_score("owcrps", forecast, ys, w)
+    if _closed_form(forecast, w):
+        mu, sd = forecast.mean_, forecast.sd
+        if score == "crps" or isinstance(w, Constant):
+            return normal_crps_values(mu, sd, ys)
+        if score == "twcrps":
+            return _twcrps_normal(mu, sd, ys, w)
+        if score == "owcrps":
+            return _owcrps_normal(mu, sd, ys, w)
+        return _vrcrps_normal(mu, sd, ys, w, x0)
     knots = (ys.min(), ys.max(), *w.breakpoints())
-    if score in ("owcrps", "owcrps_bs"):
+    if score == "owcrps":
         wy = np.asarray(w(ys), dtype=float)
         live = wy != 0.0
         out = np.zeros(ys.shape)
         if live.any():
             out[live] = wy[live] * _CdfGrid.conditioned(forecast, w, knots).owcrps(ys[live], w)
-        return out if score == "owcrps" else brier + out
+        return out
     if score == "vrcrps":
         return _CdfGrid(forecast, (*knots, x0)).vrcrps(ys, w, x0)
     return _CdfGrid(forecast, knots).twcrps(ys, Constant() if score == "crps" else w)

@@ -345,7 +345,7 @@ def heat_levels(temps, warm: float = HEAT_WARM, hot: float = HEAT_HOT):
     if not warm < hot:
         raise ContractViolation("warm threshold must lie below hot threshold")
     t = np.asarray(temps, dtype=float)
-    if t.shape[-1] != 3:
+    if t.shape[-1:] != (3,):
         raise DimensionMismatch("heat levels are defined for 3-day vectors")
     if np.isnan(t).any():
         raise ContractViolation("heat levels are not defined for a NaN day")

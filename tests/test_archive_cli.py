@@ -2087,30 +2087,24 @@ def _key_columns(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_key_columns(), st.sampled_from([archive._CODE_LIMIT, 40, 6, 1]))
-def test_key_codes_rank_rows_as_sorted_tuples(columns, limit):
+@given(_key_columns())
+def test_key_codes_rank_rows_as_sorted_tuples(columns):
     """Each row's code is the rank of its key tuple among the distinct
-    tuples in sorted order (None last), with the codes renumbered at the
-    end or, under a small limit, early too."""
+    tuples in sorted order (None last)."""
 
     def order(v):
         return (v is None, 0 if v is None else v)
 
     rows = [tuple(map(order, row)) for row in zip(*columns)]
     rank = {row: i for i, row in enumerate(sorted(set(rows)))}
-    saved = archive._CODE_LIMIT
-    archive._CODE_LIMIT = limit
-    try:
-        got = archive._key_codes(*columns)
-    finally:
-        archive._CODE_LIMIT = saved
+    got = archive._key_codes(*columns)
     assert got.dtype == np.intp
     assert got.tolist() == [rank[row] for row in rows]
 
 
 def test_key_codes_renumber_before_they_overflow():
-    """Four columns of 2**16 distinct values each span 2**64 codes, past
-    intp; the codes are renumbered before the last column and stay exact."""
+    """Four columns of 2**16 distinct values each span 2**64 tuples, past
+    intp; the codes number only the distinct rows and stay exact."""
     n = 2**16
     rng = np.random.default_rng(61)
     columns = [rng.permutation(n).tolist() for _ in range(4)]

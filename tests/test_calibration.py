@@ -189,6 +189,13 @@ def test_pit_ecdf():
         pit_ecdf([])
 
 
+def test_pit_ecdf_refuses_nan():
+    """As pit, rank and cpit do: a NaN would sort last and read as the
+    largest PIT value."""
+    with pytest.raises(ContractViolation, match="NaN"):
+        pit_ecdf([np.nan, 0.5])
+
+
 def test_histogram_summary():
     h = histogram_summary(np.array([0.05, 0.05, 0.55]), bins=10)
     assert h.k == 10
@@ -204,7 +211,7 @@ def test_histogram_summary_rejects_out_of_range():
         histogram_summary(np.array([-0.1, 0.5]))
     with pytest.raises(ContractViolation, match="must lie inside"):
         histogram_summary(np.array([0.2, np.nan]))
-    for bins in (0, -3, 2.5):
+    for bins in (0, -3, 2.5, True, np.float64(3.0)):
         with pytest.raises(ContractViolation, match="bins"):
             histogram_summary(np.array([0.1, 0.5]), bins=bins)
 
@@ -217,6 +224,9 @@ def test_rank_histogram_counts():
     for ranks in ([5], [1.5, 2.0], [np.nan], [np.inf]):
         with pytest.raises(ContractViolation):
             rank_histogram(np.array(ranks), n_ranks=4)
+    for n_ranks in (0, 2.5, True):
+        with pytest.raises(ContractViolation, match="n_ranks"):
+            rank_histogram([1], n_ranks)
 
 
 def test_reliability_index_extremes():
@@ -265,8 +275,8 @@ def test_corp_band_tracks_the_diagonal():
 def test_corp_needs_a_resample():
     p = np.linspace(0.05, 0.95, 20)
     o = (np.arange(20) % 3 == 0).astype(float)
-    for resamples in (0, -1):
-        with pytest.raises(ContractViolation):
+    for resamples in (0, -1, 2.5, True):
+        with pytest.raises(ContractViolation, match="resamples"):
             corp_reliability(p, o, resamples=resamples, seed=7)
 
 

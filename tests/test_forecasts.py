@@ -56,6 +56,14 @@ def test_ensemble_cdf_vectorised():
     assert_allclose(out, [0.0, 0.75, 0.75, 1.0])
 
 
+def test_ensemble_cdf_is_nan_at_nan():
+    """NaN is no point of the line: the empirical cdf gives NaN there, as
+    the parametric cdfs do, not the 1.0 of a value past every member."""
+    e = Ensemble(np.array([1.0, 2.0]))
+    assert np.isnan(e.cdf(np.nan)) and np.isnan(Normal(0.0, 1.0).cdf(np.nan))
+    assert_array_equal(e.cdf(np.array([np.nan, 1.5, np.inf])), [np.nan, 0.5, 1.0])
+
+
 def test_ensemble_rejects_bad_members():
     with pytest.raises(ContractViolation):
         Ensemble(np.array([1.0, np.nan]))

@@ -142,7 +142,7 @@ def test_synthlab_scores_only_through_the_dispatch_points():
         ("kernels", "_mv_kernel"),
     }
     kernels = {
-        "_CdfGrid", "_normal_score", "_energy", "_energy_scores", "_variogram_scores", "_closed_form"
+        "_CdfGrid", "_twcrps_normal", "_energy", "_energy_scores", "_variogram_scores", "_closed_form"
     }
     assert not kernels & {name for _, name in imported}
 
@@ -176,7 +176,7 @@ def test_archive_scores_smoothed_records_only_through_the_parametric_route():
     imported = {n for module, n in _imports(importlib.import_module("wverif.archive")) if module == "uniscores"}
     assert "_parametric_score" in imported
     behind = {n for n in vars(uniscores) if "normal" in n} | {"_CdfGrid", "_closed_form", "_tnorm_crps"}
-    assert "_normal_score" in behind
+    assert "_twcrps_normal" in behind
     assert not imported & behind
 
 

@@ -119,6 +119,14 @@ def test_crps_normal_center_value():
     assert crps_normal(3.0, 2.0, 3.0).value == pytest.approx(2.0 * want, abs=1e-14)
 
 
+def test_normal_crps_values_refuses_a_nan_sigma():
+    """NaN fails ``sigma <= 0`` as it fails ``sigma > 0``; it is refused
+    with the non-positive sds, not scored as NaN."""
+    for sigma in (np.nan, [1.0, np.nan], 0.0):
+        with pytest.raises(ContractViolation, match="sigma must be positive"):
+            uniscores.normal_crps_values(0.0, sigma, 1.0)
+
+
 def test_crps_normal_matches_quadrature():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -631,32 +639,49 @@ def _normal_stack(draw):
 @_ORACLE_SETTINGS
 @given(_normal_stack())
 def test_normal_kernels_equal_per_case_functions(case):
-    """The closed forms over arrays give each case the value of the
-    per-case function, which calls them with one case, in either tail."""
+    """``_parametric_score`` on one column of normals gives each case the
+    value of the per-case function, which calls it with one case, for
+    all six scores in either tail."""
     fs, ys, t, x0, above = case
-    mu = np.array([f.mean_ for f in fs])
-    sd = np.array([f.sd for f in fs])
+    column = Normal(np.array([f.mean_ for f in fs]), np.array([f.variance_ for f in fs]))
     w, v = (IndicatorAbove(t), CensorAbove(t)) if above else (IndicatorBelow(t), CensorBelow(t))
 
-    def same(got, per_case):
+    def same(score, weight, per_case):
+        got = uniscores._parametric_score(score, column, ys, weight, x0)
         # ScoreValue clamps negative roundoff to 0, as archive._checked does.
         got = np.where(got < 0.0, 0.0, got)
         assert got.tolist() == [per_case(f, y).value for f, y in zip(fs, ys.tolist())]
 
-    same(uniscores.normal_crps_values(mu, sd, ys), crps)
-    same(uniscores._normal_brier(mu, sd, ys, t), lambda f, y: brier(f, y, t))
+    same("brier", IndicatorAbove(t), lambda f, y: brier(f, y, t))
     for weight, chain in ((Constant(), Identity()), (w, v)):
-        same(uniscores._twcrps_normal(mu, sd, ys, weight), lambda f, y: twcrps(f, y, chain))
-        same(uniscores._owcrps_normal(mu, sd, ys, weight), lambda f, y: owcrps(f, y, weight))
-        same(uniscores._vrcrps_normal(mu, sd, ys, weight, x0), lambda f, y: vrcrps(f, y, weight, x0))
+        same("crps", weight, crps)
+        same("twcrps", weight, lambda f, y: twcrps(f, y, chain))
+        same("owcrps", weight, lambda f, y: owcrps(f, y, weight))
+        same("vrcrps", weight, lambda f, y: vrcrps(f, y, weight, x0))
     if above:
-        same(
-            uniscores._normal_brier(mu, sd, ys, t) + uniscores._owcrps_normal(mu, sd, ys, w),
-            lambda f, y: owcrps_bs(f, y, t),
-        )
+        same("owcrps_bs", w, lambda f, y: owcrps_bs(f, y, t))
     # Exactly +0.0 where w(y) = 0, as the per-case function returns.
-    unweighted = uniscores._owcrps_normal(mu, sd, ys, w)[w(ys) == 0.0]
+    unweighted = uniscores._parametric_score("owcrps", column, ys, w)[w(ys) == 0.0]
     assert (unweighted == 0.0).all() and not np.signbit(unweighted).any()
+
+
+def test_parametric_score_is_the_only_dispatcher():
+    """Only ``_parametric_score`` reaches the normal closed forms, which
+    hold their formulas and no shortcut for the unit weight; no second
+    dispatcher or Brier score of normals is defined beside it."""
+    tree = ast.parse(pathlib.Path(uniscores.__file__).read_text())
+    defined = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"_normal_score", "_normal_brier"} & set(defined)
+    closed = {"_twcrps_normal", "_owcrps_normal", "_vrcrps_normal"}
+    callers = {
+        name
+        for name, node in defined.items()
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and n.id in closed and name not in closed
+    }
+    assert callers == {"_parametric_score"}
+    for name in closed:
+        assert "Constant" not in {n.id for n in ast.walk(defined[name]) if isinstance(n, ast.Name)}
 
 
 # ---------------------------------------------------------------------------
@@ -1212,3 +1237,41 @@ def test_no_module_imports_a_package_module_inside_a_function():
             else:
                 package = any(a.name.split(".")[0] == "wverif" for a in node.names)
             assert not package, f"{path.name}:{node.lineno} imports a package module in a function"
+
+
+# Imports marked ``# noqa: F401``: the per-case functions that perfbench's
+# tracer wraps in archive and cli, which those modules do not call.
+_TRACED_IMPORTS = {
+    "archive": {
+        "energy_score", "ow_energy_score", "tw_energy_score", "tw_variogram_score",
+        "variogram_score", "vr_energy_score", "vr_variogram_score", "smooth_ensemble",
+        "brier", "crps", "owcrps", "owcrps_bs", "twcrps", "vrcrps",
+    },
+    "cli": {"cpit", "pit", "rank", "ecc_reorder", "fit_emos", "predict_emos", "smooth_ensemble"},
+}
+
+
+def test_every_imported_name_is_used_or_exported():
+    """Each name a module of the package imports is used in it, listed in
+    its ``__all__``, or on an import marked ``# noqa: F401``, and those
+    are exactly the names bound for the tracer."""
+    marked = {}
+    for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source, filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                exported = set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+                continue
+            names = {(a.asname or a.name).split(".")[0] for a in node.names}
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                marked.setdefault(path.stem, set()).update(names)
+            else:
+                unused = names - used - exported
+                assert not unused, f"{path.name}:{node.lineno} imports {sorted(unused)} unused"
+    assert marked == _TRACED_IMPORTS

@@ -345,6 +345,14 @@ def test_heat_level_indicator_validation():
         HeatLevelIndicator(2)(np.zeros(2))
 
 
+@pytest.mark.parametrize("temps", [5.0, [], np.zeros((2, 4))], ids=["scalar", "empty", "four-days"])
+def test_heat_levels_refuse_other_than_three_days(temps):
+    """A scalar has no days at all: refused as a mismatch, as an empty or
+    four-day vector is, not with an IndexError."""
+    with pytest.raises(DimensionMismatch, match="3-day vectors"):
+        heat_levels(temps)
+
+
 @pytest.mark.parametrize("temps", [np.full(3, np.nan), np.array([np.nan, 30.0, 30.0])],
                          ids=["all-nan", "one-nan"])
 def test_a_nan_day_has_no_heat_level(temps):
