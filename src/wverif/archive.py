@@ -23,17 +23,19 @@ so a file read again with the same content is not parsed again.
 Raw ensembles are scored by ``kernels._mv_kernel``, the one engine of
 the ensemble kernel scores, univariate records as stacks of one
 dimension, and the Brier score by ``uniscores._brier_ensembles``:
-blocks of at most ``_STACK`` records, or stacked multivariate cases,
-sharing a member count go to one kernel call as slices of the member
-array, and each case gets exactly the value of the per-case function,
+blocks of at most ``grouping._STACK`` records, or stacked multivariate
+cases, sharing a member count go to one kernel call as slices of the
+member array, and each case gets exactly the value of the per-case function,
 which calls the same kernel.  Like the kernels, the archive functions take
 and return columns: ``score_archive`` gives (station ids, init dates,
 lead times, values), ``skill_table`` joins two such sets by one sort of
 their keys, and ``group_multivariate`` gives the (cases, d) array of the
-record indices of each stacked case.  Smoothed forecasts are normal fits
-to the members, taken per block of one member count into one ``Normal``
-of array parameters, and each score is one call of the parametric
-route, ``uniscores._parametric_score``, over all records.
+record indices of each stacked case; rows are keyed and blocked by
+``grouping._key_codes`` and ``grouping._blocks``.  Smoothed forecasts
+are normal fits to the members, ``postprocess.member_moments`` with the
+variance floored, into one ``Normal`` of array parameters, and each
+score is one call of the parametric route,
+``uniscores._parametric_score``, over all records.
 
 ``_write_csv`` is the package's one csv writer: archives, score tables
 and every table of the command line interface are written by it, a
@@ -57,9 +59,10 @@ import numpy as np
 
 from .exceptions import ContractViolation, DataError, DimensionMismatch, UnsupportedInput
 from .forecasts import Normal
+from .grouping import _blocks, _key_codes
 from .kernels import _mv_kernel
 from .mvscores import VariogramSpec
-from .postprocess import _smooth_moments
+from .postprocess import VARIANCE_FLOOR, member_moments
 from .uniscores import _NEGATIVE_TOL, ScoreValue, _brier_ensembles, _parametric_score
 
 # Archives are scored by the stacked kernels and the parametric route; the
@@ -761,30 +764,6 @@ def write_archive_jsonl(archive, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _key_codes(*columns) -> np.ndarray:
-    """One integer per row of the key columns: 0, 1, ... , equal for rows
-    that agree in every column, and ascending as the rows sort by the
-    first column, then the next.  Entries compare as Python values, None
-    after all others.
-
-    Each column is ranked among its distinct values; one lexsort orders
-    the rows by their ranks, and the codes count the changes of row
-    along that order.
-    """
-    ranks = []
-    for col in columns:
-        values = sorted(set(col), key=lambda v: (v is None, 0 if v is None else v))
-        rank = dict(zip(values, range(len(values))))
-        ranks.append(np.fromiter(map(rank.__getitem__, col), np.intp, len(col)))
-    order = np.lexsort(ranks[::-1])
-    rows = np.stack(ranks)[:, order]
-    change = np.ones(order.size, dtype=np.intp)
-    change[1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=0)
-    code = np.empty_like(order)
-    code[order] = np.cumsum(change) - 1
-    return code
-
-
 def _lead_times(lead_times) -> tuple:
     lead_times = tuple(int(lt) for lt in lead_times)
     if len(set(lead_times)) != len(lead_times) or not lead_times:
@@ -822,32 +801,6 @@ def group_multivariate(archive, lead_times=(1, 2, 3)) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Records, or stacked multivariate cases, per kernel call.  The kernels'
-# temporaries grow with the stack: scoring the 2,400 records of m = 51
-# members of the benchmark's score-raw archive in one call raised the
-# peak RSS of a vrcrps run by 7.6 MiB, against 0.9 MiB in blocks of 256.
-_STACK = 256
-
-
-def _blocks(sizes: np.ndarray):
-    """(member count, items) for blocks of at most ``_STACK`` items.
-
-    The items of a block share one member count; they are taken in
-    order within each member count, and member counts in order of first
-    appearance.  ``items`` is a slice when all items share one member
-    count, otherwise an index array.
-    """
-    counts, first = np.unique(sizes, return_index=True)
-    if counts.size == 1:
-        for a in range(0, sizes.size, _STACK):
-            yield int(counts[0]), slice(a, a + _STACK)
-        return
-    for k in counts[np.argsort(first)].tolist():
-        idx = np.flatnonzero(sizes == k)
-        for a in range(0, idx.size, _STACK):
-            yield k, idx[a : a + _STACK]
-
-
 def _checked(values: np.ndarray, score: str) -> np.ndarray:
     """ScoreValue's checks over all values at once.
 
@@ -863,11 +816,11 @@ def _checked(values: np.ndarray, score: str) -> np.ndarray:
 
 def _smooth_normals(a: Archive) -> Normal:
     """The normal fit to each record, as smooth_ensemble makes it, as one
-    column of forecasts, computed per block of one member count."""
-    mu, var = np.empty(len(a)), np.empty(len(a))
-    for k, items in _blocks(a.n_members):
-        mu[items], var[items] = _smooth_moments(a.members[items, :k])
-    return Normal(mu, var)
+    column of forecasts."""
+    if (a.n_members < 2).any():
+        raise ContractViolation("smoothing needs at least two members")
+    mu, var = member_moments(a.members, a.n_members)
+    return Normal(mu, np.maximum(var, VARIANCE_FLOOR))
 
 
 def _score_univariate(a: Archive, score, threshold, x0, smooth) -> tuple:

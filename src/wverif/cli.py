@@ -36,9 +36,7 @@ from .archive import (
     MULTIVARIATE_SCORES,
     UNIVARIATE_SCORES,
     Archive,
-    _blocks,
     _check_score,
-    _key_codes,
     _smooth_normals,
     _write_csv,
     group_multivariate,
@@ -67,14 +65,8 @@ from .exceptions import (
     UnsupportedInput,
     WeightedMassZero,
 )
-from .forecasts import Normal
-from .postprocess import (
-    _ecc_place,
-    _fit_chains,
-    emos_mean_variance,
-    fit_climatology,
-    lapse_rate_correct,
-)
+from .grouping import _key_codes
+from .postprocess import ecc_members, member_moments, rolling_emos, station_climatology
 from .synthlab import ExperimentSpec, run_experiment
 
 # diagnose and postprocess call the kernels that these per-case functions
@@ -186,7 +178,6 @@ def _cmd_score(args) -> tuple:
     else:
         rows = (dict(zip(header, row)) for row in zip(*columns))
         _write_jsonl(os.path.join(args.out, name), rows)
-    outputs = [name]
     # Strict json has no NaN: the mean of no cases is null.
     mean = float(np.mean(values)) if len(values) else None
     _write_json(
@@ -199,8 +190,7 @@ def _cmd_score(args) -> tuple:
             "mean": mean,
         },
     )
-    outputs.append("summary.json")
-    return outputs, _inputs(archive=archive)
+    return [name, "summary.json"], _inputs(archive=archive)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +273,7 @@ def _cmd_diagnose(args) -> tuple:
             summary["thresholds"].append(entry)
 
     _write_json(os.path.join(args.out, "summary.json"), summary)
-    outputs.append("summary.json")
-    return outputs, _inputs(archive=archive)
+    return outputs + ["summary.json"], _inputs(archive=archive)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +284,8 @@ def _cmd_diagnose(args) -> tuple:
 def _read_stations(path: str) -> dict:
     """Station metadata csv: station_id, mhd, tpi and optional heights, as
     (mhd, tpi, model height, station height) per station id, the heights
-    NaN unless the row gives both.  Every value given must be finite."""
+    NaN unless the row gives both.  Every value given must be finite, and
+    each row must name its own, non-empty station id."""
     out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -304,12 +294,14 @@ def _read_stations(path: str) -> dict:
             raise DataError(f"{path}: expected columns station_id, mhd, tpi")
         for row in reader:
             sid = row["station_id"].strip()
+            if not sid or sid in out:
+                raise DataError(f"{path}: line {reader.line_num}: empty or repeated station id {sid!r}")
             heights = (row.get("model_height"), row.get("station_height"))
             given = all(heights)
             try:
                 cells = (row["mhd"], row["tpi"], *(heights if given else ("nan", "nan")))
                 out[sid] = tuple(map(float, cells))
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise DataError(f"{path}: bad row for station {sid!r}: {exc}") from None
             if not np.isfinite(out[sid][: 4 if given else 2]).all():
                 raise DataError(f"{path}: bad row for station {sid!r}: values must be finite")
@@ -323,23 +315,6 @@ def _stations_of(archive, stations: dict) -> np.ndarray:
     return np.array(table, dtype=float).reshape(-1, 4)[_key_codes(archive.station_ids)]
 
 
-def _member_moments(archive, heights: np.ndarray) -> tuple:
-    """Mean and (m-1) variance of each record's members, lapse-rate
-    corrected where the (n, 2) model and station ``heights`` are not NaN;
-    the variance of one member is 0."""
-    xbar, var = np.empty(len(archive)), np.zeros(len(archive))
-    for k, items in _blocks(archive.n_members):
-        x = archive.members[items, :k]
-        h = heights[items]
-        corrected = ~np.isnan(h[:, 0])
-        if corrected.any():
-            x = np.where(corrected[:, None], lapse_rate_correct(x, h[:, :1], h[:, 1:]), x)
-        xbar[items] = x.mean(axis=1)
-        if k > 1:
-            var[items] = x.var(axis=1, ddof=1)
-    return xbar, var
-
-
 def _cmd_postprocess(args) -> tuple:
     if args.window_days < 1:
         raise ContractViolation("the training window needs at least one day")
@@ -348,48 +323,11 @@ def _cmd_postprocess(args) -> tuple:
         raise DataError(f"{args.archive}: nothing to postprocess")
     stations = _read_stations(args.stations) if args.stations else {}
     covariates = _stations_of(archive, stations)
-    xbar, var = _member_moments(archive, covariates[:, 2:])
+    xbar, var = member_moments(archive.members, archive.n_members, covariates[:, 2:])
     lead = np.array(archive.lead_times)
     sids, dates = (np.array(c, dtype=object) for c in (archive.station_ids, archive.init_dates))
-
-    # Sorted by lead time, date and station, each day of a lead time is a
-    # run of records, each lead time a run of days, and each training
-    # window a run of days.
-    order = np.argsort(_key_codes(lead, dates, sids))
-    cols = [c[order] for c in (xbar, var, covariates[:, 0], covariates[:, 1], archive.obs)]
-    starts = np.r_[0, np.flatnonzero(np.diff(_key_codes(lead, dates)[order])) + 1]
-    firsts = np.r_[0, np.flatnonzero(np.diff(lead[order[starts]])) + 1].tolist()
-    starts = starts.tolist()
-    ends, lasts = starts[1:] + [len(order)], firsts[1:] + [len(starts)]
-    mean, variance = np.full(len(archive), np.nan), np.full(len(archive), np.nan)
-    params, fitted, n_unfit = [None] * len(firsts), [[] for _ in firsts], 0
-    # Day k of every lead time at once: predict it from the lead time's
-    # last fit, then fit all their windows through day k in lockstep.
-    for k in range(max(q - p for p, q in zip(firsts, lasts))):
-        leads_k, windows, labels = [], [], []
-        for i, (p, q) in enumerate(zip(firsts, lasts)):
-            if p + k >= q:
-                continue
-            a, b = starts[p + k], ends[p + k]
-            if params[i] is None:
-                n_unfit += b - a
-            else:
-                f = Normal(*emos_mean_variance(params[i], *(c[a:b] for c in cols[:4])))
-                mean[order[a:b]], variance[order[a:b]] = f.mean_, f.variance_
-            w = starts[max(p, p + k - args.window_days + 1)]
-            leads_k.append(i)
-            windows.append(tuple(c[w:b] for c in cols))
-            labels.append({
-                "lead_time": archive.lead_times[order[a]],
-                "train_through": archive.init_dates[order[a]].isoformat(),
-                "n_train": b - w,
-            })
-        fits = _fit_chains(windows, [params[i] for i in leads_k], [None] * len(windows))
-        for i, label, fit in zip(leads_k, labels, fits):
-            params[i] = fit
-            if fit is not None:
-                fitted[i].append(label | fit.to_dict())
-    params_rows = [row for rows in fitted for row in rows]
+    cols = (xbar, var, covariates[:, 0], covariates[:, 1], archive.obs)
+    mean, variance, params_rows, n_unfit = rolling_emos(cols, lead, dates, sids, args.window_days)
 
     # Rows sort by station, init date and lead time.
     rows = np.argsort(_key_codes(sids, dates, lead))
@@ -406,7 +344,12 @@ def _cmd_postprocess(args) -> tuple:
     if args.ecc:
         outputs.append(_run_ecc(args, archive, mean, variance, lead_times))
     if args.climatology:
-        outputs.append(_run_climatology(args, archive))
+        _write_csv(
+            os.path.join(args.out, "climatology.csv"),
+            ("station_id", "mean", "sd", "n"),
+            list(zip(*station_climatology(archive.station_ids, archive.obs))),
+        )
+        outputs.append("climatology.csv")
 
     _write_json(
         os.path.join(args.out, "summary.json"),
@@ -424,8 +367,7 @@ def _cmd_postprocess(args) -> tuple:
             "fit_iters_max": max((r["n_iter"] for r in params_rows), default=0),
         },
     )
-    outputs.append("summary.json")
-    return outputs, _inputs(archive=archive)
+    return outputs + ["summary.json"], _inputs(archive=archive)
 
 
 def _run_ecc(args, archive, mean, variance, lead_times) -> str:
@@ -433,24 +375,19 @@ def _run_ecc(args, archive, mean, variance, lead_times) -> str:
 
     ``mean`` and ``variance`` hold each record's predicted normal, NaN where
     there is none.  Each (station, init date) with every lead time, one
-    member count and a prediction for each record is coupled; per block
-    of one member count, the quantiles of all its margins are placed at
-    once.  The coupled archive is written as ``ecc.csv``, or as
+    member count and a prediction for each record is coupled by
+    ``ecc_members``.  The coupled archive is written as ``ecc.csv``, or as
     ``ecc.jsonl`` when its groups differ in member count, which csv
     cannot hold.
     """
     index = group_multivariate(archive, lead_times)
     index = index[~np.isnan(mean[index]).any(axis=1)]
-    members = np.array(archive.members)
-    for k, cases in _blocks(archive.n_members[index[:, 0]]):
-        idx = index[cases]
-        q = Normal(mean[idx][..., None], variance[idx][..., None]).ppf((np.arange(k) + 0.5) / k)
-        members[idx, :k] = _ecc_place(q, archive.members[idx, :k])
+    members = ecc_members(archive.members, archive.n_members, index, mean, variance)
     rows = index.ravel()
     keys = (archive.station_ids, archive.init_dates, archive.lead_times)
     coupled = Archive(
         *(tuple(np.array(col, dtype=object)[rows]) for col in keys),
-        members[rows],
+        members.reshape(rows.size, archive.members.shape[1]),
         archive.n_members[rows],
         archive.obs[rows],
     )
@@ -459,26 +396,6 @@ def _run_ecc(args, archive, mean, variance, lead_times) -> str:
         return "ecc.jsonl"
     write_archive_csv(coupled, os.path.join(args.out, "ecc.csv"))
     return "ecc.csv"
-
-
-def _run_climatology(args, archive) -> str:
-    # The observations of each station in record order, stations sorted.
-    station = _key_codes(archive.station_ids)
-    order = np.argsort(station, kind="stable")
-    starts = np.flatnonzero(np.diff(station[order], prepend=-1))
-    rows = []
-    for i, obs in zip(order[starts].tolist(), np.split(archive.obs[order], starts[1:])):
-        try:
-            fc = fit_climatology(obs)
-        except InsufficientData:
-            continue
-        rows.append((archive.station_ids[i], fc.mean_, fc.sd, len(obs)))
-    _write_csv(
-        os.path.join(args.out, "climatology.csv"),
-        ("station_id", "mean", "sd", "n"),
-        list(zip(*rows)),
-    )
-    return "climatology.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +483,8 @@ def _write_tail_forecasters(out: str, res) -> list:
 
 
 def _write_propriety(out: str, rows) -> list:
-    _write_csv(
-        os.path.join(out, "propriety.csv"),
-        ("score", "pair", "mean_true", "mean_other", "se_diff", "passed"),
-        [
-            [getattr(r, k) for r in rows]
-            for k in ("score", "pair", "mean_true", "mean_other", "se_diff", "passed")
-        ],
-    )
+    header = ("score", "pair", "mean_true", "mean_other", "se_diff", "passed")
+    _write_csv(os.path.join(out, "propriety.csv"), header, [[getattr(r, k) for r in rows] for k in header])
     _write_json(
         os.path.join(out, "summary.json"),
         {"n_rows": len(rows), "n_passed": sum(r.passed for r in rows)},
@@ -631,7 +542,10 @@ def _cmd_report(args) -> tuple:
         lead_times=_parse_list(args.lead_times, int, "lead time"),
         level=args.level,
     )
-    scores = [s.strip() for s in args.scores.split(",") if s.strip()]
+    # A score listed twice would be reported twice.
+    scores = _parse_list(args.scores, str.strip, "score")
+    if not scores or len(set(scores)) < len(scores):
+        raise ContractViolation(f"--scores must name distinct scores, got {args.scores!r}")
     for score in scores:
         _check_score(score, **kwargs)
     archive = read_archive(args.archive, args.max_reject_fraction)
@@ -686,6 +600,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_scoring(p: argparse.ArgumentParser) -> None:
+    """The options of score and report that choose how cases are scored."""
+    p.add_argument("--threshold", type=_finite, default=None)
+    p.add_argument("--p", type=_finite, default=0.5)
+    p.add_argument("--level", type=int, default=None, choices=(1, 2, 3, 4))
+    p.add_argument("--smooth", action="store_true")
+    p.add_argument("--lead-times", default="1,2,3")
+
+
 @functools.cache
 def _build_parser(exit_on_error: bool = True) -> tuple:
     """The parser and its subcommand parsers by name, built once per
@@ -703,17 +626,9 @@ def _build_parser(exit_on_error: bool = True) -> tuple:
 
     p = add("score", help="score every case of an archive")
     p.add_argument("--archive", required=True)
-    p.add_argument(
-        "--score",
-        required=True,
-        choices=UNIVARIATE_SCORES + MULTIVARIATE_SCORES,
-    )
-    p.add_argument("--threshold", type=_finite, default=None)
+    p.add_argument("--score", required=True, choices=UNIVARIATE_SCORES + MULTIVARIATE_SCORES)
     p.add_argument("--x0", type=_finite, default=None)
-    p.add_argument("--p", type=_finite, default=0.5)
-    p.add_argument("--level", type=int, default=None, choices=(1, 2, 3, 4))
-    p.add_argument("--smooth", action="store_true")
-    p.add_argument("--lead-times", default="1,2,3")
+    _add_scoring(p)
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     _add_common(p)
     p.set_defaults(func=_cmd_score)
@@ -751,11 +666,7 @@ def _build_parser(exit_on_error: bool = True) -> tuple:
     p.add_argument("--archive", required=True)
     p.add_argument("--reference", required=True)
     p.add_argument("--scores", default="crps,es,vs")
-    p.add_argument("--threshold", type=_finite, default=None)
-    p.add_argument("--p", type=_finite, default=0.5)
-    p.add_argument("--level", type=int, default=None, choices=(1, 2, 3, 4))
-    p.add_argument("--smooth", action="store_true")
-    p.add_argument("--lead-times", default="1,2,3")
+    _add_scoring(p)
     _add_common(p)
     p.set_defaults(func=_cmd_report)
 

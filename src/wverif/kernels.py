@@ -293,7 +293,7 @@ def _mv_kernel(weights: dict, anchor, p: float | None, h: np.ndarray | None, fai
     The pair sums run in blocks of ``_BLOCK`` or ``_PAIR_BLOCK`` cases,
     but the weights, chained points and sorted members are taken over
     the whole stack at once, so what a call holds grows with its stack:
-    callers pass bounded stacks, ``archive`` at most ``_STACK`` records
+    callers pass bounded stacks, ``archive`` at most ``grouping._STACK`` records
     and the propriety Monte Carlo of ``synthlab`` ``_DRAW_BLOCK`` cases.
     """
     anchor = None if anchor is None else np.asarray(anchor, dtype=float)

@@ -9,8 +9,12 @@ Hessian (Gneiting, Raftery, Westveld & Goldman 2005), and restore a
 physically ordered ensemble by sampling equidistant quantiles and
 reordering them like the raw members (Schefzik, Thorarinsdottir &
 Gneiting 2013).  The kernels take arrays: a training window is a tuple of
-(xbar, var, mhd, tpi, obs) columns, which the CLI slices as one index
-range out of records sorted by lead time, date and station.
+(xbar, var, mhd, tpi, obs) columns.  Each stage of the post-processing
+of an archive takes its columns and returns columns: ``member_moments``
+the records' member means and variances, ``rolling_emos`` their
+predictions from rolling training windows, ``ecc_members`` the coupled
+members of stacked cases and ``station_climatology`` each station's
+climatology.
 A window's fit is a generator, ``_fit_one``, that asks for each objective
 evaluation and Newton step; ``_fit_chains`` runs several in lockstep with
 stacked answers, and every window gets the bits it gets alone.
@@ -28,6 +32,7 @@ import numpy as np
 from .exceptions import ContractViolation, DimensionMismatch, InsufficientData
 from .forecasts import Ensemble, IndependentProduct, MvEnsemble, Normal
 from .forecasts import _scalar_or_array, _std_pdf, ndtr
+from .grouping import _blocks, _key_codes
 
 __all__ = [
     "LAPSE_RATE",
@@ -35,12 +40,16 @@ __all__ = [
     "StationMeta",
     "EmosParams",
     "lapse_rate_correct",
+    "member_moments",
     "smooth_ensemble",
     "fit_climatology",
+    "station_climatology",
     "fit_emos",
+    "rolling_emos",
     "predict_emos",
     "emos_mean_variance",
     "ecc_reorder",
+    "ecc_members",
 ]
 
 # Temperature increase per metre of height the model grid cell sits
@@ -65,12 +74,23 @@ def lapse_rate_correct(values, model_height, station_height, rate: float = LAPSE
     return _scalar_or_array(out)
 
 
-def _smooth_moments(x: np.ndarray) -> tuple:
-    """Mean and variance of the normal fit to each row of an (n, m) member
-    array: member mean and (m-1) variance, floored at VARIANCE_FLOOR."""
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ContractViolation("smoothing needs at least two members")
-    return x.mean(axis=1), np.maximum(x.var(axis=1, ddof=1), VARIANCE_FLOOR)
+def member_moments(members, n_members, heights=None) -> tuple:
+    """Mean and (m-1) variance of the first ``n_members[i]`` entries of
+    each row i of an (n, m) member array, per block of one member count;
+    the variance of one member is 0.  Rows whose (model height, station
+    height) row of the (n, 2) ``heights`` is not NaN are lapse-rate
+    corrected first."""
+    members, n_members = np.asarray(members, dtype=float), np.asarray(n_members)
+    xbar, var = np.empty(n_members.size), np.zeros(n_members.size)
+    for k, items in _blocks(n_members):
+        x = members[items, :k]
+        if heights is not None:
+            h = heights[items]
+            x = np.where(np.isnan(h[:, :1]), x, lapse_rate_correct(x, h[:, :1], h[:, 1:]))
+        xbar[items] = x.mean(axis=1)
+        if k > 1:
+            var[items] = x.var(axis=1, ddof=1)
+    return xbar, var
 
 
 def smooth_ensemble(forecast) -> Normal:
@@ -80,8 +100,10 @@ def smooth_ensemble(forecast) -> Normal:
     still produce a usable forecast.
     """
     x = forecast.members if isinstance(forecast, Ensemble) else np.asarray(forecast, dtype=float)
-    mean, var = _smooth_moments(x[None])
-    return Normal(float(mean[0]), float(var[0]))
+    if x.ndim != 1 or x.size < 2:
+        raise ContractViolation("smoothing needs at least two members")
+    mean, var = member_moments(x[None], [x.size])
+    return Normal(float(mean[0]), float(np.maximum(var[0], VARIANCE_FLOOR)))
 
 
 def fit_climatology(values) -> Normal:
@@ -94,6 +116,23 @@ def fit_climatology(values) -> Normal:
     if not np.all(np.isfinite(x)):
         raise ContractViolation("observations must be finite")
     return smooth_ensemble(x)
+
+
+def station_climatology(station_ids, obs) -> list:
+    """The (station id, mean, sd, n) of the climatology of each station,
+    stations sorted, fitted to its observations in record order; a
+    station with too few observations for ``fit_climatology`` has no row."""
+    station = _key_codes(station_ids)
+    order = np.argsort(station, kind="stable")
+    starts = np.flatnonzero(np.diff(station[order], prepend=-1))
+    rows = []
+    for i, y in zip(order[starts].tolist(), np.split(np.asarray(obs)[order], starts[1:])):
+        try:
+            fc = fit_climatology(y)
+        except InsufficientData:
+            continue
+        rows.append((station_ids[i], fc.mean_, fc.sd, len(y)))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -349,6 +388,68 @@ def fit_emos(window, init: EmosParams | None = None, history: list | None = None
     return params
 
 
+def rolling_emos(cols, lead, dates, sids, window_days: int) -> tuple:
+    """Predict and fit the records of an archive through rolling windows.
+
+    ``cols`` are the records' (xbar, var, mhd, tpi, obs) columns and
+    ``lead``, ``dates`` and ``sids`` their lead times, init dates and
+    station ids.  Each lead time is taken a day at a time in date order:
+    the day's records are predicted from the lead time's last fit, then
+    the regression is fitted, warm started from that fit, to the records
+    of the last ``window_days`` days of the lead time through that day.
+    A window of fewer than 10 cases leaves the lead time without a fit.
+    Day k of every lead time is fitted at once, by ``_fit_chains``, so
+    each window gets the bits ``fit_emos`` gives it.
+
+    Returns the predictive mean and variance of each record, NaN where
+    its lead time had no fit yet; the parameter rows (lead_time,
+    train_through, n_train and the EmosParams fields) of every fit, by
+    lead time and then date; and the number of records without a fit.
+    """
+    if window_days < 1:
+        raise ContractViolation("the training window needs at least one day")
+    lead = np.asarray(lead)
+    if not lead.size:
+        raise InsufficientData("rolling windows need at least one record")
+    # Sorted by lead time, date and station, each day of a lead time is a
+    # run of records, each lead time a run of days, and each training
+    # window a run of days.
+    order = np.argsort(_key_codes(lead, dates, sids))
+    cols = [np.asarray(c, dtype=float)[order] for c in cols]
+    starts = np.r_[0, np.flatnonzero(np.diff(_key_codes(lead, dates)[order])) + 1]
+    firsts = np.r_[0, np.flatnonzero(np.diff(lead[order[starts]])) + 1].tolist()
+    starts = starts.tolist()
+    ends, lasts = starts[1:] + [len(order)], firsts[1:] + [len(starts)]
+    mean, variance = np.full(len(order), np.nan), np.full(len(order), np.nan)
+    params, fitted, n_unfit = [None] * len(firsts), [[] for _ in firsts], 0
+    # Day k of every lead time at once: predict it from the lead time's
+    # last fit, then fit all their windows through day k in lockstep.
+    for k in range(max(q - p for p, q in zip(firsts, lasts))):
+        leads_k, windows, labels = [], [], []
+        for i, (p, q) in enumerate(zip(firsts, lasts)):
+            if p + k >= q:
+                continue
+            a, b = starts[p + k], ends[p + k]
+            day = order[a]
+            if params[i] is None:
+                n_unfit += b - a
+            else:
+                f = Normal(*emos_mean_variance(params[i], *(c[a:b] for c in cols[:4])))
+                mean[order[a:b]], variance[order[a:b]] = f.mean_, f.variance_
+            w = starts[max(p, p + k - window_days + 1)]
+            leads_k.append(i)
+            windows.append(tuple(c[w:b] for c in cols))
+            labels.append(
+                dict(lead_time=int(lead[day]), train_through=dates[day].isoformat(), n_train=b - w)
+            )
+        fits = _fit_chains(windows, [params[i] for i in leads_k], [None] * len(windows))
+        for i, label, fit in zip(leads_k, labels, fits):
+            params[i] = fit
+            if fit is not None:
+                fitted[i].append(label | fit.to_dict())
+    return mean, variance, [row for rows in fitted for row in rows], n_unfit
+
+
 def emos_mean_variance(params: EmosParams, xbar, var, mhd, tpi):
     """Predictive mean and variance arrays for fitted parameters.  The mean
     is a stack of one-case dot products, so every case gets the bits it
@@ -372,6 +473,27 @@ def _ecc_place(q, raw) -> np.ndarray:
     members (..., m) of each margin, ties broken by member index."""
     out = np.empty(np.shape(raw))
     np.put_along_axis(out, np.argsort(raw, axis=-1, kind="stable"), q, axis=-1)
+    return out
+
+
+def ecc_members(members, n_members, index, mean, variance) -> np.ndarray:
+    """Ensemble copula coupling of stacked cases, per block of one member
+    count.
+
+    ``index`` is the (cases, d) array of the record indices of each case,
+    as ``archive.group_multivariate`` gives it, ``members`` the (n, m)
+    member array, NaN-padded past each record's ``n_members``, and
+    ``mean`` and ``variance`` each record's predictive normal.  Returns
+    the (cases, d, m) coupled members: the k equidistant quantiles of
+    each record's normal in the rank order of its k raw members, as
+    ``ecc_reorder`` places them for one case, and the padding kept.
+    """
+    members = np.asarray(members, dtype=float)
+    out = members[index]
+    for k, cases in _blocks(np.asarray(n_members)[index[:, 0]]):
+        idx = index[cases]
+        q = Normal(mean[idx][..., None], variance[idx][..., None]).ppf((np.arange(k) + 0.5) / k)
+        out[cases, :, :k] = _ecc_place(q, members[idx, :k])
     return out
 
 

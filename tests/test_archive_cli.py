@@ -38,7 +38,7 @@ from wverif import (
     twcrps,
     write_archive_csv,
 )
-from wverif import archive, cli
+from wverif import archive, cli, grouping, postprocess
 from wverif.archive import (
     Archive,
     ArchiveRecord,
@@ -675,7 +675,7 @@ def _per_case_multivariate(score, case):
 @pytest.mark.parametrize("score", ["crps", "brier", "twcrps", "vrcrps"])
 def test_stacked_univariate_scores_equal_per_case_functions(score, monkeypatch):
     # Three member counts, each filling two blocks and part of a third.
-    monkeypatch.setattr(archive, "_STACK", 16)
+    monkeypatch.setattr(grouping, "_STACK", 16)
     recs = _ragged_records(12)
     *keys, values = score_archive(recs, score, threshold=_THRESHOLD)
     assert list(zip(*keys)) == [(r.station_id, r.init_date, r.lead_time) for r in recs]
@@ -685,7 +685,7 @@ def test_stacked_univariate_scores_equal_per_case_functions(score, monkeypatch):
 @pytest.mark.parametrize("score", ["es", "vs", "twes", "twvs", "owes", "vres", "vrvs"])
 def test_stacked_multivariate_scores_equal_per_case_functions(score, monkeypatch):
     # Three member counts, each filling one block and part of another.
-    monkeypatch.setattr(archive, "_STACK", 16)
+    monkeypatch.setattr(grouping, "_STACK", 16)
     recs = _ragged_records(16 + 7)
     sids, dates, _, values = score_archive(recs, score, level=1)
     cases = _stacked_cases(recs)
@@ -736,7 +736,7 @@ def _per_case_smooth(score, rec, x0=None):
 @pytest.mark.parametrize("score", archive.UNIVARIATE_SCORES)
 def test_score_archive_smooth_route(score, x0, monkeypatch):
     # Three member counts, each filling two blocks and part of a third.
-    monkeypatch.setattr(archive, "_STACK", 16)
+    monkeypatch.setattr(grouping, "_STACK", 16)
     recs = _ragged_records(12, sizes=(5, 8, 3))
     *keys, values = score_archive(recs, score, threshold=_THRESHOLD, x0=x0, smooth=True)
     assert list(zip(*keys)) == [(r.station_id, r.init_date, r.lead_time) for r in recs]
@@ -755,7 +755,7 @@ def _with_tail_mass(rec, a):
 def test_score_archive_smooth_raises_for_the_first_failing_record(score, monkeypatch):
     # Member counts are scored 5, 8, 3 by block; the first record without
     # tail mass has 8 members, a later one 5.
-    monkeypatch.setattr(archive, "_STACK", 16)
+    monkeypatch.setattr(grouping, "_STACK", 16)
     recs = _ragged_records(12, sizes=(5, 8, 3))
     recs[3] = _with_tail_mass(recs[3], 7.5)
     recs[45] = _with_tail_mass(recs[45], 8.0)
@@ -1219,11 +1219,12 @@ def test_postprocess_moments_equal_each_records_own(monkeypatch):
     # Row-wise over NaN-padded blocks of one member count, lapse-rate
     # corrected for stations with heights; bit-identical to one record at
     # a time.
-    monkeypatch.setattr(archive, "_STACK", 4)
+    monkeypatch.setattr(grouping, "_STACK", 4)
     recs = _ragged_records(6)
     stations = {"ayr": (0.4, -0.2, 120.0, 80.0), "cor": (0.0, 0.0, 95.5, 101.25)}
     a = archive._archive_of(recs)
-    xbar, var = cli._member_moments(a, cli._stations_of(a, stations)[:, 2:])
+    columns = cli._stations_of(a, stations)
+    xbar, var = postprocess.member_moments(a.members, a.n_members, columns[:, 2:])
     for rec, m, v in zip(recs, xbar, var):
         heights = stations[rec.station_id][2:] if rec.station_id in stations else None
         x = rec.members if heights is None else lapse_rate_correct(rec.members, *heights)
@@ -1270,10 +1271,16 @@ _EDGE_STATIONS = (
     "ayr,0.4,-0.2,120,80\n"
     "bex,1.1,0.6,,\n"
 )
+# The library's view of _EDGE_STATIONS: (StationMeta, heights or None).
+_EDGE_META = {
+    "ayr": (StationMeta("ayr", 0.4, -0.2), (120.0, 80.0)),
+    "bex": (StationMeta("bex", 1.1, 0.6), None),
+}
 
 
 @pytest.mark.parametrize("row", [
     "bex,nan,0.6,,", "bex,1.1,inf,,", "bex,1.1,0.6,-inf,80", "bex,1.1,0.6,120,nan", "bex,x,0.6,,",
+    "bex,1.1",
 ])
 def test_cli_postprocess_refuses_station_metadata_that_is_not_a_finite_number(tmp_path, capsys, row):
     # A data error in the stations file (exit 2), not a usage error (exit 1)
@@ -1287,6 +1294,22 @@ def test_cli_postprocess_refuses_station_metadata_that_is_not_a_finite_number(tm
     assert "stations.csv" in err and "'bex'" in err
     stations.write_text(_EDGE_STATIONS)
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "row", ["ayr,0.1,0.2,,", ",1.1,0.6,,", "  ,1.1,0.6,,"], ids=["repeated", "empty", "blank"]
+)
+def test_cli_postprocess_refuses_a_repeated_or_empty_station_id(tmp_path, capsys, row):
+    # Neither the last row of an id winning nor metadata for no station
+    # is what the file means: a data error naming the line.
+    arch = _write_archive_file(tmp_path, n_days=12, stations=("ayr", "bex"), leads=(1,), seed=3)
+    stations = tmp_path / "stations.csv"
+    stations.write_text(_EDGE_STATIONS + row + "\n")
+    out = tmp_path / "pp"
+    argv = ["postprocess", "--archive", arch, "--stations", str(stations), "--out", str(out)]
+    assert main(argv) == 2
+    assert "stations.csv: line 4: empty or repeated station id" in capsys.readouterr().err
+    assert not (out / "predictions.csv").exists()
 
 
 def _edge_records():
@@ -1395,12 +1418,8 @@ def test_cli_postprocess_equals_the_library_route_bit_for_bit(tmp_path):
         ["postprocess", "--archive", str(path), "--stations", str(tmp_path / "stations.csv"),
          "--window-days", "4", "--ecc", "--climatology", "--out", str(out)]
     ) == 0
-    stations = {
-        "ayr": (StationMeta("ayr", 0.4, -0.2), (120.0, 80.0)),
-        "bex": (StationMeta("bex", 1.1, 0.6), None),
-    }
     (tmp_path / "lib").mkdir()
-    want = _library_postprocess(recs, stations, 4, tmp_path / "lib")
+    want = _library_postprocess(recs, _EDGE_META, 4, tmp_path / "lib")
     for name, text in want.items():
         assert (out / name).read_text() == text, name
     # The archive reaches what it is meant to: days before the first fit,
@@ -1420,6 +1439,73 @@ def test_cli_postprocess_equals_the_library_route_bit_for_bit(tmp_path):
     ecc = read_archive_csv(out / "ecc.csv")
     assert len(ecc) == 3 * n_predicted.count(3)
     assert ("ayr", datetime.date(2024, 6, 7)) not in set(zip(ecc.station_ids, ecc.init_dates))
+
+
+def _rolling_edge_records(window_days: int = 4):
+    """The edge records as columns, and postprocess.rolling_emos's
+    (mean, variance, param rows, n_unfit) for them, built from the
+    library's column functions alone."""
+    a = archive._archive_of(_edge_records())
+    metas = [_EDGE_META.get(sid, (StationMeta(sid), None)) for sid in a.station_ids]
+    heights = np.array([h or (np.nan, np.nan) for _, h in metas])
+    xbar, var = postprocess.member_moments(a.members, a.n_members, heights)
+    cols = (xbar, var, [m.mhd for m, _ in metas], [m.tpi for m, _ in metas], a.obs)
+    return a, postprocess.rolling_emos(cols, a.lead_times, a.init_dates, a.station_ids, window_days)
+
+
+def test_rolling_emos_equals_the_per_record_route_bit_for_bit(tmp_path):
+    a, (mean, variance, params_rows, n_unfit) = _rolling_edge_records()
+    want = _library_postprocess(_edge_records(), _EDGE_META, 4, tmp_path)
+    predicted = sorted(
+        ((sid, d, lt), (float(m), float(np.sqrt(v))))
+        for sid, d, lt, m, v in zip(a.station_ids, a.init_dates, a.lead_times, mean, variance)
+        if not np.isnan(m)
+    )
+    assert "station_id,init_date,lead_time,mean,sd\n" + "".join(
+        f"{sid},{d.isoformat()},{lt},{m!r},{sd!r}\n" for (sid, d, lt), (m, sd) in predicted
+    ) == want["predictions.csv"]
+    assert "".join(json.dumps(p, sort_keys=True) + "\n" for p in params_rows) == want["params.jsonl"]
+    assert n_unfit == json.loads(want["summary.json"])["n_before_first_fit"]
+
+
+def test_rolling_emos_refuses_an_empty_window_or_no_records():
+    cols = tuple(np.empty(0) for _ in range(5))
+    with pytest.raises(ContractViolation, match="at least one day"):
+        postprocess.rolling_emos(cols, [], [], [], 0)
+    with pytest.raises(InsufficientData, match="at least one record"):
+        postprocess.rolling_emos(cols, [], [], [], 1)
+
+
+def test_ecc_members_equal_the_per_case_route_bit_for_bit(tmp_path):
+    a, (mean, variance, _, _) = _rolling_edge_records()
+    want = _library_postprocess(_edge_records(), _EDGE_META, 4, tmp_path)
+    index = group_multivariate(a, (1, 2, 3))
+    index = index[~np.isnan(mean[index]).any(axis=1)]
+    members = postprocess.ecc_members(a.members, a.n_members, index, mean, variance)
+    assert members.shape == index.shape + a.members.shape[1:]
+    coupled = [
+        ArchiveRecord(a.station_ids[r], a.init_dates[r], a.lead_times[r], row[: a.n_members[r]], a.obs[r])
+        for r, row in zip(index.ravel().tolist(), members.reshape(-1, a.members.shape[1]))
+    ]
+    write_archive_csv(coupled, tmp_path / "ecc_lib.csv")
+    assert (tmp_path / "ecc_lib.csv").read_text() == want["ecc.csv"]
+
+
+def test_station_climatology_equals_the_per_station_route_bit_for_bit(tmp_path):
+    recs = _edge_records()
+    want = _library_postprocess(recs, _EDGE_META, 4, tmp_path)
+    a = archive._archive_of(recs)
+    rows = postprocess.station_climatology(a.station_ids, a.obs)
+    assert "station_id,mean,sd,n\n" + "".join(
+        f"{sid},{float(m)!r},{float(sd)!r},{n}\n" for sid, m, sd, n in rows
+    ) == want["climatology.csv"]
+
+
+def test_smoothed_scores_refuse_a_one_member_record():
+    recs = _mk_records(n_days=2)
+    recs[3] = ArchiveRecord(recs[3].station_id, recs[3].init_date, recs[3].lead_time, np.array([20.0]), 21.0)
+    with pytest.raises(ContractViolation, match="at least two members"):
+        score_archive(recs, "crps", smooth=True)
 
 
 def _cell_oracle(v) -> str:
@@ -1544,10 +1630,10 @@ def test_cli_lockstep_fits_equal_per_window_fits_with_ragged_lead_times(tmp_path
         lengths.append([w[4].size for w in windows])
         return stacked(windows, inits, histories)
 
-    stacked = cli._fit_chains
+    stacked = postprocess._fit_chains
     runs = {}
     for name, fit in (("stacked", spy), ("oracle", _oracle_fit_chains)):
-        monkeypatch.setattr(cli, "_fit_chains", fit)
+        monkeypatch.setattr(postprocess, "_fit_chains", fit)
         out = tmp_path / name
         assert main(
             ["postprocess", "--archive", str(path), "--stations", str(tmp_path / "stations.csv"),
@@ -1557,12 +1643,8 @@ def test_cli_lockstep_fits_equal_per_window_fits_with_ragged_lead_times(tmp_path
     for file in ("params.jsonl", "predictions.csv", "ecc.csv", "climatology.csv", "summary.json"):
         assert (runs["stacked"] / file).read_bytes() == (runs["oracle"] / file).read_bytes(), file
     # Both equal the lead-by-lead library route.
-    stations = {
-        "ayr": (StationMeta("ayr", 0.4, -0.2), (120.0, 80.0)),
-        "bex": (StationMeta("bex", 1.1, 0.6), None),
-    }
     (tmp_path / "lib").mkdir()
-    for name, text in _library_postprocess(recs, stations, 4, tmp_path / "lib").items():
+    for name, text in _library_postprocess(recs, _EDGE_META, 4, tmp_path / "lib").items():
         assert (runs["stacked"] / name).read_text() == text, name
     # Some rounds stack windows of one length, others of several, and one
     # leaves a lead time's short first window unfit beside fitted ones.
@@ -2097,7 +2179,7 @@ def test_key_codes_rank_rows_as_sorted_tuples(columns):
 
     rows = [tuple(map(order, row)) for row in zip(*columns)]
     rank = {row: i for i, row in enumerate(sorted(set(rows)))}
-    got = archive._key_codes(*columns)
+    got = grouping._key_codes(*columns)
     assert got.dtype == np.intp
     assert got.tolist() == [rank[row] for row in rows]
 
@@ -2110,7 +2192,7 @@ def test_key_codes_renumber_before_they_overflow():
     columns = [rng.permutation(n).tolist() for _ in range(4)]
     rows = list(zip(*columns))
     rank = {row: i for i, row in enumerate(sorted(rows))}
-    assert archive._key_codes(*columns).tolist() == [rank[row] for row in rows]
+    assert grouping._key_codes(*columns).tolist() == [rank[row] for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -2365,6 +2447,8 @@ def test_cli_manifest_records_the_digest_of_each_archive_read(tmp_path):
         ["score", "--score", "crps", "--lead-times", "x"],
         ["report", "--reference", "REF", "--lead-times", "x"],
         ["report", "--reference", "REF", "--scores", "crps,bogus"],
+        ["report", "--reference", "REF", "--scores", "crps, crps"],
+        ["report", "--reference", "REF", "--scores", ","],
         ["postprocess", "--window-days", "0"],
         ["score", "--score", "brier"],
         ["score", "--score", "owcrps", "--threshold", "25"],
@@ -2381,6 +2465,8 @@ def test_cli_manifest_records_the_digest_of_each_archive_read(tmp_path):
         "score-lead-times",
         "report-lead-times",
         "report-scores",
+        "report-scores-repeated",
+        "report-scores-empty",
         "postprocess-window-days",
         "score-brier-no-threshold",
         "score-owcrps-no-smooth",

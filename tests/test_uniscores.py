@@ -1275,3 +1275,29 @@ def test_every_imported_name_is_used_or_exported():
                 unused = names - used - exported
                 assert not unused, f"{path.name}:{node.lineno} imports {sorted(unused)} unused"
     assert marked == _TRACED_IMPORTS
+
+
+def test_cli_runs_postprocess_only_through_its_public_functions():
+    """cli imports no private name of postprocess, and no ``_blocks``:
+    the post-processing stages are postprocess's column functions.  The
+    row keys and blocks are defined once, in grouping, and no other
+    module binds ``_STACK``, so a patch of grouping._STACK reaches every
+    block and a patch of a stale name raises."""
+    defined, stack = {}, []
+    for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_key_codes", "_blocks"):
+                defined.setdefault(node.name, []).append(path.stem)
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                stack += [path.stem] if "_STACK" in names else []
+                if path.stem == "cli":
+                    private = {n for n in names if n.startswith("_")}
+                    module = (node.module or "").split(".")[-1]
+                    assert not (module == "postprocess" and private), f"cli imports {sorted(private)}"
+                    assert "_blocks" not in names, f"cli imports _blocks from {module}"
+            elif isinstance(node, ast.Assign):
+                stack += [path.stem for t in node.targets if getattr(t, "id", None) == "_STACK"]
+    assert defined == {"_key_codes": ["grouping"], "_blocks": ["grouping"]}
+    assert stack == ["grouping"]
