@@ -22,16 +22,17 @@ so a file read again with the same content is not parsed again.
 
 Raw ensembles are scored by ``kernels._mv_kernel``, the one engine of
 the ensemble kernel scores, univariate records as stacks of one
-dimension, and the Brier score by ``uniscores._brier_ensembles``:
-blocks of at most ``grouping._STACK`` records, or stacked multivariate
-cases, sharing a member count go to one kernel call as slices of the
-member array, and each case gets exactly the value of the per-case function,
-which calls the same kernel.  Like the kernels, the archive functions take
-and return columns: ``score_archive`` gives (station ids, init dates,
-lead times, values), ``skill_table`` joins two such sets by one sort of
-their keys, and ``group_multivariate`` gives the (cases, d) array of the
-record indices of each stacked case; rows are keyed and blocked by
-``grouping._key_codes`` and ``grouping._blocks``.  Smoothed forecasts
+dimension, and the Brier score by ``uniscores._brier_ensembles``: all
+records, or stacked multivariate cases, sharing a member count go to
+one call as a slice of the member array, which the kernel scores in
+blocks of its own, and each case gets exactly the value of the
+per-case function, which calls the same kernel.  Like the kernels, the
+archive functions take and return columns: ``score_archive`` gives
+(station ids, init dates, lead times, values), ``skill_table`` joins
+two such sets by one sort of their keys, and ``group_multivariate``
+gives the (cases, d) array of the record indices of each stacked case;
+rows are keyed and grouped by ``grouping._key_codes`` and
+``grouping._blocks``.  Smoothed forecasts
 are normal fits to the members, ``postprocess.member_moments`` with the
 variance floored, into one ``Normal`` of array parameters, and each
 score is one call of the parametric route,

@@ -284,8 +284,8 @@ def _cmd_diagnose(args) -> tuple:
 def _read_stations(path: str) -> dict:
     """Station metadata csv: station_id, mhd, tpi and optional heights, as
     (mhd, tpi, model height, station height) per station id, the heights
-    NaN unless the row gives both.  Every value given must be finite, and
-    each row must name its own, non-empty station id."""
+    NaN unless the row gives them; it gives both or neither.  Every value
+    given must be finite, and each row must name its own station id."""
     out = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -293,11 +293,13 @@ def _read_stations(path: str) -> dict:
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
             raise DataError(f"{path}: expected columns station_id, mhd, tpi")
         for row in reader:
-            sid = row["station_id"].strip()
+            sid = (row["station_id"] or "").strip()  # None in a row too short
             if not sid or sid in out:
                 raise DataError(f"{path}: line {reader.line_num}: empty or repeated station id {sid!r}")
             heights = (row.get("model_height"), row.get("station_height"))
             given = all(heights)
+            if any(heights) and not given:
+                raise DataError(f"{path}: line {reader.line_num}: one height of two for station {sid!r}")
             try:
                 cells = (row["mhd"], row["tpi"], *(heights if given else ("nan", "nan")))
                 out[sid] = tuple(map(float, cells))

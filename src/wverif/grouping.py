@@ -1,10 +1,11 @@
 """Row keys and member-count blocks, shared by archive and postprocess.
 
 Both work on columns: ``_key_codes`` numbers the rows of key columns in
-sorted order, and ``_blocks`` cuts a column of member counts into
-bounded blocks of one count, the unit of every stacked call over an
-archive's (n, m) member array.  The module imports only numpy, so
-every other module of the package can import it at module top.
+sorted order, and ``_blocks`` cuts a column of member counts into its
+groups of one count, the unit of every stacked call over an archive's
+(n, m) member array; the kernels bound their own memory.  The module
+imports only numpy, so every other module of the package can import it
+at module top.
 """
 
 from __future__ import annotations
@@ -36,27 +37,15 @@ def _key_codes(*columns) -> np.ndarray:
     return code
 
 
-# Records, or stacked multivariate cases, per kernel call.  The kernels'
-# temporaries grow with the stack: scoring the 2,400 records of m = 51
-# members of the benchmark's score-raw archive in one call raised the
-# peak RSS of a vrcrps run by 7.6 MiB, against 0.9 MiB in blocks of 256.
-_STACK = 256
-
-
 def _blocks(sizes: np.ndarray):
-    """(member count, items) for blocks of at most ``_STACK`` items.
-
-    The items of a block share one member count; they are taken in
-    order within each member count, and member counts in order of first
-    appearance.  ``items`` is a slice when all items share one member
-    count, otherwise an index array.
+    """(member count, items) for each member count of ``sizes``, in order
+    of first appearance, with the items of that count in order.
+    ``items`` is a slice when all items share one member count,
+    otherwise an index array.
     """
     counts, first = np.unique(sizes, return_index=True)
     if counts.size == 1:
-        for a in range(0, sizes.size, _STACK):
-            yield int(counts[0]), slice(a, a + _STACK)
+        yield int(counts[0]), slice(None)
         return
     for k in counts[np.argsort(first)].tolist():
-        idx = np.flatnonzero(sizes == k)
-        for a in range(0, idx.size, _STACK):
-            yield k, idx[a : a + _STACK]
+        yield k, np.flatnonzero(sizes == k)

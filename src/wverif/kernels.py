@@ -11,10 +11,10 @@ rho(x_k, y), rho(x_k, x0), rho(y, x0) and the pair sums each weighting
 is written once: ``_plain``, ``_collapsed`` (the threshold-weighted
 score under ``CollapseOutside``), ``_outcome`` and ``_vertical``, which
 the parametric vrCRPS of ``uniscores`` also takes.  ``_mv_kernel``, the
-one dispatch point, scores stacks of cases, its pair sums in blocks of
-bounded memory, for ``archive``, the propriety Monte Carlo of
-``synthlab`` and the per-case functions of ``uniscores`` and
-``mvscores``.
+one dispatch point, scores stacks of cases of any size for ``archive``,
+the propriety Monte Carlo of ``synthlab`` and the per-case functions of
+``uniscores`` and ``mvscores``.  It owns the memory bound: each block of
+a stack is chained, sorted, weighed and pair-summed before the next.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ _SCORES = ("crps", "twcrps", "vrcrps", "es", "twes", "owes", "vres", "vs", "twvs
 _BLOCK = 128
 
 # Cases per block of the energy kernels; their temporaries are
-# (block, m) rows, about 0.2 MB for m = 51.
-_PAIR_BLOCK = 512
+# (block, m) rows, about 0.1 MB for m = 51.
+_PAIR_BLOCK = 256
 
 
 def _member_weights(w: WeightFunction, pts: np.ndarray) -> np.ndarray:
@@ -235,30 +235,32 @@ def _backend(family: str, d: int, p, h) -> tuple:
     return _PAIR_BLOCK, np.asarray, lambda a, b: _norm(a - b), _pair_sum
 
 
-def _scores(family: str, x, y, anchor, p, h, fair: bool, plan: dict) -> dict:
+def _scores(family: str, chain, x, y, anchor, p, h, fair: bool, plan: dict) -> dict:
     """The values (n,) of each score of one family on the points x
-    (n, m, d) and y (n, d): ``plan`` maps each score to its weighting
-    and to the function that weighs points, None for the plain score.
-    Per block, one pair-sum call gives the pair sums of all of them."""
+    (n, m, d) and y (n, d), chained by ``chain`` unless it is None:
+    ``plan`` maps each score to its weighting and to the function that
+    weighs points, None for the plain score.  Block by block, the points
+    are chained, sorted and weighed, and one pair-sum call gives the pair
+    sums of all the scores."""
     block, features, kernel, pair_sums = _backend(family, x.shape[-1], p, h)
-    if pair_sums is _sorted_pair_sum:
-        x = np.sort(x, axis=1)  # members are weighed in their sorted order too
     n, m = x.shape[:2]
     if fair and m < 2:
         raise ContractViolation("the fair variant needs at least two members")
-    weighed = {f: (f(x), f(y)) for _, f in plan.values() if f is not None}
-    rows = {s: None if f is None else weighed[f] for s, (_, f) in plan.items()}
-    rows = {s: _outcome_weights(*w) if plan[s][0] == "ow" else w for s, w in rows.items()}
     anchored = any(weighting in ("tw", "vr") for weighting, _ in plan.values())
-    fy, f0 = features(y), features(anchor) if anchored else None
+    f0 = features(anchor) if anchored else None
     out = {s: np.empty(n) for s in plan}
     for a in range(0, n, block):
         b = slice(a, a + block)
-        fx = features(x[b])
-        rho_y = kernel(fx, fy[b][:, None])
+        bx, by = (x[b], y[b]) if chain is None else (chain.transform(x[b]), chain.transform(y[b]))
+        if pair_sums is _sorted_pair_sum:
+            bx = np.sort(bx, axis=1)  # members are weighed in their sorted order too
+        weighed = {f: (f(bx), f(by)) for _, f in plan.values() if f is not None}
+        wts = {s: None if f is None else weighed[f] for s, (_, f) in plan.items()}
+        wts = {s: _outcome_weights(*w) if plan[s][0] == "ow" else w for s, w in wts.items()}
+        fx, fy = features(bx), features(by)
+        rho_y = kernel(fx, fy[:, None])
         if anchored:
-            rho_0, rho_y0 = kernel(fx, f0), kernel(fy[b], f0)
-        wts = {s: None if w is None else (w[0][b], w[1][b]) for s, w in rows.items()}
+            rho_0, rho_y0 = kernel(fx, f0), kernel(fy, f0)
         pairs = pair_sums(fx, [None if w is None else w[0] for w in wts.values()])
         for (s, w), pair in zip(wts.items(), pairs):
             weighting = plan[s][0]
@@ -290,11 +292,11 @@ def _mv_kernel(weights: dict, anchor, p: float | None, h: np.ndarray | None, fai
     points share one pass over the member pairs, in which each distinct
     weight is evaluated once, and each gets the values it gets alone.
 
-    The pair sums run in blocks of ``_BLOCK`` or ``_PAIR_BLOCK`` cases,
-    but the weights, chained points and sorted members are taken over
-    the whole stack at once, so what a call holds grows with its stack:
-    callers pass bounded stacks, ``archive`` at most ``grouping._STACK`` records
-    and the propriety Monte Carlo of ``synthlab`` ``_DRAW_BLOCK`` cases.
+    A stack of any size is scored in blocks of ``_BLOCK`` cases
+    (variogram scores) or ``_PAIR_BLOCK`` cases (energy scores), each
+    chained, sorted, weighed and pair-summed before the next, so what a
+    call holds beyond its stack and its values does not grow with the
+    stack, and callers pass whole stacks.
     """
     anchor = None if anchor is None else np.asarray(anchor, dtype=float)
     # Each pass scores one family on one set of points: the members, or
@@ -319,8 +321,7 @@ def _mv_kernel(weights: dict, anchor, p: float | None, h: np.ndarray | None, fai
     def kernel(x, y):
         out = {}
         for family, chain, plan in passes.values():
-            px, py = (x, y) if chain is None else (chain.transform(x), chain.transform(y))
-            out.update(_scores(family, px, py, anchor, p, h, fair, plan))
+            out.update(_scores(family, chain, x, y, anchor, p, h, fair, plan))
         return {s: out[s] for s in weights}
 
     return kernel

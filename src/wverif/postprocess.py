@@ -76,7 +76,7 @@ def lapse_rate_correct(values, model_height, station_height, rate: float = LAPSE
 
 def member_moments(members, n_members, heights=None) -> tuple:
     """Mean and (m-1) variance of the first ``n_members[i]`` entries of
-    each row i of an (n, m) member array, per block of one member count;
+    each row i of an (n, m) member array, one member count at a time;
     the variance of one member is 0.  Rows whose (model height, station
     height) row of the (n, 2) ``heights`` is not NaN are lapse-rate
     corrected first."""
@@ -477,8 +477,8 @@ def _ecc_place(q, raw) -> np.ndarray:
 
 
 def ecc_members(members, n_members, index, mean, variance) -> np.ndarray:
-    """Ensemble copula coupling of stacked cases, per block of one member
-    count.
+    """Ensemble copula coupling of stacked cases, one member count at a
+    time.
 
     ``index`` is the (cases, d) array of the record indices of each case,
     as ``archive.group_multivariate`` gives it, ``members`` the (n, m)

@@ -11,7 +11,7 @@ ensemble kernel scores that ``archive`` and the per-case functions
 score with, here on whole samples.
 The propriety Monte Carlo draws each truth/alternative pair once and
 scores every requested score on the same draws, the multivariate ones
-in one kernel call per block of cases of each side, which it draws,
+in one kernel call per block of draws of each side, which it draws,
 scores and drops one block at a time.
 """
 
@@ -367,20 +367,20 @@ def _mv_sample(rng, params, n: int, m: int, d: int) -> np.ndarray:
     return x
 
 
-# Cases per block of the multivariate propriety draws.  Each block of
-# members is drawn, scored and dropped before the next is drawn, so the
-# harness holds one (block, m, d) stack of members at a time, about
-# 0.6 MB for m = 50 members in 3 dimensions, however many cases it draws.
+# Cases per block of the multivariate propriety draws, the bound on the
+# draws, which the kernel never sees: each block of members is drawn,
+# scored and dropped before the next, so the harness holds one (block,
+# m, d) stack, about 0.6 MB for m = 50 in 3 dimensions, at a time.
 _DRAW_BLOCK = 512
 
 
 def _propriety_mv(scores, n_pairs: int, n: int, m: int, seed) -> dict:
     """Rows of each multivariate score in ``scores``, by score name, all
     scored on one set of draws per pair by one kernel call per block of
-    each side.  The generator draws the observations, then the truth's
-    members, then the alternative's, ``_DRAW_BLOCK`` cases at a time;
-    each block is scored as it is drawn and then dropped, so memory
-    grows with n only by the observations and the score values.
+    draws of each side.  The generator draws the observations, then the
+    truth's members, then the alternative's, ``_DRAW_BLOCK`` cases at a
+    time; each block is scored as it is drawn and then dropped, so
+    memory grows with n only by the observations and the score values.
     The weights emphasise the region above q, roughly the 30th
     percentile componentwise: [q, inf) chains the twes and twvs onto q,
     a Gaussian cdf re-scales vres."""

@@ -25,10 +25,10 @@ vrCRPS's formula from ``kernels._vertical``.  The per-case functions
 call the route of their forecast with one case, through
 ``_score_case``; the propriety
 Monte Carlo of ``synthlab`` calls ``_parametric_score`` with all its
-draws, and ``archive`` calls ``_mv_kernel`` on blocks of raw records
-and ``_parametric_score`` on the column of all its smoothed records,
-so each route gives a case the same value; the per-case functions
-refuse a column.  Every public scoring function returns a ``ScoreValue``.
+draws, and ``archive`` calls ``_mv_kernel`` on the raw records of each
+member count and ``_parametric_score`` on the column of all its
+smoothed records, so each route gives a case the same value; the
+per-case functions refuse a column.  Every public scoring function returns a ``ScoreValue``.
 """
 
 from __future__ import annotations

@@ -383,8 +383,9 @@ class HeatLevelIndicator(_MvWeight):
     is_binary = True
 
     def __post_init__(self):
-        if self.level not in (1, 2, 3, 4):
-            raise ContractViolation("heat level must be 1, 2, 3 or 4")
+        is_int = isinstance(self.level, (int, np.integer)) and not isinstance(self.level, bool)
+        if not is_int or self.level not in (1, 2, 3, 4):
+            raise ContractViolation(f"heat level must be an int 1, 2, 3 or 4, got {self.level!r}")
         if not self.warm < self.hot:
             raise ContractViolation("warm threshold must lie below hot threshold")
 

@@ -38,7 +38,7 @@ from wverif import (
     twcrps,
     write_archive_csv,
 )
-from wverif import archive, cli, grouping, postprocess
+from wverif import archive, cli, grouping, kernels, postprocess
 from wverif.archive import (
     Archive,
     ArchiveRecord,
@@ -674,8 +674,8 @@ def _per_case_multivariate(score, case):
 
 @pytest.mark.parametrize("score", ["crps", "brier", "twcrps", "vrcrps"])
 def test_stacked_univariate_scores_equal_per_case_functions(score, monkeypatch):
-    # Three member counts, each filling two blocks and part of a third.
-    monkeypatch.setattr(grouping, "_STACK", 16)
+    # Three member counts, each filling two kernel blocks and part of a third.
+    monkeypatch.setattr(kernels, "_PAIR_BLOCK", 16)
     recs = _ragged_records(12)
     *keys, values = score_archive(recs, score, threshold=_THRESHOLD)
     assert list(zip(*keys)) == [(r.station_id, r.init_date, r.lead_time) for r in recs]
@@ -684,8 +684,9 @@ def test_stacked_univariate_scores_equal_per_case_functions(score, monkeypatch):
 
 @pytest.mark.parametrize("score", ["es", "vs", "twes", "twvs", "owes", "vres", "vrvs"])
 def test_stacked_multivariate_scores_equal_per_case_functions(score, monkeypatch):
-    # Three member counts, each filling one block and part of another.
-    monkeypatch.setattr(grouping, "_STACK", 16)
+    # Three member counts, each filling one kernel block and part of another.
+    monkeypatch.setattr(kernels, "_PAIR_BLOCK", 16)
+    monkeypatch.setattr(kernels, "_BLOCK", 16)
     recs = _ragged_records(16 + 7)
     sids, dates, _, values = score_archive(recs, score, level=1)
     cases = _stacked_cases(recs)
@@ -734,9 +735,8 @@ def _per_case_smooth(score, rec, x0=None):
 
 @pytest.mark.parametrize("x0", [None, 19.0], ids=["x0_default", "x0_given"])
 @pytest.mark.parametrize("score", archive.UNIVARIATE_SCORES)
-def test_score_archive_smooth_route(score, x0, monkeypatch):
-    # Three member counts, each filling two blocks and part of a third.
-    monkeypatch.setattr(grouping, "_STACK", 16)
+def test_score_archive_smooth_route(score, x0):
+    # Three member counts, interleaved in record order.
     recs = _ragged_records(12, sizes=(5, 8, 3))
     *keys, values = score_archive(recs, score, threshold=_THRESHOLD, x0=x0, smooth=True)
     assert list(zip(*keys)) == [(r.station_id, r.init_date, r.lead_time) for r in recs]
@@ -752,10 +752,9 @@ def _with_tail_mass(rec, a):
 
 
 @pytest.mark.parametrize("score", ["owcrps", "owcrps_bs"])
-def test_score_archive_smooth_raises_for_the_first_failing_record(score, monkeypatch):
-    # Member counts are scored 5, 8, 3 by block; the first record without
-    # tail mass has 8 members, a later one 5.
-    monkeypatch.setattr(grouping, "_STACK", 16)
+def test_score_archive_smooth_raises_for_the_first_failing_record(score):
+    # Member counts are grouped 5, 8, 3 for the moments; the first record
+    # without tail mass has 8 members, a later one 5.
     recs = _ragged_records(12, sizes=(5, 8, 3))
     recs[3] = _with_tail_mass(recs[3], 7.5)
     recs[45] = _with_tail_mass(recs[45], 8.0)
@@ -1215,11 +1214,10 @@ def test_cli_postprocess_pipeline(tmp_path):
     assert all(int(c["n"]) == 28 * 3 for c in clim)
 
 
-def test_postprocess_moments_equal_each_records_own(monkeypatch):
-    # Row-wise over NaN-padded blocks of one member count, lapse-rate
+def test_postprocess_moments_equal_each_records_own():
+    # Row-wise over the NaN-padded groups of one member count, lapse-rate
     # corrected for stations with heights; bit-identical to one record at
     # a time.
-    monkeypatch.setattr(grouping, "_STACK", 4)
     recs = _ragged_records(6)
     stations = {"ayr": (0.4, -0.2, 120.0, 80.0), "cor": (0.0, 0.0, 95.5, 101.25)}
     a = archive._archive_of(recs)
@@ -1310,6 +1308,31 @@ def test_cli_postprocess_refuses_a_repeated_or_empty_station_id(tmp_path, capsys
     assert main(argv) == 2
     assert "stations.csv: line 4: empty or repeated station id" in capsys.readouterr().err
     assert not (out / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("row", ["bex,1.1,0.6,120,", "bex,1.1,0.6,,80", "bex,1.1,0.6,120"])
+def test_cli_postprocess_refuses_a_row_with_one_height(tmp_path, capsys, row):
+    # One height cannot be corrected for: a data error naming the line,
+    # not a run that silently skips bex's lapse-rate correction.
+    arch = _write_archive_file(tmp_path, n_days=12, stations=("ayr", "bex"), leads=(1,), seed=3)
+    stations = tmp_path / "stations.csv"
+    stations.write_text(_EDGE_STATIONS.replace("bex,1.1,0.6,,", row))
+    out = tmp_path / "pp"
+    argv = ["postprocess", "--archive", arch, "--stations", str(stations), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "stations.csv: line 3: one height of two for station 'bex'" in err
+    assert not (out / "predictions.csv").exists()
+
+
+def test_cli_postprocess_refuses_a_row_short_of_its_station_id(tmp_path, capsys):
+    # The station id is the last column, which the row does not reach.
+    arch = _write_archive_file(tmp_path, n_days=12, stations=("ayr", "bex"), leads=(1,), seed=3)
+    stations = tmp_path / "stations.csv"
+    stations.write_text("mhd,tpi,station_id\n0.4,-0.2,ayr\n1,2\n")
+    argv = ["postprocess", "--archive", arch, "--stations", str(stations), "--out", str(tmp_path / "pp")]
+    assert main(argv) == 2
+    assert "stations.csv: line 3: empty or repeated station id ''" in capsys.readouterr().err
 
 
 def _edge_records():

@@ -348,7 +348,7 @@ def test_propriety_mc_shared_draws_leave_rows_unchanged():
 
 def test_propriety_mc_scores_each_side_in_one_distance_pass(monkeypatch):
     """The five multivariate scores of a pair side share one pass over the
-    member distances: one pair-sum call per block of draws of each side,
+    member distances: one pair-sum call per kernel block of each side,
     carrying the es, twes and vres weight rows, instead of one call per
     score."""
     from wverif import kernels
@@ -356,18 +356,20 @@ def test_propriety_mc_scores_each_side_in_one_distance_pass(monkeypatch):
     pair_sum, rows = kernels._pair_sum, []
 
     def counted(x, weights):
-        rows.append(len(weights))
+        rows.append((len(x), len(weights)))
         return pair_sum(x, weights)
 
     monkeypatch.setattr(kernels, "_pair_sum", counted)
-    run_propriety_mc(scores=_MV_SCORES, n_pairs=2, n_mv=300, m_members=12, seed=5)
-    assert rows == [3, 3, 3, 3]
-    # Two blocks of draws per side: one call per block, still three rows.
+    block = kernels._PAIR_BLOCK
+    run_propriety_mc(scores=_MV_SCORES, n_pairs=2, n_mv=block + 44, m_members=12, seed=5)
+    assert rows == [(block, 3), (44, 3)] * 4
+    # Two blocks of draws per side, each cut into kernel blocks of its own.
     rows.clear()
-    run_propriety_mc(
-        scores=_MV_SCORES, n_pairs=2, n_mv=synthlab._DRAW_BLOCK + 88, m_members=12, seed=5
-    )
-    assert rows == [3] * 8
+    n_mv = synthlab._DRAW_BLOCK + 88
+    run_propriety_mc(scores=_MV_SCORES, n_pairs=2, n_mv=n_mv, m_members=12, seed=5)
+    draws = [synthlab._DRAW_BLOCK, 88]
+    side = [(min(block, k - a), 3) for k in draws for a in range(0, k, block)]
+    assert rows == side * 4
 
 
 def test_propriety_mc_blocks_equal_whole_stacks():

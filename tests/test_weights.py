@@ -337,10 +337,11 @@ def test_heat_level_examples():
 
 
 def test_heat_level_indicator_validation():
-    with pytest.raises(ContractViolation):
-        HeatLevelIndicator(0)
-    with pytest.raises(ContractViolation):
-        HeatLevelIndicator(5)
+    # A level is an int: True would build level 1 and 1.0 pass as it.
+    for level in (0, 5, True, False, 1.0, 2.5, "2", None):
+        with pytest.raises(ContractViolation):
+            HeatLevelIndicator(level)
+    assert HeatLevelIndicator(np.int64(2)).level == 2
     with pytest.raises(DimensionMismatch):
         HeatLevelIndicator(2)(np.zeros(2))
 
