@@ -40,7 +40,10 @@ score is one call of the parametric route,
 
 ``_write_csv`` is the package's one csv writer: archives, score tables
 and every table of the command line interface are written by it, a
-column at a time, in one canonical text.
+column at a time, in one canonical text.  Every file the package
+writes, csv, json or json lines, goes through ``_write_text``, which
+unlinks whatever is at the path and creates the file anew in one write,
+so a rerun into a used directory creates its files as in an empty one.
 """
 
 from __future__ import annotations
@@ -710,6 +713,27 @@ def _column_text(column) -> list:
     return out
 
 
+def _write_text(path, text: str, newline=None) -> None:
+    """Write ``text`` to ``path`` as a new file, in one write.
+
+    Whatever ``path`` names is unlinked first, so a rerun into a used
+    output directory creates its files as in an empty one: a file is
+    never truncated and rewritten (on ext4 that forces its blocks to be
+    allocated at close, several times the cost of the write), a hard
+    link or a process holding the old file keeps the old bytes, and a
+    symlink is replaced, not written through; the new file has the
+    default mode, not the old file's.  A directory at ``path`` is not
+    removed; its ``OSError`` propagates.  This is the package's only
+    function that opens a file for writing.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "x", newline=newline) as fh:
+        fh.write(text)
+
+
 def _write_csv(path, header, columns) -> None:
     """A csv table from its header and its equal-length columns (a 2-d
     array stands for as many columns as it has columns): floats
@@ -717,8 +741,7 @@ def _write_csv(path, header, columns) -> None:
     as an empty field, and text quoted by ``_csv_field``."""
     lines = [",".join(_column_text(header))]
     lines += map(",".join, zip(*map(_column_text, columns), strict=True))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n", newline="")
 
 
 def write_archive_csv(archive, path) -> None:
@@ -742,22 +765,21 @@ def write_archive_csv(archive, path) -> None:
 
 def write_archive_jsonl(archive, path) -> None:
     a = _columns_of(archive)
-    with open(str(path), "w") as fh:
-        for sid, init, lead, row, y in zip(
-            a.station_ids, a.init_dates, a.lead_times, a._member_rows(), a.obs.tolist()
-        ):
-            fh.write(
-                json.dumps(
-                    {
-                        "station_id": sid,
-                        "init_date": init.isoformat(),
-                        "lead_time": lead,
-                        "members": row.tolist(),
-                        "obs": y,
-                    }
-                )
-            )
-            fh.write("\n")
+    rows = zip(a.station_ids, a.init_dates, a.lead_times, a._member_rows(), a.obs.tolist())
+    lines = (
+        json.dumps(
+            {
+                "station_id": sid,
+                "init_date": init.isoformat(),
+                "lead_time": lead,
+                "members": row.tolist(),
+                "obs": y,
+            }
+        )
+        + "\n"
+        for sid, init, lead, row, y in rows
+    )
+    _write_text(path, "".join(lines))
 
 
 # ---------------------------------------------------------------------------

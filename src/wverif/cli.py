@@ -3,7 +3,10 @@
 Subcommands: score, diagnose, postprocess, synth, report.  Every run
 writes its data files plus a manifest.json into the output directory;
 given the same inputs and seed the data files are byte-identical
-across runs (the manifest also records wall time, which is not).
+across runs (the manifest also records wall time, which is not).  Each
+run creates its files anew (``archive._write_text``): a file, hard link
+or symlink already at an output's path is replaced, not written
+through, and a directory there is a data problem.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data
 problem, 3 numerical failure.
@@ -39,6 +42,7 @@ from .archive import (
     _check_score,
     _smooth_normals,
     _write_csv,
+    _write_text,
     group_multivariate,
     read_archive,
     score_archive,
@@ -84,10 +88,7 @@ _MAX_TABLE_ROWS = 2048
 
 
 def _write_jsonl(path: str, rows) -> None:
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(_json_safe(row), sort_keys=True))
-            fh.write("\n")
+    _write_text(path, "".join(json.dumps(_json_safe(row), sort_keys=True) + "\n" for row in rows))
 
 
 def _json_safe(v):
@@ -105,9 +106,7 @@ def _json_safe(v):
 
 
 def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
-        json.dump(_json_safe(obj), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(_json_safe(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _num_label(x: float) -> str:

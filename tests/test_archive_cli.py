@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from wverif import (
@@ -1009,6 +1010,54 @@ def test_cli_score_runs_are_byte_identical(tmp_path):
     assert np.isfinite(summary["mean"])
 
 
+def test_cli_rerun_into_a_used_out_creates_every_output_anew(tmp_path, capsys):
+    """A run into a used --out writes the bytes of a run into a fresh
+    directory, each output a new file: a longer file leaves no stale
+    tail, a hard link or an open handle to an old output keeps its old
+    bytes, an old mode is not kept, and a symlink is replaced by a
+    regular file with its target untouched.  A directory in the way of
+    an output is a data problem, and the directory survives."""
+    arch = _write_archive_file(tmp_path)
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+
+    def run(out):
+        return main(["score", "--archive", arch, "--score", "crps", "--out", str(out)])
+
+    assert run(fresh) == 0 and run(used) == 0
+    planted = b"x" * (2 * len((fresh / "scores.csv").read_bytes()))
+    (used / "scores.csv").write_bytes(planted)
+    os.link(used / "scores.csv", tmp_path / "link.csv")
+    os.chmod(used / "manifest.json", 0o600)
+    old_manifest = (used / "manifest.json").read_bytes()
+    target = tmp_path / "target.json"
+    target.write_text("target\n")
+    (used / "summary.json").unlink()
+    (used / "summary.json").symlink_to(target)
+    with open(used / "scores.csv", "rb") as scores, open(used / "manifest.json", "rb") as manifest:
+        assert run(used) == 0
+        for fh in (scores, manifest):
+            new = os.stat(fh.name)
+            assert new.st_ino != os.fstat(fh.fileno()).st_ino and new.st_nlink == 1
+        assert scores.read() == planted and manifest.read() == old_manifest
+    assert (tmp_path / "link.csv").read_bytes() == planted
+    assert not (used / "summary.json").is_symlink() and target.read_text() == "target\n"
+    for name in ("scores.csv", "summary.json"):
+        assert (used / name).read_bytes() == (fresh / name).read_bytes()
+    for name in ("scores.csv", "summary.json", "manifest.json"):
+        assert os.stat(used / name).st_mode == os.stat(fresh / name).st_mode
+    assert _manifest_without_timing(used / "manifest.json") == _manifest_without_timing(
+        fresh / "manifest.json"
+    )
+
+    (used / "scores.csv").unlink()
+    (used / "scores.csv").mkdir()
+    (used / "scores.csv" / "keep").write_text("kept\n")
+    capsys.readouterr()
+    assert run(used) == 2
+    assert capsys.readouterr().err.startswith("wverif: ")
+    assert (used / "scores.csv" / "keep").read_text() == "kept\n"
+
+
 def test_cli_smooth_owcrps_past_a_far_threshold_is_the_crps(tmp_path):
     """Under a threshold far below every forecast each outcome has weight
     one, so the smoothed owCRPS of each record is its CRPS."""
@@ -1603,9 +1652,8 @@ def test_csv_writer_takes_a_2d_block_as_its_columns(tmp_path, rows):
     assert (tmp_path / "t.csv").read_bytes() == _table_oracle(header, split)
 
 
-_cells = st.none() | st.booleans() | st.integers() | st.floats() | st.dates() | st.text(
-    st.characters(blacklist_categories=("Cs",)), max_size=6
-)
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_cells = st.none() | st.booleans() | st.integers() | st.floats() | st.dates() | _text
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1619,6 +1667,97 @@ def test_columnar_csv_writer_equals_the_per_cell_formatting_on_mixed_columns(tmp
     header = [f"c{i}" for i in range(len(columns))]
     archive._write_csv(path, header, columns)
     assert path.read_bytes() == _table_oracle(header, columns)
+
+
+# The json writers as they streamed their text before each output was
+# written in one call: the references for the bytes of the writers.
+def _old_write_json(path, obj):
+    with open(path, "w") as fh:
+        json.dump(cli._json_safe(obj), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _old_write_jsonl(path, rows):
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(cli._json_safe(row), sort_keys=True))
+            fh.write("\n")
+
+
+def _old_write_archive_jsonl(recs, path):
+    with open(path, "w") as fh:
+        for r in recs:
+            fh.write(json.dumps({"station_id": r.station_id, "init_date": r.init_date.isoformat(),
+                                 "lead_time": r.lead_time, "members": list(map(float, r.members)),
+                                 "obs": r.obs}))
+            fh.write("\n")
+
+
+_json_leaves = (
+    _cells
+    | st.floats().map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | hnp.arrays(
+        st.sampled_from([np.float64, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    )
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(_text, inner, max_size=3),
+    max_leaves=12,
+)
+_station_ids = st.text(
+    st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=4
+)
+_records = st.lists(
+    st.builds(
+        ArchiveRecord,
+        _station_ids,
+        st.dates(datetime.date(1900, 1, 1), datetime.date(2100, 12, 31)),
+        st.integers(0, 240),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    max_size=5,
+    unique_by=lambda r: (r.station_id, r.init_date, r.lead_time),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.dictionaries(_text, _json_values, max_size=4),
+    st.lists(st.dictionaries(_text, _json_values, max_size=3), max_size=4),
+)
+def test_json_writers_give_the_bytes_of_their_streamed_writes(tmp_path_factory, obj, rows):
+    """``_write_json`` and ``_write_jsonl`` build their text and write it
+    once; the bytes are those of ``json.dump`` and of the per-row writes."""
+    d = tmp_path_factory.mktemp("json")
+    writers = ((cli._write_json, _old_write_json, obj), (cli._write_jsonl, _old_write_jsonl, rows))
+    for new, old, value in writers:
+        new(str(d / "new"), value)
+        old(str(d / "old"), value)
+        assert (d / "new").read_bytes() == (d / "old").read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_records)
+def test_jsonl_archive_writer_gives_the_per_row_bytes_and_round_trips(tmp_path_factory, recs):
+    """An archive written as json lines has the bytes of the per-row
+    writes, reads back to the same archive, and written again gives the
+    same bytes, for mixed member counts and for no rows at all."""
+    d = tmp_path_factory.mktemp("jsonl")
+    write_archive_jsonl(recs, d / "a.jsonl")
+    _old_write_archive_jsonl(recs, d / "old.jsonl")
+    assert (d / "a.jsonl").read_bytes() == (d / "old.jsonl").read_bytes()
+    back = read_archive_jsonl(d / "a.jsonl")
+    assert back.rejects == ()
+    assert [(r.station_id, r.init_date, r.lead_time, r.members.tolist(), r.obs) for r in back] == [
+        (r.station_id, r.init_date, r.lead_time, list(map(float, r.members)), r.obs) for r in recs
+    ]
+    write_archive_jsonl(back, d / "a.jsonl")
+    assert (d / "a.jsonl").read_bytes() == (d / "old.jsonl").read_bytes()
 
 
 def _oracle_fit_chains(windows, inits, histories):

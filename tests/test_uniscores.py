@@ -1301,3 +1301,40 @@ def test_cli_runs_postprocess_only_through_its_public_functions():
                 stack += [path.stem for t in node.targets if getattr(t, "id", None) == "_STACK"]
     assert defined == {"_key_codes": ["grouping"], "_blocks": ["grouping"]}
     assert stack == []
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """Whether ``call`` opens a file for writing: ``os.open``,
+    ``write_text``, ``write_bytes``, or an ``open`` whose mode holds w, a,
+    x or + or is not a constant."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    position = 1 if isinstance(func, ast.Name) else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position : position + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_only_the_text_writer_opens_a_file_for_writing():
+    """Every file the package writes goes through ``archive._write_text``,
+    which unlinks what is there and creates the file anew, so no writer
+    truncates and rewrites an existing output: the one write-mode
+    ``open`` of the package is inside it."""
+    writes = []
+    for path in sorted(pathlib.Path(wverif.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                owner.update((id(n), getattr(func, "name", "<lambda>")) for n in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _writes_a_file(node):
+                writes.append((path.stem, owner.get(id(node)), node.lineno))
+    assert [w[:2] for w in writes] == [("archive", "_write_text")], writes
